@@ -82,46 +82,21 @@ func MaskedEqual(key, value, mask []byte) bool {
 	return true
 }
 
-// FindBatch resolves every key in the batch, writing the lowest matching
-// row (or -1) into rows[i]. rows must have kb.Len() entries. Semantics
-// are exactly Find's, amortizing the index-shape loads over the burst.
-func (ix *KeyIndex) FindBatch(kb *KeyBatch, rows []int32) {
-	if ix.nRows == 0 || kb.width != ix.width {
-		for i := 0; i < kb.n; i++ {
-			rows[i] = -1
-		}
-		return
-	}
-	if ix.nWords == 1 {
-		// One-word fast loop: up to 64 rules, the common learned-table
-		// shape — no inner word loop, one accumulator register.
-		seed := ix.rowMask[0]
-		for i := 0; i < kb.n; i++ {
-			rows[i] = ix.findOneWord(kb.Key(i), seed)
-		}
-		return
-	}
-	for i := 0; i < kb.n; i++ {
-		if r, ok := ix.Find(kb.Key(i)); ok {
-			rows[i] = int32(r)
-		} else {
-			rows[i] = -1
-		}
-	}
-}
-
 // FindBatchIdx resolves kb keys selected by idxs (key index idxs[j]),
-// writing the matching row or -1 into rows[j]. rows must have len(idxs)
-// entries. The fast path uses it to resolve only the packets its flow
-// cache missed.
+// writing the lowest matching row or -1 into rows[j], exactly as Find
+// would. rows must have len(idxs) entries. The fast path uses it to
+// resolve only the packets its flow cache missed.
 func (ix *KeyIndex) FindBatchIdx(kb *KeyBatch, idxs []int32, rows []int32) {
-	if ix.nRows == 0 || kb.width != ix.width {
+	if ix == nil || kb.width != ix.width {
 		for j := range idxs {
 			rows[j] = -1
 		}
 		return
 	}
-	if ix.nWords == 1 {
+	if ix.pts == nil && ix.nWords == 1 {
+		// One-word fast loop: up to 64 rules and no point rows, the
+		// common learned-table shape — no inner word loop, one
+		// accumulator register.
 		seed := ix.rowMask[0]
 		for j, idx := range idxs {
 			rows[j] = ix.findOneWord(kb.Key(int(idx)), seed)
@@ -129,11 +104,7 @@ func (ix *KeyIndex) FindBatchIdx(kb *KeyBatch, idxs []int32, rows []int32) {
 		return
 	}
 	for j, idx := range idxs {
-		if r, ok := ix.Find(kb.Key(int(idx))); ok {
-			rows[j] = int32(r)
-		} else {
-			rows[j] = -1
-		}
+		rows[j] = ix.find(kb.Key(int(idx)))
 	}
 }
 
@@ -147,25 +118,4 @@ func (ix *KeyIndex) findOneWord(key []byte, seed uint64) int32 {
 		return -1
 	}
 	return int32(bits.TrailingZeros64(acc))
-}
-
-// ClassifyBatch classifies every key in the batch with ClassifyKey
-// semantics, writing per-key results into classes and matched (both of
-// length kb.Len()).
-func (m *Compiled) ClassifyBatch(kb *KeyBatch, classes []int, matched []bool) {
-	if kb.width != len(m.offsets) {
-		for i := 0; i < kb.n; i++ {
-			classes[i], matched[i] = m.defaultClass, false
-		}
-		return
-	}
-	rows := make([]int32, kb.n)
-	m.idx.FindBatch(kb, rows)
-	for i, r := range rows {
-		if r >= 0 {
-			classes[i], matched[i] = m.classes[r], true
-		} else {
-			classes[i], matched[i] = m.defaultClass, false
-		}
-	}
 }

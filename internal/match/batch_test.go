@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"p4guard/internal/rules"
 )
 
 func randRows(rng *rand.Rand, width, n int) []RangeRow {
@@ -28,10 +26,11 @@ func randRows(rng *rand.Rand, width, n int) []RangeRow {
 	return rows
 }
 
-// TestFindBatchMatchesFind pins the batched resolver to the single-key
-// reference on random keys, covering both the one-word fast loop
-// (≤64 rows) and the general multi-word loop (>64 rows).
-func TestFindBatchMatchesFind(t *testing.T) {
+// TestFindBatchIdxMatchesFind pins the batched resolver to the single-key
+// reference on random keys, covering the one-word fast loop (≤64 rows),
+// the general multi-word loop (>64 rows), sparse index lists, and a
+// width-mismatched batch.
+func TestFindBatchIdxMatchesFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, cfg := range []struct{ width, rows, keys int }{
 		{1, 3, 64}, {4, 20, 256}, {4, 64, 256}, {5, 100, 256}, {8, 200, 512},
@@ -42,44 +41,29 @@ func TestFindBatchMatchesFind(t *testing.T) {
 		}
 		var kb KeyBatch
 		kb.Reset(cfg.width, cfg.keys)
-		for i := 0; i < cfg.keys; i++ {
+		all := make([]int32, cfg.keys)
+		for i := range all {
 			rng.Read(kb.Key(i))
+			all[i] = int32(i)
 		}
-		rows := make([]int32, cfg.keys)
-		ix.FindBatch(&kb, rows)
-		for i := 0; i < cfg.keys; i++ {
-			want, ok := ix.Find(kb.Key(i))
-			if !ok {
-				want = -1
-			}
-			if int(rows[i]) != want {
-				t.Fatalf("cfg %+v key %d: FindBatch=%d Find=%d", cfg, i, rows[i], want)
-			}
-		}
-		// Sparse resolution through the index list must agree too.
-		idxs := []int32{0, int32(cfg.keys / 2), int32(cfg.keys - 1)}
-		sub := make([]int32, len(idxs))
-		ix.FindBatchIdx(&kb, idxs, sub)
-		for j, idx := range idxs {
-			if sub[j] != rows[idx] {
-				t.Fatalf("cfg %+v idx %d: FindBatchIdx=%d FindBatch=%d", cfg, idx, sub[j], rows[idx])
+		for _, idxs := range [][]int32{all, {0, int32(cfg.keys / 2), int32(cfg.keys - 1)}} {
+			rows := make([]int32, len(idxs))
+			ix.FindBatchIdx(&kb, idxs, rows)
+			for j, idx := range idxs {
+				want, ok := ix.Find(kb.Key(int(idx)))
+				if !ok {
+					want = -1
+				}
+				if int(rows[j]) != want {
+					t.Fatalf("cfg %+v key %d: FindBatchIdx=%d Find=%d", cfg, idx, rows[j], want)
+				}
 			}
 		}
-	}
-}
-
-func TestFindBatchWidthMismatch(t *testing.T) {
-	ix, err := CompileRanges(4, randRows(rand.New(rand.NewSource(1)), 4, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kb KeyBatch
-	kb.Reset(3, 5)
-	rows := []int32{9, 9, 9, 9, 9}
-	ix.FindBatch(&kb, rows)
-	for i, r := range rows {
-		if r != -1 {
-			t.Fatalf("key %d: width-mismatched batch resolved to row %d", i, r)
+		kb.Reset(cfg.width+1, 2)
+		rows := []int32{9, 9}
+		ix.FindBatchIdx(&kb, []int32{0, 1}, rows)
+		if rows[0] != -1 || rows[1] != -1 {
+			t.Fatalf("cfg %+v: width-mismatched batch resolved to rows %v", cfg, rows)
 		}
 	}
 }
@@ -140,45 +124,6 @@ func TestMaskOpsMatchByteLoops(t *testing.T) {
 			if !MaskedEqual(key, vv, mask) {
 				t.Fatalf("n=%d MaskedEqual false for constructed equal value", n)
 			}
-		}
-	}
-}
-
-// TestClassifyBatchMatchesClassifyKey pins batched classification to the
-// single-key path on a compiled rule set.
-func TestClassifyBatchMatchesClassifyKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rs := rules.NewRuleSet([]int{0, 2, 5}, 7)
-	for i := 0; i < 12; i++ {
-		var preds []rules.BytePredicate
-		for _, off := range []int{0, 2, 5} {
-			if rng.Intn(3) > 0 {
-				a, b := byte(rng.Intn(256)), byte(rng.Intn(256))
-				if a > b {
-					a, b = b, a
-				}
-				preds = append(preds, rules.BytePredicate{Offset: off, Lo: a, Hi: b})
-			}
-		}
-		rs.Add(rules.Rule{Priority: i % 4, Class: i % 3, Preds: preds})
-	}
-	m, err := Compile(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 300
-	var kb KeyBatch
-	kb.Reset(3, n)
-	for i := 0; i < n; i++ {
-		rng.Read(kb.Key(i))
-	}
-	classes := make([]int, n)
-	matched := make([]bool, n)
-	m.ClassifyBatch(&kb, classes, matched)
-	for i := 0; i < n; i++ {
-		wc, wm := m.ClassifyKey(kb.Key(i))
-		if classes[i] != wc || matched[i] != wm {
-			t.Fatalf("key %d: batch (%d,%v) != single (%d,%v)", i, classes[i], matched[i], wc, wm)
 		}
 	}
 }

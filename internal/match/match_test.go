@@ -177,17 +177,61 @@ func TestKeyIndexZeroWidth(t *testing.T) {
 	}
 }
 
-func BenchmarkKeyIndexFind(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rs := randomRuleSet(rng, []int{0, 1, 2, 3, 4, 5}, 48, 2)
+// TestClassifyKeyWrongWidth: a key of the wrong width is a miss, not a
+// partial match.
+func TestClassifyKeyWrongWidth(t *testing.T) {
+	rs := rules.NewRuleSet([]int{0, 2, 5}, 7)
+	rs.Add(rules.Rule{Priority: 1, Class: 3})
 	m, err := Compile(rs)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
+	if class, matched := m.ClassifyKey([]byte{1, 2, 3}); !matched || class != 3 {
+		t.Fatalf("full key: (%d,%v)", class, matched)
+	}
+	if class, matched := m.ClassifyKey([]byte{1, 2}); matched || class != 7 {
+		t.Fatalf("short key: (%d,%v), want the default class", class, matched)
+	}
+}
+
+func BenchmarkKeyIndexFind(b *testing.B) {
+	offsets := []int{0, 1, 2, 3, 4, 5}
 	key := []byte{9, 80, 3, 200, 17, 64}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ClassifyKey(key)
+	ranges := randomRuleSet(rand.New(rand.NewSource(1)), offsets, 48, 2)
+	// The same ranges under 8k reactive point rows, one of them on key.
+	rng := rand.New(rand.NewSource(1))
+	mixed := randomRuleSet(rng, offsets, 48, 2)
+	for i := 0; i < 8192; i++ {
+		k := make([]byte, len(offsets))
+		rng.Read(k)
+		if i == 0 {
+			copy(k, key)
+		}
+		preds := make([]rules.BytePredicate, len(offsets))
+		for j, off := range offsets {
+			preds[j] = rules.BytePredicate{Offset: off, Lo: k[j], Hi: k[j]}
+		}
+		mixed.Add(rules.Rule{Priority: 1 << 20, Class: 1, Preds: preds})
+	}
+	for _, bc := range []struct {
+		name string
+		rs   *rules.RuleSet
+		key  []byte
+	}{
+		{"ranges", ranges, key},
+		{"points+ranges/point-hit", mixed, key},
+		{"points+ranges/range-probe", mixed, []byte{9, 80, 3, 200, 17, 65}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := Compile(bc.rs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ClassifyKey(bc.key)
+			}
+		})
 	}
 }

@@ -178,17 +178,10 @@ func winnerEntry(st *lookupState, key []byte) (*Entry, int) {
 			}
 		}
 	case MatchRange:
-		if st.rangeIdx != nil {
-			if row, ok := st.rangeIdx.Find(key); ok {
-				return st.entries[row], row
-			}
-			return nil, -1
+		if row, ok := st.rangeIdx.Find(key); ok {
+			return st.entries[row], row
 		}
-		for _, e := range st.entries {
-			if rangeMatch(key, e.Lo, e.Hi) {
-				return e, matchOrderOf(st, e)
-			}
-		}
+		return nil, -1
 	}
 	if hit == nil {
 		return nil, -1

@@ -20,10 +20,10 @@ import (
 //     identical to a fresh lookup because table lookup is a pure
 //     function of (lookup state, key) and every cache entry is tagged
 //     with the state generation that produced it;
-//   - cache misses fall through to the kind-specific index — the bitset
-//     range engine batched over the miss set, the partitioned ternary
-//     trie store and LPM with 64-bit lane compares (match.MaskBytes /
-//     match.MaskedEqual) instead of per-byte loops;
+//   - cache misses fall through to the kind-specific index — the range
+//     index (point hash + bitset) batched over the miss set, the
+//     partitioned ternary trie store and LPM with 64-bit lane compares
+//     (match.MaskBytes / match.MaskedEqual) instead of per-byte loops;
 //   - direct counters are tallied with run-length merging and one pair
 //     of table-level atomic adds per batch instead of three atomic
 //     read-modify-writes per packet;
@@ -37,7 +37,7 @@ import (
 // flowKeyMax is the widest key the flow cache holds. Learned detector
 // layouts are ≤ 8 bytes; wider keys skip the cache and always take the
 // index path.
-const flowKeyMax = 16
+const flowKeyMax = match.PackedKeyMax
 
 // flowCacheSlots is the direct-mapped cache size (power of two).
 const flowCacheSlots = 1024
@@ -95,33 +95,10 @@ func (c *flowCache) sync(t *Table, st *lookupState) bool {
 	return true
 }
 
-// flowWords packs a key (len ≤ flowKeyMax) into two zero-padded
-// little-endian words. Written as two shift loops (no scratch buffer,
-// no copy) so it stays within the inlining budget.
-func flowWords(key []byte) (k0, k1 uint64) {
-	for i := len(key) - 1; i >= 8; i-- {
-		k1 = k1<<8 | uint64(key[i])
-	}
-	n := len(key)
-	if n > 8 {
-		n = 8
-	}
-	for i := n - 1; i >= 0; i-- {
-		k0 = k0<<8 | uint64(key[i])
-	}
-	return k0, k1
-}
-
-// flowHash mixes the packed key words into a slot index
-// (Fibonacci-style multiply hashing; the high bits carry the mixing).
-func flowHash(k0, k1 uint64) uint32 {
-	return uint32((k0*0x9e3779b97f4a7c15 ^ k1*0xc2b2ae3d27d4eb4f) >> 40)
-}
-
 // get probes the cache. ok distinguishes "no information" from a cached
 // miss (ok=true, entry=nil).
 func (c *flowCache) get(k0, k1 uint64, klen int) (entry *Entry, row int32, ok bool) {
-	s := &c.slots[flowHash(k0, k1)&(flowCacheSlots-1)]
+	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
 	if s.gen != c.gen || int(s.klen) != klen || s.k0 != k0 || s.k1 != k1 {
 		return nil, -1, false
 	}
@@ -133,7 +110,7 @@ func (c *flowCache) get(k0, k1 uint64, klen int) (entry *Entry, row int32, ok bo
 
 // put records a resolved key (entry nil = miss).
 func (c *flowCache) put(k0, k1 uint64, klen int, entry *Entry, row int32) {
-	s := &c.slots[flowHash(k0, k1)&(flowCacheSlots-1)]
+	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
 	s.gen = c.gen
 	s.klen = uint8(klen)
 	s.miss = entry == nil
@@ -233,7 +210,7 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 		key := ws.keys.Key(int(idx))
 		fillKey(key, pkts[idx].Bytes, st.key)
 		if cached {
-			k0, k1 := flowWords(key)
+			k0, k1 := match.PackKey(key)
 			if e, row, ok := cache.get(k0, k1, width); ok {
 				ws.hits[idx] = e
 				ws.hitRows[idx] = row
@@ -246,27 +223,15 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 	if len(pend) > 0 {
 		switch st.kind {
 		case MatchRange:
-			if st.rangeIdx != nil {
-				rows := ws.rows[:len(pend)]
-				st.rangeIdx.FindBatchIdx(&ws.keys, pend, rows)
-				for j, idx := range pend {
-					if rows[j] >= 0 {
-						ws.hits[idx] = st.entries[rows[j]]
-					} else {
-						ws.hits[idx] = nil
-					}
-					ws.hitRows[idx] = rows[j]
+			rows := ws.rows[:len(pend)]
+			st.rangeIdx.FindBatchIdx(&ws.keys, pend, rows)
+			for j, idx := range pend {
+				if rows[j] >= 0 {
+					ws.hits[idx] = st.entries[rows[j]]
+				} else {
+					ws.hits[idx] = nil
 				}
-			} else {
-				for _, idx := range pend {
-					row := st.findRangeScan(ws.keys.Key(int(idx)))
-					ws.hitRows[idx] = row
-					if row >= 0 {
-						ws.hits[idx] = st.entries[row]
-					} else {
-						ws.hits[idx] = nil
-					}
-				}
+				ws.hitRows[idx] = rows[j]
 			}
 		case MatchExact:
 			for _, idx := range pend {
@@ -296,7 +261,7 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 		}
 		if cached {
 			for _, idx := range pend {
-				k0, k1 := flowWords(ws.keys.Key(int(idx)))
+				k0, k1 := match.PackKey(ws.keys.Key(int(idx)))
 				cache.put(k0, k1, width, ws.hits[idx], ws.hitRows[idx])
 			}
 		}
@@ -392,18 +357,6 @@ func (st *lookupState) findTernaryLanes(key, masked []byte) *Entry {
 func (st *lookupState) findLPMLanes(key []byte) int32 {
 	for i, e := range st.entries {
 		if match.MaskedEqual(key, e.Value, st.lpmMasks[i]) {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
-// findRangeScan is the linear range fallback for states whose bitset
-// index could not be compiled. Returns the dense entry row, or -1 on
-// miss.
-func (st *lookupState) findRangeScan(key []byte) int32 {
-	for i, e := range st.entries {
-		if rangeMatch(key, e.Lo, e.Hi) {
 			return int32(i)
 		}
 	}

@@ -81,6 +81,55 @@ func BenchmarkTernaryLookup(b *testing.B) {
 	}
 }
 
+// learnedPlusPoints is a detector as a gateway under attack holds it: 16
+// learned-shaped range rows (each owns a slice of the first key byte and
+// bounds one more byte) and n reactive point rows above them.
+func learnedPlusPoints(rng *rand.Rand, n int) []Entry {
+	out := make([]Entry, 0, 16+n)
+	for i := 0; i < 16; i++ {
+		lo, hi := []byte{byte(i * 15), 0, 0, 0}, []byte{byte(i*15 + 14), 255, 255, 255}
+		j := 1 + rng.Intn(3)
+		lo[j], hi[j] = byte(rng.Intn(64)), byte(128+rng.Intn(64))
+		out = append(out, Entry{Priority: 16 - i, Lo: lo, Hi: hi, Action: Action{Type: ActionDrop, Class: 1 + i%2}})
+	}
+	for i := 0; i < n; i++ {
+		k := make([]byte, 4)
+		rng.Read(k)
+		out = append(out, Entry{Priority: 1 << 20, Lo: k, Hi: k, Action: Action{Type: ActionDrop, Class: 1}})
+	}
+	return out
+}
+
+// BenchmarkRangeLookup measures single-key range lookup as reactive point
+// rows pile up beside the learned ranges. Half the probe keys are point
+// rows' own keys, half are random (hitting a learned range or nothing).
+func BenchmarkRangeLookup(b *testing.B) {
+	for _, n := range []int{0, 1_000, 8_000, 64_000} {
+		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			prog := learnedPlusPoints(rng, n)
+			tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+			if err := tbl.Replace(prog); err != nil {
+				b.Fatal(err)
+			}
+			frames := make([][]byte, 1024)
+			for i := range frames {
+				f := make([]byte, 4)
+				rng.Read(f)
+				if n > 0 && i%2 == 0 {
+					copy(f, prog[16+rng.Intn(n)].Lo)
+				}
+				frames[i] = f
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl.Lookup(frames[i&1023])
+			}
+		})
+	}
+}
+
 // BenchmarkTernaryReplace is the full-swap baseline at 1M entries:
 // validate, copy, sort, and rebuild every partition index.
 func BenchmarkTernaryReplace(b *testing.B) {

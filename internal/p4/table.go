@@ -71,10 +71,10 @@ type Table struct {
 }
 
 // lookupState is one immutable generation of the table's lookup index.
-// Every mutation builds a fresh state (entry slice included, since
-// reindexing sorts), so concurrent lookups on an old generation never
-// observe a partial update. Entry pointers are shared across generations,
-// keeping per-entry hit counters stable over reprogramming.
+// Every mutation builds a fresh state (entry slice included: lookups
+// still read the old one), so concurrent lookups on an old generation
+// never observe a partial update. Entry pointers are shared across
+// generations, keeping per-entry hit counters stable over reprogramming.
 type lookupState struct {
 	kind     MatchKind
 	key      []FieldSpec
@@ -172,7 +172,7 @@ func (t *Table) Insert(e Entry) (uint64, error) {
 	e.ord = insertedOrdBase + e.ID // IDs are monotonic: insertion order
 	stored := e
 	t.inserted = append(t.inserted, &stored)
-	t.reindex()
+	t.reindexWith(&stored)
 	return stored.ID, nil
 }
 
@@ -361,9 +361,9 @@ func beats(e, f *Entry) bool {
 }
 
 // buildRangeIndex compiles the priority-sorted range entries into the
-// shared bitset index from internal/match — the same engine the offline
-// rule set classifies with, so table lookups and rule-set classification
-// cannot drift apart.
+// shared index from internal/match — the same engine the offline rule
+// set classifies with, so table lookups and rule-set classification
+// cannot drift apart. An empty table has the nil (empty) index.
 func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 	if len(entries) == 0 {
 		return nil
@@ -374,12 +374,48 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 	}
 	idx, err := match.CompileRanges(width, rows)
 	if err != nil {
-		// Entries inconsistent with the current key layout (reprogrammed
-		// underneath): fall back to the linear scan, which degrades to a
-		// miss per entry instead of a wrong hit.
-		return nil
+		// validate pinned every entry to this width, and a layout change
+		// clears the table: only a bug gets here.
+		panic(err)
 	}
 	return idx
+}
+
+// reindexWith publishes the generation that gains e. A range table
+// builds it from the previous one: e is binary-inserted into the sorted
+// entry list, and a point row derives the index too (match shares the
+// range bitset). Callers hold t.mu.
+func (t *Table) reindexWith(e *Entry) {
+	if t.Kind != MatchRange {
+		t.reindex()
+		return
+	}
+	st := *t.state.Load()
+	at := sort.Search(len(st.entries), func(i int) bool { return beats(e, st.entries[i]) })
+	next := make([]*Entry, 0, len(st.entries)+1)
+	next = append(append(append(next, st.entries[:at]...), e), st.entries[at:]...)
+	idx := st.rangeIdx.InsertRow(at, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
+	if idx == nil {
+		idx = buildRangeIndex(st.width, next)
+	}
+	st.entries, st.rangeIdx = next, idx
+	t.state.Store(&st)
+}
+
+// reindexWithout publishes the generation that lacks e; a range table
+// drops it from the sorted entry list and recompiles. Callers hold t.mu.
+func (t *Table) reindexWithout(e *Entry) {
+	if t.Kind != MatchRange {
+		t.reindex()
+		return
+	}
+	st := *t.state.Load()
+	// (priority, ord) is unique, so the first entry not ahead of e is e.
+	at := sort.Search(len(st.entries), func(i int) bool { return !beats(st.entries[i], e) })
+	next := make([]*Entry, 0, len(st.entries)-1)
+	next = append(append(next, st.entries[:at]...), st.entries[at+1:]...)
+	st.entries, st.rangeIdx = next, buildRangeIndex(st.width, next)
+	t.state.Store(&st)
 }
 
 // Delete removes the entry with the given ID (programmed or reactive).
@@ -393,7 +429,7 @@ func (t *Table) Delete(id uint64) error {
 			next = append(next, t.prog[i+1:]...)
 			t.prog = next
 			t.progHash ^= HashEntry(e)
-			t.reindex()
+			t.reindexWithout(e)
 			return nil
 		}
 	}
@@ -403,7 +439,7 @@ func (t *Table) Delete(id uint64) error {
 			next = append(next, t.inserted[:i]...)
 			next = append(next, t.inserted[i+1:]...)
 			t.inserted = next
-			t.reindex()
+			t.reindexWithout(e)
 			return nil
 		}
 	}
@@ -502,17 +538,8 @@ func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 			}
 		}
 	case MatchRange:
-		if st.rangeIdx != nil {
-			if row, ok := st.rangeIdx.Find(key); ok {
-				hit = st.entries[row]
-			}
-		} else {
-			for _, e := range st.entries {
-				if rangeMatch(key, e.Lo, e.Hi) {
-					hit = e
-					break
-				}
-			}
+		if row, ok := st.rangeIdx.Find(key); ok {
+			hit = st.entries[row]
 		}
 	}
 	if hit == nil {

@@ -15,6 +15,18 @@ go build ./...
 echo "==> go test -race"
 go test -race ./...
 
+echo "==> benchmark module (perfbench: vet + its own tests)"
+# perfbench is its own module (BENCHMARK.json's harness), so ./... above
+# does not build it: a contract export removed from the root module must
+# fail here, not in the driver. Same offline environment as
+# perfbench/run.sh.
+(
+    cd perfbench
+    export GOFLAGS=-mod=mod GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+    go vet ./...
+    go test ./...
+)
+
 echo "==> focused race pass (parallel kernels, workspaces, attribution)"
 # The full -race suite above already covers these; this focused pass keeps
 # the parallel-training packages raced even when CI trims the full suite.
