@@ -290,20 +290,20 @@ type FanInStats struct {
 // accounting. Snapshots are lock-cheap — no RPC-bearing lock is taken —
 // so status stays responsive while a reconcile is replaying entries.
 type SwitchStatus struct {
-	Addr            string     `json:"addr"`
-	Name            string     `json:"name,omitempty"`
-	Node            string     `json:"node,omitempty"`
-	Shard           int        `json:"shard"`
-	State           string     `json:"state"`
-	DesiredEpoch    uint64     `json:"desired_epoch"`
-	AppliedEpoch    uint64     `json:"applied_epoch"`
-	ReactiveLog     int        `json:"reactive_log"`
-	AppliedReactive int        `json:"applied_reactive"`
-	Reconnects      uint64     `json:"reconnects"`
-	Reconciles      uint64     `json:"reconciles"`
-	Replayed        uint64     `json:"replayed"`
-	Digests         uint64     `json:"digests"`
-	Installs        uint64     `json:"installs"`
+	Addr            string `json:"addr"`
+	Name            string `json:"name,omitempty"`
+	Node            string `json:"node,omitempty"`
+	Shard           int    `json:"shard"`
+	State           string `json:"state"`
+	DesiredEpoch    uint64 `json:"desired_epoch"`
+	AppliedEpoch    uint64 `json:"applied_epoch"`
+	ReactiveLog     int    `json:"reactive_log"`
+	AppliedReactive int    `json:"applied_reactive"`
+	Reconnects      uint64 `json:"reconnects"`
+	Reconciles      uint64 `json:"reconciles"`
+	Replayed        uint64 `json:"replayed"`
+	Digests         uint64 `json:"digests"`
+	Installs        uint64 `json:"installs"`
 	// EpochLatencyNs is how long the most recent program epoch took to
 	// propagate from DeployRuleSet to this switch (0 until measured).
 	EpochLatencyNs int64      `json:"epoch_latency_ns"`

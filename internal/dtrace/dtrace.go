@@ -44,13 +44,13 @@ const (
 // Stage and detail names of the digest round trip and the deploy path.
 // Constants so the switch, the controller, and the analyzer agree.
 const (
-	StageDigestWait = "digest_wait" // switch: pipeline enqueue → pump drain
-	StageFanInWait  = "fanin_wait"  // controller: fan-in enqueue → worker pop
-	StageClassify   = "classify"    // controller: slow-path model
-	StagePlan       = "plan"        // controller: mirror/dedup/shard decision
-	StageInstall    = "install"     // controller: reactive WriteEntry RPC
-	DetailApply     = "apply"       // switch: table insert inside install
-	StageDeploy     = "deploy"      // controller: whole DeployRuleSet
+	StageDigestWait = "digest_wait"   // switch: pipeline enqueue → pump drain
+	StageFanInWait  = "fanin_wait"    // controller: fan-in enqueue → worker pop
+	StageClassify   = "classify"      // controller: slow-path model
+	StagePlan       = "plan"          // controller: mirror/dedup/shard decision
+	StageInstall    = "install"       // controller: reactive WriteEntry RPC
+	DetailApply     = "apply"         // switch: table insert inside install
+	StageDeploy     = "deploy"        // controller: whole DeployRuleSet
 	DetailProgram   = "program_apply" // switch: shard program apply
 )
 

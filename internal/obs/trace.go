@@ -11,12 +11,12 @@ import (
 
 // StageStat aggregates one pipeline stage across every complete trace.
 type StageStat struct {
-	Name    string
-	Count   int
-	Total   time.Duration
-	P50     time.Duration
-	P99     time.Duration
-	Max     time.Duration
+	Name  string
+	Count int
+	Total time.Duration
+	P50   time.Duration
+	P99   time.Duration
+	Max   time.Duration
 	// Share is this stage's fraction of the summed end-to-end time across
 	// complete traces — the critical-path breakdown.
 	Share float64

@@ -56,7 +56,7 @@ func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 		{1, 1, 1}, {1, 7, 1}, {1, 1, 9}, {7, 1, 5},
 		{1, 300, 4}, {300, 1, 4}, {5, 4, 1},
 		{2, 3, 2}, {3, 3, 3}, {13, 17, 11},
-		{64, 320, 48}, {31, 257, 33},  // straddles gemmBlockK
+		{64, 320, 48}, {31, 257, 33}, // straddles gemmBlockK
 		{97, 259, 41}, {128, 512, 64}, // above parCutoff
 	}
 	for _, w := range []int{1, 2, 3, 7} {
