@@ -182,7 +182,17 @@ func TestFlightRecorderTracesControlLoop(t *testing.T) {
 	}
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{10, 0}})  // benign
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 0}}) // attack -> install
-	waitFor(t, func() bool { return c.Stats().DigestsProcessed >= 2 })
+	// DigestsProcessed moves before a digest's event is recorded, so wait
+	// on what the assertions below read: the recorder itself.
+	waitFor(t, func() bool {
+		digests := 0
+		for _, e := range fr.Events() {
+			if e.Kind == "digest" {
+				digests++
+			}
+		}
+		return digests >= 2
+	})
 
 	decisions := map[string]int{}
 	kinds := map[string]int{}

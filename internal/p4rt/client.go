@@ -71,13 +71,6 @@ func WithDialer(d Dialer) ClientOption {
 	}
 }
 
-// Dial connects with background context and default timeouts.
-//
-// Deprecated: use DialContext, which honors cancellation and deadlines.
-func Dial(addr, clientName string, onDigest func([]WirePacket)) (*Client, error) {
-	return DialContext(context.Background(), addr, clientName, onDigest)
-}
-
 // DialContext connects to a switch agent, performs the hello handshake,
 // and starts the read loop. Establishment and handshake are bounded by
 // ctx (or DialTimeout when ctx has no deadline). onDigest (may be nil)
@@ -273,14 +266,18 @@ func (c *Client) call(ctx context.Context, typ MsgType, body any) (Response, err
 	c.pending[id] = ch
 	c.mu.Unlock()
 
+	// Encoding happens outside writeMu, and an encoding failure
+	// (ErrOversized, ErrMalformed) put nothing on the wire.
+	frame, err := encodeFrame(typ, id, body)
+	if err != nil {
+		c.forget(id)
+		return Response{}, err
+	}
 	c.writeMu.Lock()
-	err := WriteMsg(c.conn, typ, id, body)
+	err = writeFrame(c.conn, frame)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.forget(id)
-		if errors.Is(err, ErrOversized) {
-			return Response{}, err
-		}
 		// A failed frame write leaves the stream unframed; the connection
 		// is unusable. Close it so the read loop (and Done) observe death.
 		_ = c.conn.Close()

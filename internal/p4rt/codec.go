@@ -1,0 +1,557 @@
+package p4rt
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+
+	"p4guard/internal/p4"
+)
+
+// Hand-written framing for every message and a body codec for Program,
+// the one body large enough (647 KB at 8 192 rows) for encoding/json to
+// dominate a push. The wire format is unchanged: what is produced here is
+// byte for byte what the two json.Marshal calls produced, and what is
+// accepted is what json.Unmarshal accepts.
+//
+// The rule that keeps the two in step: the single-pass routes handle only
+// the canonical form this package emits — keys in struct order, no
+// whitespace, strings of plain ASCII with nothing to escape, integers
+// without sign tricks or leading zeros. Anything else is "not canonical":
+// the route reports so without a partial result and the same bytes go
+// through encoding/json, which alone decides whether they are valid.
+// DESIGN.md ("Wire encoding") has the layout and the cost table.
+
+// plain marks the bytes that stand for themselves inside a JSON string
+// under encoding/json's default HTML-escaping encoder.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plain[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// ---- encoding -------------------------------------------------------
+
+// Object keys of Program and WireEntry as they appear on the wire. A key
+// that can only follow another field carries its leading comma.
+const (
+	keyOffsets       = `{"offsets":`
+	keyDefaultAction = `,"default_action":`
+	keyDefaultClass  = `,"default_class":`
+	keyEntries       = `,"entries":`
+	keyTraceID       = `,"trace_id":`
+	keySpanID        = `,"span_id":`
+
+	keyPriority  = `"priority":`
+	keyValue     = `"value":`
+	keyMask      = `"mask":`
+	keyPrefixLen = `"prefix_len":`
+	keyLo        = `"lo":`
+	keyHi        = `"hi":`
+	keyAction    = `"action":`
+	keyClass     = `,"class":`
+)
+
+func uintLen(u uint64) int {
+	n := 1
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+func intLen(v int) int {
+	if v < 0 {
+		return 1 + uintLen(-uint64(v))
+	}
+	return uintLen(uint64(v))
+}
+
+// Each append* helper below writes one omitempty field — nothing for a
+// zero value, else key and value — and its *Len twin sizes it. The
+// WireEntry fields ahead of "action" end in a comma, hence sep.
+
+func intFieldLen(key string, v int, sep string) int {
+	if v == 0 {
+		return 0
+	}
+	return len(key) + intLen(v) + len(sep)
+}
+
+func appendIntField(b []byte, key string, v int, sep string) []byte {
+	if v == 0 {
+		return b
+	}
+	return append(strconv.AppendInt(append(b, key...), int64(v), 10), sep...)
+}
+
+func uintFieldLen(key string, v uint64) int {
+	if v == 0 {
+		return 0
+	}
+	return len(key) + uintLen(v)
+}
+
+func appendUintField(b []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, key...), v, 10)
+}
+
+func bytesFieldLen(key string, v []byte) int {
+	if len(v) == 0 {
+		return 0
+	}
+	return len(key) + base64.StdEncoding.EncodedLen(len(v)) + len(`"",`)
+}
+
+func appendBytesField(b []byte, key string, v []byte) []byte {
+	if len(v) == 0 {
+		return b
+	}
+	b = append(append(b, key...), '"')
+	return append(base64.StdEncoding.AppendEncode(b, v), '"', ',')
+}
+
+// listLen is the length of a JSON list of n items whose encodings total
+// sum bytes; a nil list encodes as null.
+func listLen(isNil bool, n, sum int) int {
+	if isNil {
+		return len("null")
+	}
+	return len("[]") + max(n-1, 0) + sum
+}
+
+// programLen is len(json.Marshal(p)). ok is false when a string in p needs
+// escaping; the whole body then goes through encoding/json.
+func programLen(p *Program) (n int, ok bool) {
+	if !plainString(p.DefaultAction) {
+		return 0, false
+	}
+	offsets := 0
+	for _, o := range p.Offsets {
+		offsets += intLen(o)
+	}
+	entries := 0
+	for i := range p.Entries {
+		e := &p.Entries[i]
+		if !plainString(e.Action) {
+			return 0, false
+		}
+		entries += len(`{`) + intFieldLen(keyPriority, e.Priority, ",") + bytesFieldLen(keyValue, e.Value) +
+			bytesFieldLen(keyMask, e.Mask) + intFieldLen(keyPrefixLen, e.PrefixLen, ",") +
+			bytesFieldLen(keyLo, e.Lo) + bytesFieldLen(keyHi, e.Hi) +
+			len(keyAction) + len(`""`) + len(e.Action) + intFieldLen(keyClass, e.Class, "") + len(`}`)
+	}
+	return len(keyOffsets) + listLen(p.Offsets == nil, len(p.Offsets), offsets) +
+		len(keyDefaultAction) + len(`""`) + len(p.DefaultAction) +
+		intFieldLen(keyDefaultClass, p.DefaultClass, "") +
+		len(keyEntries) + listLen(p.Entries == nil, len(p.Entries), entries) +
+		uintFieldLen(keyTraceID, p.TraceID) + uintFieldLen(keySpanID, p.SpanID) + len(`}`), true
+}
+
+// appendProgram appends json.Marshal(p) for a p that programLen accepted.
+func appendProgram(b []byte, p *Program) []byte {
+	b = append(b, keyOffsets...)
+	if p.Offsets == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, o := range p.Offsets {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(o), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(append(b, keyDefaultAction...), '"')
+	b = append(append(b, p.DefaultAction...), '"')
+	b = appendIntField(b, keyDefaultClass, p.DefaultClass, "")
+	b = append(b, keyEntries...)
+	if p.Entries == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Entries {
+			e := &p.Entries[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '{')
+			b = appendIntField(b, keyPriority, e.Priority, ",")
+			b = appendBytesField(b, keyValue, e.Value)
+			b = appendBytesField(b, keyMask, e.Mask)
+			b = appendIntField(b, keyPrefixLen, e.PrefixLen, ",")
+			b = appendBytesField(b, keyLo, e.Lo)
+			b = appendBytesField(b, keyHi, e.Hi)
+			b = append(append(b, keyAction...), '"')
+			b = append(append(b, e.Action...), '"')
+			b = appendIntField(b, keyClass, e.Class, "")
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendUintField(b, keyTraceID, p.TraceID)
+	b = appendUintField(b, keySpanID, p.SpanID)
+	return append(b, '}')
+}
+
+// encodeFrame builds one wire frame — length prefix, envelope, body — in
+// a single buffer allocated at its exact size.
+func encodeFrame(typ MsgType, id uint64, body any) ([]byte, error) {
+	var raw []byte // the body as encoding/json wrote it, when the codec did not take it
+	prog, isProg := body.(Program)
+	bodyLen, direct := 0, false
+	if isProg {
+		bodyLen, direct = programLen(&prog)
+	}
+	if !direct {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return nil, fmt.Errorf("%w: marshal %s: %w", ErrMalformed, typ, err)
+		}
+		bodyLen = len(raw)
+	}
+	var typJSON []byte // set only when the type tag needs escaping
+	typLen := len(typ) + 2
+	if !plainString(string(typ)) {
+		typJSON, _ = json.Marshal(string(typ)) // a string always marshals
+		typLen = len(typJSON)
+	}
+	n := len(`{"type":`) + typLen + len(`,"body":`) + bodyLen + 1
+	if id != 0 {
+		n += len(`,"id":`) + uintLen(id)
+	}
+	if n > MaxFrame {
+		return nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
+	}
+	b := make([]byte, 4, 4+n)
+	b = append(b, `{"type":`...)
+	if typJSON != nil {
+		b = append(b, typJSON...)
+	} else {
+		b = append(append(append(b, '"'), typ...), '"')
+	}
+	if id != 0 {
+		b = strconv.AppendUint(append(b, `,"id":`...), id, 10)
+	}
+	b = append(b, `,"body":`...)
+	if direct {
+		b = appendProgram(b, &prog)
+	} else {
+		b = append(b, raw...)
+	}
+	b = append(b, '}')
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b, nil
+}
+
+// ---- decoding -------------------------------------------------------
+
+// scanner is a cursor over canonical-form JSON. A mismatch sets bad and
+// the caller discards everything decoded so far; methods stay in bounds
+// after that, so callers check bad once at the end (and in loops).
+type scanner struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+// lit consumes l if it is next. The keys tried at one position differ in
+// length, so looking at l's last byte first settles most mismatches.
+func (s *scanner) lit(l string) bool {
+	end := s.i + len(l)
+	if end <= len(s.b) && s.b[end-1] == l[len(l)-1] && string(s.b[s.i:end]) == l {
+		s.i = end
+		return true
+	}
+	return false
+}
+
+func (s *scanner) need(l string) {
+	if !s.lit(l) {
+		s.bad = true
+	}
+}
+
+// uint consumes a run of digits: "0", or up to 20 digits with no leading
+// zero whose value fits a uint64.
+func (s *scanner) uint() uint64 {
+	start := s.i
+	var v uint64
+	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
+		v = v*10 + uint64(s.b[s.i]-'0')
+		s.i++
+	}
+	switch n := s.i - start; {
+	case n == 0, n > 20, n > 1 && s.b[start] == '0':
+		s.bad = true
+	case n == 20: // may exceed 64 bits; trace IDs get here, priorities do not
+		u, err := strconv.ParseUint(string(s.b[start:s.i]), 10, 64)
+		s.bad = s.bad || err != nil
+		return u
+	}
+	return v
+}
+
+// int consumes an integer that fits an int. "-0" is valid JSON this
+// package never writes, so it takes the encoding/json route.
+func (s *scanner) int() int {
+	neg := s.lit("-")
+	u := s.uint()
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	if u > limit || neg && u == 0 {
+		s.bad = true
+	}
+	if neg {
+		return -int(u)
+	}
+	return int(u)
+}
+
+// str consumes a quoted string of plain bytes and returns its contents,
+// aliasing the input.
+func (s *scanner) str() []byte {
+	s.need(`"`)
+	b, i := s.b, s.i
+	for i < len(b) && plain[b[i]] {
+		i++
+	}
+	out := b[s.i:i]
+	s.i = i
+	s.need(`"`)
+	return out
+}
+
+// b64 consumes a base64 string into a new slice of exactly the decoded
+// size: the switch keeps these slices for as long as the entry lives.
+func (s *scanner) b64() []byte {
+	src := s.str()
+	pad := 0
+	for pad < len(src) && src[len(src)-1-pad] == '=' {
+		pad++
+	}
+	if s.bad || len(src)%4 != 0 || pad > 2 {
+		s.bad = true
+		return nil
+	}
+	dst := make([]byte, len(src)/4*3-pad)
+	if n, err := base64.StdEncoding.Decode(dst, src); err != nil || n != len(dst) {
+		s.bad = true
+	}
+	return dst
+}
+
+// optInt and optBytes consume one of the WireEntry fields ahead of
+// "action" — key, value, comma — if it is next.
+func (s *scanner) optInt(key string, dst *int) {
+	if s.lit(key) {
+		*dst = s.int()
+		s.need(",")
+	}
+}
+
+func (s *scanner) optBytes(key string, dst *[]byte) {
+	if s.lit(key) {
+		*dst = s.b64()
+		s.need(",")
+	}
+}
+
+// actionNames lets action decode to a shared string instead of allocating
+// one per entry.
+var actionNames = [...]string{
+	FormatAction(p4.ActionAllow), FormatAction(p4.ActionDrop), FormatAction(p4.ActionDigest),
+	FormatAction(p4.ActionSetClass), FormatAction(p4.ActionNop),
+}
+
+func (s *scanner) action() string {
+	b := s.str()
+	for _, a := range actionNames {
+		if string(b) == a {
+			return a
+		}
+	}
+	return string(b)
+}
+
+func (s *scanner) ints() []int {
+	if s.lit("null") {
+		return nil
+	}
+	s.need("[")
+	out := []int{}
+	if s.lit("]") {
+		return out
+	}
+	for !s.bad {
+		out = append(out, s.int())
+		if !s.lit(",") {
+			break
+		}
+	}
+	s.need("]")
+	return out
+}
+
+func (s *scanner) entries() []WireEntry {
+	if s.lit("null") {
+		return nil
+	}
+	s.need("[")
+	if s.lit("]") {
+		return []WireEntry{}
+	}
+	// One '{' per canonical entry sizes the slice once. A hostile body
+	// cannot inflate it: no entry is shorter than minEntry bytes.
+	const minEntry = len(`{"action":""},`)
+	rest := s.b[s.i:]
+	out := make([]WireEntry, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minEntry+1))
+	for !s.bad {
+		var e WireEntry
+		s.need("{")
+		s.optInt(keyPriority, &e.Priority)
+		s.optBytes(keyValue, &e.Value)
+		s.optBytes(keyMask, &e.Mask)
+		s.optInt(keyPrefixLen, &e.PrefixLen)
+		s.optBytes(keyLo, &e.Lo)
+		s.optBytes(keyHi, &e.Hi)
+		s.need(keyAction)
+		e.Action = s.action()
+		if s.lit(keyClass) {
+			e.Class = s.int()
+		}
+		s.need("}")
+		out = append(out, e)
+		if !s.lit(",") {
+			break
+		}
+	}
+	s.need("]")
+	return out
+}
+
+// parseProgram is the single-pass route of decodeProgram. ok is false for
+// anything but a canonical Program body, valid or not.
+func parseProgram(body []byte) (p Program, ok bool) {
+	s := scanner{b: body}
+	s.need(keyOffsets)
+	p.Offsets = s.ints()
+	s.need(keyDefaultAction)
+	p.DefaultAction = s.action()
+	if s.lit(keyDefaultClass) {
+		p.DefaultClass = s.int()
+	}
+	s.need(keyEntries)
+	p.Entries = s.entries()
+	if s.lit(keyTraceID) {
+		p.TraceID = s.uint()
+	}
+	if s.lit(keySpanID) {
+		p.SpanID = s.uint()
+	}
+	s.need("}")
+	return p, !s.bad && s.i == len(body)
+}
+
+// decodeProgram decodes a Program body exactly as json.Unmarshal(body, dst)
+// would. json.Unmarshal merges into what dst already holds, so the
+// single-pass route, which builds a whole value, serves a zero dst only.
+func decodeProgram(body []byte, dst *Program) error {
+	zero := dst.Offsets == nil && dst.Entries == nil && dst.DefaultAction == "" &&
+		dst.DefaultClass == 0 && dst.TraceID == 0 && dst.SpanID == 0
+	if zero {
+		if p, ok := parseProgram(body); ok {
+			*dst = p
+			return nil
+		}
+	}
+	return json.Unmarshal(body, dst)
+}
+
+// valueEnd returns the index just past the JSON value starting at b[i],
+// found by matching brackets outside strings; i itself when no value
+// starts there. It does not validate the value — whoever decodes the body
+// does — but for valid JSON the extent it finds is the value's.
+func valueEnd(b []byte, i int) int {
+	depth := 0
+	for i < len(b) {
+		c := b[i]
+		i++
+		switch c {
+		case '"':
+			// The closing quote is the next one not behind an odd run of
+			// backslashes (the run cannot reach past the opening quote).
+			for escaped := true; escaped; {
+				q := bytes.IndexByte(b[i:], '"')
+				if q < 0 {
+					return len(b)
+				}
+				i += q + 1
+				escaped = false
+				for j := i - 2; b[j] == '\\'; j-- {
+					escaped = !escaped
+				}
+			}
+		case '{', '[':
+			depth++
+			continue
+		case '}', ']', ',', ' ', '\t', '\r', '\n':
+			if depth == 0 { // a scalar ended, or none began; c is not the value's
+				return i - 1
+			}
+			if c != '}' && c != ']' {
+				continue
+			}
+			depth--
+		default:
+			continue
+		}
+		if depth == 0 { // a top-level string or container just closed
+			return i
+		}
+	}
+	return len(b)
+}
+
+// splitEnvelope is the single-pass route of ReadMsg: it takes the
+// envelope apart where it lies, Body aliasing buf. ok is false for
+// anything but the canonical {"type":…[,"id":…][,"body":…]}.
+func splitEnvelope(buf []byte) (env Envelope, ok bool) {
+	s := scanner{b: buf}
+	s.need(`{"type":`)
+	typ := s.str()
+	if s.lit(`,"id":`) {
+		env.ID = s.uint()
+	}
+	if s.lit(`,"body":`) {
+		end := valueEnd(buf, s.i)
+		s.bad = s.bad || end == s.i
+		env.Body, s.i = buf[s.i:end:end], end
+	}
+	s.need("}")
+	if s.bad || s.i != len(buf) {
+		return Envelope{}, false
+	}
+	env.Type = MsgType(typ)
+	return env, true
+}

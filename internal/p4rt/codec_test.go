@@ -1,0 +1,534 @@
+package p4rt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// refFrame is the framing this package used before the hand-written
+// codec — marshal the body, marshal it again inside the envelope — kept
+// here as the oracle the new encoder must match byte for byte.
+func refFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatalf("reference marshal: %v", err)
+	}
+	env, err := json.Marshal(Envelope{Type: typ, ID: id, Body: raw})
+	if err != nil {
+		t.Fatalf("reference envelope marshal: %v", err)
+	}
+	return rawFrame(string(env))
+}
+
+// rawFrame length-prefixes env, whatever it holds.
+func rawFrame(env string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...)
+}
+
+// oneWrite records the single buffer WriteMsg hands to its writer.
+type oneWrite struct {
+	writes int
+	buf    []byte
+}
+
+func (w *oneWrite) Write(p []byte) (int, error) {
+	w.writes++
+	w.buf = p
+	return len(p), nil
+}
+
+// checkFrame asserts that WriteMsg produces the reference frame in one
+// exact-capacity Write, and that ReadMsg splits it as encoding/json does.
+func checkFrame(t *testing.T, typ MsgType, id uint64, body any) Envelope {
+	t.Helper()
+	want := refFrame(t, typ, id, body)
+	var w oneWrite
+	if err := WriteMsg(&w, typ, id, body); err != nil {
+		t.Fatalf("WriteMsg(%s): %v", typ, err)
+	}
+	if !bytes.Equal(w.buf, want) {
+		t.Fatalf("WriteMsg(%s) frame differs from the two-marshal reference\n got %q\nwant %q", typ, w.buf, want)
+	}
+	if w.writes != 1 || cap(w.buf) != len(w.buf) {
+		t.Fatalf("WriteMsg(%s): %d writes, cap %d for len %d; want one exact-capacity write", typ, w.writes, cap(w.buf), len(w.buf))
+	}
+	var wantEnv Envelope
+	if err := json.Unmarshal(want[4:], &wantEnv); err != nil {
+		t.Fatalf("reference envelope decode: %v", err)
+	}
+	env, err := ReadMsg(bytes.NewReader(w.buf))
+	if err != nil {
+		t.Fatalf("ReadMsg(%s): %v", typ, err)
+	}
+	if !reflect.DeepEqual(env, wantEnv) {
+		t.Fatalf("ReadMsg(%s) = %+v, want %+v", typ, env, wantEnv)
+	}
+	return env
+}
+
+var (
+	testActions = []string{"allow", "drop", "digest", "set_class", "nop", "", "custom", "a<b", `x"y`, `back\slash`,
+		"naïve", "tab\there", "\x7f", "\xff\xfe", "amp&", " "}
+	testInts  = []int{0, 1, -1, 7, 10, 99, 100, -1000, 1 << 20, math.MaxInt32, math.MinInt64, math.MaxInt64, -math.MaxInt64}
+	testUints = []uint64{0, 1, 9, 10, 0xfeed, 1 << 62, 1 << 63, 1<<63 + 12345, 9999999999999999999, 10000000000000000000, math.MaxUint64}
+	testKeys  = []int{0, 1, 2, 3, 5, 6, 16, 64}
+)
+
+func pick[T any](rng *rand.Rand, from []T) T { return from[rng.Intn(len(from))] }
+
+// randKey is nil, empty, or 1/16/64-ish random bytes.
+func randKey(rng *rand.Rand) []byte {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	k := make([]byte, pick(rng, testKeys))
+	rng.Read(k)
+	return k
+}
+
+// randProgram covers nil vs empty lists, every omitempty field zero and
+// non-zero, negative and extreme integers, strings that need escaping.
+// plainOnly keeps every string inside what the codec encodes itself.
+func randProgram(rng *rand.Rand, plainOnly bool) Program {
+	action := func() string {
+		if plainOnly {
+			return testActions[rng.Intn(7)]
+		}
+		return pick(rng, testActions)
+	}
+	p := Program{DefaultAction: action()}
+	switch rng.Intn(4) {
+	case 0:
+	case 1:
+		p.Offsets = []int{}
+	default:
+		for i, n := 0, 1+rng.Intn(16); i < n; i++ {
+			p.Offsets = append(p.Offsets, pick(rng, testInts))
+		}
+	}
+	if rng.Intn(2) == 0 {
+		p.DefaultClass = pick(rng, testInts)
+	}
+	switch rng.Intn(5) {
+	case 0:
+	case 1:
+		p.Entries = []WireEntry{}
+	default:
+		for i, n := 0, 1+rng.Intn(24); i < n; i++ {
+			e := WireEntry{Action: action()}
+			if rng.Intn(2) == 0 {
+				e.Priority = pick(rng, testInts)
+			}
+			if rng.Intn(2) == 0 {
+				e.Value, e.Mask = randKey(rng), randKey(rng)
+			}
+			if rng.Intn(3) == 0 {
+				e.PrefixLen = pick(rng, testInts)
+			}
+			if rng.Intn(2) == 0 {
+				e.Lo, e.Hi = randKey(rng), randKey(rng)
+			}
+			if rng.Intn(2) == 0 {
+				e.Class = pick(rng, testInts)
+			}
+			p.Entries = append(p.Entries, e)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		p.TraceID, p.SpanID = pick(rng, testUints), pick(rng, testUints)
+	}
+	return p
+}
+
+func programIsPlain(p Program) bool {
+	ok := plainString(p.DefaultAction)
+	for _, e := range p.Entries {
+		ok = ok && plainString(e.Action)
+	}
+	return ok
+}
+
+// TestProgramFrameMatchesEncodingJSON is the differential test of the
+// Program codec: frames equal the two-marshal reference byte for byte,
+// decoding equals json.Unmarshal, and a program with nothing to escape
+// really takes the single-pass routes (so neither check is vacuous).
+func TestProgramFrameMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}}}
+	for i := 0; i < 400; i++ {
+		progs = append(progs, randProgram(rng, i%2 == 0))
+	}
+	for i, p := range progs {
+		isPlain := programIsPlain(p)
+		if _, direct := programLen(&p); direct != isPlain {
+			t.Fatalf("program %d: encoder took the codec = %v, want %v", i, direct, isPlain)
+		}
+		env := checkFrame(t, TypeProgram, uint64(i), p)
+
+		var want Program
+		if err := json.Unmarshal(env.Body, &want); err != nil {
+			t.Fatalf("program %d: reference decode: %v", i, err)
+		}
+		if _, single := parseProgram(env.Body); single != isPlain {
+			t.Fatalf("program %d: decoder took the single pass = %v, want %v\n%s", i, single, isPlain, env.Body)
+		}
+		var got Program
+		if err := DecodeBody(env, &got); err != nil {
+			t.Fatalf("program %d: DecodeBody: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("program %d: DecodeBody differs from json.Unmarshal\n got %+v\nwant %+v", i, got, want)
+		}
+		// Memory rule (b): what the table keeps is allocated at its size.
+		for _, e := range got.Entries {
+			for _, k := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
+				if isPlain && cap(k) != len(k) {
+					t.Fatalf("program %d: decoded key has cap %d for len %d", i, cap(k), len(k))
+				}
+			}
+		}
+	}
+}
+
+// TestFramingMatchesEncodingJSON: every message type goes through the
+// same hand-written framing; bodies other than Program stay on
+// encoding/json, and the frame must not change for any of them.
+func TestFramingMatchesEncodingJSON(t *testing.T) {
+	entry := WireEntry{Priority: 3, Lo: []byte{1, 2}, Hi: []byte{3, 4}, Action: "drop", Class: 1}
+	prog := Program{Offsets: []int{0}, DefaultAction: "allow", Entries: []WireEntry{entry}}
+	bodies := []struct {
+		typ  MsgType
+		body any
+	}{
+		{TypeHello, Hello{SwitchName: "gw<0>", Link: 1}},
+		{TypeHelloAck, HelloAck{ServerName: "s", Node: "n"}},
+		{TypeProgram, prog},
+		{TypeProgram, &prog}, // pointer bodies take the encoding/json route
+		{TypeProgram, (*Program)(nil)},
+		{TypeWrite, Write{Entry: entry, TraceID: 1 << 63}},
+		{TypeDelta, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 1, Adds: []WireDeltaAdd{{Entry: entry}}}},
+		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}},
+		{TypeResponse, Response{Error: "unknown message type \"x\"", Switch: &WireSwitchStats{Name: "gw"}}},
+		{TypeHeartbeat, struct{}{}},
+		{TypeCounters, nil},
+		{TypeStats, json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`)},
+		{"", "scalar body"},
+		{"a<b", 12.5},
+		{`quo"te`, []int{1, 2}},
+		{"naïve\x00", true},
+	}
+	for _, b := range bodies {
+		for _, id := range []uint64{0, 1, 10, math.MaxUint64} {
+			checkFrame(t, b.typ, id, b.body)
+		}
+	}
+}
+
+// programFrameCases are frames the decoder must treat exactly as
+// encoding/json does although they are not what this package writes.
+// They are also the checked-in seed corpus of FuzzReadProgramFrame
+// (TestFuzzCorpusCheckedIn keeps testdata/fuzz in step with this list).
+func programFrameCases() map[string][]byte {
+	body := func(b string) []byte { return rawFrame(`{"type":"program","id":7,"body":` + b + `}`) }
+	entry := `{"priority":5,"lo":"AQI=","hi":"AwQ=","action":"drop","class":1}`
+	cases := map[string][]byte{
+		"canonical":         body(`{"offsets":[0,1],"default_action":"allow","entries":[` + entry + `,` + entry + `],"trace_id":18446744073709551615}`),
+		"null-lists":        body(`{"offsets":null,"default_action":"digest","entries":null}`),
+		"reordered-keys":    body(`{"entries":[` + entry + `],"default_action":"allow","offsets":[0]}`),
+		"reordered-entry":   body(`{"offsets":[0],"default_action":"allow","entries":[{"action":"drop","priority":5}]}`),
+		"unknown-key":       body(`{"offsets":[0],"future":{"a":[1]},"default_action":"allow","entries":[]}`),
+		"unknown-entry-key": body(`{"offsets":[0],"default_action":"allow","entries":[{"action":"drop","x":1}]}`),
+		"duplicate-entries": body(`{"offsets":[0],"default_action":"allow","entries":[],"entries":[` + entry + `]}`),
+		"leading-zero":      body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":01,"action":"drop"}]}`),
+		"minus-zero":        body(`{"offsets":[-0],"default_action":"allow","entries":[]}`),
+		"minus-zero-class":  body(`{"offsets":[0],"default_action":"allow","default_class":-0,"entries":[]}`),
+		"uint-20-digits":    body(`{"offsets":[0],"default_action":"allow","entries":[],"trace_id":18446744073709551616}`),
+		"int-20-digits":     body(`{"offsets":[12345678901234567890],"default_action":"allow","entries":[]}`),
+		"int-min":           body(`{"offsets":[-9223372036854775808],"default_action":"allow","entries":[]}`),
+		"float-priority":    body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":1.0,"action":"drop"}]}`),
+		"exp-priority":      body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":1e2,"action":"drop"}]}`),
+		"escaped-action":    body(`{"offsets":[0],"default_action":"a<b","entries":[{"action":"x\"y"}]}`),
+		"non-ascii-action":  body(`{"offsets":[0],"default_action":"naïve","entries":[{"action":"` + "\xff" + `"}]}`),
+		"raw-html-action":   body(`{"offsets":[0],"default_action":"a<b","entries":[]}`),
+		"control-in-string": body(`{"offsets":[0],"default_action":"a` + "\n" + `b","entries":[]}`),
+		"bad-base64":        body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"A*I=","action":"drop"}]}`),
+		"base64-no-pad":     body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"AQI","action":"drop"}]}`),
+		"base64-pad-mid":    body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"A=I=","action":"drop"}]}`),
+		"base64-all-pad":    body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"====","action":"drop"}]}`),
+		"base64-loose-bits": body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"AR==","action":"drop"}]}`),
+		"base64-empty":      body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"","action":"drop"}]}`),
+		"null-fields":       body(`{"offsets":[0],"default_action":null,"entries":[{"lo":null,"priority":null,"action":"drop"}]}`),
+		"wrong-types":       body(`{"offsets":"0","default_action":1,"entries":{}}`),
+		"case-folded-keys":  body(`{"Offsets":[3],"DEFAULT_ACTION":"allow","entries":[]}`),
+		"missing-action":    body(`{"offsets":[0],"default_action":"allow","entries":[{}]}`),
+		"comma-first":       body(`{"offsets":[0],"default_action":"allow","entries":[{,"class":1}]}`),
+		"trailing-comma":    body(`{"offsets":[0,],"default_action":"allow","entries":[]}`),
+		"empty-object":      body(`{}`),
+		"null-body":         body(`null`),
+		"array-body":        body(`[1,2]`),
+		"string-body":       body(`"}],{["`),
+		"unbalanced-body":   body(`{"offsets":[0}`),
+		"mismatched-close":  body(`{"offsets":[0}]`),
+		"body-whitespace":   body(`{ "offsets": [0, 1],` + "\n\t" + `"default_action": "allow", "entries": [ ] }`),
+		"body-lead-space":   rawFrame(`{"type":"program","body": {"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"scalar-body-space": rawFrame(`{"type":"program","body":12 }`),
+		"body-padded":       body(` {"offsets":[0],"default_action":"allow","entries":[]} `),
+		"frame-padded":      rawFrame(` {"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}} `),
+		"key-after-body":    rawFrame(`{"type":"program","body":{"offsets":[0],"default_action":"allow","entries":[]},"id":7}`),
+		"unknown-after":     rawFrame(`{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]},"x":{"y":"}"}}`),
+		"duplicate-type":    rawFrame(`{"type":"write","type":"program","body":{"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"id-leading-zero":   rawFrame(`{"type":"program","id":07,"body":{}}`),
+		"id-overflow":       rawFrame(`{"type":"program","id":18446744073709551616,"body":{}}`),
+		"escaped-type":      rawFrame(`{"type":"pro\u0067ram","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"no-body":           rawFrame(`{"type":"program","id":7}`),
+		"empty-body":        rawFrame(`{"type":"program","id":7,"body":}`),
+		"trailing-bytes":    rawFrame(`{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}}xyz`),
+		"trailing-brace":    rawFrame(`{"type":"program","id":7,"body":{}}}`),
+		"lone-backslash":    rawFrame(`{"type":"program","body":"\`),
+		"not-json":          rawFrame(`hello`),
+		"empty-frame":       rawFrame(``),
+		"delta-frame": rawFrame(`{"type":"delta","id":9,"body":{"offsets":[0],"default_action":"allow","base_count":1,` +
+			`"base_hash":7,"deletes":[0],"adds":[{"entry":` + entry + `,"order":0}]}}`),
+	}
+	truncated := body(`{"offsets":[0],"default_action":"allow","entries":[` + entry + `]}`)
+	cases["truncated-frame"] = truncated[:len(truncated)-9]
+	cases["after-frame"] = append(body(`{"offsets":[0],"default_action":"allow","entries":[]}`), "next frame"...)
+	cases["header-only"] = []byte{0, 0}
+	cases["claims-max-frame"] = append(binary.BigEndian.AppendUint32(nil, MaxFrame), `{"type":"program"}`...)
+	cases["claims-max-frame-plus-1"] = append(binary.BigEndian.AppendUint32(nil, MaxFrame+1), `{"type":"program"}`...)
+	return cases
+}
+
+// checkProgramFrame reads data as one framed Program both ways — the
+// package's ReadMsg+DecodeBody and a plain encoding/json reference — and
+// fails on any disagreement:
+//   - whenever a single-pass route accepts, encoding/json accepts and
+//     yields the same value;
+//   - whenever encoding/json rejects, the frame is rejected with
+//     ErrMalformed (at ReadMsg or at DecodeBody);
+//   - transport-level failures (short header, truncated or oversized
+//     frame) stay what they were;
+//   - decoding allocates no more than a small multiple of the frame.
+func checkProgramFrame(t *testing.T, data []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env, err := ReadMsg(bytes.NewReader(data))
+	var got Program
+	if err == nil {
+		err = DecodeBody(env, &got)
+	}
+	runtime.ReadMemStats(&after)
+
+	if len(data) < 4 {
+		if err == nil || errors.Is(err, ErrMalformed) {
+			t.Fatalf("short header: err = %v, want a read error", err)
+		}
+		return
+	}
+	n := binary.BigEndian.Uint32(data)
+	if n > MaxFrame {
+		if !errors.Is(err, ErrOversized) {
+			t.Fatalf("frame claims %d bytes: err = %v, want ErrOversized", n, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Fatalf("oversized claim allocated %d bytes before being refused", alloc)
+		}
+		return
+	}
+	// The frame buffer is allocated at its claimed size (as it always
+	// was); everything after that is bounded by what actually arrived.
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(n)+128*uint64(len(data))+64<<10; alloc > bound {
+		t.Fatalf("decoding a %d-byte input allocated %d bytes (bound %d)", len(data), alloc, bound)
+	}
+	if int(n) > len(data)-4 {
+		if err == nil || errors.Is(err, ErrMalformed) || errors.Is(err, ErrOversized) {
+			t.Fatalf("truncated frame: err = %v, want a read error", err)
+		}
+		return
+	}
+	buf := data[4 : 4+n]
+
+	var wantEnv Envelope
+	var want Program
+	wantErr := json.Unmarshal(buf, &wantEnv)
+	if wantErr == nil {
+		wantErr = json.Unmarshal(wantEnv.Body, &want)
+	}
+	switch {
+	case wantErr != nil && !errors.Is(err, ErrMalformed):
+		t.Fatalf("encoding/json rejects the frame (%v) but err = %v, want ErrMalformed", wantErr, err)
+	case wantErr == nil && err != nil:
+		t.Fatalf("encoding/json accepts the frame but err = %v", err)
+	case wantErr == nil && (env.Type != wantEnv.Type || env.ID != wantEnv.ID || !reflect.DeepEqual(got, want)):
+		t.Fatalf("decoded (%s, %d, %+v), encoding/json decodes (%s, %d, %+v)", env.Type, env.ID, got, wantEnv.Type, wantEnv.ID, want)
+	}
+
+	// The single-pass routes on their own: accepting is a claim that
+	// encoding/json agrees.
+	if fast, ok := splitEnvelope(buf); ok {
+		var ref Envelope
+		if json.Unmarshal(buf, &ref) == nil && !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("splitEnvelope = %+v, encoding/json = %+v", fast, ref)
+		}
+		if p, ok := parseProgram(fast.Body); ok {
+			var refProg Program
+			if err := json.Unmarshal(fast.Body, &refProg); err != nil {
+				t.Fatalf("parseProgram accepts a body encoding/json rejects: %v", err)
+			}
+			if !reflect.DeepEqual(p, refProg) {
+				t.Fatalf("parseProgram = %+v, encoding/json = %+v", p, refProg)
+			}
+		}
+	}
+}
+
+// TestProgramFrameCases runs the hand-written cases directly, and pins
+// which route each of the headline ones takes.
+func TestProgramFrameCases(t *testing.T) {
+	cases := programFrameCases()
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) { checkProgramFrame(t, data) })
+	}
+	singlePass := map[string]bool{"canonical": true, "null-lists": true, "base64-loose-bits": true, "base64-empty": true,
+		"int-min": true, "after-frame": true}
+	for name, data := range cases {
+		if len(data) < 4 || int(binary.BigEndian.Uint32(data)) > len(data)-4 {
+			continue
+		}
+		buf := data[4 : 4+binary.BigEndian.Uint32(data)]
+		env, ok := splitEnvelope(buf)
+		if ok && env.Type == TypeProgram {
+			_, ok = parseProgram(env.Body)
+		} else {
+			ok = false
+		}
+		if ok != singlePass[name] {
+			t.Errorf("%s: single-pass route accepted = %v", name, ok)
+		}
+	}
+}
+
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzReadProgramFrame from programFrameCases")
+
+// TestFuzzCorpusCheckedIn: every hand-written case is a seed file of
+// FuzzReadProgramFrame, so `go test -fuzz` starts from them and plain
+// `go test` replays them. Run with -update after editing the cases.
+func TestFuzzCorpusCheckedIn(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadProgramFrame")
+	for name, data := range programFrameCases() {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		path := filepath.Join(dir, name)
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s is missing or stale (err %v); run go test -run TestFuzzCorpusCheckedIn -update", path, err)
+		}
+	}
+}
+
+// TestDecodeProgramMergesLikeEncodingJSON: json.Unmarshal merges into a
+// non-zero destination, so DecodeBody must too.
+func TestDecodeProgramMergesLikeEncodingJSON(t *testing.T) {
+	body := []byte(`{"offsets":[4],"default_action":"drop","entries":null}`)
+	seed := Program{DefaultClass: 9, TraceID: 5, Entries: []WireEntry{{Class: 2}}}
+	got, want := seed, seed
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeBody(Envelope{Type: TypeProgram, Body: body}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.DefaultClass != 9 {
+		t.Fatalf("DecodeBody into a non-zero Program = %+v, want %+v", got, want)
+	}
+}
+
+func FuzzReadProgramFrame(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		f.Add(refFrame(f, TypeProgram, uint64(i), randProgram(rng, i%2 == 0)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkProgramFrame(t, data)
+		// Mutations rarely keep the length prefix right; framing the same
+		// bytes honestly gets them past it and into the decoders. A seed's
+		// own envelope is tried too, so its mutations are.
+		checkProgramFrame(t, rawFrame(string(data)))
+		if len(data) > 4 {
+			checkProgramFrame(t, rawFrame(string(data[4:])))
+		}
+	})
+}
+
+// benchProgram is shaped like what the controller deploys: range rows on
+// a 6-byte key, descending priorities, drop/allow by class.
+func benchProgram(rows int) Program {
+	rng := rand.New(rand.NewSource(int64(rows)))
+	p := Program{Offsets: []int{23, 34, 35, 36, 37, 46}, DefaultAction: "digest", Entries: make([]WireEntry, rows)}
+	for i := range p.Entries {
+		lo, hi := make([]byte, 6), make([]byte, 6)
+		rng.Read(lo)
+		rng.Read(hi)
+		p.Entries[i] = WireEntry{Priority: rows - i, Lo: lo, Hi: hi, Action: "allow"}
+		if i%3 == 0 {
+			p.Entries[i].Action, p.Entries[i].Class = "drop", 1
+		}
+	}
+	return p
+}
+
+// BenchmarkProgramFrame measures one Program frame through WriteMsg
+// (encode) and through ReadMsg+DecodeBody (decode) on one P.
+func BenchmarkProgramFrame(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, rows := range []int{16, 8192} {
+		prog := benchProgram(rows)
+		frame := refFrame(b, TypeProgram, 1, prog)
+		b.Run(fmt.Sprintf("encode/rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				if err := WriteMsg(io.Discard, TypeProgram, 1, prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("decode/rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			r := bytes.NewReader(frame)
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame)
+				env, err := ReadMsg(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var got Program
+				if err := DecodeBody(env, &got); err != nil || len(got.Entries) != rows {
+					b.Fatalf("decode: %v (%d entries)", err, len(got.Entries))
+				}
+			}
+		})
+	}
+}

@@ -66,7 +66,7 @@ func legacyServer(t *testing.T) string {
 // survive so the fallback Program can reuse it.
 func TestDeltaRejectedByOldPeer(t *testing.T) {
 	addr := legacyServer(t)
-	cl, err := Dial(addr, "t", nil)
+	cl, err := DialContext(context.Background(), addr, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,16 @@ import (
 //     request will fail again; this is a caller bug or a stale program.
 //   - ErrOversized: a frame exceeded MaxFrame in either direction. The
 //     request can never succeed as encoded.
+//   - ErrMalformed: a frame's envelope or body is not the JSON its type
+//     calls for (or a request body would not marshal). Frame boundaries
+//     are length-prefixed, so a malformed body leaves the stream in step
+//     and the connection usable; a malformed envelope ends the read loop.
 var (
 	ErrTimeout    = errors.New("p4rt: deadline exceeded")
 	ErrConnClosed = errors.New("p4rt: connection closed")
 	ErrRejected   = errors.New("p4rt: request rejected")
 	ErrOversized  = errors.New("p4rt: frame oversized")
+	ErrMalformed  = errors.New("p4rt: malformed message")
 )
 
 // RejectError carries the switch-side reason for a refused request. It

@@ -107,7 +107,7 @@ func startPair(t *testing.T, onDigest func([]WirePacket)) (*switchsim.Switch, *S
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	cl, err := Dial(srv.Addr(), "controller-test", onDigest)
+	cl, err := DialContext(context.Background(), srv.Addr(), "controller-test", onDigest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestMultipleClients(t *testing.T) {
 	sw, srv, cl1 := startPair(t, nil)
 	_ = sw
-	cl2, err := Dial(srv.Addr(), "second", nil)
+	cl2, err := DialContext(context.Background(), srv.Addr(), "second", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,13 +251,17 @@ func (s *Server) send(conn net.Conn, typ MsgType, id uint64, body any) error {
 	if st == nil {
 		return net.ErrClosed
 	}
+	frame, err := encodeFrame(typ, id, body)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if s.sendTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.sendTimeout))
 		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
 	}
-	return WriteMsg(conn, typ, id, body)
+	return writeFrame(conn, frame)
 }
 
 func (s *Server) applyProgram(prog Program) Response {

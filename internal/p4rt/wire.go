@@ -205,31 +205,24 @@ func FromPacket(p *packet.Packet) WirePacket {
 	return WirePacket{TimeNS: int64(p.Time), Link: int(p.Link), Bytes: p.Bytes}
 }
 
-// WriteMsg frames and writes one envelope.
+// WriteMsg frames and writes one envelope with a single Write.
 func WriteMsg(w io.Writer, typ MsgType, id uint64, body any) error {
-	raw, err := json.Marshal(body)
+	frame, err := encodeFrame(typ, id, body)
 	if err != nil {
-		return fmt.Errorf("p4rt: marshal %s: %w", typ, err)
+		return err
 	}
-	env, err := json.Marshal(Envelope{Type: typ, ID: id, Body: raw})
-	if err != nil {
-		return fmt.Errorf("p4rt: marshal envelope: %w", err)
-	}
-	if len(env) > MaxFrame {
-		return fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, len(env), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(env)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("p4rt: write frame header: %w", err)
-	}
-	if _, err := w.Write(env); err != nil {
-		return fmt.Errorf("p4rt: write frame body: %w", err)
+	return writeFrame(w, frame)
+}
+
+func writeFrame(w io.Writer, frame []byte) error {
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("p4rt: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadMsg reads one envelope.
+// ReadMsg reads one envelope. Body aliases the frame's own buffer and is
+// not validated here: a body that is not JSON fails in DecodeBody.
 func ReadMsg(r io.Reader) (Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -243,17 +236,26 @@ func ReadMsg(r io.Reader) (Envelope, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Envelope{}, fmt.Errorf("p4rt: read frame body: %w", err)
 	}
+	if env, ok := splitEnvelope(buf); ok {
+		return env, nil
+	}
 	var env Envelope
 	if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, fmt.Errorf("p4rt: decode envelope: %w", err)
+		return Envelope{}, fmt.Errorf("%w: decode envelope: %w", ErrMalformed, err)
 	}
 	return env, nil
 }
 
 // DecodeBody unmarshals an envelope body into dst.
 func DecodeBody[T any](env Envelope, dst *T) error {
-	if err := json.Unmarshal(env.Body, dst); err != nil {
-		return fmt.Errorf("p4rt: decode %s body: %w", env.Type, err)
+	var err error
+	if prog, ok := any(dst).(*Program); ok {
+		err = decodeProgram(env.Body, prog)
+	} else {
+		err = json.Unmarshal(env.Body, dst)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: decode %s body: %w", ErrMalformed, env.Type, err)
 	}
 	return nil
 }

@@ -1,10 +1,20 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite under the race detector, then the
+# CI gate: gofmt, vet, build, full test suite under the race detector, then the
 # hot-path benchmarks (compiled matcher, data-plane lookup, batched and
 # parallel forwarding) so throughput regressions show up in the log.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+# Read-only, and by directory rather than by module: the walk covers the
+# root module and perfbench/ alike.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: needs formatting (run gofmt -w):"
+    printf '%s\n' "$unformatted"
+    exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
