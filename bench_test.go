@@ -409,9 +409,8 @@ func ppsRuleSet(entries int, seed int64) *rules.RuleSet {
 
 // BenchmarkDataPlanePPS is the wire-speed matrix behind BENCH_9.json:
 // frame sizes 64/512/1500 × small (16-entry) and large (1024-entry)
-// detector tables × the per-packet reference engine vs the zero-copy
-// batched fast path. scripts/ci.sh gates the batch/perpacket speedup at
-// the large table (CI_GUARD_PPS_SPEEDUP).
+// detector tables × the scalar path (one Switch.Process per packet) vs
+// the burst engine (Switch.Run).
 func BenchmarkDataPlanePPS(b *testing.B) {
 	const burst = 512
 	tables := []struct {
@@ -433,7 +432,6 @@ func BenchmarkDataPlanePPS(b *testing.B) {
 						b.Fatal(err)
 					}
 					if mode == "perpacket" {
-						sw.SetFastPath(false)
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
 							for _, pkt := range pkts {
@@ -441,11 +439,10 @@ func BenchmarkDataPlanePPS(b *testing.B) {
 							}
 						}
 					} else {
-						arena := switchsim.NewBatchArena()
-						sw.RunWithArena(pkts, arena) // warm the arena and flow cache
+						sw.Run(pkts) // warm the pooled arena and flow cache
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							sw.RunWithArena(pkts, arena)
+							sw.Run(pkts)
 						}
 					}
 					b.StopTimer()

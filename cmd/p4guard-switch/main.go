@@ -58,7 +58,6 @@ func run() int {
 		driftJ   = flag.String("drift-journal", "", "append drift threshold-crossing events as JSONL to this path (implies -drift)")
 		driftThr = flag.Float64("drift-threshold", drift.DefaultThreshold, "composite drift score alarm level (PSI convention)")
 		driftOut = flag.String("drift-export", "", "write the observed drift profile to this path on exit")
-		fastPath = flag.Bool("fastpath", true, "forward bursts through the zero-copy batched engine (false pins the per-packet reference path)")
 	)
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func run() int {
 	if *node != "" {
 		sw.SetNode(*node)
 	}
-	sw.SetFastPath(*fastPath)
 	if *trace || *traceOut != "" {
 		proc := *name
 		if *node != "" {

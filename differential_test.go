@@ -19,6 +19,15 @@ func tracePacketSlice(ds *trace.Dataset) []*packet.Packet {
 	return pkts
 }
 
+// processEach is the scalar reference: one Process call per packet.
+func processEach(sw *switchsim.Switch, pkts []*packet.Packet) []p4.Verdict {
+	out := make([]p4.Verdict, len(pkts))
+	for i, pkt := range pkts {
+		out[i] = sw.Process(pkt)
+	}
+	return out
+}
+
 func saveLoad(t *testing.T, pipe *Pipeline) *Pipeline {
 	t.Helper()
 	var buf bytes.Buffer
@@ -104,8 +113,8 @@ func TestDifferentialMatchAgreement(t *testing.T) {
 }
 
 // TestDifferentialFastPathAgreement extends the differential suite to the
-// zero-copy batched engine: on every scenario, the fast path's verdicts
-// must be identical to the per-packet reference engine, to the offline
+// zero-copy batched engine: on every scenario, the burst engine's verdicts
+// must be identical to one Switch.Process call per packet, to the offline
 // matcher/oracle classification, and to the side-effect-free Explain
 // reconstruction — at one worker and across parallel shard counts.
 func TestDifferentialFastPathAgreement(t *testing.T) {
@@ -125,12 +134,11 @@ func TestDifferentialFastPathAgreement(t *testing.T) {
 			}
 			rs := pipe.RuleSet()
 
-			mk := func(fast bool) *switchsim.Switch {
+			mk := func() *switchsim.Switch {
 				sw, err := switchsim.New("fastdiff-"+scen, ds.Link)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sw.SetFastPath(fast)
 				if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionAllow}); err != nil {
 					t.Fatal(err)
 				}
@@ -138,10 +146,9 @@ func TestDifferentialFastPathAgreement(t *testing.T) {
 			}
 
 			pkts := tracePacketSlice(test)
-			ref := mk(false)
-			want := ref.ProcessBatch(pkts)
+			want := processEach(mk(), pkts)
 
-			fast := mk(true)
+			fast := mk()
 			got := fast.ProcessBatch(pkts)
 			matcher := pipe.Matcher()
 			for i, pkt := range pkts {
@@ -163,7 +170,7 @@ func TestDifferentialFastPathAgreement(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 4} {
-				sw := mk(true)
+				sw := mk()
 				verdicts := sw.ProcessBatchParallel(pkts, workers)
 				for i := range want {
 					if verdicts[i] != want[i] {
@@ -194,7 +201,6 @@ func TestDifferentialFastPathUnderTernaryChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetFastPath(false)
 
 	for round := 0; round < 5; round++ {
 		sub, _, err := ds.Split(0.5 + 0.08*float64(round))
@@ -227,7 +233,7 @@ func TestDifferentialFastPathUnderTernaryChurn(t *testing.T) {
 				}
 			}
 		}
-		want := ref.ProcessBatch(pkts)
+		want := processEach(ref, pkts)
 		got := fast.ProcessBatch(pkts)
 		for i := range want {
 			if got[i] != want[i] {

@@ -74,7 +74,7 @@ func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
 		}
 		sws[i] = sw
 	}
-	if err := ctl.DeployRuleSet(context.Background(), pipe.RuleSet(), p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := ctl.Deploy(context.Background(), pipe.RuleSet(), controller.WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 

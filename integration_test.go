@@ -59,7 +59,7 @@ func TestEndToEndDistributedGateway(t *testing.T) {
 	if err := ctl.Connect(context.Background(), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.DeployRuleSet(context.Background(), pipe.RuleSet(), p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := ctl.Deploy(context.Background(), pipe.RuleSet(), controller.WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +231,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	if err := ctl.Connect(context.Background(), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.DeployRuleSet(context.Background(), pipe.RuleSet(), p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := ctl.Deploy(context.Background(), pipe.RuleSet(), controller.WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,7 +13,7 @@
 // # Fleet sharding
 //
 // The controller owns a registry of N gateway switches, each assigned a
-// shard index. DeployRuleSet partitions the distilled rule set with
+// shard index. Deploy partitions the distilled rule set with
 // PlanShards (replicate or by-class) and programs every switch with its
 // shard's rule set; all shards share the match-key layout and miss
 // action, so the slow path is uniform. Digests fan in from every switch
@@ -26,12 +26,12 @@
 // Every switch connection is owned by a supervisor goroutine running a
 // four-state machine (Connecting → Ready ⇄ Degraded → Closed). The
 // controller holds the desired rule state — a program epoch (bumped by
-// each DeployRuleSet) with one program per shard, plus the per-switch
+// each Deploy) with one program per shard, plus the per-switch
 // reactive entry log — and the supervisor reconciles the switch against
 // it: when a connection dies it redials with jittered exponential backoff
 // and replays the shard program and every reactive entry, so a switch
 // restart converges back to the exact desired shard instead of silently
-// running empty. DeployRuleSet therefore converges rather than errors
+// running empty. Deploy therefore converges rather than errors
 // when some switches are away: Ready switches are programmed
 // synchronously, Degraded ones catch up on reconnect.
 package controller
@@ -124,7 +124,7 @@ type Config struct {
 	// Shards is the number of rule shards the fleet is partitioned into
 	// (default 1: every switch runs the same shard).
 	Shards int
-	// Policy selects how DeployRuleSet splits the rule set across shards
+	// Policy selects how Deploy splits the rule set across shards
 	// (default ShardReplicate).
 	Policy ShardPolicy
 	// FlightRecorder, when non-nil, receives structured events for every
@@ -226,7 +226,7 @@ type Stats struct {
 	// MirrorSuppressed counts reactive installs skipped because the
 	// deployment mirror proved the data plane already drops the key.
 	MirrorSuppressed int `json:"mirror_suppressed"`
-	// Deploys counts successful DeployRuleSet calls; DeployedRules the
+	// Deploys counts successful Deploy calls; DeployedRules the
 	// rows shipped by the most recent one, summed across shards.
 	Deploys       int `json:"deploys"`
 	DeployedRules int `json:"deployed_rules"`
@@ -258,7 +258,7 @@ func (s Stats) String() string {
 }
 
 // desired is the controller's intended rule state: one program per shard.
-// The epoch increments on each DeployRuleSet; the reconciler compares a
+// The epoch increments on each Deploy; the reconciler compares a
 // switch's applied epoch (and reactive watermark) against it and replays
 // the difference for that switch's shard.
 type desired struct {
@@ -305,7 +305,7 @@ type SwitchStatus struct {
 	Digests         uint64 `json:"digests"`
 	Installs        uint64 `json:"installs"`
 	// EpochLatencyNs is how long the most recent program epoch took to
-	// propagate from DeployRuleSet to this switch (0 until measured).
+	// propagate from Deploy to this switch (0 until measured).
 	EpochLatencyNs int64      `json:"epoch_latency_ns"`
 	FanIn          FanInStats `json:"fan_in"`
 }
@@ -1045,14 +1045,6 @@ func WithCompression(level int) DeployOption {
 // converges via the full program, so the option is always safe.
 func WithDeltaOnly() DeployOption {
 	return func(c *deployConfig) { c.deltaOnly = true }
-}
-
-// DeployRuleSet deploys rs with missAction as the detector default.
-//
-// Deprecated: use Deploy with WithMissAction; DeployRuleSet is a
-// compatibility shim over it.
-func (c *Controller) DeployRuleSet(ctx context.Context, rs *rules.RuleSet, missAction p4.Action) error {
-	return c.Deploy(ctx, rs, WithMissAction(missAction))
 }
 
 // Deploy partitions the compiled rules into per-shard sets (PlanShards

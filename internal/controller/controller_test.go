@@ -68,7 +68,7 @@ func TestConnectAndDeploy(t *testing.T) {
 
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
 	rs.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionAllow}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionAllow})); err != nil {
 		t.Fatal(err)
 	}
 	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{210, 0}}); v.Allowed {
@@ -80,7 +80,7 @@ func TestDeployWithoutSwitches(t *testing.T) {
 	c := New(fakeModel{}, Config{})
 	t.Cleanup(func() { _ = c.Close() })
 	rs := rules.NewRuleSet([]int{0}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionAllow}); err == nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionAllow})); err == nil {
 		t.Fatal("deploy with no switches succeeded")
 	}
 }
@@ -94,7 +94,7 @@ func TestSlowPathStats(t *testing.T) {
 	}
 	// Empty rules with digest-on-miss: everything goes to the slow path.
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{10, 0}})  // benign
@@ -118,7 +118,7 @@ func TestReactiveInstallBlocksRepeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +177,7 @@ func TestFlightRecorderTracesControlLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{10, 0}})  // benign
@@ -240,7 +240,7 @@ func TestRegisterTelemetryExportsControllerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{210, 3}})

@@ -135,7 +135,7 @@ func TestFleetShardedConvergenceUnderLossyNetsim(t *testing.T) {
 			Preds:    []rules.BytePredicate{{Offset: 0, Lo: byte(240 + cls*3), Hi: byte(240 + cls*3 + 2)}},
 		})
 	}
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	shardSets := PlanShards(rs, 2, ShardByClass)

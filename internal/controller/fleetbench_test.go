@@ -57,7 +57,7 @@ func BenchmarkFleetDigestInstallLatency(b *testing.B) {
 		}
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		b.Fatal(err)
 	}
 

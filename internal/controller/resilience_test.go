@@ -153,7 +153,7 @@ func TestReconnectConvergesAfterSwitchRestart(t *testing.T) {
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
 	rs.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 240, Hi: 255}}})
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	prog, err := p4rt.ProgramFromRuleSet(rs, p4.Action{Type: p4.ActionDigest})
@@ -209,7 +209,7 @@ func TestReconnectConvergesAfterSwitchRestart(t *testing.T) {
 	waitGoroutines(t, baseGoroutines)
 }
 
-// TestDeployWhileDegradedConverges: DeployRuleSet with the switch down
+// TestDeployWhileDegradedConverges: Deploy with the switch down
 // must record the new desired epoch and return nil — and the supervisor
 // must push that epoch when the switch comes back.
 func TestDeployWhileDegradedConverges(t *testing.T) {
@@ -234,7 +234,7 @@ func TestDeployWhileDegradedConverges(t *testing.T) {
 
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
 	rs.Add(rules.Rule{Priority: 3, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 128, Hi: 255}}})
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionAllow}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionAllow})); err != nil {
 		t.Fatalf("deploy while degraded errored: %v", err)
 	}
 
@@ -282,7 +282,7 @@ func mute(t *testing.T) string {
 
 // TestContextCancellationIsTypedAndPrompt: cancelling or expiring the
 // caller's context must return within the deadline with the typed error,
-// for both Connect and DeployRuleSet.
+// for both Connect and Deploy.
 func TestContextCancellationIsTypedAndPrompt(t *testing.T) {
 	addr := mute(t)
 	c := New(fakeModel{}, Config{Name: "ctl-cancel"}, fastBackoff()...)
@@ -307,7 +307,7 @@ func TestContextCancellationIsTypedAndPrompt(t *testing.T) {
 		t.Fatalf("connect err = %v, want context.Canceled", err)
 	}
 
-	// A real switch so DeployRuleSet reaches the ctx check.
+	// A real switch so Deploy reaches the ctx check.
 	_, live := startSwitch(t)
 	if err := c.Connect(context.Background(), live); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestContextCancellationIsTypedAndPrompt(t *testing.T) {
 	done, dcancel := context.WithCancel(context.Background())
 	dcancel()
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(done, rs, p4.Action{Type: p4.ActionAllow}); !errors.Is(err, context.Canceled) {
+	if err := c.Deploy(done, rs, WithMissAction(p4.Action{Type: p4.ActionAllow})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("deploy err = %v, want context.Canceled", err)
 	}
 }
@@ -370,7 +370,7 @@ func TestFaultInjectionSoak(t *testing.T) {
 	rs.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 250, Hi: 255}}})
 	var deployErr error
 	for i := 0; i < 50; i++ {
-		if deployErr = c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); deployErr == nil {
+		if deployErr = c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); deployErr == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

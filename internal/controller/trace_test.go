@@ -69,7 +69,7 @@ func TestFleetTraceExportWellFormed(t *testing.T) {
 	// Empty compiled table with a digesting default: every attack packet
 	// takes the slow path.
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +260,7 @@ func TestFleetTelemetryAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rules.NewRuleSet([]int{0, 1}, 0)
-	if err := c.DeployRuleSet(context.Background(), rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionDigest})); err != nil {
 		t.Fatal(err)
 	}
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 1}})

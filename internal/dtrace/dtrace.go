@@ -50,7 +50,7 @@ const (
 	StagePlan       = "plan"          // controller: mirror/dedup/shard decision
 	StageInstall    = "install"       // controller: reactive WriteEntry RPC
 	DetailApply     = "apply"         // switch: table insert inside install
-	StageDeploy     = "deploy"        // controller: whole DeployRuleSet
+	StageDeploy     = "deploy"        // controller: whole Deploy
 	DetailProgram   = "program_apply" // switch: shard program apply
 )
 

@@ -233,30 +233,9 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 				}
 				ws.hitRows[idx] = rows[j]
 			}
-		case MatchExact:
-			for _, idx := range pend {
-				ws.hits[idx] = st.exact[string(ws.keys.Key(int(idx)))]
-				ws.hitRows[idx] = -1
-			}
-		case MatchTernary:
-			for _, idx := range pend {
-				ws.hits[idx] = st.findTernaryLanes(ws.keys.Key(int(idx)), ws.masked[:width])
-				ws.hitRows[idx] = -1
-			}
-		case MatchLPM:
-			for _, idx := range pend {
-				row := st.findLPMLanes(ws.keys.Key(int(idx)))
-				ws.hitRows[idx] = row
-				if row >= 0 {
-					ws.hits[idx] = st.entries[row]
-				} else {
-					ws.hits[idx] = nil
-				}
-			}
 		default:
 			for _, idx := range pend {
-				ws.hits[idx] = nil
-				ws.hitRows[idx] = -1
+				ws.hits[idx], ws.hitRows[idx] = st.find(ws.keys.Key(int(idx)), ws.masked[:])
 			}
 		}
 		if cached {
@@ -324,43 +303,6 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 	if nMiss > 0 {
 		atomic.AddUint64(&t.misses, nMiss)
 	}
-}
-
-// fillKey writes the match key for the specs into dst (len == key
-// width), zero-padding bytes past the frame end — appendKey semantics
-// without the append.
-func fillKey(dst, frame []byte, specs []FieldSpec) {
-	k := 0
-	for _, s := range specs {
-		for i := 0; i < s.Width; i++ {
-			off := s.Offset + i
-			if off >= 0 && off < len(frame) {
-				dst[k] = frame[off]
-			} else {
-				dst[k] = 0
-			}
-			k++
-		}
-	}
-}
-
-// findTernaryLanes probes the partitioned trie store with the caller's
-// lane-masking scratch — the same walk (and tie-breaking) as Lookup.
-func (st *lookupState) findTernaryLanes(key, masked []byte) *Entry {
-	return st.tstore.find(key, masked)
-}
-
-// findLPMLanes is the longest-prefix scan with prefixMatch replaced by a
-// lane compare against the state's precomputed prefix masks. Entries are
-// sorted by descending prefix length, so the first hit wins. Returns the
-// dense entry row, or -1 on miss.
-func (st *lookupState) findLPMLanes(key []byte) int32 {
-	for i, e := range st.entries {
-		if match.MaskedEqual(key, e.Value, st.lpmMasks[i]) {
-			return int32(i)
-		}
-	}
-	return -1
 }
 
 // RunTablesBatch applies a table snapshot to a burst: for each packet

@@ -208,10 +208,9 @@ func TestRunTablesBatchMatchesRunTables(t *testing.T) {
 	var ws BatchWorkspace
 	out := make([]Verdict, len(pkts))
 	batchP.RunTablesBatch(batchP.TableSnapshot(), pkts, allIdx(len(pkts)), &ws, out)
-	refOut := refP.ProcessBatch(pkts, nil)
-	for i := range pkts {
-		if out[i] != refOut[i] {
-			t.Fatalf("pkt %d: batch %+v != reference %+v", i, out[i], refOut[i])
+	for i, pkt := range pkts {
+		if ref := refP.Process(pkt); out[i] != ref {
+			t.Fatalf("pkt %d: batch %+v != reference %+v", i, out[i], ref)
 		}
 	}
 	bq, rq := batchP.DigestQueueStats(), refP.DigestQueueStats()

@@ -108,21 +108,6 @@ func (p *Pipeline) TableSnapshot() []*Table {
 	return nil
 }
 
-// ProcessBatch runs every packet through the pipeline, snapshotting the
-// table list once for the whole batch, and writes verdicts into out
-// (grown if needed). It returns the verdict slice.
-func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, out []Verdict) []Verdict {
-	if cap(out) < len(pkts) {
-		out = make([]Verdict, len(pkts))
-	}
-	out = out[:len(pkts)]
-	tables := p.TableSnapshot()
-	for i, pkt := range pkts {
-		out[i] = p.RunTables(tables, pkt)
-	}
-	return out
-}
-
 // RunTables applies a table snapshot (from TableSnapshot) to one packet.
 func (p *Pipeline) RunTables(tables []*Table, pkt *packet.Packet) Verdict {
 	v := Verdict{Allowed: true}

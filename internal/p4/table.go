@@ -84,9 +84,9 @@ type lookupState struct {
 	exact    map[string]*Entry
 	tstore   *ternaryStore   // partitioned hash-indexed ternary index
 	rangeIdx *match.KeyIndex // compiled range-match index (row i = entries[i])
-	// lpmMasks[i] is entries[i].PrefixLen expanded to a byte mask, so the
-	// batched fast path can test prefixes with 64-bit lane compares
-	// (match.MaskedEqual) instead of the bit-fiddling prefixMatch loop.
+	// lpmMasks[i] is entries[i].PrefixLen expanded to a byte mask, so find
+	// tests prefixes with 64-bit lane compares (match.MaskedEqual) instead
+	// of the bit-fiddling prefixMatch loop the oracle keeps.
 	lpmMasks [][]byte
 }
 
@@ -178,16 +178,22 @@ func (t *Table) Insert(e Entry) (uint64, error) {
 
 // Define sets the table's schema: key layout and default action. When
 // the new layout extracts the same key bytes as the current one, the
-// installed entries are kept (so a default-action change is cheap);
-// a layout change invalidates every entry and clears the table.
+// installed entries and their compiled index are republished under the
+// new default (a default-action change compiles nothing); a layout
+// change invalidates every entry and clears the table.
 func (t *Table) Define(key []FieldSpec, def Action) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !sameKeyLayout(t.Key, key) {
-		t.prog, t.inserted, t.progHash = nil, nil, 0
-	}
+	same := sameKeyLayout(t.Key, key)
 	t.Key, t.DefaultAction = key, def
-	t.reindex()
+	if !same {
+		t.prog, t.inserted, t.progHash = nil, nil, 0
+		t.reindex()
+		return nil
+	}
+	st := *t.state.Load()
+	st.key, st.def = key, def
+	t.state.Store(&st)
 	return nil
 }
 
@@ -249,28 +255,15 @@ func (t *Table) replaceLocked(entries []Entry) error {
 }
 
 // Program atomically replaces the table's key layout, default action, and
-// entry list, rebuilding the lookup index once.
-//
-// Deprecated: Program conflates schema and contents. Use Define (schema)
-// plus Replace (full swap) or Apply (incremental delta) instead.
+// entry list, rebuilding the lookup index once and publishing it in one
+// store: no lookup ever sees the new default without the new entries,
+// which a Define followed by a Replace cannot promise. On error the
+// table — schema, default, entries — is unchanged.
 func (t *Table) Program(key []FieldSpec, def Action, entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := KeyWidth(key)
 	savedKey, savedDef := t.Key, t.DefaultAction
 	t.Key, t.DefaultAction = key, def
-	// Validate against the new width before touching entry state so a bad
-	// program leaves the table exactly as it was.
-	if t.MaxEntries > 0 && len(entries) > t.MaxEntries {
-		t.Key, t.DefaultAction = savedKey, savedDef
-		return fmt.Errorf("table %s (%d entries): %w", t.Name, len(entries), ErrTableFull)
-	}
-	for i := range entries {
-		if err := t.validate(&entries[i], w); err != nil {
-			t.Key, t.DefaultAction = savedKey, savedDef
-			return fmt.Errorf("table %s: entry %d: %w", t.Name, i, err)
-		}
-	}
 	if err := t.replaceLocked(entries); err != nil {
 		t.Key, t.DefaultAction = savedKey, savedDef
 		return err
@@ -510,38 +503,14 @@ func (t *Table) ProgramEntries() []Entry {
 // concurrent lookups scale linearly with cores.
 func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 	st := t.state.Load()
-	var kb [64]byte
-	var key []byte
-	if st.width <= len(kb) {
-		key = appendKey(kb[:0], frame, st.key)
-	} else {
-		key = appendKey(make([]byte, 0, st.width), frame, st.key)
+	var kb [128]byte // key, then the ternary lane-masking scratch
+	buf := kb[:]
+	if 2*st.width > len(buf) {
+		buf = make([]byte, 2*st.width)
 	}
-	var hit *Entry
-	switch st.kind {
-	case MatchExact:
-		hit = st.exact[string(key)]
-	case MatchTernary:
-		var mb [64]byte
-		var masked []byte
-		if len(key) <= len(mb) {
-			masked = mb[:len(key)]
-		} else {
-			masked = make([]byte, len(key))
-		}
-		hit = st.tstore.find(key, masked)
-	case MatchLPM:
-		for _, e := range st.entries {
-			if prefixMatch(key, e.Value, e.PrefixLen) {
-				hit = e
-				break
-			}
-		}
-	case MatchRange:
-		if row, ok := st.rangeIdx.Find(key); ok {
-			hit = st.entries[row]
-		}
-	}
+	key := buf[:st.width]
+	fillKey(key, frame, st.key)
+	hit, _ := st.find(key, buf[st.width:])
 	if hit == nil {
 		atomic.AddUint64(&t.misses, 1)
 		return st.def, false
@@ -552,6 +521,32 @@ func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 	atomic.AddUint64(&hit.bytes, uint64(len(frame)))
 	atomic.AddUint64(&t.hits, 1)
 	return hit.Action, true
+}
+
+// find resolves one gathered key through the state's index — the single
+// probe Lookup and LookupBatch share. It returns the winning entry (nil
+// on a miss) and its dense row in st.entries, or -1 for the kinds that
+// resolve without one. scratch (len >= key width) is the ternary
+// store's lane-masking buffer. LPM entries are sorted by descending
+// prefix length, so the first lane-compare hit is the longest prefix.
+func (st *lookupState) find(key, scratch []byte) (*Entry, int32) {
+	switch st.kind {
+	case MatchExact:
+		return st.exact[string(key)], -1
+	case MatchTernary:
+		return st.tstore.find(key, scratch[:len(key)]), -1
+	case MatchLPM:
+		for i, e := range st.entries {
+			if match.MaskedEqual(key, e.Value, st.lpmMasks[i]) {
+				return e, int32(i)
+			}
+		}
+	case MatchRange:
+		if row, ok := st.rangeIdx.Find(key); ok {
+			return st.entries[row], int32(row)
+		}
+	}
+	return nil, -1
 }
 
 // LookupOracle is the linear-scan reference for Lookup: it walks the

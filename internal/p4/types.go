@@ -101,23 +101,27 @@ func KeyWidth(specs []FieldSpec) int {
 // ExtractKey concatenates the frame bytes each spec covers; bytes past the
 // frame end read as zero (matching parser padding semantics).
 func ExtractKey(frame []byte, specs []FieldSpec) []byte {
-	return appendKey(make([]byte, 0, KeyWidth(specs)), frame, specs)
+	key := make([]byte, KeyWidth(specs))
+	fillKey(key, frame, specs)
+	return key
 }
 
-// appendKey appends the match key to dst, letting hot paths reuse a
-// stack buffer instead of allocating per lookup.
-func appendKey(dst, frame []byte, specs []FieldSpec) []byte {
+// fillKey writes the match key for the specs into dst (len == key
+// width), zero-padding bytes past the frame end. Hot paths hand it a
+// stack or workspace buffer so a lookup allocates nothing.
+func fillKey(dst, frame []byte, specs []FieldSpec) {
+	k := 0
 	for _, s := range specs {
 		for i := 0; i < s.Width; i++ {
 			off := s.Offset + i
 			if off >= 0 && off < len(frame) {
-				dst = append(dst, frame[off])
+				dst[k] = frame[off]
 			} else {
-				dst = append(dst, 0)
+				dst[k] = 0
 			}
+			k++
 		}
 	}
-	return dst
 }
 
 // Errors shared by the package.

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"p4guard/internal/p4"
 	"p4guard/internal/packet"
+	"p4guard/internal/switchsim"
 )
 
 // legacyServer emulates a pre-delta switch agent: it completes the
@@ -201,5 +203,60 @@ func TestDeltaMsgWireShape(t *testing.T) {
 		`"trace_id":1,"span_id":2}`
 	if string(raw) != want {
 		t.Fatalf("delta wire shape drifted:\n got %s\nwant %s", raw, want)
+	}
+}
+
+// TestRefusedProgramAndDeltaLeaveSwitchUntouched: a Program frame whose
+// entry widths disagree with its offsets, and a delta aimed at the wrong
+// base, both come back as RejectErrors with the switch exactly as it was
+// — same entries, same signature, same default action, the attack frame
+// still dropped — and the connection still usable.
+func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
+	sw, _, cl := startPair(t, nil)
+	ctx := context.Background()
+	base := Program{Offsets: []int{0}, DefaultAction: "drop",
+		Entries: []WireEntry{{Priority: 1, Lo: []byte{200}, Hi: []byte{255}, Action: "drop", Class: 1}}}
+	if _, err := cl.ProgramDetector(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	det, err := sw.Pipeline().Table(switchsim.DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCount, wantHash := det.ProgramSignature()
+
+	refusals := map[string]func() error{
+		"program, layout change": func() error {
+			_, err := cl.ProgramDetector(ctx, Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries})
+			return err
+		},
+		"program, same layout": func() error {
+			_, err := cl.ProgramDetector(ctx, Program{Offsets: []int{0}, DefaultAction: "allow",
+				Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}})
+			return err
+		},
+		"delta, wrong base": func() error {
+			_, err := cl.ProgramDelta(ctx, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 99})
+			return err
+		},
+	}
+	for name, refuse := range refusals {
+		var rej *RejectError
+		if err := refuse(); !errors.As(err, &rej) {
+			t.Fatalf("%s: err = %v, want a RejectError", name, err)
+		}
+		count, hash := det.ProgramSignature()
+		if det.Len() != 1 || count != wantCount || hash != wantHash || det.DefaultAction.Type != p4.ActionDrop {
+			t.Fatalf("%s: refused request changed the detector: len %d signature (%d,%#x) default %v",
+				name, det.Len(), count, hash, det.DefaultAction)
+		}
+		for _, b := range []byte{210, 10} { // the rule's frame, and a miss under default drop
+			if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{b, 0}}); v.Allowed {
+				t.Fatalf("%s: frame %d forwarded after the refusal: %+v", name, b, v)
+			}
+		}
+		if err := cl.Heartbeat(ctx); err != nil {
+			t.Fatalf("%s: connection unusable after the refusal: %v", name, err)
+		}
 	}
 }

@@ -215,19 +215,3 @@ func parseBLEInPlace(f []byte, d *FrameDesc) bool {
 	d.push(HdrBLE, 0, 6+plen)
 	return true
 }
-
-// GatherKey copies the frame bytes at the given absolute offsets into
-// dst (one byte per offset, in layout order); offsets past the frame end
-// read as zero, matching parser padding semantics. dst must have
-// len(offsets) bytes. This is the descriptor-era key extraction: the
-// compiled layout's bytes come straight off the wire buffer with no
-// intermediate Packet.
-func GatherKey(dst []byte, frame []byte, offsets []int) {
-	for i, off := range offsets {
-		if uint(off) < uint(len(frame)) {
-			dst[i] = frame[off]
-		} else {
-			dst[i] = 0
-		}
-	}
-}

@@ -188,15 +188,6 @@ func TestAcceptFrameAllocationFree(t *testing.T) {
 	}
 }
 
-func TestGatherKey(t *testing.T) {
-	frame := []byte{10, 11, 12, 13}
-	dst := make([]byte, 3)
-	GatherKey(dst, frame, []int{2, 0, 9})
-	if dst[0] != 12 || dst[1] != 10 || dst[2] != 0 {
-		t.Fatalf("gathered %v", dst)
-	}
-}
-
 func TestParseFrameIgnoresPacketTime(t *testing.T) {
 	// ParseFrame sees only bytes: the same frame wrapped in Packets with
 	// different timestamps parses identically (guards against descriptor

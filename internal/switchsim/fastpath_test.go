@@ -1,9 +1,14 @@
 package switchsim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
+	"p4guard/internal/drift"
 	"p4guard/internal/p4"
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
@@ -31,27 +36,35 @@ func randRuleSet(seed int64) *rules.RuleSet {
 	return rs
 }
 
+// processEach is the scalar reference: one Process call per packet.
+func processEach(sw *Switch, pkts []*packet.Packet) []p4.Verdict {
+	out := make([]p4.Verdict, len(pkts))
+	for i, pkt := range pkts {
+		out[i] = sw.Process(pkt)
+	}
+	return out
+}
+
 // TestFastPathMatchesReferenceEngine runs the same trace through the
-// zero-copy engine and the per-packet reference path on twin switches:
+// burst engine and through one Process call per packet on twin switches:
 // verdicts, run stats, detector counters, and digest accounting must be
 // identical, at one worker and across worker counts.
 func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	rs := randRuleSet(17)
 	pkts := tracePackets(1200, 29)
 
-	mk := func(fast bool) *Switch {
+	mk := func() *Switch {
 		sw := mkSwitch(t)
-		sw.SetFastPath(fast)
 		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
 			t.Fatal(err)
 		}
 		return sw
 	}
 
-	ref := mk(false)
-	want := ref.ProcessBatch(pkts)
+	ref := mk()
+	want := processEach(ref, pkts)
 
-	fast := mk(true)
+	fast := mk()
 	got := fast.ProcessBatch(pkts)
 	for i := range want {
 		if got[i] != want[i] {
@@ -73,7 +86,7 @@ func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		sw := mk(true)
+		sw := mk()
 		verdicts := sw.ProcessBatchParallel(pkts, workers)
 		for i := range want {
 			if verdicts[i] != want[i] {
@@ -101,7 +114,6 @@ func TestFastPathAgreesUnderChurn(t *testing.T) {
 	pkts := tracePackets(300, 31)
 	fast := mkSwitch(t)
 	ref := mkSwitch(t)
-	ref.SetFastPath(false)
 	for round := 0; round < 6; round++ {
 		rs := randRuleSet(int64(100 + round))
 		for _, sw := range []*Switch{fast, ref} {
@@ -119,7 +131,7 @@ func TestFastPathAgreesUnderChurn(t *testing.T) {
 				}
 			}
 		}
-		want := ref.ProcessBatch(pkts)
+		want := processEach(ref, pkts)
 		got := fast.ProcessBatch(pkts)
 		for i := range want {
 			if got[i] != want[i] {
@@ -130,26 +142,27 @@ func TestFastPathAgreesUnderChurn(t *testing.T) {
 }
 
 // TestSteadyStateForwardingZeroAlloc is the allocation gate for the
-// tentpole: once an arena is warm, forwarding whole bursts through the
-// zero-copy engine must not allocate at all.
+// burst engine: once the pooled arena is warm, forwarding whole bursts
+// must not allocate at all. Run goes through the pool, which is safe to
+// gate on: the pool only sheds an arena at a collection, and a loop that
+// allocates nothing triggers none.
 func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds arenas at random under -race")
+	}
 	sw := mkSwitch(t)
 	rs := randRuleSet(23)
 	if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionAllow}); err != nil {
 		t.Fatal(err)
 	}
 	pkts := tracePackets(256, 37)
-	arena := NewBatchArena()
 	// Warm-up: sizes the arena buffers and populates the flow cache.
-	sw.RunWithArena(pkts, arena)
+	sw.Run(pkts)
 	allocs := testing.AllocsPerRun(50, func() {
-		sw.RunWithArena(pkts, arena)
+		sw.Run(pkts)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state batch loop allocates %.2f/op, want 0", allocs)
-	}
-	if got := len(arena.Verdicts()); got != len(pkts) {
-		t.Fatalf("arena verdicts = %d, want %d", got, len(pkts))
 	}
 }
 
@@ -188,27 +201,89 @@ func TestProcessSinglePacketZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSetFastPathToggle checks the knob is honored and reported.
-func TestSetFastPathToggle(t *testing.T) {
-	sw := mkSwitch(t)
-	if !sw.FastPath() {
-		t.Fatal("fast path should default on")
+// TestScalarAndBurstAgreeWithSideChannelsArmed arms everything the two
+// forwarding paths feed besides verdicts — the rate guard, explain
+// sampling (every 3rd packet, captured), a drift monitor — and holds
+// ProcessBatch and ProcessBatchParallel to the Process loop on all of
+// it. With several workers the guard's observation order is undefined,
+// so only the totals are compared there.
+func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
+	rs := randRuleSet(17)
+	pkts := tracePackets(900, 43)
+	for i := 3; i < len(pkts); i += 3 {
+		// One heavy hitter for the guard to cut off; identical frames, so
+		// the totals do not depend on which of them a worker sees first.
+		pkts[i].Bytes = pkts[0].Bytes
 	}
-	sw.SetFastPath(false)
-	if sw.FastPath() {
-		t.Fatal("SetFastPath(false) not honored")
+	baseline := drift.NewBuilder(rs.Offsets, 0)
+	for _, pkt := range pkts[:64] {
+		baseline.Observe(pkt, drift.NoClass, drift.NoResidual)
 	}
-	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionAllow}); err != nil {
-		t.Fatal(err)
+
+	type outcome struct {
+		verdicts []p4.Verdict
+		stats    RunStats
+		sampled  []string // match key + live verdict of each sampled packet
+		observed uint64   // packets the drift monitor saw
 	}
-	// Both settings still forward correctly.
-	pkts := tracePackets(50, 41)
-	slow := sw.ProcessBatch(pkts)
-	sw.SetFastPath(true)
-	fast := sw.ProcessBatch(pkts)
-	for i := range slow {
-		if slow[i] != fast[i] {
-			t.Fatalf("pkt %d: toggle changed verdict %+v -> %+v", i, slow[i], fast[i])
+	run := func(forward func(*Switch) []p4.Verdict) outcome {
+		sw := mkSwitch(t)
+		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.EnableRateGuard([]p4.FieldSpec{{Name: "b0", Offset: 0, Width: 1}}, 20, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		var mu sync.Mutex
+		sw.EnableExplainSampling(3, nil, func(es ExplainSample) {
+			if !es.Agrees {
+				t.Errorf("sampled explain disagrees with lookup: %+v", es)
+			}
+			mu.Lock()
+			o.sampled = append(o.sampled, fmt.Sprintf("%x %+v", es.Tables[0].Key, es.LookupVerdict))
+			mu.Unlock()
+		})
+		mon := drift.NewMonitor()
+		if err := mon.Arm(drift.MonitorConfig{Baseline: baseline.Profile()}); err != nil {
+			t.Fatal(err)
+		}
+		sw.SetDriftMonitor(mon)
+		o.verdicts = forward(sw)
+		o.stats = sw.Stats()
+		o.stats.Elapsed = 0
+		o.observed = mon.Armed().ShardObservations(0)
+		return o
+	}
+
+	want := run(func(sw *Switch) []p4.Verdict { return processEach(sw, pkts) })
+	if want.stats.RateDropped == 0 || want.stats.Digested == 0 || len(want.sampled) == 0 {
+		t.Fatalf("trace does not exercise the side channels: %+v, %d sampled", want.stats, len(want.sampled))
+	}
+	if want.observed != uint64(want.stats.Digested) {
+		t.Fatalf("drift monitor saw %d packets, %d were digested", want.observed, want.stats.Digested)
+	}
+	for name, forward := range map[string]func(*Switch) []p4.Verdict{
+		"ProcessBatch":            func(sw *Switch) []p4.Verdict { return sw.ProcessBatch(pkts) },
+		"ProcessBatchParallel(1)": func(sw *Switch) []p4.Verdict { return sw.ProcessBatchParallel(pkts, 1) },
+	} {
+		got := run(forward)
+		if !slices.Equal(got.verdicts, want.verdicts) {
+			t.Fatalf("%s: verdicts differ from the Process loop", name)
+		}
+		if got.stats != want.stats || got.observed != want.observed {
+			t.Fatalf("%s: stats %+v observed %d, Process loop %+v observed %d",
+				name, got.stats, got.observed, want.stats, want.observed)
+		}
+		if !slices.Equal(got.sampled, want.sampled) {
+			t.Fatalf("%s: sampled sequence differs from the Process loop\n got %v\nwant %v", name, got.sampled, want.sampled)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		got := run(func(sw *Switch) []p4.Verdict { return sw.ProcessBatchParallel(pkts, workers) })
+		if got.stats != want.stats || got.observed != want.observed || len(got.sampled) != len(want.sampled) {
+			t.Fatalf("workers=%d: stats %+v observed %d sampled %d, Process loop %+v observed %d sampled %d", workers,
+				got.stats, got.observed, len(got.sampled), want.stats, want.observed, len(want.sampled))
 		}
 	}
 }

@@ -13,6 +13,7 @@ package switchsim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -80,17 +81,8 @@ type Switch struct {
 	// check per digested packet.
 	driftMon atomic.Pointer[drift.Monitor]
 
-	// fastPath selects the batched zero-copy engine (in-place parse,
-	// SoA key gather, flow-cached batch lookup, batched counter and
-	// digest flush) for ProcessBatch/Run/RunParallel. On by default;
-	// SetFastPath(false) pins the per-packet reference path, which the
-	// differential suite compares against.
-	fastPath atomic.Bool
-
-	// arenas recycles BatchArena workspaces across batches and workers,
-	// making the steady-state forwarding loop allocation-free. Callers
-	// needing deterministic reuse (alloc gates) hold their own arena and
-	// use RunWithArena.
+	// arenas recycles batchArena workspaces across bursts and workers,
+	// making the steady-state forwarding loop allocation-free.
 	arenas sync.Pool
 
 	// Cumulative stats, updated with atomics (one merge per batch).
@@ -148,27 +140,6 @@ func (s RunStats) FormatPerPacket() string {
 	return s.PerPacket().Round(time.Nanosecond).String()
 }
 
-// add accumulates one verdict into the stats (Packets and Elapsed are
-// handled by the caller).
-func (s *RunStats) add(v p4.Verdict, parsedOK, rateDropped bool) {
-	if !parsedOK {
-		s.ParseFailed++
-	}
-	if rateDropped {
-		s.Dropped++
-		s.RateDropped++
-		return
-	}
-	if v.Allowed {
-		s.Allowed++
-	} else {
-		s.Dropped++
-	}
-	if v.Digested {
-		s.Digested++
-	}
-}
-
 // merge folds another delta into s.
 func (s *RunStats) merge(d RunStats) {
 	s.Packets += d.Packets
@@ -203,19 +174,9 @@ func NewWithDigestCapacity(name string, link packet.LinkType, digestCap int) (*S
 		return nil, err
 	}
 	s := &Switch{Name: name, pipeline: pipe, parser: parser, link: link}
-	s.fastPath.Store(true)
-	s.arenas.New = func() any { return NewBatchArena() }
+	s.arenas.New = func() any { return new(batchArena) }
 	return s, nil
 }
-
-// SetFastPath selects between the batched zero-copy engine (true, the
-// default) and the per-packet reference path. Both produce identical
-// verdicts and counters; the knob exists for differential testing and
-// for the perf baseline the bench suite records.
-func (s *Switch) SetFastPath(on bool) { s.fastPath.Store(on) }
-
-// FastPath reports whether the zero-copy engine is selected.
-func (s *Switch) FastPath() bool { return s.fastPath.Load() }
 
 // Pipeline exposes the underlying pipeline (used by the p4rt server).
 func (s *Switch) Pipeline() *p4.Pipeline { return s.pipeline }
@@ -269,7 +230,8 @@ func (s *Switch) Link() packet.LinkType { return s.link }
 // selected offsets (P4 targets support range match keys; TCAM prefix
 // expansion is accounted separately via rules.RuleSet.Cost). missAction is
 // the table's default (typically digest while learning, or allow once
-// confident). The swap is atomic with respect to concurrent forwarding.
+// confident). The swap is ProgramDetector's: atomic with respect to
+// concurrent forwarding, and a refused rule set leaves the table as it was.
 func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, error) {
 	entries, err := rs.RangeEntries()
 	if err != nil {
@@ -283,24 +245,19 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 		}
 		rows[i] = p4.Entry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: act}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
+	if err := s.ProgramDetector(rs.Offsets, missAction, rows); err != nil {
 		return 0, err
-	}
-	if err := det.Define(keySpecs(rs.Offsets), missAction); err != nil {
-		return 0, fmt.Errorf("switchsim: define: %w", err)
-	}
-	if err := det.Replace(rows); err != nil {
-		return 0, fmt.Errorf("switchsim: install: %w", err)
 	}
 	return len(rows), nil
 }
 
 // ProgramDetector atomically reprograms the detector table at the p4 level:
-// key layout, default action, and full entry list. The p4rt server uses it
-// to apply Program requests whose entries are already ternary-expanded.
+// key layout, default action, and full entry list land in one published
+// generation, so no packet is ever matched against the new default
+// without the new entries, and a refused program (wrong entry width,
+// table full) leaves schema, default and entries untouched. The p4rt
+// server uses it to apply Program requests whose entries are already
+// ternary-expanded.
 func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []p4.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,10 +265,7 @@ func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []
 	if err != nil {
 		return err
 	}
-	if err := det.Define(keySpecs(offsets), missAction); err != nil {
-		return fmt.Errorf("switchsim: define: %w", err)
-	}
-	if err := det.Replace(entries); err != nil {
+	if err := det.Program(keySpecs(offsets), missAction, entries); err != nil {
 		return fmt.Errorf("switchsim: program: %w", err)
 	}
 	return nil
@@ -321,9 +275,11 @@ func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []
 // detector table. The delta cannot reshape the key layout: when offsets
 // disagree with the installed schema the call is refused untouched, and
 // the caller (the p4rt server, on the controller's behalf) falls back
-// to a full program swap. missAction may change with the delta (a cheap
-// schema update when the layout is unchanged). Reactive entries and
-// surviving entries' direct counters are preserved.
+// to a full program swap. missAction may change with the delta; it moves
+// only after the delta applied (republishing the compiled index under
+// the new default, compiling nothing), so a refused delta leaves the
+// default action where it was. Reactive entries and surviving entries'
+// direct counters are preserved.
 func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -331,31 +287,17 @@ func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.De
 	if err != nil {
 		return err
 	}
+	// Detector layouts only ever come from keySpecs, so two layouts that
+	// extract the same bytes are equal spec for spec, names included.
 	specs := keySpecs(offsets)
-	if cur := det.KeySpecs(); !sameLayout(cur, specs) {
+	if cur := det.KeySpecs(); !slices.Equal(cur, specs) {
 		return fmt.Errorf("switchsim: delta: key layout mismatch (installed %d fields, delta %d)",
 			len(cur), len(specs))
-	}
-	if err := det.Define(specs, missAction); err != nil {
-		return fmt.Errorf("switchsim: define: %w", err)
 	}
 	if err := det.Apply(d); err != nil {
 		return fmt.Errorf("switchsim: delta: %w", err)
 	}
-	return nil
-}
-
-// sameLayout reports whether two key layouts extract the same bytes.
-func sameLayout(a, b []p4.FieldSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Offset != b[i].Offset || a[i].Width != b[i].Width {
-			return false
-		}
-	}
-	return true
+	return det.Define(specs, missAction)
 }
 
 // InsertDetectorEntry adds one entry to the detector table (reactive path).
@@ -407,62 +349,64 @@ func defaultGuardKey(link packet.LinkType) []p4.FieldSpec {
 	}
 }
 
-// classify runs one packet through parser, rate guard, and pipeline with
-// no stats or timing side effects; the caller accounts the outcome.
-// Parse acceptance uses the allocation-free in-place descriptor walk —
-// equivalent to s.parser.Accepts (the packet fuzz suite pins the two
-// together field for field) but without materializing header structs,
-// which on the BLE graph used to copy the PDU payload per packet.
-func (s *Switch) classify(tables []*p4.Table, pkt *packet.Packet) (v p4.Verdict, parsedOK, rateDropped bool) {
-	parsedOK = packet.AcceptFrame(s.link, pkt.Bytes)
-	if g := s.rateGuard.Load(); g != nil && g.Observe(pkt.Bytes, pkt.Time) {
-		return p4.Verdict{Allowed: false, Class: -1, Matched: true}, parsedOK, true
-	}
-	return s.pipeline.RunTables(tables, pkt), parsedOK, false
-}
-
 // Process runs one packet through parser, rate guard, and pipeline,
-// updating stats. Prefer ProcessBatch/RunParallel for bursts: they
+// updating stats: the scalar path, and the reference the differential
+// suites hold the burst engine to. It holds no arena (a flow cache and
+// workspace per switch would cost more live heap than single packets
+// repay) and allocates nothing. Parse acceptance is the in-place
+// descriptor walk — equivalent to s.parser.Accepts (the packet fuzz
+// suite pins the two together field for field) without materializing
+// header structs. Prefer ProcessBatch/RunParallel for bursts: they
 // amortize the clock reads and stats merges Process pays per packet.
 func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 	start := time.Now()
-	v, parsedOK, rateDropped := s.classify(s.pipeline.TableSnapshot(), pkt)
-	if sp := s.explain.Load(); sp != nil && !rateDropped {
-		sp.maybeSample(s, pkt, v)
+	d := RunStats{Packets: 1}
+	if !packet.AcceptFrame(s.link, pkt.Bytes) {
+		d.ParseFailed = 1
 	}
-	if da := s.driftArmed(); da != nil && v.Digested {
-		da.ObservePacket(0, pkt, drift.NoClass, drift.NoResidual)
+	var v p4.Verdict
+	if g := s.rateGuard.Load(); g != nil && g.Observe(pkt.Bytes, pkt.Time) {
+		v = p4.Verdict{Allowed: false, Class: -1, Matched: true}
+		d.Dropped, d.RateDropped = 1, 1
+	} else {
+		v = s.pipeline.Process(pkt)
+		if sp := s.explain.Load(); sp != nil {
+			sp.maybeSample(s, pkt, v)
+		}
+		if v.Allowed {
+			d.Allowed = 1
+		} else {
+			d.Dropped = 1
+		}
+		if v.Digested {
+			d.Digested = 1
+			if da := s.driftArmed(); da != nil {
+				da.ObservePacket(0, pkt, drift.NoClass, drift.NoResidual)
+			}
+		}
 	}
-	var d RunStats
-	d.add(v, parsedOK, rateDropped)
-	d.Packets = 1
 	d.Elapsed = time.Since(start)
 	s.mergeStats(d)
 	return v
 }
 
-// BatchArena is one worker's recycled forwarding state: the p4 batch
+// batchArena is one worker's recycled forwarding state: the p4 batch
 // workspace (SoA keys, flow caches, digest staging) plus verdict and
-// active-set buffers. Arenas are either pooled by the switch or owned by
-// a caller that wants deterministic buffer reuse (RunWithArena); after
-// the first batch warms the buffers, forwarding through an arena
-// allocates nothing.
-type BatchArena struct {
+// active-set buffers. The switch pools them; after the first burst
+// warms the buffers, forwarding through an arena allocates nothing.
+type batchArena struct {
 	ws       p4.BatchWorkspace
 	verdicts []p4.Verdict
 	active   []int32
 }
-
-// NewBatchArena returns an empty arena; buffers grow on first use.
-func NewBatchArena() *BatchArena { return &BatchArena{} }
 
 // forwardBatch is the zero-copy engine: in-place parse acceptance, rate
 // guard, active-set construction, then the batched pipeline. Verdicts
 // land in out (len(pkts)); the returned delta has Packets set but no
 // Elapsed (the caller owns timing). Observable behaviour per packet —
 // verdicts, counters, digest accounting, sampler and drift observation
-// order — matches the per-packet reference path.
-func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *BatchArena) RunStats {
+// order — matches a Process call per packet.
+func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchArena) RunStats {
 	tables := s.pipeline.TableSnapshot()
 	sampler := s.explain.Load()
 	driftA := s.driftArmed()
@@ -507,72 +451,27 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *BatchA
 	return d
 }
 
-// RunWithArena runs a burst through the zero-copy engine using the
-// caller's arena (verdicts land in a.Verdicts()), regardless of the
-// fast-path flag. This is the deterministic zero-alloc entry point: the
-// pooled path may cold-start a fresh arena whenever the GC trims the
-// pool, but a held arena reuses the same buffers every call.
-func (s *Switch) RunWithArena(pkts []*packet.Packet, a *BatchArena) RunStats {
-	start := time.Now()
-	if cap(a.verdicts) < len(pkts) {
-		a.verdicts = make([]p4.Verdict, len(pkts))
-	}
-	a.verdicts = a.verdicts[:len(pkts)]
-	d := s.forwardBatch(pkts, a.verdicts, a)
-	d.Elapsed = time.Since(start)
-	s.mergeStats(d)
-	return d
-}
-
-// Verdicts returns the verdict buffer the arena's last run filled.
-func (a *BatchArena) Verdicts() []p4.Verdict { return a.verdicts }
-
-// processBatchFast times one burst through a pooled arena and merges
-// stats once.
-func (s *Switch) processBatchFast(pkts []*packet.Packet, out []p4.Verdict) RunStats {
-	start := time.Now()
-	a := s.arenas.Get().(*BatchArena)
+// forwardPooled runs one burst (or one worker's shard) through
+// forwardBatch on a pooled arena. Verdicts land in out, or in the
+// arena's own buffer when the caller wants only the stats.
+func (s *Switch) forwardPooled(pkts []*packet.Packet, out []p4.Verdict) RunStats {
+	a := s.arenas.Get().(*batchArena)
 	if out == nil {
 		if cap(a.verdicts) < len(pkts) {
 			a.verdicts = make([]p4.Verdict, len(pkts))
 		}
-		a.verdicts = a.verdicts[:len(pkts)]
-		out = a.verdicts
+		out = a.verdicts[:len(pkts)]
 	}
 	d := s.forwardBatch(pkts, out, a)
 	s.arenas.Put(a)
-	d.Elapsed = time.Since(start)
-	s.mergeStats(d)
 	return d
 }
 
-// processBatch classifies pkts against one table snapshot, writing
-// verdicts into out when non-nil, and returns the batch delta.
-// Cumulative stats are merged once. The fast-path flag selects the
-// batched zero-copy engine or the per-packet reference loop.
+// processBatch times one burst through the engine, writing verdicts
+// into out when non-nil, and merges the cumulative stats once.
 func (s *Switch) processBatch(pkts []*packet.Packet, out []p4.Verdict) RunStats {
-	if s.fastPath.Load() {
-		return s.processBatchFast(pkts, out)
-	}
 	start := time.Now()
-	tables := s.pipeline.TableSnapshot()
-	sampler := s.explain.Load()
-	driftA := s.driftArmed()
-	var d RunStats
-	for i, pkt := range pkts {
-		v, parsedOK, rateDropped := s.classify(tables, pkt)
-		if sampler != nil && !rateDropped {
-			sampler.maybeSample(s, pkt, v)
-		}
-		if driftA != nil && v.Digested {
-			driftA.ObservePacket(0, pkt, drift.NoClass, drift.NoResidual)
-		}
-		if out != nil {
-			out[i] = v
-		}
-		d.add(v, parsedOK, rateDropped)
-	}
-	d.Packets = len(pkts)
+	d := s.forwardPooled(pkts, out)
 	d.Elapsed = time.Since(start)
 	s.mergeStats(d)
 	return d
@@ -615,9 +514,8 @@ func (s *Switch) ProcessBatchParallel(pkts []*packet.Packet, workers int) []p4.V
 }
 
 // runParallel implements RunParallel/ProcessBatchParallel: contiguous
-// shards, private per-worker stats merged once, wall-clock Elapsed.
-// Fast-path workers each run the batched engine with a pooled arena;
-// reference workers run the per-packet loop.
+// shards, each worker running the engine on its own pooled arena with
+// private stats merged once, wall-clock Elapsed.
 func (s *Switch) runParallel(pkts []*packet.Packet, workers int, out []p4.Verdict) RunStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -629,10 +527,6 @@ func (s *Switch) runParallel(pkts []*packet.Packet, workers int, out []p4.Verdic
 		return s.processBatch(pkts, out)
 	}
 	start := time.Now()
-	fast := s.fastPath.Load()
-	tables := s.pipeline.TableSnapshot()
-	sampler := s.explain.Load()
-	driftA := s.driftArmed()
 	deltas := make([]RunStats, workers)
 	var wg sync.WaitGroup
 	chunk := (len(pkts) + workers - 1) / workers
@@ -652,33 +546,7 @@ func (s *Switch) runParallel(pkts []*packet.Packet, workers int, out []p4.Verdic
 		wg.Add(1)
 		go func(shard []*packet.Packet, shardOut []p4.Verdict, d *RunStats) {
 			defer wg.Done()
-			if fast {
-				a := s.arenas.Get().(*BatchArena)
-				if shardOut == nil {
-					if cap(a.verdicts) < len(shard) {
-						a.verdicts = make([]p4.Verdict, len(shard))
-					}
-					a.verdicts = a.verdicts[:len(shard)]
-					shardOut = a.verdicts
-				}
-				*d = s.forwardBatch(shard, shardOut, a)
-				s.arenas.Put(a)
-				return
-			}
-			for i, pkt := range shard {
-				v, parsedOK, rateDropped := s.classify(tables, pkt)
-				if sampler != nil && !rateDropped {
-					sampler.maybeSample(s, pkt, v)
-				}
-				if driftA != nil && v.Digested {
-					driftA.ObservePacket(0, pkt, drift.NoClass, drift.NoResidual)
-				}
-				if shardOut != nil {
-					shardOut[i] = v
-				}
-				d.add(v, parsedOK, rateDropped)
-			}
-			d.Packets = len(shard)
+			*d = s.forwardPooled(shard, shardOut)
 		}(pkts[lo:hi], shardOut, &deltas[w])
 	}
 	wg.Wait()

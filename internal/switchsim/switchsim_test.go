@@ -1,11 +1,13 @@
 package switchsim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,10 +257,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 	if _, err := seq.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionAllow}); err != nil {
 		t.Fatal(err)
 	}
-	var want []p4.Verdict
-	for _, p := range pkts {
-		want = append(want, seq.Process(p))
-	}
+	want := processEach(seq, pkts)
 
 	bat := mkSwitch(t)
 	if _, err := bat.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionAllow}); err != nil {
@@ -526,4 +525,164 @@ func TestRunStatsString(t *testing.T) {
 	if st.FormatPerPacket() != "1µs" {
 		t.Fatalf("FormatPerPacket() = %q", st.FormatPerPacket())
 	}
+}
+
+// detectorState is everything a refused reprogram must leave alone.
+type detectorState struct {
+	entries   int
+	progCount int
+	progHash  uint64
+	def       p4.Action
+	key       string
+}
+
+func detectorStateOf(t *testing.T, sw *Switch) detectorState {
+	t.Helper()
+	det, err := sw.Pipeline().Table(DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := detectorState{entries: det.Len(), def: det.DefaultAction, key: fmt.Sprint(det.KeySpecs())}
+	st.progCount, st.progHash = det.ProgramSignature()
+	return st
+}
+
+// TestRefusedProgramLeavesDetectorUntouched: a full swap the table
+// refuses (entry widths disagree with the new key layout) must leave
+// layout, default action and entries as they were — the attack frame
+// the installed rule drops stays dropped.
+func TestRefusedProgramLeavesDetectorUntouched(t *testing.T) {
+	sw := mkSwitch(t)
+	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDigest}); err != nil {
+		t.Fatal(err)
+	}
+	before := detectorStateOf(t, sw)
+	drop := p4.Action{Type: p4.ActionDrop, Class: 1}
+	for _, prog := range []struct {
+		offsets []int
+		rows    []p4.Entry
+	}{
+		{[]int{1, 2}, []p4.Entry{{Lo: []byte{0}, Hi: []byte{9}, Action: drop}}}, // new layout, rows of the old width
+		{[]int{0}, []p4.Entry{{Lo: []byte{9}, Hi: []byte{0}, Action: drop}}},    // installed layout, lo > hi
+	} {
+		err := sw.ProgramDetector(prog.offsets, p4.Action{Type: p4.ActionAllow}, prog.rows)
+		if !errors.Is(err, p4.ErrBadEntry) {
+			t.Fatalf("offsets %v: err = %v, want ErrBadEntry", prog.offsets, err)
+		}
+		if after := detectorStateOf(t, sw); after != before {
+			t.Fatalf("offsets %v: refused program changed the detector:\n before %+v\n after  %+v", prog.offsets, before, after)
+		}
+		attack := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 0, 0}}
+		if v := sw.Process(attack); v.Allowed {
+			t.Fatalf("offsets %v: attack frame forwarded after a refused program: %+v", prog.offsets, v)
+		}
+		if v := sw.ProcessBatch([]*packet.Packet{attack})[0]; v.Allowed {
+			t.Fatalf("offsets %v: burst engine forwards the attack frame after a refused program: %+v", prog.offsets, v)
+		}
+	}
+}
+
+// TestRefusedDeltaLeavesDetectorUntouched: a delta aimed at the wrong
+// base must not move the default action either; an accepted one moves it
+// without touching the entries, and the flow cache notices.
+func TestRefusedDeltaLeavesDetectorUntouched(t *testing.T) {
+	sw := mkSwitch(t)
+	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDrop}); err != nil {
+		t.Fatal(err)
+	}
+	miss := []*packet.Packet{{Link: packet.LinkEthernet, Bytes: []byte{50, 0, 0}}}
+	if v := sw.ProcessBatch(miss)[0]; v.Allowed {
+		t.Fatalf("miss under default drop: %+v", v)
+	}
+	before := detectorStateOf(t, sw)
+	allow := p4.Action{Type: p4.ActionAllow}
+	if err := sw.ApplyDetectorDelta([]int{0}, allow, p4.Delta{BaseCount: 99}); !errors.Is(err, p4.ErrDeltaBase) {
+		t.Fatalf("err = %v, want ErrDeltaBase", err)
+	}
+	if after := detectorStateOf(t, sw); after != before {
+		t.Fatalf("refused delta changed the detector:\n before %+v\n after  %+v", before, after)
+	}
+	if v := sw.ProcessBatch(miss)[0]; v.Allowed {
+		t.Fatalf("refused delta flipped the default action: %+v", v)
+	}
+
+	if err := sw.ApplyDetectorDelta([]int{0}, allow, p4.Delta{BaseCount: before.progCount, BaseHash: before.progHash}); err != nil {
+		t.Fatal(err)
+	}
+	want := before
+	want.def = allow
+	if after := detectorStateOf(t, sw); after != want {
+		t.Fatalf("accepted delta:\n got  %+v\n want %+v", after, want)
+	}
+	if v := sw.ProcessBatch(miss)[0]; !v.Allowed {
+		t.Fatalf("burst engine still serves the old default: %+v", v)
+	}
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200}}); v.Allowed {
+		t.Fatalf("default-action change lost the drop rule: %+v", v)
+	}
+}
+
+// TestFullSwapNeverServesTornGeneration: full swaps between two programs
+// with different key layouts, both dropping the same frame under a
+// default of allow, race scalar and burst readers (run under -race). A
+// reader that ever sees the frame allowed was served the new default
+// without the new entries.
+func TestFullSwapNeverServesTornGeneration(t *testing.T) {
+	allow := p4.Action{Type: p4.ActionAllow}
+	program := func(width int) []p4.Entry {
+		rows := make([]p4.Entry, 0, 1025)
+		lo, hi := make([]byte, width), make([]byte, width)
+		lo[0] = 101
+		for i := range hi {
+			hi[i] = 255
+		}
+		rows = append(rows, p4.Entry{Priority: 9, Lo: lo, Hi: hi, Action: p4.Action{Type: p4.ActionDrop, Class: 1}})
+		for i := 0; i < 1024; i++ { // bulk, so a rebuild takes long enough to be caught mid-way
+			k := make([]byte, width)
+			k[0], k[width-1] = byte(i%100), byte(i/100)
+			rows = append(rows, p4.Entry{Priority: 1, Lo: k, Hi: k, Action: allow})
+		}
+		return rows
+	}
+	progs := []struct {
+		offsets []int
+		rows    []p4.Entry
+	}{{[]int{0}, program(1)}, {[]int{0, 1}, program(2)}}
+
+	sw := mkSwitch(t)
+	if err := sw.ProgramDetector(progs[0].offsets, allow, progs[0].rows); err != nil {
+		t.Fatal(err)
+	}
+	frame := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 7, 0, 0}}
+	var stop atomic.Bool
+	var reads [2]atomic.Int64
+	var wg sync.WaitGroup
+	for r, forward := range []func() p4.Verdict{
+		func() p4.Verdict { return sw.Process(frame) },
+		func() p4.Verdict { return sw.ProcessBatch([]*packet.Packet{frame})[0] },
+	} {
+		wg.Add(1)
+		go func(r int, forward func() p4.Verdict) {
+			defer wg.Done()
+			for !stop.Load() {
+				if v := forward(); v.Allowed {
+					t.Errorf("reader %d: attack frame allowed mid-swap: %+v", r, v)
+					return
+				}
+				reads[r].Add(1)
+			}
+		}(r, forward)
+	}
+	for i := 1; i <= 300 || reads[0].Load() == 0 || reads[1].Load() == 0; i++ {
+		p := progs[i%2]
+		if err := sw.ProgramDetector(p.offsets, allow, p.rows); err != nil {
+			t.Error(err)
+			break
+		}
+		if t.Failed() {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -150,39 +150,13 @@ else
 fi
 
 echo "==> zero-alloc forwarding gate"
-# The steady-state batch loop (arena held, caches warm), the
+# The steady-state batch loop (pooled arena and caches warm), the
 # single-packet Process path, and the in-place frame parser must not
 # allocate at all. testing.AllocsPerRun is deterministic, so this gate
 # never flakes.
 go test -count 1 \
     -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestAcceptFrameAllocationFree' \
     ./internal/switchsim/ ./internal/packet/
-
-echo "==> data-plane PPS speedup guard"
-# The zero-copy batch engine must beat the per-packet forwarding path by
-# at least CI_GUARD_PPS_SPEEDUP at the large (1024-entry) table
-# (verdicts and counters are identical either way — only throughput may
-# differ). Best-of-N so scheduler noise doesn't flake the gate;
-# single-core hosts skip it because wall-clock benchmark gates flake
-# when the runtime and the benchmark share one hardware thread —
-# scripts/bench.sh still records the full matrix in BENCH_9.json there.
-if [ "$cores" -lt 2 ]; then
-    echo "guard: single-core host ($cores), skipping PPS speedup gate"
-else
-    pps_out=$(go test -run '^$' \
-        -bench 'BenchmarkDataPlanePPS/frame=64/table=large' \
-        -benchtime "${CI_GUARD_BENCHTIME:-0.5s}" -count "${CI_GUARD_COUNT:-3}" . 2>&1)
-    printf '%s\n' "$pps_out"
-    printf '%s\n' "$pps_out" | awk -v min="${CI_GUARD_PPS_SPEEDUP:-2.5}" '
-        /^BenchmarkDataPlanePPS\/frame=64\/table=large\/mode=perpacket/ { if (pp == 0 || $3 < pp) pp = $3; next }
-        /^BenchmarkDataPlanePPS\/frame=64\/table=large\/mode=batch/     { if (bt == 0 || $3 < bt) bt = $3 }
-        END {
-            if (pp == 0 || bt == 0) { print "guard: benchmarks missing from output"; exit 1 }
-            speedup = pp / bt
-            printf "guard: perpacket %.0f ns/op, batch %.0f ns/op (%.2fx)\n", pp, bt, speedup
-            if (speedup < min) { printf "guard: FAIL, batch PPS speedup %.2fx below %sx\n", speedup, min; exit 1 }
-        }'
-fi
 
 echo "==> million-entry sublinearity guard"
 # Ternary lookup must stay sublinear in table size: with a saturating
