@@ -17,8 +17,6 @@ import (
 
 	"p4guard"
 
-	"p4guard/internal/drift"
-	"p4guard/internal/dtrace"
 	"p4guard/internal/experiments"
 	"p4guard/internal/fieldsel"
 	"p4guard/internal/p4"
@@ -26,7 +24,6 @@ import (
 	"p4guard/internal/rules"
 	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
-	"p4guard/internal/tensor"
 )
 
 // benchExperiment runs one registered experiment end to end per iteration.
@@ -121,97 +118,6 @@ func BenchmarkDataPlaneLookupInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkDataPlaneLookupInstrumentedExplainOff is the instrumented
-// lookup with the explain sampler exercised and then disarmed — the
-// state a production switch sits in when nobody is collecting
-// explanations. scripts/ci.sh fails if this costs more than
-// CI_GUARD_EXPLAIN_PCT (default 1%) over the plain instrumented lookup:
-// disarmed explain must stay one pointer load per batch and one nil
-// check per packet, nothing more.
-func BenchmarkDataPlaneLookupInstrumentedExplainOff(b *testing.B) {
-	pipe, pkts := benchPipelineAndTrace(b)
-	sw, err := switchsim.New("bench", packet.LinkEthernet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sw.InstallRuleSet(pipe.RuleSet(), p4.Action{Type: p4.ActionAllow}); err != nil {
-		b.Fatal(err)
-	}
-	sw.RegisterTelemetry(telemetry.NewRegistry())
-	sw.EnableExplainSampling(1, telemetry.NewFlightRecorder(16), nil)
-	sw.Process(pkts[0])
-	sw.DisableExplainSampling()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Process(pkts[i%len(pkts)])
-	}
-}
-
-// BenchmarkDataPlaneLookupInstrumentedTraceOff is the instrumented
-// lookup with distributed tracing armed, exercised, and then disarmed —
-// the state a production switch sits in when nobody is collecting
-// traces. scripts/ci.sh fails if this costs more than
-// CI_GUARD_TRACE_PCT (default 1%) over the plain instrumented lookup:
-// a disarmed tracer must leave the forwarding path untouched (the
-// tracer is only consulted on the digest pump and control RPCs, never
-// per packet).
-func BenchmarkDataPlaneLookupInstrumentedTraceOff(b *testing.B) {
-	pipe, pkts := benchPipelineAndTrace(b)
-	sw, err := switchsim.New("bench", packet.LinkEthernet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sw.InstallRuleSet(pipe.RuleSet(), p4.Action{Type: p4.ActionAllow}); err != nil {
-		b.Fatal(err)
-	}
-	sw.RegisterTelemetry(telemetry.NewRegistry())
-	tr := dtrace.NewTracer()
-	tr.Arm("bench", 1, 64)
-	sw.SetTracer(tr)
-	sp := tr.StartTrace(dtrace.StageDigestWait)
-	sp.End()
-	sw.Process(pkts[0])
-	tr.Disarm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Process(pkts[i%len(pkts)])
-	}
-}
-
-// BenchmarkDataPlaneLookupInstrumentedDriftOff is the instrumented
-// lookup with a drift monitor attached, armed, exercised, and then
-// disarmed — the state a production switch sits in when no baseline is
-// loaded. scripts/ci.sh fails if this costs more than
-// CI_GUARD_DRIFT_PCT (default 1%) over the plain instrumented lookup:
-// a disarmed monitor must stay one atomic pointer load per batch (and
-// per packet in Process), nothing more.
-func BenchmarkDataPlaneLookupInstrumentedDriftOff(b *testing.B) {
-	pipe, pkts := benchPipelineAndTrace(b)
-	sw, err := switchsim.New("bench", packet.LinkEthernet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sw.InstallRuleSet(pipe.RuleSet(), p4.Action{Type: p4.ActionAllow}); err != nil {
-		b.Fatal(err)
-	}
-	sw.RegisterTelemetry(telemetry.NewRegistry())
-	baseline := drift.NewBuilder(pipe.Offsets, 0)
-	for _, pkt := range pkts[:64] {
-		baseline.Observe(pkt, drift.NoClass, drift.NoResidual)
-	}
-	mon := drift.NewMonitor()
-	if err := mon.Arm(drift.MonitorConfig{Baseline: baseline.Profile()}); err != nil {
-		b.Fatal(err)
-	}
-	sw.SetDriftMonitor(mon)
-	sw.Process(pkts[0])
-	mon.Disarm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Process(pkts[i%len(pkts)])
-	}
-}
-
 // BenchmarkSlowPathClassify measures per-packet MLP classification — the
 // controller path a digested packet takes.
 func BenchmarkSlowPathClassify(b *testing.B) {
@@ -237,10 +143,9 @@ func BenchmarkRuleCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkTwoStageTrain measures full pipeline training on a small trace,
-// once fully serial and once on all cores; the ratio is the training
-// speedup the CI gate checks on multi-core hosts. Both runs produce
-// bit-identical pipelines for a given seed.
+// BenchmarkTwoStageTrain measures full pipeline training on a small
+// trace. perfbench reports the same stage at benchmark scale as
+// p4guard.train_s.
 func BenchmarkTwoStageTrain(b *testing.B) {
 	ds, err := p4guard.GenerateTrace("wifi-mqtt", p4guard.TraceConfig{Seed: 5, Packets: 600})
 	if err != nil {
@@ -250,47 +155,28 @@ func BenchmarkTwoStageTrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p4guard.Train(train, p4guard.Config{
-					Seed: int64(i), NumFields: 6, MLPEpochs: 10, TrainWorkers: bc.workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p4guard.Train(train, p4guard.Config{Seed: int64(i), NumFields: 6, MLPEpochs: 10}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSmoothGradSelect measures stage-1 saliency attribution (MLP
-// training plus five SmoothGrad passes) serial vs parallel.
+// training plus five SmoothGrad passes); fieldsel.select_s in perfbench.
 func BenchmarkSmoothGradSelect(b *testing.B) {
 	ds, err := p4guard.GenerateTrace("wifi-mqtt", p4guard.TraceConfig{Seed: 7, Packets: 600})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			old := tensor.Workers()
-			tensor.SetWorkers(bc.workers)
-			defer tensor.SetWorkers(old)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel := &fieldsel.SaliencySelector{Seed: int64(i), Epochs: 10}
-				if _, err := sel.Select(ds, 6); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel := &fieldsel.SaliencySelector{Seed: int64(i), Epochs: 10}
+		if _, err := sel.Select(ds, 6); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -407,10 +293,12 @@ func ppsRuleSet(entries int, seed int64) *rules.RuleSet {
 	return rs
 }
 
-// BenchmarkDataPlanePPS is the wire-speed matrix behind BENCH_9.json:
-// frame sizes 64/512/1500 × small (16-entry) and large (1024-entry)
-// detector tables × the scalar path (one Switch.Process per packet) vs
-// the burst engine (Switch.Run).
+// BenchmarkDataPlanePPS is the wire-speed matrix: frame sizes
+// 64/512/1500 × small (16-entry) and large (1024-entry) detector tables ×
+// the scalar path (one Switch.Process per packet) vs the burst engine
+// (Switch.Run). The recorded numbers for the same two paths are
+// switchsim.perpacket_pps and switchsim.processbatch_pps from
+// `bash perfbench/run.sh --workload <hot|cold> --trace 1`.
 func BenchmarkDataPlanePPS(b *testing.B) {
 	const burst = 512
 	tables := []struct {

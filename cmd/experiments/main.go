@@ -30,7 +30,6 @@ func run() int {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		jpath   = flag.String("journal", "", "write per-experiment manifests (JSONL) to this path")
 		runID   = flag.String("run-id", "", "run identifier for the journal (default: generated)")
-		workers = flag.Int("train-workers", 0, "CPU workers for training (0 = all cores; results are identical for any value)")
 	)
 	flag.Parse()
 
@@ -40,7 +39,7 @@ func run() int {
 		}
 		return 0
 	}
-	cfg := experiments.Config{Seed: *seed, Packets: *packets, Quick: *quick, TrainWorkers: *workers}
+	cfg := experiments.Config{Seed: *seed, Packets: *packets, Quick: *quick}
 	if *jpath != "" {
 		j, err := telemetry.OpenJournal(*jpath, *runID)
 		if err != nil {

@@ -47,7 +47,6 @@ func run() int {
 		jpath    = flag.String("journal", "", "write a run journal (JSONL) to this path")
 		runID    = flag.String("run-id", "", "run identifier for the journal (default: generated)")
 		maddr    = flag.String("metrics-addr", "", "serve live training gauges on /metrics at this address (empty = off)")
-		workers  = flag.Int("train-workers", 0, "CPU workers for training (0 = all cores; the trained model is identical for any value)")
 		driftOut = flag.String("drift-baseline", "", "persist the drift baseline profile (slow-path digest distribution of the training split) to this path")
 	)
 	flag.Parse()
@@ -95,7 +94,7 @@ func run() int {
 		return 1
 	}
 
-	cfg := p4guard.Config{Seed: *seed, NumFields: *k, TreeDepth: *depth, TrainWorkers: *workers}
+	cfg := p4guard.Config{Seed: *seed, NumFields: *k, TreeDepth: *depth}
 	if journal != nil || gauges != nil {
 		cfg.OnEpoch = func(stage string, es nn.EpochStats) {
 			if gauges != nil {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"p4guard/internal/nn"
 	"p4guard/internal/tensor"
@@ -97,55 +96,23 @@ func (a *Autoencoder) Reconstruct(x *tensor.Matrix) (*tensor.Matrix, error) {
 }
 
 // evalChunk is the row-block size the batch reductions split inference
-// into: chunks run concurrently (one workspace per worker) and their
-// partial results combine in ascending chunk order, so totals are
-// identical at every worker count — the chunk structure, not the worker
-// schedule, fixes the floating-point association.
+// into. It bounds the workspace to one chunk's activations, and because
+// Residuals sums each chunk on its own before adding it to the total, it
+// is also part of the floating-point association: changing it changes the
+// low bits of every persisted drift baseline.
 const evalChunk = 256
 
-// forEachChunk reconstructs x in fixed row chunks — in parallel when the
-// kernel worker setting allows — and hands each chunk's input view and
-// reconstruction to fn. fn must only write state owned by its chunk index.
-func (a *Autoencoder) forEachChunk(x *tensor.Matrix, fn func(chunk, lo int, xv, recon *tensor.Matrix)) error {
-	nchunks := (x.Rows + evalChunk - 1) / evalChunk
-	w := tensor.Workers()
-	if w > nchunks {
-		w = nchunks
-	}
-	run := func(g, stride int) error {
-		ws := nn.NewWorkspace()
-		for c := g; c < nchunks; c += stride {
-			lo := c * evalChunk
-			hi := lo + evalChunk
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			xv := x.RowView(lo, hi)
-			recon, err := a.net.Infer(ws, xv)
-			if err != nil {
-				return err
-			}
-			fn(c, lo, xv, recon)
-		}
-		return nil
-	}
-	if w <= 1 {
-		return run(0, 1)
-	}
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			errs[g] = run(g, w)
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// forEachChunk reconstructs x in fixed row chunks, ascending, and hands
+// each chunk's first row index, input view and reconstruction to fn.
+func (a *Autoencoder) forEachChunk(x *tensor.Matrix, fn func(lo int, xv, recon *tensor.Matrix)) error {
+	ws := nn.NewWorkspace()
+	for lo := 0; lo < x.Rows; lo += evalChunk {
+		xv := x.RowView(lo, min(lo+evalChunk, x.Rows))
+		recon, err := a.net.Infer(ws, xv)
 		if err != nil {
 			return err
 		}
+		fn(lo, xv, recon)
 	}
 	return nil
 }
@@ -156,26 +123,22 @@ func (a *Autoencoder) Residuals(x *tensor.Matrix) ([]float64, error) {
 	if x.Cols != a.width {
 		return nil, fmt.Errorf("autoenc: width %d != %d: %w", x.Cols, a.width, tensor.ErrShape)
 	}
-	nchunks := (x.Rows + evalChunk - 1) / evalChunk
-	partials := make([][]float64, nchunks)
-	err := a.forEachChunk(x, func(c, lo int, xv, recon *tensor.Matrix) {
-		part := make([]float64, a.width)
+	res := make([]float64, a.width)
+	part := make([]float64, a.width)
+	err := a.forEachChunk(x, func(_ int, xv, recon *tensor.Matrix) {
+		clear(part)
 		for i := 0; i < xv.Rows; i++ {
 			xrow, rrow := xv.Row(i), recon.Row(i)
 			for j := range part {
 				part[j] += math.Abs(xrow[j] - rrow[j])
 			}
 		}
-		partials[c] = part
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]float64, a.width)
-	for _, part := range partials {
 		for j, v := range part {
 			res[j] += v
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if x.Rows > 0 {
 		inv := 1 / float64(x.Rows)
@@ -187,15 +150,14 @@ func (a *Autoencoder) Residuals(x *tensor.Matrix) ([]float64, error) {
 }
 
 // SampleError returns the mean reconstruction error of each row — an
-// anomaly score usable directly for detection. Rows are scored in
-// parallel chunks; each score depends only on its own row, so results are
-// identical at every worker count.
+// anomaly score usable directly for detection. Each score depends only on
+// its own row.
 func (a *Autoencoder) SampleError(x *tensor.Matrix) ([]float64, error) {
 	if x.Cols != a.width {
 		return nil, fmt.Errorf("autoenc: width %d != %d: %w", x.Cols, a.width, tensor.ErrShape)
 	}
 	out := make([]float64, x.Rows)
-	err := a.forEachChunk(x, func(c, lo int, xv, recon *tensor.Matrix) {
+	err := a.forEachChunk(x, func(lo int, xv, recon *tensor.Matrix) {
 		for i := 0; i < xv.Rows; i++ {
 			xrow, rrow := xv.Row(i), recon.Row(i)
 			var sum float64

@@ -1,6 +1,7 @@
 package autoenc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -143,6 +144,56 @@ func TestInputSaliencyShape(t *testing.T) {
 	for i, v := range sal {
 		if v < 0 {
 			t.Fatalf("negative saliency at %d: %v", i, v)
+		}
+	}
+}
+
+// TestResidualsChunkAssociation pins the floating-point association of
+// Residuals — each evalChunk-row block summed on its own, blocks added in
+// ascending order, one scale at the end — against a hand-rolled sum, on a
+// batch of two full chunks and a ragged tail. A persisted drift baseline
+// holds these floats, so a change of association must fail here rather
+// than surface as a baseline mismatch.
+func TestResidualsChunkAssociation(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	train := tensor.New(60, 12)
+	train.Randomize(rng, 1)
+	ae, err := Train(train, Config{Hidden: []int{8, 4}, Epochs: 3, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(2*evalChunk+37, 12)
+	x.Randomize(rng, 1)
+
+	want := make([]float64, x.Cols)
+	for lo := 0; lo < x.Rows; lo += evalChunk {
+		hi := min(lo+evalChunk, x.Rows)
+		xv := x.RowView(lo, hi)
+		recon, err := ae.Reconstruct(xv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := make([]float64, x.Cols)
+		for i := 0; i < xv.Rows; i++ {
+			for j := range part {
+				part[j] += math.Abs(xv.At(i, j) - recon.At(i, j))
+			}
+		}
+		for j := range want {
+			want[j] += part[j]
+		}
+	}
+	for j := range want {
+		want[j] *= 1 / float64(x.Rows)
+	}
+
+	got, err := ae.Residuals(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("residual[%d] = %v, chunk-ordered sum %v", j, got[j], want[j])
 		}
 	}
 }

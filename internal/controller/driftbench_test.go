@@ -13,8 +13,8 @@ import (
 // metric families — per-shard and fleet drift scores, observation
 // counters, per-feature PSI gauges, crossing counters — over an armed
 // 4-shard monitor with populated sketches. This is the recurring cost a
-// Prometheus scrape adds while drift tracking is on; scripts/bench.sh
-// snapshots it into BENCH_8.json.
+// Prometheus scrape adds while drift tracking is on; perfbench scrapes
+// nothing, so this benchmark is the only number for it.
 func BenchmarkFleetDriftScrape(b *testing.B) {
 	offs := []int{0, 1}
 	base := drift.NewBuilder(offs, 0)

@@ -19,8 +19,10 @@ import (
 // classified, and installed back on its switch, and the benchmark waits
 // for the install ack. Besides ns/op it reports the controller's p50/p99
 // digest→install latency distribution (fan-in enqueue to install ack,
-// the same histogram the fleet /metrics aggregate exports). scripts/
-// bench.sh snapshots this into BENCH_7.json.
+// the same histogram the fleet /metrics aggregate exports). The recorded
+// numbers for this path are miss_to_hit_ms_p50/p99 and their
+// controller.*_us_p50 stage breakdown from
+// `bash perfbench/run.sh --workload <hot|cold> --trace 1`.
 func BenchmarkFleetDigestInstallLatency(b *testing.B) {
 	topo := netsim.New(netsim.Config{Seed: 42})
 	lossy := netsim.LinkConfig{

@@ -6,7 +6,6 @@ import (
 
 	"p4guard"
 	"p4guard/internal/metrics"
-	"p4guard/internal/tensor"
 )
 
 // runRF3 reproduces the efficiency figure: distilled-tree depth trades
@@ -57,11 +56,8 @@ func runRF3(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// runRT3 reproduces the training-cost table, extended with the parallel
-// training substrate: each scenario trains once fully serial
-// (TrainWorkers=1) and once with the ambient worker setting, reporting
-// the stage breakdown of the parallel run plus the serial total and the
-// speedup. The two runs produce bit-identical pipelines.
+// runRT3 reproduces the training-cost table: the per-stage wall time of
+// one p4guard.Train per scenario.
 func runRT3(cfg Config) (*Result, error) {
 	splits, err := datasets(cfg)
 	if err != nil {
@@ -70,22 +66,12 @@ func runRT3(cfg Config) (*Result, error) {
 	var rows [][]string
 	for _, name := range scenarioOrder() {
 		pair := splits[name]
-		serial, err := p4guard.Train(pair[0], p4guard.Config{Seed: cfg.Seed, NumFields: 6, TrainWorkers: 1})
-		if err != nil {
-			return nil, fmt.Errorf("RT3 %s (serial): %w", name, err)
-		}
-		stm := serial.Timings
-		serialTotal := stm.FieldSelection + stm.Classifier + stm.Distillation + stm.RuleCompile
 		pipe, err := p4guard.Train(pair[0], p4guard.Config{Seed: cfg.Seed, NumFields: 6})
 		if err != nil {
 			return nil, fmt.Errorf("RT3 %s: %w", name, err)
 		}
 		tm := pipe.Timings
 		total := tm.FieldSelection + tm.Classifier + tm.Distillation + tm.RuleCompile
-		speedup := "n/a"
-		if total > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(serialTotal)/float64(total))
-		}
 		rows = append(rows, []string{
 			name,
 			strconv.Itoa(pair[0].Len()),
@@ -94,14 +80,11 @@ func runRT3(cfg Config) (*Result, error) {
 			tm.Distillation.Round(1e6).String(),
 			tm.RuleCompile.Round(1e6).String(),
 			total.Round(1e6).String(),
-			serialTotal.Round(1e6).String(),
-			speedup,
 		})
 	}
 	return &Result{
 		ID: "R-T3", Title: "Training cost breakdown",
-		Lines: table([]string{"dataset", "train pkts", "stage1 select", "stage2 mlp", "distill", "compile",
-			fmt.Sprintf("total (%dw)", tensor.Workers()), "total (1w)", "speedup"}, rows),
+		Lines: table([]string{"dataset", "train pkts", "stage1 select", "stage2 mlp", "distill", "compile", "total"}, rows),
 	}, nil
 }
 

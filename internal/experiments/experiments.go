@@ -14,7 +14,6 @@ import (
 
 	"p4guard/internal/iotgen"
 	"p4guard/internal/telemetry"
-	"p4guard/internal/tensor"
 	"p4guard/internal/trace"
 )
 
@@ -26,9 +25,6 @@ type Config struct {
 	Packets int
 	// Quick shrinks workloads for smoke tests and benchmarks.
 	Quick bool
-	// TrainWorkers caps CPU workers for every training run (0 = process
-	// default, all cores). Experiment outputs are identical for any value.
-	TrainWorkers int
 	// Journal, when non-nil, receives a per-experiment manifest:
 	// experiment_start (id, title, inputs) and experiment_end (emitted
 	// artifact lines, duration, error) events the offline analyzer
@@ -101,11 +97,6 @@ func Run(id string, cfg Config) (*Result, error) {
 			continue
 		}
 		c := cfg.withDefaults()
-		if c.TrainWorkers > 0 {
-			old := tensor.Workers()
-			tensor.SetWorkers(c.TrainWorkers)
-			defer tensor.SetWorkers(old)
-		}
 		if c.Journal != nil {
 			_ = c.Journal.Event("experiment_start", map[string]any{
 				"id": e.ID, "title": e.Title,

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"p4guard/internal/autoenc"
 	"p4guard/internal/nn"
@@ -171,33 +170,28 @@ func (s *SaliencySelector) Select(ds *trace.Dataset, k int) ([]int, error) {
 	// made the class easy. Averaging |gradient| over noise-perturbed
 	// copies of the inputs restores signal at those bytes.
 	//
-	// The clean pass and the noisy passes are independent, so they run
-	// concurrently on AttributionClones of the trained net (shared weights,
-	// private gradients and workspaces). Noise is drawn up front on this
-	// goroutine in pass order, each pass accumulates into its own partial
-	// score vector, and partials combine in ascending pass order — the same
-	// structure the one-worker path uses, so scores are bit-identical at
-	// every worker count.
+	// Each pass (the clean one, then the noisy ones) sums into its own
+	// partial before that is added to the total, in pass order: that
+	// association is what the ranking's low bits — and so the selected
+	// fields on a near-tie — are fixed by.
 	const noisyPasses = 4
 	const noiseScale = 0.15
-	passes := make([]*tensor.Matrix, noisyPasses+1)
-	passes[0] = x
-	for p := 1; p <= noisyPasses; p++ {
-		noisy := x.Clone()
-		for i := range noisy.Data {
-			noisy.Data[i] += rng.NormFloat64() * noiseScale
+	scores := make([]float64, x.Cols)
+	part := make([]float64, x.Cols)
+	noisy := tensor.New(x.Rows, x.Cols)
+	for p := 0; p <= noisyPasses; p++ {
+		batch := x
+		if p > 0 {
+			batch = noisy
+			for i, v := range x.Data {
+				noisy.Data[i] = v + rng.NormFloat64()*noiseScale
+			}
 		}
-		passes[p] = noisy
-	}
-	partials := make([][]float64, len(passes))
-	for p := range partials {
-		partials[p] = make([]float64, x.Cols)
-	}
-	accumulate := func(worker *nn.Network, batch *tensor.Matrix, scores []float64) error {
-		grad, err := worker.InputGradient(batch, target)
+		grad, err := net.InputGradient(batch, target)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		clear(part)
 		for i := 0; i < grad.Rows; i++ {
 			row := grad.Row(i)
 			// Normalize each sample's attribution to unit L1 mass:
@@ -211,54 +205,10 @@ func (s *SaliencySelector) Select(ds *trace.Dataset, k int) ([]int, error) {
 			if mass == 0 {
 				continue
 			}
-			for j := range scores {
-				scores[j] += math.Abs(row[j]) / mass
+			for j := range part {
+				part[j] += math.Abs(row[j]) / mass
 			}
 		}
-		return nil
-	}
-	w := tensor.Workers()
-	if w > len(passes) {
-		w = len(passes)
-	}
-	if w <= 1 {
-		for p, batch := range passes {
-			if err := accumulate(net, batch, partials[p]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		errs := make([]error, w)
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				worker := net
-				if g > 0 {
-					var err error
-					if worker, err = net.AttributionClone(); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-				for p := g; p < len(passes); p += w {
-					if err := accumulate(worker, passes[p], partials[p]); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	scores := make([]float64, x.Cols)
-	for _, part := range partials {
 		for j, v := range part {
 			scores[j] += v
 		}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"p4guard/internal/tensor"
 )
@@ -132,61 +131,21 @@ func (n *Network) Grads() []*tensor.Matrix {
 	return n.grads
 }
 
-// predictChunk is the row-block size for parallel batch evaluation: big
-// enough that each chunk's GEMM amortizes goroutine hand-off, small enough
-// to spread eval sets across cores.
+// predictChunk is the row-block size for batch evaluation: it bounds the
+// workspace to one chunk's activations however large the eval set is.
 const predictChunk = 256
 
-// Predict returns the argmax class for each row of x. Large batches are
-// split into fixed row chunks evaluated concurrently (each worker carries
-// its own workspace); per-row results are independent, so predictions are
-// identical at every worker count.
+// Predict returns the argmax class for each row of x, evaluated in fixed
+// row chunks; per-row results are independent of the chunking.
 func (n *Network) Predict(x *tensor.Matrix) ([]int, error) {
 	preds := make([]int, x.Rows)
-	nchunks := (x.Rows + predictChunk - 1) / predictChunk
-	w := tensor.Workers()
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		out, err := n.Forward(x, false)
+	for lo := 0; lo < x.Rows; lo += predictChunk {
+		out, err := n.Forward(x.RowView(lo, min(lo+predictChunk, x.Rows)), false)
 		if err != nil {
 			return nil, err
 		}
-		for i := range preds {
-			preds[i] = tensor.Argmax(out.Row(i))
-		}
-		return preds, nil
-	}
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ws := NewWorkspace()
-			for c := g; c < nchunks; c += w {
-				lo := c * predictChunk
-				hi := lo + predictChunk
-				if hi > x.Rows {
-					hi = x.Rows
-				}
-				ws.Reset()
-				out, err := n.forward(ws, x.RowView(lo, hi), false)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				for i := 0; i < out.Rows; i++ {
-					preds[lo+i] = tensor.Argmax(out.Row(i))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		for i := 0; i < out.Rows; i++ {
+			preds[lo+i] = tensor.Argmax(out.Row(i))
 		}
 	}
 	return preds, nil
@@ -228,33 +187,4 @@ func (n *Network) InputGradient(x, target *tensor.Matrix) (*tensor.Matrix, error
 	n.inGrad = ensureShape(n.inGrad, gradIn.Rows, gradIn.Cols)
 	copy(n.inGrad.Data, gradIn.Data)
 	return n.inGrad, nil
-}
-
-// AttributionClone returns a network sharing this network's parameter
-// matrices but owning private gradient accumulators, layer caches, and
-// workspace, so clones can run Step/InputGradient (which never write
-// parameters) concurrently — the substrate for parallel SmoothGrad passes.
-// Stochastic layers are rejected: dropout would need an RNG draw order
-// that concurrent attribution cannot reproduce.
-func (n *Network) AttributionClone() (*Network, error) {
-	layers := make([]Layer, len(n.Layers))
-	for i, l := range n.Layers {
-		switch v := l.(type) {
-		case *Dense:
-			layers[i] = &Dense{
-				W: v.W, B: v.B,
-				dW: tensor.New(v.W.Rows, v.W.Cols),
-				dB: tensor.New(1, v.W.Cols),
-			}
-		case *ReLU:
-			layers[i] = &ReLU{}
-		case *Sigmoid:
-			layers[i] = &Sigmoid{}
-		case *Tanh:
-			layers[i] = &Tanh{}
-		default:
-			return nil, fmt.Errorf("nn: attribution clone: unsupported layer %T", l)
-		}
-	}
-	return NewNetwork(n.Loss, layers...), nil
 }

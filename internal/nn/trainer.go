@@ -144,7 +144,7 @@ func GradNorm(net *Network) float64 {
 }
 
 // trainAccuracy measures argmax accuracy of the network against one-hot
-// targets; Predict evaluates the set in parallel row chunks.
+// targets; Predict evaluates the set in fixed row chunks.
 func trainAccuracy(net *Network, x, target *tensor.Matrix) (float64, error) {
 	preds, err := net.Predict(x)
 	if err != nil {

@@ -8,16 +8,6 @@ import (
 	"p4guard/internal/tensor"
 )
 
-// withWorkers runs f under a fixed kernel worker count and restores the
-// previous setting afterwards.
-func withWorkers(t *testing.T, n int, f func()) {
-	t.Helper()
-	old := tensor.Workers()
-	tensor.SetWorkers(n)
-	defer tensor.SetWorkers(old)
-	f()
-}
-
 func TestWorkspaceTakeReuseAndNil(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Take(4, 5)
@@ -103,66 +93,57 @@ func TestDenseAliasRegression(t *testing.T) {
 // TestTrainStepZeroAlloc is the ISSUE's zero-allocation gate: after warmup,
 // a full forward/backward/update step must not touch the heap.
 func TestTrainStepZeroAlloc(t *testing.T) {
-	withWorkers(t, 1, func() {
-		rng := rand.New(rand.NewSource(31))
-		net := NewMLP(rng, 32, []int{24, 16}, 4)
-		opt := NewAdam(0.01)
-		x := tensor.New(16, 32)
-		x.Randomize(rng, 1)
-		labels := make([]int, 16)
-		for i := range labels {
-			labels[i] = i % 4
-		}
-		target, err := OneHot(labels, 4)
-		if err != nil {
+	rng := rand.New(rand.NewSource(31))
+	net := NewMLP(rng, 32, []int{24, 16}, 4)
+	opt := NewAdam(0.01)
+	x := tensor.New(16, 32)
+	x.Randomize(rng, 1)
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = i % 4
+	}
+	target, err := OneHot(labels, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, _, err := net.Step(x, target); err != nil {
 			t.Fatal(err)
 		}
-		step := func() {
-			if _, _, err := net.Step(x, target); err != nil {
-				t.Fatal(err)
-			}
-			if err := opt.Update(net.Params(), net.Grads()); err != nil {
-				t.Fatal(err)
-			}
+		if err := opt.Update(net.Params(), net.Grads()); err != nil {
+			t.Fatal(err)
 		}
-		// Warm up the workspace high-water mark and optimizer state.
-		for i := 0; i < 3; i++ {
-			step()
-		}
-		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-			t.Fatalf("training step allocates %v objects/op, want 0", allocs)
-		}
-	})
+	}
+	// Warm up the workspace high-water mark and optimizer state.
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("training step allocates %v objects/op, want 0", allocs)
+	}
 }
 
-// TestPredictParallelMatchesSerial pins chunked parallel evaluation to the
-// serial path across worker counts, on a batch spanning several chunks.
-func TestPredictParallelMatchesSerial(t *testing.T) {
+// TestPredictChunkedMatchesWholeBatch pins chunked evaluation to one
+// whole-batch forward pass, on a batch spanning several chunks and a
+// ragged tail.
+func TestPredictChunkedMatchesWholeBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	net := NewMLP(rng, 8, []int{6}, 3)
 	x := tensor.New(3*predictChunk+17, 8)
 	x.Randomize(rng, 1)
 
-	var want []int
-	withWorkers(t, 1, func() {
-		var err error
-		want, err = net.Predict(x)
-		if err != nil {
-			t.Fatal(err)
+	got, err := net.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := net.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if want := tensor.Argmax(out.Row(i)); got[i] != want {
+			t.Fatalf("pred[%d] = %d, whole-batch %d", i, got[i], want)
 		}
-	})
-	for _, w := range []int{2, 3, 5} {
-		withWorkers(t, w, func() {
-			got, err := net.Predict(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d: pred[%d] = %d, serial %d", w, i, got[i], want[i])
-				}
-			}
-		})
 	}
 }
 
@@ -212,48 +193,6 @@ var errInferMismatch = &inferMismatchError{}
 type inferMismatchError struct{}
 
 func (*inferMismatchError) Error() string { return "concurrent Infer diverged from Forward" }
-
-// TestAttributionClone verifies clones share parameters, keep private
-// gradients, reproduce the base network's input gradients, and reject
-// stochastic layers.
-func TestAttributionClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	net := NewMLP(rng, 5, []int{4}, 2)
-	x := tensor.New(3, 5)
-	x.Randomize(rng, 1)
-	target, _ := OneHot([]int{0, 1, 0}, 2)
-
-	want, err := net.InputGradient(x, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = want.Clone()
-
-	clone, err := net.AttributionClone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.Layers[0].(*Dense).W != net.Layers[0].(*Dense).W {
-		t.Fatal("clone does not share weights")
-	}
-	if clone.Layers[0].(*Dense).dW == net.Layers[0].(*Dense).dW {
-		t.Fatal("clone shares gradient accumulators")
-	}
-	got, err := clone.InputGradient(x, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("clone input grad %d = %v, base %v", i, got.Data[i], want.Data[i])
-		}
-	}
-
-	withDrop := NewNetwork(SoftmaxCE{}, NewDense(rng, 3, 3), NewDropout(rng, 0.5))
-	if _, err := withDrop.AttributionClone(); err == nil {
-		t.Fatal("AttributionClone accepted a dropout layer")
-	}
-}
 
 // TestInputGradientDetached pins that InputGradient results survive later
 // passes on the same network (they are copied out of the workspace).

@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"p4guard/internal/drift"
+	"p4guard/internal/dtrace"
 	"p4guard/internal/p4"
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
+	"p4guard/internal/telemetry"
 )
 
 // randRuleSet builds a deterministic multi-field rule set with a mix of
@@ -198,6 +200,74 @@ func TestProcessSinglePacketZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("link %v: Process allocates %.2f/op, want 0", link, allocs)
 		}
+	}
+}
+
+// TestDisarmedInstrumentsAreInert is the switch-level half of
+// dtrace.TestDisarmedIsInert and drift.TestMonitorDisarmContract: explain
+// sampling, a tracer and a drift monitor are armed on one switch, seen to
+// fire, and disarmed; from then on Process must allocate nothing and
+// 10 000 packets must add nothing to the flight recorder, the trace ring
+// or the drift sketches. Every packet misses into the digest action, the
+// one verdict on which Process consults all three. A count, not a timing:
+// a 1 % ns/op gate on this could not be resolved on a shared host.
+func TestDisarmedInstrumentsAreInert(t *testing.T) {
+	pkts := tracePackets(64, 43)
+	// One digest slot: the queue is full after the first miss, so the
+	// digest path itself stops appending before allocations are counted.
+	sw, err := NewWithDigestCapacity("gw0", packet.LinkEthernet, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.InstallRuleSet(rules.NewRuleSet([]int{0, 3, 7}, 0), p4.Action{Type: p4.ActionDigest}); err != nil {
+		t.Fatal(err)
+	}
+	baseline := drift.NewBuilder([]int{0, 3, 7}, 0)
+	for _, pkt := range pkts {
+		baseline.Observe(pkt, drift.NoClass, drift.NoResidual)
+	}
+
+	fr := telemetry.NewFlightRecorder(16)
+	sw.EnableExplainSampling(1, fr, nil)
+	tr := dtrace.NewTracer()
+	tr.Arm("gw0", 1, 64)
+	sw.SetTracer(tr)
+	mon := drift.NewMonitor()
+	if err := mon.Arm(drift.MonitorConfig{Baseline: baseline.Profile()}); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetDriftMonitor(mon)
+	da := mon.Armed()
+
+	if v := sw.Process(pkts[0]); !v.Digested {
+		t.Fatalf("packet did not take the digest action: %+v", v)
+	}
+	sw.Tracer().StartTrace(dtrace.StageDigestWait).End()
+	explained, observed := fr.Total(), da.ShardObservations(0)
+	if explained != 1 || observed != 1 || tr.Total() != 1 {
+		t.Fatalf("armed instruments did not fire: %d explains, %d drift observations, %d spans",
+			explained, observed, tr.Total())
+	}
+
+	sw.DisableExplainSampling()
+	tr.Disarm()
+	mon.Disarm()
+
+	if allocs := testing.AllocsPerRun(100, func() { sw.Process(pkts[1]) }); allocs != 0 {
+		t.Fatalf("Process with disarmed instruments allocates %.2f/op, want 0", allocs)
+	}
+	for i := 0; i < 10000; i++ {
+		sw.Process(pkts[i%len(pkts)])
+	}
+	sw.Tracer().StartTrace(dtrace.StageDigestWait).End()
+	if fr.Total() != explained {
+		t.Fatalf("flight recorder grew from %d to %d events while disarmed", explained, fr.Total())
+	}
+	if got := da.ShardObservations(0); got != observed {
+		t.Fatalf("drift sketches grew from %d to %d observations while disarmed", observed, got)
+	}
+	if tr.Total() != 0 || tr.Spans() != nil {
+		t.Fatalf("disarmed tracer holds %d spans", tr.Total())
 	}
 }
 

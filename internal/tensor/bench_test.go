@@ -6,9 +6,8 @@ import (
 )
 
 // benchMatMul runs dst = a×b at the given shape in both the blocked
-// parallel kernel (current worker setting) and the serial oracle, so the
-// speedup and the blocked kernel's single-core win are both visible in
-// one run.
+// kernel and the serial oracle, so the blocked kernel's win over the
+// scalar loop is visible in one run.
 func benchMatMul(b *testing.B, n, k, m int) {
 	rng := rand.New(rand.NewSource(1))
 	a, bb := New(n, k), New(k, m)
@@ -35,8 +34,8 @@ func benchMatMul(b *testing.B, n, k, m int) {
 	})
 }
 
-// BenchmarkMatMulSmall is below the parallel cutoff: the band kernel runs
-// inline on the caller.
+// BenchmarkMatMulSmall is a single k-panel with little row reuse: the
+// shape where tiling has the least to win.
 func BenchmarkMatMulSmall(b *testing.B) { benchMatMul(b, 32, 32, 32) }
 
 // BenchmarkMatMulMLP is the stage-1 attribution shape (batch 64, bit

@@ -2,88 +2,59 @@ package tensor
 
 import "fmt"
 
-// Cache-blocked, register-tiled, goroutine-parallel GEMM kernels. The
-// public MatMul/MatMulATB/MatMulABT entry points shard output rows across
-// the shared worker pool (pool.go) above a size cutoff and fall back to
-// the single-goroutine band kernel below it.
+// Cache-blocked, register-tiled GEMM kernels, run on the calling
+// goroutine.
 //
 // Determinism contract: for every output element the kernels perform the
 // exact multiply-add sequence of the serial reference kernels
 // (MatMul*Serial) — k ascending, identical zero-skips, one accumulator
-// per element — so blocked, tiled, and parallel results are bit-identical
-// to the serial oracles and to each other at any worker count. The
-// differential tests in gemm_test.go enforce this.
+// per element — so blocked and tiled results are bit-identical to the
+// serial oracles. The differential tests in gemm_test.go enforce this.
 
-const (
-	// gemmBlockK is the k-panel width: the band kernels sweep k in
-	// ascending panels this wide so the touched rows of b stay hot in
-	// cache while dst rows are revisited. Panel order is ascending, so
-	// per-element accumulation order is unchanged.
-	gemmBlockK = 256
-	// parCutoff is the minimum multiply-add count (rows × per-row flops)
-	// before a kernel fans out to the worker pool; below it the hand-off
-	// overhead beats the parallel win and the band kernel runs inline.
-	parCutoff = 32 * 1024
-)
+// gemmBlockK is the k-panel width: matMulBlocked sweeps k in ascending
+// panels this wide so the touched rows of b stay hot in cache while dst
+// rows are revisited. Panel order is ascending, so per-element
+// accumulation order is unchanged.
+const gemmBlockK = 256
 
 // MatMul computes dst = a × b. dst must be a.Rows×b.Cols and may not alias
-// a or b. Above a size cutoff the rows of dst are sharded across the
-// shared worker pool; results are bit-identical to MatMulSerial at any
-// worker count.
+// a or b. Bit-identical to MatMulSerial.
 func MatMul(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return fmt.Errorf("tensor: matmul (%dx%d)·(%dx%d)->(%dx%d): %w",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrShape)
 	}
-	if w := bandParallelism(a.Rows, a.Cols*b.Cols); w > 1 {
-		dispatchBands(kernelMatMul, dst, a, b, a.Rows, w)
-	} else {
-		matMulBand(dst, a, b, 0, a.Rows)
-	}
+	matMulBlocked(dst, a, b)
 	return nil
 }
 
 // MatMulATB computes dst = aᵀ × b. dst must be a.Cols×b.Cols and may not
-// alias a or b. Parallel and bit-identical to MatMulATBSerial.
+// alias a or b. Bit-identical to MatMulATBSerial.
 func MatMulATB(dst, a, b *Matrix) error {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		return fmt.Errorf("tensor: matmulATB (%dx%d)ᵀ·(%dx%d)->(%dx%d): %w",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrShape)
 	}
-	if w := bandParallelism(a.Cols, a.Rows*b.Cols); w > 1 {
-		dispatchBands(kernelMatMulATB, dst, a, b, a.Cols, w)
-	} else {
-		matMulATBBand(dst, a, b, 0, a.Cols)
-	}
+	matMulATBBlocked(dst, a, b)
 	return nil
 }
 
 // MatMulABT computes dst = a × bᵀ. dst must be a.Rows×b.Rows and may not
-// alias a or b. Parallel and bit-identical to MatMulABTSerial.
+// alias a or b. Bit-identical to MatMulABTSerial.
 func MatMulABT(dst, a, b *Matrix) error {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		return fmt.Errorf("tensor: matmulABT (%dx%d)·(%dx%d)ᵀ->(%dx%d): %w",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrShape)
 	}
-	if w := bandParallelism(a.Rows, a.Cols*b.Rows); w > 1 {
-		dispatchBands(kernelMatMulABT, dst, a, b, a.Rows, w)
-	} else {
-		matMulABTBand(dst, a, b, 0, a.Rows)
-	}
+	matMulABTBlocked(dst, a, b)
 	return nil
 }
 
-// matMulBand computes dst rows [lo, hi) of dst = a × b: register-tiled
-// two rows at a time so each streamed row of b is reused, k swept in
-// ascending cache panels.
-func matMulBand(dst, a, b *Matrix, lo, hi int) {
-	k, m := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*m : (i+1)*m]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+// matMulBlocked computes dst = a × b: register-tiled two rows at a time so
+// each streamed row of b is reused, k swept in ascending cache panels.
+func matMulBlocked(dst, a, b *Matrix) {
+	n, k, m := a.Rows, a.Cols, b.Cols
+	clear(dst.Data)
 	if m == 0 {
 		return
 	}
@@ -92,8 +63,8 @@ func matMulBand(dst, a, b *Matrix, lo, hi int) {
 		if k1 > k {
 			k1 = k
 		}
-		i := lo
-		for ; i+1 < hi; i += 2 {
+		i := 0
+		for ; i+1 < n; i += 2 {
 			arow0 := a.Data[i*k : (i+1)*k]
 			arow1 := a.Data[(i+1)*k : (i+2)*k]
 			d0 := dst.Data[i*m : (i+1)*m]
@@ -114,7 +85,7 @@ func matMulBand(dst, a, b *Matrix, lo, hi int) {
 				}
 			}
 		}
-		if i < hi {
+		if i < n {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*m : (i+1)*m]
 			for kk := k0; kk < k1; kk++ {
@@ -126,22 +97,17 @@ func matMulBand(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// matMulATBBand computes dst rows [lo, hi) of dst = aᵀ × b (dst row i is
-// column i of a against all of b), two dst rows at a time so each
-// streamed row of b is reused across both.
-func matMulATBBand(dst, a, b *Matrix, lo, hi int) {
+// matMulATBBlocked computes dst = aᵀ × b (dst row i is column i of a
+// against all of b), two dst rows at a time so each streamed row of b is
+// reused across both.
+func matMulATBBlocked(dst, a, b *Matrix) {
 	n, ac, m := a.Rows, a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*m : (i+1)*m]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+	clear(dst.Data)
 	if m == 0 {
 		return
 	}
-	i := lo
-	for ; i+1 < hi; i += 2 {
+	i := 0
+	for ; i+1 < ac; i += 2 {
 		d0 := dst.Data[i*m : (i+1)*m]
 		d1 := dst.Data[(i+1)*m : (i+2)*m]
 		for kk := 0; kk < n; kk++ {
@@ -161,7 +127,7 @@ func matMulATBBand(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-	if i < hi {
+	if i < ac {
 		drow := dst.Data[i*m : (i+1)*m]
 		for kk := 0; kk < n; kk++ {
 			if av := a.Data[kk*ac+i]; av != 0 {
@@ -171,13 +137,13 @@ func matMulATBBand(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// matMulABTBand computes dst rows [lo, hi) of dst = a × bᵀ: each output
-// element is a single-accumulator dot product over k ascending (matching
-// the serial oracle exactly), two output columns per pass so the streamed
-// row of a is reused.
-func matMulABTBand(dst, a, b *Matrix, lo, hi int) {
+// matMulABTBlocked computes dst = a × bᵀ: each output element is a
+// single-accumulator dot product over k ascending (matching the serial
+// oracle exactly), two output columns per pass so the streamed row of a is
+// reused.
+func matMulABTBlocked(dst, a, b *Matrix) {
 	k, m := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		drow := dst.Data[i*m : (i+1)*m]
 		j := 0
@@ -238,8 +204,8 @@ func axpy2(d0, d1, x []float64, s0, s1 float64) {
 }
 
 // MatMulSerial is the original scalar triple-loop kernel for dst = a × b,
-// kept as the reference oracle the blocked parallel kernel is
-// differentially tested against.
+// kept as the reference oracle the blocked kernel is differentially
+// tested against.
 func MatMulSerial(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return fmt.Errorf("tensor: matmul (%dx%d)·(%dx%d)->(%dx%d): %w",

@@ -6,16 +6,6 @@ import (
 	"testing/quick"
 )
 
-// withWorkers runs f under a fixed worker-count setting and restores the
-// previous setting afterwards.
-func withWorkers(t *testing.T, n int, f func()) {
-	t.Helper()
-	old := Workers()
-	SetWorkers(n)
-	defer SetWorkers(old)
-	f()
-}
-
 // fillRandomSparse fills m with uniform values, forcing a fraction of
 // exact zeros so the kernels' zero-skip paths are exercised.
 func fillRandomSparse(rng *rand.Rand, m *Matrix) {
@@ -29,9 +19,9 @@ func fillRandomSparse(rng *rand.Rand, m *Matrix) {
 }
 
 type gemmCase struct {
-	name   string
-	par    func(dst, a, b *Matrix) error
-	serial func(dst, a, b *Matrix) error
+	name    string
+	blocked func(dst, a, b *Matrix) error
+	serial  func(dst, a, b *Matrix) error
 	// shape maps (n, k, m) to the operand and dst shapes.
 	shape func(n, k, m int) (ar, ac, br, bc, dr, dc int)
 }
@@ -48,42 +38,39 @@ func gemmCases() []gemmCase {
 }
 
 // TestBlockedKernelsBitIdenticalToSerialOracles is the differential gate:
-// across odd shapes (1×N, N×1, primes, sizes straddling the k-panel and
-// the parallel cutoff) and several worker counts, every blocked parallel
-// kernel must produce byte-for-byte the floats of its serial oracle.
+// across odd shapes (1×N, N×1, primes, odd row counts that leave a
+// one-row tail after the two-row tiles, sizes straddling the k-panel)
+// every blocked kernel must produce byte-for-byte the floats of its
+// serial oracle.
 func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {1, 1, 9}, {7, 1, 5},
 		{1, 300, 4}, {300, 1, 4}, {5, 4, 1},
 		{2, 3, 2}, {3, 3, 3}, {13, 17, 11},
 		{64, 320, 48}, {31, 257, 33}, // straddles gemmBlockK
-		{97, 259, 41}, {128, 512, 64}, // above parCutoff
+		{97, 259, 41}, {128, 512, 64}, // two and three k-panels
 	}
-	for _, w := range []int{1, 2, 3, 7} {
-		withWorkers(t, w, func() {
-			rng := rand.New(rand.NewSource(int64(100 + w)))
-			for _, c := range gemmCases() {
-				for _, s := range shapes {
-					ar, ac, br, bc, dr, dc := c.shape(s[0], s[1], s[2])
-					a, b := New(ar, ac), New(br, bc)
-					fillRandomSparse(rng, a)
-					fillRandomSparse(rng, b)
-					got, want := New(dr, dc), New(dr, dc)
-					if err := c.par(got, a, b); err != nil {
-						t.Fatalf("w=%d %s %v: %v", w, c.name, s, err)
-					}
-					if err := c.serial(want, a, b); err != nil {
-						t.Fatalf("w=%d %s %v oracle: %v", w, c.name, s, err)
-					}
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							t.Fatalf("w=%d %s shape %v: elem %d = %v, oracle %v",
-								w, c.name, s, i, got.Data[i], want.Data[i])
-						}
-					}
+	rng := rand.New(rand.NewSource(101))
+	for _, c := range gemmCases() {
+		for _, s := range shapes {
+			ar, ac, br, bc, dr, dc := c.shape(s[0], s[1], s[2])
+			a, b := New(ar, ac), New(br, bc)
+			fillRandomSparse(rng, a)
+			fillRandomSparse(rng, b)
+			got, want := New(dr, dc), New(dr, dc)
+			if err := c.blocked(got, a, b); err != nil {
+				t.Fatalf("%s %v: %v", c.name, s, err)
+			}
+			if err := c.serial(want, a, b); err != nil {
+				t.Fatalf("%s %v oracle: %v", c.name, s, err)
+			}
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s shape %v: elem %d = %v, oracle %v",
+						c.name, s, i, got.Data[i], want.Data[i])
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -91,104 +78,88 @@ func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 // dimensions) against the oracles with testing/quick.
 func TestBlockedKernelsQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	withWorkers(t, 4, func() {
-		f := func(n8, k8, m8 uint8) bool {
-			n, k, m := int(n8%40), int(k8%70), int(m8%40)
-			for _, c := range gemmCases() {
-				ar, ac, br, bc, dr, dc := c.shape(n, k, m)
-				a, b := New(ar, ac), New(br, bc)
-				fillRandomSparse(rng, a)
-				fillRandomSparse(rng, b)
-				got, want := New(dr, dc), New(dr, dc)
-				if err := c.par(got, a, b); err != nil {
+	f := func(n8, k8, m8 uint8) bool {
+		n, k, m := int(n8%40), int(k8%70), int(m8%40)
+		for _, c := range gemmCases() {
+			ar, ac, br, bc, dr, dc := c.shape(n, k, m)
+			a, b := New(ar, ac), New(br, bc)
+			fillRandomSparse(rng, a)
+			fillRandomSparse(rng, b)
+			got, want := New(dr, dc), New(dr, dc)
+			if err := c.blocked(got, a, b); err != nil {
+				return false
+			}
+			if err := c.serial(want, a, b); err != nil {
+				return false
+			}
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
 					return false
-				}
-				if err := c.serial(want, a, b); err != nil {
-					return false
-				}
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						return false
-					}
 				}
 			}
-			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-			t.Fatal(err)
-		}
-	})
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestKernelShapeErrors checks the parallel entry points still reject
-// mismatched operands exactly like the oracles.
+// TestKernelShapeErrors checks the blocked entry points reject mismatched
+// operands exactly like the oracles.
 func TestKernelShapeErrors(t *testing.T) {
 	for _, c := range gemmCases() {
-		if err := c.par(New(9, 9), New(2, 3), New(2, 3)); err == nil {
+		if err := c.blocked(New(9, 9), New(2, 3), New(2, 3)); err == nil {
 			t.Fatalf("%s accepted mismatched shapes", c.name)
 		}
 	}
 }
 
-// TestConcurrentKernelCalls drives many simultaneous parallel MatMuls
-// through the shared pool; run under -race this is the pool's safety
-// gate, and each result must still match the oracle.
+// TestConcurrentKernelCalls drives simultaneous MatMuls on separate
+// operands: the kernels hold no package state, so under -race this pins
+// that callers on different goroutines never interfere, and each result
+// must still match the oracle.
 func TestConcurrentKernelCalls(t *testing.T) {
-	withWorkers(t, 4, func() {
-		const goroutines = 8
-		done := make(chan error, goroutines)
-		for g := 0; g < goroutines; g++ {
-			go func(seed int64) {
-				rng := rand.New(rand.NewSource(seed))
-				a, b := New(70, 80), New(80, 90)
-				fillRandomSparse(rng, a)
-				fillRandomSparse(rng, b)
-				got, want := New(70, 90), New(70, 90)
-				for iter := 0; iter < 30; iter++ {
-					if err := MatMul(got, a, b); err != nil {
-						done <- err
+	const goroutines = 8
+	done := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			a, b := New(70, 80), New(80, 90)
+			fillRandomSparse(rng, a)
+			fillRandomSparse(rng, b)
+			got, want := New(70, 90), New(70, 90)
+			for iter := 0; iter < 30; iter++ {
+				if err := MatMul(got, a, b); err != nil {
+					done <- err
+					return
+				}
+				if err := MatMulSerial(want, a, b); err != nil {
+					done <- err
+					return
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						done <- errMismatch
 						return
-					}
-					if err := MatMulSerial(want, a, b); err != nil {
-						done <- err
-						return
-					}
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							done <- errMismatch
-							return
-						}
 					}
 				}
-				done <- nil
-			}(int64(g))
-		}
-		for g := 0; g < goroutines; g++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
 			}
+			done <- nil
+		}(int64(g))
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
 }
 
 var errMismatch = &mismatchError{}
 
 type mismatchError struct{}
 
-func (*mismatchError) Error() string { return "parallel result diverged from serial oracle" }
-
-func TestSetWorkersClampsAndDefaults(t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers = %d, want 3", Workers())
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers = %d after reset", Workers())
-	}
-}
+func (*mismatchError) Error() string { return "blocked result diverged from serial oracle" }
 
 func TestSoftmaxEmptyNoPanic(t *testing.T) {
 	Softmax(nil, nil) // must not panic

@@ -37,7 +37,6 @@ import (
 	"p4guard/internal/p4gen"
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
-	"p4guard/internal/tensor"
 	"p4guard/internal/trace"
 )
 
@@ -60,12 +59,6 @@ type Config struct {
 	// BoundaryPerSample is the distillation augmentation factor
 	// (default 3).
 	BoundaryPerSample int
-	// TrainWorkers caps how many CPU workers training uses (GEMM row
-	// bands, SmoothGrad attribution passes, chunked batch evaluation).
-	// 0 keeps the process-wide setting (default: all cores); 1 forces
-	// fully serial training. Trained pipelines are bit-identical across
-	// settings for a given Seed.
-	TrainWorkers int
 	// MultiClass trains per-attack-kind identification instead of binary
 	// detection: class 0 is benign and classes 1..n are the training
 	// set's attack kinds; compiled rules then carry the kind, enabling
@@ -154,11 +147,6 @@ func Train(train *trace.Dataset, cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("p4guard: empty training set")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.TrainWorkers > 0 {
-		old := tensor.Workers()
-		tensor.SetWorkers(cfg.TrainWorkers)
-		defer tensor.SetWorkers(old)
-	}
 	p := &Pipeline{Link: train.Link}
 
 	// Stage 1: field selection. When the caller observes epochs and the

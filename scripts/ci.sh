@@ -23,7 +23,11 @@ echo "==> go build"
 go build ./...
 
 echo "==> go test -race"
-go test -race ./...
+# Not hung, slow: on the 2-hyperthread reference host the root package
+# alone takes 8.5 min under the race detector, and go test runs it beside
+# internal/experiments (9.2–10+ min), so the default 10 min per-package
+# timeout is inside the spread.
+go test -race -timeout 30m ./...
 
 echo "==> benchmark module (perfbench: vet + its own tests)"
 # perfbench is its own module (BENCHMARK.json's harness), so ./... above
@@ -36,11 +40,6 @@ echo "==> benchmark module (perfbench: vet + its own tests)"
     go vet ./...
     go test ./...
 )
-
-echo "==> focused race pass (parallel kernels, workspaces, attribution)"
-# The full -race suite above already covers these; this focused pass keeps
-# the parallel-training packages raced even when CI trims the full suite.
-go test -race -count 1 ./internal/tensor/ ./internal/nn/ ./internal/fieldsel/ ./internal/autoenc/
 
 echo "==> fault-injection soak (seeded, race-enabled)"
 # The control plane must fight through a reproducible storm of connection
@@ -88,74 +87,34 @@ go test -race -count "${CI_DRIFT_COUNT:-2}" \
 
 echo "==> telemetry overhead guard"
 # The instrumented lookup (telemetry registered: sampled latency
-# histogram, per-entry byte counters, scrape callbacks) must stay within
-# CI_GUARD_PCT percent of the uninstrumented hot path, the
-# explain-sampling-disarmed lookup within CI_GUARD_EXPLAIN_PCT percent
-# of the instrumented one (disarmed explain is one pointer load per
-# batch and one nil check per packet — effectively free), the
-# tracing-disarmed lookup within CI_GUARD_TRACE_PCT percent of the
-# instrumented one (a disarmed tracer never touches the forwarding
-# path), and the drift-disarmed lookup within CI_GUARD_DRIFT_PCT
-# percent (a disarmed drift monitor is one atomic pointer load per
-# batch). Best-of-N runs so scheduler noise doesn't flake the gate.
+# histogram, per-entry byte counters, scrape callbacks) is a second code
+# path and must stay within CI_GUARD_PCT percent of the uninstrumented
+# hot path. Best-of-N runs so scheduler noise doesn't flake the gate.
+# Disarmed explain sampling, tracing and drift monitoring run the same
+# code as the plain lookup, so they are held to counts, not timings:
+# TestDisarmedInstrumentsAreInert in the zero-alloc gate below.
 guard_out=$(go test -run '^$' \
-    -bench 'BenchmarkDataPlaneLookup$|BenchmarkDataPlaneLookupInstrumented$|BenchmarkDataPlaneLookupInstrumentedExplainOff$|BenchmarkDataPlaneLookupInstrumentedTraceOff$|BenchmarkDataPlaneLookupInstrumentedDriftOff$' \
+    -bench 'BenchmarkDataPlaneLookup$|BenchmarkDataPlaneLookupInstrumented$' \
     -benchtime "${CI_GUARD_BENCHTIME:-0.5s}" -count "${CI_GUARD_COUNT:-3}" . 2>&1)
 printf '%s\n' "$guard_out"
-printf '%s\n' "$guard_out" | awk -v pct="${CI_GUARD_PCT:-10}" -v epct="${CI_GUARD_EXPLAIN_PCT:-1}" -v tpct="${CI_GUARD_TRACE_PCT:-1}" -v dpct="${CI_GUARD_DRIFT_PCT:-1}" '
-    /^BenchmarkDataPlaneLookupInstrumentedExplainOff/ { if (eoff == 0 || $3 < eoff) eoff = $3; next }
-    /^BenchmarkDataPlaneLookupInstrumentedTraceOff/   { if (toff == 0 || $3 < toff) toff = $3; next }
-    /^BenchmarkDataPlaneLookupInstrumentedDriftOff/   { if (doff == 0 || $3 < doff) doff = $3; next }
-    /^BenchmarkDataPlaneLookupInstrumented/           { if (inst == 0 || $3 < inst) inst = $3; next }
-    /^BenchmarkDataPlaneLookup/                       { if (base == 0 || $3 < base) base = $3 }
+printf '%s\n' "$guard_out" | awk -v pct="${CI_GUARD_PCT:-10}" '
+    /^BenchmarkDataPlaneLookupInstrumented/ { if (inst == 0 || $3 < inst) inst = $3; next }
+    /^BenchmarkDataPlaneLookup/             { if (base == 0 || $3 < base) base = $3 }
     END {
-        if (base == 0 || inst == 0 || eoff == 0 || toff == 0 || doff == 0) { print "guard: benchmarks missing from output"; exit 1 }
+        if (base == 0 || inst == 0) { print "guard: benchmarks missing from output"; exit 1 }
         ratio = inst / base
         printf "guard: uninstrumented %.1f ns/op, instrumented %.1f ns/op (%.1f%%)\n", base, inst, (ratio - 1) * 100
         if (ratio > 1 + pct / 100) { printf "guard: FAIL, instrumented lookup regresses more than %d%%\n", pct; exit 1 }
-        eratio = eoff / inst
-        printf "guard: explain-off %.1f ns/op vs instrumented %.1f ns/op (%.1f%%)\n", eoff, inst, (eratio - 1) * 100
-        if (eratio > 1 + epct / 100) { printf "guard: FAIL, disarmed explain sampling costs more than %s%%\n", epct; exit 1 }
-        tratio = toff / inst
-        printf "guard: trace-off %.1f ns/op vs instrumented %.1f ns/op (%.1f%%)\n", toff, inst, (tratio - 1) * 100
-        if (tratio > 1 + tpct / 100) { printf "guard: FAIL, disarmed tracing costs more than %s%%\n", tpct; exit 1 }
-        dratio = doff / inst
-        printf "guard: drift-off %.1f ns/op vs instrumented %.1f ns/op (%.1f%%)\n", doff, inst, (dratio - 1) * 100
-        if (dratio > 1 + dpct / 100) { printf "guard: FAIL, disarmed drift monitor costs more than %s%%\n", dpct; exit 1 }
     }'
-
-echo "==> training speedup guard"
-# Parallel two-stage training must beat fully serial training by at least
-# CI_GUARD_TRAIN_SPEEDUP on multi-core hosts (the trained pipelines are
-# bit-identical either way — only wall clock may differ). Best-of-N runs
-# so scheduler noise doesn't flake the gate; single-core hosts skip it
-# because serial and parallel are the same schedule there.
-cores=$(nproc 2>/dev/null || echo 1)
-if [ "$cores" -lt 2 ]; then
-    echo "guard: single-core host ($cores), skipping parallel training speedup gate"
-else
-    train_out=$(go test -run '^$' \
-        -bench 'BenchmarkTwoStageTrain' \
-        -benchtime "${CI_GUARD_BENCHTIME:-0.5s}" -count "${CI_GUARD_COUNT:-3}" . 2>&1)
-    printf '%s\n' "$train_out"
-    printf '%s\n' "$train_out" | awk -v min="${CI_GUARD_TRAIN_SPEEDUP:-1.5}" '
-        /^BenchmarkTwoStageTrain\/serial/   { if (ser == 0 || $3 < ser) ser = $3; next }
-        /^BenchmarkTwoStageTrain\/parallel/ { if (par == 0 || $3 < par) par = $3 }
-        END {
-            if (ser == 0 || par == 0) { print "guard: benchmarks missing from output"; exit 1 }
-            speedup = ser / par
-            printf "guard: serial %.0f ns/op, parallel %.0f ns/op (%.2fx)\n", ser, par, speedup
-            if (speedup < min) { printf "guard: FAIL, parallel training speedup %.2fx below %sx\n", speedup, min; exit 1 }
-        }'
-fi
 
 echo "==> zero-alloc forwarding gate"
 # The steady-state batch loop (pooled arena and caches warm), the
-# single-packet Process path, and the in-place frame parser must not
-# allocate at all. testing.AllocsPerRun is deterministic, so this gate
-# never flakes.
+# single-packet Process path (also with explain sampling, tracing and
+# drift monitoring armed once and disarmed), and the in-place frame parser
+# must not allocate at all. testing.AllocsPerRun is deterministic, so this
+# gate never flakes.
 go test -count 1 \
-    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestAcceptFrameAllocationFree' \
+    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree' \
     ./internal/switchsim/ ./internal/packet/
 
 echo "==> million-entry sublinearity guard"
