@@ -53,34 +53,51 @@ func ParseShardPolicy(s string) (ShardPolicy, error) {
 // PlanShards partitions rs into n per-shard rule sets under policy. All
 // shards share the full match-key layout (rs.Offsets) and default class,
 // so slow-path key extraction and the miss action stay uniform across
-// the fleet; only the entry lists differ. Rule and offset slices are
-// copied — mutating a shard never aliases the source set. n <= 1 returns
-// a single full copy regardless of policy.
+// the fleet; only the entry lists differ. Offsets and predicates are
+// copied, once for each shard a rule lands in: a shard's predicates lie
+// in one array of its own, each rule's slice capped to its own
+// predicates, so mutating or appending to a shard's rule never reaches
+// the source set, another shard or a neighbouring rule. n <= 1 returns a
+// single full copy regardless of policy.
 func PlanShards(rs *rules.RuleSet, n int, policy ShardPolicy) []*rules.RuleSet {
 	if n < 1 {
 		n = 1
 	}
+	// span is the range of shards a rule lands in: its class's, or all.
+	span := func(r *rules.Rule) (from, to int) {
+		if n > 1 && policy == ShardByClass {
+			t := ((r.Class % n) + n) % n
+			return t, t + 1
+		}
+		return 0, n
+	}
+	nRules, nPreds := make([]int, n), make([]int, n)
+	for i := range rs.Rules {
+		for s, to := span(&rs.Rules[i]); s < to; s++ {
+			nRules[s]++
+			nPreds[s] += len(rs.Rules[i].Preds)
+		}
+	}
 	shards := make([]*rules.RuleSet, n)
-	for i := range shards {
-		s := rules.NewRuleSet(rs.Offsets, rs.DefaultClass)
-		s.SetLink(rs.Link())
-		shards[i] = s
+	preds := make([][]rules.BytePredicate, n)
+	for s := range shards {
+		shards[s] = rules.NewRuleSet(rs.Offsets, rs.DefaultClass)
+		shards[s].SetLink(rs.Link())
+		if nRules[s] > 0 {
+			shards[s].Rules = make([]rules.Rule, 0, nRules[s])
+			preds[s] = make([]rules.BytePredicate, 0, nPreds[s])
+		}
 	}
 	for _, r := range rs.Rules {
-		target := -1 // -1 → all shards
-		if n > 1 && policy == ShardByClass {
-			target = ((r.Class % n) + n) % n
-		}
-		cp := r
-		cp.Preds = append([]rules.BytePredicate(nil), r.Preds...)
-		if target >= 0 {
-			shards[target].Rules = append(shards[target].Rules, cp)
-			continue
-		}
-		for i := range shards {
-			cpi := cp
-			cpi.Preds = append([]rules.BytePredicate(nil), r.Preds...)
-			shards[i].Rules = append(shards[i].Rules, cpi)
+		src := r.Preds
+		for s, to := span(&r); s < to; s++ {
+			r.Preds = nil
+			if k := len(src); k > 0 {
+				at := len(preds[s])
+				preds[s] = append(preds[s], src...)
+				r.Preds = preds[s][at : at+k : at+k]
+			}
+			shards[s].Rules = append(shards[s].Rules, r)
 		}
 	}
 	return shards

@@ -374,9 +374,11 @@ func Compile(rs *rules.RuleSet) (*Compiled, error) {
 	rows := make([]RangeRow, len(rs.Rules))
 	classes := make([]int, len(rs.Rules))
 	priorities := make([]int, len(rs.Rules))
+	bounds := make([]byte, 2*width*len(rs.Rules)) // every row's Lo and Hi
 	for r := range rs.Rules {
 		rule := &rs.Rules[r]
-		row := RangeRow{Lo: make([]byte, width), Hi: make([]byte, width)}
+		row := RangeRow{Lo: bounds[:width:width], Hi: bounds[width : 2*width : 2*width]}
+		bounds = bounds[2*width:]
 		for i := range row.Hi {
 			row.Hi[i] = 0xff
 		}

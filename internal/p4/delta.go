@@ -1,10 +1,11 @@
 package p4
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 	"sort"
 )
 
@@ -66,28 +67,92 @@ func (d *Delta) Empty() bool { return d.Size() == 0 }
 // NewCount is the entry count of the program the delta produces.
 func (d *Delta) NewCount() int { return d.BaseCount - len(d.Deletes) + len(d.Adds) }
 
+// DeltaRow is what the diff and the program signature read of one
+// program row: its priority, its match fields and its action. A program
+// is held as []Entry here and as []p4rt.WireEntry on the control
+// channel; both are viewed through a DeltaRow, so one diff and one hash
+// serve both without converting either program.
+type DeltaRow struct {
+	Priority  int
+	PrefixLen int
+	Action    Action
+	Value     []byte
+	Mask      []byte
+	Lo        []byte
+	Hi        []byte
+}
+
+// deltaRow fills r with the entry's view (always ok; the signature is
+// the view DiffRows takes). Field by field: a composite literal would be
+// built aside and copied in.
+func (e *Entry) deltaRow(r *DeltaRow) bool {
+	r.Priority, r.PrefixLen, r.Action = e.Priority, e.PrefixLen, e.Action
+	r.Value, r.Mask, r.Lo, r.Hi = e.Value, e.Mask, e.Lo, e.Hi
+	return true
+}
+
+// FNV-1a, 64 bit. fnvZeros[k] is the prime to the k-th power: a zero
+// byte leaves h^b == h, so k zero bytes are one multiply by it.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvUint64 folds v's eight big-endian bytes into h. What is hashed this
+// way — lengths, priorities, classes — is small, so the leading zero
+// bytes that make up most of the encoding cost one multiply together.
+func fnvUint64(h, v uint64) uint64 {
+	z := bits.LeadingZeros64(v) / 8
+	h *= fnvZeros[z]
+	for s := 56 - 8*z; s >= 0; s -= 8 {
+		h = (h ^ (v>>uint(s))&0xff) * fnvPrime64
+	}
+	return h
+}
+
+// fnvField folds a length-prefixed byte field into h.
+func fnvField(h uint64, b []byte) uint64 {
+	h = fnvUint64(h, uint64(len(b)))
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// hash is HashEntry of the row: FNV-1a over the big-endian priority,
+// prefix length, action type and class, then each of Value, Mask, Lo
+// and Hi behind its length. BaseHash is compared between processes that
+// may run different versions, so the value for a given row never
+// changes (TestHashEntryMatchesFNV1a).
+func (r *DeltaRow) hash() uint64 {
+	h := uint64(fnvOffset64)
+	h = fnvUint64(h, uint64(int64(r.Priority)))
+	h = fnvUint64(h, uint64(int64(r.PrefixLen)))
+	h = fnvUint64(h, uint64(int64(r.Action.Type)))
+	h = fnvUint64(h, uint64(int64(r.Action.Class)))
+	h = fnvField(h, r.Value)
+	h = fnvField(h, r.Mask)
+	h = fnvField(h, r.Lo)
+	return fnvField(h, r.Hi)
+}
+
 // HashEntry hashes one entry's match fields (ID and counters excluded)
 // with FNV-1a. Program signatures XOR per-entry hashes, so they are
 // order-independent and incrementally maintainable: controller and
 // switch compute identical signatures for identical entry multisets
 // without exchanging the entries.
 func HashEntry(e *Entry) uint64 {
-	h := fnv.New64a()
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Priority)))
-	h.Write(num[:])
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.PrefixLen)))
-	h.Write(num[:])
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Action.Type)))
-	h.Write(num[:])
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Action.Class)))
-	h.Write(num[:])
-	for _, b := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
-		binary.BigEndian.PutUint64(num[:], uint64(len(b)))
-		h.Write(num[:])
-		h.Write(b)
-	}
-	return h.Sum64()
+	var r DeltaRow
+	e.deltaRow(&r)
+	return r.hash()
 }
 
 // HashEntries is the order-independent signature of an entry list: the
@@ -100,60 +165,159 @@ func HashEntries(entries []Entry) uint64 {
 	return h
 }
 
-// matchFieldsKey is an entry's identity for delta matching: every match
-// field except priority (so a priority change pairs up as a move).
-func matchFieldsKey(e *Entry) string {
-	b := make([]byte, 0, 24+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.PrefixLen)))
-	b = append(b, num[:]...)
-	b = append(b, byte(e.Action.Type))
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Action.Class)))
-	b = append(b, num[:]...)
-	for _, f := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
-		binary.BigEndian.PutUint64(num[:], uint64(len(f)))
-		b = append(b, num[:]...)
-		b = append(b, f...)
-	}
-	return string(b)
+// sameKey reports whether two rows pair in a diff: every field but the
+// priority is equal, so a priority change pairs up as a move. The action
+// type pairs on its low byte, which is all of it for every defined type.
+func (r *DeltaRow) sameKey(o *DeltaRow) bool {
+	return r.PrefixLen == o.PrefixLen &&
+		byte(r.Action.Type) == byte(o.Action.Type) && r.Action.Class == o.Action.Class &&
+		bytes.Equal(r.Value, o.Value) && bytes.Equal(r.Mask, o.Mask) &&
+		bytes.Equal(r.Lo, o.Lo) && bytes.Equal(r.Hi, o.Hi)
 }
 
-// ComputeDelta diffs two canonical programs, pairing entries by match
-// fields. ok is false when the diff cannot be expressed as a valid
-// delta — duplicate match fields on either side, or surviving entries
-// whose relative order changed — in which case the caller must fall
-// back to a full Replace. An ok delta applied to old yields a program
-// entry-for-entry identical to new (IDs aside).
-func ComputeDelta(old, new []Entry) (Delta, bool) {
-	d := Delta{BaseCount: len(old), BaseHash: HashEntries(old)}
-	oldIdx := make(map[string]int, len(old))
+// keyHash hashes the fields sameKey compares, a word at a time: the
+// scalars and the four lengths in two words, then the bytes. It only
+// places rows in the diff's table and never leaves the process, so
+// unlike hash it is free to change.
+func keyHash(r *DeltaRow) uint64 {
+	h := mixWord(0, uint64(r.PrefixLen)<<8^uint64(byte(r.Action.Type))^uint64(r.Action.Class)<<32)
+	h = mixWord(h, uint64(len(r.Value))^uint64(len(r.Mask))<<16^uint64(len(r.Lo))<<32^uint64(len(r.Hi))<<48)
+	h = mixBytes(h, r.Value)
+	h = mixBytes(h, r.Mask)
+	h = mixBytes(h, r.Lo)
+	return mixBytes(h, r.Hi)
+}
+
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// mixBytes folds b into h; b's length is already in h, so the last
+// word may overlap the one before it.
+func mixBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = mixWord(h, binary.LittleEndian.Uint64(b))
+	}
+	switch n := len(b); {
+	case n >= 4:
+		h = mixWord(h, uint64(binary.LittleEndian.Uint32(b))|uint64(binary.LittleEndian.Uint32(b[n-4:]))<<32)
+	case n > 0:
+		h = mixWord(h, uint64(b[0])|uint64(b[n/2])<<8|uint64(b[n-1])<<16)
+	}
+	return h
+}
+
+// rowIndex is the diff's hash table: open addressing with linear probing
+// over slots that hold a tag (the key hash's high half) and a row
+// reference (low half, 1-based; 0 is an empty slot). References up to
+// len(old) name old rows, the ones above name rows of new that paired
+// with no old row. The rows themselves stay where they are: a probe
+// that meets its tag views the referenced row and compares it, so a
+// hash collision costs a compare and never a wrong pairing.
+type rowIndex[R any] struct {
+	old, new []R
+	view     func(*R, *DeltaRow) bool
+	slots    []uint64
+	// row is the row being placed, hit the indexed row find compared it
+	// with last. view is an indirect call, so what it fills cannot live
+	// on the stack; here it is allocated once with the index.
+	row, hit DeltaRow
+}
+
+// find probes for a row pairing with x.row, whose key hash is h. It
+// returns that row's reference, leaving its view in x.hit, or 0 and the
+// empty slot where x.row's own reference belongs.
+func (x *rowIndex[R]) find(h uint64) (slot, ref int) {
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s == 0 {
+			return int(i), 0
+		}
+		if s>>32 != h>>32 {
+			continue
+		}
+		ref = int(uint32(s))
+		if ref <= len(x.old) {
+			x.view(&x.old[ref-1], &x.hit)
+		} else {
+			x.view(&x.new[ref-1-len(x.old)], &x.hit)
+		}
+		if x.row.sameKey(&x.hit) {
+			return int(i), ref
+		}
+	}
+}
+
+func (x *rowIndex[R]) put(slot int, h uint64, ref int) {
+	x.slots[slot] = h&^0xffffffff | uint64(uint32(ref))
+}
+
+// DiffRows is ComputeDelta over programs held in any row type, read
+// through view (which reports false for a row it cannot express, making
+// the diff fail). The Adds of the delta it returns carry only their
+// Order, an index into new: the caller owns the rows and fills in or
+// sends new[Order] in whatever form it keeps them.
+//
+// The cost is one pass over each program and, whatever their length,
+// four allocations plus the growth of Moves and Adds: the index and its
+// slots, one flag per old row, and Deletes. Nothing depends on where in
+// the program the changed rows sit.
+func DiffRows[R any](old, new []R, view func(*R, *DeltaRow) bool) (Delta, bool) {
+	return diffRows(old, new, view, ^uint64(0))
+}
+
+// diffRows is DiffRows with a mask on the key hash: zero puts every row
+// on one probe chain behind one tag, so that a test can see pairing rest
+// on the row compare alone.
+func diffRows[R any](old, new []R, view func(*R, *DeltaRow) bool, hashMask uint64) (Delta, bool) {
+	// At most every row of both programs is indexed; twice that many
+	// slots keeps the load under a half. References are 32 bits, far
+	// beyond any program that fits in memory as rows.
+	size := 2
+	for size < 2*(len(old)+len(new)) {
+		size <<= 1
+	}
+	x := &rowIndex[R]{old: old, new: new, view: view, slots: make([]uint64, size)}
+	d := Delta{BaseCount: len(old)}
 	for i := range old {
-		k := matchFieldsKey(&old[i])
-		if _, dup := oldIdx[k]; dup {
+		if !view(&old[i], &x.row) {
 			return Delta{}, false
 		}
-		oldIdx[k] = i
+		d.BaseHash ^= x.row.hash()
+		h := keyHash(&x.row) & hashMask
+		slot, ref := x.find(h)
+		if ref != 0 { // two old rows with one key: which of them survives is ambiguous
+			return Delta{}, false
+		}
+		x.put(slot, h, i+1)
 	}
 	matched := make([]bool, len(old))
+	nMatched := 0
 	// Surviving (unmoved) pairs must keep their relative base order —
 	// the splice places survivors in base order, so a reordering diff
 	// cannot round-trip.
 	lastSurvivor := -1
-	seenNew := make(map[string]bool, len(new))
 	for ni := range new {
-		k := matchFieldsKey(&new[ni])
-		if seenNew[k] {
+		if !view(&new[ni], &x.row) {
 			return Delta{}, false
 		}
-		seenNew[k] = true
-		oi, found := oldIdx[k]
-		if !found {
-			d.Adds = append(d.Adds, DeltaAdd{Entry: new[ni], Order: ni})
+		h := keyHash(&x.row) & hashMask
+		slot, ref := x.find(h)
+		if ref == 0 {
+			x.put(slot, h, len(old)+ni+1)
+			d.Adds = append(d.Adds, DeltaAdd{Order: ni})
 			continue
 		}
+		oi := ref - 1
+		if oi >= len(old) || matched[oi] { // two new rows with one key
+			return Delta{}, false
+		}
 		matched[oi] = true
-		if old[oi].Priority != new[ni].Priority {
-			d.Moves = append(d.Moves, DeltaMove{Base: oi, Priority: new[ni].Priority, Order: ni})
+		nMatched++
+		if x.hit.Priority != x.row.Priority {
+			d.Moves = append(d.Moves, DeltaMove{Base: oi, Priority: x.row.Priority, Order: ni})
 			continue
 		}
 		if oi < lastSurvivor {
@@ -161,12 +325,30 @@ func ComputeDelta(old, new []Entry) (Delta, bool) {
 		}
 		lastSurvivor = oi
 	}
-	for i := range old {
-		if !matched[i] {
-			d.Deletes = append(d.Deletes, i)
+	if nMatched < len(old) {
+		d.Deletes = make([]int, 0, len(old)-nMatched)
+		for i := range old {
+			if !matched[i] {
+				d.Deletes = append(d.Deletes, i)
+			}
 		}
 	}
 	return d, true
+}
+
+// ComputeDelta diffs two canonical programs, pairing entries on every
+// field but the priority (match fields and action). ok is false when the
+// diff cannot be expressed as a valid delta — two entries pairing with
+// each other on either side, or surviving entries whose relative order
+// changed — in which case the caller must fall back to a full Replace.
+// An ok delta applied to old yields a program entry-for-entry identical
+// to new (IDs aside).
+func ComputeDelta(old, new []Entry) (Delta, bool) {
+	d, ok := DiffRows(old, new, (*Entry).deltaRow)
+	for i := range d.Adds {
+		d.Adds[i].Entry = new[d.Adds[i].Order]
+	}
+	return d, ok
 }
 
 // Apply edits the canonical program incrementally and atomically: the
@@ -178,8 +360,9 @@ func ComputeDelta(old, new []Entry) (Delta, bool) {
 // For ternary tables the cost is O(survivors) pointer moves plus
 // O(edits · trie depth) index work; no O(n log n) re-sort and no full
 // index rebuild. Other kinds apply the same program edit but rebuild
-// their index (range tables must recompile the bitset index), so the
-// win there is wire- and validation-level only.
+// their index (range tables recompile the bitset index): what a delta
+// saves there is the frame, the per-row validation and allocation, and
+// the counters and reactive Inserts a full Replace would wipe.
 func (t *Table) Apply(d Delta) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

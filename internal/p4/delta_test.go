@@ -1,9 +1,13 @@
 package p4
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -288,6 +292,302 @@ func TestComputeDeltaBails(t *testing.T) {
 	d, ok := ComputeDelta(oldP, newP)
 	if !ok || len(d.Moves) != 1 {
 		t.Fatalf("move-based reorder rejected: ok=%v delta=%+v", ok, d)
+	}
+}
+
+// matchFieldsKey is an entry's identity in computeDeltaRef: every field
+// except priority (so a priority change pairs up as a move).
+func matchFieldsKey(e *Entry) string {
+	b := make([]byte, 0, 24+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
+	var num [8]byte
+	binary.BigEndian.PutUint64(num[:], uint64(int64(e.PrefixLen)))
+	b = append(b, num[:]...)
+	b = append(b, byte(e.Action.Type))
+	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Action.Class)))
+	b = append(b, num[:]...)
+	for _, f := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
+		binary.BigEndian.PutUint64(num[:], uint64(len(f)))
+		b = append(b, num[:]...)
+		b = append(b, f...)
+	}
+	return string(b)
+}
+
+// computeDeltaRef is the diff ComputeDelta replaced, kept as its oracle:
+// two maps over a key string built per row. ComputeDelta must return the
+// same Delta and the same ok on every input.
+func computeDeltaRef(old, new []Entry) (Delta, bool) {
+	d := Delta{BaseCount: len(old), BaseHash: HashEntries(old)}
+	oldIdx := make(map[string]int, len(old))
+	for i := range old {
+		k := matchFieldsKey(&old[i])
+		if _, dup := oldIdx[k]; dup {
+			return Delta{}, false
+		}
+		oldIdx[k] = i
+	}
+	matched := make([]bool, len(old))
+	lastSurvivor := -1
+	seenNew := make(map[string]bool, len(new))
+	for ni := range new {
+		k := matchFieldsKey(&new[ni])
+		if seenNew[k] {
+			return Delta{}, false
+		}
+		seenNew[k] = true
+		oi, found := oldIdx[k]
+		if !found {
+			d.Adds = append(d.Adds, DeltaAdd{Entry: new[ni], Order: ni})
+			continue
+		}
+		matched[oi] = true
+		if old[oi].Priority != new[ni].Priority {
+			d.Moves = append(d.Moves, DeltaMove{Base: oi, Priority: new[ni].Priority, Order: ni})
+			continue
+		}
+		if oi < lastSurvivor {
+			return Delta{}, false
+		}
+		lastSurvivor = oi
+	}
+	for i := range old {
+		if !matched[i] {
+			d.Deletes = append(d.Deletes, i)
+		}
+	}
+	return d, true
+}
+
+// randDiffEntry draws a row of a random kind from a pool small enough
+// that rows often agree on all but one field: same bytes under another
+// class, another action, another field, nil against empty.
+func randDiffEntry(rng *rand.Rand) Entry {
+	field := func() []byte {
+		switch rng.Intn(8) {
+		case 0:
+			return nil
+		case 1:
+			return []byte{}
+		default:
+			return []byte{byte(rng.Intn(3)), byte(rng.Intn(3))}
+		}
+	}
+	e := Entry{
+		ID:       uint64(rng.Intn(100)),
+		Priority: rng.Intn(5) - 1,
+		Action:   Action{Type: ActionType(1 + rng.Intn(5)), Class: rng.Intn(4) - 1},
+	}
+	switch rng.Intn(3) {
+	case 0:
+		e.Value, e.Mask = field(), field()
+	case 1:
+		e.Lo, e.Hi = field(), field()
+	default:
+		e.Value, e.PrefixLen = field(), rng.Intn(3)
+	}
+	return e
+}
+
+// randDiffPrograms draws a base program and a successor. Most pairs are
+// ordinary edits (deletes, replacements, priority moves, inserts); a
+// share adds what must make the diff fail (a survivor swap, a duplicate
+// on either side), and some are empty or unrelated.
+func randDiffPrograms(rng *rand.Rand, maxRows int) (old, new []Entry) {
+	seen := map[string]bool{}
+	fresh := func() Entry {
+		for {
+			e := randDiffEntry(rng)
+			if k := matchFieldsKey(&e); !seen[k] {
+				seen[k] = true
+				return e
+			}
+		}
+	}
+	if rng.Intn(12) != 0 {
+		for n := rng.Intn(maxRows); len(old) < n; {
+			old = append(old, fresh())
+		}
+	}
+	switch rng.Intn(12) {
+	case 0: // empty successor
+	case 1: // unrelated successor
+		for n := rng.Intn(maxRows); len(new) < n; {
+			new = append(new, randDiffEntry(rng))
+		}
+	default:
+		for _, e := range old {
+			switch rng.Intn(12) {
+			case 0: // delete
+				continue
+			case 1: // replace
+				e = fresh()
+			case 2, 3: // move (or, drawing the same priority, survive)
+				e.Priority = rng.Intn(5) - 1
+			}
+			new = append(new, e)
+			if rng.Intn(12) == 0 {
+				new = append(new, fresh())
+			}
+		}
+	}
+	if len(new) > 1 && rng.Intn(6) == 0 { // swap: fails unless one of the two moved
+		i, j := rng.Intn(len(new)), rng.Intn(len(new))
+		new[i], new[j] = new[j], new[i]
+	}
+	if len(new) > 0 && rng.Intn(10) == 0 { // duplicate in new, perhaps under another priority
+		e := new[rng.Intn(len(new))]
+		e.Priority = rng.Intn(5) - 1
+		new = append(new, e)
+	}
+	if len(old) > 0 && rng.Intn(10) == 0 { // duplicate in old
+		old = append(old, old[rng.Intn(len(old))])
+	}
+	return old, new
+}
+
+// TestComputeDeltaMatchesReference is the differential test for the
+// diff: on seeded random programs the table-based ComputeDelta and the
+// map-based reference return DeepEqual deltas and the same ok.
+func TestComputeDeltaMatchesReference(t *testing.T) {
+	oks := 0
+	const seeds = 4000
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		oldP, newP := randDiffPrograms(rng, 48)
+		want, wantOK := computeDeltaRef(oldP, newP)
+		got, ok := ComputeDelta(oldP, newP)
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: ComputeDelta = (%+v, %v), reference (%+v, %v)", seed, got, ok, want, wantOK)
+		}
+		if ok {
+			oks++
+		}
+	}
+	if oks < seeds/4 || oks > seeds*3/4 {
+		t.Fatalf("%d of %d pairs had a delta: the generator no longer covers both outcomes", oks, seeds)
+	}
+}
+
+// TestComputeDeltaOneProbeChain masks the table's hash to zero, so every
+// row lands on one probe chain behind the same tag and pairing rests on
+// the row compare alone: a tag hit taken for a match would pair every
+// row with the first.
+func TestComputeDeltaOneProbeChain(t *testing.T) {
+	oks := 0
+	const seeds = 600
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		oldP, newP := randDiffPrograms(rng, 24)
+		want, wantOK := computeDeltaRef(oldP, newP)
+		got, ok := diffRows(oldP, newP, (*Entry).deltaRow, 0)
+		for i := range got.Adds {
+			got.Adds[i].Entry = newP[got.Adds[i].Order]
+		}
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: diffRows = (%+v, %v), reference (%+v, %v)", seed, got, ok, want, wantOK)
+		}
+		if ok {
+			oks++
+		}
+	}
+	if oks < seeds/4 {
+		t.Fatalf("only %d of %d pairs had a delta", oks, seeds)
+	}
+}
+
+// hashEntryFNV is HashEntry as first written, on hash/fnv.
+func hashEntryFNV(e *Entry) uint64 {
+	h := fnv.New64a()
+	var num [8]byte
+	for _, v := range []int{e.Priority, e.PrefixLen, int(e.Action.Type), e.Action.Class} {
+		binary.BigEndian.PutUint64(num[:], uint64(int64(v)))
+		h.Write(num[:])
+	}
+	for _, b := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
+		binary.BigEndian.PutUint64(num[:], uint64(len(b)))
+		h.Write(num[:])
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+// TestHashEntryMatchesFNV1a pins HashEntry to FNV-1a. A switch compares
+// a delta's BaseHash with the signature it keeps itself, and the two
+// ends may be different builds: a faster hash that is not bit-identical
+// would turn every delta into a base-mismatch fallback. The golden
+// values were printed by the hash/fnv implementation.
+func TestHashEntryMatchesFNV1a(t *testing.T) {
+	golden := []struct {
+		e    Entry
+		want uint64
+	}{
+		{Entry{}, 0xb9b23f3a46fd0825},
+		{Entry{Priority: 7, Lo: []byte{10, 0, 0, 0, 0, 1}, Hi: []byte{20, 255, 255, 255, 255, 1},
+			Action: Action{Type: ActionDrop, Class: 3}}, 0x10456d8f1fdb7881},
+		{Entry{Priority: -2, PrefixLen: 13, Value: []byte{0xde, 0xad, 0xbe, 0xef}, Mask: []byte{0xff, 0xff, 0xf8, 0x00},
+			Action: Action{Type: ActionSetClass, Class: -5}}, 0x50eb5b442b09d805},
+	}
+	for i := range golden {
+		if got := HashEntry(&golden[i].e); got != golden[i].want {
+			t.Errorf("golden %d: HashEntry = %#x, want %#x", i, got, golden[i].want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	field := func() []byte {
+		b := make([]byte, []int{0, 1, 6, 20}[rng.Intn(4)])
+		rng.Read(b)
+		return b
+	}
+	num := func() int { // every byte length, both signs
+		return int(int64(rng.Uint64()) >> uint(rng.Intn(64)))
+	}
+	for i := 0; i < 2000; i++ {
+		e := Entry{ID: rng.Uint64(), Priority: num(), PrefixLen: num(),
+			Value: field(), Mask: field(), Lo: field(), Hi: field(),
+			Action: Action{Type: ActionType(num()), Class: num()}}
+		if got, want := HashEntry(&e), hashEntryFNV(&e); got != want {
+			t.Fatalf("entry %d (%+v): HashEntry = %#x, hash/fnv gives %#x", i, e, got, want)
+		}
+	}
+}
+
+// churnedRangeProgram builds an n-row range program and a successor in
+// which churn rows, spread evenly over the table, are replaced.
+func churnedRangeProgram(n, churn int) (old, new []Entry) {
+	row := func(i, class int) Entry {
+		return Entry{Priority: n - i, Lo: []byte{byte(i >> 8), byte(i), 0}, Hi: []byte{byte(i >> 8), byte(i), 9},
+			Action: Action{Type: ActionDrop, Class: class}}
+	}
+	old, new = make([]Entry, n), make([]Entry, n)
+	for i := range old {
+		old[i] = row(i, 1)
+		new[i] = old[i]
+	}
+	for k := 0; k < churn; k++ {
+		i := k * n / churn
+		new[i] = row(i, 2)
+	}
+	return old, new
+}
+
+// TestComputeDeltaAllocsIndependentOfRows is the allocation gate: what
+// a diff allocates is the table, the matched flags, Deletes and the
+// growth of Moves and Adds, so 512 times the rows at the same 1 % churn
+// may add only the doublings that take Adds from 1 row to 82. A key
+// string or a map bucket per row would add thousands.
+func TestComputeDeltaAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n, churn int) float64 {
+		oldP, newP := churnedRangeProgram(n, churn)
+		return testing.AllocsPerRun(10, func() {
+			if d, ok := ComputeDelta(oldP, newP); !ok || len(d.Adds) != churn || len(d.Deletes) != churn {
+				t.Fatalf("%d rows: delta (%d adds, %d deletes, ok %v), want %d replaced", n, len(d.Adds), len(d.Deletes), ok, churn)
+			}
+		})
+	}
+	small, large := allocs(16, 1), allocs(8192, 82)
+	if growth := float64(bits.Len(82)); large-small > growth {
+		t.Fatalf("diff of 8192 rows allocates %.0f times, of 16 rows %.0f: more than the %.0f doublings of Adds apart",
+			large, small, growth)
 	}
 }
 

@@ -66,23 +66,43 @@ func (d *DeltaMsg) ToP4Delta() (p4.Delta, error) {
 		BaseHash:  d.BaseHash,
 		Deletes:   d.Deletes,
 	}
-	for _, m := range d.Moves {
-		out.Moves = append(out.Moves, p4.DeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order})
-	}
-	for _, a := range d.Adds {
-		e, err := a.Entry.ToP4Entry()
-		if err != nil {
-			return p4.Delta{}, err
+	if len(d.Moves) > 0 {
+		out.Moves = make([]p4.DeltaMove, len(d.Moves))
+		for i, m := range d.Moves {
+			out.Moves[i] = p4.DeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order}
 		}
-		out.Adds = append(out.Adds, p4.DeltaAdd{Entry: e, Order: a.Order})
+	}
+	if len(d.Adds) > 0 {
+		out.Adds = make([]p4.DeltaAdd, len(d.Adds))
+		for i, a := range d.Adds {
+			e, err := a.Entry.ToP4Entry()
+			if err != nil {
+				return p4.Delta{}, err
+			}
+			out.Adds[i] = p4.DeltaAdd{Entry: e, Order: a.Order}
+		}
 	}
 	return out, nil
 }
 
+// deltaRow fills r with the wire entry's view for p4.DiffRows; an entry
+// whose action has no p4 type has none.
+func (w *WireEntry) deltaRow(r *p4.DeltaRow) bool {
+	at, err := ParseAction(w.Action)
+	if err != nil {
+		return false
+	}
+	r.Priority, r.PrefixLen, r.Action = w.Priority, w.PrefixLen, p4.Action{Type: at, Class: w.Class}
+	r.Value, r.Mask, r.Lo, r.Hi = w.Value, w.Mask, w.Lo, w.Hi
+	return true
+}
+
 // DeltaFromPrograms diffs two Program messages for the same key layout
 // into a DeltaMsg. ok is false when no valid delta exists — layouts
-// differ, the diff is ambiguous (duplicate entries), or surviving
-// entries reordered — in which case the caller sends next wholesale.
+// differ, an entry names an unknown action, the diff is ambiguous
+// (duplicate entries), or surviving entries reordered — in which case
+// the caller sends next wholesale. The diff is p4.ComputeDelta's, run on
+// the wire entries where they lie; the rows the delta adds are next's.
 func DeltaFromPrograms(prev, next Program) (DeltaMsg, bool) {
 	if len(prev.Offsets) != len(next.Offsets) {
 		return DeltaMsg{}, false
@@ -92,26 +112,7 @@ func DeltaFromPrograms(prev, next Program) (DeltaMsg, bool) {
 			return DeltaMsg{}, false
 		}
 	}
-	toEntries := func(wes []WireEntry) ([]p4.Entry, bool) {
-		out := make([]p4.Entry, len(wes))
-		for i, we := range wes {
-			e, err := we.ToP4Entry()
-			if err != nil {
-				return nil, false
-			}
-			out[i] = e
-		}
-		return out, true
-	}
-	oldE, ok := toEntries(prev.Entries)
-	if !ok {
-		return DeltaMsg{}, false
-	}
-	newE, ok := toEntries(next.Entries)
-	if !ok {
-		return DeltaMsg{}, false
-	}
-	d, ok := p4.ComputeDelta(oldE, newE)
+	d, ok := p4.DiffRows(prev.Entries, next.Entries, (*WireEntry).deltaRow)
 	if !ok {
 		return DeltaMsg{}, false
 	}
@@ -123,11 +124,17 @@ func DeltaFromPrograms(prev, next Program) (DeltaMsg, bool) {
 		BaseHash:      d.BaseHash,
 		Deletes:       d.Deletes,
 	}
-	for _, m := range d.Moves {
-		msg.Moves = append(msg.Moves, WireDeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order})
+	if len(d.Moves) > 0 {
+		msg.Moves = make([]WireDeltaMove, len(d.Moves))
+		for i, m := range d.Moves {
+			msg.Moves[i] = WireDeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order}
+		}
 	}
-	for _, a := range d.Adds {
-		msg.Adds = append(msg.Adds, WireDeltaAdd{Entry: WireFromP4Entry(a.Entry), Order: a.Order})
+	if len(d.Adds) > 0 {
+		msg.Adds = make([]WireDeltaAdd, len(d.Adds))
+		for i, a := range d.Adds {
+			msg.Adds[i] = WireDeltaAdd{Entry: next.Entries[a.Order], Order: a.Order}
+		}
 	}
 	return msg, true
 }

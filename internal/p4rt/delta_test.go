@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,6 +154,104 @@ func TestProgramDeltaOverWire(t *testing.T) {
 	}
 	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{5}}); v.Allowed {
 		t.Fatal("rejected delta disturbed the installed program")
+	}
+}
+
+// deltaFromProgramsRef is DeltaFromPrograms by way of p4.ComputeDelta:
+// both programs converted to []p4.Entry, the delta converted back.
+func deltaFromProgramsRef(prev, next Program) (DeltaMsg, bool) {
+	toEntries := func(wes []WireEntry) ([]p4.Entry, bool) {
+		out := make([]p4.Entry, len(wes))
+		for i, we := range wes {
+			e, err := we.ToP4Entry()
+			if err != nil {
+				return nil, false
+			}
+			out[i] = e
+		}
+		return out, true
+	}
+	oldE, ok1 := toEntries(prev.Entries)
+	newE, ok2 := toEntries(next.Entries)
+	if !ok1 || !ok2 {
+		return DeltaMsg{}, false
+	}
+	d, ok := p4.ComputeDelta(oldE, newE)
+	if !ok {
+		return DeltaMsg{}, false
+	}
+	msg := DeltaMsg{Offsets: next.Offsets, DefaultAction: next.DefaultAction, DefaultClass: next.DefaultClass,
+		BaseCount: d.BaseCount, BaseHash: d.BaseHash, Deletes: d.Deletes}
+	for _, m := range d.Moves {
+		msg.Moves = append(msg.Moves, WireDeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order})
+	}
+	for _, a := range d.Adds {
+		msg.Adds = append(msg.Adds, WireDeltaAdd{Entry: WireFromP4Entry(a.Entry), Order: a.Order})
+	}
+	return msg, true
+}
+
+// TestDeltaFromProgramsMatchesComputeDelta: the diff run on wire entries
+// where they lie returns what converting both programs and diffing the
+// entries returns, message for message, over random edits that include
+// rows differing only in action or class, survivor swaps, duplicates and,
+// on either side, an action no p4 type stands for (never ok).
+func TestDeltaFromProgramsMatchesComputeDelta(t *testing.T) {
+	actions := []string{"allow", "drop", "digest", "set_class", "nop"}
+	oks, unknown := 0, 0
+	const seeds = 1500
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		row := func() WireEntry {
+			return WireEntry{Priority: rng.Intn(4), Lo: []byte{byte(rng.Intn(6))}, Hi: []byte{byte(200 + rng.Intn(6))},
+				Action: actions[rng.Intn(len(actions))], Class: rng.Intn(3)}
+		}
+		prev := Program{Offsets: []int{3}, DefaultAction: "digest"}
+		next := Program{Offsets: []int{3}, DefaultAction: "allow", DefaultClass: 1}
+		for n := rng.Intn(30); len(prev.Entries) < n; {
+			prev.Entries = append(prev.Entries, row())
+		}
+		for _, e := range prev.Entries {
+			switch rng.Intn(10) {
+			case 0: // delete
+				continue
+			case 1: // replace
+				e = row()
+			case 2: // move
+				e.Priority = rng.Intn(4)
+			}
+			next.Entries = append(next.Entries, e)
+			if rng.Intn(10) == 0 {
+				next.Entries = append(next.Entries, row())
+			}
+		}
+		if n := len(next.Entries); n > 1 && rng.Intn(8) == 0 {
+			i, j := rng.Intn(n), rng.Intn(n)
+			next.Entries[i], next.Entries[j] = next.Entries[j], next.Entries[i]
+		}
+		if rng.Intn(20) == 0 {
+			p := []*Program{&prev, &next}[rng.Intn(2)]
+			if n := len(p.Entries); n > 0 {
+				p.Entries[rng.Intn(n)].Action = "reflect"
+				unknown++
+			}
+		}
+		want, wantOK := deltaFromProgramsRef(prev, next)
+		got, ok := DeltaFromPrograms(prev, next)
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: DeltaFromPrograms = (%+v, %v), by way of ComputeDelta (%+v, %v)", seed, got, ok, want, wantOK)
+		}
+		if ok {
+			oks++
+		}
+	}
+	if oks < seeds/4 || oks > seeds*9/10 || unknown < 10 {
+		t.Fatalf("%d of %d pairs had a delta, %d carried an unknown action: the generator no longer covers the outcomes", oks, seeds, unknown)
+	}
+	if _, ok := DeltaFromPrograms(
+		Program{Offsets: []int{0}, Entries: []WireEntry{{Lo: []byte{1}, Hi: []byte{2}, Action: "drop"}}},
+		Program{Offsets: []int{0}, Entries: []WireEntry{{Lo: []byte{1}, Hi: []byte{2}, Action: "reflect"}}}); ok {
+		t.Fatal("a program with an unknown action got a delta")
 	}
 }
 

@@ -144,32 +144,40 @@ type RangeEntry struct {
 // RangeEntries compiles the rule set into range-match rows, one per rule
 // — the form actually installed in the behavioural switch (P4 targets
 // support range match keys directly; the TCAM prefix expansion in
-// CompileTernary is used for hardware cost accounting).
+// CompileTernary is used for hardware cost accounting). Predicates
+// repeated on one offset are intersected, as Rule.Matches evaluates
+// them; a rule whose intersection is empty matches nothing and gets no
+// row (a range table refuses lo > hi). The rows' Lo and Hi share one
+// backing array, each capped to its own bytes.
 func (rs *RuleSet) RangeEntries() ([]RangeEntry, error) {
 	pos := make(map[int]int, len(rs.Offsets))
 	for i, off := range rs.Offsets {
 		pos[off] = i
 	}
+	w := len(rs.Offsets)
 	out := make([]RangeEntry, 0, len(rs.Rules))
+	buf := make([]byte, 2*w*len(rs.Rules))
+rules:
 	for _, r := range rs.Rules {
-		e := RangeEntry{
-			Priority: r.Priority,
-			Lo:       make([]byte, len(rs.Offsets)),
-			Hi:       make([]byte, len(rs.Offsets)),
-			Class:    r.Class,
-		}
-		for i := range e.Hi {
-			e.Hi[i] = 0xff
+		lo, hi := buf[:w:w], buf[w:2*w:2*w]
+		buf = buf[2*w:]
+		for i := range hi {
+			hi[i] = 0xff
 		}
 		for _, p := range r.Preds {
 			idx, ok := pos[p.Offset]
 			if !ok {
 				return nil, fmt.Errorf("rules: predicate offset %d not in key layout %v", p.Offset, rs.Offsets)
 			}
-			e.Lo[idx] = p.Lo
-			e.Hi[idx] = p.Hi
+			lo[idx] = max(lo[idx], p.Lo)
+			hi[idx] = min(hi[idx], p.Hi)
 		}
-		out = append(out, e)
+		for i := range lo {
+			if lo[i] > hi[i] {
+				continue rules
+			}
+		}
+		out = append(out, RangeEntry{Priority: r.Priority, Lo: lo, Hi: hi, Class: r.Class})
 	}
 	return out, nil
 }

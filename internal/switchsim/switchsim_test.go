@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"p4guard/internal/match"
 	"p4guard/internal/p4"
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
@@ -685,4 +686,67 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestRepeatedPredicatesOneVerdict: predicates repeated on one offset
+// are a conjunction, so the rule set, the compiled matcher (the
+// controller's mirror) and a switch programmed from the rule set must
+// give every value of the byte the same verdict, whether the repeats
+// overlap, nest, contradict each other or are empty on their own. A
+// rule that can match nothing occupies no row, and the rules around it
+// still install.
+func TestRepeatedPredicatesOneVerdict(t *testing.T) {
+	on0 := func(bounds ...byte) []rules.BytePredicate {
+		var ps []rules.BytePredicate
+		for i := 0; i < len(bounds); i += 2 {
+			ps = append(ps, rules.BytePredicate{Offset: 0, Lo: bounds[i], Hi: bounds[i+1]})
+		}
+		return ps
+	}
+	cases := []struct {
+		name  string
+		rules []rules.Rule
+		rows  int
+	}{
+		{"overlapping", []rules.Rule{{Priority: 1, Class: 1, Preds: on0(10, 20, 15, 30)}}, 1},
+		{"nested, widest last", []rules.Rule{{Priority: 1, Class: 1, Preds: on0(0, 200, 50, 60, 0, 255)}}, 1},
+		{"contradictory", []rules.Rule{{Priority: 1, Class: 1, Preds: on0(10, 20, 30, 40)}}, 0},
+		{"inverted on its own", []rules.Rule{{Priority: 1, Class: 1, Preds: on0(40, 30)}}, 0},
+		{"empty rule above live ones", []rules.Rule{
+			{Priority: 3, Class: 1, Preds: on0(0, 99, 100, 255)},
+			{Priority: 2, Class: 2, Preds: append(on0(90, 110, 100, 120), rules.BytePredicate{Offset: 1, Lo: 7, Hi: 7})},
+			{Priority: 1, Class: 0, Preds: on0(0, 255, 105, 200)},
+		}, 2},
+	}
+	for _, tc := range cases {
+		rs := rules.NewRuleSet([]int{0, 1}, 3)
+		for _, r := range tc.rules {
+			rs.Add(r)
+		}
+		m, err := match.Compile(rs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sw := mkSwitch(t)
+		n, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDrop, Class: rs.DefaultClass})
+		if err != nil {
+			t.Fatalf("%s: install: %v", tc.name, err)
+		}
+		if n != tc.rows {
+			t.Errorf("%s: %d rows installed, want %d", tc.name, n, tc.rows)
+		}
+		for v := 0; v < 256; v++ {
+			for _, b1 := range []byte{7, 8} {
+				pkt := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{byte(v), b1}}
+				class, matched := rs.ClassifyDetail(pkt)
+				if c, ok := m.Classify(pkt); c != class || ok != matched {
+					t.Fatalf("%s: bytes (%d,%d): compiled matcher (%d,%v), rule set (%d,%v)", tc.name, v, b1, c, ok, class, matched)
+				}
+				got := sw.Process(pkt)
+				if got.Class != class || got.Matched != matched || got.Allowed != (class == 0) {
+					t.Fatalf("%s: bytes (%d,%d): switch %+v, rule set (%d,%v)", tc.name, v, b1, got, class, matched)
+				}
+			}
+		}
+	}
 }

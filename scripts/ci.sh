@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: gofmt, vet, build, full test suite under the race detector, then the
 # hot-path benchmarks (compiled matcher, data-plane lookup, batched and
-# parallel forwarding) so throughput regressions show up in the log.
+# parallel forwarding, delta deploy) so throughput regressions show up in
+# the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -73,8 +74,8 @@ go test -race -count "${CI_FLEET_COUNT:-2}" \
 
 echo "==> hot-path benchmarks"
 go test -run '^$' \
-    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunParallel|BenchmarkMatMulMLP|BenchmarkTrainStep' \
-    -benchtime "${CI_BENCHTIME:-1s}" \
+    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunParallel|BenchmarkMatMulMLP|BenchmarkTrainStep|BenchmarkDeltaDeploy' \
+    -benchmem -benchtime "${CI_BENCHTIME:-1s}" \
     ./... 2>&1 | grep -v '^ok\|no test files'
 
 echo "==> drift soak (concurrent sketches, race-enabled, seeded determinism)"
@@ -111,11 +112,12 @@ echo "==> zero-alloc forwarding gate"
 # The steady-state batch loop (pooled arena and caches warm), the
 # single-packet Process path (also with explain sampling, tracing and
 # drift monitoring armed once and disarmed), and the in-place frame parser
-# must not allocate at all. testing.AllocsPerRun is deterministic, so this
-# gate never flakes.
+# must not allocate at all, and the delta diff must allocate the same
+# whether it pairs 16 rows or 8 192 (its table, not a key per row).
+# testing.AllocsPerRun is deterministic, so this gate never flakes.
 go test -count 1 \
-    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree' \
-    ./internal/switchsim/ ./internal/packet/
+    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows' \
+    ./internal/switchsim/ ./internal/packet/ ./internal/p4/
 
 echo "==> million-entry sublinearity guard"
 # Ternary lookup must stay sublinear in table size: with a saturating
