@@ -83,7 +83,7 @@ func MaskedEqual(key, value, mask []byte) bool {
 }
 
 // FindBatchIdx resolves kb keys selected by idxs (key index idxs[j]),
-// writing the lowest matching row or -1 into rows[j], exactly as Find
+// writing the first matching row's id or -1 into rows[j], exactly as Find
 // would. rows must have len(idxs) entries. The fast path uses it to
 // resolve only the packets its flow cache missed.
 func (ix *KeyIndex) FindBatchIdx(kb *KeyBatch, idxs []int32, rows []int32) {
@@ -93,7 +93,7 @@ func (ix *KeyIndex) FindBatchIdx(kb *KeyBatch, idxs []int32, rows []int32) {
 		}
 		return
 	}
-	if ix.pts == nil && ix.nWords == 1 {
+	if ix.slots == nil && ix.nWords == 1 {
 		// One-word fast loop: up to 64 rules and no point rows, the
 		// common learned-table shape — no inner word loop, one
 		// accumulator register.

@@ -15,15 +15,17 @@
 // order, so the lowest bit is the winner. Point rows (Lo == Hi on every
 // byte: what the controller's reactive installs are) go into an
 // open-addressing hash on the packed key instead, so thousands of them
-// cost one probe rather than thousands of bitset columns. Lookup cost is
-// O(1) for the hash plus O(width × range rows/64) for the bitset, with no
-// branching on rules and no allocation.
+// cost one probe rather than thousands of bitset columns — and one more
+// of them costs one slot (KeyIndex.Insert). Lookup cost is O(1) for the
+// hash plus O(width × range rows/64) for the bitset, with no branching on
+// rules and no allocation.
 package match
 
 import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
@@ -54,15 +56,18 @@ type RangeRow struct {
 	Lo, Hi []byte
 }
 
-// KeyIndex is an immutable first-match-wins index over fixed-width byte
-// keys. Row order is priority order: Find returns the lowest matching
-// row index. It is safe for concurrent use, and a nil *KeyIndex is the
-// empty index.
+// KeyIndex is a first-match-wins index over fixed-width byte keys. Every
+// row has a stable id: its position in the priority-ordered list
+// CompileRanges was given, and for a row Insert added, the row count
+// before it. Find returns the id of the first matching row in priority
+// order. A *KeyIndex never changes what it answers and is safe for
+// concurrent use; a nil *KeyIndex is the empty index.
 //
-// The lowest matching row is the lower of the lowest matching point row
-// (the hash keeps the lowest row per key) and the lowest matching range
-// row (the lowest set bit, mapped back through the increasing rowMap),
-// because every row is one or the other.
+// The first matching row is the point row on the key (the hash keeps the
+// first per key) or the first matching range row (the lowest set bit),
+// because every row is one or the other. Which of the two comes first is
+// the point's above: the number of range rows ahead of it. Nothing in
+// the index is a row position, so a row that joins renumbers no other.
 type KeyIndex struct {
 	width  int
 	nRows  int
@@ -73,28 +78,34 @@ type KeyIndex struct {
 	rowMask []uint64
 	// table is indexed as ((pos*256)+byteValue)*nWords + word.
 	table []uint64
-	// pts holds the point rows; nil when no row is a point, and then
-	// bitset bit r is row r.
-	pts *pointRows
+	// rangeID maps bitset bit j to its row id; nil when the index was
+	// compiled with no point row, and then bit j is row j. nRange is the
+	// number of bits.
+	rangeID []int32
+	nRange  int
+	// slots holds the point rows: open addressing, linear probing, at
+	// most half full; nil when no row is a point. The array is shared
+	// with the generations Insert derives from this one, which fill
+	// slots this one reads as empty (see findPoint). nPoints counts the
+	// slots this generation reads as filled.
+	slots   []ptSlot
+	nPoints int
 }
 
-// pointRows is the point half of a KeyIndex and its tie to the bitset
-// half.
-type pointRows struct {
-	slots []ptSlot // open addressing, linear probing, at most half full
-	used  int
-	// rowMap maps bitset bit j to its row; firstRange is rowMap[0], or
-	// the row count when every row is a point. A point hit below
-	// firstRange outranks every range row.
-	rowMap     []int32
-	firstRange int32
-}
-
-// ptSlot is one hash slot: the packed point key and its row + 1 (0 marks
-// an empty slot).
+// ptSlot is one hash slot: the packed point key, the number of range
+// rows ahead of the point, and its row id + 1 (0 marks an empty slot). A
+// slot is written once, by fill, and never again.
 type ptSlot struct {
 	k0, k1 uint64
-	row1   uint32
+	id1    atomic.Uint32
+	above  uint32
+}
+
+// fill writes an empty slot: the id last, so that whoever loads it finds
+// the rest written.
+func (s *ptSlot) fill(k0, k1 uint64, id1, above uint32) {
+	s.k0, s.k1, s.above = k0, k1, above
+	s.id1.Store(id1)
 }
 
 // PackedKeyMax is the widest key PackKey holds. Point rows of wider keys
@@ -129,61 +140,54 @@ func isPoint(width int, row RangeRow) bool {
 	return width > 0 && width <= PackedKeyMax && bytes.Equal(row.Lo, row.Hi)
 }
 
-// newPointRows sizes an empty hash for n points (a power of two, at most
-// half full) beside nRange bitset rows yet to be mapped, of nRows rows.
-func newPointRows(n, nRange, nRows int) *pointRows {
+// newSlots sizes an empty hash for n points: a power of two, at most
+// half full.
+func newSlots(n int) []ptSlot {
 	size := 8
 	for size < 2*n {
 		size <<= 1
 	}
-	return &pointRows{slots: make([]ptSlot, size), rowMap: make([]int32, 0, nRange), firstRange: int32(nRows)}
+	return make([]ptSlot, size)
 }
 
-// put records a point row unless a lower row already owns its key. Rows
-// arrive in any order; the caller keeps the table under half full.
-func (pts *pointRows) put(p ptSlot) {
-	mask := uint32(len(pts.slots) - 1)
-	for i := HashPacked(p.k0, p.k1) & mask; ; i = (i + 1) & mask {
-		s := &pts.slots[i]
-		if s.row1 == 0 {
-			*s = p
-			pts.used++
-			return
-		}
-		if s.k0 == p.k0 && s.k1 == p.k1 {
-			if p.row1 < s.row1 {
-				s.row1 = p.row1
-			}
-			return
+// probe returns the slot holding the key, or the empty slot where it
+// belongs. It is the writer's walk: it reads every filled slot, whatever
+// generation filled it, so only the goroutine that fills slots calls it.
+func probe(slots []ptSlot, k0, k1 uint64) *ptSlot {
+	mask := uint32(len(slots) - 1)
+	for i := HashPacked(k0, k1) & mask; ; i = (i + 1) & mask {
+		s := &slots[i]
+		if s.id1.Load() == 0 || (s.k0 == k0 && s.k1 == k1) {
+			return s
 		}
 	}
 }
 
-// find returns the lowest point row on the key, or -1.
-func (pts *pointRows) find(key []byte) int32 {
+// findPoint returns the point row on the key and its above, or -1.
+//
+// A slot whose id is not below this generation's row count was filled by
+// a later one and reads as empty, which is what it was when this
+// generation was derived: ids are handed out in the order slots are
+// filled, so the slots this generation reads as filled are exactly those
+// filled before it, and its probe chains end where they ended then.
+func (ix *KeyIndex) findPoint(key []byte) (id int32, above uint32) {
 	k0, k1 := PackKey(key)
-	mask := uint32(len(pts.slots) - 1)
+	slots, n := ix.slots, uint32(ix.nRows)
+	mask := uint32(len(slots) - 1)
 	for i := HashPacked(k0, k1) & mask; ; i = (i + 1) & mask {
-		s := &pts.slots[i]
-		if s.row1 == 0 {
-			return -1
+		s := &slots[i]
+		id1 := s.id1.Load()
+		if id1-1 >= n { // empty (0 wraps), or filled after this generation
+			return -1, 0
 		}
 		if s.k0 == k0 && s.k1 == k1 {
-			return int32(s.row1 - 1)
+			return int32(id1 - 1), s.above
 		}
 	}
-}
-
-// mapRange appends the next bitset row's row number.
-func (pts *pointRows) mapRange(row int32) {
-	if len(pts.rowMap) == 0 {
-		pts.firstRange = row
-	}
-	pts.rowMap = append(pts.rowMap, row)
 }
 
 // CompileRanges builds a KeyIndex over width-byte keys from rows in
-// priority (first-match-wins) order.
+// priority (first-match-wins) order; row i has id i.
 func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 	if width < 0 {
 		return nil, fmt.Errorf("match: negative key width %d", width)
@@ -206,20 +210,26 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 		nWords:  nWords,
 		rowMask: make([]uint64, nWords),
 		table:   make([]uint64, width*256*nWords),
+		nRange:  nRange,
 	}
 	if nPoints > 0 {
-		ix.pts = newPointRows(nPoints, nRange, len(rows))
+		ix.slots = newSlots(nPoints)
+		ix.rangeID = make([]int32, 0, nRange)
 	}
 	for i, row := range rows {
 		if isPoint(width, row) {
+			// The first row on a key owns it: a later one never matches first.
 			k0, k1 := PackKey(row.Lo)
-			ix.pts.put(ptSlot{k0, k1, uint32(i) + 1})
+			if s := probe(ix.slots, k0, k1); s.id1.Load() == 0 {
+				s.fill(k0, k1, uint32(i)+1, uint32(len(ix.rangeID)))
+				ix.nPoints++
+			}
 			continue
 		}
 		r := i // bitset bit: the row's rank among range rows
-		if ix.pts != nil {
-			r = len(ix.pts.rowMap)
-			ix.pts.mapRange(int32(i))
+		if nPoints > 0 {
+			r = len(ix.rangeID)
+			ix.rangeID = append(ix.rangeID, int32(i))
 		}
 		dead := false
 		for pos := 0; pos < width; pos++ {
@@ -243,60 +253,67 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 	return ix, nil
 }
 
-// InsertRow derives the index CompileRanges would build from ix's rows
-// with row inserted at index at (rows at and after it move down one),
-// for a point row: the bitset is shared with ix, only the hash and the
-// row map are rebuilt. It returns nil when the row belongs in the bitset
-// (a range, an unpackable width) or ix is the empty index, and the
-// caller must compile from scratch.
-func (ix *KeyIndex) InsertRow(at int, row RangeRow) *KeyIndex {
+// RangeRows returns the number of range rows (bitset bits); bit order is
+// their priority order.
+func (ix *KeyIndex) RangeRows() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.nRange
+}
+
+// RangeID returns the row id of range row j, 0 ≤ j < RangeRows().
+func (ix *KeyIndex) RangeID(j int) int {
+	if ix.rangeID == nil {
+		return j
+	}
+	return int(ix.rangeID[j])
+}
+
+// Insert derives the index that also holds a point row with id Rows(),
+// ranked behind the first above range rows and ahead of the rest. It
+// fills one empty slot of the hash the index shares with its
+// predecessors (none of them reads it: see findPoint) and copies nothing
+// but the KeyIndex itself, unless the hash would pass half full: then the
+// derived index gets one of twice the size.
+//
+// It returns nil when the row has to be compiled in — a range, an
+// unpackable width, a key some row of the hash already holds — or ix is
+// the empty index. Generations form a chain: Insert may be called once
+// on an index, and by one goroutine at a time along the chain.
+func (ix *KeyIndex) Insert(row RangeRow, above int) *KeyIndex {
 	if ix == nil || len(row.Lo) != ix.width || len(row.Hi) != ix.width || !isPoint(ix.width, row) {
 		return nil
 	}
-	old := ix.pts
-	if old == nil { // no point row yet: bit r was row r
-		old = &pointRows{}
-		for r := 0; r < ix.nRows; r++ {
-			old.mapRange(int32(r))
-		}
-	}
-	pts := newPointRows(old.used+1, len(old.rowMap), ix.nRows+1)
-	sameSize := len(pts.slots) == len(old.slots) // then every key keeps its slot
-	for i, s := range old.slots {
-		if s.row1 > uint32(at) { // row1 is row + 1: rows from at on move down, 0 stays empty
-			s.row1++
-		}
-		if sameSize {
-			pts.slots[i] = s
-		} else if s.row1 != 0 {
-			pts.put(s)
-		}
-	}
-	if sameSize {
-		pts.used = old.used
-	}
-	k0, k1 := PackKey(row.Lo)
-	pts.put(ptSlot{k0, k1, uint32(at) + 1})
-	for _, r := range old.rowMap {
-		if r >= int32(at) {
-			r++
-		}
-		pts.mapRange(r)
-	}
 	next := *ix
+	k0, k1 := PackKey(row.Lo)
+	if 2*(ix.nPoints+1) > len(ix.slots) {
+		next.slots = newSlots(ix.nPoints + 1)
+		for i := range ix.slots {
+			s := &ix.slots[i]
+			if id1 := s.id1.Load(); id1 != 0 {
+				probe(next.slots, s.k0, s.k1).fill(s.k0, s.k1, id1, s.above)
+			}
+		}
+	}
+	s := probe(next.slots, k0, k1)
+	if s.id1.Load() != 0 {
+		return nil
+	}
+	s.fill(k0, k1, uint32(ix.nRows)+1, uint32(above))
 	next.nRows++
-	next.pts = pts
+	next.nPoints++
 	return &next
 }
 
-// Rows returns the number of rows the index was compiled from.
+// Rows returns the number of rows the index holds.
 func (ix *KeyIndex) Rows() int { return ix.nRows }
 
 // Width returns the key width in bytes.
 func (ix *KeyIndex) Width() int { return ix.width }
 
-// Find returns the lowest row index matching the key. ok is false on
-// miss or when the key width is wrong.
+// Find returns the id of the first row matching the key in priority
+// order. ok is false on miss or when the key width is wrong.
 func (ix *KeyIndex) Find(key []byte) (row int, ok bool) {
 	if ix == nil || len(key) != ix.width {
 		return -1, false
@@ -307,20 +324,19 @@ func (ix *KeyIndex) Find(key []byte) (row int, ok bool) {
 
 // find is Find for a key of the index's width, -1 on miss.
 func (ix *KeyIndex) find(key []byte) int32 {
-	pts := ix.pts
-	if pts == nil {
-		return ix.findRange(key)
+	if ix.slots == nil {
+		return ix.findRange(key) // no point row: bit r is row r
 	}
-	pt := pts.find(key)
-	if pt >= 0 && pt < pts.firstRange {
+	pt, above := ix.findPoint(key)
+	if pt >= 0 && above == 0 {
 		return pt
 	}
 	r := ix.findRange(key)
-	if r >= 0 {
-		r = pts.rowMap[r]
-	}
-	if pt >= 0 && (r < 0 || pt < r) {
+	if pt >= 0 && (r < 0 || uint32(r) >= above) {
 		return pt
+	}
+	if r >= 0 && ix.rangeID != nil {
+		r = ix.rangeID[r]
 	}
 	return r
 }

@@ -26,7 +26,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	// Warm the workspace high-water mark and optimizer state.
 	for i := 0; i < 3; i++ {
-		if _, _, err := net.Step(x, target); err != nil {
+		if _, err := net.Step(x, target); err != nil {
 			b.Fatal(err)
 		}
 		if err := opt.Update(net.Params(), net.Grads()); err != nil {
@@ -36,7 +36,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := net.Step(x, target); err != nil {
+		if _, err := net.Step(x, target); err != nil {
 			b.Fatal(err)
 		}
 		if err := opt.Update(net.Params(), net.Grads()); err != nil {

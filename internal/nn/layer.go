@@ -18,16 +18,22 @@ import (
 )
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
-// (rows are samples) and caches whatever Backward needs; Backward consumes
-// dL/dOutput and returns dL/dInput, accumulating parameter gradients.
-// Returned matrices (and cached state) live in ws and are only valid until
-// the workspace is next Reset; ws may be nil, at the cost of allocations.
+// (rows are samples) and caches whatever the two backward halves need:
+// Backward turns dL/dOutput into dL/dInput, ParamGrads into dL/dParams.
+// They are separate because no pass wants both of every layer: training
+// reads no input gradient of the first layer, attribution no parameter
+// gradient at all. Returned matrices (and cached state) live in ws and
+// are only valid until the workspace is next Reset; ws may be nil, at the
+// cost of allocations.
 type Layer interface {
 	// Forward computes the layer output for the batch x.
 	Forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.Matrix, error)
 	// Backward computes dL/dInput given dL/dOutput for the most recent
-	// Forward call with train=true.
+	// Forward call with train=true. It leaves Grads alone.
 	Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error)
+	// ParamGrads leaves dL/dParams for that Forward call in Grads; a
+	// layer without parameters does nothing.
+	ParamGrads(gradOut *tensor.Matrix) error
 	// Params returns the layer's trainable parameters; may be empty.
 	Params() []*tensor.Matrix
 	// Grads returns gradient accumulators aligned with Params.
@@ -82,17 +88,22 @@ func (d *Dense) Forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.Ma
 	return out, nil
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error) {
+// ParamGrads implements Layer.
+func (d *Dense) ParamGrads(gradOut *tensor.Matrix) error {
 	if d.lastIn == nil {
-		return nil, fmt.Errorf("dense backward before forward(train)")
+		return fmt.Errorf("dense backward before forward(train)")
 	}
 	if err := tensor.MatMulATB(d.dW, d.lastIn, gradOut); err != nil {
-		return nil, fmt.Errorf("dense dW: %w", err)
+		return fmt.Errorf("dense dW: %w", err)
 	}
 	if err := gradOut.ColSumsInto(d.dB.Row(0)); err != nil {
-		return nil, fmt.Errorf("dense dB: %w", err)
+		return fmt.Errorf("dense dB: %w", err)
 	}
+	return nil
+}
+
+// Backward implements Layer.
+func (d *Dense) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error) {
 	gradIn := ws.Take(gradOut.Rows, d.W.Rows)
 	if err := tensor.MatMulABT(gradIn, gradOut, d.W); err != nil {
 		return nil, fmt.Errorf("dense gradIn: %w", err)
@@ -155,6 +166,9 @@ func (r *ReLU) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, 
 	return gradIn, nil
 }
 
+// ParamGrads implements Layer.
+func (r *ReLU) ParamGrads(*tensor.Matrix) error { return nil }
+
 // Params implements Layer.
 func (r *ReLU) Params() []*tensor.Matrix { return nil }
 
@@ -196,6 +210,9 @@ func (s *Sigmoid) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matri
 	return gradIn, nil
 }
 
+// ParamGrads implements Layer.
+func (s *Sigmoid) ParamGrads(*tensor.Matrix) error { return nil }
+
 // Params implements Layer.
 func (s *Sigmoid) Params() []*tensor.Matrix { return nil }
 
@@ -236,6 +253,9 @@ func (t *Tanh) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, 
 	}
 	return gradIn, nil
 }
+
+// ParamGrads implements Layer.
+func (t *Tanh) ParamGrads(*tensor.Matrix) error { return nil }
 
 // Params implements Layer.
 func (t *Tanh) Params() []*tensor.Matrix { return nil }
@@ -299,6 +319,9 @@ func (d *Dropout) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matri
 	}
 	return gradIn, nil
 }
+
+// ParamGrads implements Layer.
+func (d *Dropout) ParamGrads(*tensor.Matrix) error { return nil }
 
 // Params implements Layer.
 func (d *Dropout) Params() []*tensor.Matrix { return nil }

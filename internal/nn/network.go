@@ -7,9 +7,9 @@ import (
 )
 
 // Network is an ordered stack of layers with a loss head. It owns a
-// Workspace that backs every intermediate buffer of its passes, so matrices
-// returned by Forward, Backward, and Step are only valid until the
-// network's next pass; copy what must outlive it.
+// Workspace that backs every intermediate buffer of its passes, so the
+// matrix Forward returns is only valid until the network's next pass;
+// copy what must outlive it.
 type Network struct {
 	Layers []Layer
 	Loss   Loss
@@ -46,11 +46,22 @@ func (n *Network) forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.
 	return cur, nil
 }
 
-// backward propagates dL/dOutput back through every layer using the given
-// workspace, accumulating parameter gradients.
-func (n *Network) backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error) {
+// backward propagates dL/dOutput back through the layers. A training
+// pass (params) leaves every layer's parameter gradients in Grads and
+// stops short of the first layer's input gradient, which nothing reads:
+// it returns nil. An attribution pass computes no parameter gradient and
+// returns dL/dInput.
+func (n *Network) backward(ws *Workspace, gradOut *tensor.Matrix, params bool) (*tensor.Matrix, error) {
 	cur := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if params {
+			if err := n.Layers[i].ParamGrads(cur); err != nil {
+				return nil, fmt.Errorf("layer %d backward: %w", i, err)
+			}
+			if i == 0 {
+				return nil, nil
+			}
+		}
 		g, err := n.Layers[i].Backward(ws, cur)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d backward: %w", i, err)
@@ -62,45 +73,32 @@ func (n *Network) backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matri
 
 // Forward runs the batch through every layer. train controls caching for
 // backprop and stochastic layers such as dropout. The returned matrix is
-// workspace-backed: valid until the network's next forward/backward pass.
+// workspace-backed: valid until the network's next pass.
 func (n *Network) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	ws := n.workspace()
 	ws.Reset()
 	return n.forward(ws, x, train)
 }
 
-// Backward propagates dL/dOutput back through every layer, accumulating
-// parameter gradients, and returns dL/dInput. It must follow a
-// Forward(train=true) pass and does not reset the workspace (the layer
-// caches from that pass live there).
-func (n *Network) Backward(gradOut *tensor.Matrix) (*tensor.Matrix, error) {
-	return n.backward(n.workspace(), gradOut)
-}
-
-// Step runs one forward/backward pass over the batch and returns the loss
-// value; parameter gradients are left in the layers for the optimizer. It
-// also returns dL/dInput, which stage-1 saliency attribution consumes
-// (workspace-backed; valid until the next pass).
-func (n *Network) Step(x, target *tensor.Matrix) (float64, *tensor.Matrix, error) {
+// Step runs one training pass over the batch and returns the loss value;
+// parameter gradients are left in the layers for the optimizer.
+func (n *Network) Step(x, target *tensor.Matrix) (float64, error) {
 	ws := n.workspace()
 	ws.Reset()
 	out, err := n.forward(ws, x, true)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	loss, err := n.Loss.Value(ws, out, target)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	grad, err := n.Loss.Grad(ws, out, target)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	gradIn, err := n.backward(ws, grad)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, gradIn, nil
+	_, err = n.backward(ws, grad, true)
+	return loss, err
 }
 
 func (n *Network) buildParamCache() {
@@ -175,12 +173,23 @@ func (n *Network) Infer(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, error)
 	return n.forward(ws, x, false)
 }
 
-// InputGradient returns dLoss/dInput for the batch without updating any
-// parameters — used for saliency-based field attribution. The result is a
-// buffer owned by the network that stays valid across later passes but is
-// overwritten by the next InputGradient call.
+// InputGradient returns dLoss/dInput for the batch, leaving parameters
+// and their gradients as they were — used for saliency-based field
+// attribution. The result is a buffer owned by the network that stays
+// valid across later passes but is overwritten by the next InputGradient
+// call.
 func (n *Network) InputGradient(x, target *tensor.Matrix) (*tensor.Matrix, error) {
-	_, gradIn, err := n.Step(x, target)
+	ws := n.workspace()
+	ws.Reset()
+	out, err := n.forward(ws, x, true)
+	if err != nil {
+		return nil, err
+	}
+	grad, err := n.Loss.Grad(ws, out, target)
+	if err != nil {
+		return nil, err
+	}
+	gradIn, err := n.backward(ws, grad, false)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestDenseGradCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := net.Step(x, target); err != nil {
+	if _, err := net.Step(x, target); err != nil {
 		t.Fatal(err)
 	}
 	grads := net.Grads()
@@ -55,7 +55,7 @@ func TestDenseGradCheck(t *testing.T) {
 		for j := 0; j < len(g.Data) && checks < 8; j += 1 + len(g.Data)/8 {
 			want := numericalGrad(t, net, x, target, pi, j)
 			// Re-run step since numericalGrad perturbed forward caches.
-			if _, _, err := net.Step(x, target); err != nil {
+			if _, err := net.Step(x, target); err != nil {
 				t.Fatal(err)
 			}
 			got := net.Grads()[pi].Data[j]
@@ -78,13 +78,13 @@ func TestMSEGradCheck(t *testing.T) {
 	target := tensor.New(5, 3)
 	target.Randomize(rng, 1)
 
-	if _, _, err := net.Step(x, target); err != nil {
+	if _, err := net.Step(x, target); err != nil {
 		t.Fatal(err)
 	}
 	for pi, g := range net.Grads() {
 		for j := 0; j < len(g.Data); j += 1 + len(g.Data)/6 {
 			want := numericalGrad(t, net, x, target, pi, j)
-			if _, _, err := net.Step(x, target); err != nil {
+			if _, err := net.Step(x, target); err != nil {
 				t.Fatal(err)
 			}
 			got := net.Grads()[pi].Data[j]
@@ -301,4 +301,98 @@ func TestPredictProbaRowsSumToOne(t *testing.T) {
 			t.Fatalf("row %d probs sum %v", i, sum)
 		}
 	}
+}
+
+// fullPass is the pass Step and InputGradient are cut from: forward, the
+// loss, then both backward halves of every layer. It leaves dL/dParams in
+// Grads and returns the loss and dL/dInput.
+func fullPass(t *testing.T, net *Network, x, target *tensor.Matrix) (float64, *tensor.Matrix) {
+	t.Helper()
+	out, err := net.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := net.Loss.Value(nil, out, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := net.Loss.Grad(nil, out, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		if err := net.Layers[i].ParamGrads(cur); err != nil {
+			t.Fatal(err)
+		}
+		if cur, err = net.Layers[i].Backward(nil, cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return loss, cur
+}
+
+// TestShortPassesMatchFullPass: a training step computes no input
+// gradient of the first layer and an attribution pass no parameter
+// gradient, and neither is allowed to show. Two equal networks take the
+// same Adam steps, one through Step and one through the full pass: loss
+// and every parameter stay bit-equal. Then InputGradient returns the full
+// pass's dL/dInput bit for bit and leaves the parameter gradients of the
+// last step where they were.
+func TestShortPassesMatchFullPass(t *testing.T) {
+	build := func() *Network {
+		rng := rand.New(rand.NewSource(97))
+		return NewNetwork(SoftmaxCE{},
+			NewDense(rng, 6, 8), &ReLU{}, NewDense(rng, 8, 5), &Tanh{}, NewDense(rng, 5, 4), &Sigmoid{}, NewDense(rng, 4, 3))
+	}
+	short, full := build(), build()
+	shortOpt, fullOpt := NewAdam(0.01), NewAdam(0.01)
+	rng := rand.New(rand.NewSource(98))
+	x := tensor.New(16, 6)
+	labels := make([]int, x.Rows)
+	equal := func(what string, got, want []*tensor.Matrix) {
+		t.Helper()
+		for p := range want {
+			for j, w := range want[p].Data {
+				if math.Float64bits(got[p].Data[j]) != math.Float64bits(w) {
+					t.Fatalf("%s %d[%d]: %v, full pass %v", what, p, j, got[p].Data[j], w)
+				}
+			}
+		}
+	}
+	for step := 0; step < 25; step++ {
+		x.Randomize(rng, 1)
+		for i := range labels {
+			labels[i] = rng.Intn(3)
+		}
+		target, _ := OneHot(labels, 3)
+		got, err := short.Step(x, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fullPass(t, full, x, target)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: loss %v, full pass %v", step, got, want)
+		}
+		equal("gradient", short.Grads(), full.Grads())
+		if err := shortOpt.Update(short.Params(), short.Grads()); err != nil {
+			t.Fatal(err)
+		}
+		if err := fullOpt.Update(full.Params(), full.Grads()); err != nil {
+			t.Fatal(err)
+		}
+		equal("parameter", short.Params(), full.Params())
+	}
+
+	target, _ := OneHot(labels, 3)
+	var before []*tensor.Matrix
+	for _, g := range short.Grads() {
+		before = append(before, g.Clone())
+	}
+	got, err := short.InputGradient(x, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := fullPass(t, full, x, target)
+	equal("input gradient", []*tensor.Matrix{got}, []*tensor.Matrix{want})
+	equal("gradient after attribution", short.Grads(), before)
 }

@@ -97,7 +97,7 @@ func Train(net *Network, opt Optimizer, x, target *tensor.Matrix, cfg TrainConfi
 				bx.SetRow(bi, x.Row(idx))
 				bt.SetRow(bi, target.Row(idx))
 			}
-			loss, _, err := net.Step(bx, bt)
+			loss, err := net.Step(bx, bt)
 			if err != nil {
 				return 0, fmt.Errorf("epoch %d batch %d: %w", e, batches, err)
 			}

@@ -107,7 +107,7 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := func() {
-		if _, _, err := net.Step(x, target); err != nil {
+		if _, err := net.Step(x, target); err != nil {
 			t.Fatal(err)
 		}
 		if err := opt.Update(net.Params(), net.Grads()); err != nil {
@@ -212,7 +212,7 @@ func TestInputGradientDetached(t *testing.T) {
 	if _, err := net.Forward(x, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := net.Step(x, target); err != nil {
+	if _, err := net.Step(x, target); err != nil {
 		t.Fatal(err)
 	}
 	for i := range snapshot.Data {

@@ -166,11 +166,9 @@ func HashEntries(entries []Entry) uint64 {
 }
 
 // sameKey reports whether two rows pair in a diff: every field but the
-// priority is equal, so a priority change pairs up as a move. The action
-// type pairs on its low byte, which is all of it for every defined type.
+// priority is equal, so a priority change pairs up as a move.
 func (r *DeltaRow) sameKey(o *DeltaRow) bool {
-	return r.PrefixLen == o.PrefixLen &&
-		byte(r.Action.Type) == byte(o.Action.Type) && r.Action.Class == o.Action.Class &&
+	return r.PrefixLen == o.PrefixLen && r.Action == o.Action &&
 		bytes.Equal(r.Value, o.Value) && bytes.Equal(r.Mask, o.Mask) &&
 		bytes.Equal(r.Lo, o.Lo) && bytes.Equal(r.Hi, o.Hi)
 }
@@ -180,7 +178,7 @@ func (r *DeltaRow) sameKey(o *DeltaRow) bool {
 // places rows in the diff's table and never leaves the process, so
 // unlike hash it is free to change.
 func keyHash(r *DeltaRow) uint64 {
-	h := mixWord(0, uint64(r.PrefixLen)<<8^uint64(byte(r.Action.Type))^uint64(r.Action.Class)<<32)
+	h := mixWord(0, uint64(r.PrefixLen)<<8^uint64(r.Action.Type)^uint64(r.Action.Class)<<32)
 	h = mixWord(h, uint64(len(r.Value))^uint64(len(r.Mask))<<16^uint64(len(r.Lo))<<32^uint64(len(r.Hi))<<48)
 	h = mixBytes(h, r.Value)
 	h = mixBytes(h, r.Mask)

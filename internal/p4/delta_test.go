@@ -298,13 +298,14 @@ func TestComputeDeltaBails(t *testing.T) {
 // matchFieldsKey is an entry's identity in computeDeltaRef: every field
 // except priority (so a priority change pairs up as a move).
 func matchFieldsKey(e *Entry) string {
-	b := make([]byte, 0, 24+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
+	b := make([]byte, 0, 56+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
 	var num [8]byte
 	binary.BigEndian.PutUint64(num[:], uint64(int64(e.PrefixLen)))
 	b = append(b, num[:]...)
-	b = append(b, byte(e.Action.Type))
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.Action.Class)))
-	b = append(b, num[:]...)
+	for _, v := range []int{int(e.Action.Type), e.Action.Class} {
+		binary.BigEndian.PutUint64(num[:], uint64(int64(v)))
+		b = append(b, num[:]...)
+	}
 	for _, f := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
 		binary.BigEndian.PutUint64(num[:], uint64(len(f)))
 		b = append(b, num[:]...)
@@ -465,6 +466,18 @@ func TestComputeDeltaMatchesReference(t *testing.T) {
 	}
 	if oks < seeds/4 || oks > seeds*3/4 {
 		t.Fatalf("%d of %d pairs had a delta: the generator no longer covers both outcomes", oks, seeds)
+	}
+
+	// Action types are ints and pair on all of it: 257 is not 1 (allow)
+	// for sharing its low byte. A diff that paired the two would carry no
+	// edit, and the switch would go on allowing.
+	oldP := []Entry{{Priority: 1, Lo: []byte{7}, Hi: []byte{7}, Action: Action{Type: ActionAllow, Class: 2}}}
+	newP := []Entry{oldP[0]}
+	newP[0].Action.Type = ActionAllow + 256
+	want, wantOK := computeDeltaRef(oldP, newP)
+	got, ok := ComputeDelta(oldP, newP)
+	if !ok || !wantOK || !reflect.DeepEqual(got, want) || len(got.Deletes) != 1 || len(got.Adds) != 1 {
+		t.Fatalf("action type 1 against 257: ComputeDelta = (%+v, %v), reference (%+v, %v), want one delete and one add", got, ok, want, wantOK)
 	}
 }
 

@@ -179,7 +179,8 @@ func winnerEntry(st *lookupState, key []byte) (*Entry, int) {
 		}
 	case MatchRange:
 		if row, ok := st.rangeIdx.Find(key); ok {
-			return st.entries[row], row
+			e := st.byID[row] // the index names the row by id, not by place
+			return e, rankOf(st.entries, e)
 		}
 		return nil, -1
 	}

@@ -45,9 +45,9 @@ const flowCacheSlots = 1024
 // flowSlot caches one resolved key: the entry that matched (nil for a
 // recorded miss) tagged with the generation that produced it. Keys are
 // held as two zero-padded little-endian words so a probe is two integer
-// compares instead of a byte loop. row is the entry's dense index in
-// the state's entry list (-1 when the kind resolves without one); it
-// rides along so cache hits can still use the batched counter tally.
+// compares instead of a byte loop. row is the entry's row id in the
+// state's byID (-1 when the kind resolves without one); it rides along
+// so cache hits can still use the batched counter tally.
 type flowSlot struct {
 	gen    uint32
 	klen   uint8
@@ -128,7 +128,7 @@ func (c *flowCache) put(k0, k1 uint64, klen int, entry *Entry, row int32) {
 type BatchWorkspace struct {
 	keys    match.KeyBatch
 	hits    []*Entry // resolved entry per packet index (nil = miss)
-	hitRows []int32  // dense entry-list row per packet index (-1 = none)
+	hitRows []int32  // row id in the state's byID per packet index (-1 = none)
 	acts    []Action // resolved action per packet index
 	matched []bool   // non-default entry fired, per packet index
 	act     []int32  // packets still running, filtered per table
@@ -139,7 +139,7 @@ type BatchWorkspace struct {
 	masked  [64]byte // lane-masking scratch for ternary probes
 
 	// Per-row counter accumulation: deltas gather here (indexed by the
-	// state's dense entry row) and flush as one atomic add pair per
+	// state's row id) and flush as one atomic add pair per
 	// distinct entry per batch. touched lists the dirty rows so the
 	// flush never scans or clears the whole table.
 	aggHits  []uint64
@@ -170,7 +170,7 @@ func (ws *BatchWorkspace) ensure(n, t int) {
 	}
 }
 
-// ensureAgg sizes the per-row accumulators for a state with ne entries.
+// ensureAgg sizes the per-row accumulators for a state with ne row ids.
 // The buffers stay zeroed between batches (the flush clears only the
 // rows it touched).
 func (ws *BatchWorkspace) ensureAgg(ne int) {
@@ -227,7 +227,7 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 			st.rangeIdx.FindBatchIdx(&ws.keys, pend, rows)
 			for j, idx := range pend {
 				if rows[j] >= 0 {
-					ws.hits[idx] = st.entries[rows[j]]
+					ws.hits[idx] = st.byID[rows[j]]
 				} else {
 					ws.hits[idx] = nil
 				}
@@ -246,13 +246,13 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 		}
 	}
 
-	// Tally counters per batch. Hits that carry a dense row accumulate
+	// Tally counters per batch. Hits that carry a row id accumulate
 	// into the workspace and flush as one atomic add pair per distinct
-	// entry; kinds without a dense row (exact, ternary) fold runs of
+	// entry; kinds without one (exact, ternary) fold runs of
 	// equal entries. Table-level hit/miss counters advance once per
 	// batch. The final counter values are identical to per-packet
 	// Lookup in every case.
-	ws.ensureAgg(len(st.entries))
+	ws.ensureAgg(len(st.byID))
 	touched := ws.touched[:0]
 	var nHits, nMiss uint64
 	var cur *Entry
@@ -291,7 +291,7 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 		atomic.AddUint64(&cur.bytes, curBytes)
 	}
 	for _, row := range touched {
-		e := st.entries[row]
+		e := st.byID[row]
 		atomic.AddUint64(&e.hits, ws.aggHits[row])
 		atomic.AddUint64(&e.bytes, ws.aggBytes[row])
 		ws.aggHits[row], ws.aggBytes[row] = 0, 0

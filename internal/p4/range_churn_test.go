@@ -18,7 +18,7 @@ import (
 // every mutation Lookup, LookupBatch, the linear oracle and Explain must
 // agree on every probe frame, and the per-packet and batched twins must
 // end with identical counters. Run with -race this is the publication
-// proof for the derived range generations.
+// proof for the range generations derived in place.
 func TestRangePointChurnDifferential(t *testing.T) {
 	const width, nRows = 6, 8192
 	key := []FieldSpec{{Name: "k", Offset: 0, Width: width}}
@@ -80,12 +80,26 @@ func TestRangePointChurnDifferential(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				switch op := rng.Intn(8); {
 				case op < 5: // reactive install
-					// Mostly a point row at the top priority (the index is
-					// derived); sometimes a range row (the bitset is recompiled).
+					// Mostly a point row (it joins the index in place); sometimes
+					// a range row (the index is compiled). The point ranks below
+					// every range row (-1), among them (0–3, behind the programmed
+					// rows of its priority) or above them all (4), and lies
+					// inside a range row or on a key a point row already holds
+					// (declined and compiled, whichever of the two outranks the
+					// other) as often as somewhere fresh.
 					e := entryOf(matchtest.Rows(rng, width, 1, 0)[0])
 					if op < 4 {
 						e = entryOf(matchtest.Rows(rng, width, 1, 1)[0])
-						e.Priority = 3
+						if at := prog[rng.Intn(len(prog))]; rng.Intn(2) == 0 {
+							for i := range e.Lo { // a range row's corner, a point row's key
+								e.Lo[i] = at.Lo[i]
+								if rng.Intn(2) == 0 {
+									e.Lo[i] = at.Hi[i]
+								}
+								e.Hi[i] = e.Lo[i]
+							}
+						}
+						e.Priority = rng.Intn(6) - 1
 						pkts[round] = &packet.Packet{Link: packet.LinkEthernet, Bytes: e.Lo} // probe the new row too
 					}
 					for _, tbl := range twins {

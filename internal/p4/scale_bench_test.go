@@ -130,6 +130,39 @@ func BenchmarkRangeLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeInsert measures one reactive install — a point row above
+// everything, as controller.handleDigest installs it — into a detector
+// that already holds rows rows. The table is put back to that size
+// (timer stopped) after every rows/8 installs, 64 at least, so the row
+// count stays within an eighth of the one named. What is left per install
+// is the 8 B/row copy of the sorted entry list and a few fixed-size
+// structs; at a power-of-two row count the hash doubles once per refill.
+func BenchmarkRangeInsert(b *testing.B) {
+	for _, rows := range []int{16, 8192, 131072} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			prog := learnedPlusPoints(rng, rows-16)
+			refill := max(64, rows/8)
+			installs := learnedPlusPoints(rng, refill)[16:]
+			tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%refill == 0 {
+					b.StopTimer()
+					if err := tbl.Replace(prog); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := tbl.Insert(installs[i%refill]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTernaryReplace is the full-swap baseline at 1M entries:
 // validate, copy, sort, and rebuild every partition index.
 func BenchmarkTernaryReplace(b *testing.B) {

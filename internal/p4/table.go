@@ -76,14 +76,21 @@ type Table struct {
 // never observe a partial update. Entry pointers are shared across
 // generations, keeping per-entry hit counters stable over reprogramming.
 type lookupState struct {
-	kind     MatchKind
-	key      []FieldSpec
-	width    int
-	def      Action
-	entries  []*Entry
+	kind    MatchKind
+	key     []FieldSpec
+	width   int
+	def     Action
+	entries []*Entry // match order
+	// byID holds the entries by the row id find resolves a key to, for
+	// the kinds that have one: an LPM row's id is its place in entries, a
+	// range row's the id rangeIdx gave it — its place in entries when the
+	// index was compiled, its arrival order after that. A reactive insert
+	// appends to the array the previous generations still read, past
+	// their lengths.
+	byID     []*Entry
 	exact    map[string]*Entry
 	tstore   *ternaryStore   // partitioned hash-indexed ternary index
-	rangeIdx *match.KeyIndex // compiled range-match index (row i = entries[i])
+	rangeIdx *match.KeyIndex // range-match index (row id i = byID[i])
 	// lpmMasks[i] is entries[i].PrefixLen expanded to a byte mask, so find
 	// tests prefixes with 64-bit lane compares (match.MaskedEqual) instead
 	// of the bit-fiddling prefixMatch loop the oracle keeps.
@@ -309,7 +316,7 @@ func (t *Table) reindex() {
 		st.tstore = buildTernaryStore(merged)
 	case MatchRange:
 		sortByPriority(merged)
-		st.rangeIdx = buildRangeIndex(st.width, merged)
+		st.rangeIdx, st.byID = buildRangeIndex(st.width, merged), merged
 	case MatchLPM:
 		sort.Slice(merged, func(i, j int) bool {
 			if merged[i].PrefixLen != merged[j].PrefixLen {
@@ -321,6 +328,7 @@ func (t *Table) reindex() {
 		for i, e := range merged {
 			st.lpmMasks[i] = prefixMask(st.width, e.PrefixLen)
 		}
+		st.byID = merged
 	}
 	st.entries = merged
 	t.state.Store(st)
@@ -353,6 +361,12 @@ func beats(e, f *Entry) bool {
 	return e.ord < f.ord
 }
 
+// rankOf returns e's place in a priority-sorted list that holds it:
+// (priority, ord) is unique, so the first entry not ahead of e is e.
+func rankOf(entries []*Entry, e *Entry) int {
+	return sort.Search(len(entries), func(i int) bool { return !beats(entries[i], e) })
+}
+
 // buildRangeIndex compiles the priority-sorted range entries into the
 // shared index from internal/match — the same engine the offline rule
 // set classifies with, so table lookups and rule-set classification
@@ -375,9 +389,11 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 }
 
 // reindexWith publishes the generation that gains e. A range table
-// builds it from the previous one: e is binary-inserted into the sorted
-// entry list, and a point row derives the index too (match shares the
-// range bitset). Callers hold t.mu.
+// builds it from the previous one: e is binary-inserted into a copy of
+// the sorted entry list, and a point row joins the index and byID in
+// place, under the id the index gives it (match.KeyIndex.Insert: nothing
+// the previous generations read changes). What the index declines — a
+// range row, a key it already holds — is compiled. Callers hold t.mu.
 func (t *Table) reindexWith(e *Entry) {
 	if t.Kind != MatchRange {
 		t.reindex()
@@ -387,11 +403,15 @@ func (t *Table) reindexWith(e *Entry) {
 	at := sort.Search(len(st.entries), func(i int) bool { return beats(e, st.entries[i]) })
 	next := make([]*Entry, 0, len(st.entries)+1)
 	next = append(append(append(next, st.entries[:at]...), e), st.entries[at:]...)
-	idx := st.rangeIdx.InsertRow(at, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
-	if idx == nil {
-		idx = buildRangeIndex(st.width, next)
+	// Range rows sit in the index in match order: the ones ahead of e are
+	// a prefix of them.
+	above := sort.Search(st.rangeIdx.RangeRows(), func(j int) bool { return beats(e, st.byID[st.rangeIdx.RangeID(j)]) })
+	if idx := st.rangeIdx.Insert(match.RangeRow{Lo: e.Lo, Hi: e.Hi}, above); idx != nil {
+		st.rangeIdx, st.byID = idx, append(st.byID, e)
+	} else {
+		st.rangeIdx, st.byID = buildRangeIndex(st.width, next), next
 	}
-	st.entries, st.rangeIdx = next, idx
+	st.entries = next
 	t.state.Store(&st)
 }
 
@@ -403,11 +423,10 @@ func (t *Table) reindexWithout(e *Entry) {
 		return
 	}
 	st := *t.state.Load()
-	// (priority, ord) is unique, so the first entry not ahead of e is e.
-	at := sort.Search(len(st.entries), func(i int) bool { return !beats(st.entries[i], e) })
+	at := rankOf(st.entries, e)
 	next := make([]*Entry, 0, len(st.entries)-1)
 	next = append(append(next, st.entries[:at]...), st.entries[at+1:]...)
-	st.entries, st.rangeIdx = next, buildRangeIndex(st.width, next)
+	st.entries, st.byID, st.rangeIdx = next, next, buildRangeIndex(st.width, next)
 	t.state.Store(&st)
 }
 
@@ -525,7 +544,7 @@ func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 
 // find resolves one gathered key through the state's index — the single
 // probe Lookup and LookupBatch share. It returns the winning entry (nil
-// on a miss) and its dense row in st.entries, or -1 for the kinds that
+// on a miss) and its row id in st.byID, or -1 for the kinds that
 // resolve without one. scratch (len >= key width) is the ternary
 // store's lane-masking buffer. LPM entries are sorted by descending
 // prefix length, so the first lane-compare hit is the longest prefix.
@@ -543,7 +562,7 @@ func (st *lookupState) find(key, scratch []byte) (*Entry, int32) {
 		}
 	case MatchRange:
 		if row, ok := st.rangeIdx.Find(key); ok {
-			return st.entries[row], int32(row)
+			return st.byID[row], int32(row)
 		}
 	}
 	return nil, -1
@@ -645,15 +664,17 @@ type Stats struct {
 	HitBytes uint64 `json:"hit_bytes"`
 }
 
-// Stats returns a snapshot of the table's counters.
+// Stats returns a snapshot of the table's counters: Entries and HitBytes
+// are of one generation.
 func (t *Table) Stats() Stats {
+	entries := t.state.Load().entries
 	s := Stats{
 		Name:    t.Name,
-		Entries: len(t.state.Load().entries),
+		Entries: len(entries),
 		Hits:    atomic.LoadUint64(&t.hits),
 		Misses:  atomic.LoadUint64(&t.misses),
 	}
-	for _, e := range t.state.Load().entries {
+	for _, e := range entries {
 		s.HitBytes += atomic.LoadUint64(&e.bytes)
 	}
 	return s

@@ -688,6 +688,94 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	wg.Wait()
 }
 
+// TestInstallsNeverServeMixedGeneration: one writer installs 1 200 point
+// rows — below every range row, between them and above them all, most
+// inside a range row or two, across eight doublings of the index's hash —
+// in place in what the readers are reading, while scalar and burst
+// readers forward the frames about to gain a row (run under -race). Every row has its own class and none
+// is removed, so a frame's verdict only ever moves up in match order:
+// when the scan (LookupOracle) names the same row before and after a
+// forward, every generation the forward can have loaded names it too, and
+// the verdict must be that row's.
+func TestInstallsNeverServeMixedGeneration(t *testing.T) {
+	sw := mkSwitch(t)
+	wild := func(pos int, hi byte) ([]byte, []byte) {
+		lo, up := []byte{0, 0, 0}, []byte{255, 255, 255}
+		up[pos] = hi
+		return lo, up
+	}
+	var ranges []p4.Entry
+	for i, pos := range []int{0, 1, 0} {
+		lo, hi := wild(pos, byte(3-i))
+		ranges = append(ranges, p4.Entry{Priority: 4 - 2*i, Lo: lo, Hi: hi, Action: p4.Action{Type: p4.ActionDrop, Class: i + 1}})
+	}
+	if err := sw.ProgramDetector([]int{0, 1, 2}, p4.Action{Type: p4.ActionAllow}, ranges); err != nil {
+		t.Fatal(err)
+	}
+	det, err := sw.Pipeline().Table(DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const installs = 1200
+	frames := make([]*packet.Packet, installs)
+	for i := range frames {
+		frames[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{byte(i % 5), byte(i / 5 % 5), byte(i / 25), 0}}
+	}
+
+	verdictOf := func(act p4.Action, matched bool) p4.Verdict {
+		return p4.Verdict{Allowed: act.Type != p4.ActionDrop, Class: act.Class, Matched: matched}
+	}
+	var stop atomic.Bool
+	var reads [2]atomic.Int64
+	var next atomic.Int64 // the install under way
+	var wg sync.WaitGroup
+	for r, burst := range []int{1, 8} {
+		wg.Add(1)
+		go func(r, burst int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			pkts := make([]*packet.Packet, burst)
+			before := make([]p4.Verdict, burst)
+			for !stop.Load() {
+				for i := range pkts {
+					pkts[i] = frames[(int(next.Load())+rng.Intn(4))%len(frames)]
+					before[i] = verdictOf(det.LookupOracle(pkts[i].Bytes))
+				}
+				got := []p4.Verdict{{}}
+				if burst == 1 {
+					got[0] = sw.Process(pkts[0])
+				} else {
+					got = sw.ProcessBatch(pkts)
+				}
+				for i, pkt := range pkts {
+					if after := verdictOf(det.LookupOracle(pkt.Bytes)); after == before[i] {
+						reads[r].Add(1)
+						if got[i] != after {
+							t.Errorf("burst of %d, frame %x: forwarded %+v, every generation says %+v", burst, pkt.Bytes[:3], got[i], after)
+							return
+						}
+					}
+				}
+			}
+		}(r, burst)
+	}
+	for i, f := range frames {
+		e := p4.Entry{Priority: 2*(i%4) - 1, Lo: f.Bytes[:3], Hi: f.Bytes[:3], Action: p4.Action{Type: p4.ActionDrop, Class: 100 + i}}
+		next.Store(int64(i))
+		if _, err := sw.InsertDetectorEntry(e); err != nil {
+			t.Fatal(err)
+		}
+		for i == len(frames)-1 && (reads[0].Load() == 0 || reads[1].Load() == 0) && !t.Failed() {
+			time.Sleep(time.Millisecond) // a slow start: let each reader check something
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := det.Len(); n != len(ranges)+installs {
+		t.Fatalf("%d rows installed, want %d", n, len(ranges)+installs)
+	}
+}
+
 // TestRepeatedPredicatesOneVerdict: predicates repeated on one offset
 // are a conjunction, so the rule set, the compiled matcher (the
 // controller's mirror) and a switch programmed from the rule set must
