@@ -61,22 +61,7 @@ func BenchmarkDeltaDeploy(b *testing.B) {
 				name = fmt.Sprintf("rows=%d/churn=scattered", rows)
 			}
 			b.Run(name, func(b *testing.B) {
-				c := New(fleetModel{}, Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass}, WithRPCTimeout(5*time.Second))
-				defer func() { _ = c.Close() }()
-				for i := 0; i < 2; i++ {
-					sw, err := switchsim.New(fmt.Sprintf("gw%d", i), packet.LinkEthernet)
-					if err != nil {
-						b.Fatal(err)
-					}
-					srv, err := p4rt.Serve("127.0.0.1:0", sw, time.Millisecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer func() { _ = srv.Close() }()
-					if err := c.ConnectShard(context.Background(), srv.Addr(), i); err != nil {
-						b.Fatal(err)
-					}
-				}
+				c := deployBenchFleet(b, Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass})
 				sets := [2]*rules.RuleSet{}
 				sets[0], sets[1] = deltaBenchRules(rows, scattered)
 				if err := c.Deploy(context.Background(), sets[0]); err != nil {
@@ -95,5 +80,53 @@ func BenchmarkDeltaDeploy(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// deployBenchFleet connects a controller to two fresh switches over
+// loopback TCP, one per shard, all closed when the benchmark ends.
+func deployBenchFleet(b *testing.B, cfg Config) *Controller {
+	c := New(fleetModel{}, cfg, WithRPCTimeout(5*time.Second))
+	b.Cleanup(func() { _ = c.Close() })
+	for i := 0; i < 2; i++ {
+		sw, err := switchsim.New(fmt.Sprintf("gw%d", i), packet.LinkEthernet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := p4rt.Serve("127.0.0.1:0", sw, time.Millisecond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = srv.Close() })
+		if err := c.ConnectShard(context.Background(), srv.Addr(), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
+}
+
+// BenchmarkFullDeploy measures one full swap end to end — plan, compile,
+// frame, and both switches' read, decode, table swap and ack — over
+// loopback TCP to two switches, each sent the whole rule set as perfbench
+// does (default single-shard config). The recorded end-to-end numbers for
+// this path are deploy_ms and deploy_alloc_mb of
+// `bash perfbench/run.sh --workload cold`.
+func BenchmarkFullDeploy(b *testing.B) {
+	for _, rows := range []int{16, 8192} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			c := deployBenchFleet(b, Config{Name: "ctl-bench"})
+			base, _ := deltaBenchRules(rows, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Deploy(context.Background(), base); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := c.Stats(); st.DeltaApplies != 0 {
+				b.Fatalf("%d full deploys made %d delta applies", b.N, st.DeltaApplies)
+			}
+		})
 	}
 }

@@ -12,11 +12,13 @@ import (
 	"p4guard/internal/p4"
 )
 
-// Hand-written framing for every message and a body codec for Program,
-// the one body large enough (647 KB at 8 192 rows) for encoding/json to
-// dominate a push. The wire format is unchanged: what is produced here is
-// byte for byte what the two json.Marshal calls produced, and what is
-// accepted is what json.Unmarshal accepts.
+// Hand-written framing for every message and a codec for Program, the one
+// body large enough (647 KB at 8 192 rows) for encoding/json to dominate a
+// push: an append encoder, and a decoder that reads a program frame once,
+// straight into the rows the switch installs. The wire format is
+// unchanged: what is produced here is byte for byte what the two
+// json.Marshal calls produced, and what is accepted is what
+// json.Unmarshal accepts.
 //
 // The rule that keeps the two in step: the single-pass routes handle only
 // the canonical form this package emits — keys in struct order, no
@@ -290,6 +292,22 @@ func (s *scanner) need(l string) {
 	}
 }
 
+// is and must are lit and need for a single byte, which is most of what a
+// row is punctuated with: a compare, not a call.
+func (s *scanner) is(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+func (s *scanner) must(c byte) {
+	if !s.is(c) {
+		s.bad = true
+	}
+}
+
 // uint consumes a run of digits: "0", or up to 20 digits with no leading
 // zero whose value fits a uint64.
 func (s *scanner) uint() uint64 {
@@ -313,7 +331,7 @@ func (s *scanner) uint() uint64 {
 // int consumes an integer that fits an int. "-0" is valid JSON this
 // package never writes, so it takes the encoding/json route.
 func (s *scanner) int() int {
-	neg := s.lit("-")
+	neg := s.is('-')
 	u := s.uint()
 	limit := uint64(math.MaxInt)
 	if neg {
@@ -331,161 +349,244 @@ func (s *scanner) int() int {
 // str consumes a quoted string of plain bytes and returns its contents,
 // aliasing the input.
 func (s *scanner) str() []byte {
-	s.need(`"`)
+	s.must('"')
 	b, i := s.b, s.i
 	for i < len(b) && plain[b[i]] {
 		i++
 	}
 	out := b[s.i:i]
 	s.i = i
-	s.need(`"`)
+	s.must('"')
 	return out
 }
 
-// b64 consumes a base64 string into a new slice of exactly the decoded
-// size: the switch keeps these slices for as long as the entry lives.
-func (s *scanner) b64() []byte {
-	src := s.str()
-	pad := 0
-	for pad < len(src) && src[len(src)-1-pad] == '=' {
-		pad++
-	}
-	if s.bad || len(src)%4 != 0 || pad > 2 {
-		s.bad = true
-		return nil
-	}
-	dst := make([]byte, len(src)/4*3-pad)
-	if n, err := base64.StdEncoding.Decode(dst, src); err != nil || n != len(dst) {
-		s.bad = true
-	}
-	return dst
-}
-
-// optInt and optBytes consume one of the WireEntry fields ahead of
-// "action" — key, value, comma — if it is next.
+// optInt consumes one of the integer fields ahead of "action" — key,
+// value, comma — if it is next.
 func (s *scanner) optInt(key string, dst *int) {
 	if s.lit(key) {
 		*dst = s.int()
-		s.need(",")
+		s.must(',')
 	}
 }
 
-func (s *scanner) optBytes(key string, dst *[]byte) {
-	if s.lit(key) {
-		*dst = s.b64()
-		s.need(",")
+// optKey consumes one of the base64 fields ahead of "action" — key, quoted
+// text, comma — if it is next, and returns the text between the quotes
+// where it lies in the frame: nil for an absent field, empty but not nil
+// for "". What the text holds is decodeKey's to judge.
+func (s *scanner) optKey(key string) []byte {
+	if !s.lit(key) {
+		return nil
 	}
+	s.must('"')
+	b, i := s.b, s.i
+	for i < len(b) && b[i] != '"' {
+		i++
+	}
+	txt := b[s.i:i]
+	s.i = i
+	s.must('"')
+	s.must(',')
+	return txt
 }
 
-// actionNames lets action decode to a shared string instead of allocating
-// one per entry.
-var actionNames = [...]string{
-	FormatAction(p4.ActionAllow), FormatAction(p4.ActionDrop), FormatAction(p4.ActionDigest),
-	FormatAction(p4.ActionSetClass), FormatAction(p4.ActionNop),
-}
+// b64dec maps a byte of the standard base64 alphabet to its six bits and
+// every other byte to 0xff.
+var b64dec = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" {
+		t[c] = byte(i)
+	}
+	return t
+}()
 
-func (s *scanner) action() string {
-	b := s.str()
-	for _, a := range actionNames {
-		if string(b) == a {
-			return a
+// keyLen is the number of bytes padded base64 text decodes to, going by
+// its length and trailing '='; ok is false for text that is not a whole
+// number of quanta.
+func keyLen(txt []byte) (n int, ok bool) {
+	if len(txt)%4 != 0 {
+		return 0, false
+	}
+	n = len(txt) / 4 * 3
+	if n > 0 && txt[len(txt)-1] == '=' {
+		n--
+		if txt[len(txt)-2] == '=' {
+			n--
 		}
 	}
-	return string(b)
+	return n, true
+}
+
+// decodeKey decodes txt, of which keyLen(txt) is len(dst), into dst. It
+// accepts what base64.StdEncoding does of text without line breaks (which
+// a JSON string cannot hold): alphabet bytes only, '=' only as the final
+// quantum's padding, unused low bits ignored.
+func decodeKey(dst, txt []byte) bool {
+	var seen byte // 0xff once any byte was outside the alphabet
+	i, j := 0, 0
+	for ; i+3 <= len(dst); i, j = i+3, j+4 {
+		q := txt[j : j+4]
+		a, b, c, d := b64dec[q[0]], b64dec[q[1]], b64dec[q[2]], b64dec[q[3]]
+		seen |= a | b | c | d
+		o := dst[i : i+3]
+		o[0], o[1], o[2] = a<<2|b>>4, b<<4|c>>2, c<<6|d
+	}
+	switch len(dst) - i { // the padded quantum, if there is one
+	case 2:
+		a, b, c := b64dec[txt[j]], b64dec[txt[j+1]], b64dec[txt[j+2]]
+		seen |= a | b | c
+		dst[i], dst[i+1] = a<<2|b>>4, b<<4|c>>2
+	case 1:
+		a, b := b64dec[txt[j]], b64dec[txt[j+1]]
+		seen |= a | b
+		dst[i] = a<<2 | b>>4
+	}
+	return seen < 64
+}
+
+// action consumes a quoted action name. A name the protocol does not
+// define is not canonical: the encoding/json route reports it.
+func (s *scanner) action() p4.ActionType {
+	t, ok := actionType(string(s.str()))
+	s.bad = s.bad || !ok
+	return t
 }
 
 func (s *scanner) ints() []int {
 	if s.lit("null") {
 		return nil
 	}
-	s.need("[")
+	s.must('[')
 	out := []int{}
-	if s.lit("]") {
+	if s.is(']') {
 		return out
 	}
 	for !s.bad {
 		out = append(out, s.int())
-		if !s.lit(",") {
+		if !s.is(',') {
 			break
 		}
 	}
-	s.need("]")
+	s.must(']')
 	return out
 }
 
-func (s *scanner) entries() []WireEntry {
+// row consumes one entry object into e. The key fields' bytes go into one
+// allocation of exactly their decoded size, shared through capped slices:
+// they belong to the entry alone and never alias the frame.
+func (s *scanner) row(e *p4.Entry) {
+	s.must('{')
+	s.optInt(keyPriority, &e.Priority)
+	var txt [4][]byte // value, mask, lo, hi
+	txt[0] = s.optKey(keyValue)
+	txt[1] = s.optKey(keyMask)
+	s.optInt(keyPrefixLen, &e.PrefixLen)
+	txt[2] = s.optKey(keyLo)
+	txt[3] = s.optKey(keyHi)
+	s.need(keyAction)
+	e.Action.Type = s.action()
+	if s.lit(keyClass) {
+		e.Action.Class = s.int()
+	}
+	s.must('}')
+
+	var size [4]int
+	total := 0
+	for i, t := range txt {
+		n, ok := keyLen(t)
+		s.bad = s.bad || !ok
+		size[i] = n
+		total += n
+	}
+	if s.bad {
+		return
+	}
+	buf := make([]byte, total)
+	for i, dst := range [4]*[]byte{&e.Value, &e.Mask, &e.Lo, &e.Hi} {
+		if txt[i] == nil {
+			continue
+		}
+		n := size[i]
+		s.bad = s.bad || !decodeKey(buf[:n], txt[i])
+		*dst, buf = buf[:n:n], buf[n:]
+	}
+}
+
+// rows consumes the entry list into the form the table installs. The
+// slice starts at 16 rows and is then sized from the rows read so far —
+// their mean length into the bytes left, plus a sixteenth — at least
+// doubling when that falls short, and never past what the bytes left
+// could hold, so a hostile body cannot inflate it: no entry is shorter
+// than minEntry bytes.
+func (s *scanner) rows() []p4.Entry {
+	out := []p4.Entry{}
 	if s.lit("null") {
-		return nil
+		return out
 	}
-	s.need("[")
-	if s.lit("]") {
-		return []WireEntry{}
+	s.must('[')
+	if s.is(']') {
+		return out
 	}
-	// One '{' per canonical entry sizes the slice once. A hostile body
-	// cannot inflate it: no entry is shorter than minEntry bytes.
 	const minEntry = len(`{"action":""},`)
-	rest := s.b[s.i:]
-	out := make([]WireEntry, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minEntry+1))
+	start := s.i
 	for !s.bad {
-		var e WireEntry
-		s.need("{")
-		s.optInt(keyPriority, &e.Priority)
-		s.optBytes(keyValue, &e.Value)
-		s.optBytes(keyMask, &e.Mask)
-		s.optInt(keyPrefixLen, &e.PrefixLen)
-		s.optBytes(keyLo, &e.Lo)
-		s.optBytes(keyHi, &e.Hi)
-		s.need(keyAction)
-		e.Action = s.action()
-		if s.lit(keyClass) {
-			e.Class = s.int()
+		if n := len(out); n == cap(out) {
+			left := len(s.b) - s.i
+			more := 16 // enough rows to tell their mean length by
+			if n > 0 {
+				more = left/((s.i-start)/n) + 1
+				more = max(more+more/16, n)
+			}
+			grown := make([]p4.Entry, n, n+min(more, left/minEntry+1))
+			copy(grown, out)
+			out = grown
 		}
-		s.need("}")
-		out = append(out, e)
-		if !s.lit(",") {
+		out = out[:len(out)+1]
+		s.row(&out[len(out)-1])
+		if !s.is(',') {
 			break
 		}
 	}
-	s.need("]")
+	s.must(']')
 	return out
 }
 
-// parseProgram is the single-pass route of decodeProgram. ok is false for
-// anything but a canonical Program body, valid or not.
-func parseProgram(body []byte) (p Program, ok bool) {
+// programRows is a Program in the form the switch installs, which is what
+// the single-pass route decodes a program frame into.
+type programRows struct {
+	offsets         []int
+	def             p4.Action
+	entries         []p4.Entry
+	traceID, spanID uint64
+}
+
+// parseProgramRows is the single-pass route for a program body: nil for
+// anything but a canonical Program whose every action the protocol names,
+// valid or not. Accepting proves that body is exactly one JSON object.
+func parseProgramRows(body []byte) *programRows {
 	s := scanner{b: body}
+	p := &programRows{}
 	s.need(keyOffsets)
-	p.Offsets = s.ints()
+	p.offsets = s.ints()
 	s.need(keyDefaultAction)
-	p.DefaultAction = s.action()
+	p.def.Type = s.action()
 	if s.lit(keyDefaultClass) {
-		p.DefaultClass = s.int()
+		p.def.Class = s.int()
 	}
 	s.need(keyEntries)
-	p.Entries = s.entries()
+	p.entries = s.rows()
 	if s.lit(keyTraceID) {
-		p.TraceID = s.uint()
+		p.traceID = s.uint()
 	}
 	if s.lit(keySpanID) {
-		p.SpanID = s.uint()
+		p.spanID = s.uint()
 	}
-	s.need("}")
-	return p, !s.bad && s.i == len(body)
-}
-
-// decodeProgram decodes a Program body exactly as json.Unmarshal(body, dst)
-// would. json.Unmarshal merges into what dst already holds, so the
-// single-pass route, which builds a whole value, serves a zero dst only.
-func decodeProgram(body []byte, dst *Program) error {
-	zero := dst.Offsets == nil && dst.Entries == nil && dst.DefaultAction == "" &&
-		dst.DefaultClass == 0 && dst.TraceID == 0 && dst.SpanID == 0
-	if zero {
-		if p, ok := parseProgram(body); ok {
-			*dst = p
-			return nil
-		}
+	s.must('}')
+	if s.bad || s.i != len(body) {
+		return nil
 	}
-	return json.Unmarshal(body, dst)
+	return p
 }
 
 // valueEnd returns the index just past the JSON value starting at b[i],
@@ -533,10 +634,17 @@ func valueEnd(b []byte, i int) int {
 	return len(b)
 }
 
-// splitEnvelope is the single-pass route of ReadMsg: it takes the
+// splitEnvelope is the single-pass route of readMsg: it takes the
 // envelope apart where it lies, Body aliasing buf. ok is false for
 // anything but the canonical {"type":…[,"id":…][,"body":…]}.
-func splitEnvelope(buf []byte) (env Envelope, ok bool) {
+//
+// The envelope this package writes has body last, so a program body is
+// tried as everything up to the frame's closing brace, and decoded on the
+// spot: parseProgramRows accepts only if those bytes are exactly one
+// object, which is the proof that they are the body. When it declines —
+// members after body, whitespace, anything not canonical — rows is nil,
+// the extent comes from valueEnd and encoding/json decodes the body later.
+func splitEnvelope(buf []byte) (env Envelope, rows *programRows, ok bool) {
 	s := scanner{b: buf}
 	s.need(`{"type":`)
 	typ := s.str()
@@ -544,14 +652,20 @@ func splitEnvelope(buf []byte) (env Envelope, ok bool) {
 		env.ID = s.uint()
 	}
 	if s.lit(`,"body":`) {
+		if last := len(buf) - 1; !s.bad && string(typ) == string(TypeProgram) && buf[last] == '}' {
+			if rows = parseProgramRows(buf[s.i:last]); rows != nil {
+				env.Type, env.Body = TypeProgram, buf[s.i:last:last]
+				return env, rows, true
+			}
+		}
 		end := valueEnd(buf, s.i)
 		s.bad = s.bad || end == s.i
 		env.Body, s.i = buf[s.i:end:end], end
 	}
-	s.need("}")
+	s.must('}')
 	if s.bad || s.i != len(buf) {
-		return Envelope{}, false
+		return Envelope{}, nil, false
 	}
 	env.Type = MsgType(typ)
-	return env, true
+	return env, nil, true
 }

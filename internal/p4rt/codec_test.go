@@ -2,6 +2,7 @@ package p4rt
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -153,6 +154,50 @@ func randProgram(rng *rand.Rand, plainOnly bool) Program {
 	return p
 }
 
+// refRows is the oracle of the frame → rows route: encoding/json takes the
+// envelope and the body apart, Program.rows converts with ToP4Entry row by
+// row. decodeErr is what encoding/json said; convErr the first action
+// without a p4 type.
+func refRows(buf []byte) (env Envelope, rows *programRows, decodeErr, convErr error) {
+	var p Program
+	if decodeErr = json.Unmarshal(buf, &env); decodeErr == nil {
+		decodeErr = json.Unmarshal(env.Body, &p)
+	}
+	if decodeErr != nil {
+		return env, nil, decodeErr, nil
+	}
+	rows, convErr = p.rows()
+	return env, rows, nil, convErr
+}
+
+// readRows reads one program frame the way the agent does: readMsg, and
+// for a frame the single pass declined, DecodeBody and Program.rows.
+func readRows(r io.Reader) (env Envelope, rows *programRows, single bool, decodeErr, convErr error) {
+	env, rows, decodeErr = readMsg(r)
+	if decodeErr != nil || rows != nil {
+		return env, rows, rows != nil, decodeErr, nil
+	}
+	var p Program
+	if decodeErr = DecodeBody(env, &p); decodeErr != nil {
+		return env, nil, false, decodeErr, nil
+	}
+	rows, convErr = p.rows()
+	return env, rows, false, nil, convErr
+}
+
+// sameRows compares decoded programs; an entry list is empty or not, the
+// table draws no line between null and [].
+func sameRows(a, b *programRows) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	x, y := *a, *b
+	if len(x.entries) == 0 && len(y.entries) == 0 {
+		x.entries, y.entries = nil, nil
+	}
+	return reflect.DeepEqual(x, y)
+}
+
 func programIsPlain(p Program) bool {
 	ok := plainString(p.DefaultAction)
 	for _, e := range p.Entries {
@@ -161,44 +206,114 @@ func programIsPlain(p Program) bool {
 	return ok
 }
 
+// programIsCanonical: nothing to escape and every action one the protocol
+// names — what the frame → rows route decodes itself.
+func programIsCanonical(p Program) bool {
+	_, err := ParseAction(p.DefaultAction)
+	for _, e := range p.Entries {
+		if err == nil {
+			_, err = ParseAction(e.Action)
+		}
+	}
+	return err == nil && programIsPlain(p)
+}
+
 // TestProgramFrameMatchesEncodingJSON is the differential test of the
 // Program codec: frames equal the two-marshal reference byte for byte,
-// decoding equals json.Unmarshal, and a program with nothing to escape
-// really takes the single-pass routes (so neither check is vacuous).
+// frame → rows equals json.Unmarshal + ToP4Entry, and a program in the
+// canonical form really takes the single-pass routes (so neither check is
+// vacuous).
 func TestProgramFrameMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}}}
+	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}},
+		{DefaultAction: "nop"}, {DefaultAction: "allow", Offsets: []int{}, Entries: []WireEntry{}}}
 	for i := 0; i < 400; i++ {
-		progs = append(progs, randProgram(rng, i%2 == 0))
+		p := randProgram(rng, i%2 == 0)
+		if i%4 == 0 { // known actions only: these are the ones the single pass decodes
+			p.DefaultAction = testActions[rng.Intn(5)]
+			for j := range p.Entries {
+				p.Entries[j].Action = testActions[rng.Intn(5)]
+			}
+		}
+		progs = append(progs, p)
 	}
+	singles := 0
 	for i, p := range progs {
 		isPlain := programIsPlain(p)
 		if _, direct := programLen(&p); direct != isPlain {
 			t.Fatalf("program %d: encoder took the codec = %v, want %v", i, direct, isPlain)
 		}
-		env := checkFrame(t, TypeProgram, uint64(i), p)
+		checkFrame(t, TypeProgram, uint64(i), p)
 
-		var want Program
-		if err := json.Unmarshal(env.Body, &want); err != nil {
-			t.Fatalf("program %d: reference decode: %v", i, err)
+		frame := refFrame(t, TypeProgram, uint64(i), p)
+		_, want, wantErr, wantConv := refRows(frame[4:])
+		if wantErr != nil {
+			t.Fatalf("program %d: reference decode: %v", i, wantErr)
 		}
-		if _, single := parseProgram(env.Body); single != isPlain {
-			t.Fatalf("program %d: decoder took the single pass = %v, want %v\n%s", i, single, isPlain, env.Body)
+		env, got, single, err, conv := readRows(bytes.NewReader(frame))
+		if err != nil || env.Type != TypeProgram || env.ID != uint64(i) {
+			t.Fatalf("program %d: read as (%s, %d): %v", i, env.Type, env.ID, err)
 		}
-		var got Program
-		if err := DecodeBody(env, &got); err != nil {
-			t.Fatalf("program %d: DecodeBody: %v", i, err)
+		if single != programIsCanonical(p) {
+			t.Fatalf("program %d: decoder took the single pass = %v\n%s", i, single, frame[4:])
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("program %d: DecodeBody differs from json.Unmarshal\n got %+v\nwant %+v", i, got, want)
+		if fmt.Sprint(conv) != fmt.Sprint(wantConv) || !sameRows(got, want) {
+			t.Fatalf("program %d: frame → rows differs from json.Unmarshal + ToP4Entry\n got %+v (%v)\nwant %+v (%v)", i, got, conv, want, wantConv)
 		}
-		// Memory rule (b): what the table keeps is allocated at its size.
-		for _, e := range got.Entries {
+		if !single {
+			continue
+		}
+		singles++
+		// Memory rule (b): what the table keeps is allocated at its size
+		// and is no part of the frame.
+		for _, e := range got.entries {
 			for _, k := range [][]byte{e.Value, e.Mask, e.Lo, e.Hi} {
-				if isPlain && cap(k) != len(k) {
+				if cap(k) != len(k) {
 					t.Fatalf("program %d: decoded key has cap %d for len %d", i, cap(k), len(k))
 				}
 			}
+		}
+	}
+	if singles < len(progs)/8 {
+		t.Fatalf("only %d of %d programs took the single pass", singles, len(progs))
+	}
+}
+
+// TestDecodeKeyMatchesStdEncoding: key text is decoded by hand, so its
+// accepted set is checked against base64.StdEncoding directly — every
+// string of up to one quantum over an alphabet of valid, padding and
+// hostile bytes, and random longer ones. Line breaks are the one thing
+// StdEncoding skips that a JSON string cannot hold: those must be refused.
+func TestDecodeKeyMatchesStdEncoding(t *testing.T) {
+	alphabet := []byte("AQz9+/=*-_ \n\r\"\\\xff")
+	check := func(txt []byte) {
+		want, err := base64.StdEncoding.DecodeString(string(txt))
+		wantOK := err == nil && !bytes.ContainsAny(txt, "\r\n")
+		n, ok := keyLen(txt)
+		got := make([]byte, n)
+		ok = ok && decodeKey(got, txt)
+		if ok != wantOK || ok && !bytes.Equal(got, want) {
+			t.Fatalf("decodeKey(%q) = %x, %v; StdEncoding: %x, %v", txt, got, ok, want, err)
+		}
+	}
+	var txt [4]byte
+	for n := 0; n <= len(txt); n++ {
+		for i, combos := 0, int(math.Pow(float64(len(alphabet)), float64(n))); i < combos; i++ {
+			for j, v := 0, i; j < n; j, v = j+1, v/len(alphabet) {
+				txt[j] = alphabet[v%len(alphabet)]
+			}
+			check(txt[:n])
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 20000; i++ {
+		raw := make([]byte, rng.Intn(24))
+		rng.Read(raw)
+		long := []byte(base64.StdEncoding.EncodeToString(raw))
+		check(long)
+		if len(long) > 0 {
+			long[rng.Intn(len(long))] = pick(rng, alphabet)
+			check(long)
 		}
 	}
 }
@@ -303,6 +418,11 @@ func programFrameCases() map[string][]byte {
 		"delta-frame": rawFrame(`{"type":"delta","id":9,"body":{"offsets":[0],"default_action":"allow","base_count":1,` +
 			`"base_hash":7,"deletes":[0],"adds":[{"entry":` + entry + `,"order":0}]}}`),
 	}
+	// The envelopes that test where a body ends; TestRecordedFrameAnswers
+	// holds what each one did before the decoder settled that.
+	for name, rec := range recordedFrames {
+		cases["extent-"+name] = rawFrame(rec.frame)
+	}
 	truncated := body(`{"offsets":[0],"default_action":"allow","entries":[` + entry + `]}`)
 	cases["truncated-frame"] = truncated[:len(truncated)-9]
 	cases["after-frame"] = append(body(`{"offsets":[0],"default_action":"allow","entries":[]}`), "next frame"...)
@@ -313,12 +433,14 @@ func programFrameCases() map[string][]byte {
 }
 
 // checkProgramFrame reads data as one framed Program both ways — the
-// package's ReadMsg+DecodeBody and a plain encoding/json reference — and
-// fails on any disagreement:
-//   - whenever a single-pass route accepts, encoding/json accepts and
-//     yields the same value;
+// agent's route (readMsg, then DecodeBody + Program.rows for what the
+// single pass declined) and a plain encoding/json + ToP4Entry reference —
+// and fails on any disagreement:
+//   - whenever the single-pass route accepts, encoding/json accepts and
+//     yields the same rows;
 //   - whenever encoding/json rejects, the frame is rejected with
-//     ErrMalformed (at ReadMsg or at DecodeBody);
+//     ErrMalformed (at readMsg or at DecodeBody);
+//   - an action without a p4 type is the same error on both;
 //   - transport-level failures (short header, truncated or oversized
 //     frame) stay what they were;
 //   - decoding allocates no more than a small multiple of the frame.
@@ -326,11 +448,7 @@ func checkProgramFrame(t *testing.T, data []byte) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	env, err := ReadMsg(bytes.NewReader(data))
-	var got Program
-	if err == nil {
-		err = DecodeBody(env, &got)
-	}
+	env, got, single, err, conv := readRows(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 
 	if len(data) < 4 {
@@ -362,36 +480,26 @@ func checkProgramFrame(t *testing.T, data []byte) {
 	}
 	buf := data[4 : 4+n]
 
-	var wantEnv Envelope
-	var want Program
-	wantErr := json.Unmarshal(buf, &wantEnv)
-	if wantErr == nil {
-		wantErr = json.Unmarshal(wantEnv.Body, &want)
-	}
+	wantEnv, want, wantErr, wantConv := refRows(buf)
 	switch {
 	case wantErr != nil && !errors.Is(err, ErrMalformed):
 		t.Fatalf("encoding/json rejects the frame (%v) but err = %v, want ErrMalformed", wantErr, err)
 	case wantErr == nil && err != nil:
 		t.Fatalf("encoding/json accepts the frame but err = %v", err)
-	case wantErr == nil && (env.Type != wantEnv.Type || env.ID != wantEnv.ID || !reflect.DeepEqual(got, want)):
-		t.Fatalf("decoded (%s, %d, %+v), encoding/json decodes (%s, %d, %+v)", env.Type, env.ID, got, wantEnv.Type, wantEnv.ID, want)
+	case wantErr == nil && (env.Type != wantEnv.Type || env.ID != wantEnv.ID || fmt.Sprint(conv) != fmt.Sprint(wantConv) || !sameRows(got, want)):
+		t.Fatalf("decoded (%s, %d, %+v, %v), encoding/json decodes (%s, %d, %+v, %v)",
+			env.Type, env.ID, got, conv, wantEnv.Type, wantEnv.ID, want, wantConv)
+	}
+	if single && (wantErr != nil || wantConv != nil || env.Type != TypeProgram || !bytes.Equal(env.Body, wantEnv.Body)) {
+		t.Fatalf("the single pass accepted a frame encoding/json reads as (%s, %q, %v, %v)", wantEnv.Type, wantEnv.Body, wantErr, wantConv)
 	}
 
-	// The single-pass routes on their own: accepting is a claim that
+	// The envelope route on its own: accepting is a claim that
 	// encoding/json agrees.
-	if fast, ok := splitEnvelope(buf); ok {
+	if fast, _, ok := splitEnvelope(buf); ok {
 		var ref Envelope
 		if json.Unmarshal(buf, &ref) == nil && !reflect.DeepEqual(fast, ref) {
 			t.Fatalf("splitEnvelope = %+v, encoding/json = %+v", fast, ref)
-		}
-		if p, ok := parseProgram(fast.Body); ok {
-			var refProg Program
-			if err := json.Unmarshal(fast.Body, &refProg); err != nil {
-				t.Fatalf("parseProgram accepts a body encoding/json rejects: %v", err)
-			}
-			if !reflect.DeepEqual(p, refProg) {
-				t.Fatalf("parseProgram = %+v, encoding/json = %+v", p, refProg)
-			}
 		}
 	}
 }
@@ -404,20 +512,14 @@ func TestProgramFrameCases(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkProgramFrame(t, data) })
 	}
 	singlePass := map[string]bool{"canonical": true, "null-lists": true, "base64-loose-bits": true, "base64-empty": true,
-		"int-min": true, "after-frame": true}
+		"int-min": true, "after-frame": true, "extent-canonical-two-rows": true, "extent-wide-and-narrow-keys": true}
 	for name, data := range cases {
 		if len(data) < 4 || int(binary.BigEndian.Uint32(data)) > len(data)-4 {
 			continue
 		}
 		buf := data[4 : 4+binary.BigEndian.Uint32(data)]
-		env, ok := splitEnvelope(buf)
-		if ok && env.Type == TypeProgram {
-			_, ok = parseProgram(env.Body)
-		} else {
-			ok = false
-		}
-		if ok != singlePass[name] {
-			t.Errorf("%s: single-pass route accepted = %v", name, ok)
+		if _, rows, _ := splitEnvelope(buf); (rows != nil) != singlePass[name] {
+			t.Errorf("%s: single-pass route accepted = %v", name, rows != nil)
 		}
 	}
 }
@@ -482,7 +584,8 @@ func FuzzReadProgramFrame(f *testing.F) {
 }
 
 // benchProgram is shaped like what the controller deploys: range rows on
-// a 6-byte key, descending priorities, drop/allow by class.
+// a 6-byte key — a few learned ranges, then points — descending
+// priorities, drop/allow by class.
 func benchProgram(rows int) Program {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	p := Program{Offsets: []int{23, 34, 35, 36, 37, 46}, DefaultAction: "digest", Entries: make([]WireEntry, rows)}
@@ -490,6 +593,12 @@ func benchProgram(rows int) Program {
 		lo, hi := make([]byte, 6), make([]byte, 6)
 		rng.Read(lo)
 		rng.Read(hi)
+		for j := range lo { // a range the table accepts
+			lo[j], hi[j] = min(lo[j], hi[j]), max(lo[j], hi[j])
+		}
+		if i >= 16 { // and past a handful of learned ranges, the point rows reactive installs leave
+			copy(hi, lo)
+		}
 		p.Entries[i] = WireEntry{Priority: rows - i, Lo: lo, Hi: hi, Action: "allow"}
 		if i%3 == 0 {
 			p.Entries[i].Action, p.Entries[i].Class = "drop", 1
@@ -498,8 +607,9 @@ func benchProgram(rows int) Program {
 	return p
 }
 
-// BenchmarkProgramFrame measures one Program frame through WriteMsg
-// (encode) and through ReadMsg+DecodeBody (decode) on one P.
+// BenchmarkProgramFrame measures one Program frame on one P: through
+// WriteMsg (encode), through readMsg into the rows the table installs
+// (decode), and from the frame to a programmed detector table (apply).
 func BenchmarkProgramFrame(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, rows := range []int{16, 8192} {
@@ -520,13 +630,21 @@ func BenchmarkProgramFrame(b *testing.B) {
 			r := bytes.NewReader(frame)
 			for i := 0; i < b.N; i++ {
 				r.Reset(frame)
-				env, err := ReadMsg(r)
-				if err != nil {
-					b.Fatal(err)
+				_, got, err := readMsg(r)
+				if err != nil || got == nil || len(got.entries) != rows {
+					b.Fatalf("decode: %v (%+v)", err, got)
 				}
-				var got Program
-				if err := DecodeBody(env, &got); err != nil || len(got.Entries) != rows {
-					b.Fatalf("decode: %v (%d entries)", err, len(got.Entries))
+			}
+		})
+		b.Run(fmt.Sprintf("apply/rows=%d", rows), func(b *testing.B) {
+			s := &Server{sw: newTestSwitch(b)}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			r := bytes.NewReader(frame)
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame)
+				if resp := applyFrame(b, s, r); !resp.OK || resp.Installed != rows {
+					b.Fatalf("apply: %+v", resp)
 				}
 			}
 		})

@@ -12,20 +12,28 @@ func FormatAction(t p4.ActionType) string { return t.String() }
 
 // ParseAction parses a wire action name.
 func ParseAction(s string) (p4.ActionType, error) {
+	if t, ok := actionType(s); ok {
+		return t, nil
+	}
+	return 0, fmt.Errorf("p4rt: unknown action %q", s)
+}
+
+// actionType is ParseAction for the frame decoder, which has a name where
+// it lies in the frame and no use for an error that quotes it.
+func actionType(s string) (p4.ActionType, bool) {
 	switch s {
 	case "allow":
-		return p4.ActionAllow, nil
+		return p4.ActionAllow, true
 	case "drop":
-		return p4.ActionDrop, nil
+		return p4.ActionDrop, true
 	case "digest":
-		return p4.ActionDigest, nil
+		return p4.ActionDigest, true
 	case "set_class":
-		return p4.ActionSetClass, nil
+		return p4.ActionSetClass, true
 	case "nop":
-		return p4.ActionNop, nil
-	default:
-		return 0, fmt.Errorf("p4rt: unknown action %q", s)
+		return p4.ActionNop, true
 	}
+	return 0, false
 }
 
 // ToP4Entry converts a wire entry to a p4 table entry.
@@ -43,6 +51,30 @@ func (w WireEntry) ToP4Entry() (p4.Entry, error) {
 		Hi:        w.Hi,
 		Action:    p4.Action{Type: at, Class: w.Class},
 	}, nil
+}
+
+// rows converts a Program that encoding/json decoded into the form the
+// switch installs, the one the single-pass route produces directly. The
+// first action without a p4 type, the default's before any entry's, is
+// the error.
+func (p *Program) rows() (*programRows, error) {
+	def, err := ParseAction(p.DefaultAction)
+	if err != nil {
+		return nil, err
+	}
+	out := &programRows{
+		offsets: p.Offsets,
+		def:     p4.Action{Type: def, Class: p.DefaultClass},
+		entries: make([]p4.Entry, len(p.Entries)),
+		traceID: p.TraceID,
+		spanID:  p.SpanID,
+	}
+	for i := range p.Entries {
+		if out.entries[i], err = p.Entries[i].ToP4Entry(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // WireFromP4Entry converts a p4 table entry to wire form.

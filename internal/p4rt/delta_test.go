@@ -325,16 +325,20 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	}
 	wantCount, wantHash := det.ProgramSignature()
 
+	// Both refused programs reach the table: their frames are canonical, so
+	// the agent decodes them on the single-pass route, and it is the table
+	// that refuses the rows.
+	program := func(p Program) func() error {
+		singlePassFrame(t, p)
+		return func() error {
+			_, err := cl.ProgramDetector(ctx, p)
+			return err
+		}
+	}
 	refusals := map[string]func() error{
-		"program, layout change": func() error {
-			_, err := cl.ProgramDetector(ctx, Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries})
-			return err
-		},
-		"program, same layout": func() error {
-			_, err := cl.ProgramDetector(ctx, Program{Offsets: []int{0}, DefaultAction: "allow",
-				Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}})
-			return err
-		},
+		"program, layout change": program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries}),
+		"program, same layout": program(Program{Offsets: []int{0}, DefaultAction: "allow",
+			Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}}),
 		"delta, wrong base": func() error {
 			_, err := cl.ProgramDelta(ctx, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 99})
 			return err

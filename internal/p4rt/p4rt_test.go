@@ -222,6 +222,34 @@ func TestDigestDelivery(t *testing.T) {
 	}
 }
 
+// TestIdlePumpTickAllocatesNothing: with nothing queued — nearly every
+// tick of an idle daemon — the pump must not list connections (an
+// allocation, under the server lock); with a digest queued the same tick
+// delivers it to the controller that has said hello and to no other.
+func TestIdlePumpTickAllocatesNothing(t *testing.T) {
+	sw := newTestSwitch(t)
+	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ready, greeting := &memConn{}, &memConn{}
+	s := &Server{sw: sw, conns: map[net.Conn]*connState{ready: {ready: true}, greeting: {}}}
+	if allocs := testing.AllocsPerRun(100, s.pumpDigests); allocs != 0 {
+		t.Fatalf("an idle pump tick allocates %.0f times", allocs)
+	}
+	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{1, 2, 3}})
+	s.pumpDigests()
+	env, err := ReadMsg(&ready.out)
+	if err != nil || env.Type != TypeDigest {
+		t.Fatalf("queued digest not pumped to the ready controller: %q, %v", env.Type, err)
+	}
+	if greeting.out.Len() != 0 {
+		t.Fatal("a digest reached a connection before its hello_ack")
+	}
+	if depth := sw.DigestQueueStats().Depth; depth != 0 {
+		t.Fatalf("%d digests still queued after the tick", depth)
+	}
+}
+
 func TestClientCloseIdempotent(t *testing.T) {
 	_, _, cl := startPair(t, nil)
 	if err := cl.Close(); err != nil {

@@ -176,7 +176,7 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	for {
-		env, err := ReadMsg(conn)
+		env, rows, err := readMsg(conn)
 		if err != nil {
 			return
 		}
@@ -195,12 +195,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			continue
 		case TypeProgram:
 			s.programs.Add(1)
-			var prog Program
-			if err := DecodeBody(env, &prog); err != nil {
-				resp = Response{Error: err.Error()}
-				break
-			}
-			resp = s.applyProgram(prog)
+			resp = s.applyProgram(env, rows)
 		case TypeDelta:
 			s.deltas.Add(1)
 			var d DeltaMsg
@@ -264,30 +259,31 @@ func (s *Server) send(conn net.Conn, typ MsgType, id uint64, body any) error {
 	return writeFrame(conn, frame)
 }
 
-func (s *Server) applyProgram(prog Program) Response {
+// applyProgram swaps the detector table for the program in env. rows is
+// that program as readMsg decoded it; nil means the frame was not in the
+// canonical form, and encoding/json decides what it holds.
+func (s *Server) applyProgram(env Envelope, rows *programRows) Response {
+	if rows == nil {
+		var prog Program
+		if err := DecodeBody(env, &prog); err != nil {
+			return Response{Error: err.Error()}
+		}
+		var err error
+		if rows, err = prog.rows(); err != nil {
+			return Response{Error: err.Error(), TraceID: prog.TraceID, SpanID: prog.SpanID}
+		}
+	}
 	// The apply span nests under the controller's deploy/program span via
 	// the wire trace context; inert when the switch tracer is disarmed or
 	// the push carries no context.
 	sp := s.sw.Tracer().StartDetail(
-		dtrace.SpanContext{Trace: dtrace.TraceID(prog.TraceID), Span: dtrace.SpanID(prog.SpanID)},
+		dtrace.SpanContext{Trace: dtrace.TraceID(rows.traceID), Span: dtrace.SpanID(rows.spanID)},
 		dtrace.DetailProgram)
 	defer sp.End()
-	defAct, err := ParseAction(prog.DefaultAction)
-	if err != nil {
-		return Response{Error: err.Error(), TraceID: prog.TraceID, SpanID: prog.SpanID}
+	if err := s.sw.ProgramDetector(rows.offsets, rows.def, rows.entries); err != nil {
+		return Response{Error: err.Error(), TraceID: rows.traceID, SpanID: rows.spanID}
 	}
-	entries := make([]p4.Entry, 0, len(prog.Entries))
-	for _, we := range prog.Entries {
-		e, err := we.ToP4Entry()
-		if err != nil {
-			return Response{Error: err.Error(), TraceID: prog.TraceID, SpanID: prog.SpanID}
-		}
-		entries = append(entries, e)
-	}
-	if err := s.sw.ProgramDetector(prog.Offsets, p4.Action{Type: defAct, Class: prog.DefaultClass}, entries); err != nil {
-		return Response{Error: err.Error(), TraceID: prog.TraceID, SpanID: prog.SpanID}
-	}
-	return Response{OK: true, Installed: len(entries), TraceID: prog.TraceID, SpanID: prog.SpanID}
+	return Response{OK: true, Installed: len(rows.entries), TraceID: rows.traceID, SpanID: rows.spanID}
 }
 
 // applyDelta applies an incremental program edit. Any failure — base
@@ -372,50 +368,61 @@ func (s *Server) digestPump(interval time.Duration) {
 		case <-s.stop:
 			return
 		case <-ticker.C:
+			s.pumpDigests()
 		}
-		// Graceful degradation while the controller is away: leave digests
-		// queued instead of draining them into the void. The data plane
-		// keeps forwarding on its configured miss action, the bounded queue
-		// absorbs the burst, and overflow is dropped with accounting
-		// (Offered == Drained + Dropped + Depth) rather than silently.
-		// Only hello-completed conns count: a connection mid-handshake
-		// must see hello_ack as its first frame, never a digest.
-		s.mu.Lock()
-		conns := make([]net.Conn, 0, len(s.conns))
-		for c, st := range s.conns {
-			if st.ready {
-				conns = append(conns, c)
-			}
+	}
+}
+
+// pumpDigests is one tick of the pump: up to 256 queued digests go to
+// every controller whose handshake has completed.
+func (s *Server) pumpDigests() {
+	// An idle switch — nearly every tick — has nothing queued: ask that
+	// before taking the server lock and listing connections.
+	if s.sw.DigestQueueStats().Depth == 0 {
+		return
+	}
+	// Graceful degradation while the controller is away: leave digests
+	// queued instead of draining them into the void. The data plane
+	// keeps forwarding on its configured miss action, the bounded queue
+	// absorbs the burst, and overflow is dropped with accounting
+	// (Offered == Drained + Dropped + Depth) rather than silently.
+	// Only hello-completed conns count: a connection mid-handshake
+	// must see hello_ack as its first frame, never a digest.
+	s.mu.Lock()
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c, st := range s.conns {
+		if st.ready {
+			conns = append(conns, c)
 		}
-		s.mu.Unlock()
-		if len(conns) == 0 {
-			continue
+	}
+	s.mu.Unlock()
+	if len(conns) == 0 {
+		return
+	}
+	ds := s.sw.DrainDigests(256)
+	if len(ds) == 0 {
+		return
+	}
+	s.digestBatches.Add(1)
+	s.digestPackets.Add(uint64(len(ds)))
+	tracer := s.sw.Tracer()
+	msg := DigestMsg{Packets: make([]WirePacket, 0, len(ds))}
+	for _, d := range ds {
+		wp := FromPacket(d.Pkt)
+		// One trace per digest: its root digest_wait span covers
+		// pipeline enqueue → pump drain, and its context rides the wire
+		// so the controller's fan-in span can parent to it. Inert (one
+		// atomic load) while the tracer is nil or disarmed.
+		if sp := tracer.StartTraceAt(dtrace.StageDigestWait, d.At); sp.Active() {
+			ctx := sp.Context()
+			wp.TraceID, wp.SpanID = uint64(ctx.Trace), uint64(ctx.Span)
+			sp.End()
 		}
-		ds := s.sw.DrainDigests(256)
-		if len(ds) == 0 {
-			continue
-		}
-		s.digestBatches.Add(1)
-		s.digestPackets.Add(uint64(len(ds)))
-		tracer := s.sw.Tracer()
-		msg := DigestMsg{Packets: make([]WirePacket, 0, len(ds))}
-		for _, d := range ds {
-			wp := FromPacket(d.Pkt)
-			// One trace per digest: its root digest_wait span covers
-			// pipeline enqueue → pump drain, and its context rides the wire
-			// so the controller's fan-in span can parent to it. Inert (one
-			// atomic load) while the tracer is nil or disarmed.
-			if sp := tracer.StartTraceAt(dtrace.StageDigestWait, d.At); sp.Active() {
-				ctx := sp.Context()
-				wp.TraceID, wp.SpanID = uint64(ctx.Trace), uint64(ctx.Span)
-				sp.End()
-			}
-			msg.Packets = append(msg.Packets, wp)
-		}
-		for _, c := range conns {
-			if err := s.send(c, TypeDigest, 0, msg); err != nil && !errors.Is(err, net.ErrClosed) {
-				s.dropConn(c)
-			}
+		msg.Packets = append(msg.Packets, wp)
+	}
+	for _, c := range conns {
+		if err := s.send(c, TypeDigest, 0, msg); err != nil && !errors.Is(err, net.ErrClosed) {
+			s.dropConn(c)
 		}
 	}
 }

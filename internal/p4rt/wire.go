@@ -222,39 +222,44 @@ func writeFrame(w io.Writer, frame []byte) error {
 }
 
 // ReadMsg reads one envelope. Body aliases the frame's own buffer and is
-// not validated here: a body that is not JSON fails in DecodeBody.
+// not validated here: a body that is not JSON fails in DecodeBody. (The
+// one exception is a canonical program frame, whose extent is known by
+// decoding it; only the switch's agent, which reads with readMsg and
+// keeps the result, is sent those.)
 func ReadMsg(r io.Reader) (Envelope, error) {
+	env, _, err := readMsg(r)
+	return env, err
+}
+
+// readMsg is ReadMsg for the switch's agent: a program frame in the
+// canonical form comes back already decoded into the rows it installs.
+// rows is nil for every other frame, whose body DecodeBody decodes.
+func readMsg(r io.Reader) (Envelope, *programRows, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, fmt.Errorf("p4rt: read frame header: %w", err)
+		return Envelope{}, nil, fmt.Errorf("p4rt: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return Envelope{}, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
+		return Envelope{}, nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return Envelope{}, fmt.Errorf("p4rt: read frame body: %w", err)
+		return Envelope{}, nil, fmt.Errorf("p4rt: read frame body: %w", err)
 	}
-	if env, ok := splitEnvelope(buf); ok {
-		return env, nil
+	if env, rows, ok := splitEnvelope(buf); ok {
+		return env, rows, nil
 	}
 	var env Envelope
 	if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, fmt.Errorf("%w: decode envelope: %w", ErrMalformed, err)
+		return Envelope{}, nil, fmt.Errorf("%w: decode envelope: %w", ErrMalformed, err)
 	}
-	return env, nil
+	return env, nil, nil
 }
 
 // DecodeBody unmarshals an envelope body into dst.
 func DecodeBody[T any](env Envelope, dst *T) error {
-	var err error
-	if prog, ok := any(dst).(*Program); ok {
-		err = decodeProgram(env.Body, prog)
-	} else {
-		err = json.Unmarshal(env.Body, dst)
-	}
-	if err != nil {
+	if err := json.Unmarshal(env.Body, dst); err != nil {
 		return fmt.Errorf("%w: decode %s body: %w", ErrMalformed, env.Type, err)
 	}
 	return nil

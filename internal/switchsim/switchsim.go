@@ -312,8 +312,19 @@ func (s *Switch) InsertDetectorEntry(e p4.Entry) (uint64, error) {
 // keySpecs converts byte offsets into single-byte field specs.
 func keySpecs(offsets []int) []p4.FieldSpec {
 	specs := make([]p4.FieldSpec, len(offsets))
+	// The names are cut from one string — a layout's specs are installed
+	// and replaced together — so a layout costs three allocations, not one
+	// per key byte. Width holds each name's end until the string exists.
+	names := make([]byte, 0, len("hdr.b000")*len(offsets))
 	for i, off := range offsets {
-		specs[i] = p4.FieldSpec{Name: fmt.Sprintf("hdr.b%d", off), Offset: off, Width: 1}
+		names = strconv.AppendInt(append(names, "hdr.b"...), int64(off), 10)
+		specs[i] = p4.FieldSpec{Offset: off, Width: len(names)}
+	}
+	all, start := string(names), 0
+	for i := range specs {
+		end := specs[i].Width
+		specs[i].Name, specs[i].Width = all[start:end], 1
+		start = end
 	}
 	return specs
 }

@@ -838,3 +838,19 @@ func TestRepeatedPredicatesOneVerdict(t *testing.T) {
 		}
 	}
 }
+
+// TestKeySpecsNames: ApplyDetectorDelta compares layouts spec for spec,
+// names included, so the names are part of the contract; and every
+// program and every delta builds a layout, so it must not cost an
+// allocation per key byte.
+func TestKeySpecsNames(t *testing.T) {
+	offsets := []int{0, 7, 23, 255, 1500, -4}
+	for i, spec := range keySpecs(offsets) {
+		if want := (p4.FieldSpec{Name: fmt.Sprintf("hdr.b%d", offsets[i]), Offset: offsets[i], Width: 1}); spec != want {
+			t.Errorf("spec %d = %+v, want %+v", i, spec, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { keySpecs(offsets) }); allocs > 3 {
+		t.Errorf("a %d-byte layout costs %.0f allocations, want the specs, the names and their string", len(offsets), allocs)
+	}
+}
