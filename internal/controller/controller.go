@@ -363,6 +363,26 @@ type Controller struct {
 // swConn is one supervised switch connection. opMu serializes RPC-bearing
 // operations (reconcile, deploy push, reactive install) against the
 // supervisor's replay, so the desired-state log is applied in order.
+// reactiveRow is one entry of a switch's reactive log: the key it drops
+// and the class the slow path gave it. The log outlives every install, so
+// it keeps these 32 bytes and builds the wire entry when one is sent.
+type reactiveRow struct {
+	key   []byte
+	class int
+}
+
+// wireEntry is the exact match the row installs, expressed as a
+// degenerate range (lo==hi) at the reactive priority.
+func (c *Controller) wireEntry(r reactiveRow) p4rt.WireEntry {
+	return p4rt.WireEntry{
+		Priority: c.cfg.ReactivePriority,
+		Lo:       r.key,
+		Hi:       append([]byte(nil), r.key...),
+		Action:   p4rt.FormatAction(p4.ActionDrop),
+		Class:    r.class,
+	}
+}
+
 type swConn struct {
 	addr  string
 	shard int
@@ -370,7 +390,7 @@ type swConn struct {
 
 	opMu     sync.Mutex
 	client   *p4rt.Client // nil while down
-	reactive []p4rt.WireEntry
+	reactive []reactiveRow
 	// noDelta marks a peer that rejected the delta message type (an old
 	// switch); the reconciler stops offering deltas to it. Guarded by
 	// opMu; reset on redial, since the peer may have been upgraded.
@@ -770,7 +790,7 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn) error {
 		}
 	}
 	for int(sc.appliedReactive.Load()) < len(sc.reactive) {
-		e := sc.reactive[sc.appliedReactive.Load()]
+		e := c.wireEntry(sc.reactive[sc.appliedReactive.Load()])
 		if _, err := cl.WriteEntry(ctx, e); err != nil {
 			return fmt.Errorf("reconcile %s: reactive entry %d/%d: %w", sc.addr, sc.appliedReactive.Load()+1, len(sc.reactive), err)
 		}
@@ -963,18 +983,13 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 		instSpan := tr.StartSpan(ctx, dtrace.StageInstall)
 		instSpan.SetAttr("switch", sc.addr)
 		ctx = chainCtx(ctx, instSpan)
-		// Exact match expressed as a degenerate range (lo==hi). The entry
-		// joins the switch's desired reactive log first, so even if the
-		// write races a connection failure the reconciler replays it.
-		entry := p4rt.WireEntry{
-			Priority: c.cfg.ReactivePriority,
-			Lo:       key,
-			Hi:       append([]byte(nil), key...),
-			Action:   p4rt.FormatAction(p4.ActionDrop),
-			Class:    class,
-		}
+		// The row joins the switch's desired reactive log first, so even
+		// if the write races a connection failure the reconciler replays
+		// it.
+		row := reactiveRow{key: key, class: class}
+		entry := c.wireEntry(row)
 		sc.opMu.Lock()
-		sc.reactive = append(sc.reactive, entry)
+		sc.reactive = append(sc.reactive, row)
 		sc.reactiveLen.Store(uint64(len(sc.reactive)))
 		cl := sc.client
 		var err error
@@ -1077,8 +1092,14 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 	missAction := dc.miss
 	// Compile every shard first: a rule set the unified matcher rejects
 	// must never reach a switch, and the compiled mirrors are what the
-	// reactive path consults for per-switch deployed coverage.
-	shardSets := PlanShards(rs, c.shardCount(), c.cfg.Policy)
+	// reactive path consults for per-switch deployed coverage. The wire
+	// program wraps the rows the mirror was compiled from, and a one-shard
+	// plan is rs itself: neither keeps a reference into rs (the rows are
+	// the compile's own, the program copies the offsets).
+	shardSets := []*rules.RuleSet{rs}
+	if c.shardCount() > 1 {
+		shardSets = PlanShards(rs, c.shardCount(), c.cfg.Policy)
+	}
 	mirrors := make([]*match.Compiled, len(shardSets))
 	progs := make([]p4rt.Program, len(shardSets))
 	total := 0
@@ -1087,13 +1108,9 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 		if err != nil {
 			return fmt.Errorf("controller: shard %d: %w", i, err)
 		}
-		prog, err := p4rt.ProgramFromRuleSet(srs, missAction)
-		if err != nil {
-			return fmt.Errorf("controller: shard %d: %w", i, err)
-		}
 		mirrors[i] = m
-		progs[i] = prog
-		total += len(prog.Entries)
+		progs[i] = p4rt.ProgramFromEntries(srs.Offsets, m.RangeEntries(), missAction)
+		total += len(progs[i].Entries)
 	}
 	// One deploy trace spans the whole call; its context is stamped onto
 	// every shard program so each switch's program_apply span — including

@@ -331,3 +331,66 @@ func TestCompressedDeltaDeployEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaOrderGapExhaustionIsACountedFallback: deltas that keep adding
+// a row ahead of every other split the same gap of the switch's canonical
+// order until it has no room; the switch refuses that delta (ErrDeltaBase),
+// the controller counts one fallback and converges by full swap — which
+// re-gaps the order, so the next deploy is a delta again — and the table
+// holds the rows in the rule set's order throughout.
+func TestDeltaOrderGapExhaustionIsACountedFallback(t *testing.T) {
+	sw, addr := startSwitch(t)
+	c := New(fakeModel{}, Config{Name: "ctl-gap"}, fastBackoff()...)
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Connect(context.Background(), addr); err != nil {
+		t.Fatal(err)
+	}
+	point := func(i int) rules.Rule {
+		return rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{
+			{Offset: 0, Lo: byte(i), Hi: byte(i)}, {Offset: 1, Lo: byte(i >> 8), Hi: byte(i >> 8)}}}
+	}
+	rs := rules.NewRuleSet([]int{0, 1}, 0)
+	for i := 0; i < 8; i++ {
+		rs.Rules = append(rs.Rules, point(1000+i))
+	}
+	miss := p4.Action{Type: p4.ActionAllow}
+	if err := c.Deploy(context.Background(), rs, WithMissAction(miss)); err != nil {
+		t.Fatal(err)
+	}
+	det, err := sw.Pipeline().Table(switchsim.DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallbackAt := 0
+	for i := 1; i <= 40; i++ {
+		next := rules.NewRuleSet(rs.Offsets, 0)
+		next.Rules = append([]rules.Rule{point(i)}, rs.Rules...) // same priority: wire order decides
+		if err := c.Deploy(context.Background(), next, WithMissAction(miss), WithDeltaOnly()); err != nil {
+			t.Fatal(err)
+		}
+		rs = next
+		st := c.Stats()
+		if st.DeltaFallbacks == 1 && fallbackAt == 0 {
+			fallbackAt = i
+		}
+		if st.DeltaFallbacks > 1 || st.DeltaApplies+st.DeltaFallbacks != i {
+			t.Fatalf("deploy %d: %d delta applies and %d fallbacks", i, st.DeltaApplies, st.DeltaFallbacks)
+		}
+		want, err := p4rt.ProgramFromRuleSet(rs, miss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := det.Entries()
+		if len(got) != len(want.Entries) {
+			t.Fatalf("deploy %d: %d rows installed, want %d", i, len(got), len(want.Entries))
+		}
+		for j, e := range got {
+			if string(e.Lo) != string(want.Entries[j].Lo) {
+				t.Fatalf("deploy %d: row %d is on %x, the rule set's is on %x", i, j, e.Lo, want.Entries[j].Lo)
+			}
+		}
+	}
+	if fallbackAt < 30 || fallbackAt == 40 {
+		t.Fatalf("the order gap ran out at deploy %d: want it to after some thirty halvings, and a delta after the swap", fallbackAt)
+	}
+}

@@ -47,23 +47,28 @@ func deltaBenchRules(rows int, scattered bool) (base, churned *rules.RuleSet) {
 
 // BenchmarkDeltaDeploy measures one delta deploy end to end — plan,
 // compile, diff, frame, and both switches' apply and ack — over loopback
-// TCP to two switches under a by-class plan, alternating between a rule
-// set and its 1 % churned successor so every deploy is a delta of the
-// same size. The diff pairs rows through a hash table, so where the
-// changed rows sit must not matter: scattered within 1.5x of tail. The
-// recorded end-to-end numbers for this path are delta_ms and
-// delta_alloc_mb of `bash perfbench/run.sh --workload cold`.
+// TCP to two switches, alternating between a rule set and its 1 % churned
+// successor so every deploy is a delta of the same size. plan=default is
+// the default config, one shard replicated to both switches: the deploy
+// `bash perfbench/run.sh --workload cold` records as delta_ms and
+// delta_alloc_mb. The churn= arms split the rules over two shards by
+// class; the diff pairs rows through a hash table, so where the changed
+// rows sit must not matter: scattered within 1.5x of tail.
 func BenchmarkDeltaDeploy(b *testing.B) {
 	for _, rows := range []int{16, 8192} {
-		for _, scattered := range []bool{false, true} {
-			name := fmt.Sprintf("rows=%d/churn=tail", rows)
-			if scattered {
-				name = fmt.Sprintf("rows=%d/churn=scattered", rows)
-			}
-			b.Run(name, func(b *testing.B) {
-				c := deployBenchFleet(b, Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass})
+		for _, arm := range []struct {
+			name      string
+			cfg       Config
+			scattered bool
+		}{
+			{"plan=default", Config{Name: "ctl-bench"}, false},
+			{"churn=tail", Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass}, false},
+			{"churn=scattered", Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass}, true},
+		} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, arm.name), func(b *testing.B) {
+				c := deployBenchFleet(b, arm.cfg)
 				sets := [2]*rules.RuleSet{}
-				sets[0], sets[1] = deltaBenchRules(rows, scattered)
+				sets[0], sets[1] = deltaBenchRules(rows, arm.scattered)
 				if err := c.Deploy(context.Background(), sets[0]); err != nil {
 					b.Fatal(err)
 				}

@@ -101,7 +101,8 @@ func entriesEqual(a, b []p4.Entry) bool {
 	return true
 }
 
-// reactiveLog copies the desired reactive entry log for one switch.
+// reactiveLog returns the desired reactive entry log for one switch, as
+// the wire entries a replay sends.
 func (c *Controller) reactiveLog(addr string) []p4rt.WireEntry {
 	c.mu.Lock()
 	sc := c.conns[addr]
@@ -111,7 +112,11 @@ func (c *Controller) reactiveLog(addr string) []p4rt.WireEntry {
 	}
 	sc.opMu.Lock()
 	defer sc.opMu.Unlock()
-	return append([]p4rt.WireEntry(nil), sc.reactive...)
+	log := make([]p4rt.WireEntry, len(sc.reactive))
+	for i, r := range sc.reactive {
+		log[i] = c.wireEntry(r)
+	}
+	return log
 }
 
 func waitGoroutines(t *testing.T, base int) {

@@ -104,11 +104,11 @@ const MaxBeaten = 8
 
 // explainRow builds a RuleExplain for row r of the compiled matcher.
 func (m *Compiled) explainRow(r int, key []byte) RuleExplain {
-	row := m.rows[r]
+	row := &m.rows[r]
 	re := RuleExplain{
 		Row:      r,
-		Priority: m.priorities[r],
-		Class:    m.classes[r],
+		Priority: row.Priority,
+		Class:    row.Class,
 		Matched:  true,
 		Bytes:    make([]ByteExplain, len(key)),
 	}
@@ -140,7 +140,7 @@ func (m *Compiled) ExplainKey(key []byte) *Explanation {
 		}
 		return ex
 	}
-	ex.Class, ex.Matched = m.classes[row], true
+	ex.Class, ex.Matched = m.rows[row].Class, true
 	w := m.explainRow(row, key)
 	ex.Winner = &w
 	ex.BeatenTotal = row

@@ -16,7 +16,8 @@
 // byte: what the controller's reactive installs are) go into an
 // open-addressing hash on the packed key instead, so thousands of them
 // cost one probe rather than thousands of bitset columns — and one more
-// of them costs one slot (KeyIndex.Insert). Lookup cost is O(1) for the
+// or fewer of them is an edit of the hash (KeyIndex.Edit), not a compile.
+// Lookup cost is O(1) for the
 // hash plus O(width × range rows/64) for the bitset, with no branching on
 // rules and no allocation.
 package match
@@ -25,6 +26,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"p4guard/internal/packet"
@@ -58,8 +60,8 @@ type RangeRow struct {
 
 // KeyIndex is a first-match-wins index over fixed-width byte keys. Every
 // row has a stable id: its position in the priority-ordered list
-// CompileRanges was given, and for a row Insert added, the row count
-// before it. Find returns the id of the first matching row in priority
+// CompileRanges was given, and for a row Edit added, the next id never
+// handed out. Find returns the id of the first matching row in priority
 // order. A *KeyIndex never changes what it answers and is safe for
 // concurrent use; a nil *KeyIndex is the empty index.
 //
@@ -85,16 +87,20 @@ type KeyIndex struct {
 	nRange  int
 	// slots holds the point rows: open addressing, linear probing, at
 	// most half full; nil when no row is a point. The array is shared
-	// with the generations Insert derives from this one, which fill
-	// slots this one reads as empty (see findPoint). nPoints counts the
-	// slots this generation reads as filled.
+	// with the generations Edit derives from this one by adding rows,
+	// which fill slots this one reads as empty (see findPoint). nPoints
+	// counts the slots this generation reads as filled.
 	slots   []ptSlot
 	nPoints int
+	// shadowed lists the packed keys of the point rows compiled behind
+	// another row on their key, which the hash does not hold.
+	shadowed [][2]uint64
 }
 
 // ptSlot is one hash slot: the packed point key, the number of range
-// rows ahead of the point, and its row id + 1 (0 marks an empty slot). A
-// slot is written once, by fill, and never again.
+// rows ahead of the point, and its row id + 1 (0 marks an empty slot).
+// Once a reader can have the array a slot is written once, by fill, and
+// never again.
 type ptSlot struct {
 	k0, k1 uint64
 	id1    atomic.Uint32
@@ -133,6 +139,16 @@ func PackKey(key []byte) (k0, k1 uint64) {
 // multiply hashing; the high bits carry the mixing).
 func HashPacked(k0, k1 uint64) uint32 {
 	return uint32((k0*0x9e3779b97f4a7c15 ^ k1*0xc2b2ae3d27d4eb4f) >> 40)
+}
+
+// dead reports a row that admits no key.
+func (row RangeRow) dead() bool {
+	for pos := range row.Lo {
+		if row.Lo[pos] > row.Hi[pos] {
+			return true
+		}
+	}
+	return false
 }
 
 // isPoint reports a row the hash can hold: one key of packable width.
@@ -223,6 +239,8 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 			if s := probe(ix.slots, k0, k1); s.id1.Load() == 0 {
 				s.fill(k0, k1, uint32(i)+1, uint32(len(ix.rangeID)))
 				ix.nPoints++
+			} else {
+				ix.shadowed = append(ix.shadowed, [2]uint64{k0, k1})
 			}
 			continue
 		}
@@ -231,14 +249,7 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 			r = len(ix.rangeID)
 			ix.rangeID = append(ix.rangeID, int32(i))
 		}
-		dead := false
-		for pos := 0; pos < width; pos++ {
-			if row.Lo[pos] > row.Hi[pos] {
-				dead = true
-				break
-			}
-		}
-		if dead {
+		if row.dead() {
 			continue
 		}
 		word, bit := r/64, uint64(1)<<(r%64)
@@ -270,43 +281,9 @@ func (ix *KeyIndex) RangeID(j int) int {
 	return int(ix.rangeID[j])
 }
 
-// Insert derives the index that also holds a point row with id Rows(),
-// ranked behind the first above range rows and ahead of the rest. It
-// fills one empty slot of the hash the index shares with its
-// predecessors (none of them reads it: see findPoint) and copies nothing
-// but the KeyIndex itself, unless the hash would pass half full: then the
-// derived index gets one of twice the size.
-//
-// It returns nil when the row has to be compiled in — a range, an
-// unpackable width, a key some row of the hash already holds — or ix is
-// the empty index. Generations form a chain: Insert may be called once
-// on an index, and by one goroutine at a time along the chain.
-func (ix *KeyIndex) Insert(row RangeRow, above int) *KeyIndex {
-	if ix == nil || len(row.Lo) != ix.width || len(row.Hi) != ix.width || !isPoint(ix.width, row) {
-		return nil
-	}
-	next := *ix
-	k0, k1 := PackKey(row.Lo)
-	if 2*(ix.nPoints+1) > len(ix.slots) {
-		next.slots = newSlots(ix.nPoints + 1)
-		for i := range ix.slots {
-			s := &ix.slots[i]
-			if id1 := s.id1.Load(); id1 != 0 {
-				probe(next.slots, s.k0, s.k1).fill(s.k0, s.k1, id1, s.above)
-			}
-		}
-	}
-	s := probe(next.slots, k0, k1)
-	if s.id1.Load() != 0 {
-		return nil
-	}
-	s.fill(k0, k1, uint32(ix.nRows)+1, uint32(above))
-	next.nRows++
-	next.nPoints++
-	return &next
-}
-
-// Rows returns the number of rows the index holds.
+// Rows returns the number of row ids handed out: the rows the index was
+// compiled from and every row added since, whether or not it is still
+// there.
 func (ix *KeyIndex) Rows() int { return ix.nRows }
 
 // Width returns the key width in bytes.
@@ -356,18 +333,112 @@ func (ix *KeyIndex) findRange(key []byte) int32 {
 	return -1
 }
 
+// Edit derives the index without the point rows on the keys of del and
+// with the point rows add, which take the ids Rows(), Rows()+1, … in the
+// order given; add[i] ranks behind the first above[i] range rows and ahead
+// of the rest. A row's id is gone with the row: ids are not reused.
+//
+// An edit that only adds fills empty slots of the hash the index shares
+// with its predecessors (none of them reads those: see findPoint) and
+// copies nothing but the KeyIndex itself. Slots are written once, so an
+// edit that deletes works on a copy of the hash, where it closes each
+// vacated slot by shifting its probe chain back: the derived hash holds
+// no tombstone and probes as a compile of the same rows would. Either
+// kind moves to a hash of twice the size rather than pass half full.
+//
+// It returns nil when the rows have to be compiled — a range row or an
+// unpackable width on either side, an added key some row of the hash
+// holds, a deleted key none does or one that has a second row shadowed
+// behind the first (deleting either changes which the hash must hold) —
+// or ix is the empty index. Generations form a chain: Edit may be called
+// once on an index, and by one goroutine at a time along the chain; after
+// a nil the chain ends.
+func (ix *KeyIndex) Edit(del, add []RangeRow, above []int) *KeyIndex {
+	if ix == nil || len(del) > ix.nPoints {
+		return nil
+	}
+	for _, rows := range [2][]RangeRow{del, add} {
+		for _, row := range rows {
+			if len(row.Lo) != ix.width || len(row.Hi) != ix.width || !isPoint(ix.width, row) {
+				return nil
+			}
+		}
+	}
+	next := *ix
+	switch n := ix.nPoints - len(del) + len(add); {
+	case 2*n > len(ix.slots):
+		next.slots = newSlots(n)
+		for i := range ix.slots {
+			s := &ix.slots[i]
+			if id1 := s.id1.Load(); id1-1 < uint32(ix.nRows) { // 0 wraps
+				probe(next.slots, s.k0, s.k1).fill(s.k0, s.k1, id1, s.above)
+			}
+		}
+	case len(del) > 0:
+		next.slots = append([]ptSlot(nil), ix.slots...)
+	}
+	for _, row := range del {
+		k0, k1 := PackKey(row.Lo)
+		if slices.Contains(ix.shadowed, [2]uint64{k0, k1}) || !unfill(next.slots, k0, k1) {
+			return nil
+		}
+	}
+	next.nPoints -= len(del)
+	for i, row := range add {
+		k0, k1 := PackKey(row.Lo)
+		s := probe(next.slots, k0, k1)
+		if s.id1.Load() != 0 {
+			return nil
+		}
+		s.fill(k0, k1, uint32(next.nRows)+1, uint32(above[i]))
+		next.nRows++
+		next.nPoints++
+	}
+	return &next
+}
+
+// unfill empties the slot holding the key, in a hash no reader has yet,
+// and closes the hole: each later slot of the run that its own probe
+// reaches only through the hole moves back into it. It reports whether
+// the key was there.
+func unfill(slots []ptSlot, k0, k1 uint64) bool {
+	mask := uint32(len(slots) - 1)
+	hole := HashPacked(k0, k1) & mask
+	for s := &slots[hole]; s.k0 != k0 || s.k1 != k1 || s.id1.Load() == 0; s = &slots[hole] {
+		if s.id1.Load() == 0 {
+			return false
+		}
+		hole = (hole + 1) & mask
+	}
+	for i := (hole + 1) & mask; ; i = (i + 1) & mask {
+		s := &slots[i]
+		id1 := s.id1.Load()
+		if id1 == 0 {
+			break
+		}
+		// s stays where it is when its home lies behind the hole, (hole, i].
+		if home := HashPacked(s.k0, s.k1) & mask; (i-home)&mask < (i-hole)&mask {
+			continue
+		}
+		slots[hole].fill(s.k0, s.k1, id1, s.above)
+		hole = i
+	}
+	slots[hole].fill(0, 0, 0, 0)
+	return true
+}
+
 // Compiled is the packet-level compiled matcher over a rule set. It is
 // immutable after Compile and safe for concurrent use; Classify performs
 // no heap allocation for key layouts up to 64 bytes.
 type Compiled struct {
 	offsets      []int
-	classes      []int
 	defaultClass int
 	idx          *KeyIndex
-	// rows and priorities are retained (beyond what Classify needs) so
-	// Explain can reconstruct per-byte evidence for any row.
-	rows       []RangeRow
-	priorities []int
+	// rows[i] is rule i's row (rules.RuleSet.RangeRows): the class Classify
+	// answers with, and the bounds and priority Explain reconstructs
+	// per-byte evidence from.
+	rows []rules.RangeEntry
+	dead int // rows that admit no key
 }
 
 var _ Matcher = (*Compiled)(nil)
@@ -375,57 +446,49 @@ var _ Matcher = (*Compiled)(nil)
 // Compile builds an immutable matcher from a rule set. Rule order (as
 // maintained by RuleSet.Add: descending priority, stable) is preserved,
 // so Compile agrees exactly with the first-match-wins reference scan
-// rules.RuleSet.ClassifyDetail. Predicates repeated on one offset are
-// intersected; a predicate on an offset outside the key layout is an
-// error, mirroring RuleSet.RangeEntries.
+// rules.RuleSet.ClassifyDetail. The rows are RuleSet.RangeRows': predicates
+// repeated on one offset are intersected, and a predicate on an offset
+// outside the key layout is an error.
 func Compile(rs *rules.RuleSet) (*Compiled, error) {
 	if rs == nil {
 		return nil, fmt.Errorf("match: nil rule set")
 	}
-	width := len(rs.Offsets)
-	pos := make(map[int]int, width)
-	for i, off := range rs.Offsets {
-		pos[off] = i
-	}
-	rows := make([]RangeRow, len(rs.Rules))
-	classes := make([]int, len(rs.Rules))
-	priorities := make([]int, len(rs.Rules))
-	bounds := make([]byte, 2*width*len(rs.Rules)) // every row's Lo and Hi
-	for r := range rs.Rules {
-		rule := &rs.Rules[r]
-		row := RangeRow{Lo: bounds[:width:width], Hi: bounds[width : 2*width : 2*width]}
-		bounds = bounds[2*width:]
-		for i := range row.Hi {
-			row.Hi[i] = 0xff
-		}
-		for _, p := range rule.Preds {
-			i, ok := pos[p.Offset]
-			if !ok {
-				return nil, fmt.Errorf("match: predicate offset %d not in key layout %v", p.Offset, rs.Offsets)
-			}
-			if p.Lo > row.Lo[i] {
-				row.Lo[i] = p.Lo
-			}
-			if p.Hi < row.Hi[i] {
-				row.Hi[i] = p.Hi
-			}
-		}
-		rows[r] = row
-		classes[r] = rule.Class
-		priorities[r] = rule.Priority
-	}
-	idx, err := CompileRanges(width, rows)
+	rows, err := rs.RangeRows()
 	if err != nil {
+		return nil, fmt.Errorf("match: %w", err)
+	}
+	m := &Compiled{
+		offsets:      append([]int(nil), rs.Offsets...),
+		defaultClass: rs.DefaultClass,
+		rows:         rows,
+	}
+	bounds := make([]RangeRow, len(rows))
+	for r := range rows {
+		bounds[r] = RangeRow{Lo: rows[r].Lo, Hi: rows[r].Hi}
+		if bounds[r].dead() {
+			m.dead++
+		}
+	}
+	if m.idx, err = CompileRanges(len(rs.Offsets), bounds); err != nil {
 		return nil, err
 	}
-	return &Compiled{
-		offsets:      append([]int(nil), rs.Offsets...),
-		classes:      classes,
-		defaultClass: rs.DefaultClass,
-		idx:          idx,
-		rows:         rows,
-		priorities:   priorities,
-	}, nil
+	return m, nil
+}
+
+// RangeEntries returns the rule set's live rows as Compile holds them —
+// what RuleSet.RangeEntries would compute again. The rows are the
+// matcher's own: read, do not write.
+func (m *Compiled) RangeEntries() []rules.RangeEntry {
+	if m.dead == 0 {
+		return m.rows
+	}
+	live := make([]rules.RangeEntry, 0, len(m.rows)-m.dead)
+	for r := range m.rows {
+		if !(RangeRow{Lo: m.rows[r].Lo, Hi: m.rows[r].Hi}).dead() {
+			live = append(live, m.rows[r])
+		}
+	}
+	return live
 }
 
 // Classify returns the class of the highest-priority matching rule, or
@@ -448,7 +511,7 @@ func (m *Compiled) Classify(pkt *packet.Packet) (class int, matched bool) {
 // key offset, in layout order).
 func (m *Compiled) ClassifyKey(key []byte) (class int, matched bool) {
 	if row, ok := m.idx.Find(key); ok {
-		return m.classes[row], true
+		return m.rows[row].Class, true
 	}
 	return m.defaultClass, false
 }

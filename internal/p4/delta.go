@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Incremental reprogramming. A Delta edits the canonical programmed
@@ -16,8 +16,8 @@ import (
 // Surviving entries fill the remaining slots in base order, so applying
 // a delta reproduces exactly the program a full Replace of the new
 // entry list would install — while sharing every surviving entry
-// (counters included), preserving reactive Inserts, and updating only
-// the ternary-store partitions the delta touches.
+// (counters included), preserving reactive Inserts, and editing the
+// lookup index rather than rebuilding it (Table.derive).
 //
 // A delta names its base with (BaseCount, BaseHash); Apply refuses a
 // delta whose base does not match the installed program (ErrDeltaBase),
@@ -350,21 +350,36 @@ func ComputeDelta(old, new []Entry) (Delta, bool) {
 }
 
 // Apply edits the canonical program incrementally and atomically: the
-// new lookup generation is published in one store, with surviving
-// entries (and their counters), reactive Inserts, and — for ternary
-// tables — every untouched store partition shared with the previous
-// generation. On any error the table is unchanged.
+// new lookup generation is published in one store, sharing with the
+// previous one every surviving entry (and its counters), the reactive
+// Inserts and whatever of the index the edit does not touch (see derive).
+// On any error the table is unchanged.
 //
-// For ternary tables the cost is O(survivors) pointer moves plus
-// O(edits · trie depth) index work; no O(n log n) re-sort and no full
-// index rebuild. Other kinds apply the same program edit but rebuild
-// their index (range tables recompile the bitset index): what a delta
-// saves there is the frame, the per-row validation and allocation, and
-// the counters and reactive Inserts a full Replace would wipe.
+// The cost is O(survivors) pointer moves — the program and the sorted
+// entry list are spliced, never re-sorted — plus what the edited rows cost
+// the index: a ternary table rebuilds the partitions they fall in, a range
+// table fills one hash slot per added point row and copies the hash when
+// any leaves. A range table compiles its index from scratch only for what
+// the hash cannot express: a range row added, removed or re-prioritised, a
+// key two rows share, a key too wide to pack.
 func (t *Table) Apply(d Delta) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.applyLocked(d, t.DefaultAction)
+}
 
+// ProgramDelta is Apply with the default action set in the generation the
+// delta publishes — the incremental twin of Program: no lookup sees the
+// new entries under the old default or the new default over the old
+// entries, which an Apply followed by a Define cannot promise. On error
+// the table, default included, is unchanged.
+func (t *Table) ProgramDelta(def Action, d Delta) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.applyLocked(d, def)
+}
+
+func (t *Table) applyLocked(d Delta, def Action) error {
 	if d.BaseCount != len(t.prog) {
 		return fmt.Errorf("table %s: base count %d != installed %d: %w",
 			t.Name, d.BaseCount, len(t.prog), ErrDeltaBase)
@@ -426,7 +441,7 @@ func (t *Table) Apply(d Delta) error {
 		cp := d.Adds[i].Entry
 		newcomers = append(newcomers, newcomer{e: &cp, order: d.Adds[i].Order})
 	}
-	sort.Slice(newcomers, func(i, j int) bool { return newcomers[i].order < newcomers[j].order })
+	slices.SortFunc(newcomers, func(a, b newcomer) int { return a.order - b.order })
 
 	// Splice: newcomers claim their target slots, survivors fill the
 	// rest in base order.
@@ -498,77 +513,17 @@ func (t *Table) Apply(d Delta) error {
 		i = j + 1
 	}
 
-	// Commit: incremental hash, then the index. Ternary tables get the
-	// incremental merge + partition-sharing path; everything else
-	// reindexes from scratch.
+	// Commit: incremental hash, then the generation.
 	hash := t.progHash
 	for _, e := range removedEntries {
 		hash ^= HashEntry(e)
 	}
+	added := make([]*Entry, len(newcomers))
 	for i := range newcomers {
-		hash ^= HashEntry(newcomers[i].e)
+		added[i] = newcomers[i].e
+		hash ^= HashEntry(added[i])
 	}
-	prev := t.state.Load()
-	t.prog = newProg
-	t.progHash = hash
-	if t.Kind == MatchTernary {
-		added := make([]*Entry, len(newcomers))
-		for i := range newcomers {
-			added[i] = newcomers[i].e
-		}
-		t.publishTernaryDelta(prev, removedEntries, added)
-	} else {
-		t.reindex()
-	}
+	t.prog, t.progHash, t.DefaultAction = newProg, hash, def
+	t.derive(removedEntries, added)
 	return nil
-}
-
-// publishTernaryDelta builds the next ternary generation from the
-// previous one: the sorted entry list is a linear merge (survivors keep
-// their order; newcomers are merge-inserted by canonical rank) and the
-// store is the previous store with only the touched partitions
-// replaced. Callers hold t.mu and have already updated t.prog.
-func (t *Table) publishTernaryDelta(prev *lookupState, removedEntries, added []*Entry) {
-	// One sweep over the previous sorted order does both edits: removed
-	// entries are dropped with a two-pointer match (both lists are in
-	// canonical match order and (priority, ord) is unique per entry, so
-	// no hashing is needed) and newcomers land at pre-computed insertion
-	// indexes. Binary-searching each newcomer's rank up front keeps the
-	// million-element sweep free of entry dereferences — it is pointer
-	// compares and pointer copies only, O(edits · log n + n) instead of
-	// O(n) rank comparisons each costing a cache miss.
-	rm := append([]*Entry(nil), removedEntries...)
-	sortByPriority(rm)
-	add := append([]*Entry(nil), added...)
-	sortByPriority(add)
-	inspos := make([]int, len(add))
-	for k, a := range add {
-		inspos[k] = sort.Search(len(prev.entries), func(i int) bool { return beats(a, prev.entries[i]) })
-	}
-	merged := make([]*Entry, 0, len(prev.entries)-len(rm)+len(add))
-	ri, j := 0, 0
-	for i, e := range prev.entries {
-		for j < len(add) && inspos[j] == i {
-			merged = append(merged, add[j])
-			j++
-		}
-		if ri < len(rm) && rm[ri] == e {
-			ri++
-			continue
-		}
-		merged = append(merged, e)
-	}
-	merged = append(merged, add[j:]...)
-
-	ts := prev.tstore.edit(removedEntries, added)
-
-	st := &lookupState{
-		kind:    t.Kind,
-		key:     t.Key,
-		width:   t.width(),
-		def:     t.DefaultAction,
-		entries: merged,
-		tstore:  ts,
-	}
-	t.state.Store(st)
 }

@@ -163,6 +163,56 @@ func BenchmarkRangeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeDelta is a 1 % churn of a detector's point rows — every
+// hundredth one replaced by a fresh key, the learned range rows left
+// alone — applied as a delta (alternating between the two programs, so
+// the table is fed deltas only and compacts its row ids as it goes) and,
+// for scale, installed as a full Replace of the same program. The delta
+// splices two pointer lists, copies the point hash once and edits it: it
+// must stay ≥ 4x ahead of the Replace, and cost per edited row about the
+// same at either size.
+func BenchmarkRangeDelta(b *testing.B) {
+	for _, rows := range []int{8192, 131072} {
+		rng := rand.New(rand.NewSource(42))
+		progs := [2][]Entry{learnedPlusPoints(rng, rows-16)}
+		progs[1] = append([]Entry(nil), progs[0]...)
+		for i, e := range learnedPlusPoints(rng, rows/100)[16:] {
+			progs[1][16+i*100] = e
+		}
+		b.Run(fmt.Sprintf("rows=%d/apply", rows), func(b *testing.B) {
+			var deltas [2]Delta
+			for i := range deltas {
+				d, ok := ComputeDelta(progs[i], progs[1-i])
+				if !ok {
+					b.Fatal("no delta between the programs")
+				}
+				deltas[i] = d
+			}
+			tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+			if err := tbl.Replace(progs[0]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tbl.Apply(deltas[i&1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/replace", rows), func(b *testing.B) {
+			tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tbl.Replace(progs[(i+1)&1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTernaryReplace is the full-swap baseline at 1M entries:
 // validate, copy, sort, and rebuild every partition index.
 func BenchmarkTernaryReplace(b *testing.B) {

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,9 +85,11 @@ type lookupState struct {
 	// byID holds the entries by the row id find resolves a key to, for
 	// the kinds that have one: an LPM row's id is its place in entries, a
 	// range row's the id rangeIdx gave it — its place in entries when the
-	// index was compiled, its arrival order after that. A reactive insert
-	// appends to the array the previous generations still read, past
-	// their lengths.
+	// index was compiled, its arrival order after that. A derived
+	// generation appends its newcomers to the array the previous
+	// generations still read, past their lengths; the id of a row that left
+	// stays behind, named by nothing in this generation's index, until the
+	// next compile (see derive).
 	byID     []*Entry
 	exact    map[string]*Entry
 	tstore   *ternaryStore   // partitioned hash-indexed ternary index
@@ -179,7 +182,7 @@ func (t *Table) Insert(e Entry) (uint64, error) {
 	e.ord = insertedOrdBase + e.ID // IDs are monotonic: insertion order
 	stored := e
 	t.inserted = append(t.inserted, &stored)
-	t.reindexWith(&stored)
+	t.derive(nil, []*Entry{&stored})
 	return stored.ID, nil
 }
 
@@ -388,46 +391,102 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 	return idx
 }
 
-// reindexWith publishes the generation that gains e. A range table
-// builds it from the previous one: e is binary-inserted into a copy of
-// the sorted entry list, and a point row joins the index and byID in
-// place, under the id the index gives it (match.KeyIndex.Insert: nothing
-// the previous generations read changes). What the index declines — a
-// range row, a key it already holds — is compiled. Callers hold t.mu.
-func (t *Table) reindexWith(e *Entry) {
-	if t.Kind != MatchRange {
+// derive publishes the generation without the entries of rm and with
+// those of add (which it sorts into match order), under the table's
+// current default action. It is the one routine behind Insert, Delete and
+// Apply; callers hold t.mu and have edited t.prog and t.inserted.
+//
+// Ternary and range tables build the generation from the previous one:
+// the sorted entry list is spliced, the ternary store replaces the touched
+// partitions, and a range table edits its index (match.KeyIndex.Edit: a
+// point row that joins takes the next id and one slot of the hash, one
+// that leaves costs a copy of the hash; nothing a previous generation
+// reads changes) and appends the newcomers to byID in place. What the
+// index declines — a range row on either side, a key held twice, an
+// unpackable width — is compiled by reindex, and so is a generation in
+// which the ids of departed rows would outnumber the rows: byID pins a
+// departed entry for as long as the chain of generations runs, and the
+// compile is what ends the chain.
+func (t *Table) derive(rm, add []*Entry) {
+	st := *t.state.Load()
+	st.def = t.DefaultAction
+	slices.SortFunc(add, func(a, b *Entry) int {
+		if beats(a, b) {
+			return -1
+		}
+		return 1
+	})
+	switch t.Kind {
+	case MatchTernary:
+		st.tstore = st.tstore.edit(rm, add)
+	case MatchRange:
+		ids, rows := len(st.byID)+len(add), len(st.entries)-len(rm)+len(add)
+		if ids-rows > rows || !st.editRange(rm, add) {
+			t.reindex()
+			return
+		}
+	default:
 		t.reindex()
 		return
 	}
-	st := *t.state.Load()
-	at := sort.Search(len(st.entries), func(i int) bool { return beats(e, st.entries[i]) })
-	next := make([]*Entry, 0, len(st.entries)+1)
-	next = append(append(append(next, st.entries[:at]...), e), st.entries[at:]...)
-	// Range rows sit in the index in match order: the ones ahead of e are
-	// a prefix of them.
-	above := sort.Search(st.rangeIdx.RangeRows(), func(j int) bool { return beats(e, st.byID[st.rangeIdx.RangeID(j)]) })
-	if idx := st.rangeIdx.Insert(match.RangeRow{Lo: e.Lo, Hi: e.Hi}, above); idx != nil {
-		st.rangeIdx, st.byID = idx, append(st.byID, e)
-	} else {
-		st.rangeIdx, st.byID = buildRangeIndex(st.width, next), next
-	}
-	st.entries = next
+	st.entries = spliceSorted(st.entries, rm, add)
 	t.state.Store(&st)
 }
 
-// reindexWithout publishes the generation that lacks e; a range table
-// drops it from the sorted entry list and recompiles. Callers hold t.mu.
-func (t *Table) reindexWithout(e *Entry) {
-	if t.Kind != MatchRange {
-		t.reindex()
-		return
+// editRange moves st's index and byID to the generation without rm and
+// with add (in match order); false when the index declines the edit.
+func (st *lookupState) editRange(rm, add []*Entry) bool {
+	// An install or a delete is one row: it stays on the stack.
+	rows, above := make([]match.RangeRow, 0, 1), make([]int, 0, 1)
+	if n := len(rm) + len(add); n > 1 {
+		rows, above = make([]match.RangeRow, 0, n), make([]int, 0, len(add))
 	}
-	st := *t.state.Load()
-	at := rankOf(st.entries, e)
-	next := make([]*Entry, 0, len(st.entries)-1)
-	next = append(append(next, st.entries[:at]...), st.entries[at+1:]...)
-	st.entries, st.byID, st.rangeIdx = next, next, buildRangeIndex(st.width, next)
-	t.state.Store(&st)
+	for _, e := range rm {
+		rows = append(rows, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
+	}
+	for _, e := range add {
+		rows = append(rows, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
+		// Range rows sit in the index in match order: the ones ahead of e
+		// are a prefix of them.
+		above = append(above, sort.Search(st.rangeIdx.RangeRows(), func(j int) bool {
+			return beats(e, st.byID[st.rangeIdx.RangeID(j)])
+		}))
+	}
+	idx := st.rangeIdx.Edit(rows[:len(rm)], rows[len(rm):], above)
+	if idx == nil {
+		return false
+	}
+	st.rangeIdx, st.byID = idx, append(st.byID, add...)
+	return true
+}
+
+// spliceSorted returns the match-ordered list prev without the entries
+// of rm and with those of add (itself in match order). Every place is
+// binary-searched — (priority, ord) is unique — and what lies between
+// two places is copied as one run, so the cost is the copy plus
+// O(edits · log n) compares.
+func spliceSorted(prev, rm, add []*Entry) []*Entry {
+	cuts := make([]int, 0, 2) // ranks of the removed, then the end of prev
+	for _, e := range rm {
+		cuts = append(cuts, rankOf(prev, e))
+	}
+	slices.Sort(cuts)
+	cuts = append(cuts, len(prev))
+	out := make([]*Entry, 0, len(prev)-len(rm)+len(add))
+	from := 0
+	for _, cut := range cuts {
+		for len(add) > 0 {
+			at := from + sort.Search(len(prev)-from, func(i int) bool { return beats(add[0], prev[from+i]) })
+			if at > cut {
+				break
+			}
+			out = append(append(out, prev[from:at]...), add[0])
+			from, add = at, add[1:]
+		}
+		out = append(out, prev[from:cut]...)
+		from = cut + 1
+	}
+	return out
 }
 
 // Delete removes the entry with the given ID (programmed or reactive).
@@ -441,7 +500,7 @@ func (t *Table) Delete(id uint64) error {
 			next = append(next, t.prog[i+1:]...)
 			t.prog = next
 			t.progHash ^= HashEntry(e)
-			t.reindexWithout(e)
+			t.derive([]*Entry{e}, nil)
 			return nil
 		}
 	}
@@ -451,7 +510,7 @@ func (t *Table) Delete(id uint64) error {
 			next = append(next, t.inserted[:i]...)
 			next = append(next, t.inserted[i+1:]...)
 			t.inserted = next
-			t.reindexWithout(e)
+			t.derive([]*Entry{e}, nil)
 			return nil
 		}
 	}

@@ -180,24 +180,33 @@ func ProgramFromRuleSet(rs *rules.RuleSet, missAction p4.Action) (Program, error
 	if err != nil {
 		return Program{}, fmt.Errorf("p4rt: compile: %w", err)
 	}
+	return ProgramFromEntries(rs.Offsets, entries, missAction), nil
+}
+
+// ProgramFromEntries is ProgramFromRuleSet for rows already compiled
+// (rules.RuleSet.RangeEntries, or match.Compiled.RangeEntries when the
+// rule set has been compiled anyway). The program copies the offsets and
+// wraps the rows' Lo and Hi where they lie.
+func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4.Action) Program {
 	prog := Program{
-		Offsets:       rs.Offsets,
+		Offsets:       append([]int(nil), offsets...),
 		DefaultAction: FormatAction(missAction.Type),
 		DefaultClass:  missAction.Class,
-		Entries:       make([]WireEntry, 0, len(entries)),
+		Entries:       make([]WireEntry, len(entries)),
 	}
-	for _, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		action := p4.ActionAllow
 		if rules.ActionForClass(e.Class) == rules.ActionDrop {
 			action = p4.ActionDrop
 		}
-		prog.Entries = append(prog.Entries, WireEntry{
+		prog.Entries[i] = WireEntry{
 			Priority: e.Priority,
 			Lo:       e.Lo,
 			Hi:       e.Hi,
 			Action:   FormatAction(action),
 			Class:    e.Class,
-		})
+		}
 	}
-	return prog, nil
+	return prog
 }

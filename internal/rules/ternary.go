@@ -83,15 +83,49 @@ func ExtractKey(pkt *packet.Packet, offsets []int) []byte {
 	return key
 }
 
+// keyPositions resolves a header offset to its place in a key layout
+// without hashing it: learned layouts lie inside packet.HeaderWindow, which
+// one array covers; an offset beyond the window is found by scanning the
+// layout. A repeated offset resolves to its last place.
+type keyPositions struct {
+	offsets []int
+	at      [packet.HeaderWindow]int // place + 1; 0 for an offset not in the layout
+}
+
+func newKeyPositions(offsets []int) *keyPositions {
+	k := &keyPositions{offsets: offsets}
+	for i, off := range offsets {
+		if off >= 0 && off < len(k.at) {
+			k.at[off] = i + 1
+		}
+	}
+	return k
+}
+
+// of returns off's place in the layout, or -1.
+func (k *keyPositions) of(off int) int {
+	if uint(off) < uint(len(k.at)) {
+		return k.at[off] - 1
+	}
+	for i := len(k.offsets) - 1; i >= 0; i-- {
+		if k.offsets[i] == off {
+			return i
+		}
+	}
+	return -1
+}
+
+// outside is the error for a predicate on an offset the layout lacks.
+func (k *keyPositions) outside(off int) error {
+	return fmt.Errorf("rules: predicate offset %d not in key layout %v", off, k.offsets)
+}
+
 // CompileTernary expands every rule into TCAM entries via per-predicate
 // prefix expansion and cross-product. The result preserves rule priority
 // order (entries from one rule share its priority).
 func (rs *RuleSet) CompileTernary() ([]TernaryEntry, error) {
 	width := len(rs.Offsets)
-	pos := make(map[int]int, width) // offset -> key index
-	for i, off := range rs.Offsets {
-		pos[off] = i
-	}
+	pos := newKeyPositions(rs.Offsets)
 	var entries []TernaryEntry
 	for _, r := range rs.Rules {
 		// Start with a fully wildcard pattern.
@@ -103,9 +137,9 @@ func (rs *RuleSet) CompileTernary() ([]TernaryEntry, error) {
 		}
 		partials := []TernaryEntry{base}
 		for _, p := range r.Preds {
-			idx, ok := pos[p.Offset]
-			if !ok {
-				return nil, fmt.Errorf("rules: predicate offset %d not in key layout %v", p.Offset, rs.Offsets)
+			idx := pos.of(p.Offset)
+			if idx < 0 {
+				return nil, pos.outside(p.Offset)
 			}
 			if p.Trivial() {
 				continue
@@ -141,45 +175,57 @@ type RangeEntry struct {
 	Class    int
 }
 
-// RangeEntries compiles the rule set into range-match rows, one per rule
-// — the form actually installed in the behavioural switch (P4 targets
-// support range match keys directly; the TCAM prefix expansion in
-// CompileTernary is used for hardware cost accounting). Predicates
-// repeated on one offset are intersected, as Rule.Matches evaluates
-// them; a rule whose intersection is empty matches nothing and gets no
-// row (a range table refuses lo > hi). The rows' Lo and Hi share one
-// backing array, each capped to its own bytes.
-func (rs *RuleSet) RangeEntries() ([]RangeEntry, error) {
-	pos := make(map[int]int, len(rs.Offsets))
-	for i, off := range rs.Offsets {
-		pos[off] = i
-	}
+// RangeRows compiles the rule set into range-match rows, row i from rule
+// i: its bounds on every key byte, predicates repeated on one offset
+// intersected as Rule.Matches evaluates them. A rule whose intersection
+// is empty keeps its row, dead (Lo > Hi on some byte), so that rows and
+// rules number alike; RangeEntries is the rows a table can hold. The
+// rows' Lo and Hi share one backing array, each capped to its own bytes.
+func (rs *RuleSet) RangeRows() ([]RangeEntry, error) {
+	pos := newKeyPositions(rs.Offsets)
 	w := len(rs.Offsets)
-	out := make([]RangeEntry, 0, len(rs.Rules))
+	out := make([]RangeEntry, len(rs.Rules))
 	buf := make([]byte, 2*w*len(rs.Rules))
-rules:
-	for _, r := range rs.Rules {
+	for r := range rs.Rules {
+		rule := &rs.Rules[r]
 		lo, hi := buf[:w:w], buf[w:2*w:2*w]
 		buf = buf[2*w:]
 		for i := range hi {
 			hi[i] = 0xff
 		}
-		for _, p := range r.Preds {
-			idx, ok := pos[p.Offset]
-			if !ok {
-				return nil, fmt.Errorf("rules: predicate offset %d not in key layout %v", p.Offset, rs.Offsets)
+		for _, p := range rule.Preds {
+			idx := pos.of(p.Offset)
+			if idx < 0 {
+				return nil, pos.outside(p.Offset)
 			}
 			lo[idx] = max(lo[idx], p.Lo)
 			hi[idx] = min(hi[idx], p.Hi)
 		}
-		for i := range lo {
-			if lo[i] > hi[i] {
-				continue rules
-			}
-		}
-		out = append(out, RangeEntry{Priority: r.Priority, Lo: lo, Hi: hi, Class: r.Class})
+		out[r] = RangeEntry{Priority: rule.Priority, Lo: lo, Hi: hi, Class: rule.Class}
 	}
 	return out, nil
+}
+
+// RangeEntries is RangeRows without the dead rows — the form actually
+// installed in the behavioural switch, whose range tables refuse lo > hi
+// (P4 targets support range match keys directly; the TCAM prefix
+// expansion in CompileTernary is used for hardware cost accounting).
+func (rs *RuleSet) RangeEntries() ([]RangeEntry, error) {
+	rows, err := rs.RangeRows()
+	if err != nil {
+		return nil, err
+	}
+	live := rows[:0]
+rows:
+	for _, e := range rows {
+		for i := range e.Lo {
+			if e.Lo[i] > e.Hi[i] {
+				continue rows
+			}
+		}
+		live = append(live, e)
+	}
+	return live, nil
 }
 
 // TCAMCost summarizes hardware cost of a compiled rule set.

@@ -275,11 +275,11 @@ func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []
 // detector table. The delta cannot reshape the key layout: when offsets
 // disagree with the installed schema the call is refused untouched, and
 // the caller (the p4rt server, on the controller's behalf) falls back
-// to a full program swap. missAction may change with the delta; it moves
-// only after the delta applied (republishing the compiled index under
-// the new default, compiling nothing), so a refused delta leaves the
-// default action where it was. Reactive entries and surviving entries'
-// direct counters are preserved.
+// to a full program swap. missAction may change with the delta; it lands
+// in the generation the delta publishes (p4.Table.ProgramDelta), so no
+// packet is matched against the new entries under the old default, and a
+// refused delta leaves the default action where it was. Reactive entries
+// and surviving entries' direct counters are preserved.
 func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,15 +289,14 @@ func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.De
 	}
 	// Detector layouts only ever come from keySpecs, so two layouts that
 	// extract the same bytes are equal spec for spec, names included.
-	specs := keySpecs(offsets)
-	if cur := det.KeySpecs(); !slices.Equal(cur, specs) {
+	if cur, specs := det.KeySpecs(), keySpecs(offsets); !slices.Equal(cur, specs) {
 		return fmt.Errorf("switchsim: delta: key layout mismatch (installed %d fields, delta %d)",
 			len(cur), len(specs))
 	}
-	if err := det.Apply(d); err != nil {
+	if err := det.ProgramDelta(missAction, d); err != nil {
 		return fmt.Errorf("switchsim: delta: %w", err)
 	}
-	return det.Define(specs, missAction)
+	return nil
 }
 
 // InsertDetectorEntry adds one entry to the detector table (reactive path).

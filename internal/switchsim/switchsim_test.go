@@ -654,6 +654,19 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	if err := sw.ProgramDetector(progs[0].offsets, allow, progs[0].rows); err != nil {
 		t.Fatal(err)
 	}
+	neverAllowedWhile(t, sw, 300, func(i int) error {
+		p := progs[i%2]
+		return sw.ProgramDetector(p.offsets, allow, p.rows)
+	})
+}
+
+// neverAllowedWhile reprograms the switch at least rounds times, and
+// until both a scalar and a burst reader have forwarded the attack frame
+// {200, 7, 0, 0} throughout: every program the caller alternates between
+// drops it, so a reader that sees it allowed was served a torn
+// generation.
+func neverAllowedWhile(t *testing.T, sw *Switch, rounds int, reprogram func(i int) error) {
+	t.Helper()
 	frame := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 7, 0, 0}}
 	var stop atomic.Bool
 	var reads [2]atomic.Int64
@@ -674,9 +687,8 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 			}
 		}(r, forward)
 	}
-	for i := 1; i <= 300 || reads[0].Load() == 0 || reads[1].Load() == 0; i++ {
-		p := progs[i%2]
-		if err := sw.ProgramDetector(p.offsets, allow, p.rows); err != nil {
+	for i := 1; i <= rounds || reads[0].Load() == 0 || reads[1].Load() == 0; i++ {
+		if err := reprogram(i); err != nil {
 			t.Error(err)
 			break
 		}
@@ -686,6 +698,45 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestDeltaNeverServesTornGeneration is TestFullSwapNeverServesTornGeneration
+// for deltas: two programs over one key layout, one dropping the frame by
+// a range row under a default of allow, the other by its default of drop
+// with no such row, are alternated by delta under scalar and burst
+// readers (run under -race). A reader that ever sees the frame allowed
+// was served one program's entries under the other's default.
+func TestDeltaNeverServesTornGeneration(t *testing.T) {
+	allow, drop := p4.Action{Type: p4.ActionAllow}, p4.Action{Type: p4.ActionDrop, Class: 1}
+	var bulk []p4.Entry // so an apply takes long enough to be caught mid-way
+	for i := 0; i < 1024; i++ {
+		k := []byte{byte(i % 100), byte(i / 100)}
+		bulk = append(bulk, p4.Entry{Priority: 1, Lo: k, Hi: k, Action: allow})
+	}
+	progs := []struct {
+		def  p4.Action
+		rows []p4.Entry
+	}{
+		{drop, bulk},
+		{allow, append([]p4.Entry{{Priority: 9, Lo: []byte{101, 0}, Hi: []byte{255, 255}, Action: drop}}, bulk...)},
+	}
+	var deltas [2]p4.Delta // deltas[i] leads to progs[i]
+	for i := range deltas {
+		d, ok := p4.ComputeDelta(progs[1-i].rows, progs[i].rows)
+		if !ok {
+			t.Fatal("no delta between the programs")
+		}
+		deltas[i] = d
+	}
+
+	sw := mkSwitch(t)
+	offsets := []int{0, 1}
+	if err := sw.ProgramDetector(offsets, progs[0].def, progs[0].rows); err != nil {
+		t.Fatal(err)
+	}
+	neverAllowedWhile(t, sw, 600, func(i int) error {
+		return sw.ApplyDetectorDelta(offsets, progs[i%2].def, deltas[i%2])
+	})
 }
 
 // TestInstallsNeverServeMixedGeneration: one writer installs 1 200 point

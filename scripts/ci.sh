@@ -2,7 +2,7 @@
 # CI gate: gofmt, vet, build, full test suite under the race detector, then the
 # hot-path benchmarks (compiled matcher, data-plane lookup, batched and
 # parallel forwarding, delta and full deploy, program frame codec, reactive
-# install) so throughput regressions show up in the log.
+# install, delta apply) so throughput regressions show up in the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -74,7 +74,7 @@ go test -race -count "${CI_FLEET_COUNT:-2}" \
 
 echo "==> hot-path benchmarks"
 go test -run '^$' \
-    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunParallel|BenchmarkMatMulMLP|BenchmarkTrainStep|BenchmarkDeltaDeploy|BenchmarkFullDeploy|BenchmarkProgramFrame|BenchmarkRangeInsert' \
+    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunParallel|BenchmarkMatMulMLP|BenchmarkTrainStep|BenchmarkDeltaDeploy|BenchmarkFullDeploy|BenchmarkProgramFrame|BenchmarkRangeInsert|BenchmarkRangeDelta' \
     -benchmem -benchtime "${CI_BENCHTIME:-1s}" \
     ./... 2>&1 | grep -v '^ok\|no test files'
 
@@ -115,13 +115,15 @@ echo "==> zero-alloc forwarding gate"
 # must not allocate at all, the delta diff must allocate the same
 # whether it pairs 16 rows or 8 192 (its table, not a key per row), a
 # reactive install into an 8 192-row range table must allocate the 8 B/row
-# copy of the sorted entry list and no hash, and a full swap must go from
+# copy of the sorted entry list and no hash, a delta apply on one the two
+# pointer lists and the one copy of the point hash its deletes are made in
+# (no row array, no second hash), and a full swap must go from
 # frame bytes to applied table in two allocations a row (its keys, the
 # table's copy) with the rows held in one form only. testing.AllocsPerRun
 # is deterministic and the install gate takes the cheapest of eight
 # batches, so this gate never flakes.
 go test -count 1 \
-    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestFullSwapAllocsPerRow|TestIdlePumpTickAllocatesNothing' \
+    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestRangeDeltaAllocsIndependentOfRows|TestFullSwapAllocsPerRow|TestIdlePumpTickAllocatesNothing' \
     ./internal/switchsim/ ./internal/packet/ ./internal/p4/ ./internal/p4rt/
 
 echo "==> million-entry sublinearity guard"
