@@ -63,7 +63,7 @@ func MaskBytes(dst, key, mask []byte) {
 }
 
 // MaskedEqual reports (key ^ value) & mask == 0, eight bytes per step —
-// the ternary/LPM match predicate done in 64-bit lanes. key, value, and
+// the ternary match predicate done in 64-bit lanes. key, value, and
 // mask must share a length.
 func MaskedEqual(key, value, mask []byte) bool {
 	n := len(key)

@@ -343,7 +343,7 @@ func (ix *KeyIndex) findRange(key []byte) int32 {
 // copies nothing but the KeyIndex itself. Slots are written once, so an
 // edit that deletes works on a copy of the hash, where it closes each
 // vacated slot by shifting its probe chain back: the derived hash holds
-// no tombstone and probes as a compile of the same rows would. Either
+// no deleted marker and probes as a compile of the same rows would. Either
 // kind moves to a hash of twice the size rather than pass half full.
 //
 // It returns nil when the rows have to be compiled — a range row or an

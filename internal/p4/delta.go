@@ -16,8 +16,9 @@ import (
 // Surviving entries fill the remaining slots in base order, so applying
 // a delta reproduces exactly the program a full Replace of the new
 // entry list would install — while sharing every surviving entry
-// (counters included), preserving reactive Inserts, and editing the
-// lookup index rather than rebuilding it (Table.derive).
+// (counters included), preserving reactive Inserts, and, on a range
+// table, editing the lookup index rather than rebuilding it
+// (Table.derive).
 //
 // A delta names its base with (BaseCount, BaseHash); Apply refuses a
 // delta whose base does not match the installed program (ErrDeltaBase),
@@ -153,16 +154,6 @@ func HashEntry(e *Entry) uint64 {
 	var r DeltaRow
 	e.deltaRow(&r)
 	return r.hash()
-}
-
-// HashEntries is the order-independent signature of an entry list: the
-// XOR of every entry's HashEntry.
-func HashEntries(entries []Entry) uint64 {
-	var h uint64
-	for i := range entries {
-		h ^= HashEntry(&entries[i])
-	}
-	return h
 }
 
 // sameKey reports whether two rows pair in a diff: every field but the
@@ -355,13 +346,13 @@ func ComputeDelta(old, new []Entry) (Delta, bool) {
 // Inserts and whatever of the index the edit does not touch (see derive).
 // On any error the table is unchanged.
 //
-// The cost is O(survivors) pointer moves — the program and the sorted
-// entry list are spliced, never re-sorted — plus what the edited rows cost
-// the index: a ternary table rebuilds the partitions they fall in, a range
-// table fills one hash slot per added point row and copies the hash when
-// any leaves. A range table compiles its index from scratch only for what
-// the hash cannot express: a range row added, removed or re-prioritised, a
-// key two rows share, a key too wide to pack.
+// On a range table the cost is O(survivors) pointer moves — the program
+// and the sorted entry list are spliced, never re-sorted — plus what the
+// edited rows cost the index: one hash slot per added point row and a copy
+// of the hash when any leaves. Its index is compiled from scratch only for
+// what the hash cannot express: a range row added, removed or
+// re-prioritised, a key two rows share, a key too wide to pack. A ternary
+// table compiles its store on every apply.
 func (t *Table) Apply(d Delta) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -371,8 +362,7 @@ func (t *Table) Apply(d Delta) error {
 // ProgramDelta is Apply with the default action set in the generation the
 // delta publishes — the incremental twin of Program: no lookup sees the
 // new entries under the old default or the new default over the old
-// entries, which an Apply followed by a Define cannot promise. On error
-// the table, default included, is unchanged.
+// entries. On error the table, default included, is unchanged.
 func (t *Table) ProgramDelta(def Action, d Delta) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

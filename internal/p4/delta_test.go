@@ -105,8 +105,9 @@ func entriesEqualIgnoringID(a, b []Entry) bool {
 
 // TestApplyMatchesReplace is the delta round-trip property: for random
 // base programs and random edits, Apply(ComputeDelta(old, new)) must
-// leave the table in exactly the state Replace(new) would — same wire
-// program (IDs aside), same signature hash, same verdict for every key
+// leave the table in exactly the state Replace(new) would — same entries
+// in the same match order (IDs aside), same signature hash, same verdict
+// for every key
 // against both the indexed lookup and the linear oracle.
 func TestApplyMatchesReplace(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -131,7 +132,7 @@ func TestApplyMatchesReplace(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if !entriesEqualIgnoringID(tblA.ProgramEntries(), tblB.ProgramEntries()) {
+		if !entriesEqualIgnoringID(tblA.Entries(), tblB.Entries()) {
 			t.Fatalf("seed %d: delta-applied program differs from Replace(new)", seed)
 		}
 		ca, ha := tblA.ProgramSignature()
@@ -164,8 +165,6 @@ func TestApplyBaseMismatch(t *testing.T) {
 	if err := tbl.Replace(prog); err != nil {
 		t.Fatal(err)
 	}
-	before := tbl.ProgramEntries()
-
 	if err := tbl.Apply(Delta{BaseCount: 7}); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("count mismatch: err = %v, want ErrDeltaBase", err)
 	}
@@ -177,7 +176,7 @@ func TestApplyBaseMismatch(t *testing.T) {
 	if err := tbl.Apply(Delta{BaseCount: 2, Deletes: []int{1}}); err != nil {
 		t.Fatalf("unhashed delta: %v", err)
 	}
-	if got := tbl.ProgramEntries(); len(got) != 1 || got[0].Value[0] != before[0].Value[0] {
+	if got := tbl.Entries(); len(got) != 1 || got[0].Value[0] != prog[0].Value[0] {
 		t.Fatalf("delete left %+v", got)
 	}
 }
@@ -191,7 +190,7 @@ func TestApplyAtomicOnError(t *testing.T) {
 	if err := tbl.Replace(prog); err != nil {
 		t.Fatal(err)
 	}
-	before := tbl.ProgramEntries()
+	before := tbl.Entries()
 	_, beforeHash := tbl.ProgramSignature()
 
 	bad := []Delta{
@@ -208,7 +207,7 @@ func TestApplyAtomicOnError(t *testing.T) {
 		if err := tbl.Apply(d); err == nil {
 			t.Fatalf("bad delta %d applied", i)
 		}
-		if !entriesEqualIgnoringID(tbl.ProgramEntries(), before) {
+		if !entriesEqualIgnoringID(tbl.Entries(), before) {
 			t.Fatalf("bad delta %d mutated the table", i)
 		}
 		if _, h := tbl.ProgramSignature(); h != beforeHash {
@@ -230,7 +229,8 @@ func TestApplyPreservesCountersAndInserted(t *testing.T) {
 	if err := tbl.Replace(prog); err != nil {
 		t.Fatal(err)
 	}
-	survivorID := tbl.ProgramEntries()[0].ID
+	survivorID := tbl.Entries()[0].ID // prog[0], the highest priority so far
+	_, progHash := tbl.ProgramSignature()
 	reactiveID, err := tbl.Insert(Entry{Priority: 9, Value: []byte{7, 7}, Mask: []byte{0xff, 0xff},
 		Action: Action{Type: ActionDrop, Class: 9}})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestApplyPreservesCountersAndInserted(t *testing.T) {
 
 	d := Delta{
 		BaseCount: 2,
-		BaseHash:  HashEntries(prog),
+		BaseHash:  progHash,
 		Deletes:   []int{1},
 		Adds: []DeltaAdd{{Entry: Entry{Priority: 3, Value: []byte{3, 0}, Mask: []byte{0xff, 0x00},
 			Action: Action{Type: ActionDrop, Class: 3}}, Order: 1}},
@@ -250,12 +250,11 @@ func TestApplyPreservesCountersAndInserted(t *testing.T) {
 	if err := tbl.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	hits, err := tbl.EntryHits(survivorID)
-	if err != nil || hits != 3 {
-		t.Fatalf("survivor hits = %d, err = %v, want 3 kept across Apply", hits, err)
+	if hits, ok := entryHits(tbl, survivorID); !ok || hits != 3 {
+		t.Fatalf("survivor hits = %d, installed = %v, want 3 kept across Apply", hits, ok)
 	}
-	if _, err := tbl.EntryHits(reactiveID); err != nil {
-		t.Fatalf("reactive entry lost by Apply: %v", err)
+	if _, ok := entryHits(tbl, reactiveID); !ok {
+		t.Fatal("reactive entry lost by Apply")
 	}
 	if act, _ := tbl.Lookup([]byte{7, 7}); act.Class != 9 {
 		t.Fatalf("reactive entry not matching after Apply: %+v", act)
@@ -264,9 +263,19 @@ func TestApplyPreservesCountersAndInserted(t *testing.T) {
 	if err := tbl.Replace(prog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.EntryHits(reactiveID); err == nil {
+	if _, ok := entryHits(tbl, reactiveID); ok {
 		t.Fatal("Replace kept a reactive entry")
 	}
+}
+
+// entryHits reads one installed entry's hit counter.
+func entryHits(tbl *Table, id uint64) (hits uint64, ok bool) {
+	for _, c := range tbl.EntrySnapshots() {
+		if c.ID == id {
+			return c.Hits, true
+		}
+	}
+	return 0, false
 }
 
 func TestComputeDeltaBails(t *testing.T) {
@@ -318,9 +327,10 @@ func matchFieldsKey(e *Entry) string {
 // two maps over a key string built per row. ComputeDelta must return the
 // same Delta and the same ok on every input.
 func computeDeltaRef(old, new []Entry) (Delta, bool) {
-	d := Delta{BaseCount: len(old), BaseHash: HashEntries(old)}
+	d := Delta{BaseCount: len(old)}
 	oldIdx := make(map[string]int, len(old))
 	for i := range old {
+		d.BaseHash ^= HashEntry(&old[i])
 		k := matchFieldsKey(&old[i])
 		if _, dup := oldIdx[k]; dup {
 			return Delta{}, false
@@ -642,8 +652,10 @@ func TestApplyRangeTable(t *testing.T) {
 // concurrent lock-free readers while the writer churns it through
 // Apply deltas, reactive Inserts, and Deletes, asserting after every
 // mutation that the trie-backed Lookup, the linear oracle, and Explain
-// agree on a spread of keys. Run with -race this is the persistent
-// store's publication-safety proof.
+// agree on a spread of keys, and that the generation held from before the
+// first of the 100 mutations still answers every one of them as it did:
+// each mutation compiles a new store, and none may write to one already
+// published. Run with -race this is the store's publication-safety proof.
 func TestTernaryDeltaChurnDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -654,6 +666,11 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			frames := ternaryCorpus(rng, 64)
+			first := tbl.state.Load()
+			was := make([]*Entry, len(frames))
+			for i, frame := range frames {
+				was[i] = first.findLinear(frame)
+			}
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -674,7 +691,7 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 			}
 
 			var reactive []uint64
-			for round := 0; round < 60; round++ {
+			for round, mutations := 0, 0; mutations < 100; round++ {
 				switch rng.Intn(4) {
 				case 0:
 					id, err := tbl.Insert(Entry{
@@ -687,6 +704,7 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					reactive = append(reactive, id)
+					mutations++
 				case 1:
 					if len(reactive) > 0 {
 						i := rng.Intn(len(reactive))
@@ -694,6 +712,7 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 							t.Fatal(err)
 						}
 						reactive = append(reactive[:i], reactive[i+1:]...)
+						mutations++
 					}
 				default:
 					next := mutateProgram(rng, prog)
@@ -705,8 +724,12 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 						t.Fatalf("round %d: apply: %v", round, err)
 					}
 					prog = next
+					mutations++
 				}
-				for _, frame := range frames {
+				for i, frame := range frames {
+					if got, _ := first.find(frame, make([]byte, len(frame))); got != was[i] {
+						t.Fatalf("round %d frame %v: the first generation finds %+v, found %+v", round, frame, got, was[i])
+					}
 					la, lm := tbl.Lookup(frame)
 					oa, om := tbl.LookupOracle(frame)
 					if la != oa || lm != om {
@@ -719,42 +742,5 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 			close(stop)
 			wg.Wait()
 		})
-	}
-}
-
-// TestDefineApplyLifecycle covers the split programming API: Define
-// keeps entries across a layout-compatible redefine, wipes them when
-// the layout changes, and the deprecated Program shim remains
-// equivalent to Define+Replace.
-func TestDefineApplyLifecycle(t *testing.T) {
-	tbl := NewTable("det", MatchTernary, key2(), 0, Action{Type: ActionAllow})
-	prog := []Entry{{Priority: 1, Value: []byte{1, 2}, Mask: []byte{0xff, 0xff},
-		Action: Action{Type: ActionDrop, Class: 1}}}
-	if err := tbl.Replace(prog); err != nil {
-		t.Fatal(err)
-	}
-	// Same layout, new default: entries survive.
-	if err := tbl.Define(key2(), Action{Type: ActionDigest}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("compatible Define wiped entries: len=%d", tbl.Len())
-	}
-	if act, matched := tbl.Lookup([]byte{9, 9}); matched || act.Type != ActionDigest {
-		t.Fatalf("new default not in effect: (%v,%v)", act, matched)
-	}
-	// New layout: entries cannot survive a different key shape.
-	if err := tbl.Define(key1(), Action{Type: ActionAllow}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("layout change kept entries: len=%d", tbl.Len())
-	}
-	// Program shim == Define + Replace.
-	if err := tbl.Program(key2(), Action{Type: ActionAllow}, prog); err != nil {
-		t.Fatal(err)
-	}
-	if act, matched := tbl.Lookup([]byte{1, 2}); !matched || act.Class != 1 {
-		t.Fatalf("Program shim: (%v,%v)", act, matched)
 	}
 }

@@ -15,10 +15,8 @@ import (
 // Explain is side-effect-free: it never bumps hit/miss or direct
 // counters and never queues digests, so it can be called on live
 // traffic (sampled or on demand) without distorting the accounting the
-// telemetry layer exports. Winner selection replicates each match
-// kind's Lookup algorithm exactly — including the partitioned ternary
-// store's (priority, ID) tie-breaking — so Explain and Lookup can never
-// disagree on the verdict.
+// telemetry layer exports. Winner selection is Lookup's own index probe,
+// so Explain and Lookup can never disagree on the verdict.
 
 // EntryByteExplain compares one key byte against one entry.
 type EntryByteExplain struct {
@@ -30,15 +28,14 @@ type EntryByteExplain struct {
 	// Key is the packet's byte at that position.
 	Key byte `json:"key"`
 	// Value and Mask are the entry's ternary view at this byte: for
-	// ternary entries they are the stored value/mask, for exact entries
-	// mask is 0xff, for LPM the prefix bits, and for range entries the
-	// fixed-prefix bits shared across [Lo, Hi].
+	// ternary entries they are the stored value/mask, for range entries
+	// the fixed-prefix bits shared across [Lo, Hi].
 	Value byte `json:"value"`
 	Mask  byte `json:"mask"`
 	// MatchedBits marks the mask bits where the key agrees with Value
 	// (MSB first) — the bit-expanded positions that matched.
 	MatchedBits byte `json:"matched_bits"`
-	// Lo and Hi bound the admitted range (value..value for exact and
+	// Lo and Hi bound the admitted range (value..value for
 	// ternary-on-full-mask bytes; only meaningful as a range for range
 	// entries).
 	Lo byte `json:"lo"`
@@ -101,15 +98,8 @@ func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *Entry) 
 			k := key[pos]
 			var value, mask, lo, hi byte
 			switch kind {
-			case MatchExact:
-				value, mask = e.Value[pos], 0xff
-				lo, hi = value, value
 			case MatchTernary:
 				value, mask = e.Value[pos], e.Mask[pos]
-				lo, hi = value, value|^mask
-			case MatchLPM:
-				mask = prefixMaskByte(e.PrefixLen, pos)
-				value = e.Value[pos] & mask
 				lo, hi = value, value|^mask
 			case MatchRange:
 				lo, hi = e.Lo[pos], e.Hi[pos]
@@ -135,20 +125,6 @@ func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *Entry) 
 	return out, all
 }
 
-// prefixMaskByte returns the mask byte at position pos of a prefixLen-bit
-// LPM prefix.
-func prefixMaskByte(prefixLen, pos int) byte {
-	bits := prefixLen - pos*8
-	switch {
-	case bits >= 8:
-		return 0xff
-	case bits <= 0:
-		return 0
-	default:
-		return byte(0xff << (8 - bits))
-	}
-}
-
 // explainEntry builds an EntryExplain for entry e at match order mo.
 func explainEntry(st *lookupState, key []byte, e *Entry, mo int) EntryExplain {
 	bytes, all := explainEntryBytes(st.kind, key, st.key, e)
@@ -161,43 +137,15 @@ func explainEntry(st *lookupState, key []byte, e *Entry, mo int) EntryExplain {
 
 // winnerEntry replicates Lookup's winner selection on a snapshot,
 // returning the winning entry and its match-order index (-1 on miss).
-// It must stay in lockstep with Table.Lookup — the ternary arm probes
-// the same partitioned trie store with the same (priority, ID)
-// tie-breaking, so Explain and Lookup can never disagree.
+// It goes through the probe Lookup uses (find), so Explain and Lookup can
+// never disagree; the match order is the winner's rank in the sorted list,
+// since the index names a row by id, not by place.
 func winnerEntry(st *lookupState, key []byte) (*Entry, int) {
-	var hit *Entry
-	switch st.kind {
-	case MatchExact:
-		hit = st.exact[string(key)]
-	case MatchTernary:
-		hit = st.tstore.find(key, make([]byte, len(key)))
-	case MatchLPM:
-		for _, e := range st.entries {
-			if prefixMatch(key, e.Value, e.PrefixLen) {
-				return e, matchOrderOf(st, e)
-			}
-		}
-	case MatchRange:
-		if row, ok := st.rangeIdx.Find(key); ok {
-			e := st.byID[row] // the index names the row by id, not by place
-			return e, rankOf(st.entries, e)
-		}
-		return nil, -1
-	}
+	hit, _ := st.find(key, make([]byte, len(key)))
 	if hit == nil {
 		return nil, -1
 	}
-	return hit, matchOrderOf(st, hit)
-}
-
-// matchOrderOf returns e's index in the snapshot's entry order.
-func matchOrderOf(st *lookupState, e *Entry) int {
-	for i, cand := range st.entries {
-		if cand == e {
-			return i
-		}
-	}
-	return -1
+	return hit, rankOf(st.entries, hit)
 }
 
 // Explain reconstructs the lookup of frame with full evidence and no
@@ -222,13 +170,10 @@ func (t *Table) Explain(frame []byte) TableExplain {
 		w := explainEntry(st, key, hit, mo)
 		ex.Winner = &w
 		// Entries ahead of the winner in match order lost by failing to
-		// match (exact tables keep no order; mo is -1 there and the map
-		// admits exactly one candidate, so nothing was beaten).
-		if mo > 0 {
-			ex.BeatenTotal = mo
-			for i := 0; i < mo && len(ex.Beaten) < match.MaxBeaten; i++ {
-				ex.Beaten = append(ex.Beaten, explainEntry(st, key, st.entries[i], i))
-			}
+		// match.
+		ex.BeatenTotal = mo
+		for i := 0; i < mo && len(ex.Beaten) < match.MaxBeaten; i++ {
+			ex.Beaten = append(ex.Beaten, explainEntry(st, key, st.entries[i], i))
 		}
 	}
 	ex.ActionName = ex.Action.Type.String()

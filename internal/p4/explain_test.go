@@ -70,8 +70,8 @@ func TestExplainLookupAgreementUnderTernaryChurn(t *testing.T) {
 	}
 }
 
-// TestExplainLookupAgreementAllKinds covers exact, LPM, and range tables
-// with a churn of inserts/deletes and random keys.
+// TestExplainLookupAgreementAllKinds covers ternary and range tables
+// with a run of inserts and random keys.
 func TestExplainLookupAgreementAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	specs := []FieldSpec{{Name: "b", Offset: 0, Width: 2}}
@@ -85,11 +85,9 @@ func TestExplainLookupAgreementAllKinds(t *testing.T) {
 	insert := func(tbl *Table, kind MatchKind) error {
 		e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionSetClass, Class: 1 + rng.Intn(3)}}
 		switch kind {
-		case MatchExact:
-			e.Value = []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
-		case MatchLPM:
-			e.Value = []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
-			e.PrefixLen = rng.Intn(17)
+		case MatchTernary:
+			e.Mask = []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
+			e.Value = []byte{byte(rng.Intn(256)) & e.Mask[0], byte(rng.Intn(256)) & e.Mask[1]}
 		case MatchRange:
 			lo0, hi0 := byte(rng.Intn(256)), byte(rng.Intn(256))
 			if lo0 > hi0 {
@@ -104,7 +102,7 @@ func TestExplainLookupAgreementAllKinds(t *testing.T) {
 		_, err := tbl.Insert(e)
 		return err
 	}
-	for _, kind := range []MatchKind{MatchExact, MatchLPM, MatchRange} {
+	for _, kind := range []MatchKind{MatchTernary, MatchRange} {
 		t.Run(kind.String(), func(t *testing.T) {
 			tbl := mk(kind)
 			for round := 0; round < 40; round++ {

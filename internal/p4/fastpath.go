@@ -20,13 +20,12 @@ import (
 //     identical to a fresh lookup because table lookup is a pure
 //     function of (lookup state, key) and every cache entry is tagged
 //     with the state generation that produced it;
-//   - cache misses fall through to the kind-specific index — the range
-//     index (point hash + bitset) batched over the miss set, the
-//     partitioned ternary trie store and LPM with 64-bit lane compares
-//     (match.MaskBytes / match.MaskedEqual) instead of per-byte loops;
-//   - direct counters are tallied with run-length merging and one pair
-//     of table-level atomic adds per batch instead of three atomic
-//     read-modify-writes per packet;
+//   - cache misses fall through to the index — the range index (point
+//     hash + bitset) batched over the miss set, or the scalar probe
+//     (lookupState.find) per key for a ternary table;
+//   - direct counters are tallied per row and flushed as one pair of
+//     atomic adds per distinct entry, plus one pair of table-level adds
+//     per batch, instead of three atomic read-modify-writes per packet;
 //   - digests are collected per batch and enqueued under one lock with
 //     one clock read (queueDigestBatch), preserving the queue's
 //     offered/queued/drained/dropped invariants exactly.
@@ -46,7 +45,7 @@ const flowCacheSlots = 1024
 // recorded miss) tagged with the generation that produced it. Keys are
 // held as two zero-padded little-endian words so a probe is two integer
 // compares instead of a byte loop. row is the entry's row id in the
-// state's byID (-1 when the kind resolves without one); it rides along
+// state's byID (-1 on a ternary table, which has none); it rides along
 // so cache hits can still use the batched counter tally.
 type flowSlot struct {
 	gen    uint32
@@ -136,7 +135,7 @@ type BatchWorkspace struct {
 	rows    []int32  // range-index rows parallel to pend
 	digests []Digest // staged digests, flushed once per batch
 	caches  []flowCache
-	masked  [64]byte // lane-masking scratch for ternary probes
+	masked  []byte // lane-masking scratch for ternary probes, one key wide
 
 	// Per-row counter accumulation: deltas gather here (indexed by the
 	// state's row id) and flush as one atomic add pair per
@@ -187,8 +186,8 @@ func (ws *BatchWorkspace) ensureAgg(ne int) {
 // ws.matched[idx], and the hit entry (for counter tallying) into
 // ws.hits[idx]. Counter effects are identical to calling Lookup once per
 // packet: per-entry hits/bytes and table hits/misses advance by exactly
-// the same amounts, just batched into one atomic add per run of equal
-// entries and one pair per table. slot selects the workspace flow cache
+// the same amounts, just batched into one atomic add pair per distinct
+// row and one pair per table. slot selects the workspace flow cache
 // (the caller's pipeline position of t). The lookup state is loaded once
 // for the whole burst, so a batch observes one table generation.
 func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, slot int) {
@@ -234,8 +233,11 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 				ws.hitRows[idx] = rows[j]
 			}
 		default:
+			if len(ws.masked) < width {
+				ws.masked = make([]byte, width)
+			}
 			for _, idx := range pend {
-				ws.hits[idx], ws.hitRows[idx] = st.find(ws.keys.Key(int(idx)), ws.masked[:])
+				ws.hits[idx], ws.hitRows[idx] = st.find(ws.keys.Key(int(idx)), ws.masked)
 			}
 		}
 		if cached {
@@ -248,15 +250,12 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 
 	// Tally counters per batch. Hits that carry a row id accumulate
 	// into the workspace and flush as one atomic add pair per distinct
-	// entry; kinds without one (exact, ternary) fold runs of
-	// equal entries. Table-level hit/miss counters advance once per
-	// batch. The final counter values are identical to per-packet
-	// Lookup in every case.
+	// entry; a ternary hit has none and adds to its entry directly.
+	// Table-level hit/miss counters advance once per batch. The final
+	// counter values are identical to per-packet Lookup in every case.
 	ws.ensureAgg(len(st.byID))
 	touched := ws.touched[:0]
 	var nHits, nMiss uint64
-	var cur *Entry
-	var curHits, curBytes uint64
 	for _, idx := range active {
 		e := ws.hits[idx]
 		if e == nil {
@@ -276,19 +275,8 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 			ws.aggBytes[row] += uint64(len(pkts[idx].Bytes))
 			continue
 		}
-		if e != cur {
-			if cur != nil {
-				atomic.AddUint64(&cur.hits, curHits)
-				atomic.AddUint64(&cur.bytes, curBytes)
-			}
-			cur, curHits, curBytes = e, 0, 0
-		}
-		curHits++
-		curBytes += uint64(len(pkts[idx].Bytes))
-	}
-	if cur != nil {
-		atomic.AddUint64(&cur.hits, curHits)
-		atomic.AddUint64(&cur.bytes, curBytes)
+		atomic.AddUint64(&e.hits, 1)
+		atomic.AddUint64(&e.bytes, uint64(len(pkts[idx].Bytes)))
 	}
 	for _, row := range touched {
 		e := st.byID[row]

@@ -1,6 +1,8 @@
 package p4
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,11 +53,6 @@ func kindEntries(t *testing.T, rng *rand.Rand, kind MatchKind, n int) []Entry {
 			act = Action{Type: ActionAllow, Class: i % 5}
 		}
 		switch kind {
-		case MatchExact:
-			entries = append(entries, Entry{
-				Value:  []byte{byte(i % 8), byte(rng.Intn(4)), byte(i % 4), byte(i)},
-				Action: act,
-			})
 		case MatchTernary:
 			mask := []byte{0xff, 0x00, 0xff, 0x00}
 			if i%3 == 0 {
@@ -66,14 +63,6 @@ func kindEntries(t *testing.T, rng *rand.Rand, kind MatchKind, n int) []Entry {
 				val[j] &= mask[j]
 			}
 			entries = append(entries, Entry{Priority: rng.Intn(4), Value: val, Mask: mask, Action: act})
-		case MatchLPM:
-			val := []byte{byte(i % 8), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
-			plen := rng.Intn(33)
-			masked := append([]byte(nil), val...)
-			// LPM values need no canonical form; the table masks at match
-			// time via the prefix, so leave val as generated.
-			_ = masked
-			entries = append(entries, Entry{Value: val, PrefixLen: plen, Action: act})
 		case MatchRange:
 			lo := []byte{byte(i % 8), 0, byte(i % 4), 0}
 			hi := []byte{byte(i % 8), 255, byte(i % 4), byte(128 + rng.Intn(128))}
@@ -91,13 +80,12 @@ func allIdx(n int) []int32 {
 	return idx
 }
 
-// TestLookupBatchMatchesLookup drives every match kind: the batched
+// TestLookupBatchMatchesLookup drives both match kinds: the batched
 // resolver must return the same action/matched per packet as Lookup,
 // and the twin tables' counters (table hit/miss and per-entry
 // hits/bytes) must advance identically.
 func TestLookupBatchMatchesLookup(t *testing.T) {
-	kinds := []MatchKind{MatchExact, MatchTernary, MatchLPM, MatchRange}
-	for _, kind := range kinds {
+	for _, kind := range []MatchKind{MatchTernary, MatchRange} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(kind)))
 			batchT, refT := twinTables(t, kind, kindEntries(t, rng, kind, 40))
@@ -252,26 +240,47 @@ func TestQueueDigestBatchOverflow(t *testing.T) {
 	}
 }
 
-// TestLookupBatchWideKeySkipsCache programs a key wider than the flow
-// cache can hold; agreement must still hold via the index path.
+// TestLookupBatchWideKeySkipsCache programs keys wider than the flow
+// cache can hold; agreement must still hold via the index path. The
+// 80-byte ternary key is also wider than any fixed scratch the burst path
+// could carry for the store's lane masking: it must be sized by the key.
 func TestLookupBatchWideKeySkipsCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	wide := []FieldSpec{{Name: "w", Offset: 0, Width: 24}}
-	tab := NewTable("wide", MatchExact, wide, 0, Action{Type: ActionDrop, Class: 1})
-	val := make([]byte, 24)
-	rng.Read(val)
-	if _, err := tab.Insert(Entry{Value: val, Action: Action{Type: ActionAllow, Class: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	hitPkt := &packet.Packet{Bytes: append(append([]byte(nil), val...), 0xaa)}
-	missPkt := &packet.Packet{Bytes: make([]byte, 32)}
-	pkts := []*packet.Packet{hitPkt, missPkt, hitPkt}
-	var ws BatchWorkspace
-	tab.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
-	for i, pkt := range pkts {
-		wantAct, wantMatched := tab.Lookup(pkt.Bytes)
-		if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
-			t.Fatalf("pkt %d: batch (%+v,%v) != lookup (%+v,%v)", i, ws.acts[i], ws.matched[i], wantAct, wantMatched)
-		}
+	for _, tc := range []struct {
+		kind  MatchKind
+		width int
+	}{{MatchRange, 24}, {MatchTernary, 24}, {MatchTernary, 80}} {
+		t.Run(fmt.Sprintf("%v/width=%d", tc.kind, tc.width), func(t *testing.T) {
+			wide := []FieldSpec{{Name: "w", Offset: 0, Width: tc.width}}
+			tab := NewTable("wide", tc.kind, wide, 0, Action{Type: ActionDrop, Class: 1})
+			val := make([]byte, tc.width)
+			rng.Read(val)
+			e := Entry{Lo: val, Hi: val, Action: Action{Type: ActionAllow, Class: 2}}
+			if tc.kind == MatchTernary {
+				e = Entry{Value: val, Mask: bytes.Repeat([]byte{0xff}, tc.width), Action: e.Action}
+			}
+			if _, err := tab.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+			hitPkt := &packet.Packet{Bytes: append(append([]byte(nil), val...), 0xaa)}
+			missPkt := &packet.Packet{Bytes: make([]byte, tc.width+8)}
+			pkts := []*packet.Packet{hitPkt, missPkt, hitPkt}
+			var ws BatchWorkspace
+			active := allIdx(len(pkts))
+			tab.LookupBatch(pkts, active, &ws, 0)
+			if !ws.matched[0] || ws.matched[1] {
+				t.Fatalf("batch matched (%v,%v), want the row's own key to hit and the zero key to miss", ws.matched[0], ws.matched[1])
+			}
+			for i, pkt := range pkts {
+				wantAct, wantMatched := tab.Lookup(pkt.Bytes)
+				if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
+					t.Fatalf("pkt %d: batch (%+v,%v) != lookup (%+v,%v)", i, ws.acts[i], ws.matched[i], wantAct, wantMatched)
+				}
+			}
+			// Sized once, the scratch is kept: a second burst allocates nothing.
+			if n := testing.AllocsPerRun(5, func() { tab.LookupBatch(pkts, active, &ws, 0) }); n != 0 {
+				t.Fatalf("steady-state wide-key burst allocates %.0f times", n)
+			}
+		})
 	}
 }

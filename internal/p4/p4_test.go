@@ -3,6 +3,7 @@ package p4
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +12,15 @@ import (
 
 func key1() []FieldSpec { return []FieldSpec{{Name: "b0", Offset: 0, Width: 1}} }
 
+// point is the range row that matches the one-byte key v and nothing else.
+func point(v byte, act Action) Entry {
+	return Entry{Lo: []byte{v}, Hi: []byte{v}, Action: act}
+}
+
 func TestMatchKindActionStrings(t *testing.T) {
-	for _, k := range []MatchKind{MatchExact, MatchTernary, MatchLPM, MatchRange} {
-		if k.String() == "" {
-			t.Fatal("empty kind name")
+	for k, want := range map[MatchKind]string{MatchTernary: "ternary", MatchRange: "range"} {
+		if k.String() != want {
+			t.Fatalf("kind %d named %q, want %q", int(k), k.String(), want)
 		}
 	}
 	for _, a := range []ActionType{ActionAllow, ActionDrop, ActionDigest, ActionSetClass, ActionNop} {
@@ -32,39 +38,6 @@ func TestExtractKeyPadsMissing(t *testing.T) {
 	}
 	if KeyWidth(specs) != 3 {
 		t.Fatalf("KeyWidth = %d", KeyWidth(specs))
-	}
-}
-
-func TestExactTable(t *testing.T) {
-	tbl := NewTable("fw", MatchExact, key1(), 0, Action{Type: ActionNop})
-	id, err := tbl.Insert(Entry{Value: []byte{42}, Action: Action{Type: ActionDrop, Class: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	act, matched := tbl.Lookup([]byte{42})
-	if !matched || act.Type != ActionDrop {
-		t.Fatalf("lookup = %v matched=%v", act, matched)
-	}
-	act, matched = tbl.Lookup([]byte{43})
-	if matched || act.Type != ActionNop {
-		t.Fatalf("miss = %v matched=%v", act, matched)
-	}
-	hits, err := tbl.EntryHits(id)
-	if err != nil || hits != 1 {
-		t.Fatalf("hits=%d err=%v", hits, err)
-	}
-	st := tbl.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if err := tbl.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, matched := tbl.Lookup([]byte{42}); matched {
-		t.Fatal("deleted entry still matches")
-	}
-	if err := tbl.Delete(id); err == nil {
-		t.Fatal("double delete succeeded")
 	}
 }
 
@@ -98,87 +71,92 @@ func TestTernaryValueOutsideMaskRejected(t *testing.T) {
 	}
 }
 
-func TestLPMLongestPrefixWins(t *testing.T) {
-	specs := []FieldSpec{{Name: "ip.dst", Offset: 0, Width: 4}}
-	tbl := NewTable("routes", MatchLPM, specs, 0, Action{Type: ActionDrop})
-	if _, err := tbl.Insert(Entry{
-		Value: []byte{10, 0, 0, 0}, PrefixLen: 8, Action: Action{Type: ActionSetClass, Class: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Insert(Entry{
-		Value: []byte{10, 1, 0, 0}, PrefixLen: 16, Action: Action{Type: ActionSetClass, Class: 2},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if act, _ := tbl.Lookup([]byte{10, 1, 2, 3}); act.Class != 2 {
-		t.Fatalf("longest prefix not chosen: %v", act)
-	}
-	if act, _ := tbl.Lookup([]byte{10, 9, 2, 3}); act.Class != 1 {
-		t.Fatalf("/8 not chosen: %v", act)
-	}
-	if _, matched := tbl.Lookup([]byte{11, 0, 0, 1}); matched {
-		t.Fatal("miss matched")
-	}
-	if _, err := tbl.Insert(Entry{Value: []byte{1, 2, 3, 4}, PrefixLen: 33}); !errors.Is(err, ErrBadEntry) {
-		t.Fatal("accepted prefix > width")
-	}
-}
-
-// TestLPMPartialByteBoundary checks non-multiple-of-8 prefixes.
-func TestLPMPartialByteBoundary(t *testing.T) {
-	specs := []FieldSpec{{Offset: 0, Width: 1}}
-	tbl := NewTable("lpm", MatchLPM, specs, 0, Action{Type: ActionNop})
-	if _, err := tbl.Insert(Entry{Value: []byte{0b1010_0000}, PrefixLen: 3, Action: Action{Type: ActionDrop}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, matched := tbl.Lookup([]byte{0b1011_1111}); !matched {
-		t.Fatal("prefix 101 should match 1011_1111")
-	}
-	if _, matched := tbl.Lookup([]byte{0b1000_0000}); matched {
-		t.Fatal("prefix 101 should not match 1000_0000")
-	}
-}
-
 func TestRangeTable(t *testing.T) {
 	tbl := NewTable("rng", MatchRange, key1(), 0, Action{Type: ActionNop})
-	if _, err := tbl.Insert(Entry{
+	id, err := tbl.Insert(Entry{
 		Priority: 1, Lo: []byte{10}, Hi: []byte{20}, Action: Action{Type: ActionDrop},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, matched := tbl.Lookup([]byte{15}); !matched {
-		t.Fatal("15 in [10,20] missed")
+	if act, matched := tbl.Lookup([]byte{15}); !matched || act.Type != ActionDrop {
+		t.Fatalf("15 in [10,20]: %v matched=%v", act, matched)
 	}
-	if _, matched := tbl.Lookup([]byte{21}); matched {
-		t.Fatal("21 matched [10,20]")
+	if act, matched := tbl.Lookup([]byte{21}); matched || act.Type != ActionNop {
+		t.Fatalf("21 against [10,20]: %v matched=%v, want the default", act, matched)
 	}
 	if _, err := tbl.Insert(Entry{Lo: []byte{5}, Hi: []byte{4}}); !errors.Is(err, ErrBadEntry) {
 		t.Fatal("accepted lo>hi")
 	}
+	if st := tbl.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if err := tbl.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, matched := tbl.Lookup([]byte{15}); matched {
+		t.Fatal("deleted entry still matches")
+	}
+	if err := tbl.Delete(id); !errors.Is(err, ErrBadEntry) {
+		t.Fatalf("second delete: err = %v, want ErrBadEntry", err)
+	}
+}
+
+// TestUnknownKindIndexesNothing: a table built with a value that names no
+// match kind refuses every entry, however it arrives, and misses every
+// lookup on every path — it never indexes an entry by accident.
+func TestUnknownKindIndexesNothing(t *testing.T) {
+	rows := []Entry{
+		point(7, Action{Type: ActionDrop}),
+		{Value: []byte{7}, Mask: []byte{0xff}, Action: Action{Type: ActionDrop}},
+		{Value: []byte{7}, PrefixLen: 8, Action: Action{Type: ActionDrop}},
+		{Action: Action{Type: ActionDrop}},
+	}
+	for _, kind := range []MatchKind{0, 99} {
+		tbl := NewTable("k", kind, key1(), 0, Action{Type: ActionNop})
+		for i, e := range rows {
+			if _, err := tbl.Insert(e); !errors.Is(err, ErrBadEntry) {
+				t.Fatalf("kind %v: Insert of row %d: err = %v, want ErrBadEntry", kind, i, err)
+			}
+			if err := tbl.Replace([]Entry{e}); !errors.Is(err, ErrBadEntry) {
+				t.Fatalf("kind %v: Replace with row %d: err = %v, want ErrBadEntry", kind, i, err)
+			}
+			d := Delta{Adds: []DeltaAdd{{Entry: e}}}
+			if err := tbl.Apply(d); !errors.Is(err, ErrBadEntry) {
+				t.Fatalf("kind %v: Apply adding row %d: err = %v, want ErrBadEntry", kind, i, err)
+			}
+		}
+		if tbl.Len() != 0 {
+			t.Fatalf("kind %v: %d entries installed", kind, tbl.Len())
+		}
+		pkts := []*packet.Packet{{Bytes: []byte{7}}, {Bytes: []byte{0}}}
+		var ws BatchWorkspace
+		tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+		for i, pkt := range pkts {
+			want := Action{Type: ActionNop}
+			if act, matched := tbl.Lookup(pkt.Bytes); matched || act != want {
+				t.Fatalf("kind %v key %v: Lookup (%+v,%v), want a miss", kind, pkt.Bytes, act, matched)
+			}
+			if act, matched := tbl.LookupOracle(pkt.Bytes); matched || act != want {
+				t.Fatalf("kind %v key %v: scan (%+v,%v), want a miss", kind, pkt.Bytes, act, matched)
+			}
+			if ws.matched[i] || ws.acts[i] != want {
+				t.Fatalf("kind %v key %v: LookupBatch (%+v,%v), want a miss", kind, pkt.Bytes, ws.acts[i], ws.matched[i])
+			}
+			if ex := tbl.Explain(pkt.Bytes); ex.Matched || !ex.DefaultUsed || ex.Action != want {
+				t.Fatalf("kind %v key %v: Explain %+v, want the default", kind, pkt.Bytes, ex)
+			}
+		}
+	}
 }
 
 func TestTableFull(t *testing.T) {
-	tbl := NewTable("small", MatchExact, key1(), 1, Action{Type: ActionNop})
-	if _, err := tbl.Insert(Entry{Value: []byte{1}}); err != nil {
+	tbl := NewTable("small", MatchRange, key1(), 1, Action{Type: ActionNop})
+	if _, err := tbl.Insert(point(1, Action{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(Entry{Value: []byte{2}}); !errors.Is(err, ErrTableFull) {
+	if _, err := tbl.Insert(point(2, Action{})); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("err = %v, want ErrTableFull", err)
-	}
-}
-
-func TestTableClear(t *testing.T) {
-	tbl := NewTable("c", MatchExact, key1(), 0, Action{Type: ActionNop})
-	if _, err := tbl.Insert(Entry{Value: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Clear()
-	if tbl.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-	if _, matched := tbl.Lookup([]byte{1}); matched {
-		t.Fatal("cleared entry still matches")
 	}
 }
 
@@ -236,12 +214,12 @@ func TestTernaryAgainstReference(t *testing.T) {
 
 func TestPipelineFlow(t *testing.T) {
 	p := NewPipeline(4)
-	class := NewTable("classify", MatchExact, key1(), 0, Action{Type: ActionDigest})
-	if _, err := class.Insert(Entry{Value: []byte{1}, Action: Action{Type: ActionSetClass, Class: 3}}); err != nil {
+	class := NewTable("classify", MatchRange, key1(), 0, Action{Type: ActionDigest})
+	if _, err := class.Insert(point(1, Action{Type: ActionSetClass, Class: 3})); err != nil {
 		t.Fatal(err)
 	}
-	verdict := NewTable("verdict", MatchExact, key1(), 0, Action{Type: ActionAllow})
-	if _, err := verdict.Insert(Entry{Value: []byte{1}, Action: Action{Type: ActionDrop, Class: 3}}); err != nil {
+	verdict := NewTable("verdict", MatchRange, key1(), 0, Action{Type: ActionAllow})
+	if _, err := verdict.Insert(point(1, Action{Type: ActionDrop, Class: 3})); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.AddTable(class); err != nil {
@@ -271,7 +249,7 @@ func TestPipelineFlow(t *testing.T) {
 
 func TestPipelineDigestOverflow(t *testing.T) {
 	p := NewPipeline(2)
-	tbl := NewTable("d", MatchExact, key1(), 0, Action{Type: ActionDigest})
+	tbl := NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest})
 	if err := p.AddTable(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +266,7 @@ func TestPipelineDigestOverflow(t *testing.T) {
 
 func TestPipelineTableAccess(t *testing.T) {
 	p := NewPipeline(0)
-	tbl := NewTable("x", MatchExact, key1(), 0, Action{Type: ActionNop})
+	tbl := NewTable("x", MatchRange, key1(), 0, Action{Type: ActionNop})
 	if err := p.AddTable(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +279,11 @@ func TestPipelineTableAccess(t *testing.T) {
 	if got := len(p.Tables()); got != 1 {
 		t.Fatalf("Tables len %d", got)
 	}
+}
+
+// hasHeader reports whether the parser located a header of that name.
+func hasHeader(res ParseResult, name string) bool {
+	return slices.ContainsFunc(res.Headers, func(h ParsedHeader) bool { return h.Name == name })
 }
 
 func TestStandardParserEthernet(t *testing.T) {
@@ -320,7 +303,7 @@ func TestStandardParserEthernet(t *testing.T) {
 		t.Fatal("frame rejected")
 	}
 	for _, h := range []string{"ethernet", "ipv4", "tcp"} {
-		if !res.Has(h) {
+		if !hasHeader(res, h) {
 			t.Fatalf("missing header %s in %+v", h, res.Headers)
 		}
 	}
@@ -340,13 +323,13 @@ func TestStandardParserZigbee(t *testing.T) {
 	nwk := packet.ZigbeeNWK{FrameType: packet.ZigbeeData, Dst: 2, Src: 3, Radius: 5, Seq: 1}
 	frame := nwk.Marshal(mac.Marshal(nil))
 	res := parser.Parse(frame)
-	if !res.Accepted || !res.Has("nwk") {
+	if !res.Accepted || !hasHeader(res, "nwk") {
 		t.Fatalf("zigbee parse = %+v", res)
 	}
 	// Ack frame has no NWK header.
 	ack := packet.IEEE802154{FrameType: packet.FrameAck, PANID: 1, Dst: 2, Src: 3}
 	res = parser.Parse(ack.Marshal(nil))
-	if !res.Accepted || res.Has("nwk") {
+	if !res.Accepted || hasHeader(res, "nwk") {
 		t.Fatalf("ack parse = %+v", res)
 	}
 }
@@ -358,7 +341,7 @@ func TestStandardParserBLEAndUnknown(t *testing.T) {
 	}
 	pdu := packet.BLELinkLayer{AccessAddress: packet.BLEAdvAccessAddress, PDUType: packet.BLEAdvInd}
 	res := parser.Parse(pdu.Marshal(nil))
-	if !res.Accepted || !res.Has("ll") {
+	if !res.Accepted || !hasHeader(res, "ll") {
 		t.Fatalf("ble parse = %+v", res)
 	}
 	if _, err := StandardParser(packet.LinkType(99)); err == nil {
@@ -628,7 +611,7 @@ func TestEntryDirectCounters(t *testing.T) {
 // instead of silent.
 func TestDigestQueueAccounting(t *testing.T) {
 	p := NewPipeline(2)
-	tbl := NewTable("d", MatchExact, key1(), 0, Action{Type: ActionDigest})
+	tbl := NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest})
 	if err := p.AddTable(tbl); err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,6 @@ type ParseResult struct {
 	Accepted bool
 }
 
-// Has reports whether a header with the given name was parsed.
-func (r *ParseResult) Has(name string) bool {
-	for _, h := range r.Headers {
-		if h.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ParseState is one node of a parse graph: it extracts a header and picks
 // the next state from the frame contents.
 type ParseState struct {

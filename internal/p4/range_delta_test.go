@@ -165,9 +165,9 @@ func sameRows(a, b []Entry) bool {
 }
 
 // check holds the table to a fresh one with the same program and
-// installs — signature, Entries, ProgramEntries, and on every probe key
-// Lookup, LookupBatch, the scan and Explain — and every held generation
-// to what it answered when it was current.
+// installs — signature, Entries, the program in wire order, and on every
+// probe key Lookup, LookupBatch, the scan and Explain — and every held
+// generation to what it answered when it was current.
 func (c *deltaChurn) check(what string) {
 	c.t.Helper()
 	t := c.t
@@ -182,14 +182,20 @@ func (c *deltaChurn) check(what string) {
 	}
 	gn, gh := c.tbl.ProgramSignature()
 	wn, wh := fresh.ProgramSignature()
-	if gn != wn || gh != wh || wh != HashEntries(c.prog) {
+	if gn != wn || gh != wh {
 		t.Fatalf("%s: signature (%d, %#x), a fresh table's (%d, %#x)", what, gn, gh, wn, wh)
 	}
 	if !sameRows(c.tbl.Entries(), fresh.Entries()) {
 		t.Fatalf("%s: Entries differ from a fresh table's:\n got  %+v\n want %+v", what, c.tbl.Entries(), fresh.Entries())
 	}
-	if !sameRows(c.tbl.ProgramEntries(), c.prog) {
-		t.Fatalf("%s: ProgramEntries differ from the program", what)
+	// The program in wire order is what the next delta's indices name.
+	if len(c.tbl.prog) != len(c.prog) {
+		t.Fatalf("%s: %d programmed entries, the program has %d", what, len(c.tbl.prog), len(c.prog))
+	}
+	for i, e := range c.tbl.prog {
+		if got := (Entry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: e.Action}); !sameRows([]Entry{got}, c.prog[i:i+1]) {
+			t.Fatalf("%s: programmed entry %d is %+v, the program's %+v", what, i, got, c.prog[i])
+		}
 	}
 	pkts := make([]*packet.Packet, len(c.probes))
 	for i, k := range c.probes {
@@ -351,7 +357,7 @@ func liveHeap(keep any) uint64 {
 // swap. The ids of departed rows are compacted away as they pile up, so
 // what the table holds at the end is within 2x of a fresh table of the
 // final program, and a lookup costs what it costs there (the edited hash
-// has no tombstones). Deltas that keep splitting one gap of the canonical
+// has no deleted markers). Deltas that keep splitting one gap of the canonical
 // order run out of room in it: that surfaces as ErrDeltaBase — the
 // controller's cue for a counted full swap — never as a wrong order.
 func TestStackedDeltasStayBounded(t *testing.T) {

@@ -125,10 +125,10 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 // nothing).
 func TestStatsReadsOneGeneration(t *testing.T) {
 	const n = 48
-	tbl := NewTable("t", MatchExact, []FieldSpec{{Name: "k", Offset: 0, Width: 1}}, 0, Action{Type: ActionAllow})
+	tbl := NewTable("t", MatchRange, key1(), 0, Action{Type: ActionAllow})
 	prog := make([]Entry, n)
 	for i := range prog {
-		prog[i] = Entry{Value: []byte{byte(i)}, Action: Action{Type: ActionDrop}}
+		prog[i] = point(byte(i), Action{Type: ActionDrop})
 	}
 	frame := make([]byte, 100)
 	for round := 0; round < 300 && !t.Failed(); round++ {

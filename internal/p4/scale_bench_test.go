@@ -213,8 +213,9 @@ func BenchmarkRangeDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkTernaryReplace is the full-swap baseline at 1M entries:
-// validate, copy, sort, and rebuild every partition index.
+// BenchmarkTernaryReplace is what any mutation of a ternary table costs
+// at 1M entries — validate, copy, sort, and build every partition index:
+// the store has no edit path.
 func BenchmarkTernaryReplace(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	prog := scaleProgram(rng, 1_000_000)
@@ -223,42 +224,6 @@ func BenchmarkTernaryReplace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tbl.Replace(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTernaryDelta applies a 1%-of-entries edit to a 1M-entry
-// table. The delta path's contract (and the PR's acceptance bar) is
-// >= 10x faster than the BenchmarkTernaryReplace full swap: the splice
-// is O(survivor pointer copies) and the index work is O(edits) hash
-// probes with untouched partitions shared, never a full rebuild.
-func BenchmarkTernaryDelta(b *testing.B) {
-	const n = 1_000_000
-	rng := rand.New(rand.NewSource(42))
-	prog := scaleProgram(rng, n)
-	tbl := NewTable("det", MatchTernary, scaleKey(), 0, Action{Type: ActionAllow})
-	if err := tbl.Replace(prog); err != nil {
-		b.Fatal(err)
-	}
-	// 1% churn: delete 5k, re-add 5k fresh entries in their place.
-	deltas := make([]Delta, 2)
-	for di := range deltas {
-		d := Delta{BaseCount: n}
-		adds := scaleProgram(rng, n/200)
-		for i := range adds {
-			slot := i * 150
-			d.Deletes = append(d.Deletes, slot)
-			d.Adds = append(d.Adds, DeltaAdd{Entry: adds[i], Order: slot})
-		}
-		deltas[di] = d
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	// Alternate two same-shape deltas so every iteration applies
-	// against a valid 1M-entry base without re-Replacing mid-loop.
-	for i := 0; i < b.N; i++ {
-		if err := tbl.Apply(deltas[i&1]); err != nil {
 			b.Fatal(err)
 		}
 	}

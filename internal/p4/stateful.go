@@ -7,54 +7,6 @@ import (
 	"time"
 )
 
-// Register is a P4-style stateful register array of unsigned counters.
-type Register struct {
-	mu    sync.Mutex
-	cells []uint64
-}
-
-// NewRegister allocates a register array with size cells.
-func NewRegister(size int) (*Register, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("p4: register size %d", size)
-	}
-	return &Register{cells: make([]uint64, size)}, nil
-}
-
-// Size returns the cell count.
-func (r *Register) Size() int { return len(r.cells) }
-
-// Read returns cell i (0 when out of range, matching hardware saturating
-// semantics for bad indices).
-func (r *Register) Read(i int) uint64 {
-	if i < 0 || i >= len(r.cells) {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cells[i]
-}
-
-// Add increments cell i by delta and returns the new value.
-func (r *Register) Add(i int, delta uint64) uint64 {
-	if i < 0 || i >= len(r.cells) {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cells[i] += delta
-	return r.cells[i]
-}
-
-// Reset zeroes every cell.
-func (r *Register) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.cells {
-		r.cells[i] = 0
-	}
-}
-
 // CountMinSketch approximates per-key counts in fixed memory — the
 // standard data-plane structure for heavy-hitter detection (d hash rows of
 // w counters; estimates never undercount).
@@ -106,19 +58,6 @@ func (s *CountMinSketch) Update(key []byte, delta uint64) uint64 {
 		s.rows[row][i] += delta
 		if s.rows[row][i] < est {
 			est = s.rows[row][i]
-		}
-	}
-	return est
-}
-
-// Estimate returns the key's count estimate (never an undercount).
-func (s *CountMinSketch) Estimate(key []byte) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	est := ^uint64(0)
-	for row := 0; row < s.depth; row++ {
-		if c := s.rows[row][s.index(row, key)]; c < est {
-			est = c
 		}
 	}
 	return est

@@ -13,10 +13,11 @@ import (
 // Entry is one table row. Which match fields are meaningful depends on the
 // table's kind:
 //
-//   - exact:   Value only (full key width)
 //   - ternary: Value and Mask (full key width), Priority breaks overlaps
-//   - lpm:     Value and PrefixLen (bits); longest prefix wins
 //   - range:   Lo and Hi per key byte (inclusive), Priority breaks overlaps
+//
+// PrefixLen matches nothing: it is carried because HashEntry folds it in,
+// and a program's signature must not change under a fleet mid-upgrade.
 type Entry struct {
 	ID uint64
 	// ord is the entry's immutable canonical-order key: priority ties
@@ -42,8 +43,8 @@ type Entry struct {
 	bytes uint64
 }
 
-// Table is one match–action table. Mutations (insert/delete/define/
-// replace/apply) are serialized by mu and publish an immutable
+// Table is one match–action table. Mutations (insert/delete/replace/
+// program/apply) are serialized by mu and publish an immutable
 // lookupState snapshot; the lookup hot path reads the snapshot through
 // one atomic load and touches no lock at all. Hit/miss counters are
 // atomics shared across snapshots.
@@ -82,22 +83,15 @@ type lookupState struct {
 	width   int
 	def     Action
 	entries []*Entry // match order
-	// byID holds the entries by the row id find resolves a key to, for
-	// the kinds that have one: an LPM row's id is its place in entries, a
-	// range row's the id rangeIdx gave it — its place in entries when the
-	// index was compiled, its arrival order after that. A derived
-	// generation appends its newcomers to the array the previous
-	// generations still read, past their lengths; the id of a row that left
-	// stays behind, named by nothing in this generation's index, until the
-	// next compile (see derive).
+	// byID holds a range table's entries by the row id rangeIdx resolves a
+	// key to: a row's place in entries when the index was compiled, its
+	// arrival order after that. A derived generation appends its newcomers
+	// to the array the previous generations still read, past their lengths;
+	// the id of a row that left stays behind, named by nothing in this
+	// generation's index, until the next compile (see derive).
 	byID     []*Entry
-	exact    map[string]*Entry
 	tstore   *ternaryStore   // partitioned hash-indexed ternary index
 	rangeIdx *match.KeyIndex // range-match index (row id i = byID[i])
-	// lpmMasks[i] is entries[i].PrefixLen expanded to a byte mask, so find
-	// tests prefixes with 64-bit lane compares (match.MaskedEqual) instead
-	// of the bit-fiddling prefixMatch loop the oracle keeps.
-	lpmMasks [][]byte
 }
 
 // NewTable constructs an empty table. MaxEntries <= 0 means unlimited.
@@ -116,10 +110,6 @@ func (t *Table) width() int { return KeyWidth(t.Key) }
 // validate checks an entry against the table's kind and key width.
 func (t *Table) validate(e *Entry, w int) error {
 	switch t.Kind {
-	case MatchExact:
-		if len(e.Value) != w {
-			return fmt.Errorf("exact value width %d != key %d: %w", len(e.Value), w, ErrBadEntry)
-		}
 	case MatchTernary:
 		if len(e.Value) != w || len(e.Mask) != w {
 			return fmt.Errorf("ternary value/mask widths %d/%d != key %d: %w",
@@ -129,13 +119,6 @@ func (t *Table) validate(e *Entry, w int) error {
 			if e.Value[i]&^e.Mask[i] != 0 {
 				return fmt.Errorf("ternary value bit outside mask at byte %d: %w", i, ErrBadEntry)
 			}
-		}
-	case MatchLPM:
-		if len(e.Value) != w {
-			return fmt.Errorf("lpm value width %d != key %d: %w", len(e.Value), w, ErrBadEntry)
-		}
-		if e.PrefixLen < 0 || e.PrefixLen > w*8 {
-			return fmt.Errorf("lpm prefix length %d out of [0,%d]: %w", e.PrefixLen, w*8, ErrBadEntry)
 		}
 	case MatchRange:
 		if len(e.Lo) != w || len(e.Hi) != w {
@@ -186,46 +169,11 @@ func (t *Table) Insert(e Entry) (uint64, error) {
 	return stored.ID, nil
 }
 
-// Define sets the table's schema: key layout and default action. When
-// the new layout extracts the same key bytes as the current one, the
-// installed entries and their compiled index are republished under the
-// new default (a default-action change compiles nothing); a layout
-// change invalidates every entry and clears the table.
-func (t *Table) Define(key []FieldSpec, def Action) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	same := sameKeyLayout(t.Key, key)
-	t.Key, t.DefaultAction = key, def
-	if !same {
-		t.prog, t.inserted, t.progHash = nil, nil, 0
-		t.reindex()
-		return nil
-	}
-	st := *t.state.Load()
-	st.key, st.def = key, def
-	t.state.Store(&st)
-	return nil
-}
-
 // KeySpecs returns a copy of the table's current key layout.
 func (t *Table) KeySpecs() []FieldSpec {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]FieldSpec(nil), t.Key...)
-}
-
-// sameKeyLayout reports whether two key layouts extract identical key
-// bytes (names are cosmetic; offset/width sequences decide validity).
-func sameKeyLayout(a, b []FieldSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Offset != b[i].Offset || a[i].Width != b[i].Width {
-			return false
-		}
-	}
-	return true
 }
 
 // Replace atomically swaps the table's full canonical entry list under
@@ -266,9 +214,8 @@ func (t *Table) replaceLocked(entries []Entry) error {
 
 // Program atomically replaces the table's key layout, default action, and
 // entry list, rebuilding the lookup index once and publishing it in one
-// store: no lookup ever sees the new default without the new entries,
-// which a Define followed by a Replace cannot promise. On error the
-// table — schema, default, entries — is unchanged.
+// store: no lookup ever sees the new default without the new entries. On
+// error the table — schema, default, entries — is unchanged.
 func (t *Table) Program(key []FieldSpec, def Action, entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -292,8 +239,8 @@ func (t *Table) ProgramSignature() (count int, hash uint64) {
 	return len(t.prog), t.progHash
 }
 
-// reindex sorts a freshly merged entry slice for the table's kind,
-// rebuilds the lookup index, and publishes the new state. Callers must
+// reindex sorts a freshly merged entry slice into match order, rebuilds
+// the lookup index, and publishes the new state. Callers must
 // hold t.mu. The previous generation's slice is never mutated (it is
 // still being read lock-free); sorting happens on the merged copy.
 func (t *Table) reindex() {
@@ -306,32 +253,12 @@ func (t *Table) reindex() {
 		width: t.width(),
 		def:   t.DefaultAction,
 	}
+	sortByPriority(merged)
 	switch t.Kind {
-	case MatchExact:
-		st.exact = make(map[string]*Entry, len(merged))
-		// Later entries overwrite earlier duplicates, matching the
-		// behaviour of sequential Inserts.
-		for _, e := range merged {
-			st.exact[string(e.Value)] = e
-		}
 	case MatchTernary:
-		sortByPriority(merged)
 		st.tstore = buildTernaryStore(merged)
 	case MatchRange:
-		sortByPriority(merged)
 		st.rangeIdx, st.byID = buildRangeIndex(st.width, merged), merged
-	case MatchLPM:
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].PrefixLen != merged[j].PrefixLen {
-				return merged[i].PrefixLen > merged[j].PrefixLen
-			}
-			return merged[i].ord < merged[j].ord
-		})
-		st.lpmMasks = make([][]byte, len(merged))
-		for i, e := range merged {
-			st.lpmMasks[i] = prefixMask(st.width, e.PrefixLen)
-		}
-		st.byID = merged
 	}
 	st.entries = merged
 	t.state.Store(st)
@@ -396,17 +323,17 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 // current default action. It is the one routine behind Insert, Delete and
 // Apply; callers hold t.mu and have edited t.prog and t.inserted.
 //
-// Ternary and range tables build the generation from the previous one:
-// the sorted entry list is spliced, the ternary store replaces the touched
-// partitions, and a range table edits its index (match.KeyIndex.Edit: a
-// point row that joins takes the next id and one slot of the hash, one
-// that leaves costs a copy of the hash; nothing a previous generation
-// reads changes) and appends the newcomers to byID in place. What the
-// index declines — a range row on either side, a key held twice, an
-// unpackable width — is compiled by reindex, and so is a generation in
-// which the ids of departed rows would outnumber the rows: byID pins a
-// departed entry for as long as the chain of generations runs, and the
-// compile is what ends the chain.
+// A range table builds the generation from the previous one: the sorted
+// entry list is spliced, the index edited (match.KeyIndex.Edit: a point row
+// that joins takes the next id and one slot of the hash, one that leaves
+// costs a copy of the hash; nothing a previous generation reads changes)
+// and the newcomers appended to byID in place. What the index declines — a
+// range row on either side, a key held twice, an unpackable width — is
+// compiled by reindex, and so is a generation in which the ids of departed
+// rows would outnumber the rows: byID pins a departed entry for as long as
+// the chain of generations runs, and the compile is what ends the chain. A
+// ternary table has no editor: its store is built once and only read, so
+// every mutation compiles.
 func (t *Table) derive(rm, add []*Entry) {
 	st := *t.state.Load()
 	st.def = t.DefaultAction
@@ -416,16 +343,8 @@ func (t *Table) derive(rm, add []*Entry) {
 		}
 		return 1
 	})
-	switch t.Kind {
-	case MatchTernary:
-		st.tstore = st.tstore.edit(rm, add)
-	case MatchRange:
-		ids, rows := len(st.byID)+len(add), len(st.entries)-len(rm)+len(add)
-		if ids-rows > rows || !st.editRange(rm, add) {
-			t.reindex()
-			return
-		}
-	default:
+	ids, rows := len(st.byID)+len(add), len(st.entries)-len(rm)+len(add)
+	if t.Kind != MatchRange || ids-rows > rows || !st.editRange(rm, add) {
 		t.reindex()
 		return
 	}
@@ -517,14 +436,6 @@ func (t *Table) Delete(id uint64) error {
 	return fmt.Errorf("table %s: entry %d: %w", t.Name, id, ErrBadEntry)
 }
 
-// Clear removes every entry.
-func (t *Table) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.prog, t.inserted, t.progHash = nil, nil, 0
-	t.reindex()
-}
-
 // Len returns the entry count.
 func (t *Table) Len() int {
 	return len(t.state.Load().entries)
@@ -539,27 +450,6 @@ func (t *Table) Entries() []Entry {
 	st := t.state.Load()
 	out := make([]Entry, len(st.entries))
 	for i, e := range st.entries {
-		out[i] = Entry{
-			ID:        e.ID,
-			Priority:  e.Priority,
-			Value:     append([]byte(nil), e.Value...),
-			Mask:      append([]byte(nil), e.Mask...),
-			PrefixLen: e.PrefixLen,
-			Lo:        append([]byte(nil), e.Lo...),
-			Hi:        append([]byte(nil), e.Hi...),
-			Action:    e.Action,
-		}
-	}
-	return out
-}
-
-// ProgramEntries returns a deep copy of the canonical programmed list in
-// wire order (reactive Inserts excluded) — the base a Delta addresses.
-func (t *Table) ProgramEntries() []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Entry, len(t.prog))
-	for i, e := range t.prog {
 		out[i] = Entry{
 			ID:        e.ID,
 			Priority:  e.Priority,
@@ -603,22 +493,13 @@ func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 
 // find resolves one gathered key through the state's index — the single
 // probe Lookup and LookupBatch share. It returns the winning entry (nil
-// on a miss) and its row id in st.byID, or -1 for the kinds that
-// resolve without one. scratch (len >= key width) is the ternary
-// store's lane-masking buffer. LPM entries are sorted by descending
-// prefix length, so the first lane-compare hit is the longest prefix.
+// on a miss) and its row id in st.byID, or -1 for a ternary table, which
+// resolves without one. scratch (len >= key width) is the ternary
+// store's lane-masking buffer.
 func (st *lookupState) find(key, scratch []byte) (*Entry, int32) {
 	switch st.kind {
-	case MatchExact:
-		return st.exact[string(key)], -1
 	case MatchTernary:
 		return st.tstore.find(key, scratch[:len(key)]), -1
-	case MatchLPM:
-		for i, e := range st.entries {
-			if match.MaskedEqual(key, e.Value, st.lpmMasks[i]) {
-				return e, int32(i)
-			}
-		}
 	case MatchRange:
 		if row, ok := st.rangeIdx.Find(key); ok {
 			return st.byID[row], int32(row)
@@ -628,8 +509,7 @@ func (st *lookupState) find(key, scratch []byte) (*Entry, int32) {
 }
 
 // LookupOracle is the linear-scan reference for Lookup: it walks the
-// sorted entry list first-match (last-match for exact, mirroring the
-// map's later-duplicate-wins) with no index, no counters, and no side
+// sorted entry list first-match with no index, no counters, and no side
 // effects. Differential tests assert the indexed Lookup, LookupBatch,
 // and Explain never disagree with it on any table generation.
 func (t *Table) LookupOracle(frame []byte) (act Action, matched bool) {
@@ -645,23 +525,10 @@ func (t *Table) LookupOracle(frame []byte) (act Action, matched bool) {
 // findLinear scans the state's entries without any index, returning the
 // entry Lookup must resolve to.
 func (st *lookupState) findLinear(key []byte) *Entry {
-	var hit *Entry
 	switch st.kind {
-	case MatchExact:
-		for _, e := range st.entries {
-			if string(e.Value) == string(key) {
-				hit = e // later duplicates win, as in the exact map
-			}
-		}
 	case MatchTernary:
 		for _, e := range st.entries {
 			if match.MaskedEqual(key, e.Value, e.Mask) {
-				return e
-			}
-		}
-	case MatchLPM:
-		for _, e := range st.entries {
-			if prefixMatch(key, e.Value, e.PrefixLen) {
 				return e
 			}
 		}
@@ -672,36 +539,7 @@ func (st *lookupState) findLinear(key []byte) *Entry {
 			}
 		}
 	}
-	return hit
-}
-
-// prefixMask expands a prefix length in bits to a width-byte mask.
-func prefixMask(width, prefixLen int) []byte {
-	m := make([]byte, width)
-	full := prefixLen / 8
-	for i := 0; i < full && i < width; i++ {
-		m[i] = 0xff
-	}
-	if rem := prefixLen % 8; rem > 0 && full < width {
-		m[full] = byte(0xff << (8 - rem))
-	}
-	return m
-}
-
-func prefixMatch(key, value []byte, prefixLen int) bool {
-	full := prefixLen / 8
-	for i := 0; i < full; i++ {
-		if key[i] != value[i] {
-			return false
-		}
-	}
-	if rem := prefixLen % 8; rem > 0 {
-		mask := byte(0xff << (8 - rem))
-		if key[full]&mask != value[full]&mask {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 func rangeMatch(key, lo, hi []byte) bool {
@@ -765,14 +603,4 @@ func (t *Table) EntrySnapshots() []EntryCounters {
 		}
 	}
 	return out
-}
-
-// EntryHits returns the hit counter for one entry.
-func (t *Table) EntryHits(id uint64) (uint64, error) {
-	for _, e := range t.state.Load().entries {
-		if e.ID == id {
-			return atomic.LoadUint64(&e.hits), nil
-		}
-	}
-	return 0, fmt.Errorf("table %s: entry %d: %w", t.Name, id, ErrBadEntry)
 }

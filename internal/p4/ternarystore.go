@@ -7,10 +7,9 @@ import (
 	"p4guard/internal/match"
 )
 
-// Partitioned ternary store. The previous tuple-space search probed one
-// hash group per distinct mask, visiting every group on every lookup;
-// this store keeps the per-mask partitioning but makes the costs that
-// grow with table size sublinear:
+// Partitioned ternary store: one hash partition per distinct mask, as in
+// tuple-space search, with the costs that grow with table size kept
+// sublinear:
 //
 //   - partitions are ordered by their maximum entry priority and the
 //     walk stops as soon as no remaining partition can outrank the best
@@ -26,12 +25,12 @@ import (
 //     data-dependency difference is what keeps million-entry lookups
 //     within a small constant factor of thousand-entry ones.
 //
-// Published slot arrays are immutable: delta application copies the
-// slot array of each touched partition once per batch (copy-on-write),
-// shares every untouched partition with the previous generation, and
-// purges tombstones by rehashing when they accumulate — which is what
-// makes Apply cheap and concurrent lookups on old generations safe
-// without locks.
+// A store is built once, from a generation's whole entry list, and only
+// read after that: every mutation of a ternary table compiles a new one
+// (Table.derive), which is what makes concurrent lookups on old
+// generations safe without locks. Nothing deploys a ternary table; the
+// store exists for the benchmark's ternary lookup probe, and what it
+// keeps is what that probe measures — build and find.
 //
 // Tie-breaking is exact: the winner is the matching entry that beats
 // all others under the table's canonical match order (priority, then
@@ -39,28 +38,23 @@ import (
 // reproduces by walking the sorted entry list first-match.
 
 // tleaf holds every entry sharing one masked value, best-first under
-// the canonical match order, so deleting a winner resurfaces the
-// shadowed runner-up exactly as a full rebuild would.
+// the canonical match order.
 type tleaf struct {
 	key []byte // the masked value (aliases a member entry's Value)
 	es  []*Entry
 }
-
-// tombstone marks a vacated slot so linear-probe chains stay intact
-// across persistent deletes; rehashes purge them.
-var tombstone = &tleaf{}
 
 // tslot pairs a leaf with its key's full hash: probes compare tags
 // before touching the leaf, so scanning a partition that does not hold
 // the key reads only the slot array.
 type tslot struct {
 	tag  uint64
-	leaf *tleaf // nil = never occupied (probe stop), tombstone = deleted
+	leaf *tleaf // nil = never occupied (probe stop)
 }
 
-// Open-addressing load ceiling: grow when occupied slots (live plus
-// tombstones) would exceed tLoadNum/tLoadDen of capacity. Keeping the
-// ceiling under 1 also guarantees every probe loop terminates.
+// Open-addressing load ceiling: a partition's slot array is sized so its
+// leaves stay under tLoadNum/tLoadDen of capacity. Keeping the ceiling
+// under 1 also guarantees every probe loop terminates.
 const (
 	tLoadNum = 7
 	tLoadDen = 10
@@ -88,17 +82,11 @@ func slotsFor(n int) int {
 }
 
 // tpart is one mask partition: all ternary entries sharing a mask
-// pattern, indexed by masked value. maxPrio is an upper bound on the
-// member priorities (exact after a build, possibly stale-high after
-// persistent deletes — stale-high costs an extra probe, never a wrong
-// verdict). Published partitions are immutable; edits replace a touched
-// partition with a copy owning a fresh slot array.
+// pattern, indexed by masked value. maxPrio is the highest member
+// priority.
 type tpart struct {
 	mask    []byte
 	maxPrio int
-	count   int // live entries across all leaves
-	live    int // slots holding a real leaf
-	dead    int // tombstoned slots
 	slots   []tslot
 }
 
@@ -112,152 +100,56 @@ func (p *tpart) lookup(masked []byte, h uint64) *tleaf {
 		if s.leaf == nil {
 			return nil
 		}
-		if s.tag == h && s.leaf != tombstone && bytes.Equal(s.leaf.key, masked) {
+		if s.tag == h && bytes.Equal(s.leaf.key, masked) {
 			return s.leaf
 		}
 	}
 }
 
-// slotIndex returns the index of the slot holding masked, or -1.
-func (p *tpart) slotIndex(masked []byte, h uint64) int {
-	m := uint64(len(p.slots) - 1)
-	for i := h & m; ; i = (i + 1) & m {
-		s := &p.slots[i]
-		if s.leaf == nil {
-			return -1
-		}
-		if s.tag == h && s.leaf != tombstone && bytes.Equal(s.leaf.key, masked) {
-			return int(i)
-		}
-	}
-}
-
-// put stores a leaf under a key known to be absent, reusing the first
-// tombstone or free slot on the probe path. Callers ensure capacity.
-func (p *tpart) put(h uint64, lf *tleaf) {
-	m := uint64(len(p.slots) - 1)
-	for i := h & m; ; i = (i + 1) & m {
-		s := &p.slots[i]
-		if s.leaf == nil || s.leaf == tombstone {
-			if s.leaf == tombstone {
-				p.dead--
-			}
-			s.tag, s.leaf = h, lf
-			p.live++
-			return
-		}
-	}
-}
-
-// rehash rebuilds the slot array sized for minLeaves, purging
-// tombstones. Only called on partitions the caller owns (fresh builds
-// or copy-on-write copies).
-func (p *tpart) rehash(minLeaves int) {
-	old := p.slots
-	p.slots = make([]tslot, slotsFor(minLeaves))
-	p.live, p.dead = 0, 0
-	for i := range old {
-		if lf := old[i].leaf; lf != nil && lf != tombstone {
-			p.put(old[i].tag, lf)
-		}
-	}
-}
-
-// insert adds e to an owned partition. ordered marks build-time inserts
-// (entries arrive best-first, so duplicates append in place behind the
-// leaf's better members); edit-time inserts splice a fresh leaf by
-// canonical rank because the old leaf may be shared with a published
-// generation.
-func (p *tpart) insert(e *Entry, ordered bool) {
+// insert adds e while the store is being built. Entries arrive best-first,
+// so a duplicate of a masked value appends behind the leaf's better
+// members and the partition's first entry set its maxPrio; the slot array
+// was sized for every entry of the mask, so a new leaf takes the first
+// free slot on its probe path.
+func (p *tpart) insert(e *Entry) {
 	h := thash(e.Value)
-	if i := p.slotIndex(e.Value, h); i >= 0 {
-		old := p.slots[i].leaf
-		if ordered {
-			old.es = append(old.es, e)
-		} else {
-			pos := len(old.es)
-			for k, x := range old.es {
-				if beats(e, x) {
-					pos = k
-					break
-				}
-			}
-			es := make([]*Entry, 0, len(old.es)+1)
-			es = append(es, old.es[:pos]...)
-			es = append(es, e)
-			es = append(es, old.es[pos:]...)
-			p.slots[i].leaf = &tleaf{key: old.key, es: es}
-		}
-	} else {
-		if (p.live+p.dead+1)*tLoadDen > len(p.slots)*tLoadNum {
-			p.rehash(p.live + 1)
-		}
-		p.put(h, &tleaf{key: e.Value, es: []*Entry{e}})
-	}
-	p.count++
-	if e.Priority > p.maxPrio {
-		p.maxPrio = e.Priority
-	}
-}
-
-// removeEntry deletes e (by pointer identity) from an owned partition.
-func (p *tpart) removeEntry(e *Entry) {
-	h := thash(e.Value)
-	i := p.slotIndex(e.Value, h)
-	if i < 0 {
+	if lf := p.lookup(e.Value, h); lf != nil {
+		lf.es = append(lf.es, e)
 		return
 	}
-	old := p.slots[i].leaf
-	idx := -1
-	for k, x := range old.es {
-		if x == e {
-			idx = k
-			break
-		}
+	m := uint64(len(p.slots) - 1)
+	i := h & m
+	for p.slots[i].leaf != nil {
+		i = (i + 1) & m
 	}
-	if idx < 0 {
-		return
-	}
-	if len(old.es) == 1 {
-		p.slots[i].leaf = tombstone
-		p.live--
-		p.dead++
-	} else {
-		es := make([]*Entry, 0, len(old.es)-1)
-		es = append(es, old.es[:idx]...)
-		es = append(es, old.es[idx+1:]...)
-		// Keep the leaf key aliased to a surviving entry's value so the
-		// leaf never pins a deleted entry's backing array.
-		p.slots[i].leaf = &tleaf{key: es[0].Value, es: es}
-	}
-	p.count--
+	p.slots[i] = tslot{tag: h, leaf: &tleaf{key: e.Value, es: []*Entry{e}}}
 }
 
-// ternaryStore is one generation's ternary index: partitions ordered by
-// descending maxPrio plus a mask lookup for delta application.
+// ternaryStore is one generation's ternary index: its partitions,
+// ordered by descending maxPrio.
 type ternaryStore struct {
-	parts  []*tpart
-	byMask map[string]*tpart
+	parts []*tpart
 }
 
 // buildTernaryStore indexes entries (already in canonical match order)
 // from scratch.
 func buildTernaryStore(entries []*Entry) *ternaryStore {
-	ts := &ternaryStore{byMask: make(map[string]*tpart)}
+	ts := &ternaryStore{}
+	byMask := make(map[string]*tpart)
 	counts := make(map[string]int)
 	for _, e := range entries {
 		counts[string(e.Mask)]++
 	}
 	for _, e := range entries {
 		mk := string(e.Mask)
-		p := ts.byMask[mk]
+		p := byMask[mk]
 		if p == nil {
 			p = &tpart{mask: e.Mask, maxPrio: e.Priority,
 				slots: make([]tslot, slotsFor(counts[mk]))}
-			ts.byMask[mk] = p
+			byMask[mk] = p
 			ts.parts = append(ts.parts, p)
 		}
-		p.insert(e, true)
+		p.insert(e)
 	}
 	ts.sortParts()
 	return ts
@@ -329,85 +221,4 @@ func (ts *ternaryStore) find(key, masked []byte) *Entry {
 		}
 	}
 	return hit
-}
-
-// edit returns a generation with removes taken out and adds put in.
-// Edits are grouped by mask so each touched partition's slot array is
-// copied exactly once per batch; untouched partitions stay shared with
-// the receiver, which concurrent lookups keep reading undisturbed.
-func (ts *ternaryStore) edit(removes, adds []*Entry) *ternaryStore {
-	nts := ts.clone()
-	touched := make(map[string]*tpart)
-	owned := func(mask []byte) *tpart {
-		mk := string(mask)
-		if p := touched[mk]; p != nil {
-			return p
-		}
-		var np *tpart
-		if p := nts.byMask[mk]; p != nil {
-			np = &tpart{mask: p.mask, maxPrio: p.maxPrio, count: p.count,
-				live: p.live, dead: p.dead,
-				slots: append([]tslot(nil), p.slots...)}
-			nts.replacePart(p, np)
-		} else {
-			np = &tpart{mask: append([]byte(nil), mask...),
-				slots: make([]tslot, slotsFor(1))}
-			nts.byMask[mk] = np
-			nts.parts = append(nts.parts, np)
-		}
-		touched[mk] = np
-		return np
-	}
-	for _, e := range removes {
-		owned(e.Mask).removeEntry(e)
-	}
-	for _, e := range adds {
-		owned(e.Mask).insert(e, false)
-	}
-	for _, p := range touched {
-		if p.count == 0 {
-			nts.dropPart(p)
-		} else if p.dead*4 > len(p.slots) {
-			p.rehash(p.live)
-		}
-	}
-	nts.sortParts()
-	return nts
-}
-
-func (ts *ternaryStore) replacePart(old, nw *tpart) {
-	ts.byMask[string(nw.mask)] = nw
-	for i, p := range ts.parts {
-		if p == old {
-			ts.parts[i] = nw
-			break
-		}
-	}
-}
-
-func (ts *ternaryStore) dropPart(old *tpart) {
-	delete(ts.byMask, string(old.mask))
-	for i, p := range ts.parts {
-		if p == old {
-			ts.parts = append(ts.parts[:i], ts.parts[i+1:]...)
-			break
-		}
-	}
-}
-
-// clone copies the partition list and mask map (the partitions and
-// their slot arrays stay shared) so edits never disturb the generation
-// concurrent lookups are reading.
-func (ts *ternaryStore) clone() *ternaryStore {
-	if ts == nil {
-		return &ternaryStore{byMask: make(map[string]*tpart)}
-	}
-	nts := &ternaryStore{
-		parts:  append([]*tpart(nil), ts.parts...),
-		byMask: make(map[string]*tpart, len(ts.byMask)),
-	}
-	for k, v := range ts.byMask {
-		nts.byMask[k] = v
-	}
-	return nts
 }

@@ -1,6 +1,6 @@
 // Package p4 implements P4Lite, a behavioural model of a programmable
 // data plane: a protocol parser expressed as a parse graph, match–action
-// tables with exact/ternary/LPM/range match kinds, a staged pipeline,
+// tables with range and ternary match kinds, a staged pipeline,
 // per-table and per-entry counters, and a digest queue for sending packet
 // samples to the controller. It stands in for the BMv2/Tofino targets the
 // paper deployed on, preserving match–action semantics and table cost
@@ -17,21 +17,15 @@ type MatchKind int
 
 // Supported match kinds.
 const (
-	MatchExact MatchKind = iota + 1
-	MatchTernary
-	MatchLPM
+	MatchTernary MatchKind = iota + 1
 	MatchRange
 )
 
 // String returns the P4 name of the match kind.
 func (k MatchKind) String() string {
 	switch k {
-	case MatchExact:
-		return "exact"
 	case MatchTernary:
 		return "ternary"
-	case MatchLPM:
-		return "lpm"
 	case MatchRange:
 		return "range"
 	default:

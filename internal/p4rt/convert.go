@@ -77,20 +77,6 @@ func (p *Program) rows() (*programRows, error) {
 	return out, nil
 }
 
-// WireFromP4Entry converts a p4 table entry to wire form.
-func WireFromP4Entry(e p4.Entry) WireEntry {
-	return WireEntry{
-		Priority:  e.Priority,
-		Value:     e.Value,
-		Mask:      e.Mask,
-		PrefixLen: e.PrefixLen,
-		Lo:        e.Lo,
-		Hi:        e.Hi,
-		Action:    FormatAction(e.Action.Type),
-		Class:     e.Action.Class,
-	}
-}
-
 // ToP4Delta converts the wire delta into a p4.Delta.
 func (d *DeltaMsg) ToP4Delta() (p4.Delta, error) {
 	out := p4.Delta{

@@ -186,7 +186,7 @@ func deltaFromProgramsRef(prev, next Program) (DeltaMsg, bool) {
 		msg.Moves = append(msg.Moves, WireDeltaMove{Base: m.Base, Priority: m.Priority, Order: m.Order})
 	}
 	for _, a := range d.Adds {
-		msg.Adds = append(msg.Adds, WireDeltaAdd{Entry: WireFromP4Entry(a.Entry), Order: a.Order})
+		msg.Adds = append(msg.Adds, WireDeltaAdd{Entry: next.Entries[a.Order], Order: a.Order})
 	}
 	return msg, true
 }

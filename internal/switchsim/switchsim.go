@@ -194,9 +194,6 @@ func (s *Switch) Node() string { return s.node }
 // disarmed monitor costs one extra atomic load per packet.
 func (s *Switch) SetDriftMonitor(m *drift.Monitor) { s.driftMon.Store(m) }
 
-// DriftMonitor returns the attached drift monitor (nil when none).
-func (s *Switch) DriftMonitor() *drift.Monitor { return s.driftMon.Load() }
-
 // driftArmed resolves the live armed drift state: nil when no monitor
 // is attached or it is disarmed.
 func (s *Switch) driftArmed() *drift.Armed {
@@ -740,14 +737,4 @@ func (s *Switch) RegisterTelemetry(reg *telemetry.Registry) {
 				emit(entryLabels(e), float64(e.Bytes))
 			}
 		})
-}
-
-// LatencySnapshot returns the sampled forwarding-latency histogram
-// snapshot (zero value when telemetry is not registered).
-func (s *Switch) LatencySnapshot() telemetry.HistogramSnapshot {
-	h := s.latencyHist.Load()
-	if h == nil {
-		return telemetry.HistogramSnapshot{}
-	}
-	return h.Snapshot()
 }

@@ -407,7 +407,7 @@ func TestRegisterTelemetryExportsCounters(t *testing.T) {
 		}
 	}
 	// The batch merge always observes the latency histogram.
-	if hs := sw.LatencySnapshot(); hs.Count == 0 {
+	if hs := sw.latencyHist.Load().Snapshot(); hs.Count == 0 {
 		t.Fatal("latency histogram never observed")
 	}
 	// Per-entry hits must sum to the table's hit counter.
@@ -457,7 +457,7 @@ func TestTelemetryUnderParallelRunWithReprogram(t *testing.T) {
 				return
 			default:
 			}
-			hs := sw.LatencySnapshot()
+			hs := sw.latencyHist.Load().Snapshot()
 			var sum uint64
 			for _, c := range hs.Counts {
 				sum += c
@@ -489,7 +489,7 @@ func TestTelemetryUnderParallelRunWithReprogram(t *testing.T) {
 	if st.Packets != 4*len(pkts) || st.Allowed+st.Dropped != st.Packets {
 		t.Fatalf("stats lost packets under churn: %+v", st)
 	}
-	if sw.LatencySnapshot().Count == 0 {
+	if sw.latencyHist.Load().Snapshot().Count == 0 {
 		t.Fatal("no latency observations recorded")
 	}
 }
@@ -507,7 +507,7 @@ func TestProcessLatencySampling(t *testing.T) {
 	for _, p := range tracePackets(n, 31) {
 		sw.Process(p)
 	}
-	if got := sw.LatencySnapshot().Count; got != n/latencySampleEvery {
+	if got := sw.latencyHist.Load().Snapshot().Count; got != n/latencySampleEvery {
 		t.Fatalf("sampled %d observations from %d packets, want %d", got, n, n/latencySampleEvery)
 	}
 }
