@@ -79,6 +79,7 @@ func Train(x *tensor.Matrix, cfg Config) (*Autoencoder, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("autoenc: train: %w", err)
 	}
+	net.Release() // the training batches' arena: scoring brings its own
 	return &Autoencoder{net: net, width: x.Cols}, nil
 }
 

@@ -33,6 +33,28 @@ func (n *Network) workspace() *Workspace {
 	return n.ws
 }
 
+// Release lets go of the workspace and of what the layers cached for
+// backprop: after a training run those pin the arena of a full batch, and a
+// network that only serves one-row inference from then on should not hold
+// it. Parameters and gradients stay; the next pass regrows what it needs.
+func (n *Network) Release() {
+	n.ws, n.inGrad = nil, nil
+	for _, l := range n.Layers {
+		switch l := l.(type) {
+		case *Dense:
+			l.lastIn = nil
+		case *ReLU:
+			l.mask = nil
+		case *Sigmoid:
+			l.lastOut = nil
+		case *Tanh:
+			l.lastOut = nil
+		case *Dropout:
+			l.mask = nil
+		}
+	}
+}
+
 // forward runs the batch through every layer using the given workspace.
 func (n *Network) forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	cur := x

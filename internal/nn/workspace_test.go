@@ -242,3 +242,84 @@ func TestTrainLearnsWithReusedBatches(t *testing.T) {
 		t.Fatal("loss is NaN")
 	}
 }
+
+// TestReleaseDropsArenaKeepsModel: a released network points at no buffer of
+// its past passes — workspace, detached input gradient, any layer's cache —
+// and is the same model: it goes on training bit for bit like a twin that
+// was never released, every layer kind included.
+func TestReleaseDropsArenaKeepsModel(t *testing.T) {
+	build := func() *Network {
+		rng := rand.New(rand.NewSource(91))
+		return NewNetwork(SoftmaxCE{},
+			NewDense(rng, 6, 8), &ReLU{}, NewDropout(rng, 0.25),
+			NewDense(rng, 8, 8), &Tanh{}, NewDense(rng, 8, 4), &Sigmoid{}, NewDense(rng, 4, 3))
+	}
+	rng := rand.New(rand.NewSource(92))
+	x := tensor.New(64, 6)
+	x.Randomize(rng, 1)
+	labels := make([]int, x.Rows)
+	for i := range labels {
+		labels[i] = rng.Intn(3)
+	}
+	target, _ := OneHot(labels, 3)
+
+	net, twin := build(), build()
+	steps := func(n *Network, opt Optimizer) {
+		for i := 0; i < 5; i++ {
+			if _, err := n.Step(x, target); err != nil {
+				t.Fatal(err)
+			}
+			if err := opt.Update(n.Params(), n.Grads()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := n.InputGradient(x, target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opt, twinOpt := NewAdam(0.01), NewAdam(0.01)
+	steps(net, opt)
+	steps(twin, twinOpt)
+
+	net.Release()
+	if net.ws != nil || net.inGrad != nil {
+		t.Fatal("a released network still holds its workspace or input gradient")
+	}
+	for i, l := range net.Layers {
+		var cache *tensor.Matrix
+		switch l := l.(type) {
+		case *Dense:
+			cache = l.lastIn
+		case *ReLU:
+			cache = l.mask
+		case *Sigmoid:
+			cache = l.lastOut
+		case *Tanh:
+			cache = l.lastOut
+		case *Dropout:
+			cache = l.mask
+		default:
+			t.Fatalf("layer %d (%T): the test does not know its cache", i, l)
+		}
+		if cache != nil {
+			t.Fatalf("layer %d (%T) still holds its cache", i, l)
+		}
+	}
+	one := x.RowView(0, 1)
+	got, err := net.Predict(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := twin.Predict(one); got[0] != want[0] {
+		t.Fatalf("released network predicts %d, its twin %d", got[0], want[0])
+	}
+	steps(net, opt)
+	steps(twin, twinOpt)
+	for i, p := range net.Params() {
+		for j, v := range p.Data {
+			if math.Float64bits(v) != math.Float64bits(twin.Params()[i].Data[j]) {
+				t.Fatalf("parameter %d[%d]: %v after a release, %v without", i, j, v, twin.Params()[i].Data[j])
+			}
+		}
+	}
+}

@@ -135,45 +135,37 @@ func explainEntry(st *lookupState, key []byte, e *Entry, mo int) EntryExplain {
 	}
 }
 
-// winnerEntry replicates Lookup's winner selection on a snapshot,
-// returning the winning entry and its match-order index (-1 on miss).
-// It goes through the probe Lookup uses (find), so Explain and Lookup can
-// never disagree; the match order is the winner's rank in the sorted list,
-// since the index names a row by id, not by place.
-func winnerEntry(st *lookupState, key []byte) (*Entry, int) {
-	hit, _ := st.find(key, make([]byte, len(key)))
-	if hit == nil {
-		return nil, -1
-	}
-	return hit, rankOf(st.entries, hit)
-}
-
 // Explain reconstructs the lookup of frame with full evidence and no
 // side effects. Explain(frame).Action and .Matched always equal what
-// Lookup(frame) returns for the same table generation.
+// Lookup(frame) returns for the same table generation: the winner comes
+// from the probe Lookup uses (find). Its match order is its rank in the
+// ordered list, since the index names a row by id, not by place.
 func (t *Table) Explain(frame []byte) TableExplain {
 	st := t.state.Load()
+	entries := st.ordered()
 	key := ExtractKey(frame, st.key)
 	ex := TableExplain{
 		Table: t.Name, Kind: st.kind, KindName: st.kind.String(),
 		Key: key,
 	}
-	hit, mo := winnerEntry(st, key)
+	var scratch []byte // the ternary store's lane-masking buffer
+	if st.kind == MatchTernary {
+		scratch = make([]byte, len(key))
+	}
+	// Entries ahead of the winner in match order — all of them on a miss —
+	// lost by failing to match.
+	hit, _ := st.find(key, scratch)
 	if hit == nil {
-		ex.Action, ex.Matched, ex.DefaultUsed = st.def, false, true
-		ex.BeatenTotal = len(st.entries)
-		for i := 0; i < len(st.entries) && len(ex.Beaten) < match.MaxBeaten; i++ {
-			ex.Beaten = append(ex.Beaten, explainEntry(st, key, st.entries[i], i))
-		}
+		ex.Action, ex.DefaultUsed, ex.BeatenTotal = st.def, true, len(entries)
 	} else {
-		ex.Action, ex.Matched = hit.Action, true
-		w := explainEntry(st, key, hit, mo)
+		ex.Action, ex.Matched, ex.BeatenTotal = hit.Action, true, rankOf(entries, hit)
+		w := explainEntry(st, key, hit, ex.BeatenTotal)
 		ex.Winner = &w
-		// Entries ahead of the winner in match order lost by failing to
-		// match.
-		ex.BeatenTotal = mo
-		for i := 0; i < mo && len(ex.Beaten) < match.MaxBeaten; i++ {
-			ex.Beaten = append(ex.Beaten, explainEntry(st, key, st.entries[i], i))
+	}
+	if n := min(ex.BeatenTotal, match.MaxBeaten); n > 0 {
+		ex.Beaten = make([]EntryExplain, n)
+		for i := range ex.Beaten {
+			ex.Beaten[i] = explainEntry(st, key, entries[i], i)
 		}
 	}
 	ex.ActionName = ex.Action.Type.String()

@@ -115,6 +115,51 @@ func TestExplainLookupAgreementAllKinds(t *testing.T) {
 	}
 }
 
+// TestExplainAllocatesItsResult pins what a sampled explain costs the
+// detector: the key, the winner with its per-byte evidence, the beaten rows
+// with theirs — and nothing else once the generation's list is merged; no
+// scratch on a range table (a ternary one takes its lane-masking buffer),
+// no second walk.
+func TestExplainAllocatesItsResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, kind := range []MatchKind{MatchTernary, MatchRange} {
+		tbl := NewTable("t", kind, []FieldSpec{{Name: "b", Offset: 0, Width: 2}}, 0, Action{Type: ActionNop})
+		for i := 0; i < 24; i++ {
+			e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionSetClass, Class: 1}}
+			lo, hi := byte(rng.Intn(200)), byte(rng.Intn(256))
+			switch {
+			case kind == MatchTernary:
+				e.Value, e.Mask = []byte{lo & 0xf0, 0}, []byte{0xf0, 0}
+			case i < 16:
+				e.Lo, e.Hi = []byte{lo, 0}, []byte{lo + byte(rng.Intn(56)), hi}
+			default: // points, derived: the list is merged by the first Explain
+				e.Lo, e.Hi = []byte{byte(10 * i), hi}, []byte{byte(10 * i), hi}
+			}
+			if _, err := tbl.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 0; b < 256; b += 5 {
+			frame := []byte{byte(b), byte(rng.Intn(256))}
+			ex := tbl.Explain(frame)
+			want := 1 // the key
+			if ex.Matched {
+				want += 2
+			}
+			if len(ex.Beaten) > 0 {
+				want += 1 + len(ex.Beaten)
+			}
+			if kind == MatchTernary {
+				want++
+			}
+			if got := testing.AllocsPerRun(20, func() { tbl.Explain(frame) }); int(got) != want {
+				t.Fatalf("%v table, frame %v (matched %v, %d beaten): Explain allocates %v times, its result takes %d",
+					kind, frame, ex.Matched, len(ex.Beaten), got, want)
+			}
+		}
+	}
+}
+
 // TestPipelineExplainMatchesRunTables asserts the pipeline-level Explain
 // verdict equals RunTables' verdict, and that Explain queues no digests.
 func TestPipelineExplainMatchesRunTables(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"p4guard/internal/packet"
 )
@@ -237,6 +239,60 @@ func TestQueueDigestBatchOverflow(t *testing.T) {
 		if d.At.IsZero() {
 			t.Fatal("batched digest missing enqueue timestamp")
 		}
+	}
+}
+
+// TestDrainDigestsLetsGoOfPackets: the queue's array outlives a drain, so
+// a drained packet must not stay reachable through it — on a switch gone
+// idle after a burst that was up to a queue of full frames — and the array
+// must be the one the next burst fills: a steady enqueue/drain cycle, to
+// empty or to a constant depth, allocates the slice DrainDigests returns
+// and nothing else. The accounting identity holds throughout.
+func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
+	p := NewPipeline(64)
+	freed := make(chan struct{}, 8)
+	func() { // the packets live in no frame of this test's once queued
+		for i := 0; i < 8; i++ {
+			pkt := &packet.Packet{Bytes: make([]byte, 1500)}
+			runtime.SetFinalizer(pkt, func(*packet.Packet) { freed <- struct{}{} })
+			p.queueDigest(Digest{Table: "t", Pkt: pkt})
+		}
+		p.DrainDigests(5) // partial: three stay queued
+		p.DrainDigests(0)
+	}()
+	for got, tries := 0, 0; got < 8; tries++ {
+		if tries == 100 {
+			t.Fatalf("%d of 8 drained packets collected: the queue still holds the rest", got)
+		}
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	ds := make([]Digest, 8)
+	for i := range ds {
+		ds[i] = Digest{Table: "t", Pkt: &packet.Packet{}}
+	}
+	for _, depth := range []int{0, 5} {
+		p.queueDigestBatch(ds[:depth])
+		cycle := func() {
+			p.queueDigestBatch(ds)
+			p.DrainDigests(len(ds))
+		}
+		for i := 0; i < 64; i++ { // the array reaches its size
+			cycle()
+		}
+		if got := testing.AllocsPerRun(200, cycle); got != 1 {
+			t.Fatalf("an enqueue/drain cycle at depth %d allocates %v times, want only the slice handed out", depth, got)
+		}
+		st := p.DigestQueueStats()
+		if st.Depth != depth || st.Offered != st.Drained+st.Dropped+uint64(st.Depth) || st.Dropped != 0 {
+			t.Fatalf("depth %d: accounting = %+v", depth, st)
+		}
+		p.DrainDigests(0)
 	}
 }
 

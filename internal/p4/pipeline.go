@@ -160,7 +160,12 @@ func (p *Pipeline) DrainDigests(max int) []Digest {
 	}
 	out := make([]Digest, n)
 	copy(out, p.digests[:n])
-	p.digests = p.digests[n:]
+	// The array outlives the drain. What is left moves to its front, so the
+	// next burst fills it again and does not grow another, and the slots
+	// behind are cleared: the packets handed out are the caller's alone.
+	rest := copy(p.digests, p.digests[n:])
+	clear(p.digests[rest:])
+	p.digests = p.digests[:rest]
 	p.drained += uint64(n)
 	return out
 }

@@ -129,7 +129,7 @@ func (c *deltaChurn) step(what string, mutate func() error) {
 	if err := mutate(); err != nil {
 		c.t.Fatalf("%s: %v", what, err)
 	}
-	if st := c.tbl.state.Load(); len(st.entries) > 0 && &st.byID[0] != &st.entries[0] {
+	if st := c.tbl.state.Load(); st.rows > 0 && !st.compiled() {
 		c.derived++
 	}
 }
@@ -152,6 +152,14 @@ func (c *deltaChurn) uninstall(what string, i int) {
 	c.check(what)
 }
 
+// replace swaps the whole program in, which drops the installs.
+func (c *deltaChurn) replace(what string, next []Entry) {
+	c.t.Helper()
+	c.step(what, func() error { return c.tbl.Replace(next) })
+	c.prog, c.reactive, c.reactiveIDs = next, nil, nil
+	c.check(what)
+}
+
 // sameRows compares two entry lists field for field, ids aside.
 func sameRows(a, b []Entry) bool {
 	strip := func(es []Entry) []Entry {
@@ -165,9 +173,11 @@ func sameRows(a, b []Entry) bool {
 }
 
 // check holds the table to a fresh one with the same program and
-// installs — signature, Entries, the program in wire order, and on every
-// probe key Lookup, LookupBatch, the scan and Explain — and every held
-// generation to what it answered when it was current.
+// installs — signature, the six readers of the match-ordered list (Len,
+// Entries, EntrySnapshots, Stats, and on every probe key the scan and
+// Explain's winner rank and beaten rows), the program in wire order, Lookup
+// and LookupBatch — and every held generation to what it answered when it
+// was current.
 func (c *deltaChurn) check(what string) {
 	c.t.Helper()
 	t := c.t
@@ -187,6 +197,20 @@ func (c *deltaChurn) check(what string) {
 	}
 	if !sameRows(c.tbl.Entries(), fresh.Entries()) {
 		t.Fatalf("%s: Entries differ from a fresh table's:\n got  %+v\n want %+v", what, c.tbl.Entries(), fresh.Entries())
+	}
+	snaps, wantSnaps, stats := c.tbl.EntrySnapshots(), fresh.EntrySnapshots(), c.tbl.Stats()
+	if n := len(wantSnaps); c.tbl.Len() != n || stats.Entries != n || len(snaps) != n {
+		t.Fatalf("%s: Len %d, Stats %d, %d EntrySnapshots; a fresh table holds %d", what, c.tbl.Len(), stats.Entries, len(snaps), n)
+	}
+	var hitBytes uint64
+	for i, s := range snaps {
+		if s.Priority != wantSnaps[i].Priority || s.Action != wantSnaps[i].Action {
+			t.Fatalf("%s: EntrySnapshots[%d] is %+v, a fresh table's %+v", what, i, s, wantSnaps[i])
+		}
+		hitBytes += s.Bytes
+	}
+	if stats.HitBytes != hitBytes {
+		t.Fatalf("%s: Stats counts %d hit bytes, the entries' counters %d", what, stats.HitBytes, hitBytes)
 	}
 	// The program in wire order is what the next delta's indices name.
 	if len(c.tbl.prog) != len(c.prog) {
@@ -214,8 +238,22 @@ func (c *deltaChurn) check(what string) {
 		if act, matched := c.tbl.LookupOracle(k); act != want || matched != wantMatched {
 			t.Fatalf("%s key %x: scan (%+v,%v), a fresh table's (%+v,%v)", what, k, act, matched, want, wantMatched)
 		}
-		if ex := c.tbl.Explain(k); ex.Action != want || ex.Matched != wantMatched {
+		ex, wantEx := c.tbl.Explain(k), fresh.Explain(k)
+		if ex.Action != want || ex.Matched != wantMatched {
 			t.Fatalf("%s key %x: Explain (%+v,%v), a fresh table's (%+v,%v)", what, k, ex.Action, ex.Matched, want, wantMatched)
+		}
+		// A row's class is its own, so rank and class name the same row in
+		// both tables whatever ids they gave it.
+		if ex.BeatenTotal != wantEx.BeatenTotal || len(ex.Beaten) != len(wantEx.Beaten) ||
+			(ex.Matched && ex.Winner.MatchOrder != wantEx.Winner.MatchOrder) {
+			t.Fatalf("%s key %x: Explain ranks the winner %d with %d beaten listed, a fresh table %d with %d",
+				what, k, ex.BeatenTotal, len(ex.Beaten), wantEx.BeatenTotal, len(wantEx.Beaten))
+		}
+		for j, b := range ex.Beaten {
+			if w := wantEx.Beaten[j]; b.Class != w.Class || b.Priority != w.Priority || b.MatchOrder != w.MatchOrder {
+				t.Fatalf("%s key %x: beaten[%d] is class %d priority %d, a fresh table's class %d priority %d",
+					what, k, j, b.Class, b.Priority, w.Class, w.Priority)
+			}
 		}
 	}
 	for g, h := range c.held {
@@ -272,7 +310,8 @@ func TestRangeDeltaChurnDifferential(t *testing.T) {
 			c.deploy("hash past half full", grown)
 
 			var gone [][]byte // keys deleted by earlier rounds, to put back
-			for round := 0; round < 60; round++ {
+			const rounds = 200
+			for round := 0; round < rounds; round++ {
 				what := fmt.Sprintf("round %d", round)
 				switch op := c.rng.Intn(10); {
 				case op < 5: // a delta of point rows: deleted, moved, added
@@ -312,11 +351,13 @@ func TestRangeDeltaChurnDifferential(t *testing.T) {
 						e = c.entry(row.Lo, row.Hi, c.rng.Intn(4))
 					}
 					c.install(what+" (install)", e)
+				case c.rng.Intn(8) == 0: // a full swap: the installs go, the chain starts over
+					c.replace(what+" (replace)", with(c.point(c.freshKey(), c.rng.Intn(4)), c.rng.Intn(len(c.prog)+1)))
 				case len(c.reactive) > 0:
 					c.uninstall(what+" (delete)", c.rng.Intn(len(c.reactive)))
 				}
 			}
-			if steps := 12 + 60; c.derived < steps/3 || c.derived > steps-8 {
+			if steps := 12 + rounds; c.derived < steps/3 || c.derived > steps-8 {
 				t.Fatalf("the editor derived %d generations of at most %d: want both it and the compile it falls back to exercised", c.derived, steps)
 			}
 
@@ -380,7 +421,7 @@ func TestStackedDeltasStayBounded(t *testing.T) {
 			t.Fatalf("delta %d: %v", i, err)
 		}
 		prog = next
-		if st := tbl.state.Load(); &st.byID[0] == &st.entries[0] {
+		if tbl.state.Load().compiled() {
 			compiled++
 		}
 	}
@@ -413,7 +454,7 @@ func TestStackedDeltasStayBounded(t *testing.T) {
 		}
 		prog = next
 	}
-	if st := tbl.state.Load(); &st.byID[0] == &st.entries[0] {
+	if tbl.state.Load().compiled() {
 		t.Fatal("the table timed was compiled, not edited")
 	}
 	if err := fresh.Replace(prog); err != nil {
@@ -507,7 +548,7 @@ func TestRangeDeltaAllocsIndependentOfRows(t *testing.T) {
 			prog = next
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		if st := tbl.state.Load(); &st.byID[0] == &st.entries[0] {
+		if tbl.state.Load().compiled() {
 			t.Fatal("the deltas were compiled in, not derived")
 		}
 		return best, slots

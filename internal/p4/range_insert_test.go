@@ -6,12 +6,14 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"p4guard/internal/match"
 	"p4guard/internal/match/matchtest"
+	"p4guard/internal/packet"
 )
 
 // rangeTable is a range table over a width-byte key holding rows, with
@@ -30,6 +32,30 @@ func rangeTable(t testing.TB, rng *rand.Rand, width int, rows []match.RangeRow) 
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// compiled reports whether st came out of reindex: only a compile hands
+// the index and the match-ordered list one array, all of it covered.
+func (st *lookupState) compiled() bool {
+	return st.covered == len(st.byID) && len(st.byID) > 0 && &st.byID[0] == &st.sorted[0]
+}
+
+// freshPointKeys returns n distinct 3-byte keys no row starts at: a point
+// installed on a key some point row holds is declined by the editor, and
+// the table compiled.
+func freshPointKeys(rng *rand.Rand, rows []match.RangeRow, n int) (fresh [][]byte) {
+	taken := map[string]bool{}
+	for _, row := range rows {
+		taken[string(row.Lo)] = true
+	}
+	for len(fresh) < n {
+		k := []byte{byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))}
+		if !taken[string(k)] {
+			taken[string(k)] = true
+			fresh = append(fresh, k)
+		}
+	}
+	return fresh
 }
 
 // checkState holds a generation to the scan of its own entries.
@@ -51,25 +77,17 @@ func checkState(t *testing.T, what string, st *lookupState, keys [][]byte) {
 // ahead of, between and behind the range rows, into the hash and the
 // byID array it still reads, across several doublings — answers every
 // key, the installed ones too, as the scan of its own entries does. Two
-// readers hold the first generation to that while the installs run.
+// readers hold the first generation to that while the installs run. The
+// match-ordered list is merged from that same array when somebody asks, so
+// every generation kept is also held to listing its own rows, in order, and
+// none installed after it.
 func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 	const width, installs = 3, 600
 	rng := rand.New(rand.NewSource(29))
 	rows := matchtest.Rows(rng, width, 48, 0.5)
 	tbl := rangeTable(t, rng, width, rows)
 
-	var fresh [][]byte
-	taken := map[string]bool{}
-	for _, row := range rows {
-		taken[string(row.Lo)] = true // a held key is declined, and the table compiled
-	}
-	for len(fresh) < installs {
-		k := []byte{byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))}
-		if !taken[string(k)] {
-			taken[string(k)] = true
-			fresh = append(fresh, k)
-		}
-	}
+	fresh := freshPointKeys(rng, rows, installs)
 	probes := append(matchtest.Keys(rng, width, 500, rows), fresh...)
 
 	first := tbl.state.Load()
@@ -96,24 +114,168 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 			}
 		}(r)
 	}
-	kept := []*lookupState{first}
+	// Each kept generation with its rows in match order, worked out from
+	// the table's own pools while it was current and without a reader
+	// touching it.
+	type keptGeneration struct {
+		st   *lookupState
+		rows []*Entry
+	}
+	keep := func() keptGeneration {
+		rows := append(slices.Clone(tbl.prog), tbl.inserted...)
+		sortByPriority(rows)
+		return keptGeneration{tbl.state.Load(), rows}
+	}
+	kept := []keptGeneration{keep()}
 	for n, k := range fresh {
 		if _, err := tbl.Insert(Entry{Priority: rng.Intn(6) - 1, Lo: k, Hi: k, Action: Action{Type: ActionDrop, Class: 1000 + n}}); err != nil {
 			t.Fatal(err)
 		}
-		if n%41 == 0 || n == installs-1 {
-			kept = append(kept, tbl.state.Load())
+		if n%50 == 0 && n <= installs-100 {
+			kept = append(kept, keep())
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	last := kept[len(kept)-1]
-	if &last.byID[0] == &last.entries[0] || last.byID[len(last.byID)-1].Action.Class != 1000+installs-1 {
+	last := tbl.state.Load()
+	if last.compiled() || last.byID[len(last.byID)-1].Action.Class != 1000+installs-1 {
 		t.Fatal("a fresh point row was compiled in, not derived")
 	}
-	for g, st := range kept {
-		checkState(t, fmt.Sprintf("generation %d (%d rows)", g, len(st.entries)), st, probes)
+	// Every kept generation is at least 100 installs old by now, and the
+	// byID array it shares with the current one holds them all: each of the
+	// six readers must list its rows and no later one, read through a table
+	// whose state is the kept generation.
+	for g, k := range kept {
+		what := fmt.Sprintf("generation %d (%d rows)", g, len(k.rows))
+		if g > 0 && k.st.merged != nil {
+			t.Fatalf("%s: nothing read it, yet it holds a merged list", what)
+		}
+		checkState(t, what, k.st, probes)
+		held := &Table{Name: "held"}
+		held.state.Store(k.st)
+		entries, snaps := held.Entries(), held.EntrySnapshots()
+		if held.Len() != len(k.rows) || held.Stats().Entries != len(k.rows) || len(entries) != len(k.rows) || len(snaps) != len(k.rows) {
+			t.Fatalf("%s: Len %d, Stats %d, %d Entries, %d EntrySnapshots", what, held.Len(), held.Stats().Entries, len(entries), len(snaps))
+		}
+		for i, e := range k.rows {
+			if entries[i].ID != e.ID || snaps[i].ID != e.ID {
+				t.Fatalf("%s: place %d holds id %d (Entries) and %d (EntrySnapshots), want %d", what, i, entries[i].ID, snaps[i].ID, e.ID)
+			}
+		}
+		for _, key := range probes {
+			w, want := slices.IndexFunc(k.rows, func(e *Entry) bool { return rangeMatch(key, e.Lo, e.Hi) }), k.st.def
+			if w < 0 {
+				w = len(k.rows)
+			} else {
+				want = k.rows[w].Action
+			}
+			ex := held.Explain(key)
+			if act, _ := held.LookupOracle(key); act != want || ex.Action != want {
+				t.Fatalf("%s key %x: scan %+v, Explain %+v, want %+v", what, key, act, ex.Action, want)
+			}
+			if ex.BeatenTotal != w || (ex.Matched && (ex.Winner.ID != k.rows[w].ID || ex.Winner.MatchOrder != w)) {
+				t.Fatalf("%s key %x: Explain ranks the winner %d, its rows say %d", what, key, ex.BeatenTotal, w)
+			}
+			for i, b := range ex.Beaten {
+				if b.ID != k.rows[i].ID {
+					t.Fatalf("%s key %x: beaten[%d] is id %d, want %d", what, key, i, b.ID, k.rows[i].ID)
+				}
+			}
+		}
+		if a, b := k.st.ordered(), k.st.ordered(); g > 0 && (k.st.merged == nil || &a[0] != &b[0]) {
+			t.Fatalf("%s: the merged list was not kept for the second reader", what)
+		}
+	}
+}
+
+// TestReadersRaceInstalls: the match-ordered list is merged by whichever
+// reader asks first, out of an array the installer is appending to. One
+// goroutine reads Entries, Stats and Explain, one runs LookupBatch, while
+// rows are installed at priorities on every side of the programmed ones;
+// the installer waits for a read between installs, so the two stay
+// interleaved from the first row to the last. Every list seen must be one
+// generation's: the program plus the first k installs and nothing of the
+// k+1st, in match order, with k never going back.
+func TestReadersRaceInstalls(t *testing.T) {
+	const width, installs = 3, 300
+	rng := rand.New(rand.NewSource(41))
+	rows := matchtest.Rows(rng, width, 48, 0.5)
+	tbl := rangeTable(t, rng, width, rows)
+	base := tbl.Len()
+	fresh := freshPointKeys(rng, rows, installs)
+
+	var installed, reads atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // Entries, Stats, Explain
+		defer wg.Done()
+		seen := 0
+		for i := 0; !stop.Load() && !t.Failed(); i++ {
+			floor := int(installed.Load())
+			entries := tbl.Entries()
+			k, top := 0, 999
+			for j, e := range entries {
+				if e.Action.Class >= 1000 {
+					k, top = k+1, max(top, e.Action.Class)
+				}
+				if j > 0 && (entries[j-1].Priority < e.Priority || entries[j-1].Priority == e.Priority && entries[j-1].ID > e.ID) {
+					t.Errorf("Entries out of match order at %d: priority %d id %d, then priority %d id %d", j, entries[j-1].Priority, entries[j-1].ID, e.Priority, e.ID)
+				}
+			}
+			if len(entries) != base+k || top != 999+k || k < max(seen, floor) {
+				t.Errorf("Entries lists %d rows, %d of them installs up to class %d, after a list of %d installs and %d finished", len(entries), k, top, seen, floor)
+			}
+			seen = k
+			if s := tbl.Stats(); s.Entries < len(entries) || s.Entries > base+installs {
+				t.Errorf("Stats counts %d entries after Entries listed %d", s.Entries, len(entries))
+			}
+			ex := tbl.Explain(fresh[i%installs])
+			if i%installs < k && !ex.Matched {
+				t.Errorf("Explain misses key %x, installed %d rows ago", fresh[i%installs], k-i%installs)
+			}
+			if len(ex.Beaten) != min(ex.BeatenTotal, match.MaxBeaten) || ex.Matched && ex.Winner.MatchOrder != ex.BeatenTotal {
+				t.Errorf("Explain lists %d of %d beaten, winner %+v", len(ex.Beaten), ex.BeatenTotal, ex.Winner)
+			}
+			for _, b := range ex.Beaten {
+				if b.Matched {
+					t.Errorf("Explain: beaten row %d matches key %x", b.ID, fresh[i%installs])
+				}
+			}
+			reads.Add(1)
+		}
+	}()
+	go func() { // LookupBatch
+		defer wg.Done()
+		pkts := make([]*packet.Packet, installs)
+		for i, k := range fresh {
+			pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: k}
+		}
+		var ws BatchWorkspace
+		for !stop.Load() && !t.Failed() {
+			floor := int(installed.Load())
+			tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+			for i := 0; i < floor; i++ {
+				if !ws.matched[i] {
+					t.Errorf("LookupBatch misses key %x after its install finished", fresh[i])
+				}
+			}
+		}
+	}()
+	for n, k := range fresh {
+		if _, err := tbl.Insert(Entry{Priority: rng.Intn(6) - 1, Lo: k, Hi: k, Action: Action{Type: ActionDrop, Class: 1000 + n}}); err != nil {
+			t.Fatal(err)
+		}
+		installed.Store(int64(n + 1))
+		for was := reads.Load(); reads.Load() == was && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if st := tbl.state.Load(); st.compiled() || len(st.byID)-st.covered != installs {
+		t.Fatal("the installs were compiled in, not derived")
 	}
 }
 
@@ -161,40 +323,52 @@ func TestStatsReadsOneGeneration(t *testing.T) {
 	}
 }
 
-// TestRangeInsertAllocsIndependentOfHash: a reactive install into a range
-// table of 8 192 rows allocates the copy of the sorted entry list, 8 B a
-// row, and a few fixed-size structs — not a hash (24 B × 32 768 slots
-// here) and not a row map. Measured over batches of installs and taking
-// the cheapest, which is one away from a doubling of the hash or of byID;
-// the allocator rounds the list up to whole 8 KB pages.
+// TestRangeInsertAllocsIndependentOfHash: a reactive install allocates the
+// entry, the generation and the index header — the same at 8 192 rows and at
+// 131 072. Not a hash (24 B × 32 768 slots at the smaller size), not a row
+// map, and not the match-ordered list, which no install builds: the table
+// nothing read has none. Measured over batches of installs and taking the
+// cheapest, which is one away from a doubling of the hash or of byID.
 func TestRangeInsertAllocsIndependentOfHash(t *testing.T) {
-	const rows, batch = 8192, 16
-	rng := rand.New(rand.NewSource(31))
-	tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
-	if err := tbl.Replace(learnedPlusPoints(rng, rows-16)); err != nil {
-		t.Fatal(err)
-	}
-	installs := learnedPlusPoints(rng, 8*batch)[16:]
-	best, bestAllocs := ^uint64(0), ^uint64(0)
-	var before, after runtime.MemStats
-	for len(installs) > 0 {
-		runtime.ReadMemStats(&before)
-		for _, e := range installs[:batch] {
-			if _, err := tbl.Insert(e); err != nil {
-				t.Fatal(err)
-			}
+	const batch = 16
+	cost := func(rows int) (bytes, allocs uint64) {
+		rng := rand.New(rand.NewSource(31))
+		tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+		if err := tbl.Replace(learnedPlusPoints(rng, rows-16)); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		installs = installs[batch:]
-		best = min(best, (after.TotalAlloc-before.TotalAlloc)/batch)
-		bestAllocs = min(bestAllocs, (after.Mallocs-before.Mallocs)/batch)
+		installs := learnedPlusPoints(rng, 8*batch)[16:]
+		bytes, allocs = ^uint64(0), ^uint64(0)
+		var before, after runtime.MemStats
+		for len(installs) > 0 {
+			runtime.ReadMemStats(&before)
+			for _, e := range installs[:batch] {
+				if _, err := tbl.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			installs = installs[batch:]
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/batch)
+			allocs = min(allocs, (after.Mallocs-before.Mallocs)/batch)
+		}
+		st := tbl.state.Load()
+		if st.compiled() || len(st.byID)-st.covered != 8*batch {
+			t.Fatalf("%d rows: the installs were compiled in, not derived", rows)
+		}
+		if st.merged != nil {
+			t.Fatalf("%d rows: nothing read the table, yet it holds a merged list", rows)
+		}
+		if tbl.Len() != rows+8*batch || len(tbl.Entries()) != tbl.Len() {
+			t.Fatalf("%d rows and %d installs: Len %d, %d Entries", rows, 8*batch, tbl.Len(), len(tbl.Entries()))
+		}
+		return bytes, allocs
 	}
-	st := tbl.state.Load()
-	if &st.byID[0] == &st.entries[0] {
-		t.Fatal("the installs were compiled in, not derived")
-	}
-	if limit := uint64(8*tbl.Len() + 8192 + 1024); best > limit || bestAllocs > 5 {
-		t.Fatalf("%d B and %d allocations an install at %d rows, want at most %d B and 5", best, bestAllocs, tbl.Len(), limit)
+	small, smallAllocs := cost(8192)
+	large, largeAllocs := cost(131072)
+	if small > 2048 || large > 2048 || 2*large > 3*small || 2*small > 3*large || smallAllocs > 4 || largeAllocs > 4 {
+		t.Fatalf("an install allocates %d B in %d allocations at 8192 rows, %d B in %d at 131072: want at most 2048 B and 4, within 1.5x of each other",
+			small, smallAllocs, large, largeAllocs)
 	}
 }
 

@@ -135,10 +135,11 @@ func BenchmarkRangeLookup(b *testing.B) {
 // that already holds rows rows. The table is put back to that size
 // (timer stopped) after every rows/8 installs, 64 at least, so the row
 // count stays within an eighth of the one named. What is left per install
-// is the 8 B/row copy of the sorted entry list and a few fixed-size
-// structs; at a power-of-two row count the hash doubles once per refill.
+// is a few fixed-size structs — nothing that grows with the table; at a
+// power-of-two row count the hash doubles once per refill, which is what
+// B/op reads above ~1.4 KB.
 func BenchmarkRangeInsert(b *testing.B) {
-	for _, rows := range []int{16, 8192, 131072} {
+	for _, rows := range []int{16, 8192, 131072, 1048576} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(42))
 			prog := learnedPlusPoints(rng, rows-16)
@@ -161,6 +162,38 @@ func BenchmarkRangeInsert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEntriesAfterInstalls is where the list copy an install no longer
+// makes went: the first reader of a generation that 64 rows were installed
+// into since its list was built sorts those and merges them into a copy of
+// it. That is all Stats, EntrySnapshots, Explain and the scan pay on top of
+// what they always did (Entries deep-copies every row besides, ~1 ms at
+// this size); the readers after the first pay nothing. Each iteration is a
+// generation nobody has read.
+func BenchmarkEntriesAfterInstalls(b *testing.B) {
+	const rows, tail = 8192, 64
+	b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(42))
+		tbl := NewTable("det", MatchRange, scaleKey(), 0, Action{Type: ActionAllow})
+		if err := tbl.Replace(learnedPlusPoints(rng, rows-16)); err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range learnedPlusPoints(rng, tail)[16:] {
+			if _, err := tbl.Insert(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		last := tbl.state.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			unread := &lookupState{sorted: last.sorted, covered: last.covered, byID: last.byID}
+			if got := unread.ordered(); len(got) != rows+tail {
+				b.Fatalf("%d rows listed of %d", len(got), rows+tail)
+			}
+		}
+	})
 }
 
 // BenchmarkRangeDelta is a 1 % churn of a detector's point rows — every

@@ -73,18 +73,27 @@ type Table struct {
 }
 
 // lookupState is one immutable generation of the table's lookup index.
-// Every mutation builds a fresh state (entry slice included: lookups
-// still read the old one), so concurrent lookups on an old generation
-// never observe a partial update. Entry pointers are shared across
-// generations, keeping per-entry hit counters stable over reprogramming.
+// Every mutation builds a fresh state (lookups still read the old one), so
+// concurrent lookups on an old generation never observe a partial update.
+// Entry pointers are shared across generations, keeping per-entry hit
+// counters stable over reprogramming.
 type lookupState struct {
-	kind    MatchKind
-	key     []FieldSpec
-	width   int
-	def     Action
-	entries []*Entry // match order
+	kind  MatchKind
+	key   []FieldSpec
+	width int
+	def   Action
+	rows  int // live entries
+	// sorted is the match-ordered list of the last compile or splice: the
+	// generation's rows but for those of byID[covered:], which were installed
+	// since. Forwarding never reads it (find resolves through the index and
+	// byID), so an install leaves it alone; the readers that want match order
+	// take it from ordered, which merges the installed rows in once.
+	sorted    []*Entry
+	covered   int
+	mergeOnce sync.Once
+	merged    []*Entry
 	// byID holds a range table's entries by the row id rangeIdx resolves a
-	// key to: a row's place in entries when the index was compiled, its
+	// key to: a row's place in sorted when the index was compiled, its
 	// arrival order after that. A derived generation appends its newcomers
 	// to the array the previous generations still read, past their lengths;
 	// the id of a row that left stays behind, named by nothing in this
@@ -260,8 +269,26 @@ func (t *Table) reindex() {
 	case MatchRange:
 		st.rangeIdx, st.byID = buildRangeIndex(st.width, merged), merged
 	}
-	st.entries = merged
+	st.sorted, st.rows, st.covered = merged, len(merged), len(st.byID)
 	t.state.Store(st)
+}
+
+// ordered returns the generation's entries in match order. A generation
+// nothing was installed into since its list was built — every ternary,
+// freshly programmed or just-spliced one — returns that list; otherwise the
+// installed rows are sorted and merged into a copy of it, once however many
+// readers ask. byID is read to this generation's length: later generations
+// append past it in the same array.
+func (st *lookupState) ordered() []*Entry {
+	if st.covered == len(st.byID) {
+		return st.sorted
+	}
+	st.mergeOnce.Do(func() {
+		tail := slices.Clone(st.byID[st.covered:])
+		sortByPriority(tail)
+		st.merged = spliceSorted(st.sorted, nil, tail)
+	})
+	return st.merged
 }
 
 // sortByPriority orders entries by descending priority, breaking ties
@@ -323,38 +350,50 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 // current default action. It is the one routine behind Insert, Delete and
 // Apply; callers hold t.mu and have edited t.prog and t.inserted.
 //
-// A range table builds the generation from the previous one: the sorted
-// entry list is spliced, the index edited (match.KeyIndex.Edit: a point row
-// that joins takes the next id and one slot of the hash, one that leaves
-// costs a copy of the hash; nothing a previous generation reads changes)
-// and the newcomers appended to byID in place. What the index declines — a
-// range row on either side, a key held twice, an unpackable width — is
-// compiled by reindex, and so is a generation in which the ids of departed
-// rows would outnumber the rows: byID pins a departed entry for as long as
-// the chain of generations runs, and the compile is what ends the chain. A
-// ternary table has no editor: its store is built once and only read, so
-// every mutation compiles.
+// A range table builds the generation from the previous one: the index is
+// edited (match.KeyIndex.Edit: a point row that joins takes the next id and
+// one slot of the hash, one that leaves costs a copy of the hash; nothing a
+// previous generation reads changes) and the newcomers appended to byID in
+// place. Installs alone leave the match-ordered list to ordered; a
+// generation that loses rows — already O(rows) for the hash copy — splices
+// the merged list and is the base of those after it. What the index
+// declines — a range row on either side, a key held twice, an unpackable
+// width — is compiled by reindex, and so is a generation in which the ids of
+// departed rows would outnumber the rows: byID pins a departed entry for as
+// long as the chain of generations runs, and the compile is what ends the
+// chain. A ternary table has no editor: its store is built once and only
+// read, so every mutation compiles.
 func (t *Table) derive(rm, add []*Entry) {
-	st := *t.state.Load()
-	st.def = t.DefaultAction
+	prev := t.state.Load()
 	slices.SortFunc(add, func(a, b *Entry) int {
 		if beats(a, b) {
 			return -1
 		}
 		return 1
 	})
-	ids, rows := len(st.byID)+len(add), len(st.entries)-len(rm)+len(add)
-	if t.Kind != MatchRange || ids-rows > rows || !st.editRange(rm, add) {
+	rows := prev.rows - len(rm) + len(add)
+	if ids := len(prev.byID) + len(add); t.Kind != MatchRange || ids-rows > rows {
 		t.reindex()
 		return
 	}
-	st.entries = spliceSorted(st.entries, rm, add)
-	t.state.Store(&st)
+	idx, byID := prev.editRange(rm, add)
+	if idx == nil {
+		t.reindex()
+		return
+	}
+	st := &lookupState{
+		kind: prev.kind, key: prev.key, width: prev.width, def: t.DefaultAction,
+		rows: rows, sorted: prev.sorted, covered: prev.covered, byID: byID, rangeIdx: idx,
+	}
+	if len(rm) > 0 {
+		st.sorted, st.covered = spliceSorted(prev.ordered(), rm, add), len(byID)
+	}
+	t.state.Store(st)
 }
 
-// editRange moves st's index and byID to the generation without rm and
-// with add (in match order); false when the index declines the edit.
-func (st *lookupState) editRange(rm, add []*Entry) bool {
+// editRange returns st's index and byID moved to the generation without rm
+// and with add (in match order); a nil index when it declines the edit.
+func (st *lookupState) editRange(rm, add []*Entry) (*match.KeyIndex, []*Entry) {
 	// An install or a delete is one row: it stays on the stack.
 	rows, above := make([]match.RangeRow, 0, 1), make([]int, 0, 1)
 	if n := len(rm) + len(add); n > 1 {
@@ -373,10 +412,9 @@ func (st *lookupState) editRange(rm, add []*Entry) bool {
 	}
 	idx := st.rangeIdx.Edit(rows[:len(rm)], rows[len(rm):], above)
 	if idx == nil {
-		return false
+		return nil, nil
 	}
-	st.rangeIdx, st.byID = idx, append(st.byID, add...)
-	return true
+	return idx, append(st.byID, add...)
 }
 
 // spliceSorted returns the match-ordered list prev without the entries
@@ -438,7 +476,7 @@ func (t *Table) Delete(id uint64) error {
 
 // Len returns the entry count.
 func (t *Table) Len() int {
-	return len(t.state.Load().entries)
+	return t.state.Load().rows
 }
 
 // Entries returns a deep copy of the installed entries in the current
@@ -447,9 +485,9 @@ func (t *Table) Len() int {
 // byte for byte (reconciliation tests, audit dumps); mutating the copies
 // never touches the live table.
 func (t *Table) Entries() []Entry {
-	st := t.state.Load()
-	out := make([]Entry, len(st.entries))
-	for i, e := range st.entries {
+	entries := t.state.Load().ordered()
+	out := make([]Entry, len(entries))
+	for i, e := range entries {
 		out[i] = Entry{
 			ID:        e.ID,
 			Priority:  e.Priority,
@@ -527,13 +565,13 @@ func (t *Table) LookupOracle(frame []byte) (act Action, matched bool) {
 func (st *lookupState) findLinear(key []byte) *Entry {
 	switch st.kind {
 	case MatchTernary:
-		for _, e := range st.entries {
+		for _, e := range st.ordered() {
 			if match.MaskedEqual(key, e.Value, e.Mask) {
 				return e
 			}
 		}
 	case MatchRange:
-		for _, e := range st.entries {
+		for _, e := range st.ordered() {
 			if rangeMatch(key, e.Lo, e.Hi) {
 				return e
 			}
@@ -564,7 +602,7 @@ type Stats struct {
 // Stats returns a snapshot of the table's counters: Entries and HitBytes
 // are of one generation.
 func (t *Table) Stats() Stats {
-	entries := t.state.Load().entries
+	entries := t.state.Load().ordered()
 	s := Stats{
 		Name:    t.Name,
 		Entries: len(entries),
@@ -591,7 +629,7 @@ type EntryCounters struct {
 // current match order. It reads the lock-free lookup state, so it is safe
 // to call at scrape time under full forwarding load.
 func (t *Table) EntrySnapshots() []EntryCounters {
-	entries := t.state.Load().entries
+	entries := t.state.Load().ordered()
 	out := make([]EntryCounters, len(entries))
 	for i, e := range entries {
 		out[i] = EntryCounters{

@@ -246,6 +246,9 @@ func Train(train *trace.Dataset, cfg Config) (*Pipeline, error) {
 	}
 	p.auto = auto
 	p.Timings.DriftModel = time.Since(start)
+	// The classifier still holds the arena of its training batches and of
+	// the distiller's 256-row passes; the slow path classifies a row at a time.
+	p.net.Release()
 	return p, nil
 }
 
