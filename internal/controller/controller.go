@@ -365,21 +365,22 @@ type Controller struct {
 // supervisor's replay, so the desired-state log is applied in order.
 // reactiveRow is one entry of a switch's reactive log: the key it drops
 // and the class the slow path gave it. The log outlives every install, so
-// it keeps these 32 bytes and builds the wire entry when one is sent.
+// it keeps these 24 bytes — the key is the string swConn.seen holds, not a
+// second copy — and the wire entry is built when one is sent.
 type reactiveRow struct {
-	key   []byte
+	key   string
 	class int
 }
 
-// wireEntry is the exact match the row installs, expressed as a
-// degenerate range (lo==hi) at the reactive priority.
-func (c *Controller) wireEntry(r reactiveRow) p4rt.WireEntry {
+// wireEntry is the exact match a reactive row installs, expressed as a
+// degenerate range (lo==hi) at the reactive priority. It keeps key as Lo.
+func (c *Controller) wireEntry(key []byte, class int) p4rt.WireEntry {
 	return p4rt.WireEntry{
 		Priority: c.cfg.ReactivePriority,
-		Lo:       r.key,
-		Hi:       append([]byte(nil), r.key...),
+		Lo:       key,
+		Hi:       append([]byte(nil), key...),
 		Action:   p4rt.FormatAction(p4.ActionDrop),
-		Class:    r.class,
+		Class:    class,
 	}
 }
 
@@ -402,9 +403,9 @@ type swConn struct {
 	appliedReactive atomic.Uint64
 	reactiveLen     atomic.Uint64
 
-	name string          // switch name from the last handshake; guarded by Controller.mu
-	node string          // fabric node from the last handshake; guarded by Controller.mu
-	seen map[string]bool // reactive keys installed on THIS switch; guarded by Controller.mu
+	name string              // switch name from the last handshake; guarded by Controller.mu
+	node string              // fabric node from the last handshake; guarded by Controller.mu
+	seen map[string]struct{} // reactive keys installed on THIS switch; guarded by Controller.mu
 
 	reconnects     atomic.Uint64
 	reconciles     atomic.Uint64
@@ -560,7 +561,7 @@ func (c *Controller) ConnectShard(ctx context.Context, addr string, shard int) e
 	sc := &swConn{
 		addr:  addr,
 		shard: shard,
-		seen:  make(map[string]bool),
+		seen:  make(map[string]struct{}),
 		rng:   rand.New(rand.NewSource(c.cfg.Seed ^ int64(len(c.conns)+1)*0x9E3779B9)),
 	}
 	sc.setState(StateConnecting)
@@ -580,7 +581,7 @@ func (c *Controller) ConnectShard(ctx context.Context, addr string, shard int) e
 	}
 	sc.opMu.Lock()
 	sc.client = cl
-	if err := c.reconcileLocked(ctx, sc); err != nil {
+	if err := c.reconcileLocked(ctx, sc, nil); err != nil {
 		sc.client = nil
 		sc.opMu.Unlock()
 		_ = cl.Close()
@@ -690,7 +691,7 @@ func (c *Controller) redial(sc *swConn) (*p4rt.Client, error) {
 			sc.appliedEpoch.Store(0)
 			sc.appliedReactive.Store(0)
 			sc.noDelta = false
-			rerr := c.reconcileLocked(c.ctx, sc)
+			rerr := c.reconcileLocked(c.ctx, sc, nil)
 			if rerr != nil {
 				sc.client = nil
 			}
@@ -740,12 +741,59 @@ func (d desired) shardDelta(shard int) *p4rt.DeltaMsg {
 	return d.deltas[shard%len(d.deltas)]
 }
 
+// shardBodies is one Deploy call's full programs, each encoded at most
+// once however many switches of its shard take it as a full swap, and not
+// at all — nothing here is allocated — when every one of them converges
+// by delta. It belongs to the call and its one goroutine: the desired
+// state keeps the programs, never the bytes, and a supervisor's replay
+// encodes its own.
+type shardBodies struct {
+	epoch   uint64
+	progs   []p4rt.Program // the desired state's: read, never written
+	enc     []p4rt.Program // enc[i] is progs[i] carrying its body, once a switch needed it
+	release []func()       // release[i] hands enc[i]'s buffer back
+}
+
+// program returns the shard's program for a full swap, encoding it first
+// if no switch has needed it yet.
+func (b *shardBodies) program(shard int) p4rt.Program {
+	i := shard % len(b.progs)
+	if b.enc == nil {
+		b.enc, b.release = make([]p4rt.Program, len(b.progs)), make([]func(), len(b.progs))
+	}
+	if b.release[i] == nil {
+		b.enc[i], b.release[i] = b.progs[i].Encoded()
+	}
+	return b.enc[i]
+}
+
+// encodes is the number of shards encoded so far.
+func (b *shardBodies) encodes() (n int) {
+	for _, r := range b.release {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// done hands every encoded body back for reuse.
+func (b *shardBodies) done() {
+	for _, r := range b.release {
+		if r != nil {
+			r()
+		}
+	}
+}
+
 // reconcileLocked replays the desired state the switch is missing: its
 // shard's current program when the switch's epoch is stale (which wipes
 // the table, so all reactive entries follow), otherwise just the
 // un-replayed reactive tail. Callers hold sc.opMu and have sc.client
-// non-nil.
-func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn) error {
+// non-nil. bodies, from Deploy alone, are the programs of the epoch that
+// call minted, sent in place of the desired state's while that epoch is
+// still the desired one.
+func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn, bodies *shardBodies) error {
 	c.mu.Lock()
 	want := c.desired
 	c.mu.Unlock()
@@ -778,7 +826,11 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn) error {
 			}
 		}
 		if !deltaApplied {
-			if _, err := cl.ProgramDetector(ctx, want.shardProgram(sc.shard)); err != nil {
+			prog := want.shardProgram(sc.shard)
+			if bodies != nil && bodies.epoch == want.epoch {
+				prog = bodies.program(sc.shard)
+			}
+			if _, err := cl.ProgramDetector(ctx, prog); err != nil {
 				return fmt.Errorf("reconcile %s: program epoch %d shard %d: %w", sc.addr, want.epoch, sc.shard, err)
 			}
 			sc.appliedReactive.Store(0) // Program replaced the table: replay all
@@ -790,7 +842,8 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn) error {
 		}
 	}
 	for int(sc.appliedReactive.Load()) < len(sc.reactive) {
-		e := c.wireEntry(sc.reactive[sc.appliedReactive.Load()])
+		row := sc.reactive[sc.appliedReactive.Load()]
+		e := c.wireEntry([]byte(row.key), row.class)
 		if _, err := cl.WriteEntry(ctx, e); err != nil {
 			return fmt.Errorf("reconcile %s: reactive entry %d/%d: %w", sc.addr, sc.appliedReactive.Load()+1, len(sc.reactive), err)
 		}
@@ -948,6 +1001,7 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 	c.stats.DigestsProcessed++
 	var install bool
 	var key []byte
+	var row reactiveRow
 	switch {
 	case class == 0:
 		c.stats.SlowPathBenign++
@@ -967,11 +1021,14 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 				}
 			}
 			key = rules.ExtractKey(pkt, c.model.MatchOffsets())
-			if sc.seen[string(key)] {
+			if _, dup := sc.seen[string(key)]; dup {
 				decision = "duplicate"
 				break
 			}
-			sc.seen[string(key)] = true
+			// One string is the key's only retained copy, the map's and the
+			// log row's; the bytes go out in the first install and are dropped.
+			row = reactiveRow{key: string(key), class: class}
+			sc.seen[row.key] = struct{}{}
 			install = true
 		}
 	}
@@ -986,8 +1043,7 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 		// The row joins the switch's desired reactive log first, so even
 		// if the write races a connection failure the reconciler replays
 		// it.
-		row := reactiveRow{key: key, class: class}
-		entry := c.wireEntry(row)
+		entry := c.wireEntry(key, class)
 		sc.opMu.Lock()
 		sc.reactive = append(sc.reactive, row)
 		sc.reactiveLen.Store(uint64(len(sc.reactive)))
@@ -1179,6 +1235,8 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 		start = fr.Now().Nanoseconds()
 	}
 	applied := 0
+	bodies := shardBodies{epoch: epoch, progs: progs}
+	defer bodies.done()
 	for _, sc := range conns {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("controller: deploy epoch %d: %w", epoch, err)
@@ -1190,7 +1248,7 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 			sc.opMu.Unlock()
 			continue
 		}
-		err := c.reconcileLocked(ctx, sc)
+		err := c.reconcileLocked(ctx, sc, &bodies)
 		sc.opMu.Unlock()
 		switch {
 		case err == nil:
@@ -1227,6 +1285,7 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 			"delta_shards": nd,
 			"switches":     len(conns),
 			"applied":      applied,
+			"encodes":      bodies.encodes(),
 			"dur_ns":       fr.Now().Nanoseconds() - start,
 		})
 	}

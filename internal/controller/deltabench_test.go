@@ -11,6 +11,7 @@ import (
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
 	"p4guard/internal/switchsim"
+	"p4guard/internal/telemetry"
 )
 
 // deltaBenchRules builds a rows-rule set over a six-byte key, point rows
@@ -66,7 +67,7 @@ func BenchmarkDeltaDeploy(b *testing.B) {
 			{"churn=scattered", Config{Name: "ctl-bench", Shards: 2, Policy: ShardByClass}, true},
 		} {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, arm.name), func(b *testing.B) {
-				c := deployBenchFleet(b, arm.cfg)
+				c, _ := deployBenchFleet(b, arm.cfg, 2)
 				sets := [2]*rules.RuleSet{}
 				sets[0], sets[1] = deltaBenchRules(rows, arm.scattered)
 				if err := c.Deploy(context.Background(), sets[0]); err != nil {
@@ -88,12 +89,13 @@ func BenchmarkDeltaDeploy(b *testing.B) {
 	}
 }
 
-// deployBenchFleet connects a controller to two fresh switches over
-// loopback TCP, one per shard, all closed when the benchmark ends.
-func deployBenchFleet(b *testing.B, cfg Config) *Controller {
-	c := New(fleetModel{}, cfg, WithRPCTimeout(5*time.Second))
+// deployBenchFleet connects a controller to fresh switches over loopback
+// TCP, switch i on shard i, all closed when the benchmark ends.
+func deployBenchFleet(b testing.TB, cfg Config, switches int, opts ...Option) (*Controller, []*switchsim.Switch) {
+	c := New(fleetModel{}, cfg, append(opts, WithRPCTimeout(5*time.Second))...)
 	b.Cleanup(func() { _ = c.Close() })
-	for i := 0; i < 2; i++ {
+	sws := make([]*switchsim.Switch, switches)
+	for i := range sws {
 		sw, err := switchsim.New(fmt.Sprintf("gw%d", i), packet.LinkEthernet)
 		if err != nil {
 			b.Fatal(err)
@@ -106,21 +108,40 @@ func deployBenchFleet(b *testing.B, cfg Config) *Controller {
 		if err := c.ConnectShard(context.Background(), srv.Addr(), i); err != nil {
 			b.Fatal(err)
 		}
+		sws[i] = sw
 	}
-	return c
+	return c, sws
+}
+
+// deployEncodes is the number of program bodies the deploys recorded in fr
+// encoded, all told.
+func deployEncodes(fr *telemetry.FlightRecorder) (n int) {
+	for _, ev := range fr.Events() {
+		if ev.Kind == "deploy" {
+			n += ev.Fields["encodes"].(int)
+		}
+	}
+	return n
 }
 
 // BenchmarkFullDeploy measures one full swap end to end — plan, compile,
-// frame, and both switches' read, decode, table swap and ack — over
+// frame, and every switch's read, decode, table swap and ack — over
 // loopback TCP to two switches, each sent the whole rule set as perfbench
 // does (default single-shard config). The recorded end-to-end numbers for
 // this path are deploy_ms and deploy_alloc_mb of
-// `bash perfbench/run.sh --workload cold`.
+// `bash perfbench/run.sh --workload cold`. The switches=8 arm is one shard
+// on eight replicas: the program is encoded once a deploy whatever the
+// replicas, which is what encodes/op reads.
 func BenchmarkFullDeploy(b *testing.B) {
-	for _, rows := range []int{16, 8192} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			c := deployBenchFleet(b, Config{Name: "ctl-bench"})
-			base, _ := deltaBenchRules(rows, false)
+	for _, arm := range []struct{ rows, switches int }{{16, 2}, {8192, 2}, {8192, 8}} {
+		name := fmt.Sprintf("rows=%d", arm.rows)
+		if arm.switches != 2 {
+			name += fmt.Sprintf("/switches=%d", arm.switches)
+		}
+		b.Run(name, func(b *testing.B) {
+			fr := telemetry.NewFlightRecorder((arm.switches+1)*(b.N+1) + arm.switches) // a deploy's events, and the connects'
+			c, _ := deployBenchFleet(b, Config{Name: "ctl-bench"}, arm.switches, WithFlightRecorder(fr))
+			base, _ := deltaBenchRules(arm.rows, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -132,6 +153,7 @@ func BenchmarkFullDeploy(b *testing.B) {
 			if st := c.Stats(); st.DeltaApplies != 0 {
 				b.Fatalf("%d full deploys made %d delta applies", b.N, st.DeltaApplies)
 			}
+			b.ReportMetric(float64(deployEncodes(fr))/float64(b.N), "encodes/op")
 		})
 	}
 }

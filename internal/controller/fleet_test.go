@@ -241,7 +241,7 @@ func TestDigestFanInBoundedBackpressure(t *testing.T) {
 	c := New(fakeModel{}, Config{Name: "ctl-fan", QueueDepth: 2})
 	t.Cleanup(func() { _ = c.Close() })
 
-	sc := &swConn{addr: "fan-test", seen: make(map[string]bool)}
+	sc := &swConn{addr: "fan-test", seen: make(map[string]struct{})}
 	c.mu.Lock()
 	c.conns[sc.addr] = sc
 	c.fleet = append(c.fleet, sc)

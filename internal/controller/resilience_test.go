@@ -114,7 +114,7 @@ func (c *Controller) reactiveLog(addr string) []p4rt.WireEntry {
 	defer sc.opMu.Unlock()
 	log := make([]p4rt.WireEntry, len(sc.reactive))
 	for i, r := range sc.reactive {
-		log[i] = c.wireEntry(r)
+		log[i] = c.wireEntry([]byte(r.key), r.class)
 	}
 	return log
 }

@@ -208,6 +208,14 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 	if width < 0 {
 		return nil, fmt.Errorf("match: negative key width %d", width)
 	}
+	// One bit a row: whether it is a point, decided once (a learned table's
+	// few rows fit the stack). The hash and the bitset are sized from the
+	// counts before any row is placed.
+	var few [4]uint64
+	point := few[:]
+	if n := (len(rows) + 63) / 64; n > len(few) {
+		point = make([]uint64, n)
+	}
 	nPoints := 0
 	for r, row := range rows {
 		if len(row.Lo) != width || len(row.Hi) != width {
@@ -215,6 +223,7 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 				r, len(row.Lo), len(row.Hi), width)
 		}
 		if isPoint(width, row) {
+			point[r/64] |= 1 << (r % 64)
 			nPoints++
 		}
 	}
@@ -233,7 +242,7 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 		ix.rangeID = make([]int32, 0, nRange)
 	}
 	for i, row := range rows {
-		if isPoint(width, row) {
+		if point[i/64]>>(i%64)&1 != 0 {
 			// The first row on a key owns it: a later one never matches first.
 			k0, k1 := PackKey(row.Lo)
 			if s := probe(ix.slots, k0, k1); s.id1.Load() == 0 {
@@ -249,19 +258,27 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 			r = len(ix.rangeID)
 			ix.rangeID = append(ix.rangeID, int32(i))
 		}
-		if row.dead() {
-			continue
-		}
-		word, bit := r/64, uint64(1)<<(r%64)
-		ix.rowMask[word] |= bit
-		for pos := 0; pos < width; pos++ {
-			col := ix.table[pos*256*nWords+word:]
-			for v := int(row.Lo[pos]); v <= int(row.Hi[pos]); v++ {
-				col[v*nWords] |= bit
-			}
+		if !row.dead() {
+			ix.admit(r, row)
 		}
 	}
 	return ix, nil
+}
+
+// admit sets bit r of the interval table under every value the row admits
+// at every key position. It is most of what compiling a table of a few
+// wide ranges costs, and a function of its own so that the loop is
+// compiled the same whatever CompileRanges holds live around the call.
+func (ix *KeyIndex) admit(r int, row RangeRow) {
+	word, bit := r/64, uint64(1)<<(r%64)
+	ix.rowMask[word] |= bit
+	nWords := ix.nWords // a store into the table could be one into ix, for all the compiler knows
+	for pos := 0; pos < ix.width; pos++ {
+		col := ix.table[pos*256*nWords+word:]
+		for v, hi := int(row.Lo[pos]), int(row.Hi[pos]); v <= hi; v++ {
+			col[v*nWords] |= bit
+		}
+	}
 }
 
 // RangeRows returns the number of range rows (bitset bits); bit order is

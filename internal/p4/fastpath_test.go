@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,10 +38,11 @@ func twinTables(t *testing.T, kind MatchKind, entries []Entry) (*Table, *Table) 
 	t.Helper()
 	a := NewTable("a", kind, fourByteKey(), 0, Action{Type: ActionAllow, Class: 9})
 	b := NewTable("b", kind, fourByteKey(), 0, Action{Type: ActionAllow, Class: 9})
-	if err := a.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, entries); err != nil {
+	// Program keeps the slice it is given, so each table gets its own.
+	if err := a.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, slices.Clone(entries)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, entries); err != nil {
+	if err := b.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, slices.Clone(entries)); err != nil {
 		t.Fatal(err)
 	}
 	return a, b

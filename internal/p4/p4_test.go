@@ -3,6 +3,7 @@ package p4
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -556,6 +557,70 @@ func TestTableProgramReplacesAtomically(t *testing.T) {
 	// MaxEntries still enforced.
 	if err := tbl.Program(key1(), Action{Type: ActionAllow}, make([]Entry, 3)); err == nil {
 		t.Fatal("Program accepted more than MaxEntries rows")
+	}
+}
+
+// TestProgramOwnsReplaceCopies is the ownership rule of a full swap.
+// Replace leaves the caller's slice bit for bit as it was — ids, order keys
+// and counters are written into the table's own copy — so the same slice
+// programs a second table, whose counters are its own. Program installs
+// the slice's elements themselves: the table's entries are &rows[i].
+func TestProgramOwnsReplaceCopies(t *testing.T) {
+	rows := make([]Entry, 64)
+	for i := range rows {
+		rows[i] = Entry{Priority: i % 4, Lo: []byte{byte(i)}, Hi: []byte{byte(i)}, Action: Action{Type: ActionDrop, Class: i}}
+	}
+	before := slices.Clone(rows)
+	a := NewTable("a", MatchRange, key1(), 0, Action{Type: ActionAllow})
+	b := NewTable("b", MatchRange, key1(), 0, Action{Type: ActionAllow})
+	for _, tbl := range []*Table{a, b} {
+		if err := tbl.Replace(rows); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, before) {
+			t.Fatalf("Replace on %s wrote into the caller's slice", tbl.Name)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		a.Lookup([]byte{7})
+	}
+	b.Lookup([]byte{7})
+	hits := func(tbl *Table) (n uint64) {
+		for _, c := range tbl.EntrySnapshots() {
+			n += c.Hits
+		}
+		return n
+	}
+	if ha, hb := hits(a), hits(b); ha != 3 || hb != 1 || !reflect.DeepEqual(rows, before) {
+		t.Fatalf("two tables replaced from one slice count %d and %d hits, want 3 and 1 and none in the slice", ha, hb)
+	}
+
+	if err := a.Program(key1(), Action{Type: ActionDigest}, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range a.prog {
+		if e != &rows[i] {
+			t.Fatalf("after Program, entry %d is a copy of the slice's element", i)
+		}
+	}
+	if rows[0].ID == 0 || rows[63].ord != 64*progOrdStride {
+		t.Fatalf("Program did not number the slice's own elements: id %d, ord %#x", rows[0].ID, rows[63].ord)
+	}
+	if act, matched := a.Lookup([]byte{9}); !matched || act.Class != 9 || rows[9].hits != 1 {
+		t.Fatalf("lookup %+v (matched %v) counted %d hits on the slice's element", act, matched, rows[9].hits)
+	}
+
+	// A refused Program hands the slice back unwritten: row 5 has the wrong
+	// width, the rows before it are valid, none was numbered.
+	bad := slices.Clone(before)
+	bad[5].Hi = []byte{1, 2}
+	want := slices.Clone(bad)
+	count, hash := a.ProgramSignature()
+	if err := a.Program(key1(), Action{Type: ActionAllow}, bad); !errors.Is(err, ErrBadEntry) {
+		t.Fatalf("err = %v, want ErrBadEntry", err)
+	}
+	if c, h := a.ProgramSignature(); !reflect.DeepEqual(bad, want) || c != count || h != hash || a.DefaultAction.Type != ActionDigest {
+		t.Fatal("a refused Program wrote into the slice or the table")
 	}
 }
 

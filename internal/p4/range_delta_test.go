@@ -397,8 +397,10 @@ func liveHeap(keep any) uint64 {
 // TestStackedDeltasStayBounded feeds a table a thousand deltas and no full
 // swap. The ids of departed rows are compacted away as they pile up, so
 // what the table holds at the end is within 2x of a fresh table of the
-// final program, and a lookup costs what it costs there (the edited hash
-// has no deleted markers). Deltas that keep splitting one gap of the canonical
+// final program — the first program's slab included, which the sixteen
+// range rows that never leave keep whole: one program's worth, the most
+// departed rows can pin — and a lookup costs what it costs there (the
+// edited hash has no deleted markers). Deltas that keep splitting one gap of the canonical
 // order run out of room in it: that surfaces as ErrDeltaBase — the
 // controller's cue for a counted full swap — never as a wrong order.
 func TestStackedDeltasStayBounded(t *testing.T) {

@@ -80,7 +80,8 @@ func checkState(t *testing.T, what string, st *lookupState, keys [][]byte) {
 // readers hold the first generation to that while the installs run. The
 // match-ordered list is merged from that same array when somebody asks, so
 // every generation kept is also held to listing its own rows, in order, and
-// none installed after it.
+// none installed after it. A full swap (Program) closes the run: the kept
+// generations are read only after it, through all six readers.
 func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 	const width, installs = 3, 600
 	rng := rand.New(rand.NewSource(29))
@@ -135,13 +136,37 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 			kept = append(kept, keep())
 		}
 	}
-	close(stop)
-	wg.Wait()
-
 	last := tbl.state.Load()
 	if last.compiled() || last.byID[len(last.byID)-1].Action.Class != 1000+installs-1 {
 		t.Fatal("a fresh point row was compiled in, not derived")
 	}
+	// A full swap, with the two readers still on the first generation: the
+	// table now serves out of a slab it was handed — its entries are the
+	// slice's own elements — and every generation kept answers out of the
+	// slab it was built on, which the swap left alone.
+	swapped := make([]Entry, 0, 64)
+	for i, k := range fresh[:64] {
+		swapped = append(swapped, Entry{Priority: i % 3, Lo: k, Hi: k, Action: Action{Type: ActionAllow, Class: 5000 + i}})
+	}
+	if err := tbl.Program(tbl.KeySpecs(), Action{Type: ActionDigest}, swapped); err != nil {
+		t.Fatal(err)
+	}
+	now := tbl.state.Load()
+	for i, e := range tbl.prog {
+		if e != &swapped[i] {
+			t.Fatalf("after Program, row %d is not the slice's element", i)
+		}
+	}
+	if now.rows != len(swapped) || now.def.Type != ActionDigest {
+		t.Fatalf("after Program: %d rows under %v", now.rows, now.def)
+	}
+	checkState(t, "swapped-in generation", now, probes)
+	if act, matched := tbl.Lookup(fresh[3]); !matched || act.Class != 5003 {
+		t.Fatalf("the swapped-in program answers %+v (matched %v) on its own key", act, matched)
+	}
+	close(stop)
+	wg.Wait()
+
 	// Every kept generation is at least 100 installs old by now, and the
 	// byID array it shares with the current one holds them all: each of the
 	// six readers must list its rows and no later one, read through a table

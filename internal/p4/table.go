@@ -37,8 +37,8 @@ type Entry struct {
 
 	// P4-style direct counters, accessed atomically. Entry pointers are
 	// shared across lookup-state generations, so the counters survive
-	// reindexing and delta application (though not a full Replace, which
-	// allocates new entries).
+	// reindexing and delta application (though not a full Replace or
+	// Program, which installs new entries).
 	hits  uint64
 	bytes uint64
 }
@@ -189,14 +189,20 @@ func (t *Table) KeySpecs() []FieldSpec {
 // the current schema, rebuilding the lookup index once. Reactive
 // Inserts are dropped (the swap defines the table's entire contents);
 // use Apply for an incremental edit that preserves them. On error the
-// table is unchanged.
+// table is unchanged. The caller keeps entries: the table installs a copy
+// made in one allocation.
 func (t *Table) Replace(entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.replaceLocked(entries)
+	return t.install(slices.Clone(entries))
 }
 
-func (t *Table) replaceLocked(entries []Entry) error {
+// install makes entries the table's program: the rows themselves, which
+// the table owns from here on, not copies of them. Every row is validated
+// before any is written, so a refused program leaves the slice as it came
+// and the table as it was. The slice is the program's slab: it lives until
+// the next full swap, or until the last of its rows has left the table.
+func (t *Table) install(entries []Entry) error {
 	w := t.width()
 	if t.MaxEntries > 0 && len(entries) > t.MaxEntries {
 		return fmt.Errorf("table %s (%d entries): %w", t.Name, len(entries), ErrTableFull)
@@ -209,12 +215,12 @@ func (t *Table) replaceLocked(entries []Entry) error {
 	t.prog = make([]*Entry, len(entries))
 	t.progHash = 0
 	for i := range entries {
-		e := entries[i]
+		e := &entries[i]
 		t.nextID++
 		e.ID = t.nextID
 		e.ord = uint64(i+1) * progOrdStride
-		t.prog[i] = &e
-		t.progHash ^= HashEntry(&e)
+		t.prog[i] = e
+		t.progHash ^= HashEntry(e)
 	}
 	t.inserted = nil
 	t.reindex()
@@ -224,13 +230,16 @@ func (t *Table) replaceLocked(entries []Entry) error {
 // Program atomically replaces the table's key layout, default action, and
 // entry list, rebuilding the lookup index once and publishing it in one
 // store: no lookup ever sees the new default without the new entries. On
-// error the table — schema, default, entries — is unchanged.
+// error the table — schema, default, entries — is unchanged. The table
+// takes ownership of entries (see install): once the program is accepted
+// the caller must not touch the slice again; a refused one comes back
+// unwritten.
 func (t *Table) Program(key []FieldSpec, def Action, entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	savedKey, savedDef := t.Key, t.DefaultAction
 	t.Key, t.DefaultAction = key, def
-	if err := t.replaceLocked(entries); err != nil {
+	if err := t.install(entries); err != nil {
 		t.Key, t.DefaultAction = savedKey, savedDef
 		return err
 	}

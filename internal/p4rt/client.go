@@ -268,7 +268,7 @@ func (c *Client) call(ctx context.Context, typ MsgType, body any) (Response, err
 
 	// Encoding happens outside writeMu, and an encoding failure
 	// (ErrOversized, ErrMalformed) put nothing on the wire.
-	frame, err := encodeFrame(typ, id, body)
+	frame, own, err := encodeFrame(typ, id, body)
 	if err != nil {
 		c.forget(id)
 		return Response{}, err
@@ -276,6 +276,9 @@ func (c *Client) call(ctx context.Context, typ MsgType, body any) (Response, err
 	c.writeMu.Lock()
 	err = writeFrame(c.conn, frame)
 	c.writeMu.Unlock()
+	if own {
+		recycleFrame(frame)
+	}
 	if err != nil {
 		c.forget(id)
 		// A failed frame write leaves the stream unframed; the connection

@@ -214,19 +214,25 @@ func appendProgram(b []byte, p *Program) []byte {
 	return append(b, '}')
 }
 
-// encodeFrame builds one wire frame — length prefix, envelope, body — in
-// a single buffer allocated at its exact size.
-func encodeFrame(typ MsgType, id uint64, body any) ([]byte, error) {
+// encodeFrame builds one wire frame — length prefix, envelope, body — in a
+// single buffer: allocated at its exact size below recycleMin, taken from
+// framePool from there on. own reports the second: the buffer is this
+// frame's alone and the caller hands it to recycleFrame once it is written.
+// A Program that carries its body (Program.Encoded) is framed in that
+// body's buffer, which is not the caller's to recycle.
+func encodeFrame(typ MsgType, id uint64, body any) (frame []byte, own bool, err error) {
 	var raw []byte // the body as encoding/json wrote it, when the codec did not take it
 	prog, isProg := body.(Program)
 	bodyLen, direct := 0, false
 	if isProg {
+		if pb := prog.body; pb != nil && pb.buf != nil && typ == TypeProgram {
+			return pb.frame(id), false, nil
+		}
 		bodyLen, direct = programLen(&prog)
 	}
 	if !direct {
-		var err error
 		if raw, err = json.Marshal(body); err != nil {
-			return nil, fmt.Errorf("%w: marshal %s: %w", ErrMalformed, typ, err)
+			return nil, false, fmt.Errorf("%w: marshal %s: %w", ErrMalformed, typ, err)
 		}
 		bodyLen = len(raw)
 	}
@@ -241,10 +247,10 @@ func encodeFrame(typ MsgType, id uint64, body any) ([]byte, error) {
 		n += len(`,"id":`) + uintLen(id)
 	}
 	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
+		return nil, false, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
 	}
-	b := make([]byte, 4, 4+n)
-	b = append(b, `{"type":`...)
+	own = 4+n >= recycleMin
+	b := append(newFrame(4 + n)[:4], `{"type":`...)
 	if typJSON != nil {
 		b = append(b, typJSON...)
 	} else {
@@ -261,7 +267,53 @@ func encodeFrame(typ MsgType, id uint64, body any) ([]byte, error) {
 	}
 	b = append(b, '}')
 	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b, nil
+	return b, own, nil
+}
+
+// programBody is a Program's body encoded once, for as many frames as
+// there are switches to carry it. buf holds the body from bodyGap on and
+// the envelope's closing brace behind it; each frame packs its own length
+// prefix and envelope head into the gap, flush against the body, so
+// another switch costs some fifty bytes written and none copied.
+type programBody struct{ buf []byte }
+
+// bodyGap holds the longest head a program frame can have: the id is a
+// uint64.
+const bodyGap = 4 + len(`{"type":"program","id":`) + 20 + len(`,"body":`)
+
+// Encoded returns p carrying its body encoded once: Client.ProgramDetector
+// frames the copy it is given around those bytes, under the call's own id,
+// instead of encoding the program again for every switch. The copy is for
+// one goroutine's sends, one at a time, until release, which hands the
+// buffer back for reuse; sent after that — or when p is a program the
+// codec leaves to encoding/json — it is encoded per call, as p is.
+func (p Program) Encoded() (enc Program, release func()) {
+	n, ok := programLen(&p)
+	size := bodyGap + n + len(`}`)
+	if !ok || size-4 > MaxFrame {
+		return p, func() {}
+	}
+	pb := &programBody{buf: append(appendProgram(newFrame(size)[:bodyGap], &p), '}')}
+	p.body = pb
+	return p, func() {
+		recycleFrame(pb.buf)
+		pb.buf = nil
+	}
+}
+
+// frame returns the program frame for one call: the body where it lies,
+// the head written in front of it.
+func (pb *programBody) frame(id uint64) []byte {
+	var gap [bodyGap]byte
+	head := append(gap[:4], `{"type":"program"`...)
+	if id != 0 {
+		head = strconv.AppendUint(append(head, `,"id":`...), id, 10)
+	}
+	head = append(head, `,"body":`...)
+	frame := pb.buf[bodyGap-len(head):]
+	copy(frame, head)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // ---- decoding -------------------------------------------------------
@@ -270,9 +322,10 @@ func encodeFrame(typ MsgType, id uint64, body any) ([]byte, error) {
 // the caller discards everything decoded so far; methods stay in bounds
 // after that, so callers check bad once at the end (and in loops).
 type scanner struct {
-	b   []byte
-	i   int
-	bad bool
+	b    []byte
+	i    int
+	bad  bool
+	keys []byte // what is left of the key slab rows are cut from (see row)
 }
 
 // lit consumes l if it is next. The keys tried at one position differ in
@@ -472,10 +525,15 @@ func (s *scanner) ints() []int {
 	return out
 }
 
-// row consumes one entry object into e. The key fields' bytes go into one
-// allocation of exactly their decoded size, shared through capped slices:
-// they belong to the entry alone and never alias the frame.
-func (s *scanner) row(e *p4.Entry) {
+// row consumes one entry object into e. The key fields' bytes are cut from
+// the frame's key slab through capped slices: they belong to the entry
+// alone and never alias the frame. When the slab runs out the next one is
+// made for this row's keys times room, the rows the entry slice still has
+// space for — one allocation a frame when rows are of a width, as a
+// table's are — and never past the 3/4 of the text left that base64 could
+// decode to, so a hostile body cannot inflate it.
+func (s *scanner) row(e *p4.Entry, room int) {
+	start := s.i
 	s.must('{')
 	s.optInt(keyPriority, &e.Priority)
 	var txt [4][]byte // value, mask, lo, hi
@@ -502,23 +560,30 @@ func (s *scanner) row(e *p4.Entry) {
 	if s.bad {
 		return
 	}
-	buf := make([]byte, total)
+	if total > len(s.keys) {
+		s.keys = make([]byte, min(total*room, (len(s.b)-start)/4*3))
+	}
 	for i, dst := range [4]*[]byte{&e.Value, &e.Mask, &e.Lo, &e.Hi} {
-		if txt[i] == nil {
-			continue
+		switch n := size[i]; {
+		case txt[i] == nil: // absent: nil
+		case n == 0: // "": present, so empty and not nil
+			*dst = []byte{}
+		default:
+			s.bad = s.bad || !decodeKey(s.keys[:n], txt[i])
+			*dst, s.keys = s.keys[:n:n], s.keys[n:]
 		}
-		n := size[i]
-		s.bad = s.bad || !decodeKey(buf[:n], txt[i])
-		*dst, buf = buf[:n:n], buf[n:]
 	}
 }
 
-// rows consumes the entry list into the form the table installs. The
-// slice starts at 16 rows and is then sized from the rows read so far —
-// their mean length into the bytes left, plus a sixteenth — at least
-// doubling when that falls short, and never past what the bytes left
-// could hold, so a hostile body cannot inflate it: no entry is shorter
-// than minEntry bytes.
+// rows consumes the entry list into the form the table installs — and
+// keeps: the slice becomes the table's slab (p4.Table.Program), so it is
+// sized to the rows, not past them. It starts at 16 rows, grows to
+// sampleRows, and from those rows' mean length is sized for the bytes
+// left plus 1/128; a frame whose rows run shorter than its sample at
+// least doubles, so that a hostile body costs a logarithm of copies, and
+// never grows past what the bytes left could hold: no entry is shorter
+// than minEntry bytes. What comes back with more than 1/128 to spare is
+// copied once to its length.
 func (s *scanner) rows() []p4.Entry {
 	out := []p4.Entry{}
 	if s.lit("null") {
@@ -528,27 +593,39 @@ func (s *scanner) rows() []p4.Entry {
 	if s.is(']') {
 		return out
 	}
-	const minEntry = len(`{"action":""},`)
+	const (
+		minEntry   = len(`{"action":""},`)
+		sampleRows = 256 // enough rows to tell their mean length to a part in 128
+	)
 	start := s.i
 	for !s.bad {
 		if n := len(out); n == cap(out) {
 			left := len(s.b) - s.i
-			more := 16 // enough rows to tell their mean length by
+			more := 16
 			if n > 0 {
-				more = left/((s.i-start)/n) + 1
-				more = max(more+more/16, n)
+				more = left*n/(s.i-start) + 1
+				more += more/128 + 1
+				switch {
+				case n < sampleRows && n+more > sampleRows:
+					more = sampleRows - n
+				case n > sampleRows:
+					more = max(more, n)
+				}
 			}
 			grown := make([]p4.Entry, n, n+min(more, left/minEntry+1))
 			copy(grown, out)
 			out = grown
 		}
 		out = out[:len(out)+1]
-		s.row(&out[len(out)-1])
+		s.row(&out[len(out)-1], cap(out)-len(out)+1)
 		if !s.is(',') {
 			break
 		}
 	}
 	s.must(']')
+	if n := len(out); cap(out)-n > n/128+1 {
+		out = append(make([]p4.Entry, 0, n), out...)
+	}
 	return out
 }
 

@@ -15,7 +15,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"p4guard/internal/p4"
 )
 
 // refFrame is the framing this package used before the hand-written
@@ -63,14 +67,14 @@ func checkFrame(t *testing.T, typ MsgType, id uint64, body any) Envelope {
 	if !bytes.Equal(w.buf, want) {
 		t.Fatalf("WriteMsg(%s) frame differs from the two-marshal reference\n got %q\nwant %q", typ, w.buf, want)
 	}
-	if w.writes != 1 || cap(w.buf) != len(w.buf) {
-		t.Fatalf("WriteMsg(%s): %d writes, cap %d for len %d; want one exact-capacity write", typ, w.writes, cap(w.buf), len(w.buf))
+	if w.writes != 1 || (len(w.buf) < recycleMin && cap(w.buf) != len(w.buf)) {
+		t.Fatalf("WriteMsg(%s): %d writes, cap %d for len %d; want one write, of exact capacity below the recycle size", typ, w.writes, cap(w.buf), len(w.buf))
 	}
 	var wantEnv Envelope
 	if err := json.Unmarshal(want[4:], &wantEnv); err != nil {
 		t.Fatalf("reference envelope decode: %v", err)
 	}
-	env, err := ReadMsg(bytes.NewReader(w.buf))
+	env, err := ReadMsg(bytes.NewReader(want)) // w.buf may have gone back for reuse
 	if err != nil {
 		t.Fatalf("ReadMsg(%s): %v", typ, err)
 	}
@@ -526,6 +530,122 @@ func TestProgramFrameCases(t *testing.T) {
 
 var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzReadProgramFrame from programFrameCases")
 
+// TestDecodedKeysShareOneSlab: the single pass cuts every row's keys from
+// a slab per frame. Rows of unequal widths still get exactly their bytes,
+// each in a slice capped at its length, so no row can grow into its
+// neighbour; a key that is present and empty stays empty and not nil, an
+// absent one nil — the line encoding/json draws, which the table's
+// validation and the reference comparison both see.
+func TestDecodedKeysShareOneSlab(t *testing.T) {
+	wide := base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{0xA5}, 64))
+	body := `{"offsets":null,"default_action":"allow","entries":[` +
+		`{"lo":"AQ==","hi":"Ag==","action":"drop"},` +
+		`{"value":"","mask":"","lo":"AAECAwQF","hi":"/////w==","action":"allow"},` +
+		`{"action":"digest"},` +
+		`{"lo":"","action":"drop"},` +
+		`{"value":"` + wide + `","lo":"AQ==","hi":"AQ==","action":"nop"},` +
+		`{"priority":3,"lo":"AAE=","hi":"AAI=","action":"set_class","class":4}]}`
+	got := parseProgramRows([]byte(body))
+	if got == nil {
+		t.Fatal("the body does not take the single-pass route")
+	}
+	var p Program
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded rows differ from encoding/json's\n got %+v\nwant %+v", got.entries, want.entries)
+	}
+	e := got.entries
+	if e[1].Value == nil || e[1].Mask == nil || e[3].Lo == nil || len(e[1].Value)+len(e[3].Lo) != 0 {
+		t.Fatal(`a key sent as "" did not stay empty and present`)
+	}
+	if e[2].Lo != nil || e[2].Hi != nil || e[3].Hi != nil || e[0].Value != nil {
+		t.Fatal("an absent key is not nil")
+	}
+	for i := range e {
+		for _, k := range [][]byte{e[i].Value, e[i].Mask, e[i].Lo, e[i].Hi} {
+			if cap(k) != len(k) {
+				t.Fatalf("row %d: a key of %d bytes has room for %d", i, len(k), cap(k))
+			}
+		}
+	}
+}
+
+// TestHostileBodyCannotInflateSlabs: the key slab is sized from a row's
+// keys times the rows the entry slice has room for, which a hostile first
+// row would turn into sixteen times a megabyte; it is held to the 3/4 of
+// the text left that base64 can decode to. Whatever the body, one decode
+// allocates no more than that for keys, beside entries for the rows it
+// could hold.
+func TestHostileBodyCannotInflateSlabs(t *testing.T) {
+	giant := strings.Repeat("AAAA", 150_000) // 600 KB of text, 450 KB of key
+	row := func(lo string) string { return `{"lo":"` + lo + `","action":"drop"}` }
+	var growing []string
+	for n := 1; n <= 300; n++ {
+		growing = append(growing, row(base64.StdEncoding.EncodeToString(make([]byte, n))))
+	}
+	for name, entries := range map[string]string{
+		"giant-first":   row(giant) + "," + row("AQ==") + "," + row("Ag=="),
+		"giant-each":    row(giant) + "," + row(giant) + "," + row(giant),
+		"giant-then-no": row(giant) + `,{"lo":"AQ==","action":"reflect"}`,
+		"growing-keys":  strings.Join(growing, ","),
+	} {
+		body := []byte(`{"offsets":[0],"default_action":"allow","entries":[` + entries + `]}`)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := parseProgramRows(body)
+		runtime.ReadMemStats(&after)
+		if (got == nil) != (name == "giant-then-no") {
+			t.Fatalf("%s: decoded %v", name, got != nil)
+		}
+		rows := 272 // the two first sizes of the entry slice
+		if got != nil {
+			rows += 3 * len(got.entries) // sized from a sample that misled it, then copied to its length
+		}
+		budget := len(body)/4*3 + rows*int(unsafe.Sizeof(p4.Entry{})) + 16<<10
+		if alloc := int(after.TotalAlloc - before.TotalAlloc); alloc > budget {
+			t.Errorf("%s: a %d-byte body allocated %d bytes, budget %d", name, len(body), alloc, budget)
+		}
+	}
+}
+
+// TestDecodedSlabFitsItsRows: the entry slice the decoder returns is what
+// the table keeps for as long as the program stands, so it is sized to the
+// rows: within a hundredth of them (and a row), whether rows run shorter
+// or longer towards the end of the body than where they were sampled.
+func TestDecodedSlabFitsItsRows(t *testing.T) {
+	tapered := func(rows int, rising bool) Program {
+		p := benchProgram(rows)
+		for i := range p.Entries {
+			n := i
+			if !rising {
+				n = rows - i
+			}
+			p.Entries[i].Priority, p.Entries[i].Class = n*n, n // four digits more at one end than at the other
+		}
+		return p
+	}
+	for name, p := range map[string]Program{
+		"rows=16": benchProgram(16), "rows=17": benchProgram(17), "rows=300": benchProgram(300),
+		"rows=8192": benchProgram(8192), "rows=50000": benchProgram(50000),
+		"falling": tapered(8192, false), "rising": tapered(8192, true),
+	} {
+		frame := refFrame(t, TypeProgram, 1, p)
+		_, got, ok := splitEnvelope(frame[4:])
+		if !ok || got == nil || len(got.entries) != len(p.Entries) {
+			t.Fatalf("%s: not decoded in one pass", name)
+		}
+		if n, c := len(got.entries), cap(got.entries); c-n > n/100+1 {
+			t.Errorf("%s: %d rows decoded into room for %d", name, n, c)
+		}
+	}
+}
+
 // TestFuzzCorpusCheckedIn: every hand-written case is a seed file of
 // FuzzReadProgramFrame, so `go test -fuzz` starts from them and plain
 // `go test` replays them. Run with -update after editing the cases.
@@ -608,8 +728,10 @@ func benchProgram(rows int) Program {
 }
 
 // BenchmarkProgramFrame measures one Program frame on one P: through
-// WriteMsg (encode), through readMsg into the rows the table installs
-// (decode), and from the frame to a programmed detector table (apply).
+// WriteMsg (encode), read and split into the rows the table installs as
+// the agent's loop does it, the frame recycled (decode: its allocations
+// are the sizes the entry and key slabs go through, not the rows), and
+// from the frame to a programmed detector table (apply).
 func BenchmarkProgramFrame(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, rows := range []int{16, 8192} {
@@ -630,10 +752,15 @@ func BenchmarkProgramFrame(b *testing.B) {
 			r := bytes.NewReader(frame)
 			for i := 0; i < b.N; i++ {
 				r.Reset(frame)
-				_, got, err := readMsg(r)
+				buf, err := readFrame(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, got, err := splitFrame(buf)
 				if err != nil || got == nil || len(got.entries) != rows {
 					b.Fatalf("decode: %v (%+v)", err, got)
 				}
+				recycleFrame(buf)
 			}
 		})
 		b.Run(fmt.Sprintf("apply/rows=%d", rows), func(b *testing.B) {

@@ -176,7 +176,14 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	for {
-		env, rows, err := readMsg(conn)
+		// The frame is this iteration's: every handler below has decoded
+		// the body into memory of its own before it returns — a program's
+		// rows never alias it — so a big one is recycled for the next read.
+		frame, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		env, rows, err := splitFrame(frame)
 		if err != nil {
 			return
 		}
@@ -223,6 +230,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		default:
 			resp = Response{Error: fmt.Sprintf("unknown message type %q", env.Type)}
 		}
+		recycleFrame(frame)
 		if err := s.send(conn, TypeResponse, env.ID, resp); err != nil {
 			return
 		}
@@ -246,9 +254,12 @@ func (s *Server) send(conn net.Conn, typ MsgType, id uint64, body any) error {
 	if st == nil {
 		return net.ErrClosed
 	}
-	frame, err := encodeFrame(typ, id, body)
+	frame, own, err := encodeFrame(typ, id, body)
 	if err != nil {
 		return err
+	}
+	if own {
+		defer recycleFrame(frame)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()

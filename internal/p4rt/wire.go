@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"p4guard/internal/packet"
@@ -80,6 +81,8 @@ type Program struct {
 	Entries       []WireEntry `json:"entries"`
 	TraceID       uint64      `json:"trace_id,omitempty"`
 	SpanID        uint64      `json:"span_id,omitempty"`
+
+	body *programBody // the fields above already encoded; see Encoded
 }
 
 // WireDeltaMove reprioritizes the base entry at canonical index Base to
@@ -205,13 +208,56 @@ func FromPacket(p *packet.Packet) WirePacket {
 	return WirePacket{TimeNS: int64(p.Time), Link: int(p.Link), Bytes: p.Bytes}
 }
 
+// recycleMin is the size from which a frame's buffer is recycled rather
+// than left to the collector: only a program frame (647 KB at 8 192 rows)
+// gets there, and a fresh buffer of that size is pages to fault in and
+// clear on every push. Smaller frames — every delta, write, digest and
+// response — are allocated at their exact size and never see the pool.
+const recycleMin = 64 << 10
+
+// framePool holds the buffers of big frames between uses: the agent's read
+// loop returns one when the handler has decoded its body, the writers when
+// the frame is on the wire. A pool and not a buffer per connection: a
+// connection that carried one program would pin its 647 KB for as long as
+// it stays open, while the pool empties at the next collections.
+var framePool sync.Pool // of *[]byte, cap >= recycleMin
+
+// newFrame returns a buffer of length n for one frame: allocated at that
+// size below recycleMin, recycled from there on when the pool has one that
+// large. Capacities of big buffers come in steps of recycleMin, so that the
+// buffers one program passes through — the body its controller encodes,
+// the frame each switch reads, a few dozen bytes apart — fit one another.
+func newFrame(n int) []byte {
+	if n < recycleMin {
+		return make([]byte, n)
+	}
+	if p, _ := framePool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n, (n+recycleMin-1)/recycleMin*recycleMin)
+}
+
+// recycleFrame gives a frame's buffer back once nothing reads it any more.
+// Whoever still holds a slice of it — an Envelope's Body — holds bytes
+// that will change.
+func recycleFrame(b []byte) {
+	if cap(b) >= recycleMin {
+		big := b // the small frame's header must not escape with it
+		framePool.Put(&big)
+	}
+}
+
 // WriteMsg frames and writes one envelope with a single Write.
 func WriteMsg(w io.Writer, typ MsgType, id uint64, body any) error {
-	frame, err := encodeFrame(typ, id, body)
+	frame, own, err := encodeFrame(typ, id, body)
 	if err != nil {
 		return err
 	}
-	return writeFrame(w, frame)
+	err = writeFrame(w, frame)
+	if own {
+		recycleFrame(frame)
+	}
+	return err
 }
 
 func writeFrame(w io.Writer, frame []byte) error {
@@ -235,18 +281,49 @@ func ReadMsg(r io.Reader) (Envelope, error) {
 // canonical form comes back already decoded into the rows it installs.
 // rows is nil for every other frame, whose body DecodeBody decodes.
 func readMsg(r io.Reader) (Envelope, *programRows, error) {
+	buf, err := readFrame(r)
+	if err != nil {
+		return Envelope{}, nil, err
+	}
+	return splitFrame(buf)
+}
+
+// readFrame reads one frame's bytes, length prefix excluded. A frame below
+// recycleMin gets a buffer of its size. A bigger one is read into a
+// recycled buffer, or failing that into one that grows as the bytes
+// arrive — recycleMin first, then four times what has come — so the word
+// a peer puts in the header costs it nothing until the bytes follow. The
+// caller of a big frame hands it to recycleFrame when done with it, or
+// keeps it.
+func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, nil, fmt.Errorf("p4rt: read frame header: %w", err)
+		return nil, fmt.Errorf("p4rt: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
-		return Envelope{}, nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
+		return nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Envelope{}, nil, fmt.Errorf("p4rt: read frame body: %w", err)
+	buf := newFrame(min(n, recycleMin))
+	for have := 0; ; {
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			recycleFrame(buf)
+			return nil, fmt.Errorf("p4rt: read frame body: %w", err)
+		}
+		if have = len(buf); have == n {
+			return buf, nil
+		}
+		// The outgrown buffer is dropped, not recycled: the pool holds
+		// buffers that held a whole frame, and the next one fits the first.
+		grown := newFrame(min(n, 4*have))
+		copy(grown, buf)
+		buf = grown
 	}
+}
+
+// splitFrame takes a frame's bytes apart; what it returns aliases buf.
+func splitFrame(buf []byte) (Envelope, *programRows, error) {
 	if env, rows, ok := splitEnvelope(buf); ok {
 		return env, rows, nil
 	}

@@ -254,7 +254,8 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 // without the new entries, and a refused program (wrong entry width,
 // table full) leaves schema, default and entries untouched. The p4rt
 // server uses it to apply Program requests whose entries are already
-// ternary-expanded.
+// ternary-expanded. The table keeps entries themselves (p4.Table.Program):
+// the caller hands the slice over and does not touch it again.
 func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []p4.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

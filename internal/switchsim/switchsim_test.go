@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -549,28 +551,46 @@ func detectorStateOf(t *testing.T, sw *Switch) detectorState {
 }
 
 // TestRefusedProgramLeavesDetectorUntouched: a full swap the table
-// refuses (entry widths disagree with the new key layout) must leave
-// layout, default action and entries as they were — the attack frame
-// the installed rule drops stays dropped.
+// refuses — entry widths disagree with the new key layout, a bound is
+// inverted, row 2 of four is of the wrong width, the table has room for
+// fewer — must leave layout, default action, entries and program signature
+// as they were, and the attack frame the installed rule drops stays
+// dropped. The table would have kept the rows it was handed, so they too
+// must come back as they went in: every row is validated before any is
+// numbered.
 func TestRefusedProgramLeavesDetectorUntouched(t *testing.T) {
 	sw := mkSwitch(t)
 	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDigest}); err != nil {
 		t.Fatal(err)
 	}
-	before := detectorStateOf(t, sw)
+	det, err := sw.Pipeline().Table(DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, entriesBefore := detectorStateOf(t, sw), det.Entries()
 	drop := p4.Action{Type: p4.ActionDrop, Class: 1}
+	ok := func(v byte) p4.Entry { return p4.Entry{Lo: []byte{v}, Hi: []byte{v}, Action: drop} }
 	for _, prog := range []struct {
 		offsets []int
 		rows    []p4.Entry
+		max     int
+		want    error
 	}{
-		{[]int{1, 2}, []p4.Entry{{Lo: []byte{0}, Hi: []byte{9}, Action: drop}}}, // new layout, rows of the old width
-		{[]int{0}, []p4.Entry{{Lo: []byte{9}, Hi: []byte{0}, Action: drop}}},    // installed layout, lo > hi
+		{[]int{1, 2}, []p4.Entry{{Lo: []byte{0}, Hi: []byte{9}, Action: drop}}, 0, p4.ErrBadEntry},           // new layout, rows of the old width
+		{[]int{0}, []p4.Entry{{Lo: []byte{9}, Hi: []byte{0}, Action: drop}}, 0, p4.ErrBadEntry},              // installed layout, lo > hi
+		{[]int{0}, []p4.Entry{ok(1), ok(2), {Lo: []byte{3, 3}, Hi: []byte{3, 3}}, ok(4)}, 0, p4.ErrBadEntry}, // valid rows ahead of a wide one
+		{[]int{0}, []p4.Entry{ok(1), ok(2), ok(3), ok(4)}, 3, p4.ErrTableFull},                               // one row over the table's size
 	} {
+		det.MaxEntries = prog.max
+		handed := slices.Clone(prog.rows)
 		err := sw.ProgramDetector(prog.offsets, p4.Action{Type: p4.ActionAllow}, prog.rows)
-		if !errors.Is(err, p4.ErrBadEntry) {
-			t.Fatalf("offsets %v: err = %v, want ErrBadEntry", prog.offsets, err)
+		if !errors.Is(err, prog.want) {
+			t.Fatalf("offsets %v: err = %v, want %v", prog.offsets, err, prog.want)
 		}
-		if after := detectorStateOf(t, sw); after != before {
+		if !reflect.DeepEqual(prog.rows, handed) {
+			t.Fatalf("offsets %v: the refused rows were written: %+v", prog.offsets, prog.rows)
+		}
+		if after := detectorStateOf(t, sw); after != before || !reflect.DeepEqual(det.Entries(), entriesBefore) {
 			t.Fatalf("offsets %v: refused program changed the detector:\n before %+v\n after  %+v", prog.offsets, before, after)
 		}
 		attack := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 0, 0}}
@@ -651,12 +671,13 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	}{{[]int{0}, program(1)}, {[]int{0, 1}, program(2)}}
 
 	sw := mkSwitch(t)
-	if err := sw.ProgramDetector(progs[0].offsets, allow, progs[0].rows); err != nil {
+	// The table keeps the slice it is handed: every swap gets its own.
+	if err := sw.ProgramDetector(progs[0].offsets, allow, slices.Clone(progs[0].rows)); err != nil {
 		t.Fatal(err)
 	}
 	neverAllowedWhile(t, sw, 300, func(i int) error {
 		p := progs[i%2]
-		return sw.ProgramDetector(p.offsets, allow, p.rows)
+		return sw.ProgramDetector(p.offsets, allow, slices.Clone(p.rows))
 	})
 }
 
