@@ -373,12 +373,14 @@ type reactiveRow struct {
 }
 
 // wireEntry is the exact match a reactive row installs, expressed as a
-// degenerate range (lo==hi) at the reactive priority. It keeps key as Lo.
+// degenerate range (lo==hi) at the reactive priority. Lo and Hi are both
+// key itself, not copies: the encoder only reads them, and the table at the
+// other end copies what it keeps (p4.Table.Insert).
 func (c *Controller) wireEntry(key []byte, class int) p4rt.WireEntry {
 	return p4rt.WireEntry{
 		Priority: c.cfg.ReactivePriority,
 		Lo:       key,
-		Hi:       append([]byte(nil), key...),
+		Hi:       key,
 		Action:   p4rt.FormatAction(p4.ActionDrop),
 		Class:    class,
 	}

@@ -169,18 +169,18 @@ func oldPeerServer(t *testing.T, sw *switchsim.Switch) string {
 		default:
 			return p4rt.Response{Error: fmt.Sprintf("bad default action %q", p.DefaultAction)}
 		}
-		entries := make([]p4.Entry, 0, len(p.Entries))
+		entries := &p4.Rows{}
 		for _, we := range p.Entries {
 			e, err := we.ToP4Entry()
 			if err != nil {
 				return p4rt.Response{Error: err.Error()}
 			}
-			entries = append(entries, e)
+			entries.Add(e.Priority, e.PrefixLen, e.Lo, e.Hi, e.Action)
 		}
 		if err := sw.ProgramDetector(p.Offsets, miss, entries); err != nil {
 			return p4rt.Response{Error: err.Error()}
 		}
-		return p4rt.Response{OK: true, Installed: len(entries)}
+		return p4rt.Response{OK: true, Installed: len(p.Entries)}
 	}
 	go func() {
 		for {

@@ -70,9 +70,9 @@ func (d *Delta) NewCount() int { return d.BaseCount - len(d.Deletes) + len(d.Add
 
 // DeltaRow is what the diff and the program signature read of one
 // program row: its priority, its match fields and its action. A program
-// is held as []Entry here and as []p4rt.WireEntry on the control
-// channel; both are viewed through a DeltaRow, so one diff and one hash
-// serve both without converting either program.
+// is exchanged as []Entry here, held as []p4rt.WireEntry on the control
+// channel and stored as rows in a table; all three are viewed through a
+// DeltaRow, so one diff and one hash serve them without converting any.
 type DeltaRow struct {
 	Priority  int
 	PrefixLen int
@@ -385,9 +385,14 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 	if t.MaxEntries > 0 && newCount+len(t.inserted) > t.MaxEntries {
 		return fmt.Errorf("table %s (%d entries): %w", t.Name, newCount+len(t.inserted), ErrTableFull)
 	}
+	// Newcomers are built like a program, in slabs sized first so that rows
+	// stay where they are added: the adds now, validated, the moves later.
+	var built Rows
 	w := t.width()
+	built.Grow(len(d.Adds)+len(d.Moves), 2*w*(len(d.Adds)+len(d.Moves)))
 	for i := range d.Adds {
-		if err := t.validate(&d.Adds[i].Entry, w); err != nil {
+		built.addEntry(t, &d.Adds[i].Entry)
+		if err := t.checkRow(&built, i, w); err != nil {
 			return fmt.Errorf("table %s: add %d: %w", t.Name, i, err)
 		}
 	}
@@ -403,7 +408,7 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 		removed[i] = true
 	}
 	for _, m := range d.Moves {
-		if m.Base < 0 || m.Base >= d.BaseCount || removed[m.Base] {
+		if m.Base < 0 || m.Base >= d.BaseCount || removed[m.Base] || int(int32(m.Priority)) != m.Priority {
 			return fmt.Errorf("table %s: move base %d: %w", t.Name, m.Base, ErrBadEntry)
 		}
 		removed[m.Base] = true
@@ -412,30 +417,25 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 	// canonical order and priority ties resolve exactly as a full
 	// Replace of the new program would.
 	type newcomer struct {
-		e     *Entry
+		e     *row
 		order int
 	}
 	newcomers := make([]newcomer, 0, len(d.Moves)+len(d.Adds))
 	for _, m := range d.Moves {
-		// Field-by-field copy: a whole-struct copy would read the live
-		// atomic counters non-atomically under concurrent forwarding.
+		// Field by field: a whole-struct copy would read the live atomic
+		// counters non-atomically under concurrent forwarding.
 		src := t.prog[m.Base]
-		cp := Entry{
-			Priority: m.Priority,
-			Value:    src.Value, Mask: src.Mask, PrefixLen: src.PrefixLen,
-			Lo: src.Lo, Hi: src.Hi, Action: src.Action,
-		}
-		newcomers = append(newcomers, newcomer{e: &cp, order: m.Order})
+		built.Add(m.Priority, int(src.PrefixLen), src.lo(), src.hi(), src.Action)
+		newcomers = append(newcomers, newcomer{e: &built.rows[len(built.rows)-1], order: m.Order})
 	}
 	for i := range d.Adds {
-		cp := d.Adds[i].Entry
-		newcomers = append(newcomers, newcomer{e: &cp, order: d.Adds[i].Order})
+		newcomers = append(newcomers, newcomer{e: &built.rows[i], order: d.Adds[i].Order})
 	}
 	slices.SortFunc(newcomers, func(a, b newcomer) int { return a.order - b.order })
 
 	// Splice: newcomers claim their target slots, survivors fill the
 	// rest in base order.
-	newProg := make([]*Entry, newCount)
+	newProg := make([]*row, newCount)
 	for i := range newcomers {
 		o := newcomers[i].order
 		if o < 0 || o >= newCount || newProg[o] != nil {
@@ -446,7 +446,7 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 		newProg[o] = newcomers[i].e
 	}
 	si := 0
-	removedEntries := make([]*Entry, 0, len(d.Deletes)+len(d.Moves))
+	removedEntries := make([]*row, 0, len(d.Deletes)+len(d.Moves))
 	for i := 0; i < newCount; i++ {
 		if newProg[i] != nil {
 			continue
@@ -506,12 +506,12 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 	// Commit: incremental hash, then the generation.
 	hash := t.progHash
 	for _, e := range removedEntries {
-		hash ^= HashEntry(e)
+		hash ^= t.hashRow(e)
 	}
-	added := make([]*Entry, len(newcomers))
+	added := make([]*row, len(newcomers))
 	for i := range newcomers {
 		added[i] = newcomers[i].e
-		hash ^= HashEntry(added[i])
+		hash ^= t.hashRow(added[i])
 	}
 	t.prog, t.progHash, t.DefaultAction = newProg, hash, def
 	t.derive(removedEntries, added)

@@ -667,7 +667,7 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 			}
 			frames := ternaryCorpus(rng, 64)
 			first := tbl.state.Load()
-			was := make([]*Entry, len(frames))
+			was := make([]*row, len(frames))
 			for i, frame := range frames {
 				was[i] = first.findLinear(frame)
 			}

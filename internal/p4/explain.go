@@ -89,7 +89,7 @@ type TableExplain struct {
 
 // explainEntryBytes builds the per-byte comparison of key against e for
 // the given match kind.
-func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *Entry) ([]EntryByteExplain, bool) {
+func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *row) ([]EntryByteExplain, bool) {
 	out := make([]EntryByteExplain, len(key))
 	all := true
 	pos := 0
@@ -99,10 +99,10 @@ func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *Entry) 
 			var value, mask, lo, hi byte
 			switch kind {
 			case MatchTernary:
-				value, mask = e.Value[pos], e.Mask[pos]
+				value, mask = e.lo()[pos], e.hi()[pos]
 				lo, hi = value, value|^mask
 			case MatchRange:
-				lo, hi = e.Lo[pos], e.Hi[pos]
+				lo, hi = e.lo()[pos], e.hi()[pos]
 				value, mask = match.BitsOfRange(lo, hi)
 			}
 			matched := k >= lo && k <= hi
@@ -126,10 +126,10 @@ func explainEntryBytes(kind MatchKind, key []byte, specs []FieldSpec, e *Entry) 
 }
 
 // explainEntry builds an EntryExplain for entry e at match order mo.
-func explainEntry(st *lookupState, key []byte, e *Entry, mo int) EntryExplain {
+func explainEntry(st *lookupState, key []byte, e *row, mo int) EntryExplain {
 	bytes, all := explainEntryBytes(st.kind, key, st.key, e)
 	return EntryExplain{
-		ID: e.ID, Priority: e.Priority, MatchOrder: mo,
+		ID: e.ID, Priority: int(e.Priority), MatchOrder: mo,
 		Action: e.Action.Type.String(), Class: e.Action.Class,
 		Matched: all, Bytes: bytes,
 	}

@@ -53,7 +53,7 @@ type flowSlot struct {
 	miss   bool
 	row    int32
 	k0, k1 uint64
-	entry  *Entry
+	entry  *row
 }
 
 // flowCache is one table's direct-mapped exact-match cache inside a
@@ -96,7 +96,7 @@ func (c *flowCache) sync(t *Table, st *lookupState) bool {
 
 // get probes the cache. ok distinguishes "no information" from a cached
 // miss (ok=true, entry=nil).
-func (c *flowCache) get(k0, k1 uint64, klen int) (entry *Entry, row int32, ok bool) {
+func (c *flowCache) get(k0, k1 uint64, klen int) (entry *row, row int32, ok bool) {
 	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
 	if s.gen != c.gen || int(s.klen) != klen || s.k0 != k0 || s.k1 != k1 {
 		return nil, -1, false
@@ -108,7 +108,7 @@ func (c *flowCache) get(k0, k1 uint64, klen int) (entry *Entry, row int32, ok bo
 }
 
 // put records a resolved key (entry nil = miss).
-func (c *flowCache) put(k0, k1 uint64, klen int, entry *Entry, row int32) {
+func (c *flowCache) put(k0, k1 uint64, klen int, entry *row, row int32) {
 	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
 	s.gen = c.gen
 	s.klen = uint8(klen)
@@ -126,7 +126,7 @@ func (c *flowCache) put(k0, k1 uint64, klen int, entry *Entry, row int32) {
 // nothing.
 type BatchWorkspace struct {
 	keys    match.KeyBatch
-	hits    []*Entry // resolved entry per packet index (nil = miss)
+	hits    []*row   // resolved entry per packet index (nil = miss)
 	hitRows []int32  // row id in the state's byID per packet index (-1 = none)
 	acts    []Action // resolved action per packet index
 	matched []bool   // non-default entry fired, per packet index
@@ -149,7 +149,7 @@ type BatchWorkspace struct {
 // ensure sizes the per-packet arrays for n packets and t table slots.
 func (ws *BatchWorkspace) ensure(n, t int) {
 	if cap(ws.hits) < n {
-		ws.hits = make([]*Entry, n)
+		ws.hits = make([]*row, n)
 		ws.hitRows = make([]int32, n)
 		ws.acts = make([]Action, n)
 		ws.matched = make([]bool, n)

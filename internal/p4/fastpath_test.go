@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -38,11 +37,10 @@ func twinTables(t *testing.T, kind MatchKind, entries []Entry) (*Table, *Table) 
 	t.Helper()
 	a := NewTable("a", kind, fourByteKey(), 0, Action{Type: ActionAllow, Class: 9})
 	b := NewTable("b", kind, fourByteKey(), 0, Action{Type: ActionAllow, Class: 9})
-	// Program keeps the slice it is given, so each table gets its own.
-	if err := a.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, slices.Clone(entries)); err != nil {
+	if err := a.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, rowsOf(a, entries)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, slices.Clone(entries)); err != nil {
+	if err := b.Program(fourByteKey(), Action{Type: ActionAllow, Class: 9}, rowsOf(b, entries)); err != nil {
 		t.Fatal(err)
 	}
 	return a, b
@@ -143,7 +141,7 @@ func TestLookupBatchUnderChurn(t *testing.T) {
 			ids = append(ids, id)
 		case 1: // full reprogram
 			if err := tab.Program(fourByteKey(), Action{Type: ActionDigest},
-				kindEntries(t, rng, MatchTernary, 10+round)); err != nil {
+				rowsOf(tab, kindEntries(t, rng, MatchTernary, 10+round))); err != nil {
 				t.Fatal(err)
 			}
 			ids = nil
@@ -176,15 +174,15 @@ func TestRunTablesBatchMatchesRunTables(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		p := NewPipeline(64)
 		cls := NewTable("classify", MatchTernary, fourByteKey(), 0, Action{Type: ActionNop})
-		if err := cls.Program(fourByteKey(), Action{Type: ActionNop}, []Entry{
+		if err := cls.Program(fourByteKey(), Action{Type: ActionNop}, rowsOf(cls, []Entry{
 			{Priority: 1, Value: []byte{1, 0, 0, 0}, Mask: []byte{0xff, 0, 0, 0}, Action: Action{Type: ActionSetClass, Class: 3}},
 			{Priority: 1, Value: []byte{2, 0, 0, 0}, Mask: []byte{0xff, 0, 0, 0}, Action: Action{Type: ActionDrop, Class: 4}},
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		det := NewTable("det", MatchRange, fourByteKey(), 0, Action{Type: ActionDigest})
 		if err := det.Program(fourByteKey(), Action{Type: ActionDigest},
-			kindEntries(t, rng, MatchRange, 12)); err != nil {
+			rowsOf(det, kindEntries(t, rng, MatchRange, 12))); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.AddTable(cls); err != nil {

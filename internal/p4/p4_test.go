@@ -532,9 +532,9 @@ func TestTableProgramReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	newKey := []FieldSpec{{Name: "b1", Offset: 1, Width: 1}}
-	err := tbl.Program(newKey, Action{Type: ActionAllow}, []Entry{
+	err := tbl.Program(newKey, Action{Type: ActionAllow}, rowsOf(tbl, []Entry{
 		{Priority: 1, Lo: []byte{100}, Hi: []byte{200}, Action: Action{Type: ActionDrop, Class: 1}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,25 +546,37 @@ func TestTableProgramReplacesAtomically(t *testing.T) {
 	}
 
 	// A bad batch must leave the table untouched.
-	if err := tbl.Program(key1(), Action{Type: ActionDigest}, []Entry{
+	if err := tbl.Program(key1(), Action{Type: ActionDigest}, rowsOf(tbl, []Entry{
 		{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: Action{Type: ActionDrop}},
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("Program accepted entries wider than the key")
 	}
 	if act, matched := tbl.Lookup([]byte{0, 150}); !matched || act.Type != ActionDrop {
 		t.Fatalf("failed Program corrupted table: %+v %v", act, matched)
 	}
 	// MaxEntries still enforced.
-	if err := tbl.Program(key1(), Action{Type: ActionAllow}, make([]Entry, 3)); err == nil {
+	if err := tbl.Program(key1(), Action{Type: ActionAllow}, rowsOf(tbl, make([]Entry, 3))); err == nil {
 		t.Fatal("Program accepted more than MaxEntries rows")
 	}
 }
 
+// rowsOf builds entries into the program tbl.Program adopts, the way
+// Replace does for the table's kind.
+func rowsOf(tbl *Table, entries []Entry) *Rows {
+	r := &Rows{}
+	r.Grow(len(entries), 2*tbl.width()*len(entries))
+	for i := range entries {
+		r.addEntry(tbl, &entries[i])
+	}
+	return r
+}
+
 // TestProgramOwnsReplaceCopies is the ownership rule of a full swap.
 // Replace leaves the caller's slice bit for bit as it was — ids, order keys
-// and counters are written into the table's own copy — so the same slice
-// programs a second table, whose counters are its own. Program installs
-// the slice's elements themselves: the table's entries are &rows[i].
+// and counters are written into rows of the table's own — so the same slice
+// programs a second table, whose counters are its own. Program adopts the
+// builder's rows themselves — the table's rows are &slab[i] — and hands the
+// builder back empty; a refused one comes back as it went in.
 func TestProgramOwnsReplaceCopies(t *testing.T) {
 	rows := make([]Entry, 64)
 	for i := range rows {
@@ -595,32 +607,38 @@ func TestProgramOwnsReplaceCopies(t *testing.T) {
 		t.Fatalf("two tables replaced from one slice count %d and %d hits, want 3 and 1 and none in the slice", ha, hb)
 	}
 
-	if err := a.Program(key1(), Action{Type: ActionDigest}, rows); err != nil {
+	built := rowsOf(a, rows)
+	slab := built.rows
+	if err := a.Program(key1(), Action{Type: ActionDigest}, built); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range a.prog {
-		if e != &rows[i] {
-			t.Fatalf("after Program, entry %d is a copy of the slice's element", i)
+		if e != &slab[i] {
+			t.Fatalf("after Program, row %d is a copy of the builder's", i)
 		}
 	}
-	if rows[0].ID == 0 || rows[63].ord != 64*progOrdStride {
-		t.Fatalf("Program did not number the slice's own elements: id %d, ord %#x", rows[0].ID, rows[63].ord)
+	if !reflect.DeepEqual(*built, Rows{}) {
+		t.Fatalf("an adopted builder still holds %d rows", len(built.rows))
 	}
-	if act, matched := a.Lookup([]byte{9}); !matched || act.Class != 9 || rows[9].hits != 1 {
-		t.Fatalf("lookup %+v (matched %v) counted %d hits on the slice's element", act, matched, rows[9].hits)
+	if slab[0].ID == 0 || slab[63].ord != 64*progOrdStride {
+		t.Fatalf("Program did not number the builder's own rows: id %d, ord %#x", slab[0].ID, slab[63].ord)
+	}
+	if act, matched := a.Lookup([]byte{9}); !matched || act.Class != 9 || slab[9].hits != 1 {
+		t.Fatalf("lookup %+v (matched %v) counted %d hits on the builder's row", act, matched, slab[9].hits)
 	}
 
-	// A refused Program hands the slice back unwritten: row 5 has the wrong
-	// width, the rows before it are valid, none was numbered.
+	// A refused Program hands the builder back unwritten: row 5 has the
+	// wrong width, the rows before it are valid, none was numbered.
 	bad := slices.Clone(before)
 	bad[5].Hi = []byte{1, 2}
-	want := slices.Clone(bad)
+	refused, want := rowsOf(a, bad), rowsOf(a, bad)
 	count, hash := a.ProgramSignature()
-	if err := a.Program(key1(), Action{Type: ActionAllow}, bad); !errors.Is(err, ErrBadEntry) {
+	if err := a.Program(key1(), Action{Type: ActionAllow}, refused); !errors.Is(err, ErrBadEntry) {
 		t.Fatalf("err = %v, want ErrBadEntry", err)
 	}
-	if c, h := a.ProgramSignature(); !reflect.DeepEqual(bad, want) || c != count || h != hash || a.DefaultAction.Type != ActionDigest {
-		t.Fatal("a refused Program wrote into the slice or the table")
+	if c, h := a.ProgramSignature(); !reflect.DeepEqual(refused.rows, want.rows) || !reflect.DeepEqual(refused.odd, want.odd) ||
+		c != count || h != hash || a.DefaultAction.Type != ActionDigest {
+		t.Fatal("a refused Program wrote into the builder or the table")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,24 @@ type deltaChurn struct {
 	probes      [][]byte
 	held        []heldGeneration
 	derived     int // steps the editor took; the rest were compiled
+
+	// counted is what every lookup so far drew from each row, by the row's
+	// id: the check's own, and the bursts forwarded under each mutation.
+	counted drawn
+	frames  []*packet.Packet
+	ws      BatchWorkspace // the forwarder's, kept across steps as a worker's is
+}
+
+// drawn is a per-packet count of the hits and frame bytes lookups drew from
+// each row, by id — a row that survives an Apply keeps its id, a re-created
+// one gets a new one: the oracle the rows' direct counters are held to.
+type drawn map[uint64][2]uint64
+
+func (d drawn) count(e *row, frame []byte) {
+	if e != nil {
+		n := d[e.ID]
+		d[e.ID] = [2]uint64{n[0] + 1, n[1] + uint64(len(frame))}
+	}
 }
 
 // heldGeneration is a lookup state kept past its time and what it
@@ -37,7 +56,7 @@ type deltaChurn struct {
 type heldGeneration struct {
 	st   *lookupState
 	keys [][]byte
-	was  []*Entry
+	was  []*row
 }
 
 func newDeltaChurn(t *testing.T, seed int64, width, rows int, pointShare float64) *deltaChurn {
@@ -51,7 +70,70 @@ func newDeltaChurn(t *testing.T, seed int64, width, rows int, pointShare float64
 		t.Fatal(err)
 	}
 	c.probes = matchtest.Keys(c.rng, width, 300, gen)
+	c.counted = drawn{}
+	for i, k := range c.probes { // each padded to a length of its own
+		c.frames = append(c.frames, &packet.Packet{Link: packet.LinkEthernet, Bytes: append(slices.Clone(k), make([]byte, i%9)...)})
+	}
 	return c
+}
+
+// forwardDuring runs mutate under what a switch's Run loop is to the
+// table: bursts of frames through LookupBatch on another goroutine, the
+// first before the mutation starts and the last after it has returned,
+// counting per packet the row each resolved to in whatever generation the
+// burst loaded.
+func (c *deltaChurn) forwardDuring(mutate func() error) error {
+	var bursts atomic.Int32
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		active := allIdx(len(c.frames))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.tbl.LookupBatch(c.frames, active, &c.ws, 0)
+			for i, e := range c.ws.hits {
+				c.counted.count(e, c.frames[i].Bytes)
+			}
+			bursts.Add(1)
+		}
+	}()
+	for bursts.Load() == 0 {
+		runtime.Gosched()
+	}
+	err := mutate()
+	for n := bursts.Load(); bursts.Load() <= n+1; { // a burst that began after the mutation has ended
+		runtime.Gosched()
+	}
+	close(stop)
+	<-done
+	return err
+}
+
+// carried holds every row the table has to the per-packet count: a row
+// that survived an Apply — most have, dozens of them — is the row it was,
+// so its counters read what every lookup of its life drew from it, bursts
+// forwarded while it was being carried over included, and a re-created one
+// (a move) starts from nothing. A row copied across an Apply would have
+// lost what it counted before, or what was counted while it was copied.
+func (c *deltaChurn) carried() {
+	c.t.Helper()
+	hit := 0
+	for _, e := range append(slices.Clone(c.tbl.prog), c.tbl.inserted...) {
+		want := c.counted[e.ID]
+		if got := [2]uint64{atomic.LoadUint64(&e.hits), atomic.LoadUint64(&e.bytes)}; got != want {
+			c.t.Fatalf("row %d (class %d) counts %d hits and %d bytes, its lookups drew %d and %d", e.ID, e.Action.Class, got[0], got[1], want[0], want[1])
+		}
+		if want[0] > 0 {
+			hit++
+		}
+	}
+	if hit < 8 {
+		c.t.Fatalf("%d of %d rows were ever hit: the count proves little", hit, len(c.tbl.prog))
+	}
 }
 
 // entry makes a row of its own class; the generator's dead rows are
@@ -126,7 +208,7 @@ func (c *deltaChurn) step(what string, mutate func() error) {
 		}
 		c.held = append(c.held, h)
 	}
-	if err := mutate(); err != nil {
+	if err := c.forwardDuring(mutate); err != nil {
 		c.t.Fatalf("%s: %v", what, err)
 	}
 	if st := c.tbl.state.Load(); st.rows > 0 && !st.compiled() {
@@ -217,7 +299,7 @@ func (c *deltaChurn) check(what string) {
 		t.Fatalf("%s: %d programmed entries, the program has %d", what, len(c.tbl.prog), len(c.prog))
 	}
 	for i, e := range c.tbl.prog {
-		if got := (Entry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: e.Action}); !sameRows([]Entry{got}, c.prog[i:i+1]) {
+		if got := (Entry{Priority: int(e.Priority), Lo: e.lo(), Hi: e.hi(), Action: e.Action}); !sameRows([]Entry{got}, c.prog[i:i+1]) {
 			t.Fatalf("%s: programmed entry %d is %+v, the program's %+v", what, i, got, c.prog[i])
 		}
 	}
@@ -229,6 +311,8 @@ func (c *deltaChurn) check(what string) {
 	c.tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
 	for i, k := range c.probes {
 		want, wantMatched := fresh.Lookup(k)
+		c.counted.count(ws.hits[i], k) // the burst's lookup of k, then the scalar one
+		c.counted.count(ws.hits[i], k)
 		if act, matched := c.tbl.Lookup(k); act != want || matched != wantMatched {
 			t.Fatalf("%s key %x: Lookup (%+v,%v), a fresh table's (%+v,%v)", what, k, act, matched, want, wantMatched)
 		}
@@ -368,6 +452,7 @@ func TestRangeDeltaChurnDifferential(t *testing.T) {
 			}
 			c.held = nil
 			c.check("every 2-byte key")
+			c.carried()
 		})
 	}
 }
@@ -388,6 +473,7 @@ func stackDelta(rng *rand.Rand, prog []Entry, n, class int) []Entry {
 // is kept of the test's tables.
 func liveHeap(keep any) uint64 {
 	var m runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m)
 	runtime.KeepAlive(keep)

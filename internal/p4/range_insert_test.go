@@ -92,7 +92,7 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 	probes := append(matchtest.Keys(rng, width, 500, rows), fresh...)
 
 	first := tbl.state.Load()
-	was := make([]*Entry, len(probes))
+	was := make([]*row, len(probes))
 	for i, k := range probes {
 		was[i] = first.findLinear(k)
 	}
@@ -120,7 +120,7 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 	// touching it.
 	type keptGeneration struct {
 		st   *lookupState
-		rows []*Entry
+		rows []*row
 	}
 	keep := func() keptGeneration {
 		rows := append(slices.Clone(tbl.prog), tbl.inserted...)
@@ -141,20 +141,22 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 		t.Fatal("a fresh point row was compiled in, not derived")
 	}
 	// A full swap, with the two readers still on the first generation: the
-	// table now serves out of a slab it was handed — its entries are the
-	// slice's own elements — and every generation kept answers out of the
+	// table now serves out of a slab it was handed — its rows are the
+	// builder's own — and every generation kept answers out of the
 	// slab it was built on, which the swap left alone.
 	swapped := make([]Entry, 0, 64)
 	for i, k := range fresh[:64] {
 		swapped = append(swapped, Entry{Priority: i % 3, Lo: k, Hi: k, Action: Action{Type: ActionAllow, Class: 5000 + i}})
 	}
-	if err := tbl.Program(tbl.KeySpecs(), Action{Type: ActionDigest}, swapped); err != nil {
+	built := rowsOf(tbl, swapped)
+	slab := built.rows
+	if err := tbl.Program(tbl.KeySpecs(), Action{Type: ActionDigest}, built); err != nil {
 		t.Fatal(err)
 	}
 	now := tbl.state.Load()
 	for i, e := range tbl.prog {
-		if e != &swapped[i] {
-			t.Fatalf("after Program, row %d is not the slice's element", i)
+		if e != &slab[i] {
+			t.Fatalf("after Program, row %d is not the builder's", i)
 		}
 	}
 	if now.rows != len(swapped) || now.def.Type != ActionDigest {
@@ -189,7 +191,7 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 			}
 		}
 		for _, key := range probes {
-			w, want := slices.IndexFunc(k.rows, func(e *Entry) bool { return rangeMatch(key, e.Lo, e.Hi) }), k.st.def
+			w, want := slices.IndexFunc(k.rows, func(e *row) bool { return rangeMatch(key, e.lo(), e.hi()) }), k.st.def
 			if w < 0 {
 				w = len(k.rows)
 			} else {

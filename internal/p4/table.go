@@ -10,23 +10,20 @@ import (
 	"p4guard/internal/match"
 )
 
-// Entry is one table row. Which match fields are meaningful depends on the
-// table's kind:
+// Entry is one table row as it crosses the table's API, an exchange value:
+// what Insert, Replace and a delta's adds take and Entries returns. The
+// table copies what it stores into a row of its own (see row): the buffers
+// are the caller's again when the call returns. The table's kind says which
+// match fields are read, and only those are stored:
 //
 //   - ternary: Value and Mask (full key width), Priority breaks overlaps
 //   - range:   Lo and Hi per key byte (inclusive), Priority breaks overlaps
 //
 // PrefixLen matches nothing: it is carried because HashEntry folds it in,
-// and a program's signature must not change under a fleet mid-upgrade.
+// and a program's signature must not change under a fleet mid-upgrade. It
+// and Priority are stored in 32 bits; an entry past that is refused.
 type Entry struct {
-	ID uint64
-	// ord is the entry's immutable canonical-order key: priority ties
-	// resolve by ascending ord, reproducing wire/insertion order through
-	// per-entry data the lock-free index can read on any generation.
-	// Replace assigns gapped wire-order ords, Apply bisects the gaps for
-	// newcomers, and reactive Inserts order in a band above every
-	// programmed ord.
-	ord       uint64
+	ID        uint64
 	Priority  int
 	Value     []byte
 	Mask      []byte
@@ -34,13 +31,6 @@ type Entry struct {
 	Lo        []byte
 	Hi        []byte
 	Action    Action
-
-	// P4-style direct counters, accessed atomically. Entry pointers are
-	// shared across lookup-state generations, so the counters survive
-	// reindexing and delta application (though not a full Replace or
-	// Program, which installs new entries).
-	hits  uint64
-	bytes uint64
 }
 
 // Table is one match–action table. Mutations (insert/delete/replace/
@@ -49,7 +39,7 @@ type Entry struct {
 // one atomic load and touches no lock at all. Hit/miss counters are
 // atomics shared across snapshots.
 //
-// Entries live in two pools: prog is the canonical programmed list in
+// Rows live in two pools: prog is the canonical programmed list in
 // wire order (what Replace installed, edited in place by Apply), and
 // inserted holds reactive single-entry Inserts. Deltas address prog by
 // canonical index and never disturb inserted, so reactive state
@@ -64,9 +54,9 @@ type Table struct {
 
 	mu       sync.Mutex // serializes mutation; never taken by Lookup
 	nextID   uint64
-	prog     []*Entry // canonical programmed entries, wire order
-	progHash uint64   // order-independent signature of prog (see HashEntry)
-	inserted []*Entry // reactive Inserts, chronological
+	prog     []*row // canonical programmed rows, wire order
+	progHash uint64 // order-independent signature of prog (see HashEntry)
+	inserted []*row // reactive Inserts, chronological
 	state    atomic.Pointer[lookupState]
 	hits     uint64 // accessed atomically
 	misses   uint64 // accessed atomically
@@ -75,7 +65,7 @@ type Table struct {
 // lookupState is one immutable generation of the table's lookup index.
 // Every mutation builds a fresh state (lookups still read the old one), so
 // concurrent lookups on an old generation never observe a partial update.
-// Entry pointers are shared across generations, keeping per-entry hit
+// Row pointers are shared across generations, keeping per-entry hit
 // counters stable over reprogramming.
 type lookupState struct {
 	kind  MatchKind
@@ -88,17 +78,17 @@ type lookupState struct {
 	// since. Forwarding never reads it (find resolves through the index and
 	// byID), so an install leaves it alone; the readers that want match order
 	// take it from ordered, which merges the installed rows in once.
-	sorted    []*Entry
+	sorted    []*row
 	covered   int
 	mergeOnce sync.Once
-	merged    []*Entry
+	merged    []*row
 	// byID holds a range table's entries by the row id rangeIdx resolves a
 	// key to: a row's place in sorted when the index was compiled, its
 	// arrival order after that. A derived generation appends its newcomers
 	// to the array the previous generations still read, past their lengths;
 	// the id of a row that left stays behind, named by nothing in this
 	// generation's index, until the next compile (see derive).
-	byID     []*Entry
+	byID     []*row
 	tstore   *ternaryStore   // partitioned hash-indexed ternary index
 	rangeIdx *match.KeyIndex // range-match index (row id i = byID[i])
 }
@@ -116,32 +106,51 @@ func NewTable(name string, kind MatchKind, key []FieldSpec, maxEntries int, def 
 // width returns the key width in bytes.
 func (t *Table) width() int { return KeyWidth(t.Key) }
 
-// validate checks an entry against the table's kind and key width.
-func (t *Table) validate(e *Entry, w int) error {
+// checkRow is the one validation: of a row as it was built, from an entry
+// or by a decoder, against the table's kind, key width and what a row holds.
+func (t *Table) checkRow(r *Rows, i, w int) error {
+	e, odd := &r.rows[i], r.odd != nil && r.odd.at == i
+	priority, prefixLen, lo, hi := int(e.Priority), int(e.PrefixLen), e.lo(), e.hi()
+	if odd {
+		priority, prefixLen, lo, hi = r.odd.priority, r.odd.prefixLen, e.key[:r.odd.split], e.key[r.odd.split:]
+	}
 	switch t.Kind {
 	case MatchTernary:
-		if len(e.Value) != w || len(e.Mask) != w {
-			return fmt.Errorf("ternary value/mask widths %d/%d != key %d: %w",
-				len(e.Value), len(e.Mask), w, ErrBadEntry)
+		if len(lo) != w || len(hi) != w {
+			return fmt.Errorf("ternary value/mask widths %d/%d != key %d: %w", len(lo), len(hi), w, ErrBadEntry)
 		}
-		for i := range e.Value {
-			if e.Value[i]&^e.Mask[i] != 0 {
+		for i := range lo {
+			if lo[i]&^hi[i] != 0 {
 				return fmt.Errorf("ternary value bit outside mask at byte %d: %w", i, ErrBadEntry)
 			}
 		}
 	case MatchRange:
-		if len(e.Lo) != w || len(e.Hi) != w {
-			return fmt.Errorf("range lo/hi widths %d/%d != key %d: %w", len(e.Lo), len(e.Hi), w, ErrBadEntry)
+		if len(lo) != w || len(hi) != w {
+			return fmt.Errorf("range lo/hi widths %d/%d != key %d: %w", len(lo), len(hi), w, ErrBadEntry)
 		}
-		for i := range e.Lo {
-			if e.Lo[i] > e.Hi[i] {
+		for i := range lo {
+			if lo[i] > hi[i] {
 				return fmt.Errorf("range lo>hi at byte %d: %w", i, ErrBadEntry)
 			}
 		}
 	default:
 		return fmt.Errorf("unknown match kind %v: %w", t.Kind, ErrBadEntry)
 	}
+	if odd { // its halves are of a length: a number is what does not fit
+		return fmt.Errorf("priority %d or prefix length %d outside 32 bits: %w", priority, prefixLen, ErrBadEntry)
+	}
 	return nil
+}
+
+// hashRow is HashEntry of the entry e was stored from. Field by field: a
+// composite literal would be built aside and copied in.
+func (t *Table) hashRow(e *row) uint64 {
+	var r DeltaRow
+	r.Priority, r.PrefixLen, r.Action, r.Lo, r.Hi = int(e.Priority), int(e.PrefixLen), e.Action, e.lo(), e.hi()
+	if t.Kind == MatchTernary {
+		r.Value, r.Mask, r.Lo, r.Hi = r.Lo, r.Hi, nil, nil
+	}
+	return r.hash()
 }
 
 // entryCount returns prog+inserted size; callers hold t.mu.
@@ -163,18 +172,19 @@ const (
 func (t *Table) Insert(e Entry) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.validate(&e, t.width()); err != nil {
+	var one Rows
+	one.addEntry(t, &e)
+	if err := t.checkRow(&one, 0, t.width()); err != nil {
 		return 0, fmt.Errorf("table %s: %w", t.Name, err)
 	}
 	if t.MaxEntries > 0 && t.entryCount() >= t.MaxEntries {
 		return 0, fmt.Errorf("table %s (%d entries): %w", t.Name, t.entryCount(), ErrTableFull)
 	}
+	stored := &one.rows[0]
 	t.nextID++
-	e.ID = t.nextID
-	e.ord = insertedOrdBase + e.ID // IDs are monotonic: insertion order
-	stored := e
-	t.inserted = append(t.inserted, &stored)
-	t.derive(nil, []*Entry{&stored})
+	stored.ID, stored.ord = t.nextID, insertedOrdBase+t.nextID // IDs are monotonic: insertion order
+	t.inserted = append(t.inserted, stored)
+	t.derive(nil, []*row{stored})
 	return stored.ID, nil
 }
 
@@ -189,38 +199,45 @@ func (t *Table) KeySpecs() []FieldSpec {
 // the current schema, rebuilding the lookup index once. Reactive
 // Inserts are dropped (the swap defines the table's entire contents);
 // use Apply for an incremental edit that preserves them. On error the
-// table is unchanged. The caller keeps entries: the table installs a copy
-// made in one allocation.
+// table is unchanged. The caller keeps entries and the buffers they name:
+// the table stores rows of its own.
 func (t *Table) Replace(entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.install(slices.Clone(entries))
+	var r Rows
+	r.Grow(len(entries), 2*t.width()*len(entries))
+	for i := range entries {
+		r.addEntry(t, &entries[i])
+	}
+	return t.install(&r)
 }
 
-// install makes entries the table's program: the rows themselves, which
-// the table owns from here on, not copies of them. Every row is validated
-// before any is written, so a refused program leaves the slice as it came
-// and the table as it was. The slice is the program's slab: it lives until
-// the next full swap, or until the last of its rows has left the table.
-func (t *Table) install(entries []Entry) error {
-	w := t.width()
-	if t.MaxEntries > 0 && len(entries) > t.MaxEntries {
-		return fmt.Errorf("table %s (%d entries): %w", t.Name, len(entries), ErrTableFull)
+// install makes r's rows the table's program. The row slice is the
+// program's slab, copied to its length if it has more than 1/128 to spare;
+// it lives until the next full swap or until its last row has left. Every
+// row is validated first: a refused program leaves r and the table as they
+// were, an accepted one empties r.
+func (t *Table) install(r *Rows) error {
+	rows, w := r.rows, t.width()
+	if t.MaxEntries > 0 && len(rows) > t.MaxEntries {
+		return fmt.Errorf("table %s (%d entries): %w", t.Name, len(rows), ErrTableFull)
 	}
-	for i := range entries {
-		if err := t.validate(&entries[i], w); err != nil {
+	for i := range rows {
+		if err := t.checkRow(r, i, w); err != nil {
 			return fmt.Errorf("table %s: entry %d: %w", t.Name, i, err)
 		}
 	}
-	t.prog = make([]*Entry, len(entries))
-	t.progHash = 0
-	for i := range entries {
-		e := &entries[i]
+	if n := len(rows); cap(rows)-n > n/128+1 {
+		rows = append(make([]row, 0, n), rows...)
+	}
+	*r = Rows{}
+	t.prog, t.progHash = make([]*row, len(rows)), 0
+	for i := range rows {
+		e := &rows[i]
 		t.nextID++
-		e.ID = t.nextID
-		e.ord = uint64(i+1) * progOrdStride
+		e.ID, e.ord = t.nextID, uint64(i+1)*progOrdStride
 		t.prog[i] = e
-		t.progHash ^= HashEntry(e)
+		t.progHash ^= t.hashRow(e)
 	}
 	t.inserted = nil
 	t.reindex()
@@ -231,15 +248,13 @@ func (t *Table) install(entries []Entry) error {
 // entry list, rebuilding the lookup index once and publishing it in one
 // store: no lookup ever sees the new default without the new entries. On
 // error the table — schema, default, entries — is unchanged. The table
-// takes ownership of entries (see install): once the program is accepted
-// the caller must not touch the slice again; a refused one comes back
-// unwritten.
-func (t *Table) Program(key []FieldSpec, def Action, entries []Entry) error {
+// adopts rows (see install).
+func (t *Table) Program(key []FieldSpec, def Action, rows *Rows) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	savedKey, savedDef := t.Key, t.DefaultAction
 	t.Key, t.DefaultAction = key, def
-	if err := t.install(entries); err != nil {
+	if err := t.install(rows); err != nil {
 		t.Key, t.DefaultAction = savedKey, savedDef
 		return err
 	}
@@ -262,7 +277,7 @@ func (t *Table) ProgramSignature() (count int, hash uint64) {
 // hold t.mu. The previous generation's slice is never mutated (it is
 // still being read lock-free); sorting happens on the merged copy.
 func (t *Table) reindex() {
-	merged := make([]*Entry, 0, t.entryCount())
+	merged := make([]*row, 0, t.entryCount())
 	merged = append(merged, t.prog...)
 	merged = append(merged, t.inserted...)
 	st := &lookupState{
@@ -288,7 +303,7 @@ func (t *Table) reindex() {
 // installed rows are sorted and merged into a copy of it, once however many
 // readers ask. byID is read to this generation's length: later generations
 // append past it in the same array.
-func (st *lookupState) ordered() []*Entry {
+func (st *lookupState) ordered() []*row {
 	if st.covered == len(st.byID) {
 		return st.sorted
 	}
@@ -305,7 +320,7 @@ func (st *lookupState) ordered() []*Entry {
 // order the table has always used, expressed through an immutable
 // per-entry field so the ternary store can resolve ties without
 // knowing an entry's slice position.
-func sortByPriority(entries []*Entry) {
+func sortByPriority(entries []*row) {
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Priority != entries[j].Priority {
 			return entries[i].Priority > entries[j].Priority
@@ -317,7 +332,7 @@ func sortByPriority(entries []*Entry) {
 // beats reports whether entry e outranks f under the table's match
 // order: higher priority first, then earlier canonical order. A nil f
 // never beats.
-func beats(e, f *Entry) bool {
+func beats(e, f *row) bool {
 	if f == nil {
 		return true
 	}
@@ -329,7 +344,7 @@ func beats(e, f *Entry) bool {
 
 // rankOf returns e's place in a priority-sorted list that holds it:
 // (priority, ord) is unique, so the first entry not ahead of e is e.
-func rankOf(entries []*Entry, e *Entry) int {
+func rankOf(entries []*row, e *row) int {
 	return sort.Search(len(entries), func(i int) bool { return !beats(entries[i], e) })
 }
 
@@ -337,13 +352,13 @@ func rankOf(entries []*Entry, e *Entry) int {
 // shared index from internal/match — the same engine the offline rule
 // set classifies with, so table lookups and rule-set classification
 // cannot drift apart. An empty table has the nil (empty) index.
-func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
+func buildRangeIndex(width int, entries []*row) *match.KeyIndex {
 	if len(entries) == 0 {
 		return nil
 	}
 	rows := make([]match.RangeRow, len(entries))
 	for i, e := range entries {
-		rows[i] = match.RangeRow{Lo: e.Lo, Hi: e.Hi}
+		rows[i] = match.RangeRow{Lo: e.lo(), Hi: e.hi()}
 	}
 	idx, err := match.CompileRanges(width, rows)
 	if err != nil {
@@ -372,9 +387,9 @@ func buildRangeIndex(width int, entries []*Entry) *match.KeyIndex {
 // long as the chain of generations runs, and the compile is what ends the
 // chain. A ternary table has no editor: its store is built once and only
 // read, so every mutation compiles.
-func (t *Table) derive(rm, add []*Entry) {
+func (t *Table) derive(rm, add []*row) {
 	prev := t.state.Load()
-	slices.SortFunc(add, func(a, b *Entry) int {
+	slices.SortFunc(add, func(a, b *row) int {
 		if beats(a, b) {
 			return -1
 		}
@@ -402,17 +417,17 @@ func (t *Table) derive(rm, add []*Entry) {
 
 // editRange returns st's index and byID moved to the generation without rm
 // and with add (in match order); a nil index when it declines the edit.
-func (st *lookupState) editRange(rm, add []*Entry) (*match.KeyIndex, []*Entry) {
+func (st *lookupState) editRange(rm, add []*row) (*match.KeyIndex, []*row) {
 	// An install or a delete is one row: it stays on the stack.
 	rows, above := make([]match.RangeRow, 0, 1), make([]int, 0, 1)
 	if n := len(rm) + len(add); n > 1 {
 		rows, above = make([]match.RangeRow, 0, n), make([]int, 0, len(add))
 	}
 	for _, e := range rm {
-		rows = append(rows, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
+		rows = append(rows, match.RangeRow{Lo: e.lo(), Hi: e.hi()})
 	}
 	for _, e := range add {
-		rows = append(rows, match.RangeRow{Lo: e.Lo, Hi: e.Hi})
+		rows = append(rows, match.RangeRow{Lo: e.lo(), Hi: e.hi()})
 		// Range rows sit in the index in match order: the ones ahead of e
 		// are a prefix of them.
 		above = append(above, sort.Search(st.rangeIdx.RangeRows(), func(j int) bool {
@@ -431,14 +446,14 @@ func (st *lookupState) editRange(rm, add []*Entry) (*match.KeyIndex, []*Entry) {
 // binary-searched — (priority, ord) is unique — and what lies between
 // two places is copied as one run, so the cost is the copy plus
 // O(edits · log n) compares.
-func spliceSorted(prev, rm, add []*Entry) []*Entry {
+func spliceSorted(prev, rm, add []*row) []*row {
 	cuts := make([]int, 0, 2) // ranks of the removed, then the end of prev
 	for _, e := range rm {
 		cuts = append(cuts, rankOf(prev, e))
 	}
 	slices.Sort(cuts)
 	cuts = append(cuts, len(prev))
-	out := make([]*Entry, 0, len(prev)-len(rm)+len(add))
+	out := make([]*row, 0, len(prev)-len(rm)+len(add))
 	from := 0
 	for _, cut := range cuts {
 		for len(add) > 0 {
@@ -461,22 +476,22 @@ func (t *Table) Delete(id uint64) error {
 	defer t.mu.Unlock()
 	for i, e := range t.prog {
 		if e.ID == id {
-			next := make([]*Entry, 0, len(t.prog)-1)
+			next := make([]*row, 0, len(t.prog)-1)
 			next = append(next, t.prog[:i]...)
 			next = append(next, t.prog[i+1:]...)
 			t.prog = next
-			t.progHash ^= HashEntry(e)
-			t.derive([]*Entry{e}, nil)
+			t.progHash ^= t.hashRow(e)
+			t.derive([]*row{e}, nil)
 			return nil
 		}
 	}
 	for i, e := range t.inserted {
 		if e.ID == id {
-			next := make([]*Entry, 0, len(t.inserted)-1)
+			next := make([]*row, 0, len(t.inserted)-1)
 			next = append(next, t.inserted[:i]...)
 			next = append(next, t.inserted[i+1:]...)
 			t.inserted = next
-			t.derive([]*Entry{e}, nil)
+			t.derive([]*row{e}, nil)
 			return nil
 		}
 	}
@@ -494,18 +509,14 @@ func (t *Table) Len() int {
 // byte for byte (reconciliation tests, audit dumps); mutating the copies
 // never touches the live table.
 func (t *Table) Entries() []Entry {
-	entries := t.state.Load().ordered()
+	st := t.state.Load()
+	entries := st.ordered()
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
-		out[i] = Entry{
-			ID:        e.ID,
-			Priority:  e.Priority,
-			Value:     append([]byte(nil), e.Value...),
-			Mask:      append([]byte(nil), e.Mask...),
-			PrefixLen: e.PrefixLen,
-			Lo:        append([]byte(nil), e.Lo...),
-			Hi:        append([]byte(nil), e.Hi...),
-			Action:    e.Action,
+		lo, hi := append([]byte(nil), e.lo()...), append([]byte(nil), e.hi()...)
+		out[i] = Entry{ID: e.ID, Priority: int(e.Priority), PrefixLen: int(e.PrefixLen), Lo: lo, Hi: hi, Action: e.Action}
+		if st.kind == MatchTernary {
+			out[i].Value, out[i].Mask, out[i].Lo, out[i].Hi = lo, hi, nil, nil
 		}
 	}
 	return out
@@ -543,7 +554,7 @@ func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
 // on a miss) and its row id in st.byID, or -1 for a ternary table, which
 // resolves without one. scratch (len >= key width) is the ternary
 // store's lane-masking buffer.
-func (st *lookupState) find(key, scratch []byte) (*Entry, int32) {
+func (st *lookupState) find(key, scratch []byte) (*row, int32) {
 	switch st.kind {
 	case MatchTernary:
 		return st.tstore.find(key, scratch[:len(key)]), -1
@@ -571,17 +582,17 @@ func (t *Table) LookupOracle(frame []byte) (act Action, matched bool) {
 
 // findLinear scans the state's entries without any index, returning the
 // entry Lookup must resolve to.
-func (st *lookupState) findLinear(key []byte) *Entry {
+func (st *lookupState) findLinear(key []byte) *row {
 	switch st.kind {
 	case MatchTernary:
 		for _, e := range st.ordered() {
-			if match.MaskedEqual(key, e.Value, e.Mask) {
+			if match.MaskedEqual(key, e.lo(), e.hi()) {
 				return e
 			}
 		}
 	case MatchRange:
 		for _, e := range st.ordered() {
-			if rangeMatch(key, e.Lo, e.Hi) {
+			if rangeMatch(key, e.lo(), e.hi()) {
 				return e
 			}
 		}
@@ -643,7 +654,7 @@ func (t *Table) EntrySnapshots() []EntryCounters {
 	for i, e := range entries {
 		out[i] = EntryCounters{
 			ID:       e.ID,
-			Priority: e.Priority,
+			Priority: int(e.Priority),
 			Action:   e.Action,
 			Hits:     atomic.LoadUint64(&e.hits),
 			Bytes:    atomic.LoadUint64(&e.bytes),

@@ -40,8 +40,8 @@ import (
 // tleaf holds every entry sharing one masked value, best-first under
 // the canonical match order.
 type tleaf struct {
-	key []byte // the masked value (aliases a member entry's Value)
-	es  []*Entry
+	key []byte // the masked value (aliases a member row's value half)
+	es  []*row
 }
 
 // tslot pairs a leaf with its key's full hash: probes compare tags
@@ -86,7 +86,7 @@ func slotsFor(n int) int {
 // priority.
 type tpart struct {
 	mask    []byte
-	maxPrio int
+	maxPrio int32
 	slots   []tslot
 }
 
@@ -111,9 +111,9 @@ func (p *tpart) lookup(masked []byte, h uint64) *tleaf {
 // members and the partition's first entry set its maxPrio; the slot array
 // was sized for every entry of the mask, so a new leaf takes the first
 // free slot on its probe path.
-func (p *tpart) insert(e *Entry) {
-	h := thash(e.Value)
-	if lf := p.lookup(e.Value, h); lf != nil {
+func (p *tpart) insert(e *row) {
+	h := thash(e.lo())
+	if lf := p.lookup(e.lo(), h); lf != nil {
 		lf.es = append(lf.es, e)
 		return
 	}
@@ -122,7 +122,7 @@ func (p *tpart) insert(e *Entry) {
 	for p.slots[i].leaf != nil {
 		i = (i + 1) & m
 	}
-	p.slots[i] = tslot{tag: h, leaf: &tleaf{key: e.Value, es: []*Entry{e}}}
+	p.slots[i] = tslot{tag: h, leaf: &tleaf{key: e.lo(), es: []*row{e}}}
 }
 
 // ternaryStore is one generation's ternary index: its partitions,
@@ -132,19 +132,19 @@ type ternaryStore struct {
 }
 
 // buildTernaryStore indexes entries (already in canonical match order)
-// from scratch.
-func buildTernaryStore(entries []*Entry) *ternaryStore {
+// from scratch. A ternary row's key is value‖mask: lo() and hi().
+func buildTernaryStore(entries []*row) *ternaryStore {
 	ts := &ternaryStore{}
 	byMask := make(map[string]*tpart)
 	counts := make(map[string]int)
 	for _, e := range entries {
-		counts[string(e.Mask)]++
+		counts[string(e.hi())]++
 	}
 	for _, e := range entries {
-		mk := string(e.Mask)
+		mk := string(e.hi())
 		p := byMask[mk]
 		if p == nil {
-			p = &tpart{mask: e.Mask, maxPrio: e.Priority,
+			p = &tpart{mask: e.hi(), maxPrio: e.Priority,
 				slots: make([]tslot, slotsFor(counts[mk]))}
 			byMask[mk] = p
 			ts.parts = append(ts.parts, p)
@@ -179,12 +179,12 @@ const tBatch = 32
 // issue concurrently instead of serializing one miss per partition.
 // The second stage resolves each staged probe (now cached) and keeps
 // the strict maxPrio early exit.
-func (ts *ternaryStore) find(key, masked []byte) *Entry {
+func (ts *ternaryStore) find(key, masked []byte) *row {
 	if ts == nil {
 		return nil
 	}
 	var (
-		hit  *Entry
+		hit  *row
 		hbuf [tBatch]uint64
 		lbuf [tBatch]*tleaf
 	)

@@ -322,10 +322,9 @@ func (pb *programBody) frame(id uint64) []byte {
 // the caller discards everything decoded so far; methods stay in bounds
 // after that, so callers check bad once at the end (and in loops).
 type scanner struct {
-	b    []byte
-	i    int
-	bad  bool
-	keys []byte // what is left of the key slab rows are cut from (see row)
+	b   []byte
+	i   int
+	bad bool
 }
 
 // lit consumes l if it is next. The keys tried at one position differ in
@@ -424,8 +423,7 @@ func (s *scanner) optInt(key string, dst *int) {
 
 // optKey consumes one of the base64 fields ahead of "action" — key, quoted
 // text, comma — if it is next, and returns the text between the quotes
-// where it lies in the frame: nil for an absent field, empty but not nil
-// for "". What the text holds is decodeKey's to judge.
+// where it lies in the frame. What it holds is decodeKey's to judge.
 func (s *scanner) optKey(key string) []byte {
 	if !s.lit(key) {
 		return nil
@@ -525,81 +523,56 @@ func (s *scanner) ints() []int {
 	return out
 }
 
-// row consumes one entry object into e. The key fields' bytes are cut from
-// the frame's key slab through capped slices: they belong to the entry
-// alone and never alias the frame. When the slab runs out the next one is
-// made for this row's keys times room, the rows the entry slice still has
-// space for — one allocation a frame when rows are of a width, as a
-// table's are — and never past the 3/4 of the text left that base64 could
-// decode to, so a hostile body cannot inflate it.
-func (s *scanner) row(e *p4.Entry, room int) {
-	start := s.i
+// row consumes one entry object and adds it to out. A canonical row is a
+// range row of the program's width — lo and hi of len(keys)/2 bytes, no
+// value or mask; anything else no detector accepts or no peer here sends,
+// and goes to encoding/json. Rows.Add copies the two from keys, the scratch
+// they are decoded in: a stored row never aliases the frame.
+func (s *scanner) row(out *p4.Rows, keys []byte) {
 	s.must('{')
-	s.optInt(keyPriority, &e.Priority)
-	var txt [4][]byte // value, mask, lo, hi
-	txt[0] = s.optKey(keyValue)
-	txt[1] = s.optKey(keyMask)
-	s.optInt(keyPrefixLen, &e.PrefixLen)
-	txt[2] = s.optKey(keyLo)
-	txt[3] = s.optKey(keyHi)
+	var priority, prefixLen int
+	s.optInt(keyPriority, &priority)
+	s.optInt(keyPrefixLen, &prefixLen)
+	lo, hi := s.optKey(keyLo), s.optKey(keyHi)
 	s.need(keyAction)
-	e.Action.Type = s.action()
+	act := p4.Action{Type: s.action()}
 	if s.lit(keyClass) {
-		e.Action.Class = s.int()
+		act.Class = s.int()
 	}
 	s.must('}')
 
-	var size [4]int
-	total := 0
-	for i, t := range txt {
-		n, ok := keyLen(t)
-		s.bad = s.bad || !ok
-		size[i] = n
-		total += n
-	}
-	if s.bad {
+	w := len(keys) / 2
+	nLo, okLo := keyLen(lo)
+	nHi, okHi := keyLen(hi)
+	if s.bad = s.bad || !okLo || !okHi || nLo != w || nHi != w; s.bad {
 		return
 	}
-	if total > len(s.keys) {
-		s.keys = make([]byte, min(total*room, (len(s.b)-start)/4*3))
-	}
-	for i, dst := range [4]*[]byte{&e.Value, &e.Mask, &e.Lo, &e.Hi} {
-		switch n := size[i]; {
-		case txt[i] == nil: // absent: nil
-		case n == 0: // "": present, so empty and not nil
-			*dst = []byte{}
-		default:
-			s.bad = s.bad || !decodeKey(s.keys[:n], txt[i])
-			*dst, s.keys = s.keys[:n:n], s.keys[n:]
-		}
-	}
+	s.bad = !decodeKey(keys[:w], lo) || !decodeKey(keys[w:], hi)
+	out.Add(priority, prefixLen, keys[:w], keys[w:], act)
 }
 
-// rows consumes the entry list into the form the table installs — and
-// keeps: the slice becomes the table's slab (p4.Table.Program), so it is
-// sized to the rows, not past them. It starts at 16 rows, grows to
-// sampleRows, and from those rows' mean length is sized for the bytes
-// left plus 1/128; a frame whose rows run shorter than its sample at
-// least doubles, so that a hostile body costs a logarithm of copies, and
-// never grows past what the bytes left could hold: no entry is shorter
-// than minEntry bytes. What comes back with more than 1/128 to spare is
-// copied once to its length.
-func (s *scanner) rows() []p4.Entry {
-	out := []p4.Entry{}
+// rows consumes the n entries into the builder the table adopts
+// (p4.Table.Program), so it is sized to the rows, not past them: room for
+// 16, then sampleRows, then from those rows' mean length for the bytes left
+// plus 1/128. A frame whose rows run shorter than its sample at least
+// doubles — a hostile body costs a logarithm of copies — and never past what
+// the bytes left could hold: minEntry a row, 3/4 of its text a key.
+func (s *scanner) rows(w int) (out *p4.Rows, n int) {
+	out = &p4.Rows{}
 	if s.lit("null") {
-		return out
+		return out, 0
 	}
 	s.must('[')
 	if s.is(']') {
-		return out
+		return out, 0
 	}
 	const (
 		minEntry   = len(`{"action":""},`)
 		sampleRows = 256 // enough rows to tell their mean length to a part in 128
 	)
-	start := s.i
+	start, room, keys := s.i, 0, make([]byte, 2*w)
 	for !s.bad {
-		if n := len(out); n == cap(out) {
+		if n == room {
 			left := len(s.b) - s.i
 			more := 16
 			if n > 0 {
@@ -612,21 +585,18 @@ func (s *scanner) rows() []p4.Entry {
 					more = max(more, n)
 				}
 			}
-			grown := make([]p4.Entry, n, n+min(more, left/minEntry+1))
-			copy(grown, out)
-			out = grown
+			more = min(more, left/minEntry+1)
+			out.Grow(more, left/4*3)
+			room += more
 		}
-		out = out[:len(out)+1]
-		s.row(&out[len(out)-1], cap(out)-len(out)+1)
+		s.row(out, keys)
+		n++
 		if !s.is(',') {
 			break
 		}
 	}
 	s.must(']')
-	if n := len(out); cap(out)-n > n/128+1 {
-		out = append(make([]p4.Entry, 0, n), out...)
-	}
-	return out
+	return out, n
 }
 
 // programRows is a Program in the form the switch installs, which is what
@@ -634,7 +604,8 @@ func (s *scanner) rows() []p4.Entry {
 type programRows struct {
 	offsets         []int
 	def             p4.Action
-	entries         []p4.Entry
+	entries         *p4.Rows
+	installed       int // rows in entries
 	traceID, spanID uint64
 }
 
@@ -652,7 +623,7 @@ func parseProgramRows(body []byte) *programRows {
 		p.def.Class = s.int()
 	}
 	s.need(keyEntries)
-	p.entries = s.rows()
+	p.entries, p.installed = s.rows(len(p.offsets))
 	if s.lit(keyTraceID) {
 		p.traceID = s.uint()
 	}

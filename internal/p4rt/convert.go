@@ -54,25 +54,23 @@ func (w WireEntry) ToP4Entry() (p4.Entry, error) {
 }
 
 // rows converts a Program that encoding/json decoded into the form the
-// switch installs, the one the single-pass route produces directly. The
-// first action without a p4 type, the default's before any entry's, is
-// the error.
+// single-pass route produces directly: range rows, Lo and Hi in one slab.
+// The first action without a p4 type, the default's first, is the error.
 func (p *Program) rows() (*programRows, error) {
 	def, err := ParseAction(p.DefaultAction)
 	if err != nil {
 		return nil, err
 	}
-	out := &programRows{
-		offsets: p.Offsets,
-		def:     p4.Action{Type: def, Class: p.DefaultClass},
-		entries: make([]p4.Entry, len(p.Entries)),
-		traceID: p.TraceID,
-		spanID:  p.SpanID,
-	}
+	out := &programRows{offsets: p.Offsets, def: p4.Action{Type: def, Class: p.DefaultClass},
+		entries: &p4.Rows{}, installed: len(p.Entries), traceID: p.TraceID, spanID: p.SpanID}
+	out.entries.Grow(len(p.Entries), 2*len(p.Offsets)*len(p.Entries)) // rows of another width are refused anyway
 	for i := range p.Entries {
-		if out.entries[i], err = p.Entries[i].ToP4Entry(); err != nil {
+		e := &p.Entries[i]
+		at, err := ParseAction(e.Action)
+		if err != nil {
 			return nil, err
 		}
+		out.entries.Add(e.Priority, e.PrefixLen, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
 	}
 	return out, nil
 }

@@ -325,20 +325,24 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	}
 	wantCount, wantHash := det.ProgramSignature()
 
-	// Both refused programs reach the table: their frames are canonical, so
-	// the agent decodes them on the single-pass route, and it is the table
-	// that refuses the rows.
+	// Every refused program reaches the table, which is what refuses it:
+	// rows of the layout's width with a bound inverted arrive on the
+	// single-pass route, rows of another width — not canonical — through
+	// encoding/json.
 	program := func(p Program) func() error {
-		singlePassFrame(t, p)
 		return func() error {
 			_, err := cl.ProgramDetector(ctx, p)
 			return err
 		}
 	}
+	inverted := Program{Offsets: []int{0}, DefaultAction: "allow",
+		Entries: []WireEntry{{Lo: []byte{6}, Hi: []byte{5}, Action: "drop"}}}
+	singlePassFrame(t, inverted)
 	refusals := map[string]func() error{
 		"program, layout change": program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries}),
-		"program, same layout": program(Program{Offsets: []int{0}, DefaultAction: "allow",
+		"program, wide rows": program(Program{Offsets: []int{0}, DefaultAction: "allow",
 			Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}}),
+		"program, inverted bound": program(inverted),
 		"delta, wrong base": func() error {
 			_, err := cl.ProgramDelta(ctx, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 99})
 			return err

@@ -250,9 +250,12 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := prog.rows()
-	if err != nil {
-		t.Fatal(err)
+	want := make([]p4.Entry, len(prog.Entries))
+	for i, w := range prog.Entries {
+		var err error
+		if want[i], err = w.ToP4Entry(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := det.Entries()
 	var hash uint64
@@ -260,13 +263,13 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 		hash ^= p4.HashEntry(&got[i])
 		got[i].ID = 0
 	}
-	if !reflect.DeepEqual(got, want.entries) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("the table's entries changed when the frame was overwritten")
 	}
 	if count, sig := det.ProgramSignature(); count != len(got) || sig != hash {
 		t.Fatalf("signature (%d, %#x) is not that of the entries held (%d, %#x)", count, sig, len(got), hash)
 	}
-	for i, e := range want.entries {
+	for i, e := range want {
 		if act, matched := det.Lookup(e.Lo); !matched || act != e.Action {
 			t.Fatalf("row %d: lookup of its key = %+v (matched %v), want %+v", i, act, matched, e.Action)
 		}
@@ -275,12 +278,12 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 
 // TestFullSwapAllocsPerRow gates what a full swap allocates, and what it
 // does not: per row, nothing. Frame bytes to applied table is a few dozen
-// allocations at 16 rows and at 8 192 — the entry slab, the key slab, their
+// allocations at 16 rows and at 8 192 — the row slab, the key slab, their
 // two smaller first sizes, the table's lists and index — with the frame's
 // own buffer recycled from the swap before. In bytes, frame to decoded
-// rows is the rows once: entries and keys at their size plus a hundredth,
-// and the 272 rows of the two first sizes. A second form of the rows, as
-// WireEntrys or as the table's copy, would be another 136 or 160 bytes
+// rows is the stored rows once: rows and keys at their size plus a
+// hundredth, and the 272 rows of the two first sizes. A second form of the
+// rows, as WireEntrys or as exchange entries, would be another 136 bytes
 // each.
 func TestFullSwapAllocsPerRow(t *testing.T) {
 	for _, rows := range []int{16, 8192} {
@@ -308,13 +311,13 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, got, err := splitFrame(buf); err != nil || got == nil || len(got.entries) != rows {
+		if _, got, err := splitFrame(buf); err != nil || got == nil || got.installed != rows {
 			t.Fatalf("decode: %v", err)
 		}
 		recycleFrame(buf)
 		runtime.ReadMemStats(&after)
 		const keys = 12 // lo and hi, six bytes each, cut from one slab
-		row := int(unsafe.Sizeof(p4.Entry{})) + keys
+		row := storedRow + keys
 		budget := rows*row + rows*row/100 + 272*row + 16<<10 // large objects round up to pages
 		if got := int(after.TotalAlloc - before.TotalAlloc); got > budget {
 			t.Errorf("rows=%d: decoding allocated %d bytes, budget %d (%d would hold the rows a second time)",

@@ -204,7 +204,7 @@ func TestDigestDelivery(t *testing.T) {
 	})
 	_ = cl
 	// Empty detector with digest-on-miss default.
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, nil); err != nil {
+	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{1, 2, 3, 4, 5}
@@ -228,7 +228,7 @@ func TestDigestDelivery(t *testing.T) {
 // delivers it to the controller that has said hello and to no other.
 func TestIdlePumpTickAllocatesNothing(t *testing.T) {
 	sw := newTestSwitch(t)
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, nil); err != nil {
+	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
 	ready, greeting := &memConn{}, &memConn{}
@@ -307,7 +307,7 @@ func TestDigestBacklogNeverBeatsHelloAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, nil); err != nil {
+	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
 	// Queue a digest backlog before any controller exists.

@@ -37,8 +37,8 @@ func TestClaimedLengthAllocatesAsBytesArrive(t *testing.T) {
 	frame := refFrame(t, TypeProgram, 3, benchProgram(3000))
 	for _, piece := range []int{1 << 10, recycleMin - 1, recycleMin, 3 * recycleMin, len(frame)} {
 		env, rows, err := readMsg(&chunkReader{b: frame, n: piece})
-		if err != nil || rows == nil || len(rows.entries) != 3000 || env.ID != 3 {
-			t.Fatalf("in pieces of %d: %v, %d rows", piece, err, len(rows.entries))
+		if err != nil || rows == nil || rows.installed != 3000 || env.ID != 3 {
+			t.Fatalf("in pieces of %d: %v, %+v", piece, err, rows)
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestSmallFramesNeverSeeThePool(t *testing.T) {
 			t.Fatalf("small frame: own %v, cap %d for len %d: %v", own, cap(frame), len(frame), err)
 		}
 		recycleFrame(frame)
-	}); allocs > 2 { // the frame, and encoding/json's own for the body
+	}); allocs > 2 && !raceEnabled { // the frame, and encoding/json's own for the body (whose pool the race detector drops from)
 		t.Errorf("encoding a heartbeat: %.0f allocations", allocs)
 	}
 	r := bytes.NewReader(want)
@@ -240,7 +240,7 @@ func TestRecycledFrameNeverLeaksIntoTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := p4.NewTable("fresh", p4.MatchRange, det.KeySpecs(), 0, det.DefaultAction)
-	if err := fresh.Replace(rows.entries); err != nil {
+	if err := fresh.Program(det.KeySpecs(), det.DefaultAction, rows.entries); err != nil {
 		t.Fatal(err)
 	}
 	got, want := det.Entries(), fresh.Entries()

@@ -294,7 +294,7 @@ func (s *Server) applyProgram(env Envelope, rows *programRows) Response {
 	if err := s.sw.ProgramDetector(rows.offsets, rows.def, rows.entries); err != nil {
 		return Response{Error: err.Error(), TraceID: rows.traceID, SpanID: rows.spanID}
 	}
-	return Response{OK: true, Installed: len(rows.entries), TraceID: rows.traceID, SpanID: rows.spanID}
+	return Response{OK: true, Installed: rows.installed, TraceID: rows.traceID, SpanID: rows.spanID}
 }
 
 // applyDelta applies an incremental program edit. Any failure — base

@@ -234,18 +234,19 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 	if err != nil {
 		return 0, fmt.Errorf("switchsim: compile: %w", err)
 	}
-	rows := make([]p4.Entry, len(entries))
-	for i, e := range entries {
+	rows := &p4.Rows{}
+	rows.Grow(len(entries), 2*len(rs.Offsets)*len(entries))
+	for _, e := range entries {
 		act := p4.Action{Type: p4.ActionAllow, Class: e.Class}
 		if rules.ActionForClass(e.Class) == rules.ActionDrop {
 			act = p4.Action{Type: p4.ActionDrop, Class: e.Class}
 		}
-		rows[i] = p4.Entry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: act}
+		rows.Add(e.Priority, 0, e.Lo, e.Hi, act)
 	}
 	if err := s.ProgramDetector(rs.Offsets, missAction, rows); err != nil {
 		return 0, err
 	}
-	return len(rows), nil
+	return len(entries), nil
 }
 
 // ProgramDetector atomically reprograms the detector table at the p4 level:
@@ -254,9 +255,9 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 // without the new entries, and a refused program (wrong entry width,
 // table full) leaves schema, default and entries untouched. The p4rt
 // server uses it to apply Program requests whose entries are already
-// ternary-expanded. The table keeps entries themselves (p4.Table.Program):
-// the caller hands the slice over and does not touch it again.
-func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries []p4.Entry) error {
+// ternary-expanded. The table adopts entries (p4.Table.Program): an accepted
+// program's builder comes back empty, a refused one's as it was.
+func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries *p4.Rows) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	det, err := s.pipeline.Table(DetectorTable)

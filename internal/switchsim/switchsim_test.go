@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -539,6 +538,19 @@ type detectorState struct {
 	key       string
 }
 
+// rangeRows builds range entries into the program ProgramDetector adopts.
+func rangeRows(entries []p4.Entry) *p4.Rows {
+	r, keyBytes := &p4.Rows{}, 0
+	for _, e := range entries {
+		keyBytes += len(e.Lo) + len(e.Hi)
+	}
+	r.Grow(len(entries), keyBytes)
+	for _, e := range entries {
+		r.Add(e.Priority, e.PrefixLen, e.Lo, e.Hi, e.Action)
+	}
+	return r
+}
+
 func detectorStateOf(t *testing.T, sw *Switch) detectorState {
 	t.Helper()
 	det, err := sw.Pipeline().Table(DetectorTable)
@@ -555,9 +567,10 @@ func detectorStateOf(t *testing.T, sw *Switch) detectorState {
 // inverted, row 2 of four is of the wrong width, the table has room for
 // fewer — must leave layout, default action, entries and program signature
 // as they were, and the attack frame the installed rule drops stays
-// dropped. The table would have kept the rows it was handed, so they too
-// must come back as they went in: every row is validated before any is
-// numbered.
+// dropped. The table would have adopted the builder it was handed, so that
+// too must come back as it went in — every row is validated before any is
+// numbered: where the rows are good under some layout, the refused builder
+// then programs a second switch to exactly them.
 func TestRefusedProgramLeavesDetectorUntouched(t *testing.T) {
 	sw := mkSwitch(t)
 	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDigest}); err != nil {
@@ -575,20 +588,32 @@ func TestRefusedProgramLeavesDetectorUntouched(t *testing.T) {
 		rows    []p4.Entry
 		max     int
 		want    error
+		good    bool // the rows are a program under the installed layout
 	}{
-		{[]int{1, 2}, []p4.Entry{{Lo: []byte{0}, Hi: []byte{9}, Action: drop}}, 0, p4.ErrBadEntry},           // new layout, rows of the old width
-		{[]int{0}, []p4.Entry{{Lo: []byte{9}, Hi: []byte{0}, Action: drop}}, 0, p4.ErrBadEntry},              // installed layout, lo > hi
-		{[]int{0}, []p4.Entry{ok(1), ok(2), {Lo: []byte{3, 3}, Hi: []byte{3, 3}}, ok(4)}, 0, p4.ErrBadEntry}, // valid rows ahead of a wide one
-		{[]int{0}, []p4.Entry{ok(1), ok(2), ok(3), ok(4)}, 3, p4.ErrTableFull},                               // one row over the table's size
+		{[]int{1, 2}, []p4.Entry{{Lo: []byte{0}, Hi: []byte{9}, Action: drop}}, 0, p4.ErrBadEntry, true},            // new layout, rows of the old width
+		{[]int{0}, []p4.Entry{{Lo: []byte{9}, Hi: []byte{0}, Action: drop}}, 0, p4.ErrBadEntry, false},              // installed layout, lo > hi
+		{[]int{0}, []p4.Entry{ok(1), ok(2), {Lo: []byte{3, 3}, Hi: []byte{3, 3}}, ok(4)}, 0, p4.ErrBadEntry, false}, // valid rows ahead of a wide one
+		{[]int{0}, []p4.Entry{ok(1), ok(2), ok(3), ok(4)}, 3, p4.ErrTableFull, true},                                // one row over the table's size
 	} {
 		det.MaxEntries = prog.max
-		handed := slices.Clone(prog.rows)
-		err := sw.ProgramDetector(prog.offsets, p4.Action{Type: p4.ActionAllow}, prog.rows)
+		handed := rangeRows(prog.rows)
+		err := sw.ProgramDetector(prog.offsets, p4.Action{Type: p4.ActionAllow}, handed)
 		if !errors.Is(err, prog.want) {
 			t.Fatalf("offsets %v: err = %v, want %v", prog.offsets, err, prog.want)
 		}
-		if !reflect.DeepEqual(prog.rows, handed) {
-			t.Fatalf("offsets %v: the refused rows were written: %+v", prog.offsets, prog.rows)
+		if prog.good {
+			sw2, ref := mkSwitch(t), mkSwitch(t)
+			if err := sw2.ProgramDetector([]int{0}, drop, handed); err != nil {
+				t.Fatalf("offsets %v: the refused rows no longer program a table they fit: %v", prog.offsets, err)
+			}
+			if err := ref.ProgramDetector([]int{0}, drop, rangeRows(prog.rows)); err != nil {
+				t.Fatal(err)
+			}
+			det2, _ := sw2.Pipeline().Table(DetectorTable)
+			want, _ := ref.Pipeline().Table(DetectorTable)
+			if !reflect.DeepEqual(det2.Entries(), want.Entries()) {
+				t.Fatalf("offsets %v: the refused rows were written: %+v", prog.offsets, det2.Entries())
+			}
 		}
 		if after := detectorStateOf(t, sw); after != before || !reflect.DeepEqual(det.Entries(), entriesBefore) {
 			t.Fatalf("offsets %v: refused program changed the detector:\n before %+v\n after  %+v", prog.offsets, before, after)
@@ -671,13 +696,12 @@ func TestFullSwapNeverServesTornGeneration(t *testing.T) {
 	}{{[]int{0}, program(1)}, {[]int{0, 1}, program(2)}}
 
 	sw := mkSwitch(t)
-	// The table keeps the slice it is handed: every swap gets its own.
-	if err := sw.ProgramDetector(progs[0].offsets, allow, slices.Clone(progs[0].rows)); err != nil {
+	if err := sw.ProgramDetector(progs[0].offsets, allow, rangeRows(progs[0].rows)); err != nil {
 		t.Fatal(err)
 	}
 	neverAllowedWhile(t, sw, 300, func(i int) error {
 		p := progs[i%2]
-		return sw.ProgramDetector(p.offsets, allow, slices.Clone(p.rows))
+		return sw.ProgramDetector(p.offsets, allow, rangeRows(p.rows))
 	})
 }
 
@@ -752,7 +776,7 @@ func TestDeltaNeverServesTornGeneration(t *testing.T) {
 
 	sw := mkSwitch(t)
 	offsets := []int{0, 1}
-	if err := sw.ProgramDetector(offsets, progs[0].def, progs[0].rows); err != nil {
+	if err := sw.ProgramDetector(offsets, progs[0].def, rangeRows(progs[0].rows)); err != nil {
 		t.Fatal(err)
 	}
 	neverAllowedWhile(t, sw, 600, func(i int) error {
@@ -781,7 +805,7 @@ func TestInstallsNeverServeMixedGeneration(t *testing.T) {
 		lo, hi := wild(pos, byte(3-i))
 		ranges = append(ranges, p4.Entry{Priority: 4 - 2*i, Lo: lo, Hi: hi, Action: p4.Action{Type: p4.ActionDrop, Class: i + 1}})
 	}
-	if err := sw.ProgramDetector([]int{0, 1, 2}, p4.Action{Type: p4.ActionAllow}, ranges); err != nil {
+	if err := sw.ProgramDetector([]int{0, 1, 2}, p4.Action{Type: p4.ActionAllow}, rangeRows(ranges)); err != nil {
 		t.Fatal(err)
 	}
 	det, err := sw.Pipeline().Table(DetectorTable)

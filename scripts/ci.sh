@@ -4,7 +4,8 @@
 #   go build, go test -race ./..., perfbench's own vet + tests,
 #   fault-injection soak, fleet soak, hot-path benchmarks (`make bench`: the
 #   list lives in the Makefile), drift soak, telemetry overhead guard,
-#   zero-alloc forwarding gate, million-entry sublinearity guard.
+#   zero-alloc forwarding gate (with the stored-row footprint gate),
+#   million-entry sublinearity guard.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -145,13 +146,17 @@ echo "==> zero-alloc forwarding gate"
 # pointer lists and the one copy of the point hash its deletes are made in
 # (no row array, no second hash), and a full swap must go from
 # frame bytes to applied table in a few dozen allocations whatever the
-# rows (the decoded rows are the table's, their keys one slab, the frame's
-# buffer recycled; small frames never see the pool), and from rule set to
-# two programmed switches in at most 200 allocations and 7.5 MB at 8 192
-# rows. testing.AllocsPerRun is deterministic and the install and deploy
-# gates take the cheapest of several runs, so this gate never flakes.
+# rows (the decoder builds the rows the table stores, their keys one slab,
+# the frame's buffer recycled; small frames never see the pool), and from
+# rule set to two programmed switches in at most 150 allocations and 6.2 MB
+# at 8 192 rows. What a table keeps is gated with them: a stored row of at
+# most 80 bytes, at most 160 live bytes a row in a programmed 8 192-row
+# detector table and at most 176 retained per reactive install, read as
+# heap_mb is. testing.AllocsPerRun is deterministic and the install, deploy
+# and footprint gates take the cheapest of several runs, so this gate never
+# flakes.
 go test -count 1 \
-    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestRangeDeltaAllocsIndependentOfRows|TestFullSwapAllocsPerRow|TestSmallFramesNeverSeeThePool|TestFullDeployAllocs|TestIdlePumpTickAllocatesNothing' \
+    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestRangeDeltaAllocsIndependentOfRows|TestFullSwapAllocsPerRow|TestSmallFramesNeverSeeThePool|TestFullDeployAllocs|TestIdlePumpTickAllocatesNothing|TestStoredRowFootprint' \
     ./internal/switchsim/ ./internal/packet/ ./internal/p4/ ./internal/p4rt/ ./internal/controller/
 
 echo "==> million-entry sublinearity guard"
