@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,8 +242,8 @@ type Stats struct {
 	ReplayedEntries int `json:"replayed_entries"`
 	// DeltaApplies counts epoch advances installed as incremental deltas
 	// (vs full program swaps); DeltaFallbacks counts delta pushes a
-	// switch rejected (old peer, base mismatch) that converged via the
-	// full-swap fallback instead. CompressedRules counts rules removed by
+	// switch rejected (a base mismatch) that converged via the full-swap
+	// fallback instead. CompressedRules counts rules removed by
 	// the most recent deploy's compression pass, summed across shards.
 	DeltaApplies    int `json:"delta_applies"`
 	DeltaFallbacks  int `json:"delta_fallbacks"`
@@ -394,10 +393,6 @@ type swConn struct {
 	opMu     sync.Mutex
 	client   *p4rt.Client // nil while down
 	reactive []reactiveRow
-	// noDelta marks a peer that rejected the delta message type (an old
-	// switch); the reconciler stops offering deltas to it. Guarded by
-	// opMu; reset on redial, since the peer may have been upgraded.
-	noDelta bool
 
 	// Watermarks are written under opMu but read lock-free by status
 	// snapshots, so a slow reconcile never blocks FleetStatus.
@@ -688,11 +683,9 @@ func (c *Controller) redial(sc *swConn) (*p4rt.Client, error) {
 		if err == nil {
 			sc.opMu.Lock()
 			sc.client = cl
-			// The peer may be a fresh process: assume nothing survived,
-			// and re-probe delta support (it may have been upgraded).
+			// The peer may be a fresh process: assume nothing survived.
 			sc.appliedEpoch.Store(0)
 			sc.appliedReactive.Store(0)
-			sc.noDelta = false
 			rerr := c.reconcileLocked(c.ctx, sc, nil)
 			if rerr != nil {
 				sc.client = nil
@@ -808,20 +801,15 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn, bodies *sh
 		// A switch exactly one epoch behind can advance with the deploy's
 		// precomputed delta: no full table swap, reactive entries and
 		// surviving counters stay live. Anything else — older epochs, a
-		// peer that rejected the delta message type, a base-signature
-		// mismatch on the switch — converges via the full program swap.
-		if d := want.shardDelta(sc.shard); d != nil && !sc.noDelta &&
-			sc.appliedEpoch.Load() == want.epoch-1 {
+		// base-signature mismatch on the switch — converges via the full
+		// program swap.
+		if d := want.shardDelta(sc.shard); d != nil && sc.appliedEpoch.Load() == want.epoch-1 {
 			if _, err := cl.ProgramDelta(ctx, *d); err == nil {
 				deltaApplied = true
 				c.bumpStat(func(s *Stats) { s.DeltaApplies++ })
 			} else if errors.Is(err, p4rt.ErrRejected) {
-				// Old peers reject the unknown message type permanently;
-				// a base mismatch is per-epoch. Either way this epoch
-				// falls back to the full swap below.
-				if re := (*p4rt.RejectError)(nil); errors.As(err, &re) && strings.Contains(re.Reason, "unknown message type") {
-					sc.noDelta = true
-				}
+				// The switch refused this epoch's delta (its base differs):
+				// the full swap below converges it.
 				c.bumpStat(func(s *Stats) { s.DeltaFallbacks++ })
 			} else {
 				return fmt.Errorf("reconcile %s: delta epoch %d shard %d: %w", sc.addr, want.epoch, sc.shard, err)

@@ -1,10 +1,15 @@
 package controller
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,146 +151,98 @@ func TestDeltaDeployConvergesIdenticalToFullSwap(t *testing.T) {
 	}
 }
 
-// oldPeerServer emulates a pre-delta switch agent in front of a real
-// behavioural switch: hello, heartbeat, and full programs work; every
-// other message type — deltas included — gets the old dispatch loop's
-// unknown-message-type rejection.
-func oldPeerServer(t *testing.T, sw *switchsim.Switch) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	applyProgram := func(p p4rt.Program) p4rt.Response {
-		var miss p4.Action
-		switch p.DefaultAction {
-		case "allow":
-			miss = p4.Action{Type: p4.ActionAllow}
-		case "drop":
-			miss = p4.Action{Type: p4.ActionDrop}
-		case "digest":
-			miss = p4.Action{Type: p4.ActionDigest, Class: p.DefaultClass}
-		default:
-			return p4rt.Response{Error: fmt.Sprintf("bad default action %q", p.DefaultAction)}
-		}
-		entries := &p4.Rows{}
-		for _, we := range p.Entries {
-			e, err := we.ToP4Entry()
-			if err != nil {
-				return p4rt.Response{Error: err.Error()}
-			}
-			entries.Add(e.Priority, e.PrefixLen, e.Lo, e.Hi, e.Action)
-		}
-		if err := sw.ProgramDetector(p.Offsets, miss, entries); err != nil {
-			return p4rt.Response{Error: err.Error()}
-		}
-		return p4rt.Response{OK: true, Installed: len(p.Entries)}
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer func() { _ = conn.Close() }()
-				env, err := p4rt.ReadMsg(conn)
-				if err != nil || env.Type != p4rt.TypeHello {
-					return
-				}
-				if err := p4rt.WriteMsg(conn, p4rt.TypeHelloAck, env.ID, p4rt.HelloAck{ServerName: sw.Name}); err != nil {
-					return
-				}
-				for {
-					env, err := p4rt.ReadMsg(conn)
-					if err != nil {
-						return
-					}
-					var resp p4rt.Response
-					switch env.Type {
-					case p4rt.TypeHeartbeat:
-						resp = p4rt.Response{OK: true}
-					case p4rt.TypeProgram:
-						var p p4rt.Program
-						if err := json.Unmarshal(env.Body, &p); err != nil {
-							resp = p4rt.Response{Error: err.Error()}
-						} else {
-							resp = applyProgram(p)
-						}
-					default:
-						resp = p4rt.Response{Error: fmt.Sprintf("unknown message type %q", env.Type)}
-					}
-					if err := p4rt.WriteMsg(conn, p4rt.TypeResponse, env.ID, resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
+// downgraded is a connection whose hellos claim the protocol version
+// before this one: what a controller of that version would send.
+type downgraded struct{ net.Conn }
+
+func (c downgraded) Write(p []byte) (int, error) {
+	this, prev := fmt.Sprintf(`"version":%d`, p4rt.Version), fmt.Sprintf(`"version":%d`, p4rt.Version-1)
+	return c.Conn.Write(bytes.Replace(p, []byte(this), []byte(prev), 1))
 }
 
-// TestDeltaFallsBackAndLatchesOnOldPeer: a delta deploy against a
-// pre-delta peer must converge via the full-swap fallback, latch the
-// peer as delta-incapable, and never offer it another delta — one
-// fallback, not one per deploy.
-func TestDeltaFallsBackAndLatchesOnOldPeer(t *testing.T) {
-	sw, err := switchsim.New("old-gw", packet.LinkEthernet)
+// oldSwitch serves hellos on ln the way a switch of the previous protocol
+// version answers them, counting them, until ln closes.
+func oldSwitch(ln net.Listener, hellos *atomic.Int64) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer func() { _ = conn.Close() }()
+			if env, err := p4rt.ReadMsg(conn); err == nil {
+				hellos.Add(1)
+				_ = p4rt.WriteMsg(conn, p4rt.TypeHelloAck, env.ID, p4rt.HelloAck{ServerName: "old-gw", Version: p4rt.Version - 1})
+				_, _ = io.Copy(io.Discard, conn)
+			}
+		}()
+	}
+}
+
+// TestHelloVersionMismatchIsTyped: peers of different protocol versions
+// refuse each other at dial, typed, whichever side is the old one — a
+// switch that acks with another version, and a switch hearing a hello of
+// another version, which answers with a refusal where the hello_ack would
+// be and hangs up. Neither refusal leaves a goroutine behind. And a switch
+// the controller already supervises that comes back speaking another
+// version is redialled with backoff, not in a spin, and never reaches
+// Ready.
+func TestHelloVersionMismatchIsTyped(t *testing.T) {
+	_, addr := startSwitch(t)
+	base := runtime.NumGoroutine() + 2 // tolerate runtime jitter
+	ctx := context.Background()
+
+	var hellos atomic.Int64
+	oldLn := listenTCP(t, "127.0.0.1:0")
+	go oldSwitch(oldLn, &hellos)
+	c := New(fakeModel{}, Config{Name: "ctl-new"}, fastBackoff()...)
+	if err := c.Connect(ctx, oldLn.Addr().String()); !errors.Is(err, p4rt.ErrRejected) {
+		t.Fatalf("controller to an old switch: err = %v, want ErrRejected", err)
+	}
+	_ = c.Close()
+
+	old := New(fakeModel{}, Config{Name: "ctl-old", Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		return downgraded{conn}, err
+	}}, fastBackoff()...)
+	err := old.Connect(ctx, addr)
+	if !errors.Is(err, p4rt.ErrRejected) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", p4rt.Version-1)) {
+		t.Fatalf("old controller to a switch: err = %v, want ErrRejected naming version %d", err, p4rt.Version-1)
+	}
+	_ = old.Close()
+
+	// A supervised switch restarts as an old one on the same address.
+	ln := listenTCP(t, "127.0.0.1:0")
+	sw, err := switchsim.New("gw-v", packet.LinkEthernet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := oldPeerServer(t, sw)
-
-	c := New(fakeModel{}, Config{Name: "ctl-compat"}, fastBackoff()...)
-	t.Cleanup(func() { _ = c.Close() })
-	if err := c.Connect(context.Background(), addr); err != nil {
+	srv, err := p4rt.ServeListener(ln, sw, time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	deploy := func(rs *rules.RuleSet) {
-		t.Helper()
-		if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionAllow}), WithDeltaOnly()); err != nil {
-			t.Fatal(err)
-		}
+	c = New(fakeModel{}, Config{Name: "ctl-super"}, fastBackoff()...)
+	if err := c.Connect(ctx, ln.Addr().String()); err != nil {
+		t.Fatal(err)
 	}
-
-	rs1 := rules.NewRuleSet([]int{0, 1}, 0)
-	rs1.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
-	deploy(rs1)
-	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{210, 0}}); v.Allowed {
-		t.Fatal("epoch 1 not active on old peer")
+	_ = srv.Close()
+	hellos.Store(0)
+	restarted := listenTCP(t, ln.Addr().String())
+	go oldSwitch(restarted, &hellos)
+	time.Sleep(500 * time.Millisecond)
+	n := hellos.Load()
+	t.Logf("%d redials of the old switch in 500ms", n)
+	if n < 2 || n > 40 {
+		t.Fatalf("the supervisor redialled an old switch %d times in 500ms: want a few, backing off up to 50ms", n)
 	}
-
-	// Epoch 2 mints a delta; the old peer rejects the message type and
-	// must converge via the fallback full swap in the same deploy call.
-	rs2 := rules.NewRuleSet([]int{0, 1}, 0)
-	rs2.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
-	rs2.Add(rules.Rule{Priority: 2, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 100, Hi: 110}}})
-	deploy(rs2)
-	st := c.Stats()
-	if st.DeltaFallbacks != 1 || st.DeltaApplies != 0 {
-		t.Fatalf("old peer stats after epoch 2: %+v, want exactly one fallback and no delta applies", st)
+	if st := c.States()[ln.Addr().String()]; st == StateReady {
+		t.Fatal("the supervisor reached Ready against a switch of another version")
 	}
-	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{105, 0}}); v.Allowed {
-		t.Fatal("epoch 2 not active on old peer after fallback")
-	}
-
-	// Epoch 3: the latch must suppress the delta attempt entirely.
-	rs3 := rules.NewRuleSet([]int{0, 1}, 0)
-	rs3.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
-	rs3.Add(rules.Rule{Priority: 2, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 50, Hi: 60}}})
-	deploy(rs3)
-	st = c.Stats()
-	if st.DeltaFallbacks != 1 || st.DeltaApplies != 0 {
-		t.Fatalf("old peer stats after epoch 3: %+v, want the latch to prevent a second fallback", st)
-	}
-	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{55, 0}}); v.Allowed {
-		t.Fatal("epoch 3 not active on old peer")
-	}
-	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{105, 0}}); !v.Allowed {
-		t.Fatal("stale epoch 2 rule survived on old peer")
-	}
+	_ = c.Close()
+	_ = restarted.Close()
+	_ = oldLn.Close()
+	waitGoroutines(t, base)
 }
 
 // TestCompressedDeltaDeployEquivalence: deploying with a compression

@@ -2,7 +2,9 @@ package p4rt
 
 import (
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"p4guard/internal/p4"
@@ -27,11 +29,18 @@ func bodyTable(t testing.TB) *p4.Table {
 	return tbl
 }
 
+// bodyFrame frames body — a JSON head, then whatever follows it as the row
+// section — as a frame of type typ and splits it as the agent does.
+func bodyFrame(typ MsgType, body []byte) (Envelope, error) {
+	end := valueEnd(body, 0)
+	return splitFrame([]byte(`{"type":"` + string(typ) + `","body":` + string(body[:end]) + `}` + string(body[end:])))
+}
+
 // checkWriteAndDeltaBody takes body for the body of a write and then of a
-// delta, as the agent does — DecodeBody, ToP4Entry or ToP4Delta, Insert or
-// ProgramDelta — on a fresh bodyTable each. Whatever the bytes, each ends
-// in a refusal callers can tell apart (ErrMalformed from the decoder, an
-// action the protocol does not name, p4's ErrBadEntry, ErrTableFull or
+// delta, as the agent does — splitFrame, decodeWrite or decodeDelta,
+// Insert or ProgramDelta — on a fresh bodyTable each. Whatever the bytes,
+// each ends in a refusal callers can tell apart (ErrMalformed from the
+// decoder, an unknown default action, p4's ErrBadEntry, ErrTableFull or
 // ErrDeltaBase from the table, which is then exactly as it was) or in a
 // table whose index and scan agree on every key of its two bytes' first
 // sixteen values; never in a panic.
@@ -60,14 +69,14 @@ func checkWriteAndDeltaBody(t *testing.T, body []byte) {
 		}
 	}
 
-	var w Write
-	if err := DecodeBody(Envelope{Type: TypeWrite, Body: body}, &w); err != nil {
+	env, err := bodyFrame(TypeWrite, body)
+	var e p4.Entry
+	if err == nil {
+		_, e, err = decodeWrite(env)
+	}
+	if err != nil {
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("write body refused with %v, want ErrMalformed", err)
-		}
-	} else if e, err := w.Entry.ToP4Entry(); err != nil {
-		if _, known := actionType(w.Entry.Action); known {
-			t.Fatalf("ToP4Entry: %v, of an action the protocol names", err)
 		}
 	} else {
 		tbl := bodyTable(t)
@@ -78,61 +87,68 @@ func checkWriteAndDeltaBody(t *testing.T, body []byte) {
 		agree("write", tbl, err == nil)
 	}
 
-	var d DeltaMsg
-	if err := DecodeBody(Envelope{Type: TypeDelta, Body: body}, &d); err != nil {
-		if !errors.Is(err, ErrMalformed) {
-			t.Fatalf("delta body refused with %v, want ErrMalformed", err)
-		}
-		return
+	env, err = bodyFrame(TypeDelta, body)
+	var (
+		d   DeltaMsg
+		def p4.Action
+		pd  p4.Delta
+	)
+	if err == nil {
+		d, def, pd, err = decodeDelta(env)
 	}
-	def, defErr := ParseAction(d.DefaultAction)
-	pd, err := d.ToP4Delta()
-	if defErr != nil || err != nil {
-		return // an action without a p4 type: applyDelta answers with the error before the table is reached
+	if err != nil {
+		if _, known := actionType(d.DefaultAction); !errors.Is(err, ErrMalformed) && (known || !strings.Contains(err.Error(), "unknown action")) {
+			t.Fatalf("delta body refused with %v, want ErrMalformed or its unknown default action", err)
+		}
+		return // applyDelta answers with the error before the table is reached
 	}
 	tbl := bodyTable(t)
-	if err = tbl.ProgramDelta(p4.Action{Type: def, Class: d.DefaultClass}, pd); err != nil {
+	if err = tbl.ProgramDelta(def, pd); err != nil {
 		refusal("delta", err)
 	}
 	agree("delta", tbl, err == nil)
 }
 
-// writeAndDeltaBodies are bodies a fuzzer would take long to find: the
-// valid ones that reach the table, and the ones whose numbers name rows,
-// places or sizes far past anything that arrived.
+// prow is one packed row on a key of len(lo) bytes, as a string to build
+// bodies with.
+func prow(lo, hi []byte, priority, class int32, act p4.ActionType) string {
+	return string(packRow(lo, hi, priority, class, act))
+}
+
+// writeAndDeltaBodies are bodies — head, then section — a fuzzer would
+// take long to find: the valid ones that reach the table, rows at the
+// int32 edges, sections that disagree with their heads, version-1 bodies
+// whose rows were JSON, and heads whose numbers name rows, places or
+// sizes far past anything that arrived.
 var writeAndDeltaBodies = map[string]string{
-	"write":            `{"entry":{"priority":1048576,"lo":"BAQ=","hi":"BAQ=","action":"drop","class":1},"trace_id":7}`,
-	"write-range":      `{"entry":{"priority":9,"lo":"AAA=","hi":"//8=","action":"allow"}}`,
-	"write-wide":       `{"entry":{"lo":"BAQE","hi":"BAQE","action":"drop"}}`,
-	"write-uneven":     `{"entry":{"lo":"BA==","hi":"BAQE","action":"drop"}}`,
-	"write-inverted":   `{"entry":{"lo":"BQU=","hi":"BAQ=","action":"drop"}}`,
+	"write":            `{"trace_id":7}` + prow([]byte{4, 4}, []byte{4, 4}, 1048576, 1, p4.ActionDrop),
+	"write-range":      `{}` + prow([]byte{0, 0}, []byte{255, 255}, 9, 0, p4.ActionAllow),
+	"write-wide":       `{}` + prow([]byte{4, 4, 4}, []byte{4, 4, 4}, 0, 0, p4.ActionDrop),
+	"write-uneven":     `{}` + prow([]byte{4}, []byte{4, 4}, 0, 0, p4.ActionDrop),
+	"write-inverted":   `{}` + prow([]byte{5, 5}, []byte{4, 4}, 0, 0, p4.ActionDrop),
 	"write-ternary":    `{"entry":{"value":"BAQ=","mask":"//8=","action":"drop"}}`,
-	"write-priority":   `{"entry":{"priority":4294967296,"lo":"BAQ=","hi":"BAQ=","action":"drop"}}`,
+	"write-priority":   `{}` + prow([]byte{4, 4}, []byte{4, 4}, math.MinInt32, math.MaxInt32, p4.ActionDrop),
 	"write-prefix-len": `{"entry":{"prefix_len":-9223372036854775808,"lo":"BAQ=","hi":"BAQ=","action":"drop"}}`,
-	"write-action":     `{"entry":{"lo":"BAQ=","hi":"BAQ=","action":"reflect"}}`,
+	"write-action":     `{}` + prow([]byte{4, 4}, []byte{4, 4}, 0, 0, p4.ActionNop+1),
 	"delta": `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1],"moves":[{"base":3,"priority":5,"order":0}],` +
-		`"adds":[{"entry":{"priority":2,"lo":"CQk=","hi":"CQk=","action":"drop","class":2},"order":2}]}`,
-	"delta-empty":         `{"offsets":[0,1],"default_action":"drop","base_count":4}`,
-	"delta-base-count":    `{"offsets":[0,1],"default_action":"allow","base_count":1099511627776,"deletes":[1]}`,
-	"delta-base-negative": `{"offsets":[0,1],"default_action":"allow","base_count":-4}`,
-	"delta-base-hash":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"base_hash":1}`,
-	"delta-delete-far":    `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1099511627776]}`,
-	"delta-delete-twice":  `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1,1]}`,
-	"delta-delete-all":    `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[0,1,2,3,-1]}`,
-	"delta-move-far":      `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1099511627776,"priority":1,"order":0}]}`,
-	"delta-move-order":    `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1,"priority":1,"order":1099511627776}]}`,
-	"delta-move-priority": `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1,"priority":-4294967296,"order":1}]}`,
-	"delta-add-order": `{"offsets":[0,1],"default_action":"allow","base_count":4,` +
-		`"adds":[{"entry":{"lo":"CQk=","hi":"CQk=","action":"drop"},"order":1099511627776}]}`,
-	"delta-add-same-order": `{"offsets":[0,1],"default_action":"allow","base_count":4,` +
-		`"adds":[{"entry":{"lo":"CQk=","hi":"CQk=","action":"drop"},"order":1},{"entry":{"lo":"CAg=","hi":"CAg=","action":"drop"},"order":1}]}`,
-	"delta-add-wide": `{"offsets":[0,1],"default_action":"allow","base_count":4,` +
-		`"adds":[{"entry":{"lo":"CQkJ","hi":"CQkJ","action":"drop"},"order":1}]}`,
-	"delta-add-action": `{"offsets":[0,1],"default_action":"allow","base_count":4,` +
-		`"adds":[{"entry":{"lo":"CQk=","hi":"CQk=","action":"reflect"},"order":1}]}`,
-	"delta-default": `{"offsets":[0,1],"default_action":"reflect","base_count":4}`,
-	"not-json":      `{"entry":`,
-	"wrong-types":   `{"entry":[],"base_count":"4"}`,
+		`"adds":[2]}` + prow([]byte{9, 9}, []byte{9, 9}, 2, 2, p4.ActionDrop),
+	"delta-empty":          `{"offsets":[0,1],"default_action":"drop","base_count":4}`,
+	"delta-base-count":     `{"offsets":[0,1],"default_action":"allow","base_count":1099511627776,"deletes":[1]}`,
+	"delta-base-negative":  `{"offsets":[0,1],"default_action":"allow","base_count":-4}`,
+	"delta-base-hash":      `{"offsets":[0,1],"default_action":"allow","base_count":4,"base_hash":1}`,
+	"delta-delete-far":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1099511627776]}`,
+	"delta-delete-twice":   `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1,1]}`,
+	"delta-delete-all":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[0,1,2,3,-1]}`,
+	"delta-move-far":       `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1099511627776,"priority":1,"order":0}]}`,
+	"delta-move-order":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1,"priority":1,"order":1099511627776}]}`,
+	"delta-move-priority":  `{"offsets":[0,1],"default_action":"allow","base_count":4,"moves":[{"base":1,"priority":-4294967296,"order":1}]}`,
+	"delta-add-order":      `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1099511627776]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, p4.ActionDrop),
+	"delta-add-same-order": `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1,1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, p4.ActionDrop) + prow([]byte{8, 8}, []byte{8, 8}, 0, 0, p4.ActionDrop),
+	"delta-add-wide":       `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9, 9}, []byte{9, 9, 9}, 0, 0, p4.ActionDrop),
+	"delta-add-action":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, 200),
+	"delta-default":        `{"offsets":[0,1],"default_action":"reflect","base_count":4}`,
+	"not-json":             `{"entry":`,
+	"wrong-types":          `{"entry":[],"base_count":"4"}`,
 }
 
 // TestWriteAndDeltaBodyCases runs the hand-written bodies and holds each
@@ -151,29 +167,37 @@ func TestWriteAndDeltaBodyCases(t *testing.T) {
 			}
 		})
 	}
-	// The two that must get through: the check above is vacuous otherwise.
+	// The ones that must get through: the check above is vacuous otherwise.
 	tbl := bodyTable(t)
-	var w Write
-	var d DeltaMsg
-	if err := errors.Join(DecodeBody(Envelope{Type: TypeWrite, Body: []byte(writeAndDeltaBodies["write"])}, &w),
-		DecodeBody(Envelope{Type: TypeDelta, Body: []byte(writeAndDeltaBodies["delta"])}, &d)); err != nil {
+	for _, name := range []string{"write", "write-priority"} {
+		env, err := bodyFrame(TypeWrite, []byte(writeAndDeltaBodies[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, e, err := decodeWrite(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Insert(e); err != nil {
+			t.Fatal(name, err)
+		}
+	}
+	env, err := bodyFrame(TypeDelta, []byte(writeAndDeltaBodies["delta"]))
+	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := w.Entry.ToP4Entry()
-	pd, errDelta := d.ToP4Delta()
-	if err := errors.Join(err, errDelta); err != nil {
+	_, def, pd, err := decodeDelta(env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.ProgramDelta(p4.Action{Type: p4.ActionAllow}, pd); err != nil || tbl.Len() != 5 {
-		t.Fatalf("the valid delta after the valid write: %v, %d rows", err, tbl.Len())
+	if err := tbl.ProgramDelta(def, pd); err != nil || tbl.Len() != 6 {
+		t.Fatalf("the valid delta after the valid writes: %v, %d rows", err, tbl.Len())
 	}
 }
 
-// FuzzWriteAndDeltaBodies feeds arbitrary bytes to the two decode
-// boundaries beside the program frame's: see checkWriteAndDeltaBody.
+// FuzzWriteAndDeltaBodies feeds arbitrary bytes — a head and a row
+// section, as valueEnd splits them — to the two decode boundaries beside
+// the program frame's: see checkWriteAndDeltaBody.
 func FuzzWriteAndDeltaBodies(f *testing.F) {
 	for _, body := range writeAndDeltaBodies {
 		f.Add([]byte(body))

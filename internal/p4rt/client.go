@@ -112,29 +112,15 @@ func DialContext(ctx context.Context, addr, clientName string, onDigest func([]W
 	}
 	watchStop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
 	defer watchStop()
-	if err := WriteMsg(conn, TypeHello, 1, Hello{SwitchName: clientName}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("p4rt: handshake: %w", dialCause(ctx, err))
-	}
-	env, err := ReadMsg(conn)
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("p4rt: handshake: %w", dialCause(ctx, err))
-	}
-	if env.Type != TypeHelloAck {
-		_ = conn.Close()
-		return nil, &RejectError{Op: TypeHello, Reason: fmt.Sprintf("got %q, want hello_ack", env.Type)}
-	}
-	var ack HelloAck
-	if err := DecodeBody(env, &ack); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	if !watchStop() {
+	ack, err := handshake(conn, clientName)
+	if err == nil && !watchStop() {
 		// ctx fired during the handshake tail: the conn deadline is already
 		// poisoned, so don't hand out a client born dead.
+		err = errors.New("interrupted")
+	}
+	if err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("p4rt: dial %s: %w", addr, dialCause(ctx, errors.New("handshake interrupted")))
+		return nil, fmt.Errorf("p4rt: handshake with %s: %w", addr, dialCause(ctx, err))
 	}
 	_ = conn.SetDeadline(time.Time{})
 	c.serverName = ack.ServerName
@@ -149,6 +135,28 @@ func DialContext(ctx context.Context, addr, clientName string, onDigest func([]W
 		c.readLoop()
 	}()
 	return c, nil
+}
+
+// handshake says hello and reads the switch's answer: its hello_ack, or a
+// RejectError when it speaks another protocol version or refuses this one.
+func handshake(conn net.Conn, clientName string) (ack HelloAck, err error) {
+	if err = WriteMsg(conn, TypeHello, 1, Hello{SwitchName: clientName, Version: Version}); err != nil {
+		return ack, err
+	}
+	env, err := ReadMsg(conn)
+	var resp Response
+	switch {
+	case err != nil:
+	case env.Type == TypeHelloAck:
+		if err = DecodeBody(env, &ack); err == nil && ack.Version != Version {
+			err = &RejectError{Op: TypeHello, Reason: fmt.Sprintf("switch speaks p4rt version %d, this peer %d", ack.Version, Version)}
+		}
+	case env.Type == TypeResponse && DecodeBody(env, &resp) == nil: // the switch refused the hello and says why
+		err = &RejectError{Op: TypeHello, Reason: resp.Error}
+	default:
+		err = &RejectError{Op: TypeHello, Reason: fmt.Sprintf("got %q, want hello_ack", env.Type)}
+	}
+	return ack, err
 }
 
 // dialCause maps context expiry during dial/handshake onto the typed
@@ -317,10 +325,9 @@ func (c *Client) ProgramDetector(ctx context.Context, prog Program) (Response, e
 }
 
 // ProgramDelta applies an incremental program edit to the switch's
-// detector table. A pre-delta peer rejects the unknown message type,
-// and a switch whose installed base does not match the delta's
-// signature refuses it — both surface as a RejectError, the caller's
-// cue to fall back to a full ProgramDetector swap.
+// detector table. A switch whose installed base does not match the
+// delta's signature refuses it with a RejectError, the caller's cue to
+// fall back to a full ProgramDetector swap.
 func (c *Client) ProgramDelta(ctx context.Context, d DeltaMsg) (Response, error) {
 	return c.call(ctx, TypeDelta, d)
 }
@@ -339,14 +346,13 @@ func (c *Client) WriteEntryTraced(ctx context.Context, e WireEntry, traceID, spa
 
 // Counters reads the detector table counters.
 func (c *Client) Counters(ctx context.Context) (Response, error) {
-	return c.call(ctx, TypeCounters, CountersRequest{})
+	return c.call(ctx, TypeCounters, struct{}{})
 }
 
 // SwitchStats reads the switch's full data-plane stats snapshot (the
-// fleet aggregation scrape). A pre-stats peer rejects the unknown
-// message type, surfaced as a RejectError.
+// fleet aggregation scrape).
 func (c *Client) SwitchStats(ctx context.Context) (WireSwitchStats, error) {
-	resp, err := c.call(ctx, TypeStats, StatsRequest{})
+	resp, err := c.call(ctx, TypeStats, struct{}{})
 	if err != nil {
 		return WireSwitchStats{}, err
 	}

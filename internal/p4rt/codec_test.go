@@ -2,7 +2,6 @@ package p4rt
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,12 +18,15 @@ import (
 	"testing"
 
 	"p4guard/internal/p4"
+	"p4guard/internal/switchsim"
 )
 
 // refFrame is the framing this package used before the hand-written
 // codec — marshal the body, marshal it again inside the envelope — kept
-// here as the oracle the new encoder must match byte for byte.
-func refFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
+// here as the oracle the encoder must match byte for byte: the whole frame
+// of a body without rows, the JSON of one with them, whose packed sections
+// follow the envelope.
+func refFrame(t testing.TB, typ MsgType, id uint64, body any, sections ...[]byte) []byte {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -34,12 +36,47 @@ func refFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
 	if err != nil {
 		t.Fatalf("reference envelope marshal: %v", err)
 	}
-	return rawFrame(string(env))
+	return rawFrame(string(env) + string(bytes.Join(sections, nil)))
 }
 
 // rawFrame length-prefixes env, whatever it holds.
 func rawFrame(env string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...)
+}
+
+// packRow is one row of the packed section, written from the layout:
+// lo ‖ hi ‖ priority int32 LE ‖ class int32 LE ‖ action byte.
+func packRow(lo, hi []byte, priority, class int32, act p4.ActionType) []byte {
+	b := append(append([]byte(nil), lo...), hi...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(priority))
+	b = binary.LittleEndian.AppendUint32(b, uint32(class))
+	return append(b, byte(act))
+}
+
+// wireHead is a program's JSON head as the protocol states it, field by
+// field, independently of the types the encoder marshals.
+type wireHead struct {
+	Offsets       []int  `json:"offsets"`
+	DefaultAction string `json:"default_action"`
+	DefaultClass  int    `json:"default_class,omitempty"`
+	TraceID       uint64 `json:"trace_id,omitempty"`
+	SpanID        uint64 `json:"span_id,omitempty"`
+	Rows          int    `json:"rows"`
+}
+
+// refProgramFrame is the frame p must encode to: the reference head, then
+// each entry packed by hand.
+func refProgramFrame(t testing.TB, id uint64, p Program) []byte {
+	t.Helper()
+	var sec []byte
+	for _, e := range p.Entries {
+		at, err := ParseAction(e.Action)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec = append(sec, packRow(e.Lo, e.Hi, int32(e.Priority), int32(e.Class), at)...)
+	}
+	return refFrame(t, TypeProgram, id, wireHead{p.Offsets, p.DefaultAction, p.DefaultClass, p.TraceID, p.SpanID, len(p.Entries)}, sec)
 }
 
 // oneWrite records the single buffer WriteMsg hands to its writer.
@@ -54,24 +91,28 @@ func (w *oneWrite) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// checkFrame asserts that WriteMsg produces the reference frame in one
-// exact-capacity Write, and that ReadMsg splits it as encoding/json does.
-func checkFrame(t *testing.T, typ MsgType, id uint64, body any) Envelope {
+// checkFrame asserts that WriteMsg produces want in one exact-capacity
+// Write, and that ReadMsg splits it as encoding/json does: the envelope
+// decoded by a json.Decoder, the row section whatever follows it.
+func checkFrame(t *testing.T, typ MsgType, id uint64, body any, want []byte) {
 	t.Helper()
-	want := refFrame(t, typ, id, body)
 	var w oneWrite
 	if err := WriteMsg(&w, typ, id, body); err != nil {
 		t.Fatalf("WriteMsg(%s): %v", typ, err)
 	}
 	if !bytes.Equal(w.buf, want) {
-		t.Fatalf("WriteMsg(%s) frame differs from the two-marshal reference\n got %q\nwant %q", typ, w.buf, want)
+		t.Fatalf("WriteMsg(%s) frame differs from the reference\n got %q\nwant %q", typ, w.buf, want)
 	}
 	if w.writes != 1 || (len(w.buf) < recycleMin && cap(w.buf) != len(w.buf)) {
 		t.Fatalf("WriteMsg(%s): %d writes, cap %d for len %d; want one write, of exact capacity below the recycle size", typ, w.writes, cap(w.buf), len(w.buf))
 	}
 	var wantEnv Envelope
-	if err := json.Unmarshal(want[4:], &wantEnv); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(want[4:]))
+	if err := dec.Decode(&wantEnv); err != nil {
 		t.Fatalf("reference envelope decode: %v", err)
+	}
+	if sec := want[4+dec.InputOffset():]; len(sec) > 0 {
+		wantEnv.rows = sec
 	}
 	env, err := ReadMsg(bytes.NewReader(want)) // w.buf may have gone back for reuse
 	if err != nil {
@@ -80,75 +121,69 @@ func checkFrame(t *testing.T, typ MsgType, id uint64, body any) Envelope {
 	if !reflect.DeepEqual(env, wantEnv) {
 		t.Fatalf("ReadMsg(%s) = %+v, want %+v", typ, env, wantEnv)
 	}
-	return env
 }
 
 var (
 	testActions = []string{"allow", "drop", "digest", "set_class", "nop", "", "custom", "a<b", `x"y`, `back\slash`,
-		"naïve", "tab\there", "\x7f", "\xff\xfe", "amp&", " "}
-	testInts  = []int{0, 1, -1, 7, 10, 99, 100, -1000, 1 << 20, math.MaxInt32, math.MinInt64, math.MaxInt64, -math.MaxInt64}
-	testUints = []uint64{0, 1, 9, 10, 0xfeed, 1 << 62, 1 << 63, 1<<63 + 12345, 9999999999999999999, 10000000000000000000, math.MaxUint64}
-	testKeys  = []int{0, 1, 2, 3, 5, 6, 16, 64}
+		"naïve", "tab\there", "\x7f", "\xff\xfe", "amp&", " "}
+	testInts32 = []int{0, 1, -1, 7, 10, 99, 100, -1000, 1 << 20, math.MaxInt32, math.MinInt32}
+	testInts   = append([]int{math.MaxInt32 + 1, math.MinInt32 - 1, math.MinInt64, math.MaxInt64}, testInts32...)
+	testUints  = []uint64{0, 1, 9, 10, 0xfeed, 1 << 62, 1 << 63, 1<<63 + 12345, 9999999999999999999, 10000000000000000000, math.MaxUint64}
 )
 
 func pick[T any](rng *rand.Rand, from []T) T { return from[rng.Intn(len(from))] }
 
-// randKey is nil, empty, or 1/16/64-ish random bytes.
-func randKey(rng *rand.Rand) []byte {
-	if rng.Intn(3) == 0 {
-		return nil
+// randProgram covers nil vs empty lists, every omitempty field of the head
+// zero and non-zero, extreme integers, head strings that need escaping,
+// keys of the program's width with every byte value, and in one program
+// of four a row the section cannot hold: another width, an action the
+// protocol does not name, a priority or class past 32 bits.
+func randProgram(rng *rand.Rand) Program {
+	p := Program{DefaultAction: testActions[rng.Intn(5)]}
+	if rng.Intn(4) == 0 {
+		p.DefaultAction = pick(rng, testActions)
 	}
-	k := make([]byte, pick(rng, testKeys))
-	rng.Read(k)
-	return k
-}
-
-// randProgram covers nil vs empty lists, every omitempty field zero and
-// non-zero, negative and extreme integers, strings that need escaping.
-// plainOnly keeps every string inside what the codec encodes itself.
-func randProgram(rng *rand.Rand, plainOnly bool) Program {
-	action := func() string {
-		if plainOnly {
-			return testActions[rng.Intn(7)]
-		}
-		return pick(rng, testActions)
-	}
-	p := Program{DefaultAction: action()}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 	case 1:
 		p.Offsets = []int{}
+	case 2:
+		p.Offsets = []int{pick(rng, testInts)}
 	default:
 		for i, n := 0, 1+rng.Intn(16); i < n; i++ {
-			p.Offsets = append(p.Offsets, pick(rng, testInts))
+			p.Offsets = append(p.Offsets, rng.Intn(64))
 		}
 	}
 	if rng.Intn(2) == 0 {
 		p.DefaultClass = pick(rng, testInts)
 	}
-	switch rng.Intn(5) {
-	case 0:
-	case 1:
+	if rng.Intn(5) == 1 {
 		p.Entries = []WireEntry{}
-	default:
-		for i, n := 0, 1+rng.Intn(24); i < n; i++ {
-			e := WireEntry{Action: action()}
-			if rng.Intn(2) == 0 {
-				e.Priority = pick(rng, testInts)
-			}
-			if rng.Intn(2) == 0 {
-				e.Value, e.Mask = randKey(rng), randKey(rng)
-			}
-			if rng.Intn(3) == 0 {
-				e.PrefixLen = pick(rng, testInts)
-			}
-			if rng.Intn(2) == 0 {
-				e.Lo, e.Hi = randKey(rng), randKey(rng)
-			}
-			if rng.Intn(2) == 0 {
-				e.Class = pick(rng, testInts)
-			}
-			p.Entries = append(p.Entries, e)
+	}
+	for i, n := 0, rng.Intn(24); i < n; i++ {
+		w := len(p.Offsets)
+		e := WireEntry{Lo: make([]byte, w), Hi: make([]byte, w), Action: testActions[rng.Intn(5)]}
+		rng.Read(e.Lo)
+		rng.Read(e.Hi)
+		if rng.Intn(2) == 0 {
+			e.Priority = pick(rng, testInts32)
+		}
+		if rng.Intn(2) == 0 {
+			e.Class = pick(rng, testInts32)
+		}
+		p.Entries = append(p.Entries, e)
+	}
+	if n := len(p.Entries); n > 0 && rng.Intn(4) == 0 {
+		e := &p.Entries[rng.Intn(n)]
+		switch rng.Intn(4) {
+		case 0:
+			e.Lo = append(e.Lo, 1)
+		case 1:
+			e.Action = testActions[5+rng.Intn(len(testActions)-5)]
+		case 2:
+			e.Priority = testInts[rng.Intn(4)]
+		default:
+			e.Class = testInts[rng.Intn(4)]
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -157,58 +192,18 @@ func randProgram(rng *rand.Rand, plainOnly bool) Program {
 	return p
 }
 
-// refProgram is a program as the oracle of the frame → rows route holds
-// it: exchange entries, never a builder.
-type refProgram struct {
-	offsets         []int
-	def             p4.Action
-	entries         []p4.Entry
-	traceID, spanID uint64
+// packable reports whether every row fits the section: Lo and Hi of the
+// program's width, 32-bit numbers, an action the protocol names.
+func packable(p Program) bool {
+	for _, e := range p.Entries {
+		_, err := ParseAction(e.Action)
+		if err != nil || len(e.Lo) != len(p.Offsets) || len(e.Hi) != len(p.Offsets) ||
+			e.Priority != int(int32(e.Priority)) || e.Class != int(int32(e.Class)) {
+			return false
+		}
+	}
+	return true
 }
-
-// refRows is the oracle of the frame → rows route: encoding/json takes the
-// envelope and the body apart, ToP4Entry converts row by row, and what a
-// table stores of them is what Table.Replace makes of the entries.
-// decodeErr is what encoding/json said; convErr the first action without a
-// p4 type, the default's before any entry's.
-func refRows(buf []byte) (env Envelope, rows *refProgram, decodeErr, convErr error) {
-	var p Program
-	if decodeErr = json.Unmarshal(buf, &env); decodeErr == nil {
-		decodeErr = json.Unmarshal(env.Body, &p)
-	}
-	if decodeErr != nil {
-		return env, nil, decodeErr, nil
-	}
-	def, convErr := ParseAction(p.DefaultAction)
-	rows = &refProgram{offsets: p.Offsets, def: p4.Action{Type: def, Class: p.DefaultClass},
-		entries: make([]p4.Entry, len(p.Entries)), traceID: p.TraceID, spanID: p.SpanID}
-	for i := 0; i < len(p.Entries) && convErr == nil; i++ {
-		rows.entries[i], convErr = p.Entries[i].ToP4Entry()
-	}
-	if convErr != nil {
-		return env, nil, nil, convErr
-	}
-	return env, rows, nil, nil
-}
-
-// readRows reads one program frame the way the agent does: readMsg, and
-// for a frame the single pass declined, DecodeBody and Program.rows.
-func readRows(r io.Reader) (env Envelope, rows *programRows, single bool, decodeErr, convErr error) {
-	env, rows, decodeErr = readMsg(r)
-	if decodeErr != nil || rows != nil {
-		return env, rows, rows != nil, decodeErr, nil
-	}
-	var p Program
-	if decodeErr = DecodeBody(env, &p); decodeErr != nil {
-		return env, nil, false, decodeErr, nil
-	}
-	rows, convErr = p.rows()
-	return env, rows, false, nil, convErr
-}
-
-// storedRow is what a table keeps of one row beside its key: p4's
-// TestStoredRowFootprint pins the struct to it.
-const storedRow = 80
 
 // storedProgram programs a fresh range table keyed on offsets with program
 // and returns what the table then holds — signature, default action and
@@ -230,12 +225,20 @@ func storedProgram(offsets []int, def p4.Action, program func(*p4.Table, []p4.Fi
 	return fmt.Sprintf("%d/%#x under %+v: %+v", n, sig, tbl.DefaultAction, entries)
 }
 
-// stored is what a table holds once it has adopted the decoded rows (which
-// are the table's from then on; a refused builder is as it was).
+// stored is what a table holds once it has adopted the decoded rows.
 func (p *programRows) stored() string {
 	return storedProgram(p.offsets, p.def, func(tbl *p4.Table, specs []p4.FieldSpec) error {
 		return tbl.Program(specs, p.def, p.entries)
 	})
+}
+
+// refProgram is a program as the reference decoder holds it: exchange
+// entries, never a builder.
+type refProgram struct {
+	offsets         []int
+	def             p4.Action
+	entries         []p4.Entry
+	traceID, spanID uint64
 }
 
 func (p *refProgram) stored() string {
@@ -244,264 +247,288 @@ func (p *refProgram) stored() string {
 	})
 }
 
-// sameRows compares a decoded program with the oracle's by what a table
-// stores of each: the envelope fields as decoded, the rows as read back.
-func sameRows(a *programRows, b *refProgram) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return reflect.DeepEqual(a.offsets, b.offsets) && a.installed == len(b.entries) &&
-		a.traceID == b.traceID && a.spanID == b.spanID && a.stored() == b.stored()
+// refHead is a program head as the reference decoder reads it: a missing
+// row count stays nil.
+type refHead struct {
+	Program
+	Rows *int `json:"rows"`
 }
 
-func programIsPlain(p Program) bool {
-	ok := plainString(p.DefaultAction)
-	for _, e := range p.Entries {
-		ok = ok && plainString(e.Action)
+// refRows is the reference decoder of a program body, written from the
+// layout alone: encoding/json for the head, the rows cut from the section
+// by arithmetic, and Table.Replace (in stored) to say what they make.
+// class is "malformed" or "action" (the default's name) when it refuses.
+func refRows(head, sec []byte) (p refProgram, class string) {
+	var h refHead
+	if json.Unmarshal(head, &h) != nil || h.Rows == nil || *h.Rows < 0 || *h.Rows > len(sec) || *h.Rows*(2*len(h.Offsets)+9) != len(sec) {
+		return p, "malformed"
 	}
-	return ok
-}
-
-// programIsCanonical: nothing to escape, every action one the protocol
-// names and every row a range row of the program's width — what the frame
-// → rows route decodes itself.
-func programIsCanonical(p Program) bool {
-	_, err := ParseAction(p.DefaultAction)
-	fit := true
-	for _, e := range p.Entries {
-		if err == nil {
-			_, err = ParseAction(e.Action)
+	def, err := ParseAction(h.DefaultAction)
+	w, le := len(h.Offsets), binary.LittleEndian
+	p = refProgram{h.Offsets, p4.Action{Type: def, Class: h.DefaultClass}, make([]p4.Entry, *h.Rows), h.TraceID, h.SpanID}
+	for i := 0; i < len(p.entries) && err == nil; i++ {
+		r := sec[i*(2*w+9):]
+		act := p4.Action{Type: p4.ActionType(r[2*w+8]), Class: int(int32(le.Uint32(r[2*w+4:])))}
+		if _, err := ParseAction(act.Type.String()); err != nil {
+			return p, "malformed"
 		}
-		fit = fit && len(e.Value)+len(e.Mask) == 0 && len(e.Lo) == len(p.Offsets) && len(e.Hi) == len(p.Offsets)
+		p.entries[i] = p4.Entry{Priority: int(int32(le.Uint32(r[2*w:]))), Lo: r[:w], Hi: r[w : 2*w], Action: act}
 	}
-	return err == nil && fit && programIsPlain(p)
+	if err != nil {
+		return p, "action"
+	}
+	return p, ""
+}
+
+// refRead is what a reader holding nothing but the protocol makes of one
+// frame's bytes: a json.Decoder takes the envelope off the front, and what
+// it leaves is the row section, which only program, delta and write carry.
+func refRead(buf []byte) string {
+	var env Envelope
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	if len(buf) == 0 || buf[0] != '{' || dec.Decode(&env) != nil {
+		return "malformed"
+	}
+	sec := buf[dec.InputOffset():]
+	if env.Type != TypeProgram {
+		if len(sec) > 0 && env.Type != TypeDelta && env.Type != TypeWrite {
+			return "malformed"
+		}
+		return "type " + string(env.Type)
+	}
+	p, class := refRows(env.Body, sec)
+	if class != "" {
+		return class
+	}
+	return fmt.Sprintf("id %d, trace %d/%d, offsets %v: %s", env.ID, p.traceID, p.spanID, p.offsets, p.stored())
+}
+
+// agentDecode reads one program frame the way the agent does: readFrame,
+// splitFrame, decodeProgram.
+func agentDecode(r io.Reader) (Envelope, programRows, error) {
+	buf, err := readFrame(r)
+	if err != nil {
+		return Envelope{}, programRows{}, err
+	}
+	env, err := splitFrame(buf)
+	if err != nil || env.Type != TypeProgram {
+		return env, programRows{}, err
+	}
+	p, err := decodeProgram(env)
+	return env, p, err
+}
+
+// agentRead is what the agent makes of one frame's bytes, in refRead's
+// terms. A body the single-pass envelope split let through unchecked is
+// refused by whoever decodes it, so it reads as malformed here.
+func agentRead(buf []byte) string {
+	env, p, err := agentDecode(bytes.NewReader(rawFrame(string(buf))))
+	switch {
+	case errors.Is(err, ErrMalformed):
+		return "malformed"
+	case err != nil:
+		return "action"
+	case env.Type != TypeProgram && env.Body != nil && !json.Valid(env.Body):
+		return "malformed"
+	case env.Type != TypeProgram:
+		return "type " + string(env.Type)
+	}
+	return fmt.Sprintf("id %d, trace %d/%d, offsets %v: %s", env.ID, p.traceID, p.spanID, p.offsets, p.stored())
 }
 
 // TestProgramFrameMatchesEncodingJSON is the differential test of the
-// Program codec: frames equal the two-marshal reference byte for byte,
-// frame → rows equals json.Unmarshal + ToP4Entry, and a program in the
-// canonical form really takes the single-pass routes (so neither check is
-// vacuous).
+// program codec: a frame's JSON equals the two-marshal reference of the
+// head the protocol states and its section the rows packed by hand; frame
+// → table equals the reference decoder's; every frame the encoder writes
+// takes the single-pass envelope split; and a program with a row the
+// section cannot hold is refused at encode, typed, by both encode routes.
 func TestProgramFrameMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}},
-		{DefaultAction: "nop"}, {DefaultAction: "allow", Offsets: []int{}, Entries: []WireEntry{}}}
+	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}}, {DefaultAction: "nop"}}
 	for i := 0; i < 400; i++ {
-		p := randProgram(rng, i%2 == 0)
-		if i%4 == 0 { // known actions and range rows of the program's width: what the single pass decodes
-			p.DefaultAction = testActions[rng.Intn(5)]
-			for j := range p.Entries {
-				e := &p.Entries[j]
-				e.Action, e.Value, e.Mask = testActions[rng.Intn(5)], nil, nil
-				e.Lo, e.Hi = make([]byte, len(p.Offsets)), make([]byte, len(p.Offsets))
-				rng.Read(e.Lo)
-				rng.Read(e.Hi)
-			}
-		}
-		progs = append(progs, p)
+		progs = append(progs, randProgram(rng))
 	}
-	singles := 0
+	applied, refused := 0, 0
 	for i, p := range progs {
-		isPlain := programIsPlain(p)
-		if _, direct := programLen(&p); direct != isPlain {
-			t.Fatalf("program %d: encoder took the codec = %v, want %v", i, direct, isPlain)
-		}
-		checkFrame(t, TypeProgram, uint64(i), p)
-
-		frame := refFrame(t, TypeProgram, uint64(i), p)
-		_, want, wantErr, wantConv := refRows(frame[4:])
-		if wantErr != nil {
-			t.Fatalf("program %d: reference decode: %v", i, wantErr)
-		}
-		env, got, single, err, conv := readRows(bytes.NewReader(frame))
-		if err != nil || env.Type != TypeProgram || env.ID != uint64(i) {
-			t.Fatalf("program %d: read as (%s, %d): %v", i, env.Type, env.ID, err)
-		}
-		if single != programIsCanonical(p) {
-			t.Fatalf("program %d: decoder took the single pass = %v\n%s", i, single, frame[4:])
-		}
-		if fmt.Sprint(conv) != fmt.Sprint(wantConv) || !sameRows(got, want) {
-			t.Fatalf("program %d: frame → rows differs from json.Unmarshal + ToP4Entry\n got %+v (%v)\nwant %+v (%v)", i, got, conv, want, wantConv)
-		}
-		if single {
-			singles++
-		}
-	}
-	if singles < len(progs)/8 {
-		t.Fatalf("only %d of %d programs took the single pass", singles, len(progs))
-	}
-}
-
-// TestDecodeKeyMatchesStdEncoding: key text is decoded by hand, so its
-// accepted set is checked against base64.StdEncoding directly — every
-// string of up to one quantum over an alphabet of valid, padding and
-// hostile bytes, and random longer ones. Line breaks are the one thing
-// StdEncoding skips that a JSON string cannot hold: those must be refused.
-func TestDecodeKeyMatchesStdEncoding(t *testing.T) {
-	alphabet := []byte("AQz9+/=*-_ \n\r\"\\\xff")
-	check := func(txt []byte) {
-		want, err := base64.StdEncoding.DecodeString(string(txt))
-		wantOK := err == nil && !bytes.ContainsAny(txt, "\r\n")
-		n, ok := keyLen(txt)
-		got := make([]byte, n)
-		ok = ok && decodeKey(got, txt)
-		if ok != wantOK || ok && !bytes.Equal(got, want) {
-			t.Fatalf("decodeKey(%q) = %x, %v; StdEncoding: %x, %v", txt, got, ok, want, err)
-		}
-	}
-	var txt [4]byte
-	for n := 0; n <= len(txt); n++ {
-		for i, combos := 0, int(math.Pow(float64(len(alphabet)), float64(n))); i < combos; i++ {
-			for j, v := 0, i; j < n; j, v = j+1, v/len(alphabet) {
-				txt[j] = alphabet[v%len(alphabet)]
+		if !packable(p) {
+			if _, _, err := encodeFrame(TypeProgram, uint64(i), p); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("program %d holds a row the section cannot: encode err = %v, want ErrMalformed", i, err)
 			}
-			check(txt[:n])
+			if enc, _ := p.Encoded(); enc.body != nil {
+				t.Fatalf("program %d holds a row the section cannot, and was encoded once", i)
+			}
+			refused++
+			continue
+		}
+		want := refProgramFrame(t, uint64(i), p)
+		checkFrame(t, TypeProgram, uint64(i), p, want)
+		if _, _, ok := splitEnvelope(want[4:]); !ok {
+			t.Fatalf("program %d: the envelope does not take the single-pass split\n%q", i, want[4:])
+		}
+		got, ref := agentRead(want[4:]), refRead(want[4:])
+		if got != ref {
+			t.Fatalf("program %d: frame → table differs from the reference decoder\n got %s\nwant %s", i, got, ref)
+		}
+		if strings.HasPrefix(got, "id ") && !strings.Contains(got, "bad entry") {
+			applied++
 		}
 	}
-	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 20000; i++ {
-		raw := make([]byte, rng.Intn(24))
-		rng.Read(raw)
-		long := []byte(base64.StdEncoding.EncodeToString(raw))
-		check(long)
-		if len(long) > 0 {
-			long[rng.Intn(len(long))] = pick(rng, alphabet)
-			check(long)
-		}
+	if applied < len(progs)/4 || refused < len(progs)/10 {
+		t.Fatalf("%d of %d programs applied, %d refused at encode: the generator no longer covers the outcomes", applied, len(progs), refused)
 	}
 }
 
 // TestFramingMatchesEncodingJSON: every message type goes through the
-// same hand-written framing; bodies other than Program stay on
-// encoding/json, and the frame must not change for any of them.
+// same hand-written framing. A body without rows is the two-marshal
+// reference byte for byte; a program, delta or write is the reference
+// marshal of its head followed by its packed rows, whether it is sent as a
+// value or through a pointer.
 func TestFramingMatchesEncodingJSON(t *testing.T) {
 	entry := WireEntry{Priority: 3, Lo: []byte{1, 2}, Hi: []byte{3, 4}, Action: "drop", Class: 1}
-	prog := Program{Offsets: []int{0}, DefaultAction: "allow", Entries: []WireEntry{entry}}
+	row := packRow(entry.Lo, entry.Hi, 3, 1, p4.ActionDrop)
+	prog := Program{Offsets: []int{0, 1}, DefaultAction: "allow", Entries: []WireEntry{entry}}
+	progHead := wireHead{Offsets: []int{0, 1}, DefaultAction: "allow", Rows: 1}
+	write := Write{Entry: entry, TraceID: 1 << 63}
+	writeHead := struct {
+		TraceID uint64 `json:"trace_id"`
+	}{1 << 63}
+	delta := DeltaMsg{Offsets: []int{0, 1}, DefaultAction: "allow", BaseCount: 1, Adds: []WireDeltaAdd{{Entry: entry, Order: 4}}}
+	deltaHead := json.RawMessage(`{"offsets":[0,1],"default_action":"allow","base_count":1,"base_hash":0,"adds":[4]}`)
 	bodies := []struct {
 		typ  MsgType
 		body any
+		head any // what the reference marshals, when it is not body
+		rows []byte
 	}{
-		{TypeHello, Hello{SwitchName: "gw<0>", Link: 1}},
-		{TypeHelloAck, HelloAck{ServerName: "s", Node: "n"}},
-		{TypeProgram, prog},
-		{TypeProgram, &prog}, // pointer bodies take the encoding/json route
-		{TypeProgram, (*Program)(nil)},
-		{TypeWrite, Write{Entry: entry, TraceID: 1 << 63}},
-		{TypeDelta, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 1, Adds: []WireDeltaAdd{{Entry: entry}}}},
-		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}},
-		{TypeResponse, Response{Error: "unknown message type \"x\"", Switch: &WireSwitchStats{Name: "gw"}}},
-		{TypeHeartbeat, struct{}{}},
-		{TypeCounters, nil},
-		{TypeStats, json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`)},
-		{"", "scalar body"},
-		{"a<b", 12.5},
-		{`quo"te`, []int{1, 2}},
-		{"naïve\x00", true},
+		{TypeHello, Hello{SwitchName: "gw<0>", Link: 1, Version: Version}, nil, nil},
+		{TypeHelloAck, HelloAck{ServerName: "s", Node: "n", Version: Version}, nil, nil},
+		{TypeProgram, prog, progHead, row},
+		{TypeProgram, &prog, progHead, row},
+		{TypeProgram, (*Program)(nil), nil, nil},
+		{TypeWrite, write, writeHead, row},
+		{TypeWrite, &write, writeHead, row},
+		{TypeDelta, delta, deltaHead, row},
+		{TypeDelta, &delta, deltaHead, row},
+		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}, nil, nil},
+		{TypeResponse, Response{Error: "unknown message type \"x\"", Switch: &WireSwitchStats{Name: "gw"}}, nil, nil},
+		{TypeHeartbeat, struct{}{}, nil, nil},
+		{TypeCounters, nil, nil, nil},
+		{TypeStats, json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`), nil, nil},
+		{"", "scalar body", nil, nil},
+		{"a<b", 12.5, nil, nil},
+		{`quo"te`, []int{1, 2}, nil, nil},
+		{"naïve\x00", true, nil, nil},
 	}
 	for _, b := range bodies {
+		head := b.head
+		if head == nil {
+			head = b.body
+		}
 		for _, id := range []uint64{0, 1, 10, math.MaxUint64} {
-			checkFrame(t, b.typ, id, b.body)
+			checkFrame(t, b.typ, id, b.body, refFrame(t, b.typ, id, head, b.rows))
 		}
 	}
 }
 
-// programFrameCases are frames the decoder must treat exactly as
-// encoding/json does although they are not what this package writes.
-// They are also the checked-in seed corpus of FuzzReadProgramFrame
-// (TestFuzzCorpusCheckedIn keeps testdata/fuzz in step with this list).
+// programFrameCases are frames the decoder must treat exactly as the
+// reference does although they are not what this package writes: heads
+// in every shape encoding/json reads or refuses, sections that disagree
+// with them, envelopes whose extent is in doubt, and frames of protocol
+// version 1, whose rows were JSON text (the base64-* cases among them),
+// which a version-2 agent refuses. They are also the checked-in seed
+// corpus of FuzzReadProgramFrame (TestFuzzCorpusCheckedIn keeps
+// testdata/fuzz in step with this list).
 func programFrameCases() map[string][]byte {
-	body := func(b string) []byte { return rawFrame(`{"type":"program","id":7,"body":` + b + `}`) }
-	entry := `{"priority":5,"lo":"AQI=","hi":"AwQ=","action":"drop","class":1}`
+	row := string(packRow([]byte{1}, []byte{2}, 5, 1, p4.ActionDrop))
+	row2 := string(packRow([]byte{1, 2}, []byte{3, 4}, 5, 1, p4.ActionDrop))
+	body := func(head string, rows ...string) []byte {
+		return rawFrame(`{"type":"program","id":7,"body":` + head + `}` + strings.Join(rows, ""))
+	}
+	v1 := func(entries string) []byte {
+		return body(`{"offsets":[0],"default_action":"allow","entries":[` + entries + `]}`)
+	}
 	cases := map[string][]byte{
-		"canonical":         body(`{"offsets":[0,1],"default_action":"allow","entries":[` + entry + `,` + entry + `],"trace_id":18446744073709551615}`),
-		"null-lists":        body(`{"offsets":null,"default_action":"digest","entries":null}`),
-		"reordered-keys":    body(`{"entries":[` + entry + `],"default_action":"allow","offsets":[0]}`),
-		"reordered-entry":   body(`{"offsets":[0],"default_action":"allow","entries":[{"action":"drop","priority":5}]}`),
-		"unknown-key":       body(`{"offsets":[0],"future":{"a":[1]},"default_action":"allow","entries":[]}`),
-		"unknown-entry-key": body(`{"offsets":[0],"default_action":"allow","entries":[{"action":"drop","x":1}]}`),
-		"duplicate-entries": body(`{"offsets":[0],"default_action":"allow","entries":[],"entries":[` + entry + `]}`),
-		"leading-zero":      body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":01,"action":"drop"}]}`),
-		"minus-zero":        body(`{"offsets":[-0],"default_action":"allow","entries":[]}`),
-		"minus-zero-class":  body(`{"offsets":[0],"default_action":"allow","default_class":-0,"entries":[]}`),
-		"uint-20-digits":    body(`{"offsets":[0],"default_action":"allow","entries":[],"trace_id":18446744073709551616}`),
-		"int-20-digits":     body(`{"offsets":[12345678901234567890],"default_action":"allow","entries":[]}`),
-		"int-min":           body(`{"offsets":[-9223372036854775808],"default_action":"allow","entries":[]}`),
-		"float-priority":    body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":1.0,"action":"drop"}]}`),
-		"exp-priority":      body(`{"offsets":[0],"default_action":"allow","entries":[{"priority":1e2,"action":"drop"}]}`),
-		"escaped-action":    body(`{"offsets":[0],"default_action":"a<b","entries":[{"action":"x\"y"}]}`),
-		"non-ascii-action":  body(`{"offsets":[0],"default_action":"naïve","entries":[{"action":"` + "\xff" + `"}]}`),
-		"raw-html-action":   body(`{"offsets":[0],"default_action":"a<b","entries":[]}`),
-		"control-in-string": body(`{"offsets":[0],"default_action":"a` + "\n" + `b","entries":[]}`),
-		"bad-base64":        body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"A*I=","action":"drop"}]}`),
-		"base64-no-pad":     body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"AQI","action":"drop"}]}`),
-		"base64-pad-mid":    body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"A=I=","action":"drop"}]}`),
-		"base64-all-pad":    body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"====","action":"drop"}]}`),
-		"base64-loose-bits": body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"AR==","action":"drop"}]}`),
-		"base64-empty":      body(`{"offsets":[0],"default_action":"allow","entries":[{"lo":"","action":"drop"}]}`),
-		"null-fields":       body(`{"offsets":[0],"default_action":null,"entries":[{"lo":null,"priority":null,"action":"drop"}]}`),
-		"wrong-types":       body(`{"offsets":"0","default_action":1,"entries":{}}`),
-		"case-folded-keys":  body(`{"Offsets":[3],"DEFAULT_ACTION":"allow","entries":[]}`),
-		"missing-action":    body(`{"offsets":[0],"default_action":"allow","entries":[{}]}`),
-		"comma-first":       body(`{"offsets":[0],"default_action":"allow","entries":[{,"class":1}]}`),
-		"trailing-comma":    body(`{"offsets":[0,],"default_action":"allow","entries":[]}`),
+		"canonical":         body(`{"offsets":[0,1],"default_action":"allow","trace_id":18446744073709551615,"rows":2}`, row2, row2),
+		"null-lists":        body(`{"offsets":null,"default_action":"digest","rows":0}`),
+		"reordered-keys":    body(`{"rows":1,"default_action":"allow","offsets":[0]}`, row),
+		"reordered-entry":   v1(`{"action":"drop","priority":5}`),
+		"unknown-key":       body(`{"offsets":[0],"future":{"a":[1]},"default_action":"allow","rows":0}`),
+		"unknown-entry-key": v1(`{"action":"drop","x":1}`),
+		"duplicate-entries": body(`{"offsets":[0],"default_action":"allow","rows":0,"rows":1}`, row),
+		"leading-zero":      body(`{"offsets":[0],"default_action":"allow","rows":01}`, row),
+		"minus-zero":        body(`{"offsets":[-0],"default_action":"allow","rows":0}`),
+		"minus-zero-class":  body(`{"offsets":[0],"default_action":"allow","default_class":-0,"rows":0}`),
+		"uint-20-digits":    body(`{"offsets":[0],"default_action":"allow","rows":0,"trace_id":18446744073709551616}`),
+		"int-20-digits":     body(`{"offsets":[12345678901234567890],"default_action":"allow","rows":0}`),
+		"int-min":           body(`{"offsets":[-9223372036854775808],"default_action":"allow","rows":0}`),
+		"float-priority":    body(`{"offsets":[0],"default_action":"allow","rows":1.0}`, row),
+		"exp-priority":      body(`{"offsets":[0],"default_action":"allow","rows":1e0}`, row),
+		"escaped-action":    body(`{"offsets":[0],"default_action":"a<b","rows":1}`, row),
+		"non-ascii-action":  body(`{"offsets":[0],"default_action":"naïve","rows":1}`, row),
+		"raw-html-action":   body(`{"offsets":[0],"default_action":"a<b","rows":0}`),
+		"control-in-string": body(`{"offsets":[0],"default_action":"a` + "\n" + `b","rows":0}`),
+		"bad-base64":        v1(`{"lo":"A*I=","action":"drop"}`),
+		"base64-no-pad":     v1(`{"lo":"AQI","action":"drop"}`),
+		"base64-pad-mid":    v1(`{"lo":"A=I=","action":"drop"}`),
+		"base64-all-pad":    v1(`{"lo":"====","action":"drop"}`),
+		"base64-loose-bits": v1(`{"lo":"AR==","action":"drop"}`),
+		"base64-empty":      v1(`{"lo":"","action":"drop"}`),
+		"null-fields":       body(`{"offsets":[0],"default_action":null,"rows":null}`),
+		"wrong-types":       body(`{"offsets":"0","default_action":1,"rows":{}}`),
+		"case-folded-keys":  body(`{"Offsets":[3],"DEFAULT_ACTION":"allow","ROWS":1}`, row),
+		"missing-action":    body(`{"offsets":[0],"default_action":"allow","rows":1}`, row[:len(row)-1]+"\x00"),
+		"comma-first":       v1(`{,"class":1}`),
+		"trailing-comma":    body(`{"offsets":[0,],"default_action":"allow","rows":0}`),
 		"empty-object":      body(`{}`),
 		"null-body":         body(`null`),
 		"array-body":        body(`[1,2]`),
 		"string-body":       body(`"}],{["`),
-		"unbalanced-body":   body(`{"offsets":[0}`),
-		"mismatched-close":  body(`{"offsets":[0}]`),
-		"body-whitespace":   body(`{ "offsets": [0, 1],` + "\n\t" + `"default_action": "allow", "entries": [ ] }`),
-		"body-lead-space":   rawFrame(`{"type":"program","body": {"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"unbalanced-body":   body(`{"offsets":[0}`, row),
+		"mismatched-close":  body(`{"offsets":[0}]`, row),
+		"body-whitespace":   body(`{ "offsets": [0, 1],`+"\n\t"+`"default_action": "allow", "rows": 1 }`, row2),
+		"body-lead-space":   rawFrame(`{"type":"program","body": {"offsets":[0],"default_action":"allow","rows":1}}` + row),
 		"scalar-body-space": rawFrame(`{"type":"program","body":12 }`),
-		"body-padded":       body(` {"offsets":[0],"default_action":"allow","entries":[]} `),
-		"frame-padded":      rawFrame(` {"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}} `),
-		"key-after-body":    rawFrame(`{"type":"program","body":{"offsets":[0],"default_action":"allow","entries":[]},"id":7}`),
-		"unknown-after":     rawFrame(`{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]},"x":{"y":"}"}}`),
-		"duplicate-type":    rawFrame(`{"type":"write","type":"program","body":{"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"body-padded":       body(` {"offsets":[0],"default_action":"allow","rows":1} `, row),
+		"frame-padded":      rawFrame(` {"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","rows":0}} `),
+		"key-after-body":    rawFrame(`{"type":"program","body":{"offsets":[0],"default_action":"allow","rows":1},"id":7}` + row),
+		"unknown-after":     rawFrame(`{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","rows":1},"x":{"y":"}"}}` + row),
+		"duplicate-type":    rawFrame(`{"type":"write","type":"program","body":{"offsets":[0],"default_action":"allow","rows":1}}` + row),
 		"id-leading-zero":   rawFrame(`{"type":"program","id":07,"body":{}}`),
 		"id-overflow":       rawFrame(`{"type":"program","id":18446744073709551616,"body":{}}`),
-		"escaped-type":      rawFrame(`{"type":"pro\u0067ram","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}}`),
+		"escaped-type":      rawFrame(`{"type":"pro\u0067ram","id":7,"body":{"offsets":[0],"default_action":"allow","rows":1}}` + row),
 		"no-body":           rawFrame(`{"type":"program","id":7}`),
 		"empty-body":        rawFrame(`{"type":"program","id":7,"body":}`),
-		"trailing-bytes":    rawFrame(`{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[]}}xyz`),
+		"trailing-bytes":    body(`{"offsets":[0],"default_action":"allow","rows":0}`, "xyz"),
 		"trailing-brace":    rawFrame(`{"type":"program","id":7,"body":{}}}`),
 		"lone-backslash":    rawFrame(`{"type":"program","body":"\`),
 		"not-json":          rawFrame(`hello`),
 		"empty-frame":       rawFrame(``),
 		"delta-frame": rawFrame(`{"type":"delta","id":9,"body":{"offsets":[0],"default_action":"allow","base_count":1,` +
-			`"base_hash":7,"deletes":[0],"adds":[{"entry":` + entry + `,"order":0}]}}`),
+			`"base_hash":7,"deletes":[0],"adds":[0]}}` + row),
 	}
 	// The envelopes that test where a body ends; TestRecordedFrameAnswers
-	// holds what each one did before the decoder settled that.
+	// holds what the agent answers to each.
 	for name, rec := range recordedFrames {
 		cases["extent-"+name] = rawFrame(rec.frame)
 	}
-	truncated := body(`{"offsets":[0],"default_action":"allow","entries":[` + entry + `]}`)
+	truncated := body(`{"offsets":[0],"default_action":"allow","rows":1}`, row)
 	cases["truncated-frame"] = truncated[:len(truncated)-9]
-	cases["after-frame"] = append(body(`{"offsets":[0],"default_action":"allow","entries":[]}`), "next frame"...)
+	cases["after-frame"] = append(body(`{"offsets":[0],"default_action":"allow","rows":1}`, row), "next frame"...)
 	cases["header-only"] = []byte{0, 0}
 	cases["claims-max-frame"] = append(binary.BigEndian.AppendUint32(nil, MaxFrame), `{"type":"program"}`...)
 	cases["claims-max-frame-plus-1"] = append(binary.BigEndian.AppendUint32(nil, MaxFrame+1), `{"type":"program"}`...)
 	return cases
 }
 
-// checkProgramFrame reads data as one framed Program both ways — the
-// agent's route (readMsg, then DecodeBody + Program.rows for what the
-// single pass declined) and a plain encoding/json + ToP4Entry reference —
-// and fails on any disagreement:
-//   - whenever the single-pass route accepts, encoding/json accepts and a
-//     table stores the same program from either side (or refuses both
-//     alike);
-//   - whenever encoding/json rejects, the frame is rejected with
-//     ErrMalformed (at readMsg or at DecodeBody);
-//   - an action without a p4 type is the same error on both;
-//   - transport-level failures (short header, truncated or oversized
-//     frame) stay what they were.
-//
-// What decoding may allocate is checkFrameAllocs'.
+// checkProgramFrame reads data as one framed program both ways — the
+// agent's route and the reference decoder — and fails on any disagreement
+// in the table a program leaves (entries in match order, signature,
+// default action) or in the class of the refusal; transport-level failures
+// (short header, truncated or oversized frame) stay what they were. What
+// decoding may allocate is checkFrameAllocs'.
 func checkProgramFrame(t *testing.T, data []byte) {
 	t.Helper()
-	env, got, single, err, conv := readRows(bytes.NewReader(data))
+	_, _, err := agentDecode(bytes.NewReader(data))
 	if len(data) < 4 {
 		if err == nil || errors.Is(err, ErrMalformed) {
 			t.Fatalf("short header: err = %v, want a read error", err)
@@ -522,26 +549,14 @@ func checkProgramFrame(t *testing.T, data []byte) {
 		return
 	}
 	buf := data[4 : 4+n]
-
-	wantEnv, want, wantErr, wantConv := refRows(buf)
-	switch {
-	case wantErr != nil && !errors.Is(err, ErrMalformed):
-		t.Fatalf("encoding/json rejects the frame (%v) but err = %v, want ErrMalformed", wantErr, err)
-	case wantErr == nil && err != nil:
-		t.Fatalf("encoding/json accepts the frame but err = %v", err)
-	case wantErr == nil && (env.Type != wantEnv.Type || env.ID != wantEnv.ID || fmt.Sprint(conv) != fmt.Sprint(wantConv) || !sameRows(got, want)):
-		t.Fatalf("decoded (%s, %d, %+v, %v), encoding/json decodes (%s, %d, %+v, %v)",
-			env.Type, env.ID, got, conv, wantEnv.Type, wantEnv.ID, want, wantConv)
+	if got, want := agentRead(buf), refRead(buf); got != want {
+		t.Fatalf("the agent reads\n%s\nthe reference decoder\n%s", got, want)
 	}
-	if single && (wantErr != nil || wantConv != nil || env.Type != TypeProgram || !bytes.Equal(env.Body, wantEnv.Body)) {
-		t.Fatalf("the single pass accepted a frame encoding/json reads as (%s, %q, %v, %v)", wantEnv.Type, wantEnv.Body, wantErr, wantConv)
-	}
-
-	// The envelope route on its own: accepting is a claim that
+	// The envelope split on its own: accepting is a claim that
 	// encoding/json agrees.
-	if fast, _, ok := splitEnvelope(buf); ok {
+	if fast, end, ok := splitEnvelope(buf); ok {
 		var ref Envelope
-		if json.Unmarshal(buf, &ref) == nil && !reflect.DeepEqual(fast, ref) {
+		if json.Unmarshal(buf[:end], &ref) == nil && !reflect.DeepEqual(fast, ref) {
 			t.Fatalf("splitEnvelope = %+v, encoding/json = %+v", fast, ref)
 		}
 	}
@@ -554,7 +569,7 @@ func checkFrameAllocs(t *testing.T, data []byte) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	readRows(bytes.NewReader(data))
+	_, _, _ = agentDecode(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	if len(data) < 4 {
 		return
@@ -568,148 +583,243 @@ func checkFrameAllocs(t *testing.T, data []byte) {
 	}
 	// The frame buffer grows as bytes arrive, to its claimed size at most;
 	// everything after that is bounded by what actually arrived.
-	if bound := n + 128*uint64(len(data)) + 64<<10; alloc > bound {
+	if bound := n + 16*uint64(len(data)) + 64<<10; alloc > bound {
 		t.Fatalf("decoding a %d-byte input allocated %d bytes (bound %d)", len(data), alloc, bound)
 	}
 }
 
 // TestProgramFrameAllocBounds holds every hand-written case, and the random
-// programs the fuzzer is seeded with, to checkFrameAllocs: the bound the
-// fuzz body checked on every execution, six runtime.ReadMemStats a time,
-// before it moved here.
+// programs the fuzzer is seeded with, to checkFrameAllocs.
 func TestProgramFrameAllocBounds(t *testing.T) {
 	for name, data := range programFrameCases() {
 		t.Run(name, func(t *testing.T) { checkFrameAllocs(t, data) })
 	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 8; i++ {
-		checkFrameAllocs(t, refFrame(t, TypeProgram, uint64(i), randProgram(rng, i%2 == 0)))
+	for _, data := range seedFrames(t) {
+		checkFrameAllocs(t, data)
 	}
 }
 
 // TestProgramFrameCases runs the hand-written cases directly, and pins
-// which route each of the headline ones takes.
+// which envelopes the single-pass split declines to encoding/json.
 func TestProgramFrameCases(t *testing.T) {
 	cases := programFrameCases()
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) { checkProgramFrame(t, data) })
 	}
-	singlePass := map[string]bool{"canonical": true, "null-lists": true,
-		"int-min": true, "after-frame": true, "extent-canonical-two-rows": true}
+	declined := map[string]bool{"body-lead-space": true, "frame-padded": true, "key-after-body": true,
+		"unknown-after": true, "duplicate-type": true, "id-leading-zero": true, "id-overflow": true,
+		"escaped-type": true, "empty-body": true, "lone-backslash": true, "not-json": true, "empty-frame": true,
+		"extent-body-before-type": true, "extent-body-first": true, "extent-member-after-program": true,
+		"extent-missing-envelope-close": true, "extent-second-body": true, "extent-second-body-first-junk": true,
+		"extent-second-body-scalar": true, "extent-space-then-brace": true, "body-padded": true,
+		"scalar-body-space": true, "unbalanced-body": true}
 	for name, data := range cases {
 		if len(data) < 4 || int(binary.BigEndian.Uint32(data)) > len(data)-4 {
 			continue
 		}
 		buf := data[4 : 4+binary.BigEndian.Uint32(data)]
-		if _, rows, _ := splitEnvelope(buf); (rows != nil) != singlePass[name] {
-			t.Errorf("%s: single-pass route accepted = %v", name, rows != nil)
+		if _, _, ok := splitEnvelope(buf); ok == declined[name] {
+			t.Errorf("%s: the single-pass split accepted = %v", name, ok)
 		}
 	}
 }
 
 var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzReadProgramFrame from programFrameCases")
 
-// TestDecodedKeysShareOneSlab: the single pass decodes range rows of the
-// program's width, lo and hi copied into the program's slab (p4.Rows.Add),
-// and a table stores exactly those of each. A row with a value or a mask —
-// absent, empty or wider than the key makes no difference to a range table,
-// which does not store them — or of another width is declined and decoded
-// by encoding/json, and a table makes the same of it as of the oracle's
-// entries: the rows without the value, or the refusal.
+// TestDecodedKeysShareOneSlab: the decoder copies every row's lo and hi
+// into the program's one key slab (p4.Rows.Add) — what decoding allocates
+// does not grow with the rows — and a table stores exactly those of each.
 func TestDecodedKeysShareOneSlab(t *testing.T) {
-	wide := base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{0xA5}, 64))
-	for name, entries := range map[string]string{
-		"one-width": `{"lo":"AQ==","hi":"Ag==","action":"drop"},` +
-			`{"prefix_len":3,"lo":"AQ==","hi":"AQ==","action":"nop"},` +
-			`{"priority":3,"lo":"Bw==","hi":"CQ==","action":"set_class","class":4}`,
-		"with-values": `{"lo":"AQ==","hi":"Ag==","action":"drop"},` +
-			`{"value":"","mask":"","lo":"AA==","hi":"/w==","action":"allow"},` +
-			`{"value":"` + wide + `","prefix_len":3,"lo":"AQ==","hi":"AQ==","action":"nop"}`,
-		"unequal-widths": `{"lo":"AQ==","hi":"Ag==","action":"drop"},` +
-			`{"lo":"AAECAwQF","hi":"/////w==","action":"allow"},` +
-			`{"action":"digest"},` +
-			`{"lo":"","action":"drop"},` +
-			`{"priority":3,"lo":"AAE=","hi":"AAI=","action":"set_class","class":4}`,
-	} {
-		body := []byte(`{"offsets":[0],"default_action":"allow","entries":[` + entries + `]}`)
-		got := parseProgramRows(body)
-		if (got != nil) != (name == "one-width") {
-			t.Fatalf("%s: taken by the single pass = %v", name, got != nil)
+	var allocs []float64
+	for _, rows := range []int{16, 4096} {
+		p := benchProgram(rows)
+		frame := refProgramFrame(t, 1, p)
+		env, err := splitFrame(frame[4:])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got == nil {
-			var p Program
-			err := json.Unmarshal(body, &p)
-			if got, err = p.rows(); err != nil {
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := decodeProgram(env); err != nil {
 				t.Fatal(err)
 			}
+		}))
+		head, sec := env.Body, env.rows
+		ref, class := refRows(head, sec)
+		got, err := decodeProgram(env)
+		if err != nil || class != "" {
+			t.Fatal(err, class)
 		}
-		_, want, err, conv := refRows([]byte(`{"type":"program","body":` + string(body) + `}`))
-		if err != nil || conv != nil {
-			t.Fatal(err, conv)
+		if held, want := got.stored(), ref.stored(); held != want {
+			t.Fatalf("rows=%d: the table holds\n%s\nfrom the decoder, from the reference\n%s", rows, held, want)
 		}
-		held := got.stored()
-		if ref := want.stored(); held != ref {
-			t.Fatalf("%s: decoded rows differ from encoding/json's\n got %s\nwant %s", name, held, ref)
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("decoding 16 rows allocates %.0f times, 4096 rows %.0f: something is made per row", allocs[0], allocs[1])
+	}
+}
+
+// TestHostileBodyCannotInflateSlabs: a head's row count is a claim the
+// section must bear out before anything is sized by it, so a count of a
+// trillion rows, or of one row of a key a million bytes wide, behind a few
+// bytes of section costs nothing; and rows that are what they claim, on a
+// key of four thousand bytes, cost their keys and their stored rows.
+func TestHostileBodyCannotInflateSlabs(t *testing.T) {
+	decode := func(offsets string, rows int, sec []byte) (programRows, error, int) {
+		env, err := splitFrame([]byte(fmt.Sprintf(`{"type":"program","body":{"offsets":[%s],"default_action":"allow","rows":%d}}%s`, offsets, rows, sec)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if refused := strings.Contains(held, p4.ErrBadEntry.Error()); refused != (name == "unequal-widths") {
-			t.Fatalf("%s: the table holds %s", name, held)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := decodeProgram(env)
+		runtime.ReadMemStats(&after)
+		return p, err, int(after.TotalAlloc - before.TotalAlloc)
+	}
+	row := packRow([]byte{1}, []byte{2}, 1, 0, p4.ActionDrop)
+	for name, c := range map[string]struct {
+		offsets string
+		rows    int
+		sec     []byte
+	}{
+		"trillion-rows":  {"0", 1 << 40, row},
+		"overflow-rows":  {"0", math.MaxInt64/11 + 1, row},
+		"negative-rows":  {"0", -1, row},
+		"one-row-short":  {"0", 2, row},
+		"wide-claim":     {"0", 1, bytes.Repeat(row, 100_000)},
+		"rows-of-no-key": {"", 1 << 30, bytes.Repeat(row, 3)},
+	} {
+		if _, err, alloc := decode(c.offsets, c.rows, c.sec); !errors.Is(err, ErrMalformed) || alloc > 4<<10 {
+			t.Errorf("%s: err %v, allocating %d bytes for rows the section does not hold", name, err, alloc)
 		}
-		if name != "unequal-widths" && (strings.Contains(held, "165") || !strings.Contains(held, "PrefixLen:3 Lo:[1] Hi:[1]")) {
-			t.Fatalf("%s: a range row was stored with its value, or without its lo and hi: %s", name, held)
+	}
+	const width = 4 << 10
+	offsets := strings.Repeat("0,", width-1) + "0"
+	key := bytes.Repeat([]byte{7}, width)
+	wide := bytes.Repeat(packRow(key, key, 1, 0, p4.ActionDrop), 3)
+	_, _, layout := decode(offsets, 0, nil)
+	got, err, alloc := decode(offsets, 3, wide)
+	if err != nil || got.installed != 3 {
+		t.Fatalf("wide rows: %v", err)
+	}
+	if budget := 3*2*width + 3*storedRow + 1<<10; alloc-layout > budget {
+		t.Errorf("three rows of %d bytes of key each allocated %d bytes beside the layout, budget %d", 2*width, alloc-layout, budget)
+	}
+}
+
+// TestPackedSectionBounds walks the edges of the section on keys of 0, 1,
+// 16 and 17 bytes. Rows whose priority and class sit on the int32 edges
+// round-trip byte-identically — encoded, decoded, programmed into a table
+// and encoded again from what it holds. A head whose count is a row off
+// either way, a section a byte off either way, and a count whose rows would
+// need MaxFrame are refused with ErrMalformed, having allocated no more
+// than the frame and a kilobyte for reading the head and saying why; and a
+// row one past an edge, or a byte off the width, is refused at encode.
+func TestPackedSectionBounds(t *testing.T) {
+	edges := []int{math.MaxInt32, 1, 0, -1, math.MinInt32} // descending: the table lists them in this order
+	actions := []string{"allow", "drop", "digest", "set_class", "nop"}
+	for _, w := range []int{0, 1, 16, 17} {
+		p := Program{Offsets: make([]int, w), DefaultAction: "digest", TraceID: 1}
+		for i := range p.Offsets {
+			p.Offsets[i] = i
+		}
+		for i, e := range edges {
+			lo, hi := bytes.Repeat([]byte{byte(i)}, w), bytes.Repeat([]byte{byte(255 - i)}, w)
+			p.Entries = append(p.Entries, WireEntry{Priority: e, Lo: lo, Hi: hi, Action: actions[i], Class: edges[len(edges)-1-i]})
+		}
+		frame, _, err := encodeFrame(TypeProgram, 1, p)
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		sw := newTestSwitch(t)
+		if _, resps := handleFrames(t, sw, frame); len(resps) != 1 || !resps[0].OK {
+			t.Fatalf("w=%d: %+v", w, resps)
+		}
+		det, err := sw.Pipeline().Table(switchsim.DetectorTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := Program{Offsets: p.Offsets, DefaultAction: det.DefaultAction.Type.String(), TraceID: 1}
+		for _, e := range det.Entries() {
+			back.Entries = append(back.Entries, WireEntry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: e.Action.Type.String(), Class: e.Action.Class})
+		}
+		if again, _, err := encodeFrame(TypeProgram, 1, back); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("w=%d: the table's rows encode to\n%q\nnot\n%q (%v)", w, again, frame, err)
+		}
+
+		head := func(rows int) string {
+			return fmt.Sprintf(`{"type":"program","body":{"offsets":%s,"default_action":"digest","rows":%d}}`, strings.ReplaceAll(fmt.Sprint(p.Offsets), " ", ","), rows)
+		}
+		env, err := splitFrame(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, n := env.rows, len(p.Entries)
+		for name, bad := range map[string]string{
+			"a row more":    head(n+1) + string(sec),
+			"a row less":    head(n-1) + string(sec),
+			"a byte more":   head(n) + string(sec) + "\x00",
+			"a byte less":   head(n) + string(sec[:len(sec)-1]),
+			"past MaxFrame": head(MaxFrame/rowSize(w)+1) + string(sec),
+		} {
+			env, err := splitFrame([]byte(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = decodeProgram(env)
+			runtime.ReadMemStats(&after)
+			if alloc := int(after.TotalAlloc - before.TotalAlloc); !errors.Is(err, ErrMalformed) || alloc > len(bad)+1<<10 && !raceEnabled {
+				t.Errorf("w=%d, %s: err %v, allocating %d bytes for a %d-byte frame", w, name, err, alloc, len(bad))
+			}
+		}
+
+		for name, e := range map[string]WireEntry{
+			"priority past int32": {Priority: math.MaxInt32 + 1, Lo: p.Entries[0].Lo, Hi: p.Entries[0].Hi, Action: "drop"},
+			"class past int32":    {Class: math.MinInt32 - 1, Lo: p.Entries[0].Lo, Hi: p.Entries[0].Hi, Action: "drop"},
+			"lo a byte wider":     {Lo: append([]byte{0}, p.Entries[0].Lo...), Hi: p.Entries[0].Hi, Action: "drop"},
+			"unknown action":      {Lo: p.Entries[0].Lo, Hi: p.Entries[0].Hi, Action: "reflect"},
+		} {
+			odd := Program{Offsets: p.Offsets, DefaultAction: "digest", Entries: []WireEntry{p.Entries[0], e}}
+			if _, _, err := encodeFrame(TypeProgram, 1, odd); !errors.Is(err, ErrMalformed) {
+				t.Errorf("w=%d, %s: encode err %v, want ErrMalformed", w, name, err)
+			}
 		}
 	}
 }
 
-// TestHostileBodyCannotInflateSlabs: the key slab is sized from a row's
-// keys times the rows the builder has room for, which a first row sixteen
-// thousand bytes wide would turn into sixteen times its width; it is held
-// to the 3/4 of the text left that base64 can decode to (the keyBytes of
-// p4.Rows.Grow). Whatever the body, one decode allocates no more than that
-// for keys beside two rows of scratch, stored rows for the rows it could
-// hold and the offsets; and a row that is not of the program's width —
-// however much text it claims — is declined before a byte is allocated for
-// it.
-func TestHostileBodyCannotInflateSlabs(t *testing.T) {
-	giant := strings.Repeat("AAAA", 150_000) // 600 KB of text, 450 KB of key
-	row := func(lo string) string { return `{"lo":"` + lo + `","action":"drop"}` }
-	var growing []string
-	for n := 1; n <= 300; n++ {
-		growing = append(growing, row(base64.StdEncoding.EncodeToString(make([]byte, n))))
-	}
-	const width = 4 << 10
-	wideKey := base64.StdEncoding.EncodeToString(make([]byte, width))
-	wideRow := `{"lo":"` + wideKey + `","hi":"` + wideKey + `","action":"drop"}`
-	decode := func(offsets, entries string) (*programRows, int) {
-		body := []byte(`{"offsets":[` + offsets + `],"default_action":"allow","entries":[` + entries + `]}`)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got := parseProgramRows(body)
-		runtime.ReadMemStats(&after)
-		return got, int(after.TotalAlloc - before.TotalAlloc)
-	}
-	for name, entries := range map[string]string{
-		"giant-first":   row(giant) + "," + row("AQ==") + "," + row("Ag=="),
-		"giant-each":    row(giant) + "," + row(giant) + "," + row(giant),
-		"giant-then-no": row(giant) + `,{"lo":"AQ==","action":"reflect"}`,
-		"growing-keys":  strings.Join(growing, ","),
+// TestPackedFramesGolden pins the bytes of a two-row program frame and of
+// a write frame (TestDeltaMsgWireShape pins a delta's): a change to the
+// layout is a diff here, not only a round trip that still agrees with
+// itself.
+func TestPackedFramesGolden(t *testing.T) {
+	prog := Program{Offsets: []int{3, 4}, DefaultAction: "digest", DefaultClass: 2, TraceID: 3, SpanID: 4, Entries: []WireEntry{
+		{Priority: 2, Lo: []byte{1, 2}, Hi: []byte{3, 4}, Action: "drop", Class: 1},
+		{Priority: -1, Lo: []byte{0, 0}, Hi: []byte{255, 255}, Action: "allow"},
+	}}
+	write := Write{Entry: WireEntry{Priority: 1 << 20, Lo: []byte{0xee, 1}, Hi: []byte{0xee, 1}, Action: "drop", Class: 1}, TraceID: 5}
+	for _, c := range []struct {
+		typ  MsgType
+		body any
+		want string
+	}{
+		{TypeProgram, prog, "\x00\x00\x00\x9a" +
+			`{"type":"program","id":7,"body":{"offsets":[3,4],"default_action":"digest","default_class":2,"trace_id":3,"span_id":4,"rows":2}}` +
+			"\x01\x02" + "\x03\x04" + "\x02\x00\x00\x00" + "\x01\x00\x00\x00" + "\x02" +
+			"\x00\x00" + "\xff\xff" + "\xff\xff\xff\xff" + "\x00\x00\x00\x00" + "\x01"},
+		{TypeWrite, write, "\x00\x00\x00\x3a" +
+			`{"type":"write","id":7,"body":{"trace_id":5}}` +
+			"\xee\x01" + "\xee\x01" + "\x00\x00\x10\x00" + "\x01\x00\x00\x00" + "\x02"},
 	} {
-		if got, alloc := decode("0", entries); got != nil || alloc > 4<<10 {
-			t.Errorf("%s: decoded %+v, allocating %d bytes for rows not of the program's width", name, got, alloc)
+		if frame, _, err := encodeFrame(c.typ, 7, c.body); err != nil || string(frame) != c.want {
+			t.Errorf("%s frame drifted (%v):\n got %q\nwant %q", c.typ, err, frame, c.want)
 		}
 	}
-	offsets := strings.Repeat("0,", width-1) + "0"
-	_, layout := decode(offsets, "")
-	entries := wideRow + "," + wideRow + "," + wideRow
-	got, alloc := decode(offsets, entries)
-	if got == nil || got.installed != 3 {
-		t.Fatalf("wide rows: decoded %+v", got)
-	}
-	// The keys, the scratch a row is decoded in, the builder's first size,
-	// each rounded up to a size class; unheld, the slab alone is 128 KB.
-	if budget := len(entries)/4*3 + 2*width + 16*storedRow + 8<<10; alloc-layout > budget {
-		t.Errorf("three rows of %d bytes of key each allocated %d bytes beside the layout, budget %d", 2*width, alloc-layout, budget)
-	}
 }
+
+// storedRow is what a table keeps of one row beside its key: p4's
+// TestStoredRowFootprint pins the struct to it.
+const storedRow = 80
 
 // heapAfter is the live heap once build has run and what it returns is all
 // that is kept of it: the cheapest of three readings, each a HeapAlloc
@@ -733,63 +843,47 @@ func heapAfter(build func() any) int {
 	return best
 }
 
-// TestDecodedSlabFitsItsRows: the slab the decoder builds is what the
-// table keeps for as long as the program stands, so it is sized to the
-// rows: a table programmed from the frame, whose builder was sized by
-// guessing from the text, holds within a hundredth (and a page) of what one
-// programmed through Program.rows holds, which counts its rows first —
-// whether rows run shorter or longer towards the end of the body than
-// where they were sampled.
+// TestDecodedSlabFitsItsRows: the slabs the decoder builds are what the
+// table keeps for as long as the program stands, and the head counts the
+// rows before they are read, so they are sized exactly: a table programmed
+// from the frame holds what one programmed from a builder made by hand for
+// exactly those rows holds, within a page, at every size.
 func TestDecodedSlabFitsItsRows(t *testing.T) {
-	tapered := func(rows int, rising bool) Program {
+	for _, rows := range []int{16, 17, 300, 8192, 50000} {
 		p := benchProgram(rows)
-		for i := range p.Entries {
-			n := i
-			if !rising {
-				n = rows - i
-			}
-			p.Entries[i].Priority, p.Entries[i].Class = n*n, n // four digits more at one end than at the other
-		}
-		return p
-	}
-	for name, p := range map[string]Program{
-		"rows=16": benchProgram(16), "rows=17": benchProgram(17), "rows=300": benchProgram(300),
-		"rows=8192": benchProgram(8192), "rows=50000": benchProgram(50000),
-		"falling": tapered(8192, false), "rising": tapered(8192, true),
-	} {
-		frame := refFrame(t, TypeProgram, 1, p)
-		program := func(decode func() *programRows) func() any {
+		frame := refProgramFrame(t, 1, p)
+		specs := []p4.FieldSpec{{Width: 6}}
+		program := func(build func() *p4.Rows) func() any {
 			return func() any {
-				rows := decode()
-				if rows == nil || rows.installed != len(p.Entries) {
-					t.Fatalf("%s: not decoded", name)
-				}
 				tbl := p4.NewTable("det", p4.MatchRange, nil, 0, p4.Action{})
-				if err := tbl.Program(make([]p4.FieldSpec, 6), rows.def, rows.entries); err == nil {
-					t.Fatalf("%s: a table took six-byte rows on a key of no bytes", name)
-				}
-				specs := []p4.FieldSpec{{Width: 6}}
-				if err := tbl.Program(specs, rows.def, rows.entries); err != nil {
-					t.Fatalf("%s: %v", name, err)
+				if err := tbl.Program(specs, p4.Action{Type: p4.ActionDigest}, build()); err != nil {
+					t.Fatalf("rows=%d: %v", rows, err)
 				}
 				return tbl
 			}
 		}
-		guessed := heapAfter(program(func() *programRows {
-			_, rows, _ := splitEnvelope(frame[4:])
-			return rows
-		}))
-		counted := heapAfter(program(func() *programRows {
-			rows, err := p.rows()
+		decoded := heapAfter(program(func() *p4.Rows {
+			env, err := splitFrame(frame[4:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rows
+			got, err := decodeProgram(env)
+			if err != nil || got.installed != rows {
+				t.Fatalf("rows=%d: %v", rows, err)
+			}
+			return got.entries
 		}))
-		n := len(p.Entries)
-		if spare := guessed - counted; spare > (n/100+1)*(storedRow+12)+8<<10 {
-			t.Errorf("%s: the table keeps %d bytes decoded from the frame, %d counted first: %d to spare on %d rows",
-				name, guessed, counted, spare, n)
+		exact := heapAfter(program(func() *p4.Rows {
+			r := &p4.Rows{}
+			r.Grow(rows, 12*rows)
+			for _, e := range p.Entries {
+				at, _ := ParseAction(e.Action)
+				r.Add(e.Priority, 0, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
+			}
+			return r
+		}))
+		if spare := decoded - exact; spare > 4<<10 {
+			t.Errorf("rows=%d: the table keeps %d bytes decoded from the frame, %d built by hand: %d to spare", rows, decoded, exact, spare)
 		}
 	}
 }
@@ -820,7 +914,7 @@ func TestFuzzCorpusCheckedIn(t *testing.T) {
 // TestDecodeProgramMergesLikeEncodingJSON: json.Unmarshal merges into a
 // non-zero destination, so DecodeBody must too.
 func TestDecodeProgramMergesLikeEncodingJSON(t *testing.T) {
-	body := []byte(`{"offsets":[4],"default_action":"drop","entries":null}`)
+	body := []byte(`{"offsets":[4],"default_action":"drop","rows":0}`)
 	seed := Program{DefaultClass: 9, TraceID: 5, Entries: []WireEntry{{Class: 2}}}
 	got, want := seed, seed
 	if err := json.Unmarshal(body, &want); err != nil {
@@ -834,10 +928,25 @@ func TestDecodeProgramMergesLikeEncodingJSON(t *testing.T) {
 	}
 }
 
-func FuzzReadProgramFrame(f *testing.F) {
+// seedFrames are the frames of the random programs the fuzzer starts from,
+// the ones the section can hold.
+func seedFrames(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 8; i++ {
-		f.Add(refFrame(f, TypeProgram, uint64(i), randProgram(rng, i%2 == 0)))
+	var out [][]byte
+	for i := 0; len(out) < 8; i++ {
+		if p := randProgram(rng); packable(p) {
+			out = append(out, refProgramFrame(t, uint64(i), p))
+		}
+	}
+	return out
+}
+
+// FuzzReadProgramFrame compares the agent's decoder with the reference
+// decoder on arbitrary frames (checkProgramFrame); it measures nothing, so
+// every execution is a decode.
+func FuzzReadProgramFrame(f *testing.F) {
+	for _, data := range seedFrames(f) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkProgramFrame(t, data)
@@ -876,15 +985,15 @@ func benchProgram(rows int) Program {
 }
 
 // BenchmarkProgramFrame measures one Program frame on one P: through
-// WriteMsg (encode), read and split into the rows the table installs as
+// WriteMsg (encode), read and decoded into the rows the table installs as
 // the agent's loop does it, the frame recycled (decode: its allocations
-// are the sizes the entry and key slabs go through, not the rows), and
-// from the frame to a programmed detector table (apply).
+// are the row and key slabs, sized once), and from the frame to a
+// programmed detector table (apply).
 func BenchmarkProgramFrame(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, rows := range []int{16, 8192} {
 		prog := benchProgram(rows)
-		frame := refFrame(b, TypeProgram, 1, prog)
+		frame := refProgramFrame(b, 1, prog)
 		b.Run(fmt.Sprintf("encode/rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(frame)))
@@ -904,8 +1013,11 @@ func BenchmarkProgramFrame(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, got, err := splitFrame(buf)
-				if err != nil || got == nil || got.installed != rows {
+				env, err := splitFrame(buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got, err := decodeProgram(env); err != nil || got.installed != rows {
 					b.Fatalf("decode: %v (%+v)", err, got)
 				}
 				recycleFrame(buf)

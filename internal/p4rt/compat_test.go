@@ -1,130 +1,14 @@
 package p4rt
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
-
-// Legacy wire shapes: the pre-trace-context structs, as an old peer
-// would marshal and unmarshal them. Kept local to the test so the
-// compatibility contract is pinned against a concrete snapshot rather
-// than whatever the live structs currently contain.
-type legacyWrite struct {
-	Entry WireEntry `json:"entry"`
-}
-
-type legacyProgram struct {
-	Offsets       []int       `json:"offsets"`
-	DefaultAction string      `json:"default_action"`
-	DefaultClass  int         `json:"default_class,omitempty"`
-	Entries       []WireEntry `json:"entries"`
-}
-
-type legacyResponse struct {
-	OK        bool   `json:"ok"`
-	Error     string `json:"error,omitempty"`
-	Installed int    `json:"installed,omitempty"`
-	Entries   int    `json:"entries,omitempty"`
-	Hits      uint64 `json:"hits,omitempty"`
-	Misses    uint64 `json:"misses,omitempty"`
-}
-
-type legacyWirePacket struct {
-	TimeNS int64  `json:"time_ns"`
-	Link   int    `json:"link"`
-	Bytes  []byte `json:"bytes"`
-}
-
-// frameTrip writes src as a framed envelope and decodes the body into
-// dst, i.e. a one-hop wire crossing between possibly different peer
-// versions.
-func frameTrip(t *testing.T, typ MsgType, src any, dst any) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteMsg(&buf, typ, 1, src); err != nil {
-		t.Fatalf("WriteMsg: %v", err)
-	}
-	env, err := ReadMsg(&buf)
-	if err != nil {
-		t.Fatalf("ReadMsg: %v", err)
-	}
-	if err := json.Unmarshal(env.Body, dst); err != nil {
-		t.Fatalf("decode body: %v", err)
-	}
-}
-
-// TestTraceFieldsOldFramesDecodeOnNewPeer: frames from an old peer (no
-// trace_id/span_id keys) decode on a new peer with zero trace context
-// and intact payload — upgrading one side never breaks the other.
-func TestTraceFieldsOldFramesDecodeOnNewPeer(t *testing.T) {
-	entry := WireEntry{Value: []byte{200, 7}, Action: "drop", Class: 3}
-
-	var w Write
-	frameTrip(t, TypeWrite, legacyWrite{Entry: entry}, &w)
-	if w.TraceID != 0 || w.SpanID != 0 {
-		t.Fatalf("old write frame decoded trace ctx %d/%d, want 0/0", w.TraceID, w.SpanID)
-	}
-	if w.Entry.Action != "drop" || w.Entry.Class != 3 {
-		t.Fatalf("old write frame entry = %+v", w.Entry)
-	}
-
-	var p Program
-	frameTrip(t, TypeProgram, legacyProgram{Offsets: []int{0, 1}, DefaultAction: "digest", Entries: []WireEntry{entry}}, &p)
-	if p.TraceID != 0 || p.SpanID != 0 {
-		t.Fatalf("old program frame decoded trace ctx %d/%d, want 0/0", p.TraceID, p.SpanID)
-	}
-	if len(p.Entries) != 1 || p.DefaultAction != "digest" {
-		t.Fatalf("old program frame = %+v", p)
-	}
-
-	var r Response
-	frameTrip(t, TypeResponse, legacyResponse{OK: true, Installed: 4}, &r)
-	if r.TraceID != 0 || r.SpanID != 0 || r.Switch != nil {
-		t.Fatalf("old response frame = %+v, want no trace ctx and no switch stats", r)
-	}
-
-	var wp WirePacket
-	frameTrip(t, TypeDigest, legacyWirePacket{TimeNS: 42, Link: 1, Bytes: []byte{200, 9}}, &wp)
-	if wp.TraceID != 0 || wp.SpanID != 0 || wp.TimeNS != 42 {
-		t.Fatalf("old packet frame = %+v", wp)
-	}
-}
-
-// TestTraceFieldsNewFramesDecodeOnOldPeer: frames carrying trace context
-// decode cleanly on an old peer — encoding/json skips unknown keys, so
-// the trace fields ride along invisibly and the payload survives.
-func TestTraceFieldsNewFramesDecodeOnOldPeer(t *testing.T) {
-	entry := WireEntry{Value: []byte{201, 8}, Action: "allow"}
-
-	var lw legacyWrite
-	frameTrip(t, TypeWrite, Write{Entry: entry, TraceID: 0xfeed, SpanID: 0xbeef}, &lw)
-	if lw.Entry.Action != "allow" || !bytes.Equal(lw.Entry.Value, entry.Value) {
-		t.Fatalf("new write frame on old peer = %+v", lw)
-	}
-
-	var lp legacyProgram
-	frameTrip(t, TypeProgram, Program{Offsets: []int{2}, DefaultAction: "drop", Entries: []WireEntry{entry}, TraceID: 1, SpanID: 2}, &lp)
-	if len(lp.Entries) != 1 || lp.DefaultAction != "drop" {
-		t.Fatalf("new program frame on old peer = %+v", lp)
-	}
-
-	var lr legacyResponse
-	frameTrip(t, TypeResponse, Response{OK: true, Entries: 9, TraceID: 3, SpanID: 4, Switch: &WireSwitchStats{Name: "gw0"}}, &lr)
-	if !lr.OK || lr.Entries != 9 {
-		t.Fatalf("new response frame on old peer = %+v", lr)
-	}
-
-	var lwp legacyWirePacket
-	frameTrip(t, TypeDigest, WirePacket{TimeNS: 7, Link: 1, Bytes: []byte{1}, TraceID: 5, SpanID: 6}, &lwp)
-	if lwp.TimeNS != 7 || lwp.Link != 1 {
-		t.Fatalf("new packet frame on old peer = %+v", lwp)
-	}
-}
 
 // injectUnknownFields adds n random unknown keys to a JSON object.
 func injectUnknownFields(t *testing.T, raw []byte, rng *rand.Rand, n int) []byte {
@@ -154,13 +38,13 @@ func injectUnknownFields(t *testing.T, raw []byte, rng *rand.Rand, n int) []byte
 }
 
 // TestUnknownWireFieldsTolerated: seeded-random unknown keys injected
-// into every message type's JSON must neither fail decoding nor perturb
-// the known fields — the forward-compat property the trace-context
-// rollout (and any future field) depends on.
+// into every message type's JSON — a row-carrying body's head included —
+// must neither fail decoding nor perturb the known fields: a field added
+// within a protocol version is skipped by a peer that does not know it.
 func TestUnknownWireFieldsTolerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
-		wantW := Write{Entry: WireEntry{Value: []byte{byte(round)}, Action: "drop", Class: round}, TraceID: uint64(round), SpanID: uint64(round + 1)}
+		wantW := Write{TraceID: uint64(round), SpanID: uint64(round + 1)}
 		raw, err := json.Marshal(wantW)
 		if err != nil {
 			t.Fatal(err)
@@ -169,9 +53,20 @@ func TestUnknownWireFieldsTolerated(t *testing.T) {
 		if err := json.Unmarshal(injectUnknownFields(t, raw, rng, 1+rng.Intn(5)), &gotW); err != nil {
 			t.Fatalf("round %d: write decode: %v", round, err)
 		}
-		if gotW.Entry.Action != wantW.Entry.Action || gotW.Entry.Class != wantW.Entry.Class ||
-			gotW.TraceID != wantW.TraceID || gotW.SpanID != wantW.SpanID {
+		if gotW.TraceID != wantW.TraceID || gotW.SpanID != wantW.SpanID {
 			t.Fatalf("round %d: write = %+v, want %+v", round, gotW, wantW)
+		}
+
+		wantP := programHead{&Program{Offsets: []int{round}, DefaultAction: "drop", TraceID: uint64(round)}, round}
+		if raw, err = json.Marshal(wantP); err != nil {
+			t.Fatal(err)
+		}
+		gotP := programHead{&Program{}, -1}
+		if err := json.Unmarshal(injectUnknownFields(t, raw, rng, 1+rng.Intn(5)), &gotP); err != nil {
+			t.Fatalf("round %d: program head decode: %v", round, err)
+		}
+		if !reflect.DeepEqual(gotP, wantP) {
+			t.Fatalf("round %d: program head = %+v, want %+v", round, gotP, wantP)
 		}
 
 		wantR := Response{OK: round%2 == 0, Installed: round, TraceID: uint64(round)}

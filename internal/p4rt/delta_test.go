@@ -1,99 +1,17 @@
 package p4rt
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
-	"strings"
 	"testing"
 
 	"p4guard/internal/p4"
 	"p4guard/internal/packet"
 	"p4guard/internal/switchsim"
 )
-
-// legacyServer emulates a pre-delta switch agent: it completes the
-// handshake, answers heartbeats, and answers every other frame the way
-// the old dispatch loop's default branch did — a Response whose Error
-// names the unknown message type. The delta rollout's compatibility
-// contract (client.ProgramDelta doc, controller fallback) is pinned
-// against this concrete behavior.
-func legacyServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer func() { _ = c.Close() }()
-				env, err := ReadMsg(c)
-				if err != nil || env.Type != TypeHello {
-					return
-				}
-				if err := WriteMsg(c, TypeHelloAck, env.ID, HelloAck{ServerName: "legacy"}); err != nil {
-					return
-				}
-				for {
-					env, err := ReadMsg(c)
-					if err != nil {
-						return
-					}
-					resp := Response{OK: true}
-					if env.Type != TypeHeartbeat {
-						resp = Response{Error: fmt.Sprintf("unknown message type %q", env.Type)}
-					}
-					if err := WriteMsg(c, TypeResponse, env.ID, resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestDeltaRejectedByOldPeer: a delta sent to a pre-delta peer must
-// come back as a typed rejection whose reason names the unknown message
-// type — that exact shape is what the controller keys its full-swap
-// fallback (and its per-switch no-delta latch) on. The connection must
-// survive so the fallback Program can reuse it.
-func TestDeltaRejectedByOldPeer(t *testing.T) {
-	addr := legacyServer(t)
-	cl, err := DialContext(context.Background(), addr, "t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cl.Close() }()
-
-	_, err = cl.ProgramDelta(context.Background(), DeltaMsg{
-		Offsets: []int{0}, DefaultAction: "allow", BaseCount: 1, BaseHash: 7,
-		Deletes: []int{0},
-	})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
-	}
-	var rej *RejectError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err %v is not a *RejectError", err)
-	}
-	if rej.Op != TypeDelta || !strings.Contains(rej.Reason, "unknown message type") {
-		t.Fatalf("reject = %+v, want op delta and an unknown-message-type reason", rej)
-	}
-	if err := cl.Heartbeat(context.Background()); err != nil {
-		t.Fatalf("connection dead after delta rejection: %v", err)
-	}
-}
 
 // TestProgramDeltaOverWire drives the full delta path end to end:
 // install a base program, diff it against an edited successor with
@@ -276,9 +194,10 @@ func TestDeltaLayoutMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDeltaMsgWireShape pins the delta message's JSON field names: the
-// wire contract other implementations (and future versions of this one)
-// decode against.
+// TestDeltaMsgWireShape pins the delta message as it goes on the wire:
+// the head's JSON field names, the adds' orders among them, and the adds'
+// entries as the packed section behind the envelope — the contract other
+// implementations (and future versions of this one) decode against.
 func TestDeltaMsgWireShape(t *testing.T) {
 	d := DeltaMsg{
 		Offsets:       []int{0, 4},
@@ -288,29 +207,28 @@ func TestDeltaMsgWireShape(t *testing.T) {
 		BaseHash:      0xabc,
 		Deletes:       []int{3},
 		Moves:         []WireDeltaMove{{Base: 1, Priority: 9, Order: 0}},
-		Adds:          []WireDeltaAdd{{Entry: WireEntry{Priority: 5, Value: []byte{7}, Mask: []byte{255}, Action: "drop", Class: 1}, Order: 2}},
+		Adds:          []WireDeltaAdd{{Entry: WireEntry{Priority: 5, Lo: []byte{7, 0}, Hi: []byte{7, 255}, Action: "drop", Class: 1}, Order: 2}},
 		TraceID:       1,
 		SpanID:        2,
 	}
-	raw, err := json.Marshal(d)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, TypeDelta, 3, d); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"offsets":[0,4],"default_action":"digest","default_class":2,` +
-		`"base_count":10,"base_hash":2748,"deletes":[3],` +
-		`"moves":[{"base":1,"priority":9,"order":0}],` +
-		`"adds":[{"entry":{"priority":5,"value":"Bw==","mask":"/w==","action":"drop","class":1},"order":2}],` +
-		`"trace_id":1,"span_id":2}`
-	if string(raw) != want {
-		t.Fatalf("delta wire shape drifted:\n got %s\nwant %s", raw, want)
+	want := `{"type":"delta","id":3,"body":{"offsets":[0,4],"default_action":"digest","default_class":2,` +
+		`"base_count":10,"base_hash":2748,"deletes":[3],"moves":[{"base":1,"priority":9,"order":0}],` +
+		`"trace_id":1,"span_id":2,"adds":[2]}}` +
+		"\x07\x00\x07\xff" + "\x05\x00\x00\x00" + "\x01\x00\x00\x00" + "\x02"
+	if got := buf.String()[4:]; got != want {
+		t.Fatalf("delta wire shape drifted:\n got %q\nwant %q", got, want)
 	}
 }
 
-// TestRefusedProgramAndDeltaLeaveSwitchUntouched: a Program frame whose
-// entry widths disagree with its offsets, and a delta aimed at the wrong
-// base, both come back as RejectErrors with the switch exactly as it was
-// — same entries, same signature, same default action, the attack frame
-// still dropped — and the connection still usable.
+// TestRefusedProgramAndDeltaLeaveSwitchUntouched: programs whose rows are
+// not as wide as their layout (refused at encode, ErrMalformed), one with
+// an inverted bound and a delta aimed at the wrong base all leave the switch exactly as it was — same entries, same
+// signature, same default action, the attack frame still dropped — and
+// the connection still usable.
 func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	sw, _, cl := startPair(t, nil)
 	ctx := context.Background()
@@ -325,10 +243,9 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	}
 	wantCount, wantHash := det.ProgramSignature()
 
-	// Every refused program reaches the table, which is what refuses it:
-	// rows of the layout's width with a bound inverted arrive on the
-	// single-pass route, rows of another width — not canonical — through
-	// encoding/json.
+	// A row the section cannot hold — not as wide as the layout — is
+	// refused before it is sent; an inverted bound reaches the table,
+	// which is what refuses it, and a delta the switch.
 	program := func(p Program) func() error {
 		return func() error {
 			_, err := cl.ProgramDetector(ctx, p)
@@ -337,7 +254,7 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	}
 	inverted := Program{Offsets: []int{0}, DefaultAction: "allow",
 		Entries: []WireEntry{{Lo: []byte{6}, Hi: []byte{5}, Action: "drop"}}}
-	singlePassFrame(t, inverted)
+	programFrame(t, inverted)
 	refusals := map[string]func() error{
 		"program, layout change": program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries}),
 		"program, wide rows": program(Program{Offsets: []int{0}, DefaultAction: "allow",
@@ -350,8 +267,8 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	}
 	for name, refuse := range refusals {
 		var rej *RejectError
-		if err := refuse(); !errors.As(err, &rej) {
-			t.Fatalf("%s: err = %v, want a RejectError", name, err)
+		if err := refuse(); !errors.As(err, &rej) && (name == "program, inverted bound" || !errors.Is(err, ErrMalformed)) {
+			t.Fatalf("%s: err = %v, want a RejectError (ErrMalformed for a row the section cannot hold)", name, err)
 		}
 		count, hash := det.ProgramSignature()
 		if det.Len() != 1 || count != wantCount || hash != wantHash || det.DefaultAction.Type != p4.ActionDrop {

@@ -20,9 +20,11 @@ import (
 //   - ErrOversized: a frame exceeded MaxFrame in either direction. The
 //     request can never succeed as encoded.
 //   - ErrMalformed: a frame's envelope or body is not the JSON its type
-//     calls for (or a request body would not marshal). Frame boundaries
-//     are length-prefixed, so a malformed body leaves the stream in step
-//     and the connection usable; a malformed envelope ends the read loop.
+//     calls for, its row section is not the rows its head counts, or a
+//     request would not encode (a row the section cannot hold). Frame
+//     boundaries are length-prefixed, so a malformed body leaves the stream
+//     in step and the connection usable; a malformed envelope ends the
+//     read loop.
 var (
 	ErrTimeout    = errors.New("p4rt: deadline exceeded")
 	ErrConnClosed = errors.New("p4rt: connection closed")

@@ -34,7 +34,7 @@ func silentServer(t *testing.T) string {
 				if err != nil || env.Type != TypeHello {
 					return
 				}
-				if err := WriteMsg(c, TypeHelloAck, env.ID, HelloAck{ServerName: "silent"}); err != nil {
+				if err := WriteMsg(c, TypeHelloAck, env.ID, HelloAck{ServerName: "silent", Version: Version}); err != nil {
 					return
 				}
 				for {
@@ -243,7 +243,7 @@ func scriptedServer(t *testing.T, replies ...string) string {
 			}
 			switch {
 			case i < 0:
-				err = WriteMsg(conn, TypeHelloAck, env.ID, HelloAck{ServerName: "scripted"})
+				err = WriteMsg(conn, TypeHelloAck, env.ID, HelloAck{ServerName: "scripted", Version: Version})
 			case i < len(replies):
 				_, err = conn.Write(rawFrame(fmt.Sprintf(replies[i], env.ID)))
 			default:
@@ -365,7 +365,7 @@ func TestServerRefusesMalformedProgramBody(t *testing.T) {
 		}
 		return resp
 	}
-	roundTrip(`{"type":"hello","id":1,"body":{"switch_name":"raw"}}`)
+	roundTrip(fmt.Sprintf(`{"type":"hello","id":1,"body":{"switch_name":"raw","version":%d}}`, Version))
 	resp := roundTrip(`{"type":"program","id":2,"body":{"offsets":[0],"default_action":"allow","entries":[{"action":drop}]}}`)
 	if resp.OK || !strings.Contains(resp.Error, ErrMalformed.Error()) {
 		t.Fatalf("malformed program answered %+v, want an error naming %q", resp, ErrMalformed)

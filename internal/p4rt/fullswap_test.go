@@ -28,33 +28,34 @@ func newTestSwitch(t testing.TB) *switchsim.Switch {
 	return sw
 }
 
-// singlePassFrame frames p and checks that the agent will decode the frame
-// on the single-pass route.
-func singlePassFrame(t testing.TB, p Program) []byte {
+// programFrame frames p as a client sends it and checks that the agent's
+// envelope split takes it in one pass.
+func programFrame(t testing.TB, p Program) []byte {
 	t.Helper()
 	frame, _, err := encodeFrame(TypeProgram, 1, p) // kept, not recycled: the tests hold on to it
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rows, ok := splitEnvelope(frame[4:]); !ok || rows == nil {
-		t.Fatalf("%+v does not take the single-pass route", p)
+	if _, _, ok := splitEnvelope(frame[4:]); !ok {
+		t.Fatalf("%+v does not take the single-pass split", p)
 	}
 	return frame
 }
 
 // applyFrame is the agent's handling of one program frame without the
-// connection around it: read, decode, swap the table, recycle the frame.
+// connection around it: read, split, decode and swap the table, recycle
+// the frame.
 func applyFrame(t testing.TB, s *Server, r io.Reader) Response {
 	t.Helper()
 	frame, err := readFrame(r)
 	if err != nil {
 		t.Fatalf("read a frame: %v", err)
 	}
-	env, rows, err := splitFrame(frame)
+	env, err := splitFrame(frame)
 	if err != nil || env.Type != TypeProgram {
 		t.Fatalf("split a %q frame: %v", env.Type, err)
 	}
-	resp := s.applyProgram(env, rows)
+	resp := s.applyProgram(env)
 	recycleFrame(frame)
 	return resp
 }
@@ -110,13 +111,12 @@ func handleFrames(t testing.TB, sw *switchsim.Switch, in []byte) (*memConn, []Re
 }
 
 // recordedFrame is a hostile or merely unusual program frame and what the
-// agent did with it before frames were decoded in one pass with the
-// extent deferred to the decoder: written down from a run of that code
-// (the commit before this file existed), not recomputed, so a route that
-// reads such a frame differently shows up as a diff against history
-// rather than against itself. state is the detector afterwards —
-// programmed rows / their signature / default action / its class / key
-// fields — and an untouched switch reads "0/0x0/digest/0/0".
+// agent did with it: written down from a run of the version-2 codec (PR 29)
+// and read over one by one, not recomputed, so a route that reads such a
+// frame differently shows up as a diff against that record rather than
+// against itself. state is the detector afterwards — programmed rows /
+// their signature / default action / its class / key fields — and an
+// untouched switch reads "0/0x0/digest/0/0".
 type recordedFrame struct {
 	frame   string
 	dropped bool   // the connection was dropped without an answer
@@ -124,57 +124,65 @@ type recordedFrame struct {
 	state   string
 }
 
+// recRow is the row most recorded frames carry: a one-byte key 1..2 at
+// priority 5, dropped as class 1.
+var recRow = string(packRow([]byte{1}, []byte{2}, 5, 1, p4.ActionDrop))
+
+const recHead = `{"offsets":[0],"default_action":"allow","trace_id":9,"rows":1}`
+
 var recordedFrames = map[string]recordedFrame{
-	"body-before-type": {frame: `{"id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9},"type":"program"}`,
+	"body-before-type": {frame: `{"id":7,"body":` + recHead + `,"type":"program"}` + recRow,
 		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x19abc623c5da6706/allow/0/1"},
-	"body-first": {frame: `{"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9},"type":"program","id":7}`,
+	"body-first": {frame: `{"body":` + recHead + `,"type":"program","id":7}` + recRow,
 		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x19abc623c5da6706/allow/0/1"},
-	"braces-in-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"}}","entries":[]}}`,
+	"braces-in-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"}}","rows":0}}`,
 		resp: `{"ok":false,"error":"p4rt: unknown action \"}}\""}`, state: "0/0x0/digest/0/0"},
-	"braces-in-entry-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"action":"}}"}]}}`,
-		resp: `{"ok":false,"error":"p4rt: unknown action \"}}\""}`, state: "0/0x0/digest/0/0"},
-	"braces-in-key": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"lo":"}}==","action":"drop"}]}}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: illegal base64 data at input byte 0"}`, state: "0/0x0/digest/0/0"},
-	"braces-in-unknown": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"future":"}}","default_action":"allow","entries":[]}}`,
+	"braces-in-entry-action": {frame: `{"type":"program","id":7,"body":` + recHead + `}` + recRow[:10] + "}",
+		resp: `{"ok":false,"error":"p4rt: malformed message: row 0: action 125","trace_id":9}`, state: "0/0x0/digest/0/0"},
+	"braces-in-key": {frame: `{"type":"program","id":7,"body":` + recHead + `}` + string(packRow([]byte("}"), []byte("}"), 5, 1, p4.ActionDrop)),
+		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x9a816d760ab8f6b/allow/0/1"},
+	"braces-in-unknown": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"future":"}}","default_action":"allow","rows":0}}`,
 		resp: `{"ok":true}`, state: "0/0x0/allow/0/1"},
-	"canonical-two-rows": {frame: `{"type":"program","id":7,"body":{"offsets":[3,4],"default_action":"digest","default_class":2,"entries":[{"priority":2,"lo":"AQI=","hi":"AwQ=","action":"drop","class":1},{"priority":1,"lo":"AAA=","hi":"//8=","action":"allow"}],"trace_id":3,"span_id":4}}`,
+	"canonical-two-rows": {frame: `{"type":"program","id":7,"body":{"offsets":[3,4],"default_action":"digest","default_class":2,"trace_id":3,"span_id":4,"rows":2}}` +
+		string(packRow([]byte{1, 2}, []byte{3, 4}, 2, 1, p4.ActionDrop)) + string(packRow([]byte{0, 0}, []byte{255, 255}, 1, 0, p4.ActionAllow)),
 		resp: `{"ok":true,"installed":2,"trace_id":3,"span_id":4}`, state: "2/0x39fb806d643fa89/digest/2/2"},
-	"comma-object-after": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}},{}`,
-		dropped: true, state: "0/0x0/digest/0/0"},
+	"comma-object-after": {frame: `{"type":"program","id":7,"body":` + recHead + `},{}`,
+		resp: `{"ok":false,"error":"p4rt: malformed message: 3 bytes of rows are not 1 rows of 11 bytes","trace_id":9}`, state: "0/0x0/digest/0/0"},
 	"empty-array-body": {frame: `{"type":"program","id":7,"body":[]}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal array into Go value of type p4rt.Program"}`, state: "0/0x0/digest/0/0"},
-	"garbage-then-brace": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}}xyz}`,
-		dropped: true, state: "0/0x0/digest/0/0"},
-	"member-after-program": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9},"x":1}`,
+		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal array into Go value of type p4rt.programHead"}`, state: "0/0x0/digest/0/0"},
+	"garbage-then-brace": {frame: `{"type":"program","id":7,"body":` + recHead + `}xyz}`,
+		resp: `{"ok":false,"error":"p4rt: malformed message: 4 bytes of rows are not 1 rows of 11 bytes","trace_id":9}`, state: "0/0x0/digest/0/0"},
+	"member-after-program": {frame: `{"type":"program","id":7,"body":` + recHead + `,"x":1}` + recRow,
 		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x19abc623c5da6706/allow/0/1"},
-	"missing-envelope-close": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}`,
+	"missing-envelope-close": {frame: `{"type":"program","id":7,"body":` + recHead + recRow,
 		dropped: true, state: "0/0x0/digest/0/0"},
 	"null-body-last": {frame: `{"type":"program","id":7,"body":null}`,
-		resp: `{"ok":false,"error":"p4rt: unknown action \"\""}`, state: "0/0x0/digest/0/0"},
+		resp: `{"ok":false,"error":"p4rt: malformed message: the head counts no rows"}`, state: "0/0x0/digest/0/0"},
 	"number-body": {frame: `{"type":"program","id":7,"body":12}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal number into Go value of type p4rt.Program"}`, state: "0/0x0/digest/0/0"},
-	"object-in-array-body": {frame: `{"type":"program","id":7,"body":[{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}]}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal array into Go value of type p4rt.Program"}`, state: "0/0x0/digest/0/0"},
-	"quote-brace-in-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"a\"}}","entries":[]}}`,
+		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal number into Go value of type p4rt.programHead"}`, state: "0/0x0/digest/0/0"},
+	"object-in-array-body": {frame: `{"type":"program","id":7,"body":[` + recHead + `]}` + recRow,
+		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal array into Go value of type p4rt.programHead"}`, state: "0/0x0/digest/0/0"},
+	"quote-brace-in-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"a\"}}","rows":0}}`,
 		resp: `{"ok":false,"error":"p4rt: unknown action \"a\\\"}}\""}`, state: "0/0x0/digest/0/0"},
-	"second-body": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9},"body":{"offsets":[1,2],"default_action":"digest","entries":[]}}`,
+	"second-body": {frame: `{"type":"program","id":7,"body":` + recHead + `,"body":{"offsets":[1,2],"default_action":"digest","rows":0}}`,
 		resp: `{"ok":true}`, state: "0/0x0/digest/0/2"},
-	"second-body-first-junk": {frame: `{"type":"program","id":7,"body":[1,{"a":"}"}],"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}}`,
+	"second-body-first-junk": {frame: `{"type":"program","id":7,"body":[1,{"a":"}"}],"body":` + recHead + `}` + recRow,
 		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x19abc623c5da6706/allow/0/1"},
-	"second-body-scalar": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9},"body":1}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal number into Go value of type p4rt.Program"}`, state: "0/0x0/digest/0/0"},
-	"space-then-brace": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9} }`,
+	"second-body-scalar": {frame: `{"type":"program","id":7,"body":` + recHead + `,"body":1}` + recRow,
+		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal number into Go value of type p4rt.programHead"}`, state: "0/0x0/digest/0/0"},
+	"space-then-brace": {frame: `{"type":"program","id":7,"body":` + recHead + ` }` + recRow,
 		resp: `{"ok":true,"installed":1,"trace_id":9}`, state: "1/0x19abc623c5da6706/allow/0/1"},
 	"true-body": {frame: `{"type":"program","id":7,"body":true}`,
-		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal bool into Go value of type p4rt.Program"}`, state: "0/0x0/digest/0/0"},
-	"unknown-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"action":"reflect"}],"trace_id":3,"span_id":4}}`,
-		resp: `{"ok":false,"error":"p4rt: unknown action \"reflect\"","trace_id":3,"span_id":4}`, state: "0/0x0/digest/0/0"},
-	"unknown-default-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"","entries":[{"action":"reflect"}]}}`,
+		resp: `{"ok":false,"error":"p4rt: malformed message: decode program body: json: cannot unmarshal bool into Go value of type p4rt.programHead"}`, state: "0/0x0/digest/0/0"},
+	"unknown-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"allow","trace_id":3,"span_id":4,"rows":1}}` + recRow[:10] + "\x09",
+		resp: `{"ok":false,"error":"p4rt: malformed message: row 0: action 9","trace_id":3,"span_id":4}`, state: "0/0x0/digest/0/0"},
+	"unknown-default-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"","rows":1}}` + recRow[:10] + "\x09",
 		resp: `{"ok":false,"error":"p4rt: unknown action \"\""}`, state: "0/0x0/digest/0/0"},
-	"wide-and-narrow-keys": {frame: `{"type":"program","body":{"offsets":null,"default_action":"nop","default_class":-3,"entries":[{"priority":-1,"value":"","mask":"/w==","prefix_len":7,"lo":"AAEC","hi":"AAECAwQ=","action":"set_class","class":2},{"action":"digest"}],"span_id":1}}`,
-		resp: `{"ok":false,"error":"switchsim: program: table iot_detector: entry 0: range lo/hi widths 3/5 != key 0: p4: bad entry","span_id":1}`, state: "0/0x0/digest/0/0"},
-	"write-typed-program": {frame: `{"type":"write","id":7,"body":{"offsets":[0],"default_action":"allow","entries":[{"priority":5,"lo":"AQ==","hi":"Ag==","action":"drop","class":1}],"trace_id":9}}`,
-		resp: `{"ok":false,"error":"p4rt: unknown action \"\"","trace_id":9}`, state: "0/0x0/digest/0/0"},
+	"wide-and-narrow-keys": {frame: `{"type":"program","body":{"offsets":null,"default_action":"nop","default_class":-3,"span_id":1,"rows":2}}` +
+		string(packRow([]byte{0, 1, 2}, []byte{0, 1, 2}, -1, 2, p4.ActionSetClass)) + string(packRow(nil, nil, 0, 0, p4.ActionDigest)),
+		resp: `{"ok":false,"error":"p4rt: malformed message: 24 bytes of rows are not 2 rows of 9 bytes","span_id":1}`, state: "0/0x0/digest/0/0"},
+	"write-typed-program": {frame: `{"type":"write","id":7,"body":` + recHead + `}` + recRow,
+		resp: `{"ok":false,"error":"table iot_detector: range lo/hi widths 1/1 != key 0: p4: bad entry","trace_id":9}`, state: "0/0x0/digest/0/0"},
 }
 
 // TestRecordedFrameAnswers sends each recorded frame, then a heartbeat,
@@ -229,7 +237,7 @@ func pointProgram(rows int) Program {
 // it into — is overwritten, and the table must still hold the program.
 func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 	prog := pointProgram(300)
-	frame := singlePassFrame(t, prog)
+	frame := programFrame(t, prog)
 	sw := newTestSwitch(t)
 	conn, resps := handleFrames(t, sw, frame)
 	if len(resps) != 1 || !resps[0].OK || resps[0].Installed != len(prog.Entries) {
@@ -277,17 +285,16 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 }
 
 // TestFullSwapAllocsPerRow gates what a full swap allocates, and what it
-// does not: per row, nothing. Frame bytes to applied table is a few dozen
-// allocations at 16 rows and at 8 192 — the row slab, the key slab, their
-// two smaller first sizes, the table's lists and index — with the frame's
-// own buffer recycled from the swap before. In bytes, frame to decoded
-// rows is the stored rows once: rows and keys at their size plus a
-// hundredth, and the 272 rows of the two first sizes. A second form of the
-// rows, as WireEntrys or as exchange entries, would be another 136 bytes
-// each.
+// does not: per row, nothing. Frame bytes to applied table is a couple of
+// dozen allocations at 16 rows and at 8 192 — the head, the row slab and
+// the key slab, the table's lists and index — with the frame's own buffer
+// recycled from the swap before. In bytes, frame to decoded rows is the
+// stored rows once, at their exact size: the head counts them. A second
+// form of the rows, as WireEntrys or as exchange entries, would be another
+// 80 bytes each.
 func TestFullSwapAllocsPerRow(t *testing.T) {
 	for _, rows := range []int{16, 8192} {
-		frame := refFrame(t, TypeProgram, 1, benchProgram(rows))
+		frame := refProgramFrame(t, 1, benchProgram(rows))
 		s := &Server{sw: newTestSwitch(t)}
 		r := bytes.NewReader(frame)
 		swap := func() {
@@ -297,8 +304,12 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 			}
 		}
 		swap() // the first big frame has no buffer to recycle
-		if allocs := testing.AllocsPerRun(5, swap); allocs > 40 {
-			t.Errorf("rows=%d: %.0f allocations per swap, want at most 40 whatever the rows", rows, allocs)
+		limit := 36.0
+		if raceEnabled {
+			limit = 40 // the pool drops a quarter of the buffers on purpose
+		}
+		if allocs := testing.AllocsPerRun(5, swap); allocs > limit {
+			t.Errorf("rows=%d: %.0f allocations per swap, want at most %.0f whatever the rows", rows, allocs, limit)
 		}
 		if raceEnabled {
 			continue // the pool drops a quarter of the buffers on purpose
@@ -311,14 +322,18 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, got, err := splitFrame(buf); err != nil || got == nil || got.installed != rows {
+		env, err := splitFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := decodeProgram(env); err != nil || got.installed != rows {
 			t.Fatalf("decode: %v", err)
 		}
 		recycleFrame(buf)
 		runtime.ReadMemStats(&after)
 		const keys = 12 // lo and hi, six bytes each, cut from one slab
 		row := storedRow + keys
-		budget := rows*row + rows*row/100 + 272*row + 16<<10 // large objects round up to pages
+		budget := rows*row + 4<<10 // the head, and large objects rounding up to pages
 		if got := int(after.TotalAlloc - before.TotalAlloc); got > budget {
 			t.Errorf("rows=%d: decoding allocated %d bytes, budget %d (%d would hold the rows a second time)",
 				rows, got, budget, budget+rows*int(unsafe.Sizeof(WireEntry{})))
@@ -327,8 +342,8 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 }
 
 // TestFullSwapFramesNeverServeTornGeneration is switchsim's
-// TestFullSwapNeverServesTornGeneration with the swaps arriving as frames
-// on the single-pass route: two programs with different key layouts, both
+// TestFullSwapNeverServesTornGeneration with the swaps arriving as frames:
+// two programs with different key layouts, both
 // dropping the same frame under a default of allow, race scalar and burst
 // readers (run under -race). A reader that sees the frame allowed was
 // served the new default without the new entries.
@@ -346,7 +361,7 @@ func TestFullSwapFramesNeverServeTornGeneration(t *testing.T) {
 		for i := 0; i < width; i++ {
 			p.Offsets = append(p.Offsets, i)
 		}
-		return singlePassFrame(t, p)
+		return programFrame(t, p)
 	}
 	frames := [2][]byte{program(1), program(2)}
 	sw := newTestSwitch(t)

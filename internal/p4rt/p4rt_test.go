@@ -338,7 +338,7 @@ func TestDigestBacklogNeverBeatsHelloAck(t *testing.T) {
 	}
 
 	// Complete the handshake: the first frame must be our hello_ack.
-	if err := WriteMsg(conn, TypeHello, 1, Hello{SwitchName: "test-ctl"}); err != nil {
+	if err := WriteMsg(conn, TypeHello, 1, Hello{SwitchName: "test-ctl", Version: Version}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := ReadMsg(conn)

@@ -34,10 +34,10 @@ func TestClaimedLengthAllocatesAsBytesArrive(t *testing.T) {
 	}
 
 	// A frame that does arrive, in pieces of every size, reads back whole.
-	frame := refFrame(t, TypeProgram, 3, benchProgram(3000))
+	frame := refProgramFrame(t, 3, benchProgram(3000))
 	for _, piece := range []int{1 << 10, recycleMin - 1, recycleMin, 3 * recycleMin, len(frame)} {
-		env, rows, err := readMsg(&chunkReader{b: frame, n: piece})
-		if err != nil || rows == nil || rows.installed != 3000 || env.ID != 3 {
+		env, rows, err := agentDecode(&chunkReader{b: frame, n: piece})
+		if err != nil || rows.installed != 3000 || env.ID != 3 {
 			t.Fatalf("in pieces of %d: %v, %+v", piece, err, rows)
 		}
 	}
@@ -60,10 +60,18 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 // TestSmallFramesNeverSeeThePool: a frame below recycleMin is allocated at
 // its size and costs what it cost before there was a pool — one buffer to
-// write, header and buffer to read.
+// write beside what the body's encoding makes, header and buffer to read.
 func TestSmallFramesNeverSeeThePool(t *testing.T) {
-	w := Write{Entry: WireEntry{Priority: 9, Lo: []byte{1, 2}, Hi: []byte{1, 2}, Action: "drop", Class: 1}}
-	want := refFrame(t, TypeWrite, 7, w)
+	var w any = Write{Entry: WireEntry{Priority: 9, Lo: []byte{1, 2}, Hi: []byte{1, 2}, Action: "drop", Class: 1}}
+	want := refFrame(t, TypeWrite, 7, struct{}{}, packRow([]byte{1, 2}, []byte{1, 2}, 9, 1, p4.ActionDrop))
+	if allocs := testing.AllocsPerRun(50, func() {
+		frame, own, err := encodeFrame(TypeWrite, 7, w)
+		if err != nil || own || !bytes.Equal(frame, want) || cap(frame) != len(frame) {
+			t.Fatalf("write frame %q (own %v, cap %d): %v", frame, own, cap(frame), err)
+		}
+	}); allocs > 3 && !raceEnabled { // the frame, the head's two bytes and the section's one row
+		t.Errorf("encoding a write: %.0f allocations", allocs)
+	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		frame, own, err := encodeFrame(TypeHeartbeat, 7, struct{}{})
 		if err != nil || own || cap(frame) != len(frame) {
@@ -88,8 +96,9 @@ func TestSmallFramesNeverSeeThePool(t *testing.T) {
 
 // TestEncodedProgramFrames: a program that carries its body is framed, for
 // any id, exactly as the program itself is; the body is written once and
-// each frame lies in the same buffer; after release, and for a program the
-// codec leaves to encoding/json, the copy is encoded per call again.
+// each frame lies in the same buffer; after release the copy is encoded per
+// call again; and a program the section cannot hold, or a frame past
+// MaxFrame, is not encoded once but refused, typed, on every send.
 func TestEncodedProgramFrames(t *testing.T) {
 	for _, rows := range []int{0, 16, 3000} {
 		p := benchProgram(rows)
@@ -104,7 +113,7 @@ func TestEncodedProgramFrames(t *testing.T) {
 			if err != nil || own {
 				t.Fatalf("rows=%d id=%d: own %v, %v", rows, id, own, err)
 			}
-			if want := refFrame(t, TypeProgram, id, p); !bytes.Equal(frame, want) {
+			if want := refProgramFrame(t, id, p); !bytes.Equal(frame, want) {
 				t.Fatalf("rows=%d id=%d: frame of the encoded body differs from the reference\n got %.120q\nwant %.120q", rows, id, frame, want)
 			}
 			if last != nil && &frame[len(frame)-1] != &last[len(last)-1] {
@@ -113,25 +122,31 @@ func TestEncodedProgramFrames(t *testing.T) {
 			last = frame
 		}
 		// Sent as another message type the bytes are the message's own.
-		if frame, _, err := encodeFrame(TypeWrite, 1, enc); err != nil || !bytes.Equal(frame, refFrame(t, TypeWrite, 1, p)) {
-			t.Fatalf("rows=%d: an encoded program under another type: %v", rows, err)
+		want, _, err := encodeFrame(TypeWrite, 1, p)
+		if frame, _, err2 := encodeFrame(TypeWrite, 1, enc); err != nil || err2 != nil || !bytes.Equal(frame, want) {
+			t.Fatalf("rows=%d: an encoded program under another type: %v, %v", rows, err, err2)
 		}
 		release()
 		if enc.body.buf != nil {
 			t.Fatalf("rows=%d: the body outlives its release", rows)
 		}
 		frame, _, err := encodeFrame(TypeProgram, 9, enc)
-		if err != nil || !bytes.Equal(frame, refFrame(t, TypeProgram, 9, p)) {
+		if err != nil || !bytes.Equal(frame, refProgramFrame(t, 9, p)) {
 			t.Fatalf("rows=%d: after release the program no longer frames: %v", rows, err)
 		}
 	}
-	escaped := Program{DefaultAction: "a<b"}
-	if enc, release := escaped.Encoded(); enc.body != nil {
-		t.Fatal("a program with a string to escape was encoded by the codec")
-	} else {
-		release()
+	unknown := Program{Offsets: []int{0}, DefaultAction: "allow", Entries: []WireEntry{{Lo: []byte{1}, Hi: []byte{1}, Action: "reflect"}}}
+	if enc, _ := unknown.Encoded(); enc.body != nil {
+		t.Fatal("a program with a row the section cannot hold was encoded")
 	}
-	huge := Program{DefaultAction: "allow", Entries: []WireEntry{{Lo: make([]byte, MaxFrame), Action: "drop"}}}
+	if _, _, err := encodeFrame(TypeProgram, 1, unknown); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a program with a row the section cannot hold: %v", err)
+	}
+	key := make([]byte, 1000) // 2100 rows of 2009 bytes: past MaxFrame
+	huge := Program{Offsets: make([]int, len(key)), DefaultAction: "allow", Entries: make([]WireEntry, 2100)}
+	for i := range huge.Entries {
+		huge.Entries[i] = WireEntry{Lo: key, Hi: key, Action: "drop"}
+	}
 	if enc, _ := huge.Encoded(); enc.body != nil {
 		t.Fatal("a program past MaxFrame was encoded")
 	}
@@ -235,12 +250,16 @@ func TestRecycledFrameNeverLeaksIntoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := progB.rows()
-	if err != nil {
-		t.Fatal(err)
+	rows := &p4.Rows{}
+	for _, e := range progB.Entries {
+		at, err := ParseAction(e.Action)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows.Add(e.Priority, 0, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
 	}
 	fresh := p4.NewTable("fresh", p4.MatchRange, det.KeySpecs(), 0, det.DefaultAction)
-	if err := fresh.Program(det.KeySpecs(), det.DefaultAction, rows.entries); err != nil {
+	if err := fresh.Program(det.KeySpecs(), det.DefaultAction, rows); err != nil {
 		t.Fatal(err)
 	}
 	got, want := det.Entries(), fresh.Entries()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"p4guard/internal/dtrace"
-	"p4guard/internal/p4"
 	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
 )
@@ -176,21 +175,32 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	for {
-		// The frame is this iteration's: every handler below has decoded
-		// the body into memory of its own before it returns — a program's
-		// rows never alias it — so a big one is recycled for the next read.
+		// The frame is this iteration's: every handler below is done with
+		// it before it returns — a table copies the keys it keeps out of
+		// the row section — so a big one is recycled for the next read.
 		frame, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		env, rows, err := splitFrame(frame)
+		env, err := splitFrame(frame)
 		if err != nil {
 			return
 		}
 		var resp Response
 		switch env.Type {
 		case TypeHello:
-			ack := HelloAck{ServerName: s.sw.Name, Node: s.sw.Node()}
+			// A peer of another version cannot read this one's rows: it
+			// is told so where it waits for its hello_ack, and dropped.
+			var h Hello
+			if err := DecodeBody(env, &h); err != nil || h.Version != Version {
+				reason := fmt.Sprintf("p4rt: peer speaks version %d, switch %s speaks %d", h.Version, s.sw.Name, Version)
+				if err != nil {
+					reason = err.Error()
+				}
+				_ = s.send(conn, TypeResponse, env.ID, Response{Error: reason})
+				return
+			}
+			ack := HelloAck{ServerName: s.sw.Name, Node: s.sw.Node(), Version: Version}
 			if err := s.send(conn, TypeHelloAck, env.ID, ack); err != nil {
 				return
 			}
@@ -202,23 +212,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			continue
 		case TypeProgram:
 			s.programs.Add(1)
-			resp = s.applyProgram(env, rows)
+			resp = s.applyProgram(env)
 		case TypeDelta:
 			s.deltas.Add(1)
-			var d DeltaMsg
-			if err := DecodeBody(env, &d); err != nil {
-				resp = Response{Error: err.Error()}
-				break
-			}
-			resp = s.applyDelta(d)
+			resp = s.applyDelta(env)
 		case TypeWrite:
 			s.writes.Add(1)
-			var w Write
-			if err := DecodeBody(env, &w); err != nil {
-				resp = Response{Error: err.Error()}
-				break
-			}
-			resp = s.applyWrite(w)
+			resp = s.applyWrite(env)
 		case TypeCounters:
 			s.counterReads.Add(1)
 			resp = s.readCounters()
@@ -270,70 +270,56 @@ func (s *Server) send(conn net.Conn, typ MsgType, id uint64, body any) error {
 	return writeFrame(conn, frame)
 }
 
-// applyProgram swaps the detector table for the program in env. rows is
-// that program as readMsg decoded it; nil means the frame was not in the
-// canonical form, and encoding/json decides what it holds.
-func (s *Server) applyProgram(env Envelope, rows *programRows) Response {
-	if rows == nil {
-		var prog Program
-		if err := DecodeBody(env, &prog); err != nil {
-			return Response{Error: err.Error()}
-		}
-		var err error
-		if rows, err = prog.rows(); err != nil {
-			return Response{Error: err.Error(), TraceID: prog.TraceID, SpanID: prog.SpanID}
-		}
-	}
-	// The apply span nests under the controller's deploy/program span via
-	// the wire trace context; inert when the switch tracer is disarmed or
-	// the push carries no context.
-	sp := s.sw.Tracer().StartDetail(
-		dtrace.SpanContext{Trace: dtrace.TraceID(rows.traceID), Span: dtrace.SpanID(rows.spanID)},
-		dtrace.DetailProgram)
+// applyProgram swaps the detector table for the program in env, decoded
+// straight into the rows the table adopts.
+func (s *Server) applyProgram(env Envelope) Response {
+	p, err := decodeProgram(env)
+	sp := s.span(p.traceID, p.spanID, dtrace.DetailProgram)
 	defer sp.End()
-	if err := s.sw.ProgramDetector(rows.offsets, rows.def, rows.entries); err != nil {
-		return Response{Error: err.Error(), TraceID: rows.traceID, SpanID: rows.spanID}
+	if err == nil {
+		err = s.sw.ProgramDetector(p.offsets, p.def, p.entries)
 	}
-	return Response{OK: true, Installed: rows.installed, TraceID: rows.traceID, SpanID: rows.spanID}
+	return answer(p.traceID, p.spanID, p.installed, err)
 }
 
 // applyDelta applies an incremental program edit. Any failure — base
 // signature mismatch, key layout mismatch, malformed edit — comes back
 // as a Response error, which the controller surfaces as a RejectError
-// and answers with a full program swap; the switch state is untouched
-// on every error path.
-func (s *Server) applyDelta(d DeltaMsg) Response {
-	sp := s.sw.Tracer().StartDetail(
-		dtrace.SpanContext{Trace: dtrace.TraceID(d.TraceID), Span: dtrace.SpanID(d.SpanID)},
-		dtrace.DetailProgram)
+// and answers with a full program swap.
+func (s *Server) applyDelta(env Envelope) Response {
+	d, def, pd, err := decodeDelta(env)
+	sp := s.span(d.TraceID, d.SpanID, dtrace.DetailProgram)
 	defer sp.End()
-	defAct, err := ParseAction(d.DefaultAction)
-	if err != nil {
-		return Response{Error: err.Error(), TraceID: d.TraceID, SpanID: d.SpanID}
+	if err == nil {
+		err = s.sw.ApplyDetectorDelta(d.Offsets, def, pd)
 	}
-	pd, err := d.ToP4Delta()
-	if err != nil {
-		return Response{Error: err.Error(), TraceID: d.TraceID, SpanID: d.SpanID}
-	}
-	if err := s.sw.ApplyDetectorDelta(d.Offsets, p4.Action{Type: defAct, Class: d.DefaultClass}, pd); err != nil {
-		return Response{Error: err.Error(), TraceID: d.TraceID, SpanID: d.SpanID}
-	}
-	return Response{OK: true, Installed: d.Size(), TraceID: d.TraceID, SpanID: d.SpanID}
+	return answer(d.TraceID, d.SpanID, pd.Size(), err)
 }
 
-func (s *Server) applyWrite(w Write) Response {
-	sp := s.sw.Tracer().StartDetail(
-		dtrace.SpanContext{Trace: dtrace.TraceID(w.TraceID), Span: dtrace.SpanID(w.SpanID)},
-		dtrace.DetailApply)
+func (s *Server) applyWrite(env Envelope) Response {
+	w, e, err := decodeWrite(env)
+	sp := s.span(w.TraceID, w.SpanID, dtrace.DetailApply)
 	defer sp.End()
-	e, err := w.Entry.ToP4Entry()
+	if err == nil {
+		_, err = s.sw.InsertDetectorEntry(e)
+	}
+	return answer(w.TraceID, w.SpanID, 1, err)
+}
+
+// span opens a request's apply span under the controller's, via the wire
+// trace context: inert when the switch tracer is disarmed or the request
+// carries no context.
+func (s *Server) span(traceID, spanID uint64, detail string) dtrace.ActiveSpan {
+	return s.sw.Tracer().StartDetail(dtrace.SpanContext{Trace: dtrace.TraceID(traceID), Span: dtrace.SpanID(spanID)}, detail)
+}
+
+// answer is a table request's response, echoing its trace context: the
+// refusal, which left the switch as it was, or the rows installed.
+func answer(traceID, spanID uint64, installed int, err error) Response {
 	if err != nil {
-		return Response{Error: err.Error(), TraceID: w.TraceID, SpanID: w.SpanID}
+		return Response{Error: err.Error(), TraceID: traceID, SpanID: spanID}
 	}
-	if _, err := s.sw.InsertDetectorEntry(e); err != nil {
-		return Response{Error: err.Error(), TraceID: w.TraceID, SpanID: w.SpanID}
-	}
-	return Response{OK: true, Installed: 1, TraceID: w.TraceID, SpanID: w.SpanID}
+	return Response{OK: true, Installed: installed, TraceID: traceID, SpanID: spanID}
 }
 
 func (s *Server) readCounters() Response {

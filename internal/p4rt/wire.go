@@ -1,8 +1,11 @@
 // Package p4rt is a P4Runtime-like control protocol between controller and
-// switch: length-prefixed JSON frames over TCP carrying table programming,
-// counter reads, and asynchronous digest (packet-in) notifications. It
-// substitutes for the gRPC-based P4Runtime the paper's testbed used while
-// preserving the same controller/switch separation.
+// switch: length-prefixed frames over TCP carrying table programming,
+// counter reads, and asynchronous digest (packet-in) notifications. A frame
+// is a JSON envelope; the three bodies that carry table rows — program,
+// delta, write — keep their JSON head there and trail the envelope with the
+// rows as one packed fixed-width section (codec.go). It substitutes for the
+// gRPC-based P4Runtime the paper's testbed used while preserving the same
+// controller/switch separation.
 package p4rt
 
 import (
@@ -18,6 +21,12 @@ import (
 
 // MaxFrame bounds a single wire frame.
 const MaxFrame = 4 << 20
+
+// Version is the protocol version both ends state in the handshake. Peers
+// of different versions refuse each other at dial (a RejectError on either
+// side): version 2 moved table rows from JSON text to the packed section,
+// and no peer reads both.
+const Version = 2
 
 // MsgType discriminates envelope payloads.
 type MsgType string
@@ -42,43 +51,45 @@ type Envelope struct {
 	Type MsgType         `json:"type"`
 	ID   uint64          `json:"id,omitempty"`
 	Body json.RawMessage `json:"body,omitempty"`
+
+	rows []byte // the packed row section behind the envelope, if any
 }
 
 // Hello is the switch's first message.
 type Hello struct {
 	SwitchName string `json:"switch_name"`
 	Link       int    `json:"link"`
+	Version    int    `json:"version"`
 }
 
-// HelloAck is the controller's (or server's) greeting response. Node is
-// the switch's fabric identity (the netsim topology node its port is
-// attached to), empty for switches running outside an emulated fabric.
+// HelloAck is the switch's greeting response. Node is its fabric identity
+// (the netsim topology node its port is attached to), empty outside an
+// emulated fabric.
 type HelloAck struct {
 	ServerName string `json:"server_name"`
 	Node       string `json:"node,omitempty"`
+	Version    int    `json:"version"`
 }
 
-// WireEntry is a table entry in wire form. Fields mirror p4.Entry.
+// WireEntry is a detector row in wire form: a range row whose Lo and Hi
+// are as wide as the program's key, with a priority and class that fit 32
+// bits. It travels as one row of the packed section, never as JSON.
 type WireEntry struct {
-	Priority  int    `json:"priority,omitempty"`
-	Value     []byte `json:"value,omitempty"`
-	Mask      []byte `json:"mask,omitempty"`
-	PrefixLen int    `json:"prefix_len,omitempty"`
-	Lo        []byte `json:"lo,omitempty"`
-	Hi        []byte `json:"hi,omitempty"`
-	Action    string `json:"action"`
-	Class     int    `json:"class,omitempty"`
+	Priority int
+	Lo       []byte
+	Hi       []byte
+	Action   string
+	Class    int
 }
 
 // Program atomically reprograms the detector table: key layout, default
-// action, and full entry list. TraceID/SpanID optionally tie the program
-// push into a distributed trace (internal/dtrace); zero means untraced,
-// and old peers ignore the fields (unknown JSON keys are skipped).
+// action, and full entry list (the packed section). TraceID/SpanID
+// optionally tie the push into a distributed trace (internal/dtrace).
 type Program struct {
 	Offsets       []int       `json:"offsets"`
 	DefaultAction string      `json:"default_action"`
 	DefaultClass  int         `json:"default_class,omitempty"`
-	Entries       []WireEntry `json:"entries"`
+	Entries       []WireEntry `json:"-"`
 	TraceID       uint64      `json:"trace_id,omitempty"`
 	SpanID        uint64      `json:"span_id,omitempty"`
 
@@ -94,10 +105,11 @@ type WireDeltaMove struct {
 }
 
 // WireDeltaAdd inserts a new entry at index Order of the resulting
-// program.
+// program. On the wire the orders are the head's "adds" and the entries
+// the packed section.
 type WireDeltaAdd struct {
-	Entry WireEntry `json:"entry"`
-	Order int       `json:"order"`
+	Entry WireEntry
+	Order int
 }
 
 // DeltaMsg incrementally edits the detector program instead of
@@ -105,10 +117,9 @@ type WireDeltaAdd struct {
 // installed program by canonical index, adds carry their target index.
 // BaseCount/BaseHash pin the base the delta was computed against (see
 // p4.Table.ProgramSignature); a switch whose installed program differs
-// rejects the delta, and the controller falls back to a full Program —
-// the same fallback old peers trigger by rejecting the unknown message
-// type. Offsets must match the installed key layout (a delta cannot
-// reshape the schema); DefaultAction/DefaultClass may change.
+// rejects the delta, and the controller falls back to a full Program.
+// Offsets must match the installed key layout (a delta cannot reshape the
+// schema); DefaultAction/DefaultClass may change.
 type DeltaMsg struct {
 	Offsets       []int           `json:"offsets"`
 	DefaultAction string          `json:"default_action"`
@@ -117,7 +128,7 @@ type DeltaMsg struct {
 	BaseHash      uint64          `json:"base_hash"`
 	Deletes       []int           `json:"deletes,omitempty"`
 	Moves         []WireDeltaMove `json:"moves,omitempty"`
-	Adds          []WireDeltaAdd  `json:"adds,omitempty"`
+	Adds          []WireDeltaAdd  `json:"-"`
 	TraceID       uint64          `json:"trace_id,omitempty"`
 	SpanID        uint64          `json:"span_id,omitempty"`
 }
@@ -126,19 +137,13 @@ type DeltaMsg struct {
 func (d *DeltaMsg) Size() int { return len(d.Deletes) + len(d.Moves) + len(d.Adds) }
 
 // Write inserts a single entry into the detector table (reactive path).
-// TraceID/SpanID carry optional trace context, as on Program.
+// TraceID/SpanID carry optional trace context, as on Program. The entry is
+// the packed section: one row, whose width is the section's length.
 type Write struct {
-	Entry   WireEntry `json:"entry"`
+	Entry   WireEntry `json:"-"`
 	TraceID uint64    `json:"trace_id,omitempty"`
 	SpanID  uint64    `json:"span_id,omitempty"`
 }
-
-// CountersRequest asks for the detector table's counters.
-type CountersRequest struct{}
-
-// StatsRequest asks for the switch's full data-plane stats snapshot —
-// the fleet aggregation scrape (controller-side merged /metrics).
-type StatsRequest struct{}
 
 // WireSwitchStats is the stats-RPC payload: one switch's data-plane run
 // stats, digest queue accounting, and detector table counters.
@@ -185,7 +190,7 @@ type DigestMsg struct {
 // WirePacket is a packet sample in wire form. TraceID/SpanID carry the
 // digest's trace context when the switch has tracing armed: TraceID
 // names the trace minted at digest drain, SpanID the digest_wait span
-// the controller's fan-in span should parent to. Old peers ignore them.
+// the controller's fan-in span should parent to.
 type WirePacket struct {
 	TimeNS  int64  `json:"time_ns"`
 	Link    int    `json:"link"`
@@ -209,24 +214,21 @@ func FromPacket(p *packet.Packet) WirePacket {
 }
 
 // recycleMin is the size from which a frame's buffer is recycled rather
-// than left to the collector: only a program frame (647 KB at 8 192 rows)
-// gets there, and a fresh buffer of that size is pages to fault in and
-// clear on every push. Smaller frames — every delta, write, digest and
-// response — are allocated at their exact size and never see the pool.
+// than left to the collector: in practice only a program frame (172 KB at
+// 8 192 rows), a fresh buffer of which is pages to fault in and clear on
+// every push. Smaller frames are allocated at their exact size.
 const recycleMin = 64 << 10
 
 // framePool holds the buffers of big frames between uses: the agent's read
-// loop returns one when the handler has decoded its body, the writers when
-// the frame is on the wire. A pool and not a buffer per connection: a
-// connection that carried one program would pin its 647 KB for as long as
-// it stays open, while the pool empties at the next collections.
+// loop returns one when the handler is done with it, the writers when the
+// frame is on the wire. A pool and not a buffer per connection, which would
+// pin a program's frame for as long as the connection stays open.
 var framePool sync.Pool // of *[]byte, cap >= recycleMin
 
 // newFrame returns a buffer of length n for one frame: allocated at that
 // size below recycleMin, recycled from there on when the pool has one that
-// large. Capacities of big buffers come in steps of recycleMin, so that the
-// buffers one program passes through — the body its controller encodes,
-// the frame each switch reads, a few dozen bytes apart — fit one another.
+// large. Capacities of big buffers come in steps of recycleMin, so the body
+// a controller encodes and the frames its switches read fit one another.
 func newFrame(n int) []byte {
 	if n < recycleMin {
 		return make([]byte, n)
@@ -268,22 +270,12 @@ func writeFrame(w io.Writer, frame []byte) error {
 }
 
 // ReadMsg reads one envelope. Body aliases the frame's own buffer and is
-// not validated here: a body that is not JSON fails in DecodeBody. (The
-// one exception is a canonical program frame, whose extent is known by
-// decoding it; only the switch's agent, which reads with readMsg and
-// keeps the result, is sent those.)
+// not validated here: a body that is not JSON fails in DecodeBody, which
+// reads the JSON only — a row section is the agent's decoders' (codec.go).
 func ReadMsg(r io.Reader) (Envelope, error) {
-	env, _, err := readMsg(r)
-	return env, err
-}
-
-// readMsg is ReadMsg for the switch's agent: a program frame in the
-// canonical form comes back already decoded into the rows it installs.
-// rows is nil for every other frame, whose body DecodeBody decodes.
-func readMsg(r io.Reader) (Envelope, *programRows, error) {
 	buf, err := readFrame(r)
 	if err != nil {
-		return Envelope{}, nil, err
+		return Envelope{}, err
 	}
 	return splitFrame(buf)
 }
@@ -322,16 +314,26 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 }
 
-// splitFrame takes a frame's bytes apart; what it returns aliases buf.
-func splitFrame(buf []byte) (Envelope, *programRows, error) {
-	if env, rows, ok := splitEnvelope(buf); ok {
-		return env, rows, nil
+// splitFrame takes a frame's bytes apart; what it returns aliases buf. The
+// envelope ends where its JSON object does, and what follows is the row
+// section, which only a body that carries rows may have.
+func splitFrame(buf []byte) (Envelope, error) {
+	env, end, ok := splitEnvelope(buf)
+	if !ok {
+		if end = valueEnd(buf, 0); end == 0 || buf[0] != '{' {
+			return Envelope{}, fmt.Errorf("%w: the envelope is not a JSON object", ErrMalformed)
+		}
+		if err := json.Unmarshal(buf[:end], &env); err != nil {
+			return Envelope{}, fmt.Errorf("%w: decode envelope: %w", ErrMalformed, err)
+		}
 	}
-	var env Envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, nil, fmt.Errorf("%w: decode envelope: %w", ErrMalformed, err)
+	if end < len(buf) {
+		if env.Type != TypeProgram && env.Type != TypeDelta && env.Type != TypeWrite {
+			return Envelope{}, fmt.Errorf("%w: %d bytes after a %q envelope", ErrMalformed, len(buf)-end, env.Type)
+		}
+		env.rows = buf[end:len(buf):len(buf)]
 	}
-	return env, nil, nil
+	return env, nil
 }
 
 // DecodeBody unmarshals an envelope body into dst.

@@ -4,8 +4,8 @@
 #   go build, go test -race ./..., perfbench's own vet + tests,
 #   fault-injection soak, fleet soak, hot-path benchmarks (`make bench`: the
 #   list lives in the Makefile), drift soak, telemetry overhead guard,
-#   zero-alloc forwarding gate (with the stored-row footprint gate),
-#   million-entry sublinearity guard.
+#   zero-alloc forwarding gate (with the stored-row footprint and the
+#   full-swap and deploy allocation gates), million-entry sublinearity guard.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -93,11 +93,12 @@ echo "==> fleet soak (sharded fabric, seeded lossy links, race-enabled)"
 # trace's end-to-end duration. The delta soak pins the incremental
 # reprogramming path: a delta-only deploy across a sharded fleet must
 # converge every switch byte-identical to a full-swap reference fleet
-# (reactive entries surviving in place), a pre-delta peer must trip
-# exactly one full-swap fallback and latch, and compressed+delta
-# deploys must stay verdict-equivalent to the uncompressed rule set.
+# (reactive entries surviving in place), a peer of another protocol
+# version must be refused at dial on either side while the supervisor
+# backs off, and compressed+delta deploys must stay verdict-equivalent to
+# the uncompressed rule set.
 go test -race -count "${CI_FLEET_COUNT:-2}" \
-    -run 'TestFleetShardedConvergenceUnderLossyNetsim|TestDigestFanInBoundedBackpressure|TestFleetTraceExportWellFormed|TestLinkStatsAttribution|TestSameSeedIdenticalDelaySequence|TestJitterDeterministicSequence|TestLatencyInjectionDeterministic|TestDeltaDeployConvergesIdenticalToFullSwap|TestDeltaFallsBackAndLatchesOnOldPeer|TestCompressedDeltaDeployEquivalence' \
+    -run 'TestFleetShardedConvergenceUnderLossyNetsim|TestDigestFanInBoundedBackpressure|TestFleetTraceExportWellFormed|TestLinkStatsAttribution|TestSameSeedIdenticalDelaySequence|TestJitterDeterministicSequence|TestLatencyInjectionDeterministic|TestDeltaDeployConvergesIdenticalToFullSwap|TestHelloVersionMismatchIsTyped|TestCompressedDeltaDeployEquivalence' \
     ./internal/controller/ ./internal/netsim/ ./internal/faultnet/
 
 echo "==> hot-path benchmarks"
@@ -145,18 +146,19 @@ echo "==> zero-alloc forwarding gate"
 # copy of the sorted entry list and no hash, a delta apply on one the two
 # pointer lists and the one copy of the point hash its deletes are made in
 # (no row array, no second hash), and a full swap must go from
-# frame bytes to applied table in a few dozen allocations whatever the
-# rows (the decoder builds the rows the table stores, their keys one slab,
-# the frame's buffer recycled; small frames never see the pool), and from
-# rule set to two programmed switches in at most 150 allocations and 6.2 MB
-# at 8 192 rows. What a table keeps is gated with them: a stored row of at
+# frame bytes to applied table in at most 36 allocations whatever the rows
+# (the decoder reads the packed rows into slabs sized exactly by the head's
+# count — a table programmed from a frame holds, within a page, what one
+# given rows built by hand holds — keys in one slab, the frame's buffer
+# recycled; small frames never see the pool), and from rule set to two
+# programmed switches in at most 140 allocations and 5.6 MB at 8 192 rows. What a table keeps is gated with them: a stored row of at
 # most 80 bytes, at most 160 live bytes a row in a programmed 8 192-row
 # detector table and at most 176 retained per reactive install, read as
 # heap_mb is. testing.AllocsPerRun is deterministic and the install, deploy
 # and footprint gates take the cheapest of several runs, so this gate never
 # flakes.
 go test -count 1 \
-    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestRangeDeltaAllocsIndependentOfRows|TestFullSwapAllocsPerRow|TestSmallFramesNeverSeeThePool|TestFullDeployAllocs|TestIdlePumpTickAllocatesNothing|TestStoredRowFootprint' \
+    -run 'TestSteadyStateForwardingZeroAlloc|TestProcessSinglePacketZeroAlloc|TestDisarmedInstrumentsAreInert|TestAcceptFrameAllocationFree|TestComputeDeltaAllocsIndependentOfRows|TestRangeInsertAllocsIndependentOfHash|TestRangeDeltaAllocsIndependentOfRows|TestFullSwapAllocsPerRow|TestDecodedSlabFitsItsRows|TestSmallFramesNeverSeeThePool|TestFullDeployAllocs|TestIdlePumpTickAllocatesNothing|TestStoredRowFootprint' \
     ./internal/switchsim/ ./internal/packet/ ./internal/p4/ ./internal/p4rt/ ./internal/controller/
 
 echo "==> million-entry sublinearity guard"
