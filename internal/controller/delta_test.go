@@ -245,6 +245,92 @@ func TestHelloVersionMismatchIsTyped(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestDeltaFallsBackAndLatchesOnOldPeer: an old peer is refused at dial,
+// so a delta deploy never reaches one, and there is nothing to fall back
+// from and nothing to latch. A supervised switch that restarts speaking the
+// previous version is skipped by the epoch-2 delta deploy — no delta apply,
+// no fallback counted. Once it restarts speaking this one, the supervisor
+// converges it by full swap (it came back empty), still with no fallback,
+// and the very next deploy reaches it as a delta: no latch outlived the
+// old peer.
+func TestDeltaFallsBackAndLatchesOnOldPeer(t *testing.T) {
+	ln := listenTCP(t, "127.0.0.1:0")
+	addr := ln.Addr().String()
+	serve := func(ln net.Listener) (*switchsim.Switch, *p4rt.Server) {
+		t.Helper()
+		sw, err := switchsim.New("gw-old", packet.LinkEthernet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := p4rt.ServeListener(ln, sw, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return sw, srv
+	}
+	_, srv := serve(ln)
+	c := New(fakeModel{}, Config{Name: "ctl-compat"}, fastBackoff()...)
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Connect(context.Background(), addr); err != nil {
+		t.Fatal(err)
+	}
+	deploy := func(rs *rules.RuleSet) {
+		t.Helper()
+		if err := c.Deploy(context.Background(), rs, WithMissAction(p4.Action{Type: p4.ActionAllow}), WithDeltaOnly()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs1 := rules.NewRuleSet([]int{0, 1}, 0)
+	rs1.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
+	deploy(rs1)
+
+	// The switch restarts as an old one; the deploy of epoch 2 finds it
+	// down — the supervisor is redialling it — and offers it nothing.
+	_ = srv.Close()
+	var hellos atomic.Int64
+	oldLn := listenTCP(t, addr)
+	go oldSwitch(oldLn, &hellos)
+	waitFor(t, func() bool { return hellos.Load() >= 1 })
+	rs2 := rules.NewRuleSet([]int{0, 1}, 0)
+	rs2.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
+	rs2.Add(rules.Rule{Priority: 2, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 100, Hi: 110}}})
+	deploy(rs2)
+	if st := c.Stats(); st.DeltaApplies != 0 || st.DeltaFallbacks != 0 {
+		t.Fatalf("stats with the old peer up: %+v, want no delta applied and no fallback", st)
+	}
+	if st := c.States()[addr]; st == StateReady {
+		t.Fatal("the supervisor reached Ready against a switch of another version")
+	}
+
+	// Back as a current switch: converged by full swap, no fallback.
+	_ = oldLn.Close()
+	sw, _ := serve(listenTCP(t, addr))
+	waitFor(t, func() bool { return c.States()[addr] == StateReady })
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{105, 0}}); v.Allowed {
+		t.Fatal("epoch 2 not active once the switch speaks this version")
+	}
+	if st := c.Stats(); st.DeltaApplies != 0 || st.DeltaFallbacks != 0 {
+		t.Fatalf("stats after the replay: %+v, want a full swap and no fallback", st)
+	}
+
+	// Epoch 3 is a delta again: nothing latched.
+	rs3 := rules.NewRuleSet([]int{0, 1}, 0)
+	rs3.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 255}}})
+	rs3.Add(rules.Rule{Priority: 2, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 100, Hi: 110}}})
+	rs3.Add(rules.Rule{Priority: 3, Class: 1, Preds: []rules.BytePredicate{{Offset: 0, Lo: 50, Hi: 60}}})
+	deploy(rs3)
+	if st := c.Stats(); st.DeltaApplies != 1 || st.DeltaFallbacks != 0 {
+		t.Fatalf("stats after epoch 3: %+v, want one delta applied and no fallback", st)
+	}
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{55, 0}}); v.Allowed {
+		t.Fatal("epoch 3 not active")
+	}
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{105, 0}}); v.Allowed {
+		t.Fatal("epoch 2 rule lost by the epoch 3 delta")
+	}
+}
+
 // TestCompressedDeltaDeployEquivalence: deploying with a compression
 // pass and delta reprogramming must leave the data plane classifying
 // exactly like the uncompressed rule set — across the initial swap and

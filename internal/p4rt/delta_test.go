@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"p4guard/internal/p4"
@@ -72,6 +75,112 @@ func TestProgramDeltaOverWire(t *testing.T) {
 	}
 	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{5}}); v.Allowed {
 		t.Fatal("rejected delta disturbed the installed program")
+	}
+}
+
+// TestDeltaRejectedByOldPeer: a delta never crosses between peers of
+// different protocol versions, whichever side is the old one. A switch
+// hearing an older hello answers with a refusal naming the version and
+// hangs up, so a delta pushed behind that hello is never dispatched and
+// the table stays as it was. A switch acking with an older version is
+// refused typed at dial — op hello, ErrRejected — so no client exists to
+// send it one, and it sees nothing after its hello_ack but the hang-up.
+// There is no per-delta "unknown message type" refusal left to key a
+// fallback on.
+func TestDeltaRejectedByOldPeer(t *testing.T) {
+	sw, srv, cl := startPair(t, nil)
+	ctx := context.Background()
+	base := Program{Offsets: []int{0}, DefaultAction: "allow",
+		Entries: []WireEntry{{Priority: 1, Lo: []byte{100}, Hi: []byte{110}, Action: "drop", Class: 1}}}
+	next := Program{Offsets: []int{0}, DefaultAction: "allow", Entries: append([]WireEntry{
+		{Priority: 2, Lo: []byte{200}, Hi: []byte{255}, Action: "drop", Class: 1}}, base.Entries...)}
+	if _, err := cl.ProgramDetector(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := DeltaFromPrograms(base, next)
+	if !ok {
+		t.Fatal("DeltaFromPrograms found no valid delta")
+	}
+	det, err := sw.Pipeline().Table(switchsim.DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCount, wantHash := det.ProgramSignature()
+
+	// An old controller: its hello is refused, its delta never dispatched.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := WriteMsg(conn, TypeHello, 1, Hello{SwitchName: "old-ctl", Version: Version - 1}); err != nil {
+		t.Fatal(err)
+	}
+	env, err := ReadMsg(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := DecodeBody(env, &resp); err != nil || env.Type != TypeResponse || resp.OK ||
+		!strings.Contains(resp.Error, fmt.Sprintf("version %d", Version-1)) {
+		t.Fatalf("old hello answered with %q %+v (%v), want a refusal naming version %d", env.Type, resp, err, Version-1)
+	}
+	_ = WriteMsg(conn, TypeDelta, 2, d) // the switch may already have hung up
+	if env, err := ReadMsg(conn); err == nil {
+		t.Fatalf("the switch answered %q after refusing the hello; want the connection closed", env.Type)
+	}
+	if n := srv.deltas.Load(); n != 0 {
+		t.Fatalf("%d deltas dispatched behind a refused hello", n)
+	}
+	if count, hash := det.ProgramSignature(); count != wantCount || hash != wantHash {
+		t.Fatalf("signature (%d,%#x) after the old peer's delta, want (%d,%#x)", count, hash, wantCount, wantHash)
+	}
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{210}}); !v.Allowed {
+		t.Fatal("the old peer's delta reached the table")
+	}
+	if err := cl.Heartbeat(ctx); err != nil {
+		t.Fatalf("the current peer's connection suffered from the old one: %v", err)
+	}
+
+	// An old switch: the dial is refused typed, and nothing follows the hello.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	after := make(chan []MsgType, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			after <- nil
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		var seen []MsgType
+		if env, err := ReadMsg(conn); err == nil {
+			_ = WriteMsg(conn, TypeHelloAck, env.ID, HelloAck{ServerName: "old-gw", Version: Version - 1})
+			for {
+				env, err := ReadMsg(conn)
+				if err != nil {
+					break
+				}
+				seen = append(seen, env.Type)
+			}
+		}
+		after <- seen
+	}()
+	old, err := DialContext(ctx, ln.Addr().String(), "t", nil)
+	if err == nil {
+		_ = old.Close()
+		t.Fatal("dialled a switch of another version")
+	}
+	var rej *RejectError
+	if !errors.Is(err, ErrRejected) || !errors.As(err, &rej) || rej.Op != TypeHello ||
+		!strings.Contains(rej.Reason, fmt.Sprintf("version %d", Version-1)) {
+		t.Fatalf("dial of an old switch: err = %v, want a hello RejectError naming version %d", err, Version-1)
+	}
+	if seen := <-after; len(seen) != 0 {
+		t.Fatalf("the old switch was sent %v after its hello_ack", seen)
 	}
 }
 
