@@ -113,7 +113,7 @@ type Config struct {
 	// Reactive enables exact-match drop installation for slow-path hits.
 	Reactive bool
 	// ReactivePriority is the priority reactive entries carry (must beat
-	// compiled rules to stick; default 1<<20).
+	// compiled rules to stick; default 1<<20, at most math.MaxInt32).
 	ReactivePriority int
 	// QueueDepth bounds each switch's digest fan-in queue, in batches
 	// (default 1024). One overloaded switch fills only its own queue;
@@ -444,6 +444,7 @@ func New(model SlowPath, cfg Config, opts ...Option) *Controller {
 	if cfg.ReactivePriority <= 0 {
 		cfg.ReactivePriority = 1 << 20
 	}
+	cfg.ReactivePriority = min(cfg.ReactivePriority, math.MaxInt32) // the wire's priorities are 32-bit
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
@@ -1114,9 +1115,11 @@ func WithDeltaOnly() DeployOption {
 // with its shard synchronously. Switches that are Degraded or
 // mid-reconnect are not an error: their supervisors replay the new epoch
 // on reconnect, so the fleet converges to this rule set. The call fails
-// only on a rule set the matcher or compressor rejects, a cancelled or
-// expired ctx (typed: context.Canceled / p4rt.ErrTimeout), or when no
-// switch was ever connected. Options select the miss action
+// only on a rule set the matcher, the compressor or the wire rejects (the
+// last a p4rt.ErrMalformed: a priority or class past 32 bits), a switch
+// refusing its program, a cancelled or expired ctx (typed:
+// context.Canceled / p4rt.ErrTimeout), or when no switch was ever
+// connected. Options select the miss action
 // (WithMissAction, default digest), a pre-shard compression pass
 // (WithCompression), and incremental reprogramming (WithDeltaOnly).
 func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...DeployOption) error {
@@ -1155,7 +1158,9 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 			return fmt.Errorf("controller: shard %d: %w", i, err)
 		}
 		mirrors[i] = m
-		progs[i] = p4rt.ProgramFromEntries(srs.Offsets, m.RangeEntries(), missAction)
+		if progs[i], err = p4rt.ProgramFromEntries(srs.Offsets, m.RangeEntries(), missAction); err != nil {
+			return fmt.Errorf("controller: shard %d: %w", i, err)
+		}
 		total += len(progs[i].Entries)
 	}
 	// One deploy trace spans the whole call; its context is stamped onto
@@ -1245,9 +1250,9 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 			applied++
 		case errors.Is(err, context.Canceled) || errors.Is(err, p4rt.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
 			return fmt.Errorf("controller: deploy to %s: %w", sc.addr, err)
-		case errors.Is(err, p4rt.ErrRejected):
-			// The switch refused the program: converging is impossible,
-			// and retrying would loop. Surface it.
+		case errors.Is(err, p4rt.ErrRejected) || errors.Is(err, p4rt.ErrMalformed) || errors.Is(err, p4rt.ErrOversized):
+			// The switch refused the program, or it would not encode:
+			// converging is impossible, and retrying would loop. Surface it.
 			return fmt.Errorf("controller: deploy to %s: %w", sc.addr, err)
 		default:
 			// Transport failure mid-deploy: close the client so the

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +75,55 @@ func TestConnectAndDeploy(t *testing.T) {
 	}
 	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{210, 0}}); v.Allowed {
 		t.Fatal("deployed rule inactive")
+	}
+}
+
+// TestDeployRefusesWhatTheWireCannotCarry: a rule whose priority or class
+// does not fit the wire's 32 bits fails Deploy with p4rt.ErrMalformed
+// before the epoch moves — the switch keeps its program and its connection,
+// nobody redials — and a reactive priority past 32 bits is held to
+// math.MaxInt32, so reactive installs still land.
+func TestDeployRefusesWhatTheWireCannotCarry(t *testing.T) {
+	sw, addr := startSwitch(t)
+	c := New(fakeModel{}, Config{Reactive: true, ReactivePriority: 1 << 40})
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Connect(context.Background(), addr); err != nil {
+		t.Fatal(err)
+	}
+	ruleSet := func(priority, class int) *rules.RuleSet {
+		rs := rules.NewRuleSet([]int{0, 1}, 0)
+		rs.Add(rules.Rule{Priority: priority, Class: class, Preds: []rules.BytePredicate{{Offset: 0, Lo: 200, Hi: 210}}})
+		return rs
+	}
+	if err := c.Deploy(context.Background(), ruleSet(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range []*rules.RuleSet{ruleSet(1<<31, 1), ruleSet(-1<<31-1, 1), ruleSet(1, 1<<31)} {
+		if err := c.Deploy(context.Background(), rs); !errors.Is(err, p4rt.ErrMalformed) {
+			t.Fatalf("deploy of %v: err = %v, want p4rt.ErrMalformed", rs.Rules[0], err)
+		}
+	}
+	if v := sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{205, 0}}); v.Allowed || v.Digested {
+		t.Fatalf("the deployed rule is gone after the refusals: %+v", v)
+	}
+
+	attack := &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{222, 7}}
+	sw.Process(attack)
+	waitFor(t, func() bool { return c.Stats().ReactiveInstalls == 1 })
+	if v := sw.Process(attack.Clone()); v.Allowed || v.Digested {
+		t.Fatalf("reactive install at the clamped priority inactive: %+v", v)
+	}
+	det, err := sw.Pipeline().Table(switchsim.DetectorTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es := det.Entries(); len(es) != 2 || max(es[0].Priority, es[1].Priority) != math.MaxInt32 {
+		t.Fatalf("detector holds %+v, want the rule and the reactive row at priority MaxInt32", es)
+	}
+	st := c.FleetStatus()
+	if s := c.Stats(); s.Deploys != 1 || s.Reconnects != 0 || len(st) != 1 || st[0].State != StateReady.String() ||
+		st[0].DesiredEpoch != 1 || st[0].AppliedEpoch != 1 {
+		t.Fatalf("after the refusals: stats %+v, fleet %+v; want one deploy, no redial, epoch 1 desired and applied", s, st)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"strconv"
 
 	"p4guard/internal/p4"
@@ -78,12 +77,18 @@ func (s *section) appendTo(b []byte) ([]byte, error) {
 	return b, err
 }
 
-// appendRow packs one row, or refuses one the layout cannot hold: a Lo or
-// Hi not w bytes long, a priority or class outside int32, an action the
-// protocol does not name. Nothing is truncated.
+// fits reports whether the packed section holds e as a row of a key w bytes
+// wide: Lo and Hi of that width, priority and class inside int32.
+func (e *WireEntry) fits(w int) bool {
+	return len(e.Lo) == w && len(e.Hi) == w && int(int32(e.Priority)) == e.Priority && int(int32(e.Class)) == e.Class
+}
+
+// appendRow packs one row, or refuses one the layout cannot hold: one that
+// does not fit, or whose action the protocol does not name. Nothing is
+// truncated.
 func appendRow(b []byte, w int, e *WireEntry) ([]byte, error) {
 	t, ok := actionType(e.Action)
-	if !ok || len(e.Lo) != w || len(e.Hi) != w || int(int32(e.Priority)) != e.Priority || int(int32(e.Class)) != e.Class {
+	if !ok || !e.fits(w) {
 		return b, fmt.Errorf("%w: row (priority %d, lo/hi %d/%d bytes, action %q, class %d) is not a %d-byte range row of 32-bit numbers",
 			ErrMalformed, e.Priority, len(e.Lo), len(e.Hi), e.Action, e.Class, w)
 	}
@@ -94,7 +99,7 @@ func appendRow(b []byte, w int, e *WireEntry) ([]byte, error) {
 }
 
 // marshalBody returns body's JSON — a row-carrying body's head — and its
-// rows.
+// rows. A pointer to such a body is refused: JSON would drop its rows.
 func marshalBody(body any) (head []byte, rows section, err error) {
 	switch b := body.(type) {
 	case Program:
@@ -107,60 +112,65 @@ func marshalBody(body any) (head []byte, rows section, err error) {
 		rows, body = section{w: len(b.Offsets), adds: b.Adds}, deltaHead{&b, orders}
 	case Write:
 		rows = section{w: len(b.Entry.Lo), entries: []WireEntry{b.Entry}}
-	case *Program, *DeltaMsg, *Write: // the rows are the value's, not JSON's
-		if v := reflect.ValueOf(b); !v.IsNil() {
-			return marshalBody(v.Elem().Interface())
-		}
+	case *Program, *DeltaMsg, *Write:
+		return nil, rows, fmt.Errorf("a %T body: send the value, which carries the rows", b)
 	}
 	head, err = json.Marshal(body)
 	return head, rows, err
 }
 
+// envHead appends what a frame holds before its body: room for the length
+// prefix, then {"type":"…"[,"id":…],"body":
+func envHead(b []byte, typ MsgType, id uint64) []byte {
+	b = append(append(append(b, 0, 0, 0, 0), `{"type":"`...), typ...)
+	if b = append(b, '"'); id != 0 {
+		b = strconv.AppendUint(append(b, `,"id":`...), id, 10)
+	}
+	return append(b, `,"body":`...)
+}
+
+// encodeBody writes body into a frame buffer from gap on — a row-carrying
+// body's head, the envelope's closing brace, the rows — and leaves the gap
+// for the length prefix and envelope head. The buffer is allocated at its
+// exact size below recycleMin and taken from framePool from there on.
+func encodeBody(gap int, body any) ([]byte, error) {
+	head, rows, err := marshalBody(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: marshal: %w", ErrMalformed, err)
+	}
+	n := gap + len(head) + len(`}`) + rows.size()
+	if n-4 > MaxFrame {
+		return nil, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n-4, MaxFrame)
+	}
+	b, err := rows.appendTo(append(append(newFrame(n)[:gap], head...), '}'))
+	if err != nil {
+		recycleFrame(b)
+		return nil, err
+	}
+	return b, nil
+}
+
 // encodeFrame builds one wire frame — length prefix, envelope, rows — in a
-// single buffer: allocated at its exact size below recycleMin, taken from
-// framePool from there on. own reports the second: the buffer is this
-// frame's alone and the caller hands it to recycleFrame once it is written.
-// A Program that carries its body (Program.Encoded) is framed in that
-// body's buffer, which is not the caller's to recycle.
+// single buffer. own reports that the buffer is this frame's alone and
+// comes from framePool: the caller hands it to recycleFrame once it is
+// written. A Program that carries its body (Program.Encoded) is framed in
+// that body's buffer, which is not the caller's to recycle. A type tag is
+// written as it is, so one that JSON would escape is refused.
 func encodeFrame(typ MsgType, id uint64, body any) (frame []byte, own bool, err error) {
 	if p, ok := body.(Program); ok && typ == TypeProgram && p.body != nil && p.body.buf != nil {
 		return p.body.frame(id), false, nil
 	}
-	head, rows, err := marshalBody(body)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: marshal %s: %w", ErrMalformed, typ, err)
-	}
-	typJSON := []byte(nil) // set only when the type tag needs escaping
-	typLen := len(typ) + 2
 	if !plainString(string(typ)) {
-		typJSON, _ = json.Marshal(string(typ)) // a string always marshals
-		typLen = len(typJSON)
+		return nil, false, fmt.Errorf("%w: type %q is not plain text", ErrMalformed, typ)
 	}
-	var idBuf [len(`,"id":`) + 20]byte
-	idField := idBuf[:0]
-	if id != 0 {
-		idField = strconv.AppendUint(append(idField, `,"id":`...), id, 10)
-	}
-	n := len(`{"type":`) + typLen + len(idField) + len(`,"body":`) + len(head) + len(`}`) + rows.size()
-	if n > MaxFrame {
-		return nil, false, fmt.Errorf("%w: frame %d exceeds max %d", ErrOversized, n, MaxFrame)
-	}
-	own = 4+n >= recycleMin
-	b := append(newFrame(4 + n)[:4], `{"type":`...)
-	if typJSON != nil {
-		b = append(b, typJSON...)
-	} else {
-		b = append(append(append(b, '"'), typ...), '"')
-	}
-	b = append(append(append(append(b, idField...), `,"body":`...), head...), '}')
-	if b, err = rows.appendTo(b); err != nil {
-		if own {
-			recycleFrame(b)
-		}
+	var gap [64]byte
+	head := envHead(gap[:0], typ, id)
+	if frame, err = encodeBody(len(head), body); err != nil {
 		return nil, false, err
 	}
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b, own, nil
+	copy(frame, head)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, len(frame) >= recycleMin, nil
 }
 
 // programBody is a Program's body encoded once, for as many frames as
@@ -181,14 +191,8 @@ const bodyGap = 4 + len(`{"type":"program","id":`) + 20 + len(`,"body":`)
 // row the section cannot hold or a frame past MaxFrame — it is encoded per
 // call, as p is, which reports why.
 func (p Program) Encoded() (enc Program, release func()) {
-	head, rows, err := marshalBody(p)
-	size := bodyGap + len(head) + len(`}`) + rows.size()
-	if err != nil || size-4 > MaxFrame {
-		return p, func() {}
-	}
-	b := append(append(newFrame(size)[:bodyGap], head...), '}')
-	if b, err = rows.appendTo(b); err != nil {
-		recycleFrame(b)
+	b, err := encodeBody(bodyGap, p)
+	if err != nil {
 		return p, func() {}
 	}
 	pb := &programBody{buf: b}
@@ -203,11 +207,7 @@ func (p Program) Encoded() (enc Program, release func()) {
 // the head written in front of it.
 func (pb *programBody) frame(id uint64) []byte {
 	var gap [bodyGap]byte
-	head := append(gap[:4], `{"type":"program"`...)
-	if id != 0 {
-		head = strconv.AppendUint(append(head, `,"id":`...), id, 10)
-	}
-	head = append(head, `,"body":`...)
+	head := envHead(gap[:0], TypeProgram, id)
 	frame := pb.buf[bodyGap-len(head):]
 	copy(frame, head)
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))

@@ -381,8 +381,7 @@ func TestProgramFrameMatchesEncodingJSON(t *testing.T) {
 // TestFramingMatchesEncodingJSON: every message type goes through the
 // same hand-written framing. A body without rows is the two-marshal
 // reference byte for byte; a program, delta or write is the reference
-// marshal of its head followed by its packed rows, whether it is sent as a
-// value or through a pointer.
+// marshal of its head followed by its packed rows.
 func TestFramingMatchesEncodingJSON(t *testing.T) {
 	entry := WireEntry{Priority: 3, Lo: []byte{1, 2}, Hi: []byte{3, 4}, Action: "drop", Class: 1}
 	row := packRow(entry.Lo, entry.Hi, 3, 1, p4.ActionDrop)
@@ -403,21 +402,15 @@ func TestFramingMatchesEncodingJSON(t *testing.T) {
 		{TypeHello, Hello{SwitchName: "gw<0>", Link: 1, Version: Version}, nil, nil},
 		{TypeHelloAck, HelloAck{ServerName: "s", Node: "n", Version: Version}, nil, nil},
 		{TypeProgram, prog, progHead, row},
-		{TypeProgram, &prog, progHead, row},
-		{TypeProgram, (*Program)(nil), nil, nil},
 		{TypeWrite, write, writeHead, row},
-		{TypeWrite, &write, writeHead, row},
 		{TypeDelta, delta, deltaHead, row},
-		{TypeDelta, &delta, deltaHead, row},
 		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}, nil, nil},
 		{TypeResponse, Response{Error: "unknown message type \"x\"", Switch: &WireSwitchStats{Name: "gw"}}, nil, nil},
 		{TypeHeartbeat, struct{}{}, nil, nil},
 		{TypeCounters, nil, nil, nil},
 		{TypeStats, json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`), nil, nil},
 		{"", "scalar body", nil, nil},
-		{"a<b", 12.5, nil, nil},
-		{`quo"te`, []int{1, 2}, nil, nil},
-		{"naïve\x00", true, nil, nil},
+		{"x_future-type.1", 12.5, nil, nil},
 	}
 	for _, b := range bodies {
 		head := b.head
@@ -426,6 +419,21 @@ func TestFramingMatchesEncodingJSON(t *testing.T) {
 		}
 		for _, id := range []uint64{0, 1, 10, math.MaxUint64} {
 			checkFrame(t, b.typ, id, b.body, refFrame(t, b.typ, id, head, b.rows))
+		}
+	}
+	// A body whose rows JSON would drop, and a type tag JSON would escape,
+	// are refused rather than written some other way.
+	refused := []struct {
+		typ  MsgType
+		body any
+	}{
+		{TypeProgram, &prog}, {TypeProgram, (*Program)(nil)}, {TypeWrite, &write}, {TypeDelta, &delta},
+		{"a<b", 12.5}, {`quo"te`, []int{1, 2}}, {"naïve", true}, {"nul\x00", nil},
+	}
+	for _, r := range refused {
+		var w oneWrite
+		if err := WriteMsg(&w, r.typ, 1, r.body); !errors.Is(err, ErrMalformed) || w.writes != 0 {
+			t.Fatalf("WriteMsg(%q, %T): err = %v after %d writes, want ErrMalformed and nothing written", r.typ, r.body, err, w.writes)
 		}
 	}
 }

@@ -95,14 +95,16 @@ func ProgramFromRuleSet(rs *rules.RuleSet, missAction p4.Action) (Program, error
 	if err != nil {
 		return Program{}, fmt.Errorf("p4rt: compile: %w", err)
 	}
-	return ProgramFromEntries(rs.Offsets, entries, missAction), nil
+	return ProgramFromEntries(rs.Offsets, entries, missAction)
 }
 
 // ProgramFromEntries is ProgramFromRuleSet for rows already compiled
 // (rules.RuleSet.RangeEntries, or match.Compiled.RangeEntries when the
 // rule set has been compiled anyway). The program copies the offsets and
-// wraps the rows' Lo and Hi where they lie.
-func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4.Action) Program {
+// wraps the rows' Lo and Hi where they lie. A rule the wire cannot carry —
+// a priority or class outside int32, bounds not as wide as the key — is
+// refused here (ErrMalformed), before anything is sent.
+func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4.Action) (Program, error) {
 	prog := Program{
 		Offsets:       append([]int(nil), offsets...),
 		DefaultAction: FormatAction(missAction.Type),
@@ -116,6 +118,10 @@ func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4
 			action = p4.ActionDrop
 		}
 		prog.Entries[i] = WireEntry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: FormatAction(action), Class: e.Class}
+		if !prog.Entries[i].fits(len(offsets)) {
+			return Program{}, fmt.Errorf("%w: rule %d (priority %d, class %d) is not a %d-byte row of 32-bit numbers",
+				ErrMalformed, i, e.Priority, e.Class, len(offsets))
+		}
 	}
-	return prog
+	return prog, nil
 }

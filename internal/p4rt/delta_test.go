@@ -335,7 +335,8 @@ func TestDeltaMsgWireShape(t *testing.T) {
 
 // TestRefusedProgramAndDeltaLeaveSwitchUntouched: programs whose rows are
 // not as wide as their layout (refused at encode, ErrMalformed), one with
-// an inverted bound and a delta aimed at the wrong base all leave the switch exactly as it was — same entries, same
+// an inverted bound and a delta aimed at the wrong base (RejectErrors from
+// the switch) all leave the switch exactly as it was — same entries, same
 // signature, same default action, the attack frame still dropped — and
 // the connection still usable.
 func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
@@ -364,20 +365,28 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	inverted := Program{Offsets: []int{0}, DefaultAction: "allow",
 		Entries: []WireEntry{{Lo: []byte{6}, Hi: []byte{5}, Action: "drop"}}}
 	programFrame(t, inverted)
-	refusals := map[string]func() error{
-		"program, layout change": program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries}),
-		"program, wide rows": program(Program{Offsets: []int{0}, DefaultAction: "allow",
-			Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}}),
-		"program, inverted bound": program(inverted),
-		"delta, wrong base": func() error {
+	refusals := []struct {
+		name   string
+		op     MsgType // the RejectError's; "" for ErrMalformed at encode, nothing sent
+		refuse func() error
+	}{
+		{"program, layout change", "", program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries})},
+		{"program, wide rows", "", program(Program{Offsets: []int{0}, DefaultAction: "allow",
+			Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}})},
+		{"program, inverted bound", TypeProgram, program(inverted)},
+		{"delta, wrong base", TypeDelta, func() error {
 			_, err := cl.ProgramDelta(ctx, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 99})
 			return err
-		},
+		}},
 	}
-	for name, refuse := range refusals {
+	for _, r := range refusals {
+		name := r.name
 		var rej *RejectError
-		if err := refuse(); !errors.As(err, &rej) && (name == "program, inverted bound" || !errors.Is(err, ErrMalformed)) {
-			t.Fatalf("%s: err = %v, want a RejectError (ErrMalformed for a row the section cannot hold)", name, err)
+		switch err := r.refuse(); {
+		case r.op == "" && (!errors.Is(err, ErrMalformed) || errors.As(err, &rej)):
+			t.Fatalf("%s: err = %v, want ErrMalformed from the encoder", name, err)
+		case r.op != "" && (!errors.As(err, &rej) || rej.Op != r.op):
+			t.Fatalf("%s: err = %v, want a RejectError on %s", name, err, r.op)
 		}
 		count, hash := det.ProgramSignature()
 		if det.Len() != 1 || count != wantCount || hash != wantHash || det.DefaultAction.Type != p4.ActionDrop {
