@@ -341,19 +341,3 @@ func BenchmarkDataPlanePPS(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSwitchRunParallel measures the multi-core engine at 8 workers.
-// Speedup over BenchmarkSwitchRunSequential tracks physical cores: the
-// workers share no locks on the forwarding path, so on a 1-core host the
-// two benchmarks converge while on an N-core host parallel PPS approaches
-// N× sequential.
-func BenchmarkSwitchRunParallel(b *testing.B) {
-	sw, pkts := benchSwitchAndBurst(b)
-	b.ResetTimer()
-	var st switchsim.RunStats
-	for i := 0; i < b.N; i++ {
-		st = sw.RunParallel(pkts, 8)
-	}
-	b.ReportMetric(st.PPS(), "pps")
-	b.ReportMetric(float64(len(pkts)), "pkts/burst")
-}

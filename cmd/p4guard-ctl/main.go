@@ -2,12 +2,14 @@
 // two-stage model, connects to a fleet of switches — optionally through an
 // emulated fabric topology — shards and deploys the compiled rules, and
 // services digests on the slow path, optionally installing reactive drop
-// entries.
+// entries. With -journal it records its control loop, drift crossings and,
+// on exit, its trace spans into one JSONL journal for cmd/p4guard-obs.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,14 +49,12 @@ func run() int {
 		delta    = flag.Bool("delta", false, "reprogram switches with incremental deltas when possible instead of full table swaps")
 		duration = flag.Duration("duration", 0, "exit after this long (0 = until signal)")
 		stats    = flag.Duration("stats", 2*time.Second, "stats print interval")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (empty = off)")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars (the journal's tail), and /debug/pprof on this address (empty = off)")
 		jsonOut  = flag.Bool("json", false, "print stats as JSON instead of the key=value line")
 		rpcTO    = flag.Duration("rpc-timeout", 5*time.Second, "per-RPC deadline on switch calls")
 		backoff  = flag.Duration("reconnect-backoff", 50*time.Millisecond, "initial reconnect backoff (doubles with jitter up to 60x)")
-		trace    = flag.Bool("trace", false, "arm distributed tracing: digest-path and deploy spans, trace context on the wire")
-		traceOut = flag.String("trace-export", "", "write recorded spans as JSONL to this path on exit (implies -trace)")
+		journalP = flag.String("journal", "", "record into this JSONL journal: arms tracing; drift crossings and, on exit, spans land there too")
 		driftIn  = flag.String("drift", "", "arm drift tracking against this baseline profile (written by p4guard-train -drift-baseline)")
-		driftJ   = flag.String("drift-journal", "", "append drift threshold-crossing events as JSONL to this path (implies -drift)")
 		driftThr = flag.Float64("drift-threshold", drift.DefaultThreshold, "composite drift score alarm level (PSI convention)")
 		driftOut = flag.String("drift-export", "", "write the merged fleet drift profile to this path on exit")
 	)
@@ -105,43 +105,35 @@ func run() int {
 		addrs = []string{"127.0.0.1:9559"}
 	}
 
-	var fr *telemetry.FlightRecorder
-	var reg *telemetry.Registry
-	if *metrics != "" {
-		reg = telemetry.NewRegistry()
-		fr = telemetry.NewFlightRecorder(4096)
-	}
-	var tracer *dtrace.Tracer
-	if *trace || *traceOut != "" {
-		tracer = dtrace.NewTracer()
-		tracer.Arm("p4guard-ctl", *seed, 1<<16)
-		fleetOpts = append(fleetOpts, controller.WithTracer(tracer))
-		if *traceOut != "" {
-			defer exportTrace(*traceOut, tracer)
-		}
-		fmt.Println("tracing armed as proc \"p4guard-ctl\"")
-	}
-	var driftMon *drift.Monitor
-	if *driftIn != "" || *driftJ != "" {
-		if *driftIn == "" {
-			fmt.Fprintln(os.Stderr, "p4guard-ctl: -drift-journal requires -drift")
+	// One journal holds everything the controller records (the
+	// controller hooks drift crossings into it); -metrics-addr alone keeps
+	// a memory-only one for /debug/vars.
+	var j *telemetry.Journal
+	switch {
+	case *journalP != "":
+		if j, err = telemetry.OpenJournal(*journalP, ""); err != nil {
+			fmt.Fprintln(os.Stderr, "p4guard-ctl:", err)
 			return 1
 		}
+		tracer := dtrace.NewTracer()
+		tracer.Arm("p4guard-ctl", *seed, 1<<16)
+		fleetOpts = append(fleetOpts, controller.WithTracer(tracer))
+		defer func() { // spans leave on exit; a failure never changes the exit status
+			if err := errors.Join(tracer.Export(j), j.Close()); err != nil {
+				fmt.Fprintln(os.Stderr, "p4guard-ctl: journal:", err)
+			}
+		}()
+		fmt.Printf("journal %s: tracing as proc \"p4guard-ctl\"\n", *journalP)
+	case *metrics != "":
+		j = telemetry.NewFlightRecorder(telemetry.DefaultTail)
+	}
+	if *driftIn != "" {
 		baseline, err := drift.LoadProfile(*driftIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-ctl:", err)
 			return 1
 		}
-		driftMon = drift.NewMonitor()
-		if *driftJ != "" {
-			dj, err := telemetry.OpenJournal(*driftJ, "")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "p4guard-ctl:", err)
-				return 1
-			}
-			defer func() { _ = dj.Close() }()
-			driftMon.OnCross(drift.JournalHook(dj))
-		}
+		driftMon := drift.NewMonitor()
 		if err := driftMon.Arm(drift.MonitorConfig{
 			Baseline:  baseline,
 			Shards:    *shards,
@@ -159,22 +151,23 @@ func run() int {
 	}
 	ctl := controller.New(pipe, controller.Config{Name: "p4guard-ctl", Reactive: *reactive},
 		append(fleetOpts,
-			controller.WithFlightRecorder(fr),
+			controller.WithJournal(j),
 			controller.WithRPCTimeout(*rpcTO),
 			controller.WithReconnectBackoff(*backoff, 60*(*backoff)),
 			controller.WithShards(*shards),
 			controller.WithShardPolicy(policy))...)
 	defer func() { _ = ctl.Close() }()
-	if reg != nil {
+	if *metrics != "" {
 		// The fleet aggregate rides the same registry: per-switch stats
 		// scraped over the p4rt stats RPC, health scores, digest→install
 		// latency quantiles, and (with -topology) per-link fabric counters.
+		reg := telemetry.NewRegistry()
 		ctl.RegisterTelemetry(reg)
 		ctl.RegisterFleetTelemetry(reg)
 		if topo != nil {
 			topo.RegisterTelemetry(reg)
 		}
-		ts, err := telemetry.NewServer(*metrics, reg, fr)
+		ts, err := telemetry.NewServer(*metrics, reg, j)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-ctl:", err)
 			return 1
@@ -184,7 +177,7 @@ func run() int {
 			defer cancel()
 			_ = ts.Shutdown(ctx)
 		}()
-		fmt.Printf("telemetry on http://%s/metrics (flight recorder: /debug/vars, profiles: /debug/pprof)\n", ts.Addr())
+		fmt.Printf("telemetry on http://%s/metrics (journal tail: /debug/vars, profiles: /debug/pprof)\n", ts.Addr())
 	}
 	ctx, cancelCtx := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancelCtx()
@@ -248,26 +241,6 @@ func exportDrift(path string, mon *drift.Monitor) {
 	}
 	fmt.Printf("drift export: %d observations to %s (score %.4f, %d crossings)\n",
 		prof.Count, path, da.FleetScore(), mon.Crossings())
-}
-
-// exportTrace writes the tracer's recorded spans as JSONL; failures are
-// reported but never change the exit status (observability must not
-// fail the run it observed).
-func exportTrace(path string, tr *dtrace.Tracer) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4guard-ctl: trace export: %v\n", err)
-		return
-	}
-	err = tr.WriteJSONL(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4guard-ctl: trace export: %v\n", err)
-		return
-	}
-	fmt.Printf("trace export: %d spans to %s (%d dropped)\n", len(tr.Spans()), path, tr.Dropped())
 }
 
 func loadOrTrain(path, scenario string, packets int, seed int64, k int) (*p4guard.Pipeline, error) {

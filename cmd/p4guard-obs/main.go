@@ -1,30 +1,29 @@
-// Command p4guard-obs is the offline observability analyzer: it replays
-// run journals written by p4guard-train and cmd/experiments and explain
-// dumps written by p4guard-switch -explain, and prints per-run summaries
-// — seed, dataset fingerprint, epoch-loss curves, final accuracy,
-// per-experiment manifests, and explain-vs-lookup agreement.
+// Command p4guard-obs is the offline observability analyzer. It reads any
+// number of journals — written by p4guard-switch/p4guard-ctl -journal,
+// p4guard-train and cmd/experiments — and prints one section per kind of
+// record present:
 //
-// The trace subcommand analyzes distributed-trace exports written by
-// p4guard-ctl/p4guard-switch -trace-export: it assembles spans into
-// cross-process traces and prints the per-stage critical-path breakdown
-// and the slowest traces.
+//   - runs: per run, seed, dataset fingerprint, epoch-loss curves, final
+//     accuracy, per-experiment manifests, and a count of every record kind;
+//   - explain: verdict distribution, winning entries and explain-vs-lookup
+//     agreement of the switches' sampled explanations;
+//   - trace: spans from every process assembled into cross-process traces,
+//     the per-stage critical path and the slowest traces;
+//   - drift: threshold crossings per shard and the final state.
 //
 // The drift subcommand scores a live drift profile (p4guard-ctl /
 // p4guard-switch -drift-export) against a train-time baseline
-// (p4guard-train -drift-baseline), printing the per-feature PSI/KS
-// table, and summarizes drift-crossing journals.
+// (p4guard-train -drift-baseline), printing the per-feature PSI/KS table.
 //
 // Usage:
 //
-//	p4guard-obs -journal train.jsonl [-journal more.jsonl]
-//	p4guard-obs -explain explains.jsonl [-top 10]
-//	p4guard-obs trace -spans ctl.jsonl [-spans gw0.jsonl] [-slowest 5] [-check]
+//	p4guard-obs [-top 10] [-slowest 5] [-check] FILE...
 //	p4guard-obs drift -baseline base.json -live fleet.json [-threshold 0.25] [-check]
-//	p4guard-obs drift -journal drift.jsonl [-check]
 //
-// Exit codes: 0 success, 1 analysis failure (unreadable file, failed
-// -check, explain disagreement), 2 usage error (unknown subcommand or
-// bad flags).
+// Exit codes: 0 success; 1 an unreadable file, an explain disagreement,
+// or a failed -check (an incomplete trace, a verification problem, a
+// drift monitor left above threshold, a profile past it); 2 a usage error
+// (unknown subcommand or bad flags).
 package main
 
 import (
@@ -32,190 +31,96 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"p4guard/internal/drift"
 	"p4guard/internal/dtrace"
 	"p4guard/internal/obs"
+	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
 )
-
-// multiFlag collects repeated -journal / -explain / -spans flags.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return fmt.Sprint(*m) }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run dispatches subcommands and returns the process exit code; it
-// never calls os.Exit so tests can table-drive it.
+// run dispatches and returns the process exit code; it never calls
+// os.Exit so tests can table-drive it.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		switch args[0] {
-		case "trace":
-			return runTrace(args[1:], stdout, stderr)
-		case "drift":
-			return runDrift(args[1:], stdout, stderr)
-		default:
-			fmt.Fprintf(stderr, "p4guard-obs: unknown subcommand %q (have: trace, drift)\n", args[0])
+	if len(args) > 0 && args[0] == "drift" {
+		return runDrift(args[1:], stdout, stderr)
+	}
+	// A first operand that names no file and does not look like a path
+	// is a mistyped subcommand, not a missing journal.
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") && !strings.ContainsAny(args[0], "./") {
+		if _, err := os.Stat(args[0]); err != nil {
+			fmt.Fprintf(stderr, "p4guard-obs: unknown subcommand %q (have: drift)\n", args[0])
 			return 2
 		}
 	}
-	return runDefault(args, stdout, stderr)
+	return runReport(args, stdout, stderr)
 }
 
-// runDefault is the journal/explain summarizer (no subcommand).
-func runDefault(args []string, stdout, stderr io.Writer) int {
+// runReport reads every journal named and prints a section per kind of
+// record present.
+func runReport(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("p4guard-obs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var journals, explains multiFlag
-	fs.Var(&journals, "journal", "run journal JSONL to summarize (repeatable)")
-	fs.Var(&explains, "explain", "explain dump JSONL to summarize (repeatable)")
-	top := fs.Int("top", 10, "winning entries to list per explain dump")
+	top := fs.Int("top", 10, "winning entries to list in the explain section")
+	slowest := fs.Int("slowest", 5, "slowest traces to list in the trace section (0 disables)")
+	check := fs.Bool("check", false, "exit non-zero on incomplete traces, verification problems, or a drift monitor left above threshold")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if len(journals) == 0 && len(explains) == 0 {
-		fmt.Fprintln(stderr, "p4guard-obs: need at least one -journal or -explain file")
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "p4guard-obs: need at least one journal FILE")
 		fs.Usage()
 		return 2
 	}
 
 	exit := 0
-	for _, path := range journals {
-		recs, err := readJournalFile(path, stderr)
-		if recs == nil && err {
+	var recs []telemetry.JournalRecord
+	for _, path := range fs.Args() {
+		got, err := readJournalFile(path)
+		if err != nil {
+			// A corrupt line (a crashed writer) still yields the clean
+			// prefix: report, keep it, and fail.
+			fmt.Fprintf(stderr, "p4guard-obs: %v (keeping %d clean records)\n", err, len(got))
 			exit = 1
-			continue
 		}
-		fmt.Fprintf(stdout, "== journal %s ==\n", path)
-		obs.RenderRuns(stdout, obs.SummarizeJournal(recs))
-		fmt.Fprintln(stdout)
+		recs = append(recs, got...)
 	}
-	for _, path := range explains {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-			exit = 1
-			continue
-		}
-		rep, err := obs.ReadExplainDump(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "p4guard-obs: %s: %v\n", path, err)
-			exit = 1
-		}
-		fmt.Fprintf(stdout, "== explain dump %s ==\n", path)
+	kinds := make(map[string]int)
+	for _, rec := range recs {
+		kinds[rec.Kind]++
+	}
+
+	fmt.Fprintln(stdout, "== runs ==")
+	obs.RenderRuns(stdout, obs.SummarizeJournal(recs))
+	if kinds[switchsim.ExplainRecord] > 0 {
+		rep := obs.SummarizeExplain(recs)
+		fmt.Fprintln(stdout, "\n== explain ==")
 		obs.RenderExplainReport(stdout, rep, *top)
 		if rep.AgreementRate() < 1 {
 			exit = 1
 		}
-		fmt.Fprintln(stdout)
 	}
-	return exit
-}
-
-// runTrace implements the trace subcommand: merge span exports, report
-// the critical path, optionally fail on malformed traces.
-func runTrace(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var spanFiles multiFlag
-	fs.Var(&spanFiles, "spans", "span export JSONL to merge (repeatable)")
-	slowest := fs.Int("slowest", 5, "slowest traces to list (0 disables)")
-	check := fs.Bool("check", false, "exit non-zero on incomplete traces or verification problems")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if len(spanFiles) == 0 {
-		fmt.Fprintln(stderr, "p4guard-obs trace: need at least one -spans file")
-		fs.Usage()
-		return 2
-	}
-
-	exit := 0
-	var spans []dtrace.Span
-	for _, path := range spanFiles {
-		f, err := os.Open(path)
+	if kinds[dtrace.SpanRecord] > 0 {
+		spans, err := dtrace.FromJournal(recs)
 		if err != nil {
 			fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-			return 1
-		}
-		got, err := dtrace.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			// A trailing partial line (crashed writer) still yields the
-			// clean prefix; report and keep going.
-			fmt.Fprintf(stderr, "p4guard-obs: %s: %v (keeping %d clean spans)\n", path, err, len(got))
 			exit = 1
 		}
-		spans = append(spans, got...)
-	}
-	rep := obs.SummarizeTraces(spans)
-	obs.RenderTraceReport(stdout, rep, *slowest)
-	if *check && (rep.Incomplete > 0 || len(rep.Problems) > 0) {
-		exit = 1
-	}
-	return exit
-}
-
-// runDrift implements the drift subcommand: score a live profile
-// against a baseline and/or summarize drift-crossing journals.
-func runDrift(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("drift", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	baseline := fs.String("baseline", "", "train-time baseline profile (p4guard-train -drift-baseline)")
-	live := fs.String("live", "", "live profile to score against the baseline (p4guard-ctl/-switch -drift-export)")
-	threshold := fs.Float64("threshold", drift.DefaultThreshold, "composite-score alarm level")
-	check := fs.Bool("check", false, "exit non-zero when drift exceeds the threshold (or a journal's final state is above it)")
-	var journals multiFlag
-	fs.Var(&journals, "journal", "drift-crossing journal JSONL to summarize (repeatable)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if (*baseline == "") != (*live == "") {
-		fmt.Fprintln(stderr, "p4guard-obs drift: -baseline and -live go together")
-		fs.Usage()
-		return 2
-	}
-	if *baseline == "" && len(journals) == 0 {
-		fmt.Fprintln(stderr, "p4guard-obs drift: need -baseline/-live or at least one -journal")
-		fs.Usage()
-		return 2
-	}
-
-	exit := 0
-	if *baseline != "" {
-		base, err := drift.LoadProfile(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-			return 1
-		}
-		liveProf, err := drift.LoadProfile(*live)
-		if err != nil {
-			fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-			return 1
-		}
-		rep, err := obs.SummarizeDrift(base, liveProf, *threshold)
-		if err != nil {
-			fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-			return 1
-		}
-		obs.RenderDriftReport(stdout, rep)
-		if *check && rep.Exceeded() {
+		rep := obs.SummarizeTraces(spans)
+		fmt.Fprintln(stdout, "\n== trace ==")
+		obs.RenderTraceReport(stdout, rep, *slowest)
+		if *check && (rep.Incomplete > 0 || len(rep.Problems) > 0) {
 			exit = 1
 		}
 	}
-	for _, path := range journals {
-		recs, hadErr := readJournalFile(path, stderr)
-		if recs == nil && hadErr {
-			exit = 1
-			continue
-		}
+	if kinds[drift.CrossRecord] > 0 {
 		sum := obs.SummarizeDriftJournal(recs)
-		fmt.Fprintf(stdout, "== drift journal %s ==\n", path)
+		fmt.Fprintln(stdout, "\n== drift ==")
 		obs.RenderDriftJournal(stdout, sum)
 		if *check && sum.LastUp {
 			exit = 1
@@ -224,22 +129,62 @@ func runDrift(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// readJournalFile opens and parses a JSONL journal, reporting partial
-// reads to stderr. Returns (nil, true) when the file itself is
-// unreadable; a corrupt tail still yields the clean prefix.
-func readJournalFile(path string, stderr io.Writer) ([]telemetry.JournalRecord, bool) {
-	f, err := os.Open(path)
+// runDrift implements the drift subcommand: score a live profile against
+// a baseline.
+func runDrift(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drift", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "train-time baseline profile (p4guard-train -drift-baseline)")
+	live := fs.String("live", "", "live profile to score against the baseline (p4guard-ctl/-switch -drift-export)")
+	threshold := fs.Float64("threshold", drift.DefaultThreshold, "composite-score alarm level")
+	check := fs.Bool("check", false, "exit non-zero when drift exceeds the threshold")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *baseline == "" && *live == "" {
+		fmt.Fprintln(stderr, "p4guard-obs drift: need -baseline/-live (crossings are read from journals: p4guard-obs FILE...)")
+		fs.Usage()
+		return 2
+	}
+	if *baseline == "" || *live == "" {
+		fmt.Fprintln(stderr, "p4guard-obs drift: -baseline and -live go together")
+		fs.Usage()
+		return 2
+	}
+
+	base, err := drift.LoadProfile(*baseline)
 	if err != nil {
 		fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
-		return nil, true
+		return 1
 	}
-	recs, err := telemetry.ReadJournal(f)
-	f.Close()
+	liveProf, err := drift.LoadProfile(*live)
 	if err != nil {
-		// A trailing partial line (crashed writer) still yields the
-		// clean prefix; report and keep going.
-		fmt.Fprintf(stderr, "p4guard-obs: %s: %v (summarizing %d clean records)\n",
-			path, err, len(recs))
+		fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
+		return 1
 	}
-	return recs, false
+	rep, err := obs.SummarizeDrift(base, liveProf, *threshold)
+	if err != nil {
+		fmt.Fprintf(stderr, "p4guard-obs: %v\n", err)
+		return 1
+	}
+	obs.RenderDriftReport(stdout, rep)
+	if *check && rep.Exceeded() {
+		return 1
+	}
+	return 0
+}
+
+// readJournalFile opens and parses one journal, returning the records
+// read cleanly before any error.
+func readJournalFile(path string) ([]telemetry.JournalRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := telemetry.ReadJournal(f)
+	if err != nil {
+		return recs, fmt.Errorf("%s: %w", path, err)
+	}
+	return recs, nil
 }

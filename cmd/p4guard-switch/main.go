@@ -1,21 +1,20 @@
 // Command p4guard-switch runs the behavioural gateway switch as a p4rt
 // server. With -replay it continuously feeds a generated workload through
 // the data plane so a connected controller sees live digests and counters.
-// With -explain it samples forwarded packets, re-runs each through the
-// side-effect-free Explain path, and appends one JSON line per sample —
-// the dump cmd/p4guard-obs summarizes (verdict distribution, winning
-// entries, explain-vs-lookup agreement).
+// With -journal it records everything it can observe into one JSONL
+// journal — sampled per-packet explanations (the side-effect-free Explain
+// path re-run on one in -explain-every forwarded packets), drift
+// crossings, and on exit its trace spans — which cmd/p4guard-obs reads.
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -45,17 +44,13 @@ func run() int {
 		duration = flag.Duration("duration", 0, "exit after this long (0 = until signal)")
 		rateThr  = flag.Uint64("rate-threshold", 0, "enable the heavy-hitter rate guard above this per-window packet count (0 = off)")
 		rateWin  = flag.Duration("rate-window", time.Second, "rate-guard window")
-		workers  = flag.Int("workers", 1, "forwarding workers per replay round (<=0 = GOMAXPROCS)")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (empty = off)")
-		explain  = flag.String("explain", "", "dump sampled per-packet explanations as JSONL to this path")
-		explainN = flag.Int("explain-every", 64, "sample one explanation per this many forwarded packets")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars (the journal's tail), and /debug/pprof on this address (empty = off)")
+		journalP = flag.String("journal", "", "record into this JSONL journal: arms tracing and explain sampling; drift crossings and, on exit, spans land there too")
+		explainN = flag.Int("explain-every", 64, "with -journal, explain one in this many forwarded packets")
 		jsonOut  = flag.Bool("json", false, "print stats as JSON instead of the key=value line")
 		rpcTO    = flag.Duration("rpc-timeout", 5*time.Second, "write deadline on controller connections (stuck peers are dropped, not waited on)")
 		digestQ  = flag.Int("digest-queue", 4096, "bounded digest queue capacity; overflow drops with accounting")
-		trace    = flag.Bool("trace", false, "arm distributed tracing: digest and program spans, trace context on the wire")
-		traceOut = flag.String("trace-export", "", "write recorded spans as JSONL to this path on exit (implies -trace)")
 		driftIn  = flag.String("drift", "", "arm switch-side drift tracking against this baseline profile (digested packets only; no class/residual terms)")
-		driftJ   = flag.String("drift-journal", "", "append drift threshold-crossing events as JSONL to this path (implies -drift)")
 		driftThr = flag.Float64("drift-threshold", drift.DefaultThreshold, "composite drift score alarm level (PSI convention)")
 		driftOut = flag.String("drift-export", "", "write the observed drift profile to this path on exit")
 	)
@@ -74,7 +69,16 @@ func run() int {
 	if *node != "" {
 		sw.SetNode(*node)
 	}
-	if *trace || *traceOut != "" {
+
+	// One journal holds everything the switch records; -metrics-addr alone
+	// keeps a memory-only one for /debug/vars.
+	var j *telemetry.Journal
+	switch {
+	case *journalP != "":
+		if j, err = telemetry.OpenJournal(*journalP, ""); err != nil {
+			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
+			return 1
+		}
 		proc := *name
 		if *node != "" {
 			proc = *node
@@ -82,30 +86,28 @@ func run() int {
 		tr := dtrace.NewTracer()
 		tr.Arm(proc, *seed, 1<<15)
 		sw.SetTracer(tr)
-		if *traceOut != "" {
-			defer exportTrace(*traceOut, tr, "p4guard-switch")
-		}
-		fmt.Printf("tracing armed as proc %q\n", proc)
+		sw.EnableExplainSampling(*explainN, j, nil)
+		defer func() { // spans leave on exit; a failure never changes the exit status
+			if err := errors.Join(tr.Export(j), j.Close()); err != nil {
+				fmt.Fprintln(os.Stderr, "p4guard-switch: journal:", err)
+			}
+		}()
+		fmt.Printf("journal %s: tracing as proc %q, explaining 1/%d packets\n", *journalP, proc, *explainN)
+	case *metrics != "":
+		j = telemetry.NewFlightRecorder(telemetry.DefaultTail)
 	}
-	if *driftIn != "" || *driftJ != "" {
-		if *driftIn == "" {
-			fmt.Fprintln(os.Stderr, "p4guard-switch: -drift-journal requires -drift")
-			return 1
-		}
+	if j != nil {
+		_ = j.Event("boot", map[string]any{"switch": *name, "link": lt.String()})
+	}
+	if *driftIn != "" {
 		baseline, err := drift.LoadProfile(*driftIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
 			return 1
 		}
 		mon := drift.NewMonitor()
-		if *driftJ != "" {
-			dj, err := telemetry.OpenJournal(*driftJ, "")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
-				return 1
-			}
-			defer func() { _ = dj.Close() }()
-			mon.OnCross(drift.JournalHook(dj))
+		if j != nil {
+			mon.OnCross(drift.JournalHook(j))
 		}
 		if err := mon.Arm(drift.MonitorConfig{Baseline: baseline, Threshold: *driftThr}); err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
@@ -133,13 +135,11 @@ func run() int {
 	defer func() { _ = srv.Close() }()
 	fmt.Printf("switch %s (%s) listening on %s\n", *name, lt, srv.Addr())
 
-	var fr *telemetry.FlightRecorder
 	if *metrics != "" {
 		reg := telemetry.NewRegistry()
-		fr = telemetry.NewFlightRecorder(4096)
 		sw.RegisterTelemetry(reg)
 		srv.RegisterTelemetry(reg)
-		ts, err := telemetry.NewServer(*metrics, reg, fr)
+		ts, err := telemetry.NewServer(*metrics, reg, j)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
 			return 1
@@ -149,23 +149,7 @@ func run() int {
 			defer cancel()
 			_ = ts.Shutdown(ctx)
 		}()
-		fr.Record("boot", map[string]any{"switch": *name, "link": lt.String()})
-		fmt.Printf("telemetry on http://%s/metrics (flight recorder: /debug/vars, profiles: /debug/pprof)\n", ts.Addr())
-	}
-
-	if *explain != "" {
-		dump, err := newExplainDump(*explain)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
-			return 1
-		}
-		defer func() {
-			if err := dump.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "p4guard-switch: explain dump:", err)
-			}
-		}()
-		sw.EnableExplainSampling(*explainN, fr, dump.write)
-		fmt.Printf("explain sampling armed: 1/%d packets to %s\n", *explainN, *explain)
+		fmt.Printf("telemetry on http://%s/metrics (journal tail: /debug/vars, profiles: /debug/pprof)\n", ts.Addr())
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -180,7 +164,7 @@ func run() int {
 		t := time.NewTicker(*interval)
 		defer t.Stop()
 		replayTick = t.C
-		if err := replayOnce(sw, *replay, *packetsN, *seed, *workers); err != nil {
+		if err := replayOnce(sw, *replay, *packetsN, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
 			return 1
 		}
@@ -197,50 +181,13 @@ func run() int {
 			return 0
 		case <-replayTick:
 			round++
-			if err := replayOnce(sw, *replay, *packetsN, round, *workers); err != nil {
+			if err := replayOnce(sw, *replay, *packetsN, round); err != nil {
 				fmt.Fprintln(os.Stderr, "p4guard-switch:", err)
 				return 1
 			}
 			printStats(sw, *jsonOut)
 		}
 	}
-}
-
-// explainDump serializes sampled explanations to a JSONL file. The
-// sampler may fire from concurrent forwarding workers, so writes are
-// mutex-guarded.
-type explainDump struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-func newExplainDump(path string) (*explainDump, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &explainDump{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (d *explainDump) write(sample switchsim.ExplainSample) {
-	line, err := switchsim.ExplainJSON(sample)
-	if err != nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, _ = d.w.Write(append(line, '\n'))
-}
-
-func (d *explainDump) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err := d.w.Flush()
-	if cerr := d.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // exportDrift writes the switch's observed drift profile; failures are
@@ -259,26 +206,6 @@ func exportDrift(path string, mon *drift.Monitor) {
 		prof.Count, path, da.FleetScore(), mon.Crossings())
 }
 
-// exportTrace writes the tracer's recorded spans as JSONL; failures are
-// reported but never change the exit status (observability must not
-// fail the run it observed).
-func exportTrace(path string, tr *dtrace.Tracer, prog string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: trace export: %v\n", prog, err)
-		return
-	}
-	err = tr.WriteJSONL(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: trace export: %v\n", prog, err)
-		return
-	}
-	fmt.Printf("trace export: %d spans to %s (%d dropped)\n", len(tr.Spans()), path, tr.Dropped())
-}
-
 func parseLink(s string) (packet.LinkType, error) {
 	for _, lt := range []packet.LinkType{packet.LinkEthernet, packet.LinkIEEE802154, packet.LinkBLE} {
 		if lt.String() == s {
@@ -288,7 +215,7 @@ func parseLink(s string) (packet.LinkType, error) {
 	return 0, fmt.Errorf("unknown link %q", s)
 }
 
-func replayOnce(sw *switchsim.Switch, scenario string, packets int, seed int64, workers int) error {
+func replayOnce(sw *switchsim.Switch, scenario string, packets int, seed int64) error {
 	ds, err := p4guard.GenerateTrace(scenario, p4guard.TraceConfig{Seed: seed, Packets: packets})
 	if err != nil {
 		return err
@@ -297,11 +224,7 @@ func replayOnce(sw *switchsim.Switch, scenario string, packets int, seed int64, 
 	for i, s := range ds.Samples {
 		pkts[i] = s.Pkt
 	}
-	if workers == 1 {
-		sw.ProcessBatch(pkts)
-		return nil
-	}
-	sw.RunParallel(pkts, workers)
+	sw.ProcessBatch(pkts)
 	return nil
 }
 

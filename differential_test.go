@@ -168,16 +168,6 @@ func TestDifferentialFastPathAgreement(t *testing.T) {
 					t.Fatalf("pkt %d: Explain verdict %+v != fast verdict %+v", i, ev.Verdict, got[i])
 				}
 			}
-
-			for _, workers := range []int{1, 2, 4} {
-				sw := mk()
-				verdicts := sw.ProcessBatchParallel(pkts, workers)
-				for i := range want {
-					if verdicts[i] != want[i] {
-						t.Fatalf("workers=%d pkt %d: %+v != reference %+v", workers, i, verdicts[i], want[i])
-					}
-				}
-			}
 		})
 	}
 }

@@ -2,16 +2,21 @@ package p4guard_test
 
 // Drift observability end to end: train → persist baseline → replay a
 // seeded digest stream through a two-switch, two-shard fleet → the
-// drift gauges, flight-recorder events, fleet health, and the offline
-// obs scorer must all agree — an unshifted stream stays below the
-// threshold (and is byte-identical across reruns), a shifted stream
-// crosses it everywhere the scoreboard looks.
+// drift gauges, journal records, fleet health, and the offline obs
+// scorer must all agree — an unshifted stream stays below the threshold
+// (and is byte-identical across reruns), a shifted stream crosses it
+// everywhere the scoreboard looks. The shifted fleet runs as the daemons
+// do with -journal, and its journals alone answer, for one attack miss,
+// why it got its verdict, what its round trip cost, and whether the
+// model is still valid.
 
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,10 +25,12 @@ import (
 	"p4guard"
 	"p4guard/internal/controller"
 	"p4guard/internal/drift"
+	"p4guard/internal/dtrace"
 	"p4guard/internal/obs"
 	"p4guard/internal/p4"
 	"p4guard/internal/p4rt"
 	"p4guard/internal/packet"
+	"p4guard/internal/rules"
 	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
 	"p4guard/internal/trace"
@@ -36,25 +43,53 @@ type driftFleetResult struct {
 	crossings   uint64
 	health      controller.FleetHealth
 	metrics     string
-	flightDump  string
+	journals    []string // journaled runs: the controller's and each switch's
+}
+
+// journaled makes a fleet run as p4guard-ctl and p4guard-switch run with
+// -journal: reactive installs on, every process traced and recording into
+// its own journal in dir. Before the stream, probe — an attack miss of it
+// — goes through the first switch alone, explained, so its own digest is
+// the one that installs its key there.
+type journaled struct {
+	dir   string
+	probe *packet.Packet
 }
 
 // runDriftFleet replays pkts through a fresh 2-switch / 2-shard fleet
 // armed with baseline and returns everything the drift scoreboard
 // exposes. Packets alternate between the switches so both shards see
-// half the stream.
+// half the stream. A journaled run exports its spans and closes its
+// journals before returning.
 func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
-	baseline *drift.Profile, pkts []*packet.Packet) driftFleetResult {
+	baseline *drift.Profile, pkts []*packet.Packet, jr *journaled) driftFleetResult {
 	t.Helper()
 
 	mon := drift.NewMonitor()
 	if err := mon.Arm(drift.MonitorConfig{Baseline: baseline, Shards: 2, ScoreEvery: 16, MinObservations: 128}); err != nil {
 		t.Fatal(err)
 	}
+	var res driftFleetResult
+	var journals []*telemetry.Journal
+	var tracers []*dtrace.Tracer
+	record := func(proc string) (*telemetry.Journal, *dtrace.Tracer) {
+		path := filepath.Join(jr.dir, proc+".jsonl")
+		j, err := telemetry.OpenJournal(path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := dtrace.NewTracer()
+		tr.Arm(proc, int64(len(tracers)+1), 1<<14)
+		res.journals, journals, tracers = append(res.journals, path), append(journals, j), append(tracers, tr)
+		return j, tr
+	}
+	opts := []controller.Option{controller.WithShards(2), controller.WithDrift(mon)}
+	if jr != nil {
+		j, tr := record("drift-ctl")
+		opts = append(opts, controller.WithJournal(j), controller.WithTracer(tr), controller.WithReactive(true))
+	}
 	reg := telemetry.NewRegistry()
-	fr := telemetry.NewFlightRecorder(1024)
-	ctl := controller.New(pipe, controller.Config{Name: "drift-ctl", FlightRecorder: fr},
-		controller.WithShards(2), controller.WithDrift(mon))
+	ctl := controller.New(pipe, controller.Config{Name: "drift-ctl"}, opts...)
 	t.Cleanup(func() { _ = ctl.Close() })
 	ctl.RegisterFleetTelemetry(reg)
 
@@ -63,6 +98,10 @@ func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
 		sw, err := switchsim.NewWithDigestCapacity(fmt.Sprintf("gw-drift%d", i), link, 1<<16)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if jr != nil {
+			_, tr := record(sw.Name)
+			sw.SetTracer(tr)
 		}
 		srv, err := p4rt.Serve("127.0.0.1:0", sw, time.Millisecond)
 		if err != nil {
@@ -78,8 +117,22 @@ func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
 		t.Fatal(err)
 	}
 
+	if jr != nil {
+		sws[0].EnableExplainSampling(1, journals[1], nil)
+		if v := sws[0].Process(jr.probe); !v.Digested {
+			t.Fatalf("probe did not miss: %+v", v)
+		}
+		sws[0].DisableExplainSampling()
+	}
+	// Each switch forwards its half as one burst: the burst is matched
+	// against one table generation, so reactive installs landing
+	// mid-replay cannot change which of its packets miss.
+	var halves [2][]*packet.Packet
 	for i, pkt := range pkts {
-		sws[i%2].Process(pkt)
+		halves[i%2] = append(halves[i%2], pkt)
+	}
+	for i, sw := range sws {
+		sw.ProcessBatch(halves[i])
 	}
 	want := 0
 	for _, sw := range sws {
@@ -89,7 +142,7 @@ func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
 		t.Fatal("replay produced no digests; drift path not exercised")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for ctl.Stats().DigestsProcessed < want {
+	for !settled(ctl, want) {
 		if time.Now().After(deadline) {
 			t.Fatalf("digests stalled: processed %d of %d", ctl.Stats().DigestsProcessed, want)
 		}
@@ -104,18 +157,21 @@ func runDriftFleet(t *testing.T, pipe *p4guard.Pipeline, link packet.LinkType,
 	if err := reg.WritePrometheus(&metricsBuf); err != nil {
 		t.Fatal(err)
 	}
-	var flightBuf bytes.Buffer
-	if err := fr.WriteJSON(&flightBuf); err != nil {
-		t.Fatal(err)
+	res.profileJSON, res.fleetScore, res.crossings = profBuf.Bytes(), da.FleetScore(), mon.Crossings()
+	res.health, res.metrics = ctl.FleetHealth(), metricsBuf.String()
+	// Closing the controller waits out its worker, so every span has
+	// ended; then each process exports its spans, as the daemons do on
+	// exit.
+	_ = ctl.Close()
+	for i, j := range journals {
+		if err := tracers[i].Export(j); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return driftFleetResult{
-		profileJSON: profBuf.Bytes(),
-		fleetScore:  da.FleetScore(),
-		crossings:   mon.Crossings(),
-		health:      ctl.FleetHealth(),
-		metrics:     metricsBuf.String(),
-		flightDump:  flightBuf.String(),
-	}
+	return res
 }
 
 func TestDriftObservabilityEndToEnd(t *testing.T) {
@@ -183,7 +239,7 @@ func TestDriftObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Unshifted: live test traffic matches the baseline by construction.
-	clean := runDriftFleet(t, pipe, ds.Link, baseline, pkts)
+	clean := runDriftFleet(t, pipe, ds.Link, baseline, pkts, nil)
 	if clean.fleetScore > drift.DefaultThreshold {
 		t.Fatalf("unshifted fleet score %v above threshold %v", clean.fleetScore, drift.DefaultThreshold)
 	}
@@ -195,13 +251,15 @@ func TestDriftObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Byte-identical rerun: same seeds, same packets, fresh fleet.
-	clean2 := runDriftFleet(t, pipe, ds.Link, baseline, pkts)
+	clean2 := runDriftFleet(t, pipe, ds.Link, baseline, pkts, nil)
 	if !bytes.Equal(clean.profileJSON, clean2.profileJSON) {
 		t.Fatal("unshifted fleet profiles differ across reruns")
 	}
 
-	// Shifted: every surface of the scoreboard must light up.
-	bad := runDriftFleet(t, pipe, ds.Link, baseline, shifted)
+	// Shifted: every surface of the scoreboard must light up. The fleet
+	// runs journaled, and its first attack miss is the probe.
+	probe := firstAttackMiss(t, pipe, shifted)
+	bad := runDriftFleet(t, pipe, ds.Link, baseline, shifted, &journaled{dir: t.TempDir(), probe: probe})
 	if bad.fleetScore <= drift.DefaultThreshold {
 		t.Fatalf("shifted fleet score %v did not cross threshold %v", bad.fleetScore, drift.DefaultThreshold)
 	}
@@ -215,9 +273,7 @@ func TestDriftObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("fleet health did not degrade under drift: clean %.3f, drifted %.3f",
 			clean.health.Score, bad.health.Score)
 	}
-	if !strings.Contains(bad.flightDump, `"kind": "drift"`) {
-		t.Fatalf("flight recorder missing drift event:\n%.2000s", bad.flightDump)
-	}
+	answerFromJournals(t, bad.journals, rules.ExtractKey(probe, pipe.MatchOffsets()))
 
 	// The exported gauge crosses on /metrics, per shard and fleet-wide.
 	scoreLine := func(metrics, shard string) float64 {
@@ -272,6 +328,97 @@ func TestDriftObservabilityEndToEnd(t *testing.T) {
 	}
 	if repClean.Exceeded() {
 		t.Fatalf("obs scorer flagged unshifted profile (total %v)", repClean.Score.Total)
+	}
+}
+
+// settled reports that the controller has handled want digests and every
+// reactive install it logged has been acknowledged.
+func settled(ctl *controller.Controller, want int) bool {
+	for _, st := range ctl.FleetStatus() {
+		if st.AppliedReactive != st.ReactiveLog {
+			return false
+		}
+	}
+	return ctl.Stats().DigestsProcessed >= want
+}
+
+// firstAttackMiss returns the first packet of pkts that the deployed
+// rules miss and the slow path calls an attack.
+func firstAttackMiss(t *testing.T, pipe *p4guard.Pipeline, pkts []*packet.Packet) *packet.Packet {
+	t.Helper()
+	for _, p := range pkts {
+		if _, matched := pipe.RuleSet().ClassifyDetail(p); !matched && pipe.ClassifySlowPath(p) != 0 {
+			return p
+		}
+	}
+	t.Fatal("the stream holds no attack miss")
+	return nil
+}
+
+// answerFromJournals reads the shifted fleet's journals back with
+// telemetry.ReadJournal alone and finds, for the attack miss whose match
+// key is key, the three answers: its explain record (why this verdict),
+// its complete digest_wait → fanin_wait → classify → plan → install trace
+// joined to it by the key (what it cost), and the drift crossing the
+// shifted stream set off (is the model still valid).
+func answerFromJournals(t *testing.T, paths []string, key []byte) {
+	t.Helper()
+	var recs []telemetry.JournalRecord
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := telemetry.ReadJournal(f)
+		_ = f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, got...)
+	}
+	spans, err := dtrace.FromJournal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []string{dtrace.StageDigestWait, dtrace.StageFanInWait, dtrace.StageClassify, dtrace.StagePlan, dtrace.StageInstall}
+	installed := make(map[string]dtrace.TraceSummary) // digesting switch and match key -> trace
+	for _, ts := range dtrace.Assemble(spans) {
+		if inst, ok := ts.Stage(dtrace.StageInstall); ok && ts.Complete {
+			installed[ts.Stages[0].Proc+" "+inst.Attrs["key"]] = ts
+		}
+	}
+	var why *switchsim.ExplainSample
+	for _, rec := range recs {
+		var s switchsim.ExplainSample
+		if rec.Kind != switchsim.ExplainRecord || rec.Decode(&s) != nil || !s.LookupVerdict.Digested || len(s.Tables) == 0 {
+			continue
+		}
+		if k := s.Tables[len(s.Tables)-1].Key; bytes.Equal(k, key) {
+			why = &s
+		}
+	}
+	if why == nil {
+		t.Fatalf("attack miss %x has no explain record", key)
+	}
+	cost, traced := installed[why.Switch+" "+hex.EncodeToString(key)]
+	if !traced {
+		t.Fatalf("attack miss %x on %s has no install trace (%d installs traced)", key, why.Switch, len(installed))
+	}
+	if !why.Agrees || why.Verdict.Matched || !why.Verdict.Digested {
+		t.Fatalf("explain %+v does not describe a miss", why)
+	}
+	var sum time.Duration
+	for i, st := range cost.Stages {
+		if i >= len(chain) || st.Name != chain[i] {
+			t.Fatalf("trace stages %+v, want the chain %v", cost.Stages, chain)
+		}
+		sum += st.Duration()
+	}
+	if len(cost.Stages) != len(chain) || sum != cost.E2E || cost.E2E <= 0 {
+		t.Fatalf("trace of %d stages sums to %v, e2e %v", len(cost.Stages), sum, cost.E2E)
+	}
+	if d := obs.SummarizeDriftJournal(recs); d.Up == 0 || d.MaxScore <= drift.DefaultThreshold {
+		t.Fatalf("journals hold no upward drift crossing: %+v", d)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestEndToEndModelPersistence(t *testing.T) {
 // /metrics twice to assert the counters the acceptance criteria name
 // exist and move: per-verdict packets, per-entry detector hits, the
 // forwarding-latency histogram, digest-queue accounting, and controller
-// rule-install counters. /debug/vars must dump the flight recorder.
+// rule-install counters. /debug/vars must dump the controller journal's tail.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	ds, err := p4guard.GenerateTrace("wifi-mqtt", p4guard.TraceConfig{Seed: 73, Packets: 1500})
 	if err != nil {
@@ -225,7 +225,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	sw.RegisterTelemetry(reg)
 	srv.RegisterTelemetry(reg)
 
-	ctl := controller.New(pipe, controller.Config{Name: "metrics-ctl", Reactive: true, FlightRecorder: fr})
+	ctl := controller.New(pipe, controller.Config{Name: "metrics-ctl", Reactive: true, Journal: fr})
 	t.Cleanup(func() { _ = ctl.Close() })
 	ctl.RegisterTelemetry(reg)
 	if err := ctl.Connect(context.Background(), srv.Addr()); err != nil {
@@ -282,7 +282,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	for i, s := range test.Samples {
 		pkts[i] = s.Pkt
 	}
-	sw.RunParallel(pkts, 4)
+	sw.Run(pkts)
 	st := sw.Stats()
 	first := scrape()
 
@@ -342,7 +342,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	waitFor(func() bool { return ctl.Stats().DigestsProcessed > 0 })
 
 	// Counters must move on a second replay.
-	sw.RunParallel(pkts, 4)
+	sw.Run(pkts)
 	second := scrape()
 	name := `p4guard_switch_packets_total{switch="gw-metrics"}`
 	if second[name] <= first[name] {
@@ -360,7 +360,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("digest accounting broken: %+v", qs)
 	}
 
-	// The flight recorder saw the control loop.
+	// The controller's journal saw the control loop.
 	resp, err := http.Get("http://" + ts.Addr() + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@ package controller
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -86,7 +87,7 @@ const (
 	StateClosed
 )
 
-// String names the state for logs, metrics labels, and flight events.
+// String names the state for logs, metrics labels, and journal records.
 func (s ConnState) String() string {
 	switch s {
 	case StateConnecting:
@@ -126,10 +127,11 @@ type Config struct {
 	// Policy selects how Deploy splits the rule set across shards
 	// (default ShardReplicate).
 	Policy ShardPolicy
-	// FlightRecorder, when non-nil, receives structured events for every
-	// digest round trip (classify outcome, monotonic duration), rule-set
-	// deploy, connection state change, and reconciliation.
-	FlightRecorder *telemetry.FlightRecorder
+	// Journal, when non-nil, receives a record for every digest round trip
+	// (classify outcome, monotonic duration), rule-set deploy, connection
+	// state change, and reconciliation — and, with Drift, every drift
+	// threshold crossing.
+	Journal *telemetry.Journal
 	// RPCTimeout bounds each p4rt call when the caller's context carries
 	// no deadline (default p4rt.DefaultRPCTimeout).
 	RPCTimeout time.Duration
@@ -153,8 +155,8 @@ type Config struct {
 	// classifies — keyed by the source switch's shard — and scores the
 	// live sketches against the armed baseline profile. A nil or disarmed
 	// monitor costs at most one atomic load per digest. Threshold
-	// crossings are recorded in the FlightRecorder (kind "drift") when
-	// one is attached.
+	// crossings are recorded in the Journal (drift.CrossRecord) when one
+	// is attached.
 	Drift *drift.Monitor
 }
 
@@ -162,9 +164,9 @@ type Config struct {
 // options surface of New.
 type Option func(*Config)
 
-// WithFlightRecorder wires the control-plane black box.
-func WithFlightRecorder(fr *telemetry.FlightRecorder) Option {
-	return func(c *Config) { c.FlightRecorder = fr }
+// WithJournal wires the journal the control loop records into.
+func WithJournal(j *telemetry.Journal) Option {
+	return func(c *Config) { c.Journal = j }
 }
 
 // WithReactive toggles reactive exact-drop installation.
@@ -479,17 +481,8 @@ func New(model SlowPath, cfg Config, opts ...Option) *Controller {
 	if r, ok := model.(Residualer); ok {
 		c.residual = r.Residual
 	}
-	if cfg.Drift != nil && cfg.FlightRecorder != nil {
-		fr := cfg.FlightRecorder
-		cfg.Drift.OnCross(func(ev drift.CrossEvent) {
-			fr.Record("drift", map[string]any{
-				"shard":        ev.Shard,
-				"up":           ev.Up,
-				"score":        ev.Score,
-				"threshold":    ev.Threshold,
-				"observations": ev.Observations,
-			})
-		})
+	if cfg.Drift != nil && cfg.Journal != nil {
+		cfg.Drift.OnCross(drift.JournalHook(cfg.Journal))
 	}
 	c.fanCond = sync.NewCond(&c.fanMu)
 	c.workerWg.Add(1)
@@ -509,15 +502,15 @@ func (c *Controller) dialOpts() []p4rt.ClientOption {
 	return opts
 }
 
-// recordState logs a state transition to the flight recorder.
+// recordState logs a state transition to the journal.
 func (c *Controller) recordState(sc *swConn, s ConnState, extra map[string]any) {
 	sc.setState(s)
-	if fr := c.cfg.FlightRecorder; fr != nil {
+	if j := c.cfg.Journal; j != nil {
 		fields := map[string]any{"switch": sc.addr, "state": s.String()}
 		for k, v := range extra {
 			fields[k] = v
 		}
-		fr.Record("conn_state", fields)
+		_ = j.Event("conn_state", fields)
 	}
 }
 
@@ -589,8 +582,8 @@ func (c *Controller) ConnectShard(ctx context.Context, addr string, shard int) e
 	sc.opMu.Unlock()
 	c.setIdentity(sc, cl)
 	c.recordState(sc, StateReady, map[string]any{"name": cl.ServerName()})
-	if fr := c.cfg.FlightRecorder; fr != nil {
-		fr.Record("connect", map[string]any{
+	if j := c.cfg.Journal; j != nil {
+		_ = j.Event("connect", map[string]any{
 			"switch": addr, "name": cl.ServerName(), "node": cl.ServerNode(), "shard": shard,
 		})
 	}
@@ -847,8 +840,8 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn, bodies *sh
 		s.ReplayedEntries += replayedEntries
 	})
 	sc.replayed.Add(uint64(replayedEntries))
-	if fr := c.cfg.FlightRecorder; fr != nil {
-		fr.Record("reconcile", map[string]any{
+	if j := c.cfg.Journal; j != nil {
+		_ = j.Event("reconcile", map[string]any{
 			"switch":   sc.addr,
 			"epoch":    want.epoch,
 			"shard":    sc.shard,
@@ -942,8 +935,8 @@ func chainCtx(prev dtrace.SpanContext, sp dtrace.ActiveSpan) dtrace.SpanContext 
 }
 
 // handleDigest runs one digest through the slow path and the reactive
-// decision, tracing the whole round trip as a flight-recorder event:
-// kind "digest" with the switch address, the slow-path class, the final
+// decision, recording the whole round trip in the journal as one record
+// of kind "digest" with the switch address, the slow-path class, the final
 // decision, and the monotonic duration of classify+decide+install.
 // When the digest carries wire trace context and the controller tracer
 // is armed, the round trip is also recorded as chained trace stages —
@@ -954,10 +947,10 @@ func chainCtx(prev dtrace.SpanContext, sp dtrace.ActiveSpan) dtrace.SpanContext 
 // same attack each get their own reactive entry, because each enforces
 // only its own shard.
 func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.Time) {
-	fr := c.cfg.FlightRecorder
-	var start int64
-	if fr != nil {
-		start = fr.Now().Nanoseconds()
+	j := c.cfg.Journal
+	var start time.Time
+	if j != nil {
+		start = time.Now()
 	}
 	decision := "attack"
 
@@ -1029,7 +1022,11 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 
 	if install {
 		instSpan := tr.StartSpan(ctx, dtrace.StageInstall)
-		instSpan.SetAttr("switch", sc.addr)
+		if instSpan.Active() {
+			// The key joins the trace to the packet's explain record.
+			instSpan.SetAttr("switch", sc.addr)
+			instSpan.SetAttr("key", hex.EncodeToString(key))
+		}
 		ctx = chainCtx(ctx, instSpan)
 		// The row joins the switch's desired reactive log first, so even
 		// if the write races a connection failure the reconciler replays
@@ -1065,12 +1062,12 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 			decision = "install_deferred"
 		}
 	}
-	if fr != nil {
-		fr.Record("digest", map[string]any{
+	if j != nil {
+		_ = j.Event("digest", map[string]any{
 			"switch":   sc.addr,
 			"class":    class,
 			"decision": decision,
-			"dur_ns":   fr.Now().Nanoseconds() - start,
+			"dur_ns":   time.Since(start).Nanoseconds(),
 		})
 	}
 }
@@ -1225,10 +1222,7 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 		return fmt.Errorf("controller: no connected switches")
 	}
 
-	var start int64
-	if fr := c.cfg.FlightRecorder; fr != nil {
-		start = fr.Now().Nanoseconds()
-	}
+	start := time.Now()
 	applied := 0
 	bodies := shardBodies{epoch: epoch, progs: progs}
 	defer bodies.done()
@@ -1266,14 +1260,14 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 		s.Deploys++
 		s.DeployedRules = total
 	})
-	if fr := c.cfg.FlightRecorder; fr != nil {
+	if j := c.cfg.Journal; j != nil {
 		nd := 0
 		for _, d := range deltas {
 			if d != nil {
 				nd++
 			}
 		}
-		fr.Record("deploy", map[string]any{
+		_ = j.Event("deploy", map[string]any{
 			"rules":        total,
 			"epoch":        epoch,
 			"shards":       len(progs),
@@ -1281,7 +1275,7 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 			"switches":     len(conns),
 			"applied":      applied,
 			"encodes":      bodies.encodes(),
-			"dur_ns":       fr.Now().Nanoseconds() - start,
+			"dur_ns":       time.Since(start).Nanoseconds(),
 		})
 	}
 	root.SetAttr("epoch", fmt.Sprintf("%d", epoch))

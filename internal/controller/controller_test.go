@@ -217,12 +217,13 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestFlightRecorderTracesControlLoop: connect, deploy, and every digest
-// round trip must land in the flight recorder with increasing sequence
-// numbers, monotonic timings, and the right decisions.
+// round trip must land in the controller's journal (here a memory-only
+// one) with increasing sequence numbers, monotonic timings, and the right
+// decisions.
 func TestFlightRecorderTracesControlLoop(t *testing.T) {
 	sw, addr := startSwitch(t)
 	fr := telemetry.NewFlightRecorder(256)
-	c := New(fakeModel{}, Config{Reactive: true, FlightRecorder: fr})
+	c := New(fakeModel{}, Config{Reactive: true, Journal: fr})
 	t.Cleanup(func() { _ = c.Close() })
 	if err := c.Connect(context.Background(), addr); err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestFlightRecorderTracesControlLoop(t *testing.T) {
 	// on what the assertions below read: the recorder itself.
 	waitFor(t, func() bool {
 		digests := 0
-		for _, e := range fr.Events() {
+		for _, e := range fr.Records() {
 			if e.Kind == "digest" {
 				digests++
 			}
@@ -249,18 +250,19 @@ func TestFlightRecorderTracesControlLoop(t *testing.T) {
 	kinds := map[string]int{}
 	var lastSeq uint64
 	var lastAt int64
-	for _, e := range fr.Events() {
-		if e.Seq <= lastSeq || e.AtNs < lastAt {
-			t.Fatalf("events out of order: %+v", fr.Events())
+	for _, e := range fr.Records() {
+		if e.Seq <= lastSeq || e.MonoNs < lastAt {
+			t.Fatalf("events out of order: %+v", fr.Records())
 		}
-		lastSeq, lastAt = e.Seq, e.AtNs
+		lastSeq, lastAt = e.Seq, e.MonoNs
 		kinds[e.Kind]++
 		if e.Kind == "digest" {
-			decisions[e.Fields["decision"].(string)]++
-			if e.Fields["dur_ns"].(int64) < 0 {
+			f := e.Fields.(map[string]any)
+			decisions[f["decision"].(string)]++
+			if f["dur_ns"].(int64) < 0 {
 				t.Fatalf("negative duration: %+v", e)
 			}
-			if e.Fields["switch"].(string) != addr {
+			if f["switch"].(string) != addr {
 				t.Fatalf("wrong switch label: %+v", e)
 			}
 		}

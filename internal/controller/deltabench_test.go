@@ -113,12 +113,12 @@ func deployBenchFleet(b testing.TB, cfg Config, switches int, opts ...Option) (*
 	return c, sws
 }
 
-// deployEncodes is the number of program bodies the deploys recorded in fr
+// deployEncodes is the number of program bodies the deploys recorded in j
 // encoded, all told.
-func deployEncodes(fr *telemetry.FlightRecorder) (n int) {
-	for _, ev := range fr.Events() {
+func deployEncodes(j *telemetry.Journal) (n int) {
+	for _, ev := range j.Records() {
 		if ev.Kind == "deploy" {
-			n += ev.Fields["encodes"].(int)
+			n += ev.Fields.(map[string]any)["encodes"].(int)
 		}
 	}
 	return n
@@ -140,7 +140,7 @@ func BenchmarkFullDeploy(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			fr := telemetry.NewFlightRecorder((arm.switches+1)*(b.N+1) + arm.switches) // a deploy's events, and the connects'
-			c, _ := deployBenchFleet(b, Config{Name: "ctl-bench"}, arm.switches, WithFlightRecorder(fr))
+			c, _ := deployBenchFleet(b, Config{Name: "ctl-bench"}, arm.switches, WithJournal(fr))
 			base, _ := deltaBenchRules(arm.rows, false)
 			b.ReportAllocs()
 			b.ResetTimer()

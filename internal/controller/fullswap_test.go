@@ -61,7 +61,7 @@ func TestDeployEncodesEachShardOnce(t *testing.T) {
 		{"two shards by class, three switches each", Config{Name: "ctl", Shards: 2, Policy: ShardByClass}, 6, 2},
 	} {
 		fr := telemetry.NewFlightRecorder(256)
-		c, sws := deployBenchFleet(t, tc.cfg, tc.switches, WithFlightRecorder(fr))
+		c, sws := deployBenchFleet(t, tc.cfg, tc.switches, WithJournal(fr))
 		if err := c.Deploy(context.Background(), base); err != nil {
 			t.Fatal(err)
 		}

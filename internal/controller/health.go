@@ -61,7 +61,7 @@ type FleetHealth struct {
 	DriftScore     float64 `json:"drift_score,omitempty"`
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	// DriftExceeded is set when DriftScore is past the armed threshold —
-	// the same condition that fired the flight-recorder drift event.
+	// the same condition that recorded the journal's drift crossing.
 	DriftExceeded bool `json:"drift_exceeded,omitempty"`
 }
 

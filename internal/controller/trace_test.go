@@ -1,9 +1,10 @@
 package controller
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -22,8 +23,9 @@ import (
 // Every digest must assemble into a complete cross-process trace —
 // digest_wait (switch) → fanin_wait → classify → plan → install
 // (controller) with the switch-side apply nested under install — whose
-// stage durations sum to its end-to-end duration, the export must
-// survive a JSONL round trip, and the fleet health view must report the
+// stage durations sum to its end-to-end duration, the spans must survive
+// the trip through each process's journal file, and the fleet health
+// view must report the
 // converged fleet at score 1 with latency quantiles drawn from the same
 // traces.
 func TestFleetTraceExportWellFormed(t *testing.T) {
@@ -169,24 +171,44 @@ func TestFleetTraceExportWellFormed(t *testing.T) {
 		t.Fatal("no deploy trace recorded")
 	}
 
-	// JSONL export round trip: what the CLIs write is what the analyzer
-	// reads, and assembly agrees with the in-memory view.
-	var buf bytes.Buffer
-	if err := ctlTr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// Journal round trip: each process exports its spans into its own
+	// journal as the daemons do on exit, and what the analyzer reads back
+	// from the files assembles as the in-memory view did.
+	tracers := []*dtrace.Tracer{ctlTr}
 	for _, g := range gws {
-		if err := g.sw.Tracer().WriteJSONL(&buf); err != nil {
+		tracers = append(tracers, g.sw.Tracer())
+	}
+	var recs []telemetry.JournalRecord
+	for i, tr := range tracers {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("proc%d.jsonl", i))
+		j, err := telemetry.OpenJournal(path, "")
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := tr.Export(j); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := telemetry.ReadJournal(f)
+		_ = f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, got...)
 	}
-	reread, err := dtrace.ReadJSONL(&buf)
+	reread, err := dtrace.FromJournal(recs)
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatal(err)
 	}
 	rsums := dtrace.Assemble(reread)
 	if got := len(digestTraces(rsums)); got < nPkts {
-		t.Fatalf("after JSONL round trip %d complete digest traces, want >= %d", got, nPkts)
+		t.Fatalf("after the journal round trip %d complete digest traces, want >= %d", got, nPkts)
 	}
 	if problems := dtrace.Verify(rsums); len(problems) != 0 {
 		t.Fatalf("round-tripped traces fail verification: %v", problems)

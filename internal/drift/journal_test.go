@@ -2,7 +2,6 @@ package drift
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"p4guard/internal/telemetry"
@@ -10,7 +9,7 @@ import (
 
 // TestJournalHookRoundTrip: crossing events written through JournalHook
 // must come back intact through telemetry.ReadJournal — the contract
-// p4guard-obs drift -journal relies on.
+// p4guard-obs's drift section relies on.
 func TestJournalHookRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := telemetry.NewJournal(&buf, "run-drift")
@@ -37,11 +36,11 @@ func TestJournalHookRoundTrip(t *testing.T) {
 		t.Fatalf("%d records, want %d", len(recs), len(want))
 	}
 	for i, rec := range recs {
-		if rec.Kind != "drift_cross" {
+		if rec.Kind != CrossRecord {
 			t.Fatalf("record %d kind = %q", i, rec.Kind)
 		}
 		var ev CrossEvent
-		if err := json.Unmarshal(rec.Fields, &ev); err != nil {
+		if err := rec.Decode(&ev); err != nil {
 			t.Fatal(err)
 		}
 		if ev != want[i] {

@@ -142,10 +142,13 @@ func (m *Monitor) fire(ev CrossEvent) {
 	}
 }
 
-// JournalHook returns an OnCross hook appending drift_cross records to a
-// run journal.
+// CrossRecord is the journal record kind a crossing is written as.
+const CrossRecord = "drift_cross"
+
+// JournalHook returns an OnCross hook recording each crossing in j as one
+// CrossRecord.
 func JournalHook(j *telemetry.Journal) func(CrossEvent) {
-	return func(ev CrossEvent) { _ = j.Event("drift_cross", ev) }
+	return func(ev CrossEvent) { _ = j.Event(CrossRecord, ev) }
 }
 
 // Armed is a monitor's live state: per-shard sketches plus the baseline

@@ -3,23 +3,23 @@
 // timed on per-process monotonic clocks, parent links that stitch one
 // trace across the p4rt wire (switch digest-enqueue → controller fan-in
 // wait → classify → plan → install → switch apply), a bounded in-memory
-// span ring with JSONL export, and the same disarmed-cost contract as
-// explain sampling: when no tracer is armed the instrumented paths pay
-// one atomic pointer load and nothing else.
+// span ring exported into a telemetry.Journal as records of kind "span",
+// and the same disarmed-cost contract as explain sampling: when no tracer
+// is armed the instrumented paths pay one atomic pointer load and nothing
+// else.
 //
 // The package name avoids internal/trace, which holds dataset traces
 // (packet captures), not execution traces.
 package dtrace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"p4guard/internal/telemetry"
 )
 
 // TraceID identifies one end-to-end trace; 0 means "no trace".
@@ -95,8 +95,7 @@ type tracerState struct {
 
 	mu   sync.Mutex
 	rng  *rand.Rand
-	ring []Span
-	next uint64 // total spans ever recorded; ring slot is (next-1)%cap
+	ring telemetry.Ring[Span]
 }
 
 // now returns the per-process monotonic offset, in nanoseconds.
@@ -129,8 +128,7 @@ func (st *tracerState) mintLocked() uint64 {
 // when full.
 func (st *tracerState) record(sp Span) {
 	st.mu.Lock()
-	st.next++
-	st.ring[(st.next-1)%uint64(len(st.ring))] = sp
+	st.ring.Put(sp)
 	st.mu.Unlock()
 }
 
@@ -157,7 +155,7 @@ func (t *Tracer) Arm(proc string, seed int64, capacity int) {
 		proc:  proc,
 		start: time.Now(),
 		rng:   rand.New(rand.NewSource(seed)),
-		ring:  make([]Span, capacity),
+		ring:  telemetry.NewRing[Span](capacity),
 	})
 }
 
@@ -207,9 +205,11 @@ func (t *Tracer) StartSpanAt(parent SpanContext, name string, at time.Time) Acti
 }
 
 // StartDetail opens a detail span (nested work excluded from the stage
-// chain sum) continuing an existing trace.
-func (t *Tracer) StartDetail(parent SpanContext, name string) ActiveSpan {
-	return t.startSpan(parent, name, KindDetail, time.Time{})
+// chain sum) continuing an existing trace, started at the given absolute
+// time (zero means now) — a switch starts its apply span when the request
+// arrived, so decoding it is inside the span.
+func (t *Tracer) StartDetail(parent SpanContext, name string, at time.Time) ActiveSpan {
+	return t.startSpan(parent, name, KindDetail, at)
 }
 
 func (t *Tracer) startSpan(parent SpanContext, name string, kind Kind, at time.Time) ActiveSpan {
@@ -231,100 +231,74 @@ func (t *Tracer) startSpan(parent SpanContext, name string, kind Kind, at time.T
 
 // Total returns the number of spans ever recorded (0 when disarmed).
 func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	st := t.armed.Load()
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.next
+	var n uint64
+	t.locked(func(st *tracerState) { n = st.ring.Total() })
+	return n
 }
 
 // Dropped returns how many recorded spans the bounded ring has since
 // overwritten.
 func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	st := t.armed.Load()
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.next > uint64(len(st.ring)) {
-		return st.next - uint64(len(st.ring))
-	}
-	return 0
+	var n uint64
+	t.locked(func(st *tracerState) { n = st.ring.Dropped() })
+	return n
 }
 
-// Spans returns the retained spans oldest-to-newest.
+// Spans returns the retained spans oldest-to-newest (nil when disarmed).
 func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	st := t.armed.Load()
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	capN := uint64(len(st.ring))
-	n := st.next
-	if n > capN {
-		n = capN
-	}
-	out := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		seq := st.next - n + 1 + i
-		out = append(out, st.ring[(seq-1)%capN])
-	}
+	var out []Span
+	t.locked(func(st *tracerState) { out = st.ring.Values() })
 	return out
 }
 
-// WriteJSONL exports the retained spans, one JSON object per line — the
-// format p4guard-obs trace and ReadJSONL consume. Exports from several
-// processes concatenate into one valid file.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// locked runs fn on the armed state under its lock; nothing when the
+// tracer is nil or disarmed.
+func (t *Tracer) locked(fn func(*tracerState)) {
+	if t == nil {
+		return
+	}
+	if st := t.armed.Load(); st != nil {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		fn(st)
+	}
+}
+
+// SpanRecord is the journal record kind a span is exported as.
+const SpanRecord = "span"
+
+// Export writes every retained span into j, one SpanRecord each. The
+// journals of several processes, read back together, assemble into the
+// cross-process traces.
+func (t *Tracer) Export(j *telemetry.Journal) error {
 	for _, sp := range t.Spans() {
-		line, err := json.Marshal(sp)
-		if err != nil {
-			return fmt.Errorf("dtrace: marshal span: %w", err)
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return fmt.Errorf("dtrace: write span: %w", err)
+		if err := j.Event(SpanRecord, sp); err != nil {
+			return fmt.Errorf("dtrace: export: %w", err)
 		}
 	}
 	return nil
 }
 
-// ReadJSONL parses a span export. A trailing partial line (crashed
-// writer) returns the clean prefix along with the error, mirroring
-// telemetry.ReadJournal.
-func ReadJSONL(r io.Reader) ([]Span, error) {
+// FromJournal returns the spans among journal records, in record order.
+// A span record that does not decode is skipped, and the first such is
+// named in the error.
+func FromJournal(recs []telemetry.JournalRecord) ([]Span, error) {
 	var out []Span
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
+	var first error
+	for _, rec := range recs {
+		if rec.Kind != SpanRecord {
 			continue
 		}
 		var sp Span
-		if err := json.Unmarshal(raw, &sp); err != nil {
-			return out, fmt.Errorf("dtrace: line %d: %w", line, err)
+		if err := rec.Decode(&sp); err != nil {
+			if first == nil {
+				first = fmt.Errorf("dtrace: span record %d of %s: %w", rec.Seq, rec.RunID, err)
+			}
+			continue
 		}
 		out = append(out, sp)
 	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("dtrace: read spans: %w", err)
-	}
-	return out, nil
+	return out, first
 }
 
 // ActiveSpan is an open span. The zero value is inert: Context returns

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"p4guard/internal/telemetry"
 )
 
 func TestSeededIDsDeterministic(t *testing.T) {
@@ -95,20 +97,31 @@ func TestJSONLRoundTrip(t *testing.T) {
 	root := tr.StartTraceAt("digest_wait", time.Now().Add(-time.Millisecond))
 	root.SetAttr("table", "detector")
 	root.End()
-	child := tr.StartDetail(root.Context(), "apply")
+	child := tr.StartDetail(root.Context(), "apply", time.Time{})
 	child.End()
 
+	// Spans leave a process as journal records: a journal line each,
+	// beside whatever else the journal holds.
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	j := telemetry.NewJournal(&buf, "run-spans")
+	_ = j.Event("boot", map[string]any{"switch": "gw0"})
+	if err := tr.Export(j); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromJournal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tr.Spans()
-	if len(got) != len(want) {
-		t.Fatalf("read %d spans, want %d", len(got), len(want))
+	if len(recs) != len(want)+1 || len(got) != len(want) {
+		t.Fatalf("read %d spans from %d records, want %d", len(got), len(recs), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
@@ -122,11 +135,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadJSONLPartialTrailingLine(t *testing.T) {
-	in := `{"trace_id":1,"span_id":2,"name":"a","proc":"p","start_ns":0,"end_ns":5}` + "\n" + `{"trace_id":3,"span`
-	spans, err := ReadJSONL(strings.NewReader(in))
-	if err == nil {
-		t.Fatal("expected error for partial line")
+// TestSpanRecordsPartialTrailingLine: a span journal cut mid-record (a
+// crashed writer) still yields the spans before the cut, and a span
+// record that does not decode is named, not fatal.
+func TestSpanRecordsPartialTrailingLine(t *testing.T) {
+	in := `{"run_id":"r","seq":1,"kind":"span","fields":{"trace_id":1,"span_id":2,"name":"a","proc":"p","start_ns":0,"end_ns":5}}` + "\n" +
+		`{"run_id":"r","seq":2,"kind":"span","fields":{"trace_id":"x"}}` + "\n" +
+		`{"run_id":"r","seq":3,"kind":"span","fields":{"trace_id":3,"span`
+	recs, err := telemetry.ReadJournal(strings.NewReader(in))
+	if err == nil || len(recs) != 2 {
+		t.Fatalf("partial line: %d records, err %v", len(recs), err)
+	}
+	spans, err := FromJournal(recs)
+	if err == nil || !strings.Contains(err.Error(), "span record 2") {
+		t.Fatalf("undecodable span record not named: %v", err)
 	}
 	if len(spans) != 1 || spans[0].Trace != 1 {
 		t.Fatalf("clean prefix not returned: %+v", spans)

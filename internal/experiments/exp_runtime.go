@@ -16,10 +16,6 @@ import (
 	"p4guard/internal/trace"
 )
 
-// parallelWorkers is the worker count used for the batched-engine rows
-// in R-F4. Throughput for those rows scales with physical cores.
-const parallelWorkers = 8
-
 // runRF4 reproduces the throughput figure: packets classified per second
 // at the data plane (installed rules, by rule-set size) vs the controller
 // slow path (stage-2 MLP per packet) vs a full-header DNN.
@@ -62,18 +58,6 @@ func runRF4(cfg Config) (*Result, error) {
 			strconv.Itoa(entries),
 			st.FormatPPS(),
 			st.FormatPerPacket(),
-		})
-		// Same rules through the batched multi-core engine. Speedup over
-		// the sequential row tracks available cores.
-		var pst switchsim.RunStats
-		for r := 0; r < repeat; r++ {
-			pst = sw.RunParallel(pkts, parallelWorkers)
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("data-plane rules (depth %d, %d workers)", depth, parallelWorkers),
-			strconv.Itoa(entries),
-			pst.FormatPPS(),
-			pst.FormatPerPacket(),
 		})
 	}
 

@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"p4guard/internal/drift"
 	"p4guard/internal/telemetry"
@@ -64,48 +64,46 @@ func RenderDriftReport(w io.Writer, rep *DriftReport) {
 		rep.Score.Total, rep.Threshold, rep.Score.FeatureMaxPSI, verdict)
 }
 
-// DriftJournalSummary aggregates the drift_cross events of a run
-// journal: how often each shard alarmed, the worst score seen, and
-// whether the last event left the score above threshold.
+// DriftJournalSummary aggregates the drift crossings among journal
+// records: how often each shard alarmed, the worst score seen, and
+// whether some monitor's last crossing left it above threshold.
 type DriftJournalSummary struct {
-	Events     int
-	Up, Down   int
-	MaxScore   float64
-	Threshold  float64
-	LastUp     bool
-	ByShard    map[int]int // upward crossings per shard (FleetShard = fleet)
-	Baselines  int         // drift_baseline events (train journals)
-	OtherKinds int
+	Events    int
+	Up, Down  int
+	MaxScore  float64
+	Threshold float64
+	// LastUp: for some run and shard, the last crossing was upward.
+	LastUp  bool
+	ByShard map[int]int // upward crossings per shard (FleetShard = fleet)
 }
 
-// SummarizeDriftJournal folds a journal's drift_cross / drift_baseline
-// records into a DriftJournalSummary.
+// SummarizeDriftJournal folds the drift crossing records among recs into
+// a DriftJournalSummary; records of other kinds are ignored.
 func SummarizeDriftJournal(recs []telemetry.JournalRecord) *DriftJournalSummary {
 	sum := &DriftJournalSummary{ByShard: make(map[int]int)}
+	type monitor struct {
+		run   string
+		shard int
+	}
+	last := make(map[monitor]bool)
 	for _, rec := range recs {
-		switch rec.Kind {
-		case "drift_cross":
-			var ev drift.CrossEvent
-			if err := json.Unmarshal(rec.Fields, &ev); err != nil {
-				continue
-			}
-			sum.Events++
-			if ev.Up {
-				sum.Up++
-				sum.ByShard[ev.Shard]++
-			} else {
-				sum.Down++
-			}
-			sum.LastUp = ev.Up
-			sum.Threshold = ev.Threshold
-			if ev.Score > sum.MaxScore {
-				sum.MaxScore = ev.Score
-			}
-		case "drift_baseline":
-			sum.Baselines++
-		default:
-			sum.OtherKinds++
+		var ev drift.CrossEvent
+		if rec.Kind != drift.CrossRecord || rec.Decode(&ev) != nil {
+			continue
 		}
+		sum.Events++
+		if ev.Up {
+			sum.Up++
+			sum.ByShard[ev.Shard]++
+		} else {
+			sum.Down++
+		}
+		last[monitor{rec.RunID, ev.Shard}] = ev.Up
+		sum.Threshold = ev.Threshold
+		sum.MaxScore = max(sum.MaxScore, ev.Score)
+	}
+	for _, up := range last {
+		sum.LastUp = sum.LastUp || up
 	}
 	return sum
 }
@@ -114,12 +112,17 @@ func SummarizeDriftJournal(recs []telemetry.JournalRecord) *DriftJournalSummary 
 func RenderDriftJournal(w io.Writer, sum *DriftJournalSummary) {
 	fmt.Fprintf(w, "drift crossings: %d up, %d down  max score %.4f  threshold %.4f\n",
 		sum.Up, sum.Down, sum.MaxScore, sum.Threshold)
-	for _, sc := range sortedShardCounts(sum.ByShard) {
-		name := fmt.Sprintf("shard %d", sc.shard)
-		if sc.shard == drift.FleetShard {
+	shards := make([]int, 0, len(sum.ByShard))
+	for sh := range sum.ByShard {
+		shards = append(shards, sh)
+	}
+	sort.Ints(shards)
+	for _, sh := range shards {
+		name := fmt.Sprintf("shard %d", sh)
+		if sh == drift.FleetShard {
 			name = "fleet"
 		}
-		fmt.Fprintf(w, "  %-8s %d upward crossing(s)\n", name, sc.n)
+		fmt.Fprintf(w, "  %-8s %d upward crossing(s)\n", name, sum.ByShard[sh])
 	}
 	if sum.Events > 0 {
 		state := "below"
@@ -128,24 +131,4 @@ func RenderDriftJournal(w io.Writer, sum *DriftJournalSummary) {
 		}
 		fmt.Fprintf(w, "final state: %s threshold\n", state)
 	}
-	if sum.Baselines > 0 {
-		fmt.Fprintf(w, "baseline events: %d\n", sum.Baselines)
-	}
-}
-
-type shardCount struct {
-	shard, n int
-}
-
-func sortedShardCounts(m map[int]int) []shardCount {
-	out := make([]shardCount, 0, len(m))
-	for s, n := range m {
-		out = append(out, shardCount{s, n})
-	}
-	for i := 1; i < len(out); i++ { // insertion sort: tiny, stable enough
-		for j := i; j > 0 && out[j].shard < out[j-1].shard; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

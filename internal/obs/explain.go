@@ -1,13 +1,12 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"p4guard/internal/switchsim"
+	"p4guard/internal/telemetry"
 )
 
 // WinnerCount aggregates how often one table entry won a sampled lookup.
@@ -19,11 +18,12 @@ type WinnerCount struct {
 	Count    int
 }
 
-// ExplainReport aggregates an explain dump (the -explain JSONL of
-// p4guard-switch): verdict distribution, per-entry win counts, and the
-// explain-vs-lookup agreement the sampler measured on live traffic.
+// ExplainReport aggregates a journal's explain records (a switch's
+// sampled explanations): verdict distribution, per-entry win counts, and
+// the explain-vs-lookup agreement the sampler measured on live traffic.
 type ExplainReport struct {
-	Total       int
+	Total int
+	// ParseErrors counts explain records whose payload did not decode.
 	ParseErrors int
 	// Agree counts samples whose reconstructed verdict equals the live
 	// engine's verdict. The differential suite enforces 100% offline;
@@ -41,7 +41,7 @@ type ExplainReport struct {
 // verbatim; the count is always exact.
 const maxDisagreements = 8
 
-// AgreementRate returns Agree/Total (1 when the dump is empty: no
+// AgreementRate returns Agree/Total (1 when there are no samples: no
 // evidence of disagreement).
 func (r *ExplainReport) AgreementRate() float64 {
 	if r.Total == 0 {
@@ -50,25 +50,22 @@ func (r *ExplainReport) AgreementRate() float64 {
 	return float64(r.Agree) / float64(r.Total)
 }
 
-// ReadExplainDump parses a JSONL explain dump and aggregates it.
-// Unparsable lines are counted, not fatal — a dump truncated by a
-// killed switch still analyzes.
-func ReadExplainDump(rd io.Reader) (*ExplainReport, error) {
+// SummarizeExplain aggregates the explain records among recs; records of
+// other kinds are ignored, and an explain record that does not decode is
+// counted, not fatal.
+func SummarizeExplain(recs []telemetry.JournalRecord) *ExplainReport {
 	rep := &ExplainReport{ByClass: make(map[int]int)}
 	type winnerKey struct {
 		table string
 		id    uint64
 	}
 	winners := make(map[winnerKey]*WinnerCount)
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	for _, rec := range recs {
+		if rec.Kind != switchsim.ExplainRecord {
 			continue
 		}
 		var sample switchsim.ExplainSample
-		if err := json.Unmarshal(line, &sample); err != nil {
+		if err := rec.Decode(&sample); err != nil {
 			rep.ParseErrors++
 			continue
 		}
@@ -103,9 +100,6 @@ func ReadExplainDump(rd io.Reader) (*ExplainReport, error) {
 			wc.Count++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return rep, fmt.Errorf("obs: explain dump: %w", err)
-	}
 	for _, wc := range winners {
 		rep.Winners = append(rep.Winners, *wc)
 	}
@@ -119,11 +113,11 @@ func ReadExplainDump(rd io.Reader) (*ExplainReport, error) {
 		}
 		return wa.EntryID < wb.EntryID
 	})
-	return rep, nil
+	return rep
 }
 
-// RenderExplainReport writes the human-readable explain-dump summary,
-// listing at most topN winning entries (all when topN <= 0).
+// RenderExplainReport writes the human-readable explain summary, listing
+// at most topN winning entries (all when topN <= 0).
 func RenderExplainReport(w io.Writer, rep *ExplainReport, topN int) {
 	fmt.Fprintf(w, "explain samples: %d  (parse errors: %d)\n", rep.Total, rep.ParseErrors)
 	fmt.Fprintf(w, "  agreement with lookup: %d/%d (%.2f%%)\n",

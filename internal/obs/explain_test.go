@@ -7,10 +7,10 @@ import (
 
 	"p4guard/internal/p4"
 	"p4guard/internal/switchsim"
+	"p4guard/internal/telemetry"
 )
 
-func sampleLine(t *testing.T, allowed, agrees bool, class int, winnerID uint64) []byte {
-	t.Helper()
+func sample(allowed, agrees bool, class int, winnerID uint64) switchsim.ExplainSample {
 	s := switchsim.ExplainSample{
 		Explain: switchsim.Explain{
 			Switch:   "gw0",
@@ -27,31 +27,32 @@ func sampleLine(t *testing.T, allowed, agrees bool, class int, winnerID uint64) 
 	if winnerID != 0 {
 		s.Tables[0].Winner = &p4.EntryExplain{ID: winnerID, Priority: 3, Action: "drop", Matched: true}
 	}
-	line, err := switchsim.ExplainJSON(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return line
+	return s
 }
 
-func TestReadExplainDump(t *testing.T) {
+// TestSummarizeExplain reads a switch journal back: explain records
+// among others, one of them a payload that is not a sample.
+func TestSummarizeExplain(t *testing.T) {
 	var buf bytes.Buffer
+	j := telemetry.NewJournal(&buf, "run-gw0")
+	_ = j.Event("boot", map[string]any{"switch": "gw0"})
 	for i := 0; i < 5; i++ {
-		buf.Write(sampleLine(t, true, true, 0, 0))
-		buf.WriteByte('\n')
+		_ = j.Event(switchsim.ExplainRecord, sample(true, true, 0, 0))
 	}
 	for i := 0; i < 3; i++ {
-		buf.Write(sampleLine(t, false, true, 2, 42))
-		buf.WriteByte('\n')
+		_ = j.Event(switchsim.ExplainRecord, sample(false, true, 2, 42))
 	}
-	buf.Write(sampleLine(t, false, false, 2, 42))
-	buf.WriteByte('\n')
-	buf.WriteString("not json\n")
-
-	rep, err := ReadExplainDump(&buf)
+	_ = j.Event(switchsim.ExplainRecord, sample(false, false, 2, 42))
+	_ = j.Event(switchsim.ExplainRecord, "not a sample")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	rep := SummarizeExplain(recs)
 	if rep.Total != 9 || rep.ParseErrors != 1 {
 		t.Fatalf("total=%d parse_errors=%d", rep.Total, rep.ParseErrors)
 	}
@@ -86,12 +87,9 @@ func TestReadExplainDump(t *testing.T) {
 	}
 }
 
-func TestReadExplainDumpEmpty(t *testing.T) {
-	rep, err := ReadExplainDump(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSummarizeExplainEmpty(t *testing.T) {
+	rep := SummarizeExplain(nil)
 	if rep.Total != 0 || rep.AgreementRate() != 1 {
-		t.Fatalf("empty dump: %+v", rep)
+		t.Fatalf("no samples: %+v", rep)
 	}
 }

@@ -1,13 +1,13 @@
 // Package obs is the offline analyzer behind cmd/p4guard-obs: it replays
-// run journals (training runs, experiment manifests) and explain dumps
-// after the fact, reconstructing what a run did — epoch-loss curves,
-// final accuracy, per-experiment durations, explain-vs-lookup agreement
-// — from the JSONL artifacts alone. Everything here is a pure function
-// of the recorded events so a summary is reproducible from the file.
+// journals after the fact and reconstructs, from their records alone,
+// what a run did — epoch-loss curves, final accuracy, per-experiment
+// durations (SummarizeJournal), explain-vs-lookup agreement
+// (SummarizeExplain), the traced critical path (SummarizeTraces) and
+// drift crossings (SummarizeDriftJournal). Everything here is a pure
+// function of the records, so a summary is reproducible from the files.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -46,8 +46,6 @@ type ExperimentRun struct {
 // RunSummary is everything the analyzer reconstructs for one run ID.
 type RunSummary struct {
 	RunID string
-	// First and Last are the wall-clock bounds of the run's records.
-	First, Last time.Time
 	// SpanNs is the monotonic offset of the last record — the run's
 	// duration as the journal saw it, immune to clock steps.
 	SpanNs  int64
@@ -55,20 +53,15 @@ type RunSummary struct {
 	// Kinds counts records per event kind.
 	Kinds map[string]int
 
-	// Start holds the raw run_start payload; Seed/Dataset/Fingerprint
-	// are its well-known keys when present.
-	Start       map[string]any
-	Seed        *int64
-	Dataset     string
-	Fingerprint string
+	// Seed, Dataset and Fingerprint are the run_start payload's
+	// well-known keys, FinalAccuracy run_end's, when present.
+	Seed          *int64
+	Dataset       string
+	Fingerprint   string
+	FinalAccuracy *float64
 
 	// Epochs is every journalled epoch in record order.
 	Epochs []EpochPoint
-
-	// End holds the raw run_end payload; FinalAccuracy is its
-	// well-known key when present.
-	End           map[string]any
-	FinalAccuracy *float64
 
 	Experiments []ExperimentRun
 }
@@ -117,46 +110,36 @@ func SummarizeJournal(recs []telemetry.JournalRecord) []*RunSummary {
 	for _, rec := range recs {
 		s := byID[rec.RunID]
 		if s == nil {
-			s = &RunSummary{RunID: rec.RunID, First: rec.Wall, Kinds: make(map[string]int)}
+			s = &RunSummary{RunID: rec.RunID, Kinds: make(map[string]int)}
 			byID[rec.RunID] = s
 			order = append(order, s)
 			expIdx[rec.RunID] = make(map[string]int)
 		}
 		s.Records++
 		s.Kinds[rec.Kind]++
-		if rec.Wall.Before(s.First) {
-			s.First = rec.Wall
-		}
-		if rec.Wall.After(s.Last) {
-			s.Last = rec.Wall
-		}
-		if rec.MonoNs > s.SpanNs {
-			s.SpanNs = rec.MonoNs
-		}
+		s.SpanNs = max(s.SpanNs, rec.MonoNs)
 		switch rec.Kind {
 		case "run_start":
-			_ = json.Unmarshal(rec.Fields, &s.Start)
 			var known struct {
 				Seed        *int64 `json:"seed"`
 				Dataset     string `json:"dataset"`
 				Fingerprint string `json:"fingerprint"`
 			}
-			if json.Unmarshal(rec.Fields, &known) == nil {
+			if rec.Decode(&known) == nil {
 				s.Seed = known.Seed
 				s.Dataset = known.Dataset
 				s.Fingerprint = known.Fingerprint
 			}
 		case "epoch":
 			var ep EpochPoint
-			if json.Unmarshal(rec.Fields, &ep) == nil {
+			if rec.Decode(&ep) == nil {
 				s.Epochs = append(s.Epochs, ep)
 			}
 		case "run_end":
-			_ = json.Unmarshal(rec.Fields, &s.End)
 			var known struct {
 				FinalAccuracy *float64 `json:"final_accuracy"`
 			}
-			if json.Unmarshal(rec.Fields, &known) == nil && known.FinalAccuracy != nil {
+			if rec.Decode(&known) == nil && known.FinalAccuracy != nil {
 				s.FinalAccuracy = known.FinalAccuracy
 			}
 		case "experiment_start":
@@ -167,7 +150,7 @@ func SummarizeJournal(recs []telemetry.JournalRecord) []*RunSummary {
 				Packets int    `json:"packets"`
 				Quick   bool   `json:"quick"`
 			}
-			if json.Unmarshal(rec.Fields, &f) == nil {
+			if rec.Decode(&f) == nil {
 				expIdx[rec.RunID][f.ID] = len(s.Experiments)
 				s.Experiments = append(s.Experiments, ExperimentRun{
 					ID: f.ID, Title: f.Title,
@@ -182,7 +165,7 @@ func SummarizeJournal(recs []telemetry.JournalRecord) []*RunSummary {
 				Error         string `json:"error"`
 				ArtifactLines int    `json:"artifact_lines"`
 			}
-			if json.Unmarshal(rec.Fields, &f) == nil {
+			if rec.Decode(&f) == nil {
 				i, ok := expIdx[rec.RunID][f.ID]
 				if !ok { // end without start: still record it
 					i = len(s.Experiments)
@@ -248,7 +231,7 @@ func sparkline(values []float64, width int) string {
 func RenderRun(w io.Writer, s *RunSummary) {
 	fmt.Fprintf(w, "run %s  records=%d  span=%s\n",
 		s.RunID, s.Records, time.Duration(s.SpanNs).Round(time.Millisecond))
-	if s.Start != nil {
+	if s.Kinds["run_start"] > 0 {
 		line := "  start:"
 		if s.Seed != nil {
 			line += fmt.Sprintf(" seed=%d", *s.Seed)

@@ -45,9 +45,9 @@ type TraceReport struct {
 	Slowest []dtrace.TraceSummary
 }
 
-// SummarizeTraces assembles raw spans (as read by dtrace.ReadJSONL) into
-// a report. Everything is a pure function of the spans, so a report is
-// reproducible from the exported file alone.
+// SummarizeTraces assembles raw spans (as dtrace.FromJournal reads them
+// from journals) into a report. Everything is a pure function of the
+// spans, so a report is reproducible from the journals alone.
 func SummarizeTraces(spans []dtrace.Span) *TraceReport {
 	sums := dtrace.Assemble(spans)
 	rep := &TraceReport{

@@ -74,20 +74,19 @@ func (d *Delta) NewCount() int { return d.BaseCount - len(d.Deletes) + len(d.Add
 // channel and stored as rows in a table; all three are viewed through a
 // DeltaRow, so one diff and one hash serve them without converting any.
 type DeltaRow struct {
-	Priority  int
-	PrefixLen int
-	Action    Action
-	Value     []byte
-	Mask      []byte
-	Lo        []byte
-	Hi        []byte
+	Priority int
+	Action   Action
+	Value    []byte
+	Mask     []byte
+	Lo       []byte
+	Hi       []byte
 }
 
 // deltaRow fills r with the entry's view (always ok; the signature is
 // the view DiffRows takes). Field by field: a composite literal would be
 // built aside and copied in.
 func (e *Entry) deltaRow(r *DeltaRow) bool {
-	r.Priority, r.PrefixLen, r.Action = e.Priority, e.PrefixLen, e.Action
+	r.Priority, r.Action = e.Priority, e.Action
 	r.Value, r.Mask, r.Lo, r.Hi = e.Value, e.Mask, e.Lo, e.Hi
 	return true
 }
@@ -128,15 +127,16 @@ func fnvField(h uint64, b []byte) uint64 {
 	return h
 }
 
-// hash is HashEntry of the row: FNV-1a over the big-endian priority,
-// prefix length, action type and class, then each of Value, Mask, Lo
-// and Hi behind its length. BaseHash is compared between processes that
-// may run different versions, so the value for a given row never
-// changes (TestHashEntryMatchesFNV1a).
+// hash is HashEntry of the row: FNV-1a over the big-endian priority, a
+// zero word, the action type and class, then each of Value, Mask, Lo and
+// Hi behind its length. BaseHash is compared between processes that may
+// run different versions, so the value for a given row never changes
+// (TestHashEntryMatchesFNV1a): the zero word is where a field no row
+// carries any more was folded in.
 func (r *DeltaRow) hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvUint64(h, uint64(int64(r.Priority)))
-	h = fnvUint64(h, uint64(int64(r.PrefixLen)))
+	h = fnvUint64(h, 0)
 	h = fnvUint64(h, uint64(int64(r.Action.Type)))
 	h = fnvUint64(h, uint64(int64(r.Action.Class)))
 	h = fnvField(h, r.Value)
@@ -159,7 +159,7 @@ func HashEntry(e *Entry) uint64 {
 // sameKey reports whether two rows pair in a diff: every field but the
 // priority is equal, so a priority change pairs up as a move.
 func (r *DeltaRow) sameKey(o *DeltaRow) bool {
-	return r.PrefixLen == o.PrefixLen && r.Action == o.Action &&
+	return r.Action == o.Action &&
 		bytes.Equal(r.Value, o.Value) && bytes.Equal(r.Mask, o.Mask) &&
 		bytes.Equal(r.Lo, o.Lo) && bytes.Equal(r.Hi, o.Hi)
 }
@@ -169,7 +169,7 @@ func (r *DeltaRow) sameKey(o *DeltaRow) bool {
 // places rows in the diff's table and never leaves the process, so
 // unlike hash it is free to change.
 func keyHash(r *DeltaRow) uint64 {
-	h := mixWord(0, uint64(r.PrefixLen)<<8^uint64(r.Action.Type)^uint64(r.Action.Class)<<32)
+	h := mixWord(0, uint64(r.Action.Type)^uint64(r.Action.Class)<<32)
 	h = mixWord(h, uint64(len(r.Value))^uint64(len(r.Mask))<<16^uint64(len(r.Lo))<<32^uint64(len(r.Hi))<<48)
 	h = mixBytes(h, r.Value)
 	h = mixBytes(h, r.Mask)
@@ -425,7 +425,7 @@ func (t *Table) applyLocked(d Delta, def Action) error {
 		// Field by field: a whole-struct copy would read the live atomic
 		// counters non-atomically under concurrent forwarding.
 		src := t.prog[m.Base]
-		built.Add(m.Priority, int(src.PrefixLen), src.lo(), src.hi(), src.Action)
+		built.Add(m.Priority, src.lo(), src.hi(), src.Action)
 		newcomers = append(newcomers, newcomer{e: &built.rows[len(built.rows)-1], order: m.Order})
 	}
 	for i := range d.Adds {

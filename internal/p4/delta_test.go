@@ -307,10 +307,8 @@ func TestComputeDeltaBails(t *testing.T) {
 // matchFieldsKey is an entry's identity in computeDeltaRef: every field
 // except priority (so a priority change pairs up as a move).
 func matchFieldsKey(e *Entry) string {
-	b := make([]byte, 0, 56+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
+	b := make([]byte, 0, 48+len(e.Value)+len(e.Mask)+len(e.Lo)+len(e.Hi))
 	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(int64(e.PrefixLen)))
-	b = append(b, num[:]...)
 	for _, v := range []int{int(e.Action.Type), e.Action.Class} {
 		binary.BigEndian.PutUint64(num[:], uint64(int64(v)))
 		b = append(b, num[:]...)
@@ -394,7 +392,7 @@ func randDiffEntry(rng *rand.Rand) Entry {
 	case 1:
 		e.Lo, e.Hi = field(), field()
 	default:
-		e.Value, e.PrefixLen = field(), rng.Intn(3)
+		e.Value = field()
 	}
 	return e
 }
@@ -518,11 +516,12 @@ func TestComputeDeltaOneProbeChain(t *testing.T) {
 	}
 }
 
-// hashEntryFNV is HashEntry as first written, on hash/fnv.
+// hashEntryFNV is HashEntry as first written, on hash/fnv. The zero is
+// the word where a field no row carries any more was folded in.
 func hashEntryFNV(e *Entry) uint64 {
 	h := fnv.New64a()
 	var num [8]byte
-	for _, v := range []int{e.Priority, e.PrefixLen, int(e.Action.Type), e.Action.Class} {
+	for _, v := range []int{e.Priority, 0, int(e.Action.Type), e.Action.Class} {
 		binary.BigEndian.PutUint64(num[:], uint64(int64(v)))
 		h.Write(num[:])
 	}
@@ -547,8 +546,8 @@ func TestHashEntryMatchesFNV1a(t *testing.T) {
 		{Entry{}, 0xb9b23f3a46fd0825},
 		{Entry{Priority: 7, Lo: []byte{10, 0, 0, 0, 0, 1}, Hi: []byte{20, 255, 255, 255, 255, 1},
 			Action: Action{Type: ActionDrop, Class: 3}}, 0x10456d8f1fdb7881},
-		{Entry{Priority: -2, PrefixLen: 13, Value: []byte{0xde, 0xad, 0xbe, 0xef}, Mask: []byte{0xff, 0xff, 0xf8, 0x00},
-			Action: Action{Type: ActionSetClass, Class: -5}}, 0x50eb5b442b09d805},
+		{Entry{Priority: -2, Value: []byte{0xde, 0xad, 0xbe, 0xef}, Mask: []byte{0xff, 0xff, 0xf8, 0x00},
+			Action: Action{Type: ActionSetClass, Class: -5}}, 0xa4470a787dcdc4a6},
 	}
 	for i := range golden {
 		if got := HashEntry(&golden[i].e); got != golden[i].want {
@@ -565,7 +564,7 @@ func TestHashEntryMatchesFNV1a(t *testing.T) {
 		return int(int64(rng.Uint64()) >> uint(rng.Intn(64)))
 	}
 	for i := 0; i < 2000; i++ {
-		e := Entry{ID: rng.Uint64(), Priority: num(), PrefixLen: num(),
+		e := Entry{ID: rng.Uint64(), Priority: num(),
 			Value: field(), Mask: field(), Lo: field(), Hi: field(),
 			Action: Action{Type: ActionType(num()), Class: num()}}
 		if got, want := HashEntry(&e), hashEntryFNV(&e); got != want {

@@ -110,7 +110,6 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 	rows := []Entry{
 		point(7, Action{Type: ActionDrop}),
 		{Value: []byte{7}, Mask: []byte{0xff}, Action: Action{Type: ActionDrop}},
-		{Value: []byte{7}, PrefixLen: 8, Action: Action{Type: ActionDrop}},
 		{Action: Action{Type: ActionDrop}},
 	}
 	for _, kind := range []MatchKind{0, 99} {

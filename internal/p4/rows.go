@@ -13,7 +13,7 @@ package p4
 type row struct {
 	ID, ord, hits, bytes uint64
 	key                  []byte
-	Priority, PrefixLen  int32
+	Priority             int32
 	Action               Action
 }
 
@@ -30,7 +30,7 @@ type Rows struct {
 	keyRoom int // the most bytes a key slab may be made with (Grow)
 	// odd is the first row added that no row can hold and no table accepts
 	// (checkRow): its place, its numbers, where lo ends in its key.
-	odd *struct{ at, priority, prefixLen, split int }
+	odd *struct{ at, priority, split int }
 }
 
 // Grow makes room for exactly n more rows whose keys come to at most
@@ -47,10 +47,10 @@ func (r *Rows) Grow(n, keyBytes int) {
 // Add appends one row, copying lo and hi (a ternary row's value and mask)
 // into the program's key slab: the buffers are the caller's again when Add
 // returns. Table.Program validates every row before it publishes any.
-func (r *Rows) Add(priority, prefixLen int, lo, hi []byte, action Action) {
+func (r *Rows) Add(priority int, lo, hi []byte, action Action) {
 	n, need := len(r.rows), len(lo)+len(hi)
-	if r.odd == nil && (len(lo) != len(hi) || int(int32(priority)) != priority || int(int32(prefixLen)) != prefixLen) {
-		r.odd = &struct{ at, priority, prefixLen, split int }{n, priority, prefixLen, len(lo)}
+	if r.odd == nil && (len(lo) != len(hi) || int(int32(priority)) != priority) {
+		r.odd = &struct{ at, priority, split int }{n, priority, len(lo)}
 	}
 	if need > len(r.slab)-r.used {
 		r.slab, r.used = make([]byte, max(need, min(need*max(cap(r.rows)-n, 1), r.keyRoom))), 0
@@ -64,7 +64,7 @@ func (r *Rows) Add(priority, prefixLen int, lo, hi []byte, action Action) {
 	}
 	r.rows = r.rows[:n+1]
 	e := &r.rows[n]
-	e.key, e.Priority, e.PrefixLen, e.Action = key, int32(priority), int32(prefixLen), action
+	e.key, e.Priority, e.Action = key, int32(priority), action
 }
 
 // addEntry adds e as t's kind reads it: a ternary table, Value and Mask.
@@ -73,5 +73,5 @@ func (r *Rows) addEntry(t *Table, e *Entry) {
 	if t.Kind == MatchTernary {
 		lo, hi = e.Value, e.Mask
 	}
-	r.Add(e.Priority, e.PrefixLen, lo, hi, e.Action)
+	r.Add(e.Priority, lo, hi, e.Action)
 }

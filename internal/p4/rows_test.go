@@ -162,7 +162,7 @@ func TestStoredRowFootprint(t *testing.T) {
 		r := &Rows{}
 		r.Grow(rows, 12*rows)
 		for i := 0; i < rows; i++ {
-			r.Add(rows-i, 0, key(i), key(i), Action{Type: ActionDrop, Class: 1})
+			r.Add(rows-i, key(i), key(i), Action{Type: ActionDrop, Class: 1})
 		}
 		tbl := NewTable("det", MatchRange, specs, 0, Action{Type: ActionDigest})
 		if err := tbl.Program(specs, Action{Type: ActionDigest}, r); err != nil {
@@ -213,7 +213,7 @@ func TestRowsBuilder(t *testing.T) {
 	specs := key1()
 	fill := func(r *Rows, n int) {
 		for i := 0; i < n; i++ {
-			r.Add(n-i, 0, []byte{byte(i)}, []byte{byte(i)}, Action{Type: ActionDrop, Class: i})
+			r.Add(n-i, []byte{byte(i)}, []byte{byte(i)}, Action{Type: ActionDrop, Class: i})
 		}
 	}
 	for _, c := range []struct {
@@ -249,17 +249,17 @@ func TestRowsBuilder(t *testing.T) {
 	}
 
 	for want, add := range map[string]func(*Rows){
-		"entry 2: range lo/hi widths 1/3 != key 1":      func(r *Rows) { r.Add(1, 0, []byte{1}, []byte{1, 2, 3}, Action{}) },
-		"entry 2: range lo/hi widths 2/0 != key 1":      func(r *Rows) { r.Add(1, 0, []byte{1, 2}, nil, Action{}) },
-		"entry 2: priority 4294967296 or prefix":        func(r *Rows) { r.Add(1<<32, 0, []byte{1}, []byte{1}, Action{}) },
-		"entry 2: priority 1 or prefix length -2147483": func(r *Rows) { r.Add(1, math.MinInt32-1, []byte{1}, []byte{1}, Action{}) },
-		"entry 1: range lo>hi at byte 0":                func(r *Rows) { r.rows[1].key[0] = 9; r.Add(1, 0, []byte{1}, nil, Action{}) },
+		"entry 2: range lo/hi widths 1/3 != key 1":      func(r *Rows) { r.Add(1, []byte{1}, []byte{1, 2, 3}, Action{}) },
+		"entry 2: range lo/hi widths 2/0 != key 1":      func(r *Rows) { r.Add(1, []byte{1, 2}, nil, Action{}) },
+		"entry 2: priority 4294967296 outside 32 bits":  func(r *Rows) { r.Add(1<<32, []byte{1}, []byte{1}, Action{}) },
+		"entry 2: priority -2147483649 outside 32 bits": func(r *Rows) { r.Add(math.MinInt32-1, []byte{1}, []byte{1}, Action{}) },
+		"entry 1: range lo>hi at byte 0":                func(r *Rows) { r.rows[1].key[0] = 9; r.Add(1, []byte{1}, nil, Action{}) },
 	} {
 		r := &Rows{}
 		fill(r, 2)
 		add(r)
 		fill(r, 2)
-		r.Add(1, 0, nil, []byte{1}, Action{}) // a second odd row: the first is the one reported
+		r.Add(1, nil, []byte{1}, Action{}) // a second odd row: the first is the one reported
 		before := slices.Clone(r.rows)
 		err := tbl.Program(specs, Action{Type: ActionDigest}, r)
 		if !errors.Is(err, ErrBadEntry) || !strings.Contains(err.Error(), want) {

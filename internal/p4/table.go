@@ -19,18 +19,15 @@ import (
 //   - ternary: Value and Mask (full key width), Priority breaks overlaps
 //   - range:   Lo and Hi per key byte (inclusive), Priority breaks overlaps
 //
-// PrefixLen matches nothing: it is carried because HashEntry folds it in,
-// and a program's signature must not change under a fleet mid-upgrade. It
-// and Priority are stored in 32 bits; an entry past that is refused.
+// Priority is stored in 32 bits; an entry past that is refused.
 type Entry struct {
-	ID        uint64
-	Priority  int
-	Value     []byte
-	Mask      []byte
-	PrefixLen int
-	Lo        []byte
-	Hi        []byte
-	Action    Action
+	ID       uint64
+	Priority int
+	Value    []byte
+	Mask     []byte
+	Lo       []byte
+	Hi       []byte
+	Action   Action
 }
 
 // Table is one match–action table. Mutations (insert/delete/replace/
@@ -110,9 +107,9 @@ func (t *Table) width() int { return KeyWidth(t.Key) }
 // or by a decoder, against the table's kind, key width and what a row holds.
 func (t *Table) checkRow(r *Rows, i, w int) error {
 	e, odd := &r.rows[i], r.odd != nil && r.odd.at == i
-	priority, prefixLen, lo, hi := int(e.Priority), int(e.PrefixLen), e.lo(), e.hi()
+	priority, lo, hi := int(e.Priority), e.lo(), e.hi()
 	if odd {
-		priority, prefixLen, lo, hi = r.odd.priority, r.odd.prefixLen, e.key[:r.odd.split], e.key[r.odd.split:]
+		priority, lo, hi = r.odd.priority, e.key[:r.odd.split], e.key[r.odd.split:]
 	}
 	switch t.Kind {
 	case MatchTernary:
@@ -136,8 +133,8 @@ func (t *Table) checkRow(r *Rows, i, w int) error {
 	default:
 		return fmt.Errorf("unknown match kind %v: %w", t.Kind, ErrBadEntry)
 	}
-	if odd { // its halves are of a length: a number is what does not fit
-		return fmt.Errorf("priority %d or prefix length %d outside 32 bits: %w", priority, prefixLen, ErrBadEntry)
+	if odd { // its halves are of a length: the priority is what does not fit
+		return fmt.Errorf("priority %d outside 32 bits: %w", priority, ErrBadEntry)
 	}
 	return nil
 }
@@ -146,7 +143,7 @@ func (t *Table) checkRow(r *Rows, i, w int) error {
 // composite literal would be built aside and copied in.
 func (t *Table) hashRow(e *row) uint64 {
 	var r DeltaRow
-	r.Priority, r.PrefixLen, r.Action, r.Lo, r.Hi = int(e.Priority), int(e.PrefixLen), e.Action, e.lo(), e.hi()
+	r.Priority, r.Action, r.Lo, r.Hi = int(e.Priority), e.Action, e.lo(), e.hi()
 	if t.Kind == MatchTernary {
 		r.Value, r.Mask, r.Lo, r.Hi = r.Lo, r.Hi, nil, nil
 	}
@@ -514,7 +511,7 @@ func (t *Table) Entries() []Entry {
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
 		lo, hi := append([]byte(nil), e.lo()...), append([]byte(nil), e.hi()...)
-		out[i] = Entry{ID: e.ID, Priority: int(e.Priority), PrefixLen: int(e.PrefixLen), Lo: lo, Hi: hi, Action: e.Action}
+		out[i] = Entry{ID: e.ID, Priority: int(e.Priority), Lo: lo, Hi: hi, Action: e.Action}
 		if st.kind == MatchTernary {
 			out[i].Value, out[i].Mask, out[i].Lo, out[i].Hi = lo, hi, nil, nil
 		}

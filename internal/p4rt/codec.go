@@ -357,7 +357,7 @@ func decodeProgram(env Envelope) (p programRows, err error) {
 		if err != nil {
 			return p, err
 		}
-		p.entries.Add(priority, 0, lo, hi, act)
+		p.entries.Add(priority, lo, hi, act)
 	}
 	return p, nil
 }

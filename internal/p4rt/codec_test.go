@@ -886,7 +886,7 @@ func TestDecodedSlabFitsItsRows(t *testing.T) {
 			r.Grow(rows, 12*rows)
 			for _, e := range p.Entries {
 				at, _ := ParseAction(e.Action)
-				r.Add(e.Priority, 0, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
+				r.Add(e.Priority, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
 			}
 			return r
 		}))

@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"p4guard/internal/dtrace"
 	"p4guard/internal/p4"
 	"p4guard/internal/packet"
 	"p4guard/internal/switchsim"
@@ -338,6 +339,64 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 			t.Errorf("rows=%d: decoding allocated %d bytes, budget %d (%d would hold the rows a second time)",
 				rows, got, budget, budget+rows*int(unsafe.Sizeof(WireEntry{})))
 		}
+	}
+}
+
+// TestProgramApplySpanCoversDecode: with the switch tracer armed, a
+// program's program_apply span starts when the request arrives, so
+// decoding its 8 192 rows is inside the span. Five applies alternate with
+// five plain decodes of the same frame, so both see the same load: the
+// shortest span must last at least the shortest decode, and the span must
+// miss less than half a decode of the applyProgram call around it — a
+// span opened after decoding misses a whole one.
+func TestProgramApplySpanCoversDecode(t *testing.T) {
+	prog := benchProgram(8192)
+	prog.TraceID, prog.SpanID = 5, 6
+	frame := refProgramFrame(t, 1, prog)
+	sw := newTestSwitch(t)
+	tr := dtrace.NewTracer()
+	tr.Arm("gw", 1, 16)
+	sw.SetTracer(tr)
+	s := &Server{sw: sw}
+
+	envelope := func() ([]byte, Envelope) {
+		buf, err := readFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := splitFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf, env
+	}
+	const never = time.Duration(1<<63 - 1)
+	bestDecode, bestSpan, leastMissed := never, never, never
+	for i := 0; i < 5; i++ {
+		buf, env := envelope()
+		start := time.Now()
+		if resp := s.applyProgram(env); !resp.OK || resp.Installed != 8192 {
+			t.Fatalf("apply: %+v", resp)
+		}
+		call := time.Since(start)
+		recycleFrame(buf)
+		spans := tr.Spans()
+		if len(spans) != i+1 || spans[i].Name != dtrace.DetailProgram {
+			t.Fatalf("spans = %+v, want %d %s", spans, i+1, dtrace.DetailProgram)
+		}
+		bestSpan, leastMissed = min(bestSpan, spans[i].Duration()), min(leastMissed, call-spans[i].Duration())
+
+		buf, env = envelope()
+		start = time.Now()
+		if p, err := decodeProgram(env); err != nil || p.installed != 8192 {
+			t.Fatalf("decode: %d rows, %v", p.installed, err)
+		}
+		bestDecode = min(bestDecode, time.Since(start))
+		recycleFrame(buf)
+	}
+	if bestSpan < bestDecode || leastMissed > bestDecode/2 {
+		t.Fatalf("program_apply spans: shortest %v, missing at least %v of their calls; a decode takes %v (shortest of five)",
+			bestSpan, leastMissed, bestDecode)
 	}
 }
 

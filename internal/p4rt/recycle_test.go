@@ -256,7 +256,7 @@ func TestRecycledFrameNeverLeaksIntoTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows.Add(e.Priority, 0, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
+		rows.Add(e.Priority, e.Lo, e.Hi, p4.Action{Type: at, Class: e.Class})
 	}
 	fresh := p4.NewTable("fresh", p4.MatchRange, det.KeySpecs(), 0, det.DefaultAction)
 	if err := fresh.Program(det.KeySpecs(), det.DefaultAction, rows); err != nil {

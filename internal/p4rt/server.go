@@ -273,8 +273,9 @@ func (s *Server) send(conn net.Conn, typ MsgType, id uint64, body any) error {
 // applyProgram swaps the detector table for the program in env, decoded
 // straight into the rows the table adopts.
 func (s *Server) applyProgram(env Envelope) Response {
+	tr, at := s.arrival()
 	p, err := decodeProgram(env)
-	sp := s.span(p.traceID, p.spanID, dtrace.DetailProgram)
+	sp := span(tr, at, p.traceID, p.spanID, dtrace.DetailProgram)
 	defer sp.End()
 	if err == nil {
 		err = s.sw.ProgramDetector(p.offsets, p.def, p.entries)
@@ -287,8 +288,9 @@ func (s *Server) applyProgram(env Envelope) Response {
 // as a Response error, which the controller surfaces as a RejectError
 // and answers with a full program swap.
 func (s *Server) applyDelta(env Envelope) Response {
+	tr, at := s.arrival()
 	d, def, pd, err := decodeDelta(env)
-	sp := s.span(d.TraceID, d.SpanID, dtrace.DetailProgram)
+	sp := span(tr, at, d.TraceID, d.SpanID, dtrace.DetailProgram)
 	defer sp.End()
 	if err == nil {
 		err = s.sw.ApplyDetectorDelta(d.Offsets, def, pd)
@@ -297,8 +299,9 @@ func (s *Server) applyDelta(env Envelope) Response {
 }
 
 func (s *Server) applyWrite(env Envelope) Response {
+	tr, at := s.arrival()
 	w, e, err := decodeWrite(env)
-	sp := s.span(w.TraceID, w.SpanID, dtrace.DetailApply)
+	sp := span(tr, at, w.TraceID, w.SpanID, dtrace.DetailApply)
 	defer sp.End()
 	if err == nil {
 		_, err = s.sw.InsertDetectorEntry(e)
@@ -306,11 +309,23 @@ func (s *Server) applyWrite(env Envelope) Response {
 	return answer(w.TraceID, w.SpanID, 1, err)
 }
 
+// arrival reads the switch's tracer once for a request and, while it is
+// armed, the time the request's handling began: the apply span starts
+// there, so decoding the body is inside it. Disarmed, it costs the
+// tracer's one atomic load.
+func (s *Server) arrival() (*dtrace.Tracer, time.Time) {
+	tr := s.sw.Tracer()
+	if tr.Enabled() {
+		return tr, time.Now()
+	}
+	return tr, time.Time{}
+}
+
 // span opens a request's apply span under the controller's, via the wire
-// trace context: inert when the switch tracer is disarmed or the request
-// carries no context.
-func (s *Server) span(traceID, spanID uint64, detail string) dtrace.ActiveSpan {
-	return s.sw.Tracer().StartDetail(dtrace.SpanContext{Trace: dtrace.TraceID(traceID), Span: dtrace.SpanID(spanID)}, detail)
+// trace context, from the request's arrival: inert when the tracer is
+// disarmed or the request carries no context.
+func span(tr *dtrace.Tracer, at time.Time, traceID, spanID uint64, detail string) dtrace.ActiveSpan {
+	return tr.StartDetail(dtrace.SpanContext{Trace: dtrace.TraceID(traceID), Span: dtrace.SpanID(spanID)}, detail, at)
 }
 
 // answer is a table request's response, echoing its trace context: the

@@ -1,7 +1,6 @@
 package switchsim
 
 import (
-	"encoding/json"
 	"sync/atomic"
 
 	"p4guard/internal/p4"
@@ -52,27 +51,33 @@ type ExplainSample struct {
 	Agrees bool `json:"agrees"`
 }
 
+// ExplainRecord is the journal record kind a sample is written as; its
+// fields are the whole ExplainSample.
+const ExplainRecord = "explain"
+
 // explainSampler is the armed sampling configuration. It lives behind
 // an atomic pointer on the switch: when disarmed the hot path pays one
 // pointer load per batch and one nil check per packet.
 type explainSampler struct {
 	every uint64
 	n     atomic.Uint64
-	fr    *telemetry.FlightRecorder
+	j     *telemetry.Journal
 	sink  func(ExplainSample)
 }
 
 // EnableExplainSampling arms sampled explains: one in every `every`
-// forwarded packets (64 when every <= 0) is re-run through Explain and
-// the result delivered to the flight recorder (event kind "explain")
-// and/or the sink callback. Rate-guard-dropped packets are not sampled
-// — they never reached the match–action pipeline. Either fr or sink
-// may be nil.
-func (s *Switch) EnableExplainSampling(every int, fr *telemetry.FlightRecorder, sink func(ExplainSample)) {
+// forwarded packets (64 when every <= 0) is re-run through Explain, and
+// the sample is written to j as one ExplainRecord and/or handed to sink.
+// Either may be nil: an operator's daemon passes a journal and no sink, a
+// test that wants the samples themselves passes a sink, and perfbench's
+// armed-forwarding probe passes a memory-only journal and no sink.
+// Rate-guard-dropped packets are not sampled — they never reached the
+// match–action pipeline.
+func (s *Switch) EnableExplainSampling(every int, j *telemetry.Journal, sink func(ExplainSample)) {
 	if every <= 0 {
 		every = 64
 	}
-	s.explain.Store(&explainSampler{every: uint64(every), fr: fr, sink: sink})
+	s.explain.Store(&explainSampler{every: uint64(every), j: j, sink: sink})
 }
 
 // DisableExplainSampling disarms sampled explains.
@@ -93,30 +98,10 @@ func (sp *explainSampler) maybeSample(s *Switch, pkt *packet.Packet, lookup p4.V
 		LookupVerdict: lookup,
 		Agrees:        ex.Verdict == lookup,
 	}
-	if sp.fr != nil {
-		fields := map[string]any{
-			"allowed": sample.Verdict.Allowed,
-			"class":   sample.Verdict.Class,
-			"matched": sample.Verdict.Matched,
-			"agrees":  sample.Agrees,
-		}
-		if len(ex.Tables) > 0 {
-			last := ex.Tables[len(ex.Tables)-1]
-			fields["table"] = last.Table
-			if last.Winner != nil {
-				fields["entry"] = last.Winner.ID
-				fields["priority"] = last.Winner.Priority
-			}
-		}
-		sp.fr.Record("explain", fields)
+	if sp.j != nil {
+		_ = sp.j.Event(ExplainRecord, sample)
 	}
 	if sp.sink != nil {
 		sp.sink(sample)
 	}
-}
-
-// ExplainJSON renders one explanation as a single JSON line (the
-// -explain dump format of p4guard-switch).
-func ExplainJSON(sample ExplainSample) ([]byte, error) {
-	return json.Marshal(sample)
 }

@@ -50,7 +50,7 @@ func processEach(sw *Switch, pkts []*packet.Packet) []p4.Verdict {
 // TestFastPathMatchesReferenceEngine runs the same trace through the
 // burst engine and through one Process call per packet on twin switches:
 // verdicts, run stats, detector counters, and digest accounting must be
-// identical, at one worker and across worker counts.
+// identical.
 func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	rs := randRuleSet(17)
 	pkts := tracePackets(1200, 29)
@@ -85,16 +85,6 @@ func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	fq, rq := fast.DigestQueueStats(), ref.DigestQueueStats()
 	if fq != rq {
 		t.Fatalf("digest accounting diverged: fast %+v ref %+v", fq, rq)
-	}
-
-	for _, workers := range []int{1, 2, 4} {
-		sw := mk()
-		verdicts := sw.ProcessBatchParallel(pkts, workers)
-		for i := range want {
-			if verdicts[i] != want[i] {
-				t.Fatalf("workers=%d pkt %d: fast %+v != reference %+v", workers, i, verdicts[i], want[i])
-			}
-		}
 	}
 }
 
@@ -274,15 +264,12 @@ func TestDisarmedInstrumentsAreInert(t *testing.T) {
 // TestScalarAndBurstAgreeWithSideChannelsArmed arms everything the two
 // forwarding paths feed besides verdicts — the rate guard, explain
 // sampling (every 3rd packet, captured), a drift monitor — and holds
-// ProcessBatch and ProcessBatchParallel to the Process loop on all of
-// it. With several workers the guard's observation order is undefined,
-// so only the totals are compared there.
+// ProcessBatch to the Process loop on all of it.
 func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	rs := randRuleSet(17)
 	pkts := tracePackets(900, 43)
 	for i := 3; i < len(pkts); i += 3 {
-		// One heavy hitter for the guard to cut off; identical frames, so
-		// the totals do not depend on which of them a worker sees first.
+		// One heavy hitter for the guard to cut off.
 		pkts[i].Bytes = pkts[0].Bytes
 	}
 	baseline := drift.NewBuilder(rs.Offsets, 0)
@@ -333,27 +320,15 @@ func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	if want.observed != uint64(want.stats.Digested) {
 		t.Fatalf("drift monitor saw %d packets, %d were digested", want.observed, want.stats.Digested)
 	}
-	for name, forward := range map[string]func(*Switch) []p4.Verdict{
-		"ProcessBatch":            func(sw *Switch) []p4.Verdict { return sw.ProcessBatch(pkts) },
-		"ProcessBatchParallel(1)": func(sw *Switch) []p4.Verdict { return sw.ProcessBatchParallel(pkts, 1) },
-	} {
-		got := run(forward)
-		if !slices.Equal(got.verdicts, want.verdicts) {
-			t.Fatalf("%s: verdicts differ from the Process loop", name)
-		}
-		if got.stats != want.stats || got.observed != want.observed {
-			t.Fatalf("%s: stats %+v observed %d, Process loop %+v observed %d",
-				name, got.stats, got.observed, want.stats, want.observed)
-		}
-		if !slices.Equal(got.sampled, want.sampled) {
-			t.Fatalf("%s: sampled sequence differs from the Process loop\n got %v\nwant %v", name, got.sampled, want.sampled)
-		}
+	got := run(func(sw *Switch) []p4.Verdict { return sw.ProcessBatch(pkts) })
+	if !slices.Equal(got.verdicts, want.verdicts) {
+		t.Fatal("ProcessBatch: verdicts differ from the Process loop")
 	}
-	for _, workers := range []int{2, 4} {
-		got := run(func(sw *Switch) []p4.Verdict { return sw.ProcessBatchParallel(pkts, workers) })
-		if got.stats != want.stats || got.observed != want.observed || len(got.sampled) != len(want.sampled) {
-			t.Fatalf("workers=%d: stats %+v observed %d sampled %d, Process loop %+v observed %d sampled %d", workers,
-				got.stats, got.observed, len(got.sampled), want.stats, want.observed, len(want.sampled))
-		}
+	if got.stats != want.stats || got.observed != want.observed {
+		t.Fatalf("ProcessBatch: stats %+v observed %d, Process loop %+v observed %d",
+			got.stats, got.observed, want.stats, want.observed)
+	}
+	if !slices.Equal(got.sampled, want.sampled) {
+		t.Fatalf("ProcessBatch: sampled sequence differs from the Process loop\n got %v\nwant %v", got.sampled, want.sampled)
 	}
 }

@@ -4,15 +4,14 @@
 // programs, including deployment of compiled rule sets into a TCAM-style
 // detector table.
 //
-// The forwarding engine is batched and multi-core: ProcessBatch amortizes
-// table snapshots and clock reads over whole bursts, and RunParallel
-// shards a trace across workers that keep private stats merged once at
-// the end — the hot path takes no per-packet mutex and allocates nothing.
+// The forwarding engine is batched: ProcessBatch and Run amortize table
+// snapshots, clock reads and stats merges over whole bursts, and any
+// number of goroutines may forward through one switch at once — the hot
+// path takes no per-packet mutex and allocates nothing.
 package switchsim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -32,10 +31,10 @@ import (
 const DetectorTable = "iot_detector"
 
 // Switch is one simulated gateway data plane. The hot path (Process and
-// the batch/parallel runners) is lock-free at the switch level:
+// the batch runners) is lock-free at the switch level:
 // cumulative stats are atomic counters and the rate guard is read
 // through an atomic pointer, so table programming never stalls
-// forwarding and workers never serialize on a switch mutex.
+// forwarding and concurrent callers never serialize on a switch mutex.
 type Switch struct {
 	Name string
 
@@ -54,7 +53,7 @@ type Switch struct {
 
 	// explain, when armed by EnableExplainSampling, re-runs 1/N packets
 	// through the side-effect-free Explain path and ships the evidence
-	// to the flight recorder / JSONL sink. Nil means off: the forwarding
+	// to a journal and/or a sink. Nil means off: the forwarding
 	// paths load the pointer once per batch and pay one predictable nil
 	// check per packet.
 	explain atomic.Pointer[explainSampler]
@@ -81,8 +80,8 @@ type Switch struct {
 	// check per digested packet.
 	driftMon atomic.Pointer[drift.Monitor]
 
-	// arenas recycles batchArena workspaces across bursts and workers,
-	// making the steady-state forwarding loop allocation-free.
+	// arenas recycles batchArena workspaces across bursts and concurrent
+	// callers, making the steady-state forwarding loop allocation-free.
 	arenas sync.Pool
 
 	// Cumulative stats, updated with atomics (one merge per batch).
@@ -138,17 +137,6 @@ func (s RunStats) FormatPPS() string {
 // FormatPerPacket renders mean per-packet latency rounded to nanoseconds.
 func (s RunStats) FormatPerPacket() string {
 	return s.PerPacket().Round(time.Nanosecond).String()
-}
-
-// merge folds another delta into s.
-func (s *RunStats) merge(d RunStats) {
-	s.Packets += d.Packets
-	s.Allowed += d.Allowed
-	s.Dropped += d.Dropped
-	s.Digested += d.Digested
-	s.ParseFailed += d.ParseFailed
-	s.RateDropped += d.RateDropped
-	s.Elapsed += d.Elapsed
 }
 
 // New builds a switch for the link type with an empty detector table whose
@@ -241,7 +229,7 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 		if rules.ActionForClass(e.Class) == rules.ActionDrop {
 			act = p4.Action{Type: p4.ActionDrop, Class: e.Class}
 		}
-		rows.Add(e.Priority, 0, e.Lo, e.Hi, act)
+		rows.Add(e.Priority, e.Lo, e.Hi, act)
 	}
 	if err := s.ProgramDetector(rs.Offsets, missAction, rows); err != nil {
 		return 0, err
@@ -365,7 +353,7 @@ func defaultGuardKey(link packet.LinkType) []p4.FieldSpec {
 // repay) and allocates nothing. Parse acceptance is the in-place
 // descriptor walk — equivalent to s.parser.Accepts (the packet fuzz
 // suite pins the two together field for field) without materializing
-// header structs. Prefer ProcessBatch/RunParallel for bursts: they
+// header structs. Prefer ProcessBatch/Run for bursts: they
 // amortize the clock reads and stats merges Process pays per packet.
 func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 	start := time.Now()
@@ -399,7 +387,7 @@ func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 	return v
 }
 
-// batchArena is one worker's recycled forwarding state: the p4 batch
+// batchArena is one burst's recycled forwarding state: the p4 batch
 // workspace (SoA keys, flow caches, digest staging) plus verdict and
 // active-set buffers. The switch pools them; after the first burst
 // warms the buffers, forwarding through an arena allocates nothing.
@@ -460,8 +448,7 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchA
 	return d
 }
 
-// forwardPooled runs one burst (or one worker's shard) through
-// forwardBatch on a pooled arena. Verdicts land in out, or in the
+// forwardPooled runs one burst through forwardBatch on a pooled arena. Verdicts land in out, or in the
 // arena's own buffer when the caller wants only the stats.
 func (s *Switch) forwardPooled(pkts []*packet.Packet, out []p4.Verdict) RunStats {
 	a := s.arenas.Get().(*batchArena)
@@ -498,74 +485,6 @@ func (s *Switch) ProcessBatch(pkts []*packet.Packet) []p4.Verdict {
 // Run processes a whole trace and returns stats for just that run.
 func (s *Switch) Run(pkts []*packet.Packet) RunStats {
 	return s.processBatch(pkts, nil)
-}
-
-// RunParallel shards the trace across workers goroutines (capped at
-// GOMAXPROCS when workers <= 0), each classifying its contiguous shard
-// with private stats. Shard stats are merged once after the barrier, and
-// Elapsed is the wall-clock time of the whole parallel run, so PPS
-// reflects aggregate throughput. Verdict accounting is identical to Run;
-// only per-packet verdict order within stats is unordered, which the
-// counters cannot observe.
-func (s *Switch) RunParallel(pkts []*packet.Packet, workers int) RunStats {
-	return s.runParallel(pkts, workers, nil)
-}
-
-// ProcessBatchParallel shards the burst across workers and returns the
-// verdicts in packet order (out[i] is pkts[i]'s verdict regardless of
-// which worker classified it). It is RunParallel with verdicts kept —
-// the differential suite uses it to prove worker count never changes a
-// verdict.
-func (s *Switch) ProcessBatchParallel(pkts []*packet.Packet, workers int) []p4.Verdict {
-	out := make([]p4.Verdict, len(pkts))
-	s.runParallel(pkts, workers, out)
-	return out
-}
-
-// runParallel implements RunParallel/ProcessBatchParallel: contiguous
-// shards, each worker running the engine on its own pooled arena with
-// private stats merged once, wall-clock Elapsed.
-func (s *Switch) runParallel(pkts []*packet.Packet, workers int, out []p4.Verdict) RunStats {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	if workers <= 1 {
-		return s.processBatch(pkts, out)
-	}
-	start := time.Now()
-	deltas := make([]RunStats, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pkts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pkts) {
-			hi = len(pkts)
-		}
-		if lo >= hi {
-			break
-		}
-		var shardOut []p4.Verdict
-		if out != nil {
-			shardOut = out[lo:hi]
-		}
-		wg.Add(1)
-		go func(shard []*packet.Packet, shardOut []p4.Verdict, d *RunStats) {
-			defer wg.Done()
-			*d = s.forwardPooled(shard, shardOut)
-		}(pkts[lo:hi], shardOut, &deltas[w])
-	}
-	wg.Wait()
-	var total RunStats
-	for _, d := range deltas {
-		total.merge(d)
-	}
-	total.Elapsed = time.Since(start)
-	s.mergeStats(total)
-	return total
 }
 
 // mergeStats folds a delta into the cumulative atomic counters. Zero

@@ -281,49 +281,23 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSequential: sharded parallel processing must
-// agree with the sequential run on every counter.
-func TestRunParallelMatchesSequential(t *testing.T) {
-	pkts := tracePackets(1000, 22)
-	seq := mkSwitch(t)
-	if _, err := seq.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDigest}); err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Run(pkts)
-	for _, workers := range []int{2, 3, 8, 0} {
-		sw := mkSwitch(t)
-		if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionDigest}); err != nil {
-			t.Fatal(err)
-		}
-		got := sw.RunParallel(pkts, workers)
-		got.Elapsed, want.Elapsed = 0, 0
-		if got != want {
-			t.Fatalf("workers=%d: parallel %+v != sequential %+v", workers, got, want)
-		}
-		if ds := sw.DrainDigests(0); len(ds) != got.Digested {
-			t.Fatalf("workers=%d: %d digests queued, stats say %d", workers, len(ds), got.Digested)
-		}
-	}
-}
-
-// TestRunParallelFewPacketsAndEmpty: degenerate inputs must not panic or
-// deadlock.
-func TestRunParallelDegenerate(t *testing.T) {
+// TestRunDegenerate: degenerate inputs must not panic.
+func TestRunDegenerate(t *testing.T) {
 	sw := mkSwitch(t)
 	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionAllow}); err != nil {
 		t.Fatal(err)
 	}
-	if st := sw.RunParallel(nil, 8); st.Packets != 0 {
+	if st := sw.Run(nil); st.Packets != 0 {
 		t.Fatalf("empty run stats = %+v", st)
 	}
-	if st := sw.RunParallel(tracePackets(3, 1), 8); st.Packets != 3 {
+	if st := sw.Run(tracePackets(3, 1)); st.Packets != 3 {
 		t.Fatalf("3-packet run stats = %+v", st)
 	}
 }
 
-// TestParallelRunWithConcurrentReprogram: forwarding workers racing a
-// table reprogram and reactive inserts must stay memory-safe (run under
-// -race) and account every packet exactly once.
+// TestParallelRunWithConcurrentReprogram: forwarding racing a table
+// reprogram and reactive inserts must stay memory-safe (run under -race)
+// and account every packet exactly once.
 func TestParallelRunWithConcurrentReprogram(t *testing.T) {
 	sw := mkSwitch(t)
 	if _, err := sw.InstallRuleSet(dropHighByte0(), p4.Action{Type: p4.ActionAllow}); err != nil {
@@ -347,7 +321,7 @@ func TestParallelRunWithConcurrentReprogram(t *testing.T) {
 			}
 		}
 	}()
-	st := sw.RunParallel(pkts, 4)
+	st := sw.Run(pkts)
 	<-done
 	if st.Packets != len(pkts) || st.Allowed+st.Dropped != len(pkts) {
 		t.Fatalf("lost packets under churn: %+v", st)
@@ -355,7 +329,7 @@ func TestParallelRunWithConcurrentReprogram(t *testing.T) {
 }
 
 // TestRateGuardUnderParallelRun: the shared guard must keep counting
-// correctly when observed from many workers.
+// correctly when observed from several goroutines forwarding at once.
 func TestRateGuardUnderParallelRun(t *testing.T) {
 	sw := mkSwitch(t)
 	if _, err := sw.InstallRuleSet(rules.NewRuleSet([]int{0}, 0), p4.Action{Type: p4.ActionAllow}); err != nil {
@@ -369,8 +343,16 @@ func TestRateGuardUnderParallelRun(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{9}, Time: time.Duration(i)}
 	}
-	st := sw.RunParallel(pkts, 4)
-	if st.RateDropped != 95 {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(part []*packet.Packet) {
+			defer wg.Done()
+			sw.Run(part)
+		}(pkts[g*25 : (g+1)*25])
+	}
+	wg.Wait()
+	if st := sw.Stats(); st.RateDropped != 95 {
 		t.Fatalf("RateDropped = %d, want 95", st.RateDropped)
 	}
 }
@@ -426,7 +408,7 @@ func TestRegisterTelemetryExportsCounters(t *testing.T) {
 }
 
 // TestTelemetryUnderParallelRunWithReprogram: histogram observation and
-// metric scrapes racing RunParallel workers and Program reprogramming
+// metric scrapes racing concurrent Run calls and Program reprogramming
 // must stay memory-safe (-race) and keep snapshots monotonic.
 func TestTelemetryUnderParallelRunWithReprogram(t *testing.T) {
 	sw := mkSwitch(t)
@@ -479,7 +461,7 @@ func TestTelemetryUnderParallelRunWithReprogram(t *testing.T) {
 		runWG.Add(1)
 		go func() {
 			defer runWG.Done()
-			sw.RunParallel(pkts, 4)
+			sw.Run(pkts)
 		}()
 	}
 	runWG.Wait()
@@ -546,7 +528,7 @@ func rangeRows(entries []p4.Entry) *p4.Rows {
 	}
 	r.Grow(len(entries), keyBytes)
 	for _, e := range entries {
-		r.Add(e.Priority, e.PrefixLen, e.Lo, e.Hi, e.Action)
+		r.Add(e.Priority, e.Lo, e.Hi, e.Action)
 	}
 	return r
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // Handler builds the observability mux: Prometheus exposition on
-// /metrics, a JSON flight-recorder dump on /debug/vars, and the standard
-// pprof profiles under /debug/pprof/. reg and fr may each be nil, which
-// disables the corresponding endpoint.
-func Handler(reg *Registry, fr *FlightRecorder) http.Handler {
+// /metrics, a JSON dump of the journal's memory tail on /debug/vars, and
+// the standard pprof profiles under /debug/pprof/. reg and j may each be
+// nil, which disables the corresponding endpoint.
+func Handler(reg *Registry, j *Journal) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if reg == nil {
@@ -25,12 +25,12 @@ func Handler(reg *Registry, fr *FlightRecorder) http.Handler {
 		_ = reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if fr == nil {
-			http.Error(w, "no flight recorder", http.StatusNotFound)
+		if j == nil {
+			http.Error(w, "no journal", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = fr.WriteJSON(w)
+		_ = j.WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -46,16 +46,16 @@ type Server struct {
 	srv *http.Server
 }
 
-// NewServer starts serving Handler(reg, fr) on addr (":0" picks a free
+// NewServer starts serving Handler(reg, j) on addr (":0" picks a free
 // port).
-func NewServer(addr string, reg *Registry, fr *FlightRecorder) (*Server, error) {
+func NewServer(addr string, reg *Registry, j *Journal) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	s := &Server{
 		ln:  ln,
-		srv: &http.Server{Handler: Handler(reg, fr), ReadHeaderTimeout: 5 * time.Second},
+		srv: &http.Server{Handler: Handler(reg, j), ReadHeaderTimeout: 5 * time.Second},
 	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -57,7 +58,7 @@ func TestJournalConcurrentWritersWellFormed(t *testing.T) {
 			Writer int `json:"writer"`
 			I      int `json:"i"`
 		}
-		if err := json.Unmarshal(rec.Fields, &f); err != nil {
+		if err := rec.Decode(&f); err != nil {
 			t.Fatalf("record %d: fields: %v", i, err)
 		}
 	}
@@ -106,49 +107,85 @@ func TestJournalFileRoundTrip(t *testing.T) {
 	if recs[1].Fields != nil {
 		t.Fatalf("nil fields serialized as %s", recs[1].Fields)
 	}
+	var start struct{ Seed int }
+	if err := recs[0].Decode(&start); err != nil || start.Seed != 7 {
+		t.Fatalf("run_start fields = %+v, %v", start, err)
+	}
 }
 
-// TestReadJournalToleratesPartialTrailingLine simulates a writer killed
-// mid-record: the clean prefix must still parse, with the error
-// reported.
-func TestReadJournalToleratesPartialTrailingLine(t *testing.T) {
+// mixedKinds are payloads shaped like the records the daemons write:
+// a control-loop event, a trace span and a sampled explanation.
+var mixedKinds = []struct {
+	kind   string
+	fields any
+}{
+	{"tick", map[string]int{"i": 0}},
+	{"span", struct {
+		Trace   uint64 `json:"trace_id"`
+		Name    string `json:"name"`
+		StartNs int64  `json:"start_ns"`
+		EndNs   int64  `json:"end_ns"`
+	}{7, "classify", 100, 250}},
+	{"explain", struct {
+		Switch  string `json:"switch"`
+		Tables  []any  `json:"tables"`
+		Agrees  bool   `json:"agrees"`
+		Verdict struct {
+			Allowed bool `json:"allowed"`
+		} `json:"verdict"`
+	}{Switch: "gw0", Tables: []any{map[string]any{"table": "iot_detector", "key": []byte{1, 2}}}, Agrees: true}},
+	{"tick", map[string]int{"i": 3}},
+}
+
+// writeMixed journals mixedKinds and returns the lines.
+func writeMixed(t *testing.T, runID string) []string {
+	t.Helper()
 	var buf bytes.Buffer
-	j := NewJournal(&buf, "run-crash")
-	for i := 0; i < 3; i++ {
-		if err := j.Event("tick", map[string]int{"i": i}); err != nil {
+	j := NewJournal(&buf, runID)
+	for _, m := range mixedKinds {
+		if err := j.Event(m.kind, m.fields); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.String()
-	trunc = trunc[:len(trunc)-10] // chop mid-way through the last record
-	recs, err := ReadJournal(strings.NewReader(trunc))
-	if err == nil {
-		t.Fatal("truncated journal parsed without error")
-	}
-	if len(recs) != 2 {
-		t.Fatalf("%d clean records recovered, want 2", len(recs))
+	return strings.SplitAfter(buf.String(), "\n")[:len(mixedKinds)]
+}
+
+// TestReadJournalToleratesPartialTrailingLine simulates a writer killed
+// mid-record, on each kind of record: the clean prefix must still parse,
+// payloads intact, with the error reported.
+func TestReadJournalToleratesPartialTrailingLine(t *testing.T) {
+	lines := writeMixed(t, "run-crash")
+	for n := 1; n <= len(lines); n++ {
+		doc := strings.Join(lines[:n], "")
+		doc = doc[:len(doc)-10] // chop mid-way through record n
+		recs, err := ReadJournal(strings.NewReader(doc))
+		if err == nil {
+			t.Fatalf("journal cut in its %s record parsed without error", mixedKinds[n-1].kind)
+		}
+		if len(recs) != n-1 {
+			t.Fatalf("cut in record %d: %d clean records recovered, want %d", n, len(recs), n-1)
+		}
+		for i, rec := range recs {
+			var got, want map[string]any
+			b, _ := json.Marshal(mixedKinds[i].fields)
+			if rec.Kind != mixedKinds[i].kind || rec.Decode(&got) != nil || json.Unmarshal(b, &want) != nil ||
+				fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("clean record %d = %s %v, want %s %v", i, rec.Kind, got, mixedKinds[i].kind, want)
+			}
+		}
 	}
 }
 
 // TestReadJournalMidFileCorruption covers corruption in the *interior*
 // of a journal — a torn write or disk fault in the middle, not just a
-// crashed tail. The records before the bad line must come back clean
-// and the error must name the offending line.
+// crashed tail — here in an explain record between a span and a tick.
+// The records before the bad line must come back clean and the error
+// must name the offending line.
 func TestReadJournalMidFileCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf, "run-mid")
-	for i := 0; i < 4; i++ {
-		if err := j.Event("tick", map[string]int{"i": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(buf.String(), "\n")[:4]
+	lines := writeMixed(t, "run-mid")
 
 	cases := map[string]struct {
 		corrupt string // replaces line 3 (index 2)
@@ -173,7 +210,7 @@ func TestReadJournalMidFileCorruption(t *testing.T) {
 				t.Fatalf("%d clean records recovered, want %d", len(recs), tc.clean)
 			}
 			for i, rec := range recs {
-				if rec.Kind != "tick" || rec.Seq != uint64(i+1) {
+				if rec.Kind != mixedKinds[i].kind || rec.Seq != uint64(i+1) {
 					t.Fatalf("clean prefix record %d = %+v", i, rec)
 				}
 			}

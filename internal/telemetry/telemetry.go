@@ -1,8 +1,8 @@
 // Package telemetry is the runtime observability core shared by the
 // switch, the controller, and the p4rt agent: lock-free counters, gauges,
 // and fixed-bucket latency histograms; a Prometheus-text-format exposition
-// writer; and a bounded ring-buffer flight recorder for structured
-// control-plane events.
+// writer; and the Journal, the one store of structured events, kept in a
+// bounded memory tail and optionally appended to a JSONL file.
 //
 // The package is dependency-free (stdlib only) and safe on hot paths: an
 // instrument update is one or two uncontended atomic adds, registries are

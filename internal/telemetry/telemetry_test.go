@@ -182,27 +182,29 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderWraparound: a journal's memory tail (here a
+// memory-only journal, NewFlightRecorder) keeps its last records, in
+// sequence, and its /debug/vars dump says how many it dropped.
 func TestFlightRecorderWraparound(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	for i := 0; i < 20; i++ {
-		seq := fr.Record("tick", map[string]any{"i": i})
-		if seq != uint64(i+1) {
-			t.Fatalf("seq = %d, want %d", seq, i+1)
+		if err := fr.Event("tick", map[string]any{"i": i}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if fr.Total() != 20 {
 		t.Fatalf("total = %d, want 20", fr.Total())
 	}
-	events := fr.Events()
-	if len(events) != 8 {
-		t.Fatalf("retained %d events, want 8", len(events))
+	recs := fr.Records()
+	if len(recs) != 8 {
+		t.Fatalf("retained %d records, want 8", len(recs))
 	}
-	for i, e := range events {
-		if want := uint64(13 + i); e.Seq != want {
-			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, want)
+	for i, r := range recs {
+		if want := uint64(13 + i); r.Seq != want || r.Fields.(map[string]any)["i"] != int(want-1) {
+			t.Fatalf("record %d = %+v, want seq %d", i, r, want)
 		}
-		if i > 0 && e.AtNs < events[i-1].AtNs {
-			t.Fatalf("non-monotonic timestamps: %d then %d", events[i-1].AtNs, e.AtNs)
+		if i > 0 && r.MonoNs < recs[i-1].MonoNs {
+			t.Fatalf("non-monotonic timestamps: %d then %d", recs[i-1].MonoNs, r.MonoNs)
 		}
 	}
 
@@ -211,60 +213,57 @@ func TestFlightRecorderWraparound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dump struct {
-		Total       uint64  `json:"total"`
-		Capacity    int     `json:"capacity"`
-		Overwritten uint64  `json:"overwritten"`
-		Events      []Event `json:"events"`
+		RunID    string          `json:"run_id"`
+		Total    uint64          `json:"total"`
+		Capacity int             `json:"capacity"`
+		Dropped  uint64          `json:"dropped"`
+		Records  []JournalRecord `json:"records"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &dump); err != nil {
 		t.Fatalf("dump not valid JSON: %v\n%s", err, b.String())
 	}
-	if dump.Total != 20 || dump.Capacity != 8 || dump.Overwritten != 12 || len(dump.Events) != 8 {
+	if dump.RunID != fr.RunID() || dump.Total != 20 || dump.Capacity != 8 || dump.Dropped != 12 || len(dump.Records) != 8 {
 		t.Fatalf("dump = %+v", dump)
 	}
 }
 
-// TestFlightRecorderConcurrent records from many goroutines under -race;
-// sequence numbers must come out unique and dense.
+// TestFlightRecorderConcurrent records into one journal's tail from many
+// goroutines under -race: sequence numbers must come out unique and
+// dense, and the tail must hold the newest of them in order.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	fr := NewFlightRecorder(64)
 	const writers, per = 8, 500
 	var wg sync.WaitGroup
-	seqs := make([][]uint64, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				seqs[w] = append(seqs[w], fr.Record("ev", nil))
+				_ = fr.Event("ev", nil)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	seen := make(map[uint64]bool)
-	for _, s := range seqs {
-		for _, q := range s {
-			if seen[q] {
-				t.Fatalf("duplicate seq %d", q)
-			}
-			seen[q] = true
-		}
+	if fr.Total() != writers*per {
+		t.Fatalf("total=%d, want %d", fr.Total(), writers*per)
 	}
-	if fr.Total() != writers*per || len(seen) != writers*per {
-		t.Fatalf("total=%d unique=%d, want %d", fr.Total(), len(seen), writers*per)
+	for i, r := range fr.Records() {
+		if want := uint64(writers*per - 64 + i + 1); r.Seq != want {
+			t.Fatalf("tail record %d seq = %d, want %d", i, r.Seq, want)
+		}
 	}
 }
 
 // TestFlightRecorderFieldsDeepCopied is the regression test for event
-// field aliasing: Record used to store the caller's map by reference, so
-// mutating it afterwards rewrote recorded history.
+// field aliasing: the tail keeps fields as values, so it must own them —
+// mutating the caller's map afterwards must not rewrite recorded history.
 func TestFlightRecorderFieldsDeepCopied(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	nested := map[string]any{"inner": 1}
 	list := []any{"a", "b"}
 	raw := []byte{0xde, 0xad}
 	fields := map[string]any{"n": nested, "l": list, "b": raw, "s": "keep"}
-	fr.Record("ev", fields)
+	_ = fr.Event("ev", fields)
 
 	// Mutate everything the caller still holds.
 	fields["s"] = "clobbered"
@@ -273,26 +272,26 @@ func TestFlightRecorderFieldsDeepCopied(t *testing.T) {
 	list[0] = "z"
 	raw[0] = 0x00
 
-	ev := fr.Events()[0]
-	if ev.Fields["s"] != "keep" {
-		t.Fatalf("top-level field aliased: %v", ev.Fields["s"])
+	got := fr.Records()[0].Fields.(map[string]any)
+	if got["s"] != "keep" {
+		t.Fatalf("top-level field aliased: %v", got["s"])
 	}
-	if _, ok := ev.Fields["new"]; ok {
+	if _, ok := got["new"]; ok {
 		t.Fatal("later insertion leaked into recorded event")
 	}
-	if got := ev.Fields["n"].(map[string]any)["inner"]; got != 1 {
-		t.Fatalf("nested map aliased: %v", got)
+	if v := got["n"].(map[string]any)["inner"]; v != 1 {
+		t.Fatalf("nested map aliased: %v", v)
 	}
-	if got := ev.Fields["l"].([]any)[0]; got != "a" {
-		t.Fatalf("slice aliased: %v", got)
+	if v := got["l"].([]any)[0]; v != "a" {
+		t.Fatalf("slice aliased: %v", v)
 	}
-	if got := ev.Fields["b"].([]byte)[0]; got != 0xde {
-		t.Fatalf("byte slice aliased: %#x", got)
+	if v := got["b"].([]byte)[0]; v != 0xde {
+		t.Fatalf("byte slice aliased: %#x", v)
 	}
 
 	// nil fields stay nil.
-	fr.Record("empty", nil)
-	if fr.Events()[1].Fields != nil {
+	_ = fr.Event("empty", nil)
+	if fr.Records()[1].Fields != nil {
 		t.Fatal("nil fields should stay nil")
 	}
 }
@@ -301,7 +300,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("srv_up_total", "Up.").Inc()
 	fr := NewFlightRecorder(16)
-	fr.Record("boot", map[string]any{"ok": true})
+	_ = fr.Event("boot", map[string]any{"ok": true})
 	srv, err := NewServer("127.0.0.1:0", reg, fr)
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,9 @@ func TestDifferentialExplainAgreement(t *testing.T) {
 }
 
 // TestExplainSamplingDumpRoundTrip arms live explain sampling on every
-// packet, replays a trace, and feeds the JSONL dump through the offline
-// analyzer: every sampled explanation must agree with the live lookup.
+// packet into a journal, replays a trace, and feeds the journal read back
+// through the offline analyzer: every sampled explanation must agree with
+// the live lookup.
 func TestExplainSamplingDumpRoundTrip(t *testing.T) {
 	train, test := trainTest(t, "wifi-mqtt", 800)
 	pipe, err := Train(train, Config{Seed: 9, NumFields: 5, MLPEpochs: 10})
@@ -77,24 +78,26 @@ func TestExplainSamplingDumpRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	fr := telemetry.NewFlightRecorder(64)
-	sw.EnableExplainSampling(1, fr, func(s switchsim.ExplainSample) {
-		line, err := switchsim.ExplainJSON(s)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		buf.Write(append(line, '\n'))
-	})
+	j := telemetry.NewJournal(&buf, "run-dump")
+	sw.EnableExplainSampling(1, j, nil)
 	pkts := tracePacketSlice(test)
 	sw.ProcessBatch(pkts)
 	sw.DisableExplainSampling()
-
-	rep, err := obs.ReadExplainDump(&buf)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total != len(pkts) {
+	for _, rec := range recs {
+		if rec.Kind != switchsim.ExplainRecord {
+			t.Fatalf("unexpected record kind %q", rec.Kind)
+		}
+	}
+
+	rep := obs.SummarizeExplain(recs)
+	if rep.Total != len(pkts) || rep.ParseErrors != 0 {
 		t.Fatalf("sampled %d of %d packets at every=1", rep.Total, len(pkts))
 	}
 	if rep.AgreementRate() != 1 {
@@ -103,15 +106,13 @@ func TestExplainSamplingDumpRoundTrip(t *testing.T) {
 	if rep.Allowed+rep.Dropped != rep.Total {
 		t.Fatalf("verdict split %d+%d != %d", rep.Allowed, rep.Dropped, rep.Total)
 	}
-	// The flight recorder saw the samples too.
-	events := fr.Events()
-	if len(events) == 0 {
-		t.Fatal("flight recorder recorded no explain events")
+	// The journal's memory tail holds the newest samples as values.
+	tail := j.Records()
+	if len(tail) != min(len(pkts), telemetry.DefaultTail) {
+		t.Fatalf("tail holds %d of %d samples", len(tail), len(pkts))
 	}
-	for _, ev := range events {
-		if ev.Kind != "explain" {
-			t.Fatalf("unexpected event kind %q", ev.Kind)
-		}
+	if s, ok := tail[len(tail)-1].Fields.(switchsim.ExplainSample); !ok || !s.Agrees {
+		t.Fatalf("tail record %+v is not an agreeing sample", tail[len(tail)-1])
 	}
 }
 

@@ -2,8 +2,9 @@
 # CI gate, in the order the stages run:
 #   gofmt, doc symbols (every Go name the documents quote exists), go vet,
 #   go build, go test -race ./..., perfbench's own vet + tests,
-#   fault-injection soak, fleet soak, hot-path benchmarks (`make bench`: the
-#   list lives in the Makefile), drift soak, telemetry overhead guard,
+#   fault-injection soak, fleet soak (its traces read back from journal
+#   files), hot-path benchmarks (`make bench`: the list lives in the
+#   Makefile), drift soak, telemetry overhead guard,
 #   zero-alloc forwarding gate (with the stored-row footprint and the
 #   full-swap and deploy allocation gates), million-entry sublinearity guard.
 set -eu
@@ -87,10 +88,12 @@ echo "==> fleet soak (sharded fabric, seeded lossy links, race-enabled)"
 # keep the digest fan-in invariant Offered == Drained + Dropped + Depth
 # per switch and fleet-wide, and leak no goroutines. The determinism
 # tests pin the emulation schedule itself: same seed, same delays.
-# TestFleetTraceExportWellFormed additionally asserts every exported
-# distributed trace is well-formed: no orphan spans, monotonic
-# per-process timestamps, and per-stage durations summing to each
-# trace's end-to-end duration. The delta soak pins the incremental
+# TestFleetTraceExportWellFormed additionally asserts every distributed
+# trace is well-formed — no orphan spans, monotonic per-process
+# timestamps, per-stage durations summing to each trace's end-to-end
+# duration — both in memory and after each process's spans round-trip
+# through its own journal file, as the daemons export them on exit. The
+# delta soak pins the incremental
 # reprogramming path: a delta-only deploy across a sharded fleet must
 # converge every switch byte-identical to a full-swap reference fleet
 # (reactive entries surviving in place), a peer of another protocol
