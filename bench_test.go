@@ -233,7 +233,7 @@ func benchSwitchAndBurst(b *testing.B) (*switchsim.Switch, []*packet.Packet) {
 }
 
 // BenchmarkSwitchRunSequential measures single-worker burst forwarding
-// (one table snapshot and one clock pair per burst).
+// (one lookup-state load and one clock pair per burst).
 func BenchmarkSwitchRunSequential(b *testing.B) {
 	sw, pkts := benchSwitchAndBurst(b)
 	b.ResetTimer()

@@ -390,10 +390,10 @@ func answerFromJournals(t *testing.T, paths []string, key []byte) {
 	var why *switchsim.ExplainSample
 	for _, rec := range recs {
 		var s switchsim.ExplainSample
-		if rec.Kind != switchsim.ExplainRecord || rec.Decode(&s) != nil || !s.LookupVerdict.Digested || len(s.Tables) == 0 {
+		if rec.Kind != switchsim.ExplainRecord || rec.Decode(&s) != nil || !s.LookupVerdict.Digested {
 			continue
 		}
-		if k := s.Tables[len(s.Tables)-1].Key; bytes.Equal(k, key) {
+		if bytes.Equal(s.Table.Key, key) {
 			why = &s
 		}
 	}

@@ -96,7 +96,7 @@ func run() error {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
 			st := sw.Stats()
-			if ctl.Stats().DigestsProcessed >= st.Digested-int(sw.Pipeline().DroppedDigests()) {
+			if ctl.Stats().DigestsProcessed >= st.Digested-int(sw.DigestQueueStats().Dropped) {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)

@@ -224,7 +224,7 @@ func reactivePass(cfg Config, train, test *trace.Dataset, budget int) ([]string,
 	// Wait for the controller to chew through pass-1 digests.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if ctl.Stats().DigestsProcessed >= dig1-int(sw.Pipeline().DroppedDigests()) {
+		if ctl.Stats().DigestsProcessed >= dig1-int(sw.DigestQueueStats().Dropped) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

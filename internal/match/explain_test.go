@@ -3,8 +3,6 @@ package match
 import (
 	"math/rand"
 	"testing"
-
-	"p4guard/internal/packet"
 )
 
 func TestBitsOfRange(t *testing.T) {
@@ -40,88 +38,6 @@ func TestBitsOfRange(t *testing.T) {
 			if byte(b)&m != v {
 				t.Fatalf("[%#02x,%#02x]: in-range byte %#02x disagrees with value %#02x mask %#02x",
 					lo, hi, b, v, m)
-			}
-		}
-	}
-}
-
-// TestExplainAgreesWithClassify: on random rule sets and random packets,
-// Explain must return exactly Classify's verdict, the winner's evidence
-// must be self-consistent (every byte in range), and each beaten row
-// must carry a disqualifying byte.
-func TestExplainAgreesWithClassify(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	offsets := []int{0, 2, 5, 9}
-	for _, n := range []int{0, 1, 5, 64, 130} {
-		rs := randomRuleSet(rng, offsets, n, 3)
-		m, err := Compile(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 1000; trial++ {
-			body := make([]byte, 12)
-			rng.Read(body)
-			pkt := &packet.Packet{Bytes: body}
-			wantC, wantM := m.Classify(pkt)
-			ex := m.Explain(pkt)
-			if ex.Class != wantC || ex.Matched != wantM {
-				t.Fatalf("n=%d trial %d: Explain (%d,%v) != Classify (%d,%v)",
-					n, trial, ex.Class, ex.Matched, wantC, wantM)
-			}
-			if wantM {
-				if ex.Winner == nil {
-					t.Fatalf("n=%d trial %d: matched but no winner", n, trial)
-				}
-				if !ex.Winner.Matched {
-					t.Fatalf("n=%d trial %d: winner marked unmatched", n, trial)
-				}
-				if ex.Winner.Class != wantC {
-					t.Fatalf("n=%d trial %d: winner class %d != verdict %d",
-						n, trial, ex.Winner.Class, wantC)
-				}
-				for _, be := range ex.Winner.Bytes {
-					if !be.InRange {
-						t.Fatalf("n=%d trial %d: winner byte pos %d out of range", n, trial, be.Pos)
-					}
-					if be.Key&be.Mask != be.Value {
-						t.Fatalf("n=%d trial %d: winner ternary view disagrees at pos %d", n, trial, be.Pos)
-					}
-					if be.MatchedBits != be.Mask {
-						t.Fatalf("n=%d trial %d: winner MatchedBits %#02x != mask %#02x at pos %d",
-							n, trial, be.MatchedBits, be.Mask, be.Pos)
-					}
-				}
-				if ex.BeatenTotal != ex.Winner.Row {
-					t.Fatalf("n=%d trial %d: BeatenTotal %d != winner row %d",
-						n, trial, ex.BeatenTotal, ex.Winner.Row)
-				}
-			} else {
-				if ex.Winner != nil {
-					t.Fatalf("n=%d trial %d: miss carries a winner", n, trial)
-				}
-				if ex.BeatenTotal != n {
-					t.Fatalf("n=%d trial %d: miss BeatenTotal %d != %d rules", n, trial, ex.BeatenTotal, n)
-				}
-			}
-			if len(ex.Beaten) > MaxBeaten {
-				t.Fatalf("n=%d trial %d: %d beaten rows exceeds cap %d",
-					n, trial, len(ex.Beaten), MaxBeaten)
-			}
-			for _, lost := range ex.Beaten {
-				if lost.Matched {
-					t.Fatalf("n=%d trial %d: beaten row %d claims to match", n, trial, lost.Row)
-				}
-				found := false
-				for _, be := range lost.Bytes {
-					if !be.InRange {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("n=%d trial %d: beaten row %d has no disqualifying byte",
-						n, trial, lost.Row)
-				}
 			}
 		}
 	}

@@ -33,18 +33,6 @@ import (
 	"p4guard/internal/rules"
 )
 
-// Matcher classifies packets with data-plane semantics: the class of the
-// highest-priority matching rule, or the default class on miss.
-type Matcher interface {
-	// Classify returns the class for the packet and whether any rule
-	// (vs the default) matched.
-	Classify(pkt *packet.Packet) (class int, matched bool)
-	// Offsets returns the match-key layout (header byte offsets).
-	Offsets() []int
-	// DefaultClass returns the class assigned on miss.
-	DefaultClass() int
-}
-
 // stackKeyBytes is the widest key classified without heap allocation.
 // packet.HeaderWindow bounds every learned layout, so the spill path is
 // effectively unreachable for compiled pipelines.
@@ -452,13 +440,10 @@ type Compiled struct {
 	defaultClass int
 	idx          *KeyIndex
 	// rows[i] is rule i's row (rules.RuleSet.RangeRows): the class Classify
-	// answers with, and the bounds and priority Explain reconstructs
-	// per-byte evidence from.
+	// answers with, and the bounds RangeEntries hands on.
 	rows []rules.RangeEntry
 	dead int // rows that admit no key
 }
-
-var _ Matcher = (*Compiled)(nil)
 
 // Compile builds an immutable matcher from a rule set. Rule order (as
 // maintained by RuleSet.Add: descending priority, stable) is preserved,

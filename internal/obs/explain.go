@@ -9,9 +9,8 @@ import (
 	"p4guard/internal/telemetry"
 )
 
-// WinnerCount aggregates how often one table entry won a sampled lookup.
+// WinnerCount aggregates how often one detector entry won a sampled lookup.
 type WinnerCount struct {
-	Table    string
 	EntryID  uint64
 	Priority int
 	Action   string
@@ -55,11 +54,7 @@ func (r *ExplainReport) AgreementRate() float64 {
 // counted, not fatal.
 func SummarizeExplain(recs []telemetry.JournalRecord) *ExplainReport {
 	rep := &ExplainReport{ByClass: make(map[int]int)}
-	type winnerKey struct {
-		table string
-		id    uint64
-	}
-	winners := make(map[winnerKey]*WinnerCount)
+	winners := make(map[uint64]*WinnerCount)
 	for _, rec := range recs {
 		if rec.Kind != switchsim.ExplainRecord {
 			continue
@@ -81,24 +76,19 @@ func SummarizeExplain(recs []telemetry.JournalRecord) *ExplainReport {
 			rep.Dropped++
 		}
 		rep.ByClass[sample.Verdict.Class]++
-		for _, te := range sample.Tables {
-			if te.DefaultUsed {
-				rep.DefaultUsed++
-			}
-			if te.Winner == nil {
-				continue
-			}
-			k := winnerKey{te.Table, te.Winner.ID}
-			wc := winners[k]
-			if wc == nil {
-				wc = &WinnerCount{
-					Table: te.Table, EntryID: te.Winner.ID,
-					Priority: te.Winner.Priority, Action: te.Winner.Action,
-				}
-				winners[k] = wc
-			}
-			wc.Count++
+		te := &sample.Table
+		if te.DefaultUsed {
+			rep.DefaultUsed++
 		}
+		if te.Winner == nil {
+			continue
+		}
+		wc := winners[te.Winner.ID]
+		if wc == nil {
+			wc = &WinnerCount{EntryID: te.Winner.ID, Priority: te.Winner.Priority, Action: te.Winner.Action}
+			winners[te.Winner.ID] = wc
+		}
+		wc.Count++
 	}
 	for _, wc := range winners {
 		rep.Winners = append(rep.Winners, *wc)
@@ -107,9 +97,6 @@ func SummarizeExplain(recs []telemetry.JournalRecord) *ExplainReport {
 		wa, wb := rep.Winners[a], rep.Winners[b]
 		if wa.Count != wb.Count {
 			return wa.Count > wb.Count
-		}
-		if wa.Table != wb.Table {
-			return wa.Table < wb.Table
 		}
 		return wa.EntryID < wb.EntryID
 	})
@@ -139,8 +126,8 @@ func RenderExplainReport(w io.Writer, rep *ExplainReport, topN int) {
 	if n > 0 {
 		fmt.Fprintf(w, "  top winning entries (%d of %d):\n", n, len(rep.Winners))
 		for _, wc := range rep.Winners[:n] {
-			fmt.Fprintf(w, "    %-12s entry=%-6d prio=%-5d %-10s wins=%d\n",
-				wc.Table, wc.EntryID, wc.Priority, wc.Action, wc.Count)
+			fmt.Fprintf(w, "    entry=%-6d prio=%-5d %-10s wins=%d\n",
+				wc.EntryID, wc.Priority, wc.Action, wc.Count)
 		}
 	}
 	for _, d := range rep.Disagreements {

@@ -16,16 +16,16 @@ func sample(allowed, agrees bool, class int, winnerID uint64) switchsim.ExplainS
 			Switch:   "gw0",
 			ParsedOK: true,
 			Verdict:  p4.Verdict{Allowed: allowed, Class: class, Matched: winnerID != 0},
-			Tables: []p4.TableExplain{{
+			Table: p4.TableExplain{
 				Table: "detector", KindName: "range",
 				Matched: winnerID != 0, DefaultUsed: winnerID == 0,
-			}},
+			},
 		},
 		LookupVerdict: p4.Verdict{Allowed: allowed, Class: class, Matched: winnerID != 0},
 		Agrees:        agrees,
 	}
 	if winnerID != 0 {
-		s.Tables[0].Winner = &p4.EntryExplain{ID: winnerID, Priority: 3, Action: "drop", Matched: true}
+		s.Table.Winner = &p4.EntryExplain{ID: winnerID, Priority: 3, Action: "drop", Matched: true}
 	}
 	return s
 }

@@ -547,7 +547,7 @@ func TestHashEntryMatchesFNV1a(t *testing.T) {
 		{Entry{Priority: 7, Lo: []byte{10, 0, 0, 0, 0, 1}, Hi: []byte{20, 255, 255, 255, 255, 1},
 			Action: Action{Type: ActionDrop, Class: 3}}, 0x10456d8f1fdb7881},
 		{Entry{Priority: -2, Value: []byte{0xde, 0xad, 0xbe, 0xef}, Mask: []byte{0xff, 0xff, 0xf8, 0x00},
-			Action: Action{Type: ActionSetClass, Class: -5}}, 0xa4470a787dcdc4a6},
+			Action: Action{Type: 4, Class: -5}}, 0xa4470a787dcdc4a6}, // a type no table defines hashes all the same
 	}
 	for i := range golden {
 		if got := HashEntry(&golden[i].e); got != golden[i].want {

@@ -1,22 +1,18 @@
 package p4
 
-import (
-	"p4guard/internal/match"
-	"p4guard/internal/packet"
-)
+import "p4guard/internal/match"
 
 // Explainability for the behavioural data plane: Table.Explain
 // reconstructs one lookup with full evidence — the winning entry, the
-// per-byte value/mask comparison that made it win, and the
-// higher-priority entries it beat — and Pipeline.Explain runs a packet
-// through the staged pipeline the same way RunTables does, collecting
-// one table explanation per stage.
+// per-byte value/mask comparison that made it win, the higher-priority
+// entries it beat, and the verdict the pipeline returns for it.
 //
 // Explain is side-effect-free: it never bumps hit/miss or direct
 // counters and never queues digests, so it can be called on live
 // traffic (sampled or on demand) without distorting the accounting the
 // telemetry layer exports. Winner selection is Lookup's own index probe,
-// so Explain and Lookup can never disagree on the verdict.
+// so Explain and Lookup can never disagree, and the verdict is verdictOf's,
+// as it is for Process and ProcessBatch.
 
 // EntryByteExplain compares one key byte against one entry.
 type EntryByteExplain struct {
@@ -85,6 +81,10 @@ type TableExplain struct {
 	Class      int    `json:"class"`
 	// DefaultUsed reports that the table's default action applied.
 	DefaultUsed bool `json:"default_used"`
+	// Verdict is what the pipeline returns for the packet; Digested says a
+	// digest would be queued (Explain queues none). The switch's explain
+	// record carries it beside the table's evidence.
+	Verdict Verdict `json:"-"`
 }
 
 // explainEntryBytes builds the per-byte comparison of key against e for
@@ -170,45 +170,6 @@ func (t *Table) Explain(frame []byte) TableExplain {
 	}
 	ex.ActionName = ex.Action.Type.String()
 	ex.Class = ex.Action.Class
-	return ex
-}
-
-// PacketExplain is the pipeline-level explanation of one packet: the
-// verdict RunTables would return plus one TableExplain per table the
-// packet traversed (stages after a terminal allow/drop are not
-// consulted, mirroring the forwarding path).
-type PacketExplain struct {
-	Verdict Verdict        `json:"verdict"`
-	Tables  []TableExplain `json:"tables"`
-}
-
-// Explain runs the packet through the pipeline's current table snapshot
-// exactly as Process does, but side-effect-free: no counters move and
-// ActionDigest marks the verdict without enqueueing a digest. The
-// control flow mirrors RunTables statement for statement, so
-// Explain(pkt).Verdict equals Process(pkt)'s verdict for the same table
-// generation.
-func (p *Pipeline) Explain(pkt *packet.Packet) PacketExplain {
-	ex := PacketExplain{Verdict: Verdict{Allowed: true}}
-	for _, t := range p.TableSnapshot() {
-		te := t.Explain(pkt.Bytes)
-		ex.Tables = append(ex.Tables, te)
-		ex.Verdict.Matched = ex.Verdict.Matched || te.Matched
-		switch te.Action.Type {
-		case ActionAllow:
-			ex.Verdict.Allowed = true
-			ex.Verdict.Class = te.Action.Class
-			return ex
-		case ActionDrop:
-			ex.Verdict.Allowed = false
-			ex.Verdict.Class = te.Action.Class
-			return ex
-		case ActionDigest:
-			ex.Verdict.Digested = true
-		case ActionSetClass:
-			ex.Verdict.Class = te.Action.Class
-		case ActionNop:
-		}
-	}
+	ex.Verdict = verdictOf(ex.Action, ex.Matched)
 	return ex
 }

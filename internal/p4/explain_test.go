@@ -80,10 +80,10 @@ func TestExplainLookupAgreementAllKinds(t *testing.T) {
 		frames[i] = []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
 	}
 	mk := func(kind MatchKind) *Table {
-		return NewTable("t-"+kind.String(), kind, specs, 0, Action{Type: ActionNop})
+		return NewTable("t-"+kind.String(), kind, specs, 0, Action{Type: ActionDigest})
 	}
 	insert := func(tbl *Table, kind MatchKind) error {
-		e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionSetClass, Class: 1 + rng.Intn(3)}}
+		e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionDrop, Class: 1 + rng.Intn(3)}}
 		switch kind {
 		case MatchTernary:
 			e.Mask = []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
@@ -123,9 +123,9 @@ func TestExplainLookupAgreementAllKinds(t *testing.T) {
 func TestExplainAllocatesItsResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, kind := range []MatchKind{MatchTernary, MatchRange} {
-		tbl := NewTable("t", kind, []FieldSpec{{Name: "b", Offset: 0, Width: 2}}, 0, Action{Type: ActionNop})
+		tbl := NewTable("t", kind, []FieldSpec{{Name: "b", Offset: 0, Width: 2}}, 0, Action{Type: ActionDigest})
 		for i := 0; i < 24; i++ {
-			e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionSetClass, Class: 1}}
+			e := Entry{Priority: rng.Intn(4), Action: Action{Type: ActionDrop, Class: 1}}
 			lo, hi := byte(rng.Intn(200)), byte(rng.Intn(256))
 			switch {
 			case kind == MatchTernary:
@@ -160,41 +160,32 @@ func TestExplainAllocatesItsResult(t *testing.T) {
 	}
 }
 
-// TestPipelineExplainMatchesRunTables asserts the pipeline-level Explain
-// verdict equals RunTables' verdict, and that Explain queues no digests.
-func TestPipelineExplainMatchesRunTables(t *testing.T) {
-	p := NewPipeline(8)
+// TestExplainVerdictMatchesProcess asserts the table explanation's verdict
+// equals the pipeline's on every key — allow, drop and the digest miss —
+// and that Explain queues no digests.
+func TestExplainVerdictMatchesProcess(t *testing.T) {
 	det := NewTable("detector", MatchTernary, key1(), 0, Action{Type: ActionDigest})
-	if _, err := det.Insert(Entry{
-		Priority: 5, Value: []byte{0x80}, Mask: []byte{0x80},
-		Action: Action{Type: ActionDrop, Class: 2},
-	}); err != nil {
-		t.Fatal(err)
+	for _, e := range []Entry{
+		{Priority: 5, Value: []byte{0x80}, Mask: []byte{0x80}, Action: Action{Type: ActionDrop, Class: 2}},
+		{Priority: 1, Value: []byte{0x40}, Mask: []byte{0x40}, Action: Action{Type: ActionAllow, Class: 1}},
+	} {
+		if _, err := det.Insert(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.AddTable(det); err != nil {
-		t.Fatal(err)
-	}
+	p := NewPipeline(det, 256)
 	for b := 0; b < 256; b++ {
 		pkt := &packet.Packet{Bytes: []byte{byte(b)}}
-		want := p.RunTables(p.TableSnapshot(), pkt)
-		got := p.Explain(pkt)
-		if got.Verdict != want {
-			t.Fatalf("byte %#02x: Explain verdict %+v != RunTables %+v", b, got.Verdict, want)
+		queued := p.DigestQueueStats().Offered
+		got := det.Explain(pkt.Bytes).Verdict
+		if after := p.DigestQueueStats().Offered; after != queued {
+			t.Fatalf("byte %#02x: Explain queued a digest (%d -> %d)", b, queued, after)
 		}
-		if len(got.Tables) != 1 {
-			t.Fatalf("byte %#02x: %d table explains", b, len(got.Tables))
+		if want := p.Process(pkt); got != want {
+			t.Fatalf("byte %#02x: Explain verdict %+v != Process %+v", b, got, want)
 		}
 	}
-	// RunTables queued digests for misses; Explain must not have added
-	// any beyond those (queue capacity 8, misses ≥ 8, so a leaking
-	// Explain would have overflowed identically — compare counts).
-	queued := len(p.DrainDigests(1024))
-	if queued > 8 {
-		t.Fatalf("digest queue holds %d > cap 8", queued)
-	}
-	before := len(p.DrainDigests(1024))
-	_ = p.Explain(&packet.Packet{Bytes: []byte{0x00}})
-	if after := len(p.DrainDigests(1024)); after != before {
-		t.Fatalf("Explain queued a digest (%d -> %d)", before, after)
+	if st := p.DigestQueueStats(); st.Offered != 64 {
+		t.Fatalf("%d digests offered, want the 64 keys no entry matches", st.Offered)
 	}
 }

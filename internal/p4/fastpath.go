@@ -56,15 +56,14 @@ type flowSlot struct {
 	entry  *row
 }
 
-// flowCache is one table's direct-mapped exact-match cache inside a
-// workspace. It is generation-tagged: whenever the table's lookup state
-// pointer changes (insert, delete, program, reindex), gen is bumped and
+// flowCache is a workspace's direct-mapped exact-match cache. It is
+// generation-tagged: whenever the lookup state pointer changes (insert,
+// delete, program, reindex, or another table's burst), gen is bumped and
 // every cached slot goes stale at once — no per-slot invalidation, no
 // coordination with writers. Holding the state pointer for the identity
 // compare also pins it, so a recycled allocation can never alias a
 // previous generation.
 type flowCache struct {
-	owner *Table
 	state *lookupState
 	gen   uint32
 	slots []flowSlot
@@ -72,12 +71,12 @@ type flowCache struct {
 
 // sync points the cache at the table's current lookup state and reports
 // whether the cache is usable for this batch.
-func (c *flowCache) sync(t *Table, st *lookupState) bool {
+func (c *flowCache) sync(st *lookupState) bool {
 	if st.width == 0 || st.width > flowKeyMax {
 		return false
 	}
-	if c.owner != t || c.state != st {
-		c.owner, c.state = t, st
+	if c.state != st {
+		c.state = st
 		c.gen++
 		if c.gen == 0 {
 			// Generation counter wrapped: hard-clear so slots tagged with
@@ -119,22 +118,20 @@ func (c *flowCache) put(k0, k1 uint64, klen int, entry *row, row int32) {
 }
 
 // BatchWorkspace holds every per-burst buffer the batched pipeline
-// needs: the SoA key batch, per-packet resolution arrays, the active-set
-// scratch, the digest staging area, and one flow cache per pipeline
-// table slot. A workspace belongs to one worker at a time (arenas hand
-// them out); after warm-up, running batches through it allocates
-// nothing.
+// needs: the SoA key batch, per-packet resolution arrays, the miss-set
+// scratch, the digest staging area, and the flow cache. A workspace
+// belongs to one worker at a time (arenas hand them out); after warm-up,
+// running batches through it allocates nothing.
 type BatchWorkspace struct {
 	keys    match.KeyBatch
 	hits    []*row   // resolved entry per packet index (nil = miss)
 	hitRows []int32  // row id in the state's byID per packet index (-1 = none)
 	acts    []Action // resolved action per packet index
 	matched []bool   // non-default entry fired, per packet index
-	act     []int32  // packets still running, filtered per table
 	pend    []int32  // cache-missed packets needing an index probe
 	rows    []int32  // range-index rows parallel to pend
 	digests []Digest // staged digests, flushed once per batch
-	caches  []flowCache
+	cache   flowCache
 	masked  []byte // lane-masking scratch for ternary probes, one key wide
 
 	// Per-row counter accumulation: deltas gather here (indexed by the
@@ -146,27 +143,21 @@ type BatchWorkspace struct {
 	touched  []int32
 }
 
-// ensure sizes the per-packet arrays for n packets and t table slots.
-func (ws *BatchWorkspace) ensure(n, t int) {
+// ensure sizes the per-packet arrays for n packets.
+func (ws *BatchWorkspace) ensure(n int) {
 	if cap(ws.hits) < n {
 		ws.hits = make([]*row, n)
 		ws.hitRows = make([]int32, n)
 		ws.acts = make([]Action, n)
 		ws.matched = make([]bool, n)
+		ws.pend = make([]int32, n)
+		ws.rows = make([]int32, n)
+		ws.touched = make([]int32, 0, n)
 	}
 	ws.hits = ws.hits[:n]
 	ws.hitRows = ws.hitRows[:n]
 	ws.acts = ws.acts[:n]
 	ws.matched = ws.matched[:n]
-	if cap(ws.act) < n {
-		ws.act = make([]int32, n)
-		ws.pend = make([]int32, n)
-		ws.rows = make([]int32, n)
-		ws.touched = make([]int32, 0, n)
-	}
-	if len(ws.caches) < t {
-		ws.caches = append(ws.caches, make([]flowCache, t-len(ws.caches))...)
-	}
 }
 
 // ensureAgg sizes the per-row accumulators for a state with ne row ids.
@@ -187,20 +178,19 @@ func (ws *BatchWorkspace) ensureAgg(ne int) {
 // ws.hits[idx]. Counter effects are identical to calling Lookup once per
 // packet: per-entry hits/bytes and table hits/misses advance by exactly
 // the same amounts, just batched into one atomic add pair per distinct
-// row and one pair per table. slot selects the workspace flow cache
-// (the caller's pipeline position of t). The lookup state is loaded once
-// for the whole burst, so a batch observes one table generation.
-func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, slot int) {
+// row and one pair per table. The lookup state is loaded once for the
+// whole burst, so a batch observes one table generation.
+func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace) {
 	if len(active) == 0 {
 		return
 	}
-	ws.ensure(len(pkts), slot+1)
+	ws.ensure(len(pkts))
 	st := t.state.Load()
 	width := st.width
 	ws.keys.Reset(width, len(pkts))
 
-	cache := &ws.caches[slot]
-	cached := cache.sync(t, st)
+	cache := &ws.cache
+	cached := cache.sync(st)
 
 	// Gather keys for the active set straight from the frames, then
 	// resolve each key from the flow cache or collect it for the index.
@@ -293,59 +283,26 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 	}
 }
 
-// RunTablesBatch applies a table snapshot to a burst: for each packet
-// index in active, the verdict lands in out[idx]. Per-packet action
-// semantics are exactly RunTables'; the differences are batch-granular
-// only — each table's lookup state is read once per burst, and digests
-// are staged in the workspace and enqueued under one lock with one
-// shared timestamp after the last table (so with several digesting
-// tables the queue interleaving is table-major rather than packet-major;
-// counts and flags are identical either way).
-func (p *Pipeline) RunTablesBatch(tables []*Table, pkts []*packet.Packet, active []int32, ws *BatchWorkspace, out []Verdict) {
-	ws.ensure(len(pkts), len(tables))
-	for _, idx := range active {
-		out[idx] = Verdict{Allowed: true}
-	}
-	run := ws.act[:0]
-	run = append(run, active...)
+// ProcessBatch runs a burst through the table: for each packet index in
+// active, the verdict lands in out[idx]. Per-packet semantics are exactly
+// Process's; the differences are batch-granular only — the table's lookup
+// state is read once per burst, and digests are staged in the workspace
+// and enqueued under one lock with one shared timestamp.
+func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, out []Verdict) {
+	p.table.LookupBatch(pkts, active, ws)
 	ws.digests = ws.digests[:0]
-	for slot, t := range tables {
-		if len(run) == 0 {
-			break
+	for _, idx := range active {
+		v := verdictOf(ws.acts[idx], ws.matched[idx])
+		out[idx] = v
+		if v.Digested {
+			ws.digests = append(ws.digests, Digest{Pkt: pkts[idx]})
 		}
-		t.LookupBatch(pkts, run, ws, slot)
-		live := run[:0]
-		for _, idx := range run {
-			v := &out[idx]
-			v.Matched = v.Matched || ws.matched[idx]
-			act := ws.acts[idx]
-			switch act.Type {
-			case ActionAllow:
-				v.Allowed = true
-				v.Class = act.Class
-			case ActionDrop:
-				v.Allowed = false
-				v.Class = act.Class
-			case ActionDigest:
-				ws.digests = append(ws.digests, Digest{Table: t.Name, Pkt: pkts[idx]})
-				v.Digested = true
-				live = append(live, idx)
-			case ActionSetClass:
-				v.Class = act.Class
-				live = append(live, idx)
-			case ActionNop:
-				live = append(live, idx)
-			}
-		}
-		run = live
 	}
 	if len(ws.digests) > 0 {
 		p.queueDigestBatch(ws.digests)
 		// Drop the packet references so a pooled workspace does not pin
 		// frames from old bursts.
-		for i := range ws.digests {
-			ws.digests[i] = Digest{}
-		}
+		clear(ws.digests)
 		ws.digests = ws.digests[:0]
 	}
 }

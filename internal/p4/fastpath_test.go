@@ -96,7 +96,7 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 			// Several batches so the flow cache serves warm hits too.
 			for round := 0; round < 3; round++ {
 				active := allIdx(len(pkts))
-				batchT.LookupBatch(pkts, active, &ws, 0)
+				batchT.LookupBatch(pkts, active, &ws)
 				for i, pkt := range pkts {
 					wantAct, wantMatched := refT.Lookup(pkt.Bytes)
 					if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
@@ -154,7 +154,7 @@ func TestLookupBatchUnderChurn(t *testing.T) {
 			}
 		}
 		active := allIdx(len(pkts))
-		tab.LookupBatch(pkts, active, &ws, 0)
+		tab.LookupBatch(pkts, active, &ws)
 		for i, pkt := range pkts {
 			// Lookup moves counters; only action/matched identity matters.
 			wantAct, wantMatched := tab.Lookup(pkt.Bytes)
@@ -166,38 +166,24 @@ func TestLookupBatchUnderChurn(t *testing.T) {
 	}
 }
 
-// TestRunTablesBatchMatchesRunTables builds a multi-table pipeline
-// (set-class, digest-on-miss detector, terminal allow/drop) and checks
-// batch verdicts and digest accounting against the per-packet engine.
-func TestRunTablesBatchMatchesRunTables(t *testing.T) {
+// TestProcessBatchMatchesProcess runs a digest-on-miss detector's
+// pipeline over a burst and checks batch verdicts and digest accounting
+// against the per-packet engine.
+func TestProcessBatchMatchesProcess(t *testing.T) {
 	build := func() *Pipeline {
 		rng := rand.New(rand.NewSource(9))
-		p := NewPipeline(64)
-		cls := NewTable("classify", MatchTernary, fourByteKey(), 0, Action{Type: ActionNop})
-		if err := cls.Program(fourByteKey(), Action{Type: ActionNop}, rowsOf(cls, []Entry{
-			{Priority: 1, Value: []byte{1, 0, 0, 0}, Mask: []byte{0xff, 0, 0, 0}, Action: Action{Type: ActionSetClass, Class: 3}},
-			{Priority: 1, Value: []byte{2, 0, 0, 0}, Mask: []byte{0xff, 0, 0, 0}, Action: Action{Type: ActionDrop, Class: 4}},
-		})); err != nil {
-			t.Fatal(err)
-		}
 		det := NewTable("det", MatchRange, fourByteKey(), 0, Action{Type: ActionDigest})
 		if err := det.Program(fourByteKey(), Action{Type: ActionDigest},
 			rowsOf(det, kindEntries(t, rng, MatchRange, 12))); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddTable(cls); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AddTable(det); err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return NewPipeline(det, 64)
 	}
 	batchP, refP := build(), build()
 	pkts := randFrames(rand.New(rand.NewSource(10)), 400, 24)
 	var ws BatchWorkspace
 	out := make([]Verdict, len(pkts))
-	batchP.RunTablesBatch(batchP.TableSnapshot(), pkts, allIdx(len(pkts)), &ws, out)
+	batchP.ProcessBatch(pkts, allIdx(len(pkts)), &ws, out)
 	for i, pkt := range pkts {
 		if ref := refP.Process(pkt); out[i] != ref {
 			t.Fatalf("pkt %d: batch %+v != reference %+v", i, out[i], ref)
@@ -210,14 +196,17 @@ func TestRunTablesBatchMatchesRunTables(t *testing.T) {
 	if bq.Queued != bq.Drained+uint64(bq.Depth) || bq.Offered != bq.Drained+bq.Dropped+uint64(bq.Depth) {
 		t.Fatalf("digest invariants violated: %+v", bq)
 	}
+	if bq.Dropped == 0 {
+		t.Fatalf("the burst never overflowed the queue: %+v", bq)
+	}
 	// Drained digests reference the same packets in the same order.
 	bd, rd := batchP.DrainDigests(0), refP.DrainDigests(0)
 	if len(bd) != len(rd) {
 		t.Fatalf("drained %d vs %d digests", len(bd), len(rd))
 	}
 	for i := range bd {
-		if bd[i].Pkt != rd[i].Pkt || bd[i].Table != rd[i].Table {
-			t.Fatalf("digest %d: batch {%s %p} != ref {%s %p}", i, bd[i].Table, bd[i].Pkt, rd[i].Table, rd[i].Pkt)
+		if bd[i].Pkt != rd[i].Pkt {
+			t.Fatalf("digest %d: batch %p != ref %p", i, bd[i].Pkt, rd[i].Pkt)
 		}
 	}
 }
@@ -225,10 +214,10 @@ func TestRunTablesBatchMatchesRunTables(t *testing.T) {
 // TestQueueDigestBatchOverflow fills the queue past capacity in one
 // batch: accounting must mirror per-digest enqueueing exactly.
 func TestQueueDigestBatchOverflow(t *testing.T) {
-	p := NewPipeline(4)
+	p := NewPipeline(nil, 4)
 	ds := make([]Digest, 10)
 	for i := range ds {
-		ds[i] = Digest{Table: "t", Pkt: &packet.Packet{}}
+		ds[i] = Digest{Pkt: &packet.Packet{}}
 	}
 	p.queueDigestBatch(ds)
 	st := p.DigestQueueStats()
@@ -249,13 +238,13 @@ func TestQueueDigestBatchOverflow(t *testing.T) {
 // empty or to a constant depth, allocates the slice DrainDigests returns
 // and nothing else. The accounting identity holds throughout.
 func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
-	p := NewPipeline(64)
+	p := NewPipeline(nil, 64)
 	freed := make(chan struct{}, 8)
 	func() { // the packets live in no frame of this test's once queued
 		for i := 0; i < 8; i++ {
 			pkt := &packet.Packet{Bytes: make([]byte, 1500)}
 			runtime.SetFinalizer(pkt, func(*packet.Packet) { freed <- struct{}{} })
-			p.queueDigest(Digest{Table: "t", Pkt: pkt})
+			p.queueDigest(Digest{Pkt: pkt})
 		}
 		p.DrainDigests(5) // partial: three stay queued
 		p.DrainDigests(0)
@@ -274,7 +263,7 @@ func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
 
 	ds := make([]Digest, 8)
 	for i := range ds {
-		ds[i] = Digest{Table: "t", Pkt: &packet.Packet{}}
+		ds[i] = Digest{Pkt: &packet.Packet{}}
 	}
 	for _, depth := range []int{0, 5} {
 		p.queueDigestBatch(ds[:depth])
@@ -323,7 +312,7 @@ func TestLookupBatchWideKeySkipsCache(t *testing.T) {
 			pkts := []*packet.Packet{hitPkt, missPkt, hitPkt}
 			var ws BatchWorkspace
 			active := allIdx(len(pkts))
-			tab.LookupBatch(pkts, active, &ws, 0)
+			tab.LookupBatch(pkts, active, &ws)
 			if !ws.matched[0] || ws.matched[1] {
 				t.Fatalf("batch matched (%v,%v), want the row's own key to hit and the zero key to miss", ws.matched[0], ws.matched[1])
 			}
@@ -334,7 +323,7 @@ func TestLookupBatchWideKeySkipsCache(t *testing.T) {
 				}
 			}
 			// Sized once, the scratch is kept: a second burst allocates nothing.
-			if n := testing.AllocsPerRun(5, func() { tab.LookupBatch(pkts, active, &ws, 0) }); n != 0 {
+			if n := testing.AllocsPerRun(5, func() { tab.LookupBatch(pkts, active, &ws) }); n != 0 {
 				t.Fatalf("steady-state wide-key burst allocates %.0f times", n)
 			}
 		})

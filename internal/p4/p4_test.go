@@ -24,9 +24,9 @@ func TestMatchKindActionStrings(t *testing.T) {
 			t.Fatalf("kind %d named %q, want %q", int(k), k.String(), want)
 		}
 	}
-	for _, a := range []ActionType{ActionAllow, ActionDrop, ActionDigest, ActionSetClass, ActionNop} {
-		if a.String() == "" {
-			t.Fatal("empty action name")
+	for a, want := range map[ActionType]string{ActionAllow: "allow", ActionDrop: "drop", ActionDigest: "digest", 4: "actiontype(4)"} {
+		if a.String() != want {
+			t.Fatalf("action %d named %q, want %q", int(a), a.String(), want)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestTernaryPriority(t *testing.T) {
 }
 
 func TestTernaryValueOutsideMaskRejected(t *testing.T) {
-	tbl := NewTable("det", MatchTernary, key1(), 0, Action{Type: ActionNop})
+	tbl := NewTable("det", MatchTernary, key1(), 0, Action{Type: ActionDigest})
 	_, err := tbl.Insert(Entry{Value: []byte{0x01}, Mask: []byte{0x00}})
 	if !errors.Is(err, ErrBadEntry) {
 		t.Fatalf("err = %v, want ErrBadEntry", err)
@@ -73,7 +73,7 @@ func TestTernaryValueOutsideMaskRejected(t *testing.T) {
 }
 
 func TestRangeTable(t *testing.T) {
-	tbl := NewTable("rng", MatchRange, key1(), 0, Action{Type: ActionNop})
+	tbl := NewTable("rng", MatchRange, key1(), 0, Action{Type: ActionDigest})
 	id, err := tbl.Insert(Entry{
 		Priority: 1, Lo: []byte{10}, Hi: []byte{20}, Action: Action{Type: ActionDrop},
 	})
@@ -83,7 +83,7 @@ func TestRangeTable(t *testing.T) {
 	if act, matched := tbl.Lookup([]byte{15}); !matched || act.Type != ActionDrop {
 		t.Fatalf("15 in [10,20]: %v matched=%v", act, matched)
 	}
-	if act, matched := tbl.Lookup([]byte{21}); matched || act.Type != ActionNop {
+	if act, matched := tbl.Lookup([]byte{21}); matched || act.Type != ActionDigest {
 		t.Fatalf("21 against [10,20]: %v matched=%v, want the default", act, matched)
 	}
 	if _, err := tbl.Insert(Entry{Lo: []byte{5}, Hi: []byte{4}}); !errors.Is(err, ErrBadEntry) {
@@ -113,7 +113,7 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 		{Action: Action{Type: ActionDrop}},
 	}
 	for _, kind := range []MatchKind{0, 99} {
-		tbl := NewTable("k", kind, key1(), 0, Action{Type: ActionNop})
+		tbl := NewTable("k", kind, key1(), 0, Action{Type: ActionDigest})
 		for i, e := range rows {
 			if _, err := tbl.Insert(e); !errors.Is(err, ErrBadEntry) {
 				t.Fatalf("kind %v: Insert of row %d: err = %v, want ErrBadEntry", kind, i, err)
@@ -131,9 +131,9 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 		}
 		pkts := []*packet.Packet{{Bytes: []byte{7}}, {Bytes: []byte{0}}}
 		var ws BatchWorkspace
-		tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+		tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
 		for i, pkt := range pkts {
-			want := Action{Type: ActionNop}
+			want := Action{Type: ActionDigest}
 			if act, matched := tbl.Lookup(pkt.Bytes); matched || act != want {
 				t.Fatalf("kind %v key %v: Lookup (%+v,%v), want a miss", kind, pkt.Bytes, act, matched)
 			}
@@ -151,7 +151,7 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 }
 
 func TestTableFull(t *testing.T) {
-	tbl := NewTable("small", MatchRange, key1(), 1, Action{Type: ActionNop})
+	tbl := NewTable("small", MatchRange, key1(), 1, Action{Type: ActionDigest})
 	if _, err := tbl.Insert(point(1, Action{})); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestTernaryAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		specs := []FieldSpec{{Offset: 0, Width: 2}}
-		tbl := NewTable("t", MatchTernary, specs, 0, Action{Type: ActionNop})
+		tbl := NewTable("t", MatchTernary, specs, 0, Action{Type: ActionDigest})
 		type ref struct {
 			prio        int
 			value, mask []byte
@@ -180,7 +180,7 @@ func TestTernaryAgainstReference(t *testing.T) {
 			class := rng.Intn(5)
 			if _, err := tbl.Insert(Entry{
 				Priority: prio, Value: value, Mask: mask,
-				Action: Action{Type: ActionSetClass, Class: class},
+				Action: Action{Type: ActionDrop, Class: class},
 			}); err != nil {
 				return false
 			}
@@ -212,72 +212,55 @@ func TestTernaryAgainstReference(t *testing.T) {
 	}
 }
 
+// TestPipelineFlow runs the three actions through the one-table pipeline:
+// allow and drop carry their class, the digest miss action forwards with
+// class 0 and queues the packet.
 func TestPipelineFlow(t *testing.T) {
-	p := NewPipeline(4)
-	class := NewTable("classify", MatchRange, key1(), 0, Action{Type: ActionDigest})
-	if _, err := class.Insert(point(1, Action{Type: ActionSetClass, Class: 3})); err != nil {
-		t.Fatal(err)
+	det := NewTable("det", MatchRange, key1(), 0, Action{Type: ActionDigest, Class: 7})
+	for _, e := range []Entry{point(1, Action{Type: ActionDrop, Class: 3}), point(2, Action{Type: ActionAllow, Class: 4})} {
+		if _, err := det.Insert(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	verdict := NewTable("verdict", MatchRange, key1(), 0, Action{Type: ActionAllow})
-	if _, err := verdict.Insert(point(1, Action{Type: ActionDrop, Class: 3})); err != nil {
-		t.Fatal(err)
+	p := NewPipeline(det, 4)
+	for b, want := range map[byte]Verdict{
+		1: {Allowed: false, Class: 3, Matched: true},
+		2: {Allowed: true, Class: 4, Matched: true},
+		9: {Allowed: true, Digested: true},
+	} {
+		if v := p.Process(&packet.Packet{Bytes: []byte{b}}); v != want {
+			t.Fatalf("byte %d: verdict %+v, want %+v", b, v, want)
+		}
 	}
-	if err := p.AddTable(class); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddTable(verdict); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddTable(class); err == nil {
-		t.Fatal("accepted duplicate table")
-	}
-
-	v := p.Process(&packet.Packet{Bytes: []byte{1}})
-	if v.Allowed || v.Class != 3 || !v.Matched {
-		t.Fatalf("verdict = %+v", v)
-	}
-	// Miss in classify -> digest queued, then verdict table allows.
-	v = p.Process(&packet.Packet{Bytes: []byte{9}})
-	if !v.Allowed || !v.Digested {
-		t.Fatalf("miss verdict = %+v", v)
-	}
-	ds := p.DrainDigests(0)
-	if len(ds) != 1 || ds[0].Table != "classify" {
+	if ds := p.DrainDigests(0); len(ds) != 1 || ds[0].Pkt.Bytes[0] != 9 {
 		t.Fatalf("digests = %+v", ds)
 	}
 }
 
 func TestPipelineDigestOverflow(t *testing.T) {
-	p := NewPipeline(2)
-	tbl := NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest})
-	if err := p.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
+	p := NewPipeline(NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest}), 2)
 	for i := 0; i < 5; i++ {
 		p.Process(&packet.Packet{Bytes: []byte{byte(i)}})
 	}
 	if got := len(p.DrainDigests(0)); got != 2 {
 		t.Fatalf("queued %d, want 2", got)
 	}
-	if p.DroppedDigests() != 3 {
-		t.Fatalf("dropped %d, want 3", p.DroppedDigests())
+	if got := p.DigestQueueStats().Dropped; got != 3 {
+		t.Fatalf("dropped %d, want 3", got)
 	}
 }
 
 func TestPipelineTableAccess(t *testing.T) {
-	p := NewPipeline(0)
-	tbl := NewTable("x", MatchRange, key1(), 0, Action{Type: ActionNop})
-	if err := p.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Table("x"); err != nil {
-		t.Fatal(err)
+	tbl := NewTable("x", MatchRange, key1(), 0, Action{Type: ActionDigest})
+	p := NewPipeline(tbl, 0)
+	if got, err := p.Table("x"); err != nil || got != tbl {
+		t.Fatalf("Table(x) = %p, %v; want the pipeline's table", got, err)
 	}
 	if _, err := p.Table("y"); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := len(p.Tables()); got != 1 {
-		t.Fatalf("Tables len %d", got)
+	if got := p.DigestQueueStats().Capacity; got != 1024 {
+		t.Fatalf("default digest capacity %d, want 1024", got)
 	}
 }
 
@@ -391,7 +374,7 @@ func TestParserRejectsLoopsAndDanglingStates(t *testing.T) {
 // ties resolve to the earliest-inserted entry, cross-tuple ordering obeys
 // priority, and both invariants survive Insert/Delete churn.
 func TestTernaryChurnDeterminism(t *testing.T) {
-	tbl := NewTable("acl", MatchTernary, key1(), 0, Action{Type: ActionNop})
+	tbl := NewTable("acl", MatchTernary, key1(), 0, Action{Type: ActionDigest})
 
 	// Two entries with identical (value,mask) and identical priority:
 	// the first inserted must win, deterministically.
@@ -465,7 +448,7 @@ func TestTernaryChurnDeterminism(t *testing.T) {
 func TestRangeIndexMatchesScanUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	specs := []FieldSpec{{Name: "b0", Offset: 0, Width: 1}, {Name: "b2", Offset: 2, Width: 1}}
-	tbl := NewTable("det", MatchRange, specs, 0, Action{Type: ActionNop})
+	tbl := NewTable("det", MatchRange, specs, 0, Action{Type: ActionDigest})
 
 	type row struct {
 		id       uint64
@@ -645,7 +628,7 @@ func TestProgramOwnsReplaceCopies(t *testing.T) {
 // direct counters: they track matched frames only, survive reindexing
 // from later Inserts, and surface through EntrySnapshots and Stats.
 func TestEntryDirectCounters(t *testing.T) {
-	tbl := NewTable("det", MatchRange, key1(), 0, Action{Type: ActionNop})
+	tbl := NewTable("det", MatchRange, key1(), 0, Action{Type: ActionDigest})
 	id, err := tbl.Insert(Entry{
 		Priority: 1, Lo: []byte{10}, Hi: []byte{20},
 		Action: Action{Type: ActionDrop, Class: 2},
@@ -692,11 +675,7 @@ func TestEntryDirectCounters(t *testing.T) {
 // queued == drained + depth at every step, and overflow loss is counted
 // instead of silent.
 func TestDigestQueueAccounting(t *testing.T) {
-	p := NewPipeline(2)
-	tbl := NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest})
-	if err := p.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
+	p := NewPipeline(NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest}), 2)
 	check := func(depth int, queued, drained, dropped uint64) {
 		t.Helper()
 		qs := p.DigestQueueStats()

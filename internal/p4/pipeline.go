@@ -3,7 +3,6 @@ package p4
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p4guard/internal/packet"
@@ -13,31 +12,42 @@ import (
 type Verdict struct {
 	// Allowed reports whether the packet is forwarded.
 	Allowed bool `json:"allowed"`
-	// Class is the last class metadata written by ActionSetClass, or the
-	// class carried by the terminal action.
+	// Class is the class an allow or drop action carries; 0 on a digest.
 	Class int `json:"class"`
-	// Matched reports whether any non-default entry fired.
+	// Matched reports whether a non-default entry fired.
 	Matched bool `json:"matched"`
 	// Digested reports whether a digest was queued for the controller.
 	Digested bool `json:"digested"`
+}
+
+// verdictOf is the one rule from a table's action to a verdict, shared by
+// Process, ProcessBatch and Table.Explain. Allow and drop carry their class;
+// digest forwards the packet with class 0 and asks for a digest. An action
+// the table does not define forwards, as digest does, without one.
+func verdictOf(act Action, matched bool) Verdict {
+	v := Verdict{Allowed: act.Type != ActionDrop, Matched: matched}
+	switch act.Type {
+	case ActionAllow, ActionDrop:
+		v.Class = act.Class
+	case ActionDigest:
+		v.Digested = true
+	}
+	return v
 }
 
 // Digest is a packet sample queued for the controller. At is the
 // enqueue wall time, stamped so the digest pump can account queue wait
 // (the digest_wait trace stage) from the moment the sample was taken.
 type Digest struct {
-	Table string
-	Pkt   *packet.Packet
-	At    time.Time
+	Pkt *packet.Packet
+	At  time.Time
 }
 
-// Pipeline is an ordered list of tables applied to every packet, plus a
-// bounded digest queue. It models a single P4 ingress control block.
+// Pipeline is the ingress control block the detector program declares: one
+// table applied to every packet, plus a bounded digest queue.
 type Pipeline struct {
-	mu      sync.RWMutex
-	tables  []*Table
-	byName  map[string]*Table
-	snap    atomic.Pointer[[]*Table] // published copy of tables for lock-free reads
+	table   *Table
+	mu      sync.RWMutex // guards the digest queue
 	digests []Digest
 	offered uint64 // digests ever presented to the queue (accepted + dropped)
 	queued  uint64 // digests ever enqueued
@@ -46,90 +56,29 @@ type Pipeline struct {
 	maxQ    int
 }
 
-// NewPipeline builds a pipeline with the given digest queue capacity
-// (<=0 means 1024).
-func NewPipeline(digestCap int) *Pipeline {
+// NewPipeline builds the pipeline that applies t, with the given digest
+// queue capacity (<=0 means 1024).
+func NewPipeline(t *Table, digestCap int) *Pipeline {
 	if digestCap <= 0 {
 		digestCap = 1024
 	}
-	return &Pipeline{byName: make(map[string]*Table), maxQ: digestCap}
+	return &Pipeline{table: t, maxQ: digestCap}
 }
 
-// AddTable appends a table to the pipeline.
-func (p *Pipeline) AddTable(t *Table) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.byName[t.Name]; dup {
-		return fmt.Errorf("p4: duplicate table %q", t.Name)
-	}
-	p.tables = append(p.tables, t)
-	p.byName[t.Name] = t
-	snap := make([]*Table, len(p.tables))
-	copy(snap, p.tables)
-	p.snap.Store(&snap)
-	return nil
-}
-
-// Table returns the named table.
+// Table returns the pipeline's table when name is its name.
 func (p *Pipeline) Table(name string) (*Table, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	t, ok := p.byName[name]
-	if !ok {
+	if name != p.table.Name {
 		return nil, fmt.Errorf("%q: %w", name, ErrNoSuchTable)
 	}
-	return t, nil
+	return p.table, nil
 }
 
-// Tables returns the tables in pipeline order.
-func (p *Pipeline) Tables() []*Table {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*Table, len(p.tables))
-	copy(out, p.tables)
-	return out
-}
-
-// Process runs the packet through the pipeline and returns the verdict.
-// The default disposition when no terminal action fires is allow (a
-// firewall that fails open for unmatched traffic; the detector's default
-// action usually overrides this by digesting or dropping).
+// Process runs the packet through the table and returns the verdict,
+// queueing a digest when the action asks for one.
 func (p *Pipeline) Process(pkt *packet.Packet) Verdict {
-	return p.RunTables(p.TableSnapshot(), pkt)
-}
-
-// TableSnapshot returns the current table list for use with RunTables.
-// The snapshot is published atomically by AddTable, so reading it costs
-// one atomic load and no lock; the slice must be treated as immutable.
-func (p *Pipeline) TableSnapshot() []*Table {
-	if snap := p.snap.Load(); snap != nil {
-		return *snap
-	}
-	return nil
-}
-
-// RunTables applies a table snapshot (from TableSnapshot) to one packet.
-func (p *Pipeline) RunTables(tables []*Table, pkt *packet.Packet) Verdict {
-	v := Verdict{Allowed: true}
-	for _, t := range tables {
-		act, matched := t.Lookup(pkt.Bytes)
-		v.Matched = v.Matched || matched
-		switch act.Type {
-		case ActionAllow:
-			v.Allowed = true
-			v.Class = act.Class
-			return v
-		case ActionDrop:
-			v.Allowed = false
-			v.Class = act.Class
-			return v
-		case ActionDigest:
-			p.queueDigest(Digest{Table: t.Name, Pkt: pkt})
-			v.Digested = true
-		case ActionSetClass:
-			v.Class = act.Class
-		case ActionNop:
-		}
+	v := verdictOf(p.table.Lookup(pkt.Bytes))
+	if v.Digested {
+		p.queueDigest(Digest{Pkt: pkt})
 	}
 	return v
 }
@@ -198,11 +147,4 @@ func (p *Pipeline) DigestQueueStats() DigestQueueStats {
 		Drained:  p.drained,
 		Dropped:  p.dropped,
 	}
-}
-
-// DroppedDigests reports digests lost to queue overflow.
-func (p *Pipeline) DroppedDigests() uint64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.dropped
 }

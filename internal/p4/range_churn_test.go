@@ -136,7 +136,7 @@ func TestRangePointChurnDifferential(t *testing.T) {
 					prog = next
 				}
 
-				batched.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+				batched.LookupBatch(pkts, allIdx(len(pkts)), &ws)
 				for i, pkt := range pkts {
 					act, matched := perPkt.Lookup(pkt.Bytes)
 					if ws.acts[i] != act || ws.matched[i] != matched {

@@ -94,7 +94,7 @@ func (c *deltaChurn) forwardDuring(mutate func() error) error {
 				return
 			default:
 			}
-			c.tbl.LookupBatch(c.frames, active, &c.ws, 0)
+			c.tbl.LookupBatch(c.frames, active, &c.ws)
 			for i, e := range c.ws.hits {
 				c.counted.count(e, c.frames[i].Bytes)
 			}
@@ -308,7 +308,7 @@ func (c *deltaChurn) check(what string) {
 		pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: k}
 	}
 	var ws BatchWorkspace
-	c.tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+	c.tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
 	for i, k := range c.probes {
 		want, wantMatched := fresh.Lookup(k)
 		c.counted.count(ws.hits[i], k) // the burst's lookup of k, then the scalar one

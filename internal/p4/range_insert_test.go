@@ -282,7 +282,7 @@ func TestReadersRaceInstalls(t *testing.T) {
 		var ws BatchWorkspace
 		for !stop.Load() && !t.Failed() {
 			floor := int(installed.Load())
-			tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws, 0)
+			tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
 			for i := 0; i < floor; i++ {
 				if !ws.matched[i] {
 					t.Errorf("LookupBatch misses key %x after its install finished", fresh[i])

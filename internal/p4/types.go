@@ -1,8 +1,8 @@
 // Package p4 implements P4Lite, a behavioural model of a programmable
 // data plane: a protocol parser expressed as a parse graph, match–action
-// tables with range and ternary match kinds, a staged pipeline,
-// per-table and per-entry counters, and a digest queue for sending packet
-// samples to the controller. It stands in for the BMv2/Tofino targets the
+// tables with range and ternary match kinds, the one-table pipeline the
+// detector program declares, per-table and per-entry counters, and a
+// digest queue for sending packet samples to the controller. It stands in for the BMv2/Tofino targets the
 // paper deployed on, preserving match–action semantics and table cost
 // accounting.
 package p4
@@ -36,19 +36,16 @@ func (k MatchKind) String() string {
 // ActionType is what a table entry does with a packet.
 type ActionType int
 
-// Supported actions.
+// Supported actions: the detector program's allow, drop and send_digest.
 const (
-	// ActionAllow forwards the packet and ends the pipeline.
+	// ActionAllow forwards the packet.
 	ActionAllow ActionType = iota + 1
-	// ActionDrop discards the packet and ends the pipeline.
+	// ActionDrop discards the packet; with a class it is the generated
+	// program's set_class_and_drop.
 	ActionDrop
-	// ActionDigest enqueues a digest for the controller and continues to
-	// the next table.
+	// ActionDigest forwards the packet and enqueues a digest of it for the
+	// controller.
 	ActionDigest
-	// ActionSetClass writes the class metadata and continues.
-	ActionSetClass
-	// ActionNop continues to the next table.
-	ActionNop
 )
 
 // String returns the action name.
@@ -60,10 +57,6 @@ func (a ActionType) String() string {
 		return "drop"
 	case ActionDigest:
 		return "digest"
-	case ActionSetClass:
-		return "set_class"
-	case ActionNop:
-		return "nop"
 	default:
 		return fmt.Sprintf("actiontype(%d)", int(a))
 	}
@@ -72,7 +65,7 @@ func (a ActionType) String() string {
 // Action is an action invocation with parameters.
 type Action struct {
 	Type ActionType
-	// Class parameterizes ActionSetClass and annotates verdicts.
+	// Class is the class an allow or drop verdict carries.
 	Class int
 }
 

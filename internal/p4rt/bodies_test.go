@@ -2,6 +2,7 @@ package p4rt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -129,7 +130,9 @@ var writeAndDeltaBodies = map[string]string{
 	"write-ternary":    `{"entry":{"value":"BAQ=","mask":"//8=","action":"drop"}}`,
 	"write-priority":   `{}` + prow([]byte{4, 4}, []byte{4, 4}, math.MinInt32, math.MaxInt32, p4.ActionDrop),
 	"write-prefix-len": `{"entry":{"prefix_len":-9223372036854775808,"lo":"BAQ=","hi":"BAQ=","action":"drop"}}`,
-	"write-action":     `{}` + prow([]byte{4, 4}, []byte{4, 4}, 0, 0, p4.ActionNop+1),
+	"write-action":     `{}` + prow([]byte{4, 4}, []byte{4, 4}, 0, 0, 6),
+	"write-action-4":   `{}` + prow([]byte{4, 4}, []byte{4, 4}, 0, 3, 4),
+	"write-action-5":   `{}` + prow([]byte{4, 4}, []byte{4, 4}, 0, 0, 5),
 	"delta": `{"offsets":[0,1],"default_action":"allow","base_count":4,"deletes":[1],"moves":[{"base":3,"priority":5,"order":0}],` +
 		`"adds":[2]}` + prow([]byte{9, 9}, []byte{9, 9}, 2, 2, p4.ActionDrop),
 	"delta-empty":          `{"offsets":[0,1],"default_action":"drop","base_count":4}`,
@@ -146,6 +149,8 @@ var writeAndDeltaBodies = map[string]string{
 	"delta-add-same-order": `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1,1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, p4.ActionDrop) + prow([]byte{8, 8}, []byte{8, 8}, 0, 0, p4.ActionDrop),
 	"delta-add-wide":       `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9, 9}, []byte{9, 9, 9}, 0, 0, p4.ActionDrop),
 	"delta-add-action":     `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, 200),
+	"delta-add-action-4":   `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 3, 4),
+	"delta-add-action-5":   `{"offsets":[0,1],"default_action":"allow","base_count":4,"adds":[1]}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 0, 5),
 	"delta-default":        `{"offsets":[0,1],"default_action":"reflect","base_count":4}`,
 	"not-json":             `{"entry":`,
 	"wrong-types":          `{"entry":[],"base_count":"4"}`,
@@ -192,6 +197,29 @@ func TestWriteAndDeltaBodyCases(t *testing.T) {
 	}
 	if err := tbl.ProgramDelta(def, pd); err != nil || tbl.Len() != 6 {
 		t.Fatalf("the valid delta after the valid writes: %v, %d rows", err, tbl.Len())
+	}
+	// Action bytes 4 and 5 named the pass-through actions a multi-table
+	// chain had; a row carrying one is malformed in every body that has
+	// rows — the decoder refuses it before a table is reached.
+	for _, act := range []p4.ActionType{4, 5} {
+		program := `{"offsets":[0,1],"default_action":"allow","rows":1}` + prow([]byte{9, 9}, []byte{9, 9}, 0, 3, act)
+		for typ, body := range map[MsgType]string{TypeProgram: program, TypeWrite: writeAndDeltaBodies[fmt.Sprintf("write-action-%d", act)],
+			TypeDelta: writeAndDeltaBodies[fmt.Sprintf("delta-add-action-%d", act)]} {
+			env, err := bodyFrame(typ, []byte(body))
+			if err == nil {
+				switch typ {
+				case TypeProgram:
+					_, err = decodeProgram(env)
+				case TypeWrite:
+					_, _, err = decodeWrite(env)
+				case TypeDelta:
+					_, _, _, err = decodeDelta(env)
+				}
+			}
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("%s body with action byte %d: err = %v, want ErrMalformed", typ, act, err)
+			}
+		}
 	}
 }
 

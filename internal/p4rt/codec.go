@@ -312,11 +312,11 @@ func checkRows(sec []byte, n, w int) error {
 
 // row reads row i of a section checkRows passed, its keys where they lie in
 // the frame. An action byte the protocol does not define (p4's action types
-// run Allow to Nop) makes the section malformed.
+// run Allow to Digest) makes the section malformed.
 func row(sec []byte, w, i int) (lo, hi []byte, priority int, act p4.Action, err error) {
 	r := sec[i*rowSize(w) : (i+1)*rowSize(w)]
 	act = p4.Action{Type: p4.ActionType(r[2*w+8]), Class: int(int32(binary.LittleEndian.Uint32(r[2*w+4:])))}
-	if act.Type < p4.ActionAllow || act.Type > p4.ActionNop {
+	if act.Type < p4.ActionAllow || act.Type > p4.ActionDigest {
 		err = fmt.Errorf("%w: row %d: action %d", ErrMalformed, i, act.Type)
 	}
 	return r[:w:w], r[w : 2*w : 2*w], int(int32(binary.LittleEndian.Uint32(r[2*w:]))), act, err

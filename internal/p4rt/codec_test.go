@@ -124,7 +124,7 @@ func checkFrame(t *testing.T, typ MsgType, id uint64, body any, want []byte) {
 }
 
 var (
-	testActions = []string{"allow", "drop", "digest", "set_class", "nop", "", "custom", "a<b", `x"y`, `back\slash`,
+	testActions = []string{"allow", "drop", "digest", "", "custom", "a<b", `x"y`, `back\slash`,
 		"naïve", "tab\there", "\x7f", "\xff\xfe", "amp&", " "}
 	testInts32 = []int{0, 1, -1, 7, 10, 99, 100, -1000, 1 << 20, math.MaxInt32, math.MinInt32}
 	testInts   = append([]int{math.MaxInt32 + 1, math.MinInt32 - 1, math.MinInt64, math.MaxInt64}, testInts32...)
@@ -139,8 +139,8 @@ func pick[T any](rng *rand.Rand, from []T) T { return from[rng.Intn(len(from))] 
 // of four a row the section cannot hold: another width, an action the
 // protocol does not name, a priority or class past 32 bits.
 func randProgram(rng *rand.Rand) Program {
-	p := Program{DefaultAction: testActions[rng.Intn(5)]}
-	if rng.Intn(4) == 0 {
+	p := Program{DefaultAction: testActions[rng.Intn(3)]} // the three the protocol names
+	if rng.Intn(5) == 0 {
 		p.DefaultAction = pick(rng, testActions)
 	}
 	switch rng.Intn(5) {
@@ -162,7 +162,7 @@ func randProgram(rng *rand.Rand) Program {
 	}
 	for i, n := 0, rng.Intn(24); i < n; i++ {
 		w := len(p.Offsets)
-		e := WireEntry{Lo: make([]byte, w), Hi: make([]byte, w), Action: testActions[rng.Intn(5)]}
+		e := WireEntry{Lo: make([]byte, w), Hi: make([]byte, w), Action: testActions[rng.Intn(3)]}
 		rng.Read(e.Lo)
 		rng.Read(e.Hi)
 		if rng.Intn(2) == 0 {
@@ -179,7 +179,7 @@ func randProgram(rng *rand.Rand) Program {
 		case 0:
 			e.Lo = append(e.Lo, 1)
 		case 1:
-			e.Action = testActions[5+rng.Intn(len(testActions)-5)]
+			e.Action = testActions[3+rng.Intn(len(testActions)-3)]
 		case 2:
 			e.Priority = testInts[rng.Intn(4)]
 		default:
@@ -344,7 +344,7 @@ func agentRead(buf []byte) string {
 // section cannot hold is refused at encode, typed, by both encode routes.
 func TestProgramFrameMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}}, {DefaultAction: "nop"}}
+	progs := []Program{{}, {Offsets: []int{}, Entries: []WireEntry{}}, {Entries: []WireEntry{{}}}, {DefaultAction: "digest"}}
 	for i := 0; i < 400; i++ {
 		progs = append(progs, randProgram(rng))
 	}
@@ -724,7 +724,7 @@ func TestHostileBodyCannotInflateSlabs(t *testing.T) {
 // row one past an edge, or a byte off the width, is refused at encode.
 func TestPackedSectionBounds(t *testing.T) {
 	edges := []int{math.MaxInt32, 1, 0, -1, math.MinInt32} // descending: the table lists them in this order
-	actions := []string{"allow", "drop", "digest", "set_class", "nop"}
+	actions := []string{"allow", "drop", "digest", "allow", "drop"}
 	for _, w := range []int{0, 1, 16, 17} {
 		p := Program{Offsets: make([]int, w), DefaultAction: "digest", TraceID: 1}
 		for i := range p.Offsets {

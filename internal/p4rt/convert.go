@@ -29,10 +29,6 @@ func actionType(s string) (p4.ActionType, bool) {
 		return p4.ActionDrop, true
 	case "digest":
 		return p4.ActionDigest, true
-	case "set_class":
-		return p4.ActionSetClass, true
-	case "nop":
-		return p4.ActionNop, true
 	}
 	return 0, false
 }

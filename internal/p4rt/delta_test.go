@@ -224,7 +224,7 @@ func deltaFromProgramsRef(prev, next Program) (DeltaMsg, bool) {
 // rows differing only in action or class, survivor swaps, duplicates and,
 // on either side, an action no p4 type stands for (never ok).
 func TestDeltaFromProgramsMatchesComputeDelta(t *testing.T) {
-	actions := []string{"allow", "drop", "digest", "set_class", "nop"}
+	actions := []string{"allow", "drop", "digest"}
 	oks, unknown := 0, 0
 	const seeds = 1500
 	for seed := int64(0); seed < seeds; seed++ {
@@ -336,9 +336,11 @@ func TestDeltaMsgWireShape(t *testing.T) {
 // TestRefusedProgramAndDeltaLeaveSwitchUntouched: programs whose rows are
 // not as wide as their layout (refused at encode, ErrMalformed), one with
 // an inverted bound and a delta aimed at the wrong base (RejectErrors from
-// the switch) all leave the switch exactly as it was — same entries, same
-// signature, same default action, the attack frame still dropped — and
-// the connection still usable.
+// the switch), and program, delta and write frames whose rows carry action
+// byte 4 or 5 (malformed at the agent, which the client cannot encode) all
+// leave the switch exactly as it was — same entries, same signature, same
+// default action, the attack frame still dropped — and the connection
+// still usable.
 func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 	sw, _, cl := startPair(t, nil)
 	ctx := context.Background()
@@ -362,14 +364,26 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 			return err
 		}
 	}
+	// raw hands a frame the client would not write to an agent of the same
+	// switch: its refusal must name ErrMalformed.
+	raw := func(typ MsgType, head string, act p4.ActionType) func() error {
+		return func() error {
+			frame := rawFrame(`{"type":"` + string(typ) + `","id":7,"body":` + head + `}` + string(packRow([]byte{210}, []byte{210}, 9, 0, act)))
+			if _, resps := handleFrames(t, sw, frame); len(resps) != 1 || resps[0].OK || !strings.Contains(resps[0].Error, ErrMalformed.Error()) {
+				return fmt.Errorf("answered %+v, want a malformed-message refusal", resps)
+			}
+			return &RejectError{Op: typ}
+		}
+	}
 	inverted := Program{Offsets: []int{0}, DefaultAction: "allow",
 		Entries: []WireEntry{{Lo: []byte{6}, Hi: []byte{5}, Action: "drop"}}}
 	programFrame(t, inverted)
-	refusals := []struct {
+	type refusal struct {
 		name   string
 		op     MsgType // the RejectError's; "" for ErrMalformed at encode, nothing sent
 		refuse func() error
-	}{
+	}
+	refusals := []refusal{
 		{"program, layout change", "", program(Program{Offsets: []int{1, 2}, DefaultAction: "allow", Entries: base.Entries})},
 		{"program, wide rows", "", program(Program{Offsets: []int{0}, DefaultAction: "allow",
 			Entries: []WireEntry{{Lo: []byte{5, 5}, Hi: []byte{6, 6}, Action: "drop"}}})},
@@ -378,6 +392,13 @@ func TestRefusedProgramAndDeltaLeaveSwitchUntouched(t *testing.T) {
 			_, err := cl.ProgramDelta(ctx, DeltaMsg{Offsets: []int{0}, DefaultAction: "allow", BaseCount: 99})
 			return err
 		}},
+	}
+	for _, act := range []p4.ActionType{4, 5} {
+		refusals = append(refusals, []refusal{
+			{fmt.Sprintf("program, action byte %d", act), TypeProgram, raw(TypeProgram, `{"offsets":[0],"default_action":"allow","rows":1}`, act)},
+			{fmt.Sprintf("delta, action byte %d", act), TypeDelta, raw(TypeDelta, fmt.Sprintf(`{"offsets":[0],"default_action":"drop","base_count":1,"base_hash":%d,"adds":[0]}`, wantHash), act)},
+			{fmt.Sprintf("write, action byte %d", act), TypeWrite, raw(TypeWrite, `{}`, act)},
+		}...)
 	}
 	for _, r := range refusals {
 		name := r.name

@@ -179,8 +179,8 @@ var recordedFrames = map[string]recordedFrame{
 		resp: `{"ok":false,"error":"p4rt: malformed message: row 0: action 9","trace_id":3,"span_id":4}`, state: "0/0x0/digest/0/0"},
 	"unknown-default-action": {frame: `{"type":"program","id":7,"body":{"offsets":[0],"default_action":"","rows":1}}` + recRow[:10] + "\x09",
 		resp: `{"ok":false,"error":"p4rt: unknown action \"\""}`, state: "0/0x0/digest/0/0"},
-	"wide-and-narrow-keys": {frame: `{"type":"program","body":{"offsets":null,"default_action":"nop","default_class":-3,"span_id":1,"rows":2}}` +
-		string(packRow([]byte{0, 1, 2}, []byte{0, 1, 2}, -1, 2, p4.ActionSetClass)) + string(packRow(nil, nil, 0, 0, p4.ActionDigest)),
+	"wide-and-narrow-keys": {frame: `{"type":"program","body":{"offsets":null,"default_action":"digest","default_class":-3,"span_id":1,"rows":2}}` +
+		string(packRow([]byte{0, 1, 2}, []byte{0, 1, 2}, -1, 2, 4)) + string(packRow(nil, nil, 0, 0, p4.ActionDigest)),
 		resp: `{"ok":false,"error":"p4rt: malformed message: 24 bytes of rows are not 2 rows of 9 bytes","span_id":1}`, state: "0/0x0/digest/0/0"},
 	"write-typed-program": {frame: `{"type":"write","id":7,"body":` + recHead + `}` + recRow,
 		resp: `{"ok":false,"error":"table iot_detector: range lo/hi widths 1/1 != key 0: p4: bad entry","trace_id":9}`, state: "0/0x0/digest/0/0"},

@@ -9,18 +9,19 @@ import (
 )
 
 // Explain is the switch-level explanation of one packet's forwarding
-// decision: parse outcome plus the pipeline's per-table evidence.
+// decision: the parse outcome forwarding counts ParseFailed with, the
+// verdict, and the detector table's evidence it was reached from.
 //
 // The stateful rate guard is deliberately not consulted — observing it
 // would advance its window state, and an explanation must never perturb
 // what it explains. Explain therefore describes the match–action
-// decision; a packet the guard would drop is explained as the pipeline
+// decision; a packet the guard would drop is explained as the table
 // alone would treat it.
 type Explain struct {
-	Switch   string            `json:"switch"`
-	ParsedOK bool              `json:"parsed_ok"`
-	Verdict  p4.Verdict        `json:"verdict"`
-	Tables   []p4.TableExplain `json:"tables"`
+	Switch   string          `json:"switch"`
+	ParsedOK bool            `json:"parsed_ok"`
+	Verdict  p4.Verdict      `json:"verdict"`
+	Table    p4.TableExplain `json:"table"`
 }
 
 // Explain reconstructs the forwarding decision for one packet with full
@@ -29,12 +30,12 @@ type Explain struct {
 // drop, Explain(pkt).Verdict equals the verdict Process(pkt) returns
 // against the same table generation.
 func (s *Switch) Explain(pkt *packet.Packet) Explain {
-	pe := s.pipeline.Explain(pkt)
+	te := s.det.Explain(pkt.Bytes)
 	return Explain{
 		Switch:   s.Name,
-		ParsedOK: s.parser.Accepts(pkt.Bytes),
-		Verdict:  pe.Verdict,
-		Tables:   pe.Tables,
+		ParsedOK: packet.AcceptFrame(s.link, pkt.Bytes),
+		Verdict:  te.Verdict,
+		Table:    te,
 	}
 }
 

@@ -78,24 +78,13 @@ func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	if fs != rs2 {
 		t.Fatalf("run stats diverged: fast %+v ref %+v", fs, rs2)
 	}
-	fd, rd := mustDetectorStats(t, fast), mustDetectorStats(t, ref)
-	if fd != rd {
+	if fd, rd := fast.DetectorStats(), ref.DetectorStats(); fd != rd {
 		t.Fatalf("detector stats diverged: fast %+v ref %+v", fd, rd)
 	}
 	fq, rq := fast.DigestQueueStats(), ref.DigestQueueStats()
 	if fq != rq {
 		t.Fatalf("digest accounting diverged: fast %+v ref %+v", fq, rq)
 	}
-}
-
-func mustDetectorStats(t *testing.T, sw *Switch) p4.Stats {
-	t.Helper()
-	st, err := sw.DetectorStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Name = ""
-	return st
 }
 
 // TestFastPathAgreesUnderChurn alternates detector reprogramming with
@@ -264,13 +253,20 @@ func TestDisarmedInstrumentsAreInert(t *testing.T) {
 // TestScalarAndBurstAgreeWithSideChannelsArmed arms everything the two
 // forwarding paths feed besides verdicts — the rate guard, explain
 // sampling (every 3rd packet, captured), a drift monitor — and holds
-// ProcessBatch to the Process loop on all of it.
+// ProcessBatch to the Process loop on all of it. Some frames are cut
+// short of an Ethernet header, so the parse outcome each sample records
+// is held to the same sequence too; and with the guard off and every
+// packet sampled, the samples that read ParsedOK false are exactly the
+// packets forwarding counted as ParseFailed, on both paths.
 func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	rs := randRuleSet(17)
 	pkts := tracePackets(900, 43)
 	for i := 3; i < len(pkts); i += 3 {
 		// One heavy hitter for the guard to cut off.
 		pkts[i].Bytes = pkts[0].Bytes
+	}
+	for i := 5; i < len(pkts); i += 7 {
+		pkts[i].Bytes = pkts[i].Bytes[:packet.EthernetLen-4] // truncated: fails the parse
 	}
 	baseline := drift.NewBuilder(rs.Offsets, 0)
 	for _, pkt := range pkts[:64] {
@@ -280,25 +276,31 @@ func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	type outcome struct {
 		verdicts []p4.Verdict
 		stats    RunStats
-		sampled  []string // match key + live verdict of each sampled packet
+		sampled  []string // match key, parse outcome and live verdict of each sampled packet
+		unparsed int      // samples whose explanation reads ParsedOK false
 		observed uint64   // packets the drift monitor saw
 	}
-	run := func(forward func(*Switch) []p4.Verdict) outcome {
+	run := func(forward func(*Switch) []p4.Verdict, guard bool, every int) outcome {
 		sw := mkSwitch(t)
 		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.EnableRateGuard([]p4.FieldSpec{{Name: "b0", Offset: 0, Width: 1}}, 20, time.Hour); err != nil {
-			t.Fatal(err)
+		if guard {
+			if err := sw.EnableRateGuard([]p4.FieldSpec{{Name: "b0", Offset: 0, Width: 1}}, 20, time.Hour); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var o outcome
 		var mu sync.Mutex
-		sw.EnableExplainSampling(3, nil, func(es ExplainSample) {
+		sw.EnableExplainSampling(every, nil, func(es ExplainSample) {
 			if !es.Agrees {
 				t.Errorf("sampled explain disagrees with lookup: %+v", es)
 			}
 			mu.Lock()
-			o.sampled = append(o.sampled, fmt.Sprintf("%x %+v", es.Tables[0].Key, es.LookupVerdict))
+			o.sampled = append(o.sampled, fmt.Sprintf("%x %v %+v", es.Table.Key, es.ParsedOK, es.LookupVerdict))
+			if !es.ParsedOK {
+				o.unparsed++
+			}
 			mu.Unlock()
 		})
 		mon := drift.NewMonitor()
@@ -312,15 +314,17 @@ func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 		o.observed = mon.Armed().ShardObservations(0)
 		return o
 	}
+	scalar := func(sw *Switch) []p4.Verdict { return processEach(sw, pkts) }
+	burst := func(sw *Switch) []p4.Verdict { return sw.ProcessBatch(pkts) }
 
-	want := run(func(sw *Switch) []p4.Verdict { return processEach(sw, pkts) })
-	if want.stats.RateDropped == 0 || want.stats.Digested == 0 || len(want.sampled) == 0 {
-		t.Fatalf("trace does not exercise the side channels: %+v, %d sampled", want.stats, len(want.sampled))
+	want := run(scalar, true, 3)
+	if want.stats.RateDropped == 0 || want.stats.Digested == 0 || want.stats.ParseFailed == 0 || want.unparsed == 0 {
+		t.Fatalf("trace does not exercise the side channels: %+v, %d sampled, %d unparsed", want.stats, len(want.sampled), want.unparsed)
 	}
 	if want.observed != uint64(want.stats.Digested) {
 		t.Fatalf("drift monitor saw %d packets, %d were digested", want.observed, want.stats.Digested)
 	}
-	got := run(func(sw *Switch) []p4.Verdict { return sw.ProcessBatch(pkts) })
+	got := run(burst, true, 3)
 	if !slices.Equal(got.verdicts, want.verdicts) {
 		t.Fatal("ProcessBatch: verdicts differ from the Process loop")
 	}
@@ -330,5 +334,13 @@ func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	}
 	if !slices.Equal(got.sampled, want.sampled) {
 		t.Fatalf("ProcessBatch: sampled sequence differs from the Process loop\n got %v\nwant %v", got.sampled, want.sampled)
+	}
+
+	for name, forward := range map[string]func(*Switch) []p4.Verdict{"Process loop": scalar, "ProcessBatch": burst} {
+		all := run(forward, false, 1)
+		if len(all.sampled) != len(pkts) || all.unparsed != all.stats.ParseFailed {
+			t.Fatalf("%s, every packet sampled: %d samples of %d packets, %d read unparsed, forwarding counted %d parse failures",
+				name, len(all.sampled), len(pkts), all.unparsed, all.stats.ParseFailed)
+		}
 	}
 }

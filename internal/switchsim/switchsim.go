@@ -4,8 +4,8 @@
 // programs, including deployment of compiled rule sets into a TCAM-style
 // detector table.
 //
-// The forwarding engine is batched: ProcessBatch and Run amortize table
-// snapshots, clock reads and stats merges over whole bursts, and any
+// The forwarding engine is batched: ProcessBatch and Run amortize lookup
+// state loads, clock reads and stats merges over whole bursts, and any
 // number of goroutines may forward through one switch at once — the hot
 // path takes no per-packet mutex and allocates nothing.
 package switchsim
@@ -46,7 +46,7 @@ type Switch struct {
 
 	mu       sync.Mutex // serializes table programming, not forwarding
 	pipeline *p4.Pipeline
-	parser   *p4.Parser
+	det      *p4.Table // the pipeline's one table
 	link     packet.LinkType
 
 	rateGuard atomic.Pointer[p4.RateGuard]
@@ -152,16 +152,11 @@ func New(name string, link packet.LinkType) (*Switch, error) {
 // accumulate up to this bound, and overflow is dropped with accounting
 // (Offered == Drained + Dropped + Depth) instead of growing without limit.
 func NewWithDigestCapacity(name string, link packet.LinkType, digestCap int) (*Switch, error) {
-	parser, err := p4.StandardParser(link)
-	if err != nil {
-		return nil, fmt.Errorf("switchsim: %w", err)
+	if link < packet.LinkEthernet || link > packet.LinkBLE {
+		return nil, fmt.Errorf("switchsim: unknown link type %v", link)
 	}
-	pipe := p4.NewPipeline(digestCap)
 	det := p4.NewTable(DetectorTable, p4.MatchRange, nil, 0, p4.Action{Type: p4.ActionDigest})
-	if err := pipe.AddTable(det); err != nil {
-		return nil, err
-	}
-	s := &Switch{Name: name, pipeline: pipe, parser: parser, link: link}
+	s := &Switch{Name: name, pipeline: p4.NewPipeline(det, digestCap), det: det, link: link}
 	s.arenas.New = func() any { return new(batchArena) }
 	return s, nil
 }
@@ -199,11 +194,7 @@ func (s *Switch) Tracer() *dtrace.Tracer { return s.tracer.Load() }
 // WireStats snapshots everything the stats RPC reports: run stats,
 // digest queue accounting, and detector table counters, in one call.
 func (s *Switch) WireStats() (RunStats, p4.DigestQueueStats, p4.Stats) {
-	var det p4.Stats
-	if st, err := s.DetectorStats(); err == nil {
-		det = st
-	}
-	return s.Stats(), s.DigestQueueStats(), det
+	return s.Stats(), s.DigestQueueStats(), s.DetectorStats()
 }
 
 // Link returns the switch's link type.
@@ -248,11 +239,7 @@ func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, e
 func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries *p4.Rows) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
-		return err
-	}
-	if err := det.Program(keySpecs(offsets), missAction, entries); err != nil {
+	if err := s.det.Program(keySpecs(offsets), missAction, entries); err != nil {
 		return fmt.Errorf("switchsim: program: %w", err)
 	}
 	return nil
@@ -270,17 +257,13 @@ func (s *Switch) ProgramDetector(offsets []int, missAction p4.Action, entries *p
 func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
-		return err
-	}
 	// Detector layouts only ever come from keySpecs, so two layouts that
 	// extract the same bytes are equal spec for spec, names included.
-	if cur, specs := det.KeySpecs(), keySpecs(offsets); !slices.Equal(cur, specs) {
+	if cur, specs := s.det.KeySpecs(), keySpecs(offsets); !slices.Equal(cur, specs) {
 		return fmt.Errorf("switchsim: delta: key layout mismatch (installed %d fields, delta %d)",
 			len(cur), len(specs))
 	}
-	if err := det.ProgramDelta(missAction, d); err != nil {
+	if err := s.det.ProgramDelta(missAction, d); err != nil {
 		return fmt.Errorf("switchsim: delta: %w", err)
 	}
 	return nil
@@ -288,11 +271,7 @@ func (s *Switch) ApplyDetectorDelta(offsets []int, missAction p4.Action, d p4.De
 
 // InsertDetectorEntry adds one entry to the detector table (reactive path).
 func (s *Switch) InsertDetectorEntry(e p4.Entry) (uint64, error) {
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
-		return 0, err
-	}
-	return det.Insert(e)
+	return s.det.Insert(e)
 }
 
 // keySpecs converts byte offsets into single-byte field specs.
@@ -350,10 +329,9 @@ func defaultGuardKey(link packet.LinkType) []p4.FieldSpec {
 // updating stats: the scalar path, and the reference the differential
 // suites hold the burst engine to. It holds no arena (a flow cache and
 // workspace per switch would cost more live heap than single packets
-// repay) and allocates nothing. Parse acceptance is the in-place
-// descriptor walk — equivalent to s.parser.Accepts (the packet fuzz
-// suite pins the two together field for field) without materializing
-// header structs. Prefer ProcessBatch/Run for bursts: they
+// repay) and allocates nothing. Parse acceptance is packet.AcceptFrame,
+// the in-place descriptor walk (the packet fuzz suite holds it to the p4
+// parse graph field for field), which materializes no header structs. Prefer ProcessBatch/Run for bursts: they
 // amortize the clock reads and stats merges Process pays per packet.
 func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 	start := time.Now()
@@ -388,7 +366,7 @@ func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 }
 
 // batchArena is one burst's recycled forwarding state: the p4 batch
-// workspace (SoA keys, flow caches, digest staging) plus verdict and
+// workspace (SoA keys, flow cache, digest staging) plus verdict and
 // active-set buffers. The switch pools them; after the first burst
 // warms the buffers, forwarding through an arena allocates nothing.
 type batchArena struct {
@@ -404,7 +382,6 @@ type batchArena struct {
 // verdicts, counters, digest accounting, sampler and drift observation
 // order — matches a Process call per packet.
 func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchArena) RunStats {
-	tables := s.pipeline.TableSnapshot()
 	sampler := s.explain.Load()
 	driftA := s.driftArmed()
 	guard := s.rateGuard.Load()
@@ -426,7 +403,7 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchA
 		active = append(active, int32(i))
 	}
 	a.active = active
-	s.pipeline.RunTablesBatch(tables, pkts, active, &a.ws, out)
+	s.pipeline.ProcessBatch(pkts, active, &a.ws, out)
 	for _, idx := range active {
 		v := out[idx]
 		if sampler != nil {
@@ -474,8 +451,8 @@ func (s *Switch) processBatch(pkts []*packet.Packet, out []p4.Verdict) RunStats 
 }
 
 // ProcessBatch runs a burst of packets through the data plane and
-// returns their verdicts. The table snapshot and the two clock reads are
-// amortized over the whole batch.
+// returns their verdicts. The lookup state load and the two clock reads
+// are amortized over the whole batch.
 func (s *Switch) ProcessBatch(pkts []*packet.Packet) []p4.Verdict {
 	out := make([]p4.Verdict, len(pkts))
 	s.processBatch(pkts, out)
@@ -556,23 +533,11 @@ func (s *Switch) DigestQueueStats() p4.DigestQueueStats {
 }
 
 // DetectorStats returns the detector table's counters.
-func (s *Switch) DetectorStats() (p4.Stats, error) {
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
-		return p4.Stats{}, err
-	}
-	return det.Stats(), nil
-}
+func (s *Switch) DetectorStats() p4.Stats { return s.det.Stats() }
 
 // DetectorEntrySnapshots returns per-entry direct counters for the
-// detector table (nil when the table is missing).
-func (s *Switch) DetectorEntrySnapshots() []p4.EntryCounters {
-	det, err := s.pipeline.Table(DetectorTable)
-	if err != nil {
-		return nil
-	}
-	return det.EntrySnapshots()
-}
+// detector table.
+func (s *Switch) DetectorEntrySnapshots() []p4.EntryCounters { return s.det.EntrySnapshots() }
 
 // RegisterTelemetry wires the switch into a metrics registry and arms the
 // sampled forwarding-latency histogram. Cumulative verdict and parse
@@ -618,21 +583,12 @@ func (s *Switch) RegisterTelemetry(reg *telemetry.Registry) {
 
 	tbl := telemetry.Label{Key: "table", Value: DetectorTable}
 	reg.GaugeFunc("p4guard_table_entries", "Installed entries.",
-		func() float64 {
-			st, err := s.DetectorStats()
-			if err != nil {
-				return 0
-			}
-			return float64(st.Entries)
-		}, sw, tbl)
+		func() float64 { return float64(s.DetectorStats().Entries) }, sw, tbl)
 	for _, res := range []string{"hit", "miss"} {
 		res := res
 		reg.CounterFunc("p4guard_table_lookups_total", "Table lookups by result.",
 			func() float64 {
-				st, err := s.DetectorStats()
-				if err != nil {
-					return 0
-				}
+				st := s.DetectorStats()
 				if res == "hit" {
 					return float64(st.Hits)
 				}

@@ -16,8 +16,9 @@ import (
 // TestDifferentialExplainAgreement is the explain half of the
 // differential suite: on every scenario, for every test packet, the
 // side-effect-free Explain reconstruction must return exactly the
-// verdict the forwarding engine returned, and the compiled matcher's
-// Explain must agree with Classify.
+// verdict the forwarding engine returned, and its winner must carry the
+// class the compiled matcher classifies the packet as — the switch and
+// the matcher hold the same rows in the same order.
 func TestDifferentialExplainAgreement(t *testing.T) {
 	for _, scen := range ScenarioNames() {
 		t.Run(scen, func(t *testing.T) {
@@ -44,16 +45,15 @@ func TestDifferentialExplainAgreement(t *testing.T) {
 			verdicts := sw.ProcessBatch(pkts)
 			matcher := pipe.Matcher()
 			for i, pkt := range pkts {
-				ex := sw.Explain(pkt)
+				ex := sw.Explain(pkt).Table
 				if ex.Verdict != verdicts[i] {
 					t.Fatalf("pkt %d: Explain verdict %+v != Process verdict %+v",
 						i, ex.Verdict, verdicts[i])
 				}
 				wantC, wantM := matcher.Classify(pkt)
-				me := pipe.Explain(pkt)
-				if me == nil || me.Class != wantC || me.Matched != wantM {
-					t.Fatalf("pkt %d: pipeline Explain %+v != Classify (%d,%v)",
-						i, me, wantC, wantM)
+				if ex.Matched != wantM || (wantM && ex.Winner.Class != wantC) {
+					t.Fatalf("pkt %d: Explain winner %+v != Classify (%d,%v)",
+						i, ex.Winner, wantC, wantM)
 				}
 			}
 		})

@@ -283,12 +283,7 @@ func (p *Pipeline) RuleSet() *rules.RuleSet { return p.rs }
 // Every packet-classification consumer — Predict, PredictMulti,
 // ClassifyPacket, the controller mirror — routes through it, so its
 // decisions are by construction the decisions of the deployed rules.
-func (p *Pipeline) Matcher() match.Matcher {
-	if p.matcher == nil {
-		return nil
-	}
-	return p.matcher
-}
+func (p *Pipeline) Matcher() *match.Compiled { return p.matcher }
 
 // Tree returns the distilled decision tree.
 func (p *Pipeline) Tree() *dtree.Tree { return p.tree }
@@ -319,17 +314,6 @@ func (p *Pipeline) PredictMulti(test *trace.Dataset) ([]int, error) {
 		out[i], _ = p.matcher.Classify(s.Pkt)
 	}
 	return out, nil
-}
-
-// Explain returns the full matching evidence for one packet against the
-// compiled rule set: the winning rule, its per-byte/per-bit comparison,
-// and the higher-priority rules it beat. Explain(pkt).Class always
-// equals ClassifyPacket(pkt). Nil before training.
-func (p *Pipeline) Explain(pkt *packet.Packet) *match.Explanation {
-	if p.matcher == nil {
-		return nil
-	}
-	return p.matcher.Explain(pkt)
 }
 
 // ClassifyPacket returns the rule-set class of one packet — the exact

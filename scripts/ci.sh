@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate, in the order the stages run:
-#   gofmt, doc symbols (every Go name the documents quote exists), go vet,
+#   gofmt, doc symbols (every Go name the documents quote, and every test
+#   the gates below name, exists), go vet,
 #   go build, go test -race ./..., perfbench's own vet + tests,
 #   fault-injection soak, fleet soak (its traces read back from journal
 #   files), hot-path benchmarks (`make bench`: the list lives in the
@@ -43,6 +44,20 @@ stale=$(grep -oh '`[^`]*`' $docs |
 if [ -n "$stale" ]; then
     echo "documents name symbols the tree does not define:"
     printf '%s\n' "$stale"
+    exit 1
+fi
+# The gates below name their tests in -run/-bench patterns, and go test
+# passes a pattern that matches nothing: every Test*/Benchmark* name in
+# this script's and the Makefile's patterns must be a func in a _test.go
+# file, or a renamed test silently leaves its gate.
+gated=$(grep -ohE -- "-(run|bench) '[^']*'" scripts/ci.sh Makefile |
+    grep -oE '(Test|Benchmark)[A-Z][A-Za-z0-9]*' | sort -u |
+    while read -r tok; do
+        grep -rqw --include='*_test.go' "func $tok" . || echo "$tok"
+    done)
+if [ -n "$gated" ]; then
+    echo "gates name tests the tree does not define:"
+    printf '%s\n' "$gated"
     exit 1
 fi
 
