@@ -158,9 +158,9 @@ func run() int {
 			controller.WithShardPolicy(policy))...)
 	defer func() { _ = ctl.Close() }()
 	if *metrics != "" {
-		// The fleet aggregate rides the same registry: per-switch stats
-		// scraped over the p4rt stats RPC, health scores, digest→install
-		// latency quantiles, and (with -topology) per-link fabric counters.
+		// The fleet aggregate rides the same registry: health scores,
+		// digest→install latency quantiles, and (with -topology) per-link
+		// fabric counters.
 		reg := telemetry.NewRegistry()
 		ctl.RegisterTelemetry(reg)
 		ctl.RegisterFleetTelemetry(reg)

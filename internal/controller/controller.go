@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,8 +191,7 @@ func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithDialer substitutes the transport dialer (internal/faultnet,
-// internal/netsim).
+// WithDialer substitutes the transport dialer (internal/netsim).
 func WithDialer(d p4rt.Dialer) Option {
 	return func(c *Config) { c.Dialer = d }
 }
@@ -250,6 +250,9 @@ type Stats struct {
 	DeltaApplies    int `json:"delta_applies"`
 	DeltaFallbacks  int `json:"delta_fallbacks"`
 	CompressedRules int `json:"compressed_rules"`
+	// RefusedEntries counts reactive rows a switch refused, live or on
+	// replay; each left the reactive log.
+	RefusedEntries int `json:"refused_entries"`
 }
 
 // String renders the stats in the key=value form p4guard-ctl prints.
@@ -353,12 +356,6 @@ type Controller struct {
 	// driftResidualHist, when registered, receives each observed residual
 	// — the histogram RegisterFleetTelemetry exports.
 	driftResidualHist atomic.Pointer[telemetry.Histogram]
-
-	// Cached remote stats scrape (see RemoteSwitchStats), so one /metrics
-	// render fanning out over several CollectFuncs costs one RPC sweep.
-	remoteMu    sync.Mutex
-	remoteAt    time.Time
-	remoteStats []RemoteSwitchStats
 }
 
 // swConn is one supervised switch connection. opMu serializes RPC-bearing
@@ -826,13 +823,18 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn, bodies *sh
 		}
 	}
 	for int(sc.appliedReactive.Load()) < len(sc.reactive) {
-		row := sc.reactive[sc.appliedReactive.Load()]
-		e := c.wireEntry([]byte(row.key), row.class)
-		if _, err := cl.WriteEntry(ctx, e); err != nil {
-			return fmt.Errorf("reconcile %s: reactive entry %d/%d: %w", sc.addr, sc.appliedReactive.Load()+1, len(sc.reactive), err)
+		i := int(sc.appliedReactive.Load())
+		row := sc.reactive[i]
+		_, err := cl.WriteEntry(ctx, c.wireEntry([]byte(row.key), row.class))
+		switch {
+		case err == nil:
+			sc.appliedReactive.Add(1)
+			replayedEntries++
+		case errors.Is(err, p4rt.ErrRejected):
+			c.refuseLocked(sc, i)
+		default:
+			return fmt.Errorf("reconcile %s: reactive entry %d/%d: %w", sc.addr, i+1, len(sc.reactive), err)
 		}
-		sc.appliedReactive.Add(1)
-		replayedEntries++
 	}
 	sc.reconciles.Add(1)
 	c.bumpStat(func(s *Stats) {
@@ -850,6 +852,16 @@ func (c *Controller) reconcileLocked(ctx context.Context, sc *swConn, bodies *sh
 		})
 	}
 	return nil
+}
+
+// refuseLocked drops row i of the switch's reactive log: the switch
+// refused it, as a table whose key layout differs from the slow path's
+// does, and a row kept would be refused again on every replay. Callers
+// hold sc.opMu.
+func (c *Controller) refuseLocked(sc *swConn, i int) {
+	sc.reactive = slices.Delete(sc.reactive, i, i+1)
+	sc.reactiveLen.Store(uint64(len(sc.reactive)))
+	c.bumpStat(func(s *Stats) { s.RefusedEntries++ })
 }
 
 func (c *Controller) bumpStat(fn func(*Stats)) {
@@ -1043,8 +1055,11 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 			// The traced write carries the install span's context so the
 			// switch records its apply span nested under it.
 			_, err = cl.WriteEntryTraced(c.ctx, entry, uint64(ctx.Trace), uint64(ctx.Span))
-			if err == nil {
+			switch {
+			case err == nil:
 				sc.appliedReactive.Add(1)
+			case errors.Is(err, p4rt.ErrRejected):
+				c.refuseLocked(sc, len(sc.reactive)-1)
 			}
 		}
 		sc.opMu.Unlock()
@@ -1056,6 +1071,8 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 			if !arrived.IsZero() {
 				c.digestHist.Observe(time.Since(arrived).Seconds())
 			}
+		} else if errors.Is(err, p4rt.ErrRejected) {
+			decision = "install_refused"
 		} else {
 			// The entry stays in the desired log; the supervisor replays
 			// it once the switch is back.
@@ -1327,6 +1344,8 @@ func (c *Controller) RegisterTelemetry(reg *telemetry.Registry) {
 		stat(func(s Stats) int { return s.DeltaApplies }), ctl)
 	reg.CounterFunc("p4guard_ctl_delta_fallbacks_total", "Delta pushes rejected and retried as full programs.",
 		stat(func(s Stats) int { return s.DeltaFallbacks }), ctl)
+	reg.CounterFunc("p4guard_ctl_refused_entries_total", "Reactive rows a switch refused, dropped from the log.",
+		stat(func(s Stats) int { return s.RefusedEntries }), ctl)
 	reg.CounterFunc("p4guard_ctl_compressed_rules_total", "Rules eliminated by deploy-time compression.",
 		stat(func(s Stats) int { return s.CompressedRules }), ctl)
 	reg.CollectFunc("p4guard_ctl_conn_state", "Per-switch connection state (one-hot).", "gauge",

@@ -1,13 +1,8 @@
 package controller
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
-	"p4guard/internal/p4rt"
 	"p4guard/internal/telemetry"
 )
 
@@ -151,68 +146,11 @@ func (c *Controller) FleetHealth() FleetHealth {
 	return out
 }
 
-// RemoteSwitchStats is one switch's stats-RPC scrape result; Err is set
-// (and the stats zero) when the switch was down or the RPC failed.
-type RemoteSwitchStats struct {
-	Addr string `json:"addr"`
-	Err  string `json:"err,omitempty"`
-	p4rt.WireSwitchStats
-}
-
-// ScrapeSwitchStats fans the stats RPC out over every Ready switch
-// concurrently and returns the results in join order. Down switches are
-// reported with Err rather than omitted, so the merged view always shows
-// the whole fleet.
-func (c *Controller) ScrapeSwitchStats(ctx context.Context) []RemoteSwitchStats {
-	c.mu.Lock()
-	fleet := append([]*swConn(nil), c.fleet...)
-	c.mu.Unlock()
-	out := make([]RemoteSwitchStats, len(fleet))
-	var wg sync.WaitGroup
-	for i, sc := range fleet {
-		out[i].Addr = sc.addr
-		cl := sc.clientSnapshot()
-		if cl == nil || sc.State() != StateReady {
-			out[i].Err = "down"
-			continue
-		}
-		wg.Add(1)
-		go func(i int, cl *p4rt.Client) {
-			defer wg.Done()
-			st, err := cl.SwitchStats(ctx)
-			if err != nil {
-				out[i].Err = err.Error()
-				return
-			}
-			out[i].WireSwitchStats = st
-		}(i, cl)
-	}
-	wg.Wait()
-	return out
-}
-
-// remoteStatsCached serves ScrapeSwitchStats through a short-lived cache
-// so one /metrics render — which reads several fleet families — costs a
-// single RPC sweep.
-func (c *Controller) remoteStatsCached(maxAge time.Duration) []RemoteSwitchStats {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	if c.remoteStats != nil && time.Since(c.remoteAt) < maxAge {
-		return c.remoteStats
-	}
-	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	c.remoteStats = c.ScrapeSwitchStats(ctx)
-	c.remoteAt = time.Now()
-	return c.remoteStats
-}
-
-// RegisterFleetTelemetry exports the merged fleet view: per-switch
-// health scores and lag indicators (local state), the digest→install
-// latency quantiles, and per-switch data-plane stats scraped over the
-// p4rt stats RPC at exposition time (cached for one second so a scrape
-// costs at most one RPC sweep). Register it on the same registry as
-// RegisterTelemetry to serve the fleet aggregate on /metrics.
+// RegisterFleetTelemetry exports the merged fleet view from local state:
+// per-switch health scores and lag indicators and the digest→install
+// latency quantiles. A switch's own data-plane counters are on its own
+// /metrics. Register it on the same registry as RegisterTelemetry to serve
+// the fleet aggregate on /metrics.
 func (c *Controller) RegisterFleetTelemetry(reg *telemetry.Registry) {
 	ctl := telemetry.Label{Key: "controller", Value: c.cfg.Name}
 	reg.GaugeFunc("p4guard_fleet_health_score", "Composite fleet health in [0,1] (mean of per-switch scores).",
@@ -241,39 +179,6 @@ func (c *Controller) RegisterFleetTelemetry(reg *telemetry.Registry) {
 	}
 	reg.CounterFunc("p4guard_fleet_digest_install_count", "Reactive installs measured for latency quantiles.",
 		func() float64 { return float64(c.digestHist.Snapshot().Count) }, ctl)
-
-	remote := func(name, help, typ string, pick func(RemoteSwitchStats) float64) {
-		reg.CollectFunc(name, help, typ, func(emit func([]telemetry.Label, float64)) {
-			for _, st := range c.remoteStatsCached(time.Second) {
-				if st.Err != "" {
-					continue
-				}
-				emit([]telemetry.Label{ctl, {Key: "switch", Value: st.Addr}, {Key: "name", Value: st.Name}}, pick(st))
-			}
-		})
-	}
-	remote("p4guard_fleet_switch_packets_total", "Packets processed, per scraped switch.", "counter",
-		func(s RemoteSwitchStats) float64 { return float64(s.Packets) })
-	remote("p4guard_fleet_switch_dropped_total", "Packets dropped, per scraped switch.", "counter",
-		func(s RemoteSwitchStats) float64 { return float64(s.Dropped) })
-	remote("p4guard_fleet_switch_digested_total", "Packets digested, per scraped switch.", "counter",
-		func(s RemoteSwitchStats) float64 { return float64(s.Digested) })
-	remote("p4guard_fleet_switch_table_entries", "Detector table entries, per scraped switch.", "gauge",
-		func(s RemoteSwitchStats) float64 { return float64(s.TableEntries) })
-	remote("p4guard_fleet_switch_table_hits_total", "Detector table hits, per scraped switch.", "counter",
-		func(s RemoteSwitchStats) float64 { return float64(s.TableHits) })
-	remote("p4guard_fleet_switch_digest_dropped_total", "Switch-side digest queue overflow drops, per scraped switch.", "counter",
-		func(s RemoteSwitchStats) float64 { return float64(s.DigestDropped) })
-	reg.CollectFunc("p4guard_fleet_switch_up", "Whether the last stats scrape of each switch succeeded.", "gauge",
-		func(emit func([]telemetry.Label, float64)) {
-			for _, st := range c.remoteStatsCached(time.Second) {
-				v := 1.0
-				if st.Err != "" {
-					v = 0
-				}
-				emit([]telemetry.Label{ctl, {Key: "switch", Value: st.Addr}}, v)
-			}
-		})
 
 	if mon := c.cfg.Drift; mon != nil {
 		c.driftResidualHist.Store(reg.Histogram("p4guard_drift_residual",
@@ -334,10 +239,4 @@ func (c *Controller) RegisterFleetTelemetry(reg *telemetry.Registry) {
 // [~1e-6, 1].
 var driftResidualBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,
-}
-
-// SortSwitchHealth orders a health slice by address — a stable render
-// order for status lines and tests.
-func SortSwitchHealth(hs []SwitchHealth) {
-	sort.Slice(hs, func(i, j int) bool { return hs[i].Addr < hs[j].Addr })
 }

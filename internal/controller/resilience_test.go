@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"p4guard/internal/faultnet"
+	"p4guard/internal/netsim"
 	"p4guard/internal/p4"
 	"p4guard/internal/p4rt"
 	"p4guard/internal/packet"
@@ -265,6 +265,71 @@ func TestDeployWhileDegradedConverges(t *testing.T) {
 	}
 }
 
+// TestRefusedReactiveRowLeavesTheLog: a deploy whose key layout differs
+// from the slow path's (offsets [0,1,2] against the model's [0,1]) makes
+// the switch refuse every logged 2-byte reactive row, on the deploy's
+// replay and live alike. A refused row leaves the log and is counted, so
+// the deploy succeeds and a restarted switch reaches Ready instead of
+// looping the supervisor on the same refusal.
+func TestRefusedReactiveRowLeavesTheLog(t *testing.T) {
+	ln := listenTCP(t, "127.0.0.1:0")
+	addr := ln.Addr().String()
+	sw1, err := switchsim.New("gw-f1", packet.LinkEthernet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1, err := p4rt.ServeListener(ln, sw1, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(fakeModel{}, Config{Name: "ctl-refused", Reactive: true}, fastBackoff()...)
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Connect(context.Background(), addr); err != nil {
+		t.Fatal(err)
+	}
+	miss := WithMissAction(p4.Action{Type: p4.ActionDigest})
+	if err := c.Deploy(context.Background(), rules.NewRuleSet([]int{0, 1}, 0), miss); err != nil {
+		t.Fatal(err)
+	}
+	sw1.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 1, 0}})
+	waitFor(t, func() bool { return c.Stats().ReactiveInstalls == 1 })
+
+	wide := rules.NewRuleSet([]int{0, 1, 2}, 0)
+	wide.Add(rules.Rule{Priority: 1, Class: 1, Preds: []rules.BytePredicate{{Offset: 2, Lo: 250, Hi: 255}}})
+	if err := c.Deploy(context.Background(), wide, miss); err != nil {
+		t.Fatalf("deploy on a wider key: %v", err)
+	}
+	sw1.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 2, 0}})
+	waitFor(t, func() bool { return c.Stats().RefusedEntries == 2 })
+
+	_ = srv1.Close()
+	waitFor(t, func() bool { return c.States()[addr] != StateReady })
+	sw2, err := switchsim.New("gw-f2", packet.LinkEthernet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := p4rt.ServeListener(listenTCP(t, addr), sw2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv2.Close() })
+	waitFor(t, func() bool { return c.States()[addr] == StateReady })
+
+	prog, err := p4rt.ProgramFromRuleSet(wide, p4.Action{Type: p4.ActionDigest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log := c.reactiveLog(addr); len(log) != 0 {
+		t.Fatalf("reactive log keeps %d refused rows", len(log))
+	}
+	if got, want := tableEntries(t, sw2), desiredEntries(t, prog, nil); !entriesEqual(got, want) {
+		t.Fatalf("restarted switch holds %d entries, want the %d deployed", len(got), len(want))
+	}
+	if st := c.Stats(); st.RefusedEntries != 2 {
+		t.Fatalf("refused entries = %d, want 2", st.RefusedEntries)
+	}
+}
+
 // mute accepts and never handshakes, so Connect blocks on its context.
 func mute(t *testing.T) string {
 	t.Helper()
@@ -325,35 +390,35 @@ func TestContextCancellationIsTypedAndPrompt(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionSoak drives the full control loop through a seeded
-// storm of connection resets, torn frames, and added latency, then heals
-// the network and requires exact convergence: the restarted-and-battered
+// TestFaultInjectionSoak drives the full control loop over a seeded
+// faulty link — connection resets, torn frames, and added latency — then
+// re-adds the link clean and requires exact convergence: the battered
 // switch ends up byte-identical to the controller's desired rule state,
 // the digest queue accounting balances, and no goroutines leak.
 func TestFaultInjectionSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine() + 2
 
-	fn := faultnet.New(faultnet.Config{
-		Seed:             42,
-		ResetProb:        0.02,
-		PartialWriteProb: 0.02,
-		LatencyMin:       0,
-		LatencyMax:       time.Millisecond,
-	})
-	ln := listenTCP(t, "127.0.0.1:0")
+	topo := netsim.New(netsim.Config{Seed: 42})
+	if err := topo.AddLink("ctl", "gw", netsim.LinkConfig{LatencyMax: time.Millisecond, Reset: 0.04}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := topo.Listen("gw", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr := ln.Addr().String()
 	sw, err := switchsim.NewWithDigestCapacity("gw-soak", packet.LinkEthernet, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := p4rt.ServeListener(fn.Listener(ln), sw, time.Millisecond,
+	srv, err := p4rt.ServeListener(ln, sw, time.Millisecond,
 		p4rt.WithSendTimeout(500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(fakeModel{}, Config{Name: "ctl-soak", Reactive: true},
-		WithDialer(fn.Dialer(nil)),
+		WithDialer(topo.Dialer("ctl", nil)),
 		WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond),
 		WithSeed(42),
 		WithRPCTimeout(500*time.Millisecond))
@@ -396,8 +461,11 @@ func TestFaultInjectionSoak(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Heal and require exact convergence with the desired state.
-	fn.Heal()
+	// Heal the link, live connections included, and require exact
+	// convergence with the desired state.
+	if err := topo.AddLink("ctl", "gw", netsim.LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return c.States()[addr] == StateReady })
 	// One more attack end-to-end proves the healed loop is live.
 	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{201, 77}})
@@ -417,15 +485,16 @@ func TestFaultInjectionSoak(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("switch never converged: table has %d entries, desired %d (stats %+v, faults %+v)",
-				len(tableEntries(t, sw)), len(want), c.Stats(), fn.Stats())
+				len(tableEntries(t, sw)), len(want), c.Stats(), topo.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	// The soak must have actually exercised the fault machinery.
-	if fs := fn.Stats(); fs.Resets == 0 && fs.PartialWrites == 0 {
+	if fs := topo.Stats(); fs.Resets == 0 {
 		t.Fatalf("fault schedule injected nothing: %+v", fs)
 	}
+	t.Logf("fabric: %+v", topo.Stats())
 
 	// Digest-queue accounting balances even across controller outages.
 	ds := sw.DigestQueueStats()

@@ -238,29 +238,18 @@ func TestFleetTraceExportWellFormed(t *testing.T) {
 		t.Fatal("fleet health reports zero trace spans with tracing armed")
 	}
 
-	// Remote stats scrape: every switch answers with its data-plane view
-	// and the digest queue invariant holds in the scraped snapshot.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	remote := c.ScrapeSwitchStats(ctx)
-	if len(remote) != nSwitches {
-		t.Fatalf("scraped %d switches, want %d", len(remote), nSwitches)
+	// Each switch's own counters, which its /metrics exports, saw every
+	// digest, and its digest queue accounting balances.
+	digested := 0
+	for _, g := range gws {
+		ds := g.sw.DigestQueueStats()
+		if ds.Offered != ds.Drained+ds.Dropped+uint64(ds.Depth) {
+			t.Fatalf("%s digest invariant broken: %+v", g.sw.Name, ds)
+		}
+		digested += g.sw.Stats().Digested
 	}
-	var scrapedDigests int64
-	for _, rs := range remote {
-		if rs.Err != "" {
-			t.Fatalf("scrape %s failed: %s", rs.Addr, rs.Err)
-		}
-		if rs.Name == "" || rs.Node == "" {
-			t.Fatalf("scrape %s missing identity: %+v", rs.Addr, rs.WireSwitchStats)
-		}
-		if rs.DigestOffered != rs.DigestDrained+rs.DigestDropped+uint64(rs.DigestDepth) {
-			t.Fatalf("scrape %s digest invariant broken: %+v", rs.Addr, rs.WireSwitchStats)
-		}
-		scrapedDigests += rs.Digested
-	}
-	if scrapedDigests < nPkts {
-		t.Fatalf("scraped digested sum = %d, want >= %d", scrapedDigests, nPkts)
+	if digested < nPkts {
+		t.Fatalf("digested sum = %d, want >= %d", digested, nPkts)
 	}
 
 	// Per-link fabric counters saw the traffic on every path link.
@@ -272,8 +261,8 @@ func TestFleetTraceExportWellFormed(t *testing.T) {
 }
 
 // TestFleetTelemetryAggregate: the fleet registry families render the
-// merged view — health score, per-switch scraped stats, and latency
-// quantiles — against one live switch.
+// merged view — health scores and latency quantiles — against one live
+// switch.
 func TestFleetTelemetryAggregate(t *testing.T) {
 	sw, addr := startSwitch(t)
 	c := New(fakeModel{}, Config{Name: "ctl-agg", Reactive: true})
@@ -299,8 +288,6 @@ func TestFleetTelemetryAggregate(t *testing.T) {
 		`p4guard_fleet_health_score{controller="ctl-agg"} 1`,
 		`p4guard_fleet_switch_health_score{controller="ctl-agg",switch="` + addr + `"} 1`,
 		`p4guard_fleet_digest_install_latency_seconds{controller="ctl-agg",quantile="0.5"}`,
-		`p4guard_fleet_switch_packets_total{controller="ctl-agg",switch="` + addr + `",name="gw-ctl"} 1`,
-		`p4guard_fleet_switch_up{controller="ctl-agg",switch="` + addr + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet exposition missing %q:\n%s", want, out)

@@ -1,23 +1,27 @@
 // Package netsim emulates the network fabric between the controller and
 // a fleet of gateway switches: named nodes joined by point-to-point links
-// with configurable latency, loss, and bandwidth, multi-hop routing over
-// shortest paths, and deterministic (seeded) emulation.
+// with configurable latency, loss, connection resets, and bandwidth,
+// multi-hop routing over shortest paths, and deterministic (seeded)
+// emulation. It is the repo's one fault model: soak tests run the control
+// loop over a faulty link, then re-add the link clean and require the
+// rule state to converge.
 //
 // The topology is address-based so it composes with the real p4rt TCP
 // transport: a switch attaches its listen address to a node with Bind (or
 // Listen), and the controller dials through Dialer(from), which routes
-// the address to its node, aggregates the per-hop link profiles along the
-// path, and returns a connection that applies the path's latency jitter,
-// loss retransmission penalty, and serialization delay to every
-// operation. Cutting a link (SetLinkUp) resets every connection routed
-// across it, so reroute and redial behaviour is exercised exactly as a
-// fabric failure would.
+// the address to its node and returns a connection that applies the
+// path's latency jitter, resets and torn writes, loss retransmission
+// penalty, and serialization delay to every operation. Each operation
+// reads the path's link profiles as they are at that moment, so AddLink
+// on an existing link reconfigures — or heals — live connections too.
+// Cutting a link (SetLinkUp) resets every connection routed across it, so
+// reroute and redial behaviour is exercised exactly as a fabric failure
+// would.
 //
-// Determinism: every emulated connection draws its delays and losses from
-// a private RNG seeded from (topology seed, connection ordinal) via
-// faultnet.Jitter, so a connection's emulation schedule depends only on
-// the seed and its own operation sequence — the same contract the
-// fault-injection soak tests rely on.
+// Determinism: every emulated connection draws its delays, resets and
+// losses from a private RNG seeded from (topology seed, connection
+// ordinal), so a connection's emulation schedule depends only on the seed,
+// the link profiles, and its own operation sequence.
 package netsim
 
 import (
@@ -26,21 +30,20 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"p4guard/internal/faultnet"
 )
 
 // ErrNoRoute reports that no up path joins two nodes (or a node or
 // address is unknown to the topology).
 var ErrNoRoute = errors.New("netsim: no route")
 
-// ErrLinkDown marks an operation failed because a link on the
-// connection's path was cut (SetLinkUp) or the loss process tore the
-// connection down after exhausting retransmissions.
+// ErrLinkDown marks an operation failed because the connection was torn
+// down: a link on its path was cut (SetLinkUp), a reset was drawn, or the
+// loss process gave up after exhausting retransmissions.
 var ErrLinkDown = errors.New("netsim: link down")
 
 // maxRetransmits bounds consecutive per-write loss draws: each loss adds
@@ -61,6 +64,11 @@ type LinkConfig struct {
 	// Bandwidth, in bytes per second, adds a serialization delay of
 	// len/Bandwidth per write. 0 means unlimited.
 	Bandwidth int64
+	// Reset is the per-operation chance the connection is torn down (a
+	// peer RST, a switch reboot). A torn write first delivers a random
+	// strict prefix of its buffer, possibly empty, so the peer sees a
+	// truncated frame.
+	Reset float64
 }
 
 // Config tunes a Topology.
@@ -75,7 +83,7 @@ type Stats struct {
 	Dials  uint64 // connections opened through the topology
 	Delays uint64 // operations that slept (latency, serialization, or retransmit)
 	Losses uint64 // lost transmissions (each added a retransmission delay)
-	Resets uint64 // connections torn down (loss give-up or link cut)
+	Resets uint64 // connections torn down (reset, loss give-up, or link cut)
 }
 
 // edge is a canonical (sorted) undirected node pair.
@@ -89,13 +97,14 @@ func mkEdge(a, b string) edge {
 }
 
 type link struct {
-	cfg LinkConfig
-	up  bool
+	up bool // guarded by Topology.mu
 
-	// Per-link emulation counters. Every operation on a connection is
-	// attributed to each link along its path. Atomics, not t.mu: they are
-	// bumped from conn.apply on the data path where taking the topology
-	// lock would serialize all connections.
+	// The profile and the per-link emulation counters: every operation on
+	// a connection reads the profile of each link along its path and is
+	// attributed to each. Atomics, not t.mu: they are touched from
+	// conn.apply on the data path where taking the topology lock would
+	// serialize all connections.
+	cfg     atomic.Pointer[LinkConfig]
 	ops     atomic.Uint64 // operations that crossed this link
 	delayed atomic.Uint64 // operations that slept
 	losses  atomic.Uint64 // lost transmissions attributed to this link's path
@@ -186,8 +195,9 @@ func (t *Topology) AddNode(name string) {
 }
 
 // AddLink joins two nodes with a point-to-point link (registering the
-// nodes if needed). The link starts up. Re-adding an existing link
-// replaces its profile.
+// nodes if needed). The link starts up. Re-adding an existing link brings
+// it up with the new profile, which live connections across it take from
+// their next operation on; its counters carry on.
 func (t *Topology) AddLink(a, b string, cfg LinkConfig) error {
 	if a == b {
 		return fmt.Errorf("netsim: self-link on %q", a)
@@ -195,7 +205,14 @@ func (t *Topology) AddLink(a, b string, cfg LinkConfig) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nodes[a], t.nodes[b] = true, true
-	t.links[mkEdge(a, b)] = &link{cfg: cfg, up: true}
+	e := mkEdge(a, b)
+	l := t.links[e]
+	if l == nil {
+		l = &link{}
+		t.links[e] = l
+	}
+	l.up = true
+	l.cfg.Store(&cfg)
 	return nil
 }
 
@@ -261,11 +278,8 @@ func (t *Topology) SetLinkUp(a, b string, up bool) error {
 	var cut []*conn
 	if !up {
 		for c := range t.conns {
-			for _, ce := range c.edges {
-				if ce == e {
-					cut = append(cut, c)
-					break
-				}
+			if slices.Contains(c.links, l) {
+				cut = append(cut, c)
 			}
 		}
 	}
@@ -330,34 +344,38 @@ func (t *Topology) pathLocked(from, to string) ([]string, error) {
 }
 
 // PathProfile is the end-to-end emulation profile of a multi-hop path:
-// latencies sum, losses compose (1 - Π(1-pᵢ)), bandwidth is the
+// latencies sum, loss and reset compose (1 - Π(1-pᵢ)), bandwidth is the
 // narrowest hop.
 type PathProfile struct {
-	Hops                   int
-	LatencyMin, LatencyMax time.Duration
-	Loss                   float64
-	Bandwidth              int64
+	Hops int
+	LinkConfig
 }
 
-// profileLocked aggregates the link profiles along a node path.
-func (t *Topology) profileLocked(path []string) (PathProfile, []edge) {
-	var p PathProfile
-	edges := make([]edge, 0, len(path)-1)
-	survive := 1.0
-	for i := 0; i+1 < len(path); i++ {
-		e := mkEdge(path[i], path[i+1])
-		l := t.links[e]
-		edges = append(edges, e)
-		p.Hops++
-		p.LatencyMin += l.cfg.LatencyMin
-		p.LatencyMax += l.cfg.LatencyMax
-		survive *= 1 - l.cfg.Loss
-		if l.cfg.Bandwidth > 0 && (p.Bandwidth == 0 || l.cfg.Bandwidth < p.Bandwidth) {
-			p.Bandwidth = l.cfg.Bandwidth
+// profileOf aggregates the current profiles of the links along a path.
+func profileOf(links []*link) PathProfile {
+	p := PathProfile{Hops: len(links)}
+	survive, hold := 1.0, 1.0
+	for _, l := range links {
+		cfg := l.cfg.Load()
+		p.LatencyMin += cfg.LatencyMin
+		p.LatencyMax += cfg.LatencyMax
+		survive *= 1 - cfg.Loss
+		hold *= 1 - cfg.Reset
+		if cfg.Bandwidth > 0 && (p.Bandwidth == 0 || cfg.Bandwidth < p.Bandwidth) {
+			p.Bandwidth = cfg.Bandwidth
 		}
 	}
-	p.Loss = 1 - survive
-	return p, edges
+	p.Loss, p.Reset = 1-survive, 1-hold
+	return p
+}
+
+// linksLocked returns the links along a node path.
+func (t *Topology) linksLocked(path []string) []*link {
+	links := make([]*link, 0, len(path)-1)
+	for i := 0; i+1 < len(path); i++ {
+		links = append(links, t.links[mkEdge(path[i], path[i+1])])
+	}
+	return links
 }
 
 // Profile returns the aggregated emulation profile of the current route
@@ -369,16 +387,16 @@ func (t *Topology) Profile(from, to string) (PathProfile, error) {
 	if err != nil {
 		return PathProfile{}, err
 	}
-	p, _ := t.profileLocked(path)
-	return p, nil
+	return profileOf(t.linksLocked(path)), nil
 }
 
 // Dialer returns a dial function that routes every outbound connection
 // through the topology from the given node: the target address must be
 // bound to a reachable node, and the returned connection applies the
-// path's aggregate profile. base (nil means plain TCP) opens the
-// underlying transport. The signature matches p4rt.Dialer, so the result
-// plugs straight into p4rt.WithDialer / controller.WithDialer.
+// path's aggregate profile, read afresh on every operation. base (nil
+// means plain TCP) opens the underlying transport. The signature matches
+// p4rt.Dialer, so the result plugs straight into p4rt.WithDialer /
+// controller.WithDialer.
 func (t *Topology) Dialer(from string, base func(ctx context.Context, addr string) (net.Conn, error)) func(ctx context.Context, addr string) (net.Conn, error) {
 	if base == nil {
 		base = func(ctx context.Context, addr string) (net.Conn, error) {
@@ -398,11 +416,7 @@ func (t *Topology) Dialer(from string, base func(ctx context.Context, addr strin
 			t.mu.Unlock()
 			return nil, err
 		}
-		prof, edges := t.profileLocked(path)
-		pathLinks := make([]*link, len(edges))
-		for i, e := range edges {
-			pathLinks[i] = t.links[e]
-		}
+		links := t.linksLocked(path)
 		t.ordinal++
 		ord := t.ordinal
 		t.mu.Unlock()
@@ -411,7 +425,7 @@ func (t *Topology) Dialer(from string, base func(ctx context.Context, addr strin
 		if err != nil {
 			return nil, err
 		}
-		if prof.Hops == 0 {
+		if len(links) == 0 {
 			// Loopback: both endpoints on one node, nothing to emulate.
 			t.dials.Add(1)
 			return raw, nil
@@ -419,9 +433,7 @@ func (t *Topology) Dialer(from string, base func(ctx context.Context, addr strin
 		c := &conn{
 			Conn:  raw,
 			topo:  t,
-			prof:  prof,
-			edges: edges,
-			links: pathLinks,
+			links: links,
 			rng:   rand.New(rand.NewSource(t.seed*1000003 + int64(ord))),
 		}
 		t.mu.Lock()
@@ -440,22 +452,21 @@ func (t *Topology) drop(c *conn) {
 }
 
 // conn emulates one routed connection: every operation pays the path's
-// latency draw, writes additionally pay serialization and loss
-// retransmission penalties. mu serializes RNG draws so the schedule is
-// reproducible for a given per-connection operation order.
+// latency draw and may be torn down, writes additionally pay serialization
+// and loss retransmission penalties. mu serializes RNG draws so the
+// schedule is reproducible for a given per-connection operation order.
 type conn struct {
 	net.Conn
 	topo  *Topology
-	prof  PathProfile
-	edges []edge
-	links []*link // same order as edges; counter attribution targets
+	links []*link // the path's; profiles and counter attribution
 	down  atomic.Bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// cut tears the connection down because a link on its path went away.
+// cut tears the connection down: a link on its path went away, or the
+// emulation drew a reset.
 func (c *conn) cut() {
 	if c.down.CompareAndSwap(false, true) {
 		c.topo.resets.Add(1)
@@ -467,37 +478,58 @@ func (c *conn) cut() {
 	}
 }
 
-// plan draws one operation's emulation schedule under the connection
-// RNG: total sleep (latency + serialization + retransmissions) and
-// whether the loss process gave up and reset the connection.
-func (c *conn) plan(isWrite bool, n int) (sleep time.Duration, reset bool, losses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sleep = faultnet.Jitter(c.rng, c.prof.LatencyMin, c.prof.LatencyMax)
-	if !isWrite {
-		return sleep, false, 0
+// jitter draws one uniform delay in [min, max) from rng (min, without a
+// draw, when the interval is empty).
+func jitter(rng *rand.Rand, min, max time.Duration) time.Duration {
+	if max > min {
+		return min + time.Duration(rng.Int63n(int64(max-min)))
 	}
-	if c.prof.Bandwidth > 0 {
-		sleep += time.Duration(int64(n) * int64(time.Second) / c.prof.Bandwidth)
-	}
-	if c.prof.Loss > 0 {
-		for c.rng.Float64() < c.prof.Loss {
-			losses++
-			if losses > maxRetransmits {
-				return sleep, true, losses
-			}
-			// Each retransmission rides the path again.
-			sleep += faultnet.Jitter(c.rng, c.prof.LatencyMin, c.prof.LatencyMax)
-		}
-	}
-	return sleep, false, losses
+	return min
 }
 
-func (c *conn) apply(isWrite bool, n int) error {
-	if c.down.Load() {
-		return ErrLinkDown
+// plan draws one operation's emulation schedule under the connection RNG
+// from the path's current profile: total sleep (latency + serialization +
+// retransmissions), lost transmissions, and tear — the bytes of an n-byte
+// operation to let through before the connection is torn down, or -1 to
+// keep it.
+func (c *conn) plan(isWrite bool, n int) (sleep time.Duration, losses, tear int) {
+	p := profileOf(c.links)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sleep = jitter(c.rng, p.LatencyMin, p.LatencyMax)
+	if p.Reset > 0 && c.rng.Float64() < p.Reset {
+		if isWrite && n > 0 {
+			return sleep, 0, c.rng.Intn(n)
+		}
+		return sleep, 0, 0
 	}
-	sleep, reset, losses := c.plan(isWrite, n)
+	if !isWrite {
+		return sleep, 0, -1
+	}
+	if p.Bandwidth > 0 {
+		sleep += time.Duration(int64(n) * int64(time.Second) / p.Bandwidth)
+	}
+	if p.Loss > 0 {
+		for c.rng.Float64() < p.Loss {
+			losses++
+			if losses > maxRetransmits {
+				return sleep, losses, 0
+			}
+			// Each retransmission rides the path again.
+			sleep += jitter(c.rng, p.LatencyMin, p.LatencyMax)
+		}
+	}
+	return sleep, losses, -1
+}
+
+// apply runs one operation's emulation — counters, sleep — and returns
+// how many of its n bytes go through before the connection is torn down,
+// or -1 when it stays up.
+func (c *conn) apply(isWrite bool, n int) int {
+	if c.down.Load() {
+		return 0
+	}
+	sleep, losses, tear := c.plan(isWrite, n)
 	for _, l := range c.links {
 		l.ops.Add(1)
 		if sleep > 0 {
@@ -514,28 +546,31 @@ func (c *conn) apply(isWrite bool, n int) error {
 		c.topo.delays.Add(1)
 		time.Sleep(sleep)
 	}
-	if reset {
-		c.cut()
-		return ErrLinkDown
+	if tear < 0 && c.down.Load() {
+		return 0
 	}
-	if c.down.Load() {
-		return ErrLinkDown
-	}
-	return nil
+	return tear
 }
 
 func (c *conn) Read(p []byte) (int, error) {
-	if err := c.apply(false, len(p)); err != nil {
-		return 0, err
+	if c.apply(false, len(p)) >= 0 {
+		c.cut()
+		return 0, ErrLinkDown
 	}
 	return c.Conn.Read(p)
 }
 
 func (c *conn) Write(p []byte) (int, error) {
-	if err := c.apply(true, len(p)); err != nil {
-		return 0, err
+	tear := c.apply(true, len(p))
+	if tear < 0 {
+		return c.Conn.Write(p)
 	}
-	return c.Conn.Write(p)
+	n := 0
+	if tear > 0 && !c.down.Load() {
+		n, _ = c.Conn.Write(p[:tear])
+	}
+	c.cut()
+	return n, ErrLinkDown
 }
 
 func (c *conn) Close() error {

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -88,8 +90,8 @@ func TestReroutesAroundDownLinks(t *testing.T) {
 
 func TestProfileAggregatesAcrossHops(t *testing.T) {
 	topo := New(Config{Seed: 1})
-	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: 100 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 20})
-	_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: 50 * time.Microsecond, LatencyMax: 100 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 10})
+	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: 100 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 20, Reset: 0.1})
+	_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: 50 * time.Microsecond, LatencyMax: 100 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 10, Reset: 0.2})
 	p, err := topo.Profile("ctl", "gw")
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +104,9 @@ func TestProfileAggregatesAcrossHops(t *testing.T) {
 	}
 	if want := 1 - 0.9*0.9; p.Loss < want-1e-9 || p.Loss > want+1e-9 {
 		t.Fatalf("loss = %v, want %v", p.Loss, want)
+	}
+	if want := 1 - 0.9*0.8; p.Reset < want-1e-9 || p.Reset > want+1e-9 {
+		t.Fatalf("reset = %v, want %v", p.Reset, want)
 	}
 	if p.Bandwidth != 1<<10 {
 		t.Fatalf("bandwidth = %d, want narrowest hop", p.Bandwidth)
@@ -161,44 +166,60 @@ func TestDialThroughTopologyEndToEnd(t *testing.T) {
 }
 
 // pipeConn builds an emulated conn over an in-memory pipe with an
-// explicit seed, for white-box schedule probing.
-func pipeConn(seed int64, prof PathProfile) *conn {
+// explicit seed and one link per profile, for white-box schedule probing.
+func pipeConn(seed int64, cfgs ...LinkConfig) *conn {
 	a, _ := net.Pipe()
-	return &conn{Conn: a, topo: New(Config{}), prof: prof, rng: rand.New(rand.NewSource(seed))}
+	c := &conn{Conn: a, topo: New(Config{}), rng: rand.New(rand.NewSource(seed))}
+	for i := range cfgs {
+		l := &link{up: true}
+		l.cfg.Store(&cfgs[i])
+		c.links = append(c.links, l)
+	}
+	return c
 }
 
-// TestSameSeedIdenticalDelaySequence: the link emulator draws delays via
-// faultnet.Jitter from a seeded per-connection RNG — same seed, same
-// operation sequence ⇒ identical (sleep, reset, losses) schedule. This is
-// the same determinism contract internal/faultnet tests for its own
-// injector.
+// TestSameSeedIdenticalDelaySequence: the link emulator draws delays,
+// resets and tears from a seeded per-connection RNG — same seed, same
+// operation sequence ⇒ identical (sleep, losses, tear) schedule, with the
+// delays inside the path's bounds and each tear a strict prefix.
 func TestSameSeedIdenticalDelaySequence(t *testing.T) {
-	prof := PathProfile{
-		Hops:       2,
-		LatencyMin: 20 * time.Microsecond,
-		LatencyMax: 400 * time.Microsecond,
-		Loss:       0.2,
-		Bandwidth:  1 << 20,
+	hops := []LinkConfig{
+		{LatencyMin: 10 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Loss: 0.2, Reset: 0.05},
+		{LatencyMin: 10 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Bandwidth: 1 << 20},
 	}
-	ca, cb := pipeConn(42, prof), pipeConn(42, prof)
+	ca, cb := pipeConn(42, hops...), pipeConn(42, hops...)
+	prof := profileOf(ca.links)
+	tears := 0
 	for i := 0; i < 500; i++ {
 		isWrite := i%2 == 0
-		sa, ra, la := ca.plan(isWrite, 128)
-		sb, rb, lb := cb.plan(isWrite, 128)
-		if sa != sb || ra != rb || la != lb {
-			t.Fatalf("op %d diverged: (%v,%v,%d) vs (%v,%v,%d)", i, sa, ra, la, sb, rb, lb)
+		sa, la, ta := ca.plan(isWrite, 128)
+		sb, lb, tb := cb.plan(isWrite, 128)
+		if sa != sb || la != lb || ta != tb {
+			t.Fatalf("op %d diverged: (%v,%d,%d) vs (%v,%d,%d)", i, sa, la, ta, sb, lb, tb)
 		}
-		if isWrite && sa < prof.LatencyMin+time.Duration(128*int64(time.Second)/prof.Bandwidth) {
+		if ta >= 128 || (!isWrite && ta > 0) {
+			t.Fatalf("op %d tears at %d, want a strict prefix of a write", i, ta)
+		}
+		if ta >= 0 {
+			tears++
+		}
+		switch {
+		case !isWrite && (sa < prof.LatencyMin || sa >= prof.LatencyMax):
+			t.Fatalf("op %d read sleep %v outside [%v, %v)", i, sa, prof.LatencyMin, prof.LatencyMax)
+		case isWrite && ta < 0 && sa < prof.LatencyMin+time.Duration(128*int64(time.Second)/prof.Bandwidth):
 			t.Fatalf("op %d sleep %v below latency+serialization floor", i, sa)
 		}
 	}
-	cc := pipeConn(43, prof)
-	cd := pipeConn(42, prof)
+	if tears == 0 {
+		t.Fatal("Reset 0.05 tore nothing in 500 operations")
+	}
+	cc := pipeConn(43, hops...)
+	cd := pipeConn(42, hops...)
 	diverged := false
 	for i := 0; i < 500; i++ {
-		sc, rc, lc := cc.plan(true, 128)
-		sd, rd, ld := cd.plan(true, 128)
-		if sc != sd || rc != rd || lc != ld {
+		sc, lc, tc := cc.plan(true, 128)
+		sd, ld, td := cd.plan(true, 128)
+		if sc != sd || lc != ld || tc != td {
 			diverged = true
 			break
 		}
@@ -211,10 +232,10 @@ func TestSameSeedIdenticalDelaySequence(t *testing.T) {
 func TestSerializationDelayFromBandwidth(t *testing.T) {
 	// 1 MiB/s and a 1024-byte write: ~1ms of serialization with zero
 	// latency configured.
-	c := pipeConn(5, PathProfile{Hops: 1, Bandwidth: 1 << 20})
-	sleep, reset, losses := c.plan(true, 1024)
-	if reset || losses != 0 {
-		t.Fatalf("unexpected reset/losses: %v/%d", reset, losses)
+	c := pipeConn(5, LinkConfig{Bandwidth: 1 << 20})
+	sleep, losses, tear := c.plan(true, 1024)
+	if tear >= 0 || losses != 0 {
+		t.Fatalf("unexpected tear/losses: %d/%d", tear, losses)
 	}
 	want := time.Duration(1024 * int64(time.Second) / (1 << 20))
 	if sleep != want {
@@ -227,46 +248,67 @@ func TestSerializationDelayFromBandwidth(t *testing.T) {
 }
 
 // TestTotalLossResetsConnection: Loss=0.95 makes the retransmission
-// process give up almost immediately; the write must fail with
-// ErrLinkDown, the connection must be dead for subsequent ops, and the
-// reset must be counted.
+// process give up almost immediately, and Reset=1 tears the first write;
+// either way the write must fail with ErrLinkDown having delivered a
+// strict prefix of its buffer, the connection must be dead for subsequent
+// ops, and the reset must be counted. Re-adding the link clean then heals
+// a connection that was live before it.
 func TestTotalLossResetsConnection(t *testing.T) {
-	topo := New(Config{Seed: 3})
-	_ = topo.AddLink("ctl", "gw", LinkConfig{Loss: 0.95})
-	ln, err := topo.Listen("gw", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ln.Close() }()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
+	for _, cfg := range []LinkConfig{{Loss: 0.95}, {Reset: 1}} {
+		topo := New(Config{Seed: 3})
+		_ = topo.AddLink("ctl", "gw", cfg)
+		ln, err := topo.Listen("gw", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := make(chan []byte, 2)
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					b, _ := io.ReadAll(c)
+					received <- b
+				}()
 			}
-			_ = c
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		dial := topo.Dialer("ctl", nil)
+		c, err := dial(ctx, ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c, err := topo.Dialer("ctl", nil)(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var werr error
-	for i := 0; i < 100; i++ {
-		if _, werr = c.Write(make([]byte, 64)); werr != nil {
-			break
+		spare, err := dial(ctx, ln.Addr().String())
+		cancel()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !errors.Is(werr, ErrLinkDown) {
-		t.Fatalf("write err = %v, want ErrLinkDown", werr)
-	}
-	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("post-reset write err = %v, want ErrLinkDown", err)
-	}
-	if st := topo.Stats(); st.Resets == 0 || st.Losses == 0 {
-		t.Fatalf("stats = %+v, want resets and losses", st)
+		var n, sent int
+		var werr error
+		for i := 0; i < 100 && werr == nil; i++ {
+			n, werr = c.Write(bytes.Repeat([]byte{0xAB}, 64))
+			sent += n
+		}
+		if !errors.Is(werr, ErrLinkDown) || n >= 64 {
+			t.Fatalf("%+v: write = %d, %v; want a strict prefix and ErrLinkDown", cfg, n, werr)
+		}
+		if got := <-received; len(got) != sent {
+			t.Fatalf("%+v: peer got %d bytes, the writer reported %d", cfg, len(got), sent)
+		}
+		if _, err := c.Write([]byte("x")); !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("%+v: post-reset write err = %v, want ErrLinkDown", cfg, err)
+		}
+		if st := topo.Stats(); st.Resets != 1 || (cfg.Loss > 0 && st.Losses == 0) {
+			t.Fatalf("%+v: stats = %+v, want one reset and, on loss, losses", cfg, st)
+		}
+		_ = topo.AddLink("ctl", "gw", LinkConfig{})
+		if _, err := spare.Write([]byte("healed")); err != nil {
+			t.Fatalf("%+v: live connection after a clean re-add: %v", cfg, err)
+		}
+		_ = spare.Close()
+		_ = ln.Close()
 	}
 }
 
@@ -321,9 +363,9 @@ func TestSetLinkDownResetsRoutedConns(t *testing.T) {
 }
 
 // TestLinkStatsAttribution: per-link counters attribute every operation
-// to each link on the connection's path, losses land on lossy links, and
-// cutting a link counts a reset on every link the dead connection
-// crossed.
+// to each link on the connection's path, losses land on lossy links,
+// re-adding a link loses none of its counts, and cutting a link counts a
+// reset on every link the dead connection crossed.
 func TestLinkStatsAttribution(t *testing.T) {
 	topo := New(Config{Seed: 7})
 	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: time.Microsecond, LatencyMax: 5 * time.Microsecond})
@@ -357,11 +399,21 @@ func TestLinkStatsAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
+	// Re-adding the lossy link clean in the middle of the traffic keeps
+	// its counters, and the live connection stops losing from then on.
 	const writes = 50
+	var lost uint64
 	for i := 0; i < writes; i++ {
+		if i == writes/2 {
+			lost = topo.Stats().Losses
+			_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: time.Microsecond, LatencyMax: 5 * time.Microsecond})
+		}
 		if _, err := c.Write(make([]byte, 8)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if lost == 0 || topo.Stats().Losses != lost {
+		t.Fatalf("losses %d before the clean re-add, %d after; want some, then no more", lost, topo.Stats().Losses)
 	}
 
 	stats := topo.LinkStats()

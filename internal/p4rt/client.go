@@ -40,8 +40,8 @@ const DialTimeout = 5 * time.Second
 // WithRPCTimeout option supplies a deadline.
 const DefaultRPCTimeout = 5 * time.Second
 
-// Dialer opens the transport connection; tests substitute fault-injecting
-// implementations (internal/faultnet).
+// Dialer opens the transport connection; tests substitute an emulated
+// fabric's (internal/netsim).
 type Dialer func(ctx context.Context, addr string) (net.Conn, error)
 
 // ClientOption customizes DialContext.
@@ -342,24 +342,6 @@ func (c *Client) WriteEntry(ctx context.Context, e WireEntry) (Response, error) 
 // Zero IDs make it identical to WriteEntry.
 func (c *Client) WriteEntryTraced(ctx context.Context, e WireEntry, traceID, spanID uint64) (Response, error) {
 	return c.call(ctx, TypeWrite, Write{Entry: e, TraceID: traceID, SpanID: spanID})
-}
-
-// Counters reads the detector table counters.
-func (c *Client) Counters(ctx context.Context) (Response, error) {
-	return c.call(ctx, TypeCounters, struct{}{})
-}
-
-// SwitchStats reads the switch's full data-plane stats snapshot (the
-// fleet aggregation scrape).
-func (c *Client) SwitchStats(ctx context.Context) (WireSwitchStats, error) {
-	resp, err := c.call(ctx, TypeStats, struct{}{})
-	if err != nil {
-		return WireSwitchStats{}, err
-	}
-	if resp.Switch == nil {
-		return WireSwitchStats{}, &RejectError{Op: TypeStats, Reason: "response carries no switch_stats"}
-	}
-	return *resp.Switch, nil
 }
 
 // Heartbeat checks liveness.

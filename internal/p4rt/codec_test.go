@@ -405,10 +405,10 @@ func TestFramingMatchesEncodingJSON(t *testing.T) {
 		{TypeWrite, write, writeHead, row},
 		{TypeDelta, delta, deltaHead, row},
 		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}, nil, nil},
-		{TypeResponse, Response{Error: "unknown message type \"x\"", Switch: &WireSwitchStats{Name: "gw"}}, nil, nil},
+		{TypeResponse, Response{Error: "unknown message type \"x\"", Installed: 3}, nil, nil},
 		{TypeHeartbeat, struct{}{}, nil, nil},
-		{TypeCounters, nil, nil, nil},
-		{TypeStats, json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`), nil, nil},
+		{"counters", nil, nil, nil},
+		{"stats", json.RawMessage(`{"future":[1,2,{"k":"}]"}]}`), nil, nil},
 		{"", "scalar body", nil, nil},
 		{"x_future-type.1", 12.5, nil, nil},
 	}

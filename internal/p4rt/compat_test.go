@@ -1,13 +1,11 @@
 package p4rt
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // injectUnknownFields adds n random unknown keys to a JSON object.
@@ -107,25 +105,5 @@ func TestUnknownWireFieldsTolerated(t *testing.T) {
 		if gotE.Type != TypeWrite || gotE.ID != uint64(round) {
 			t.Fatalf("round %d: envelope = %+v", round, gotE)
 		}
-	}
-}
-
-// TestStatsRPCOverWire: the stats RPC returns the switch's data-plane
-// snapshot with name and node populated, and the digest queue invariant
-// Offered == Drained + Dropped + Depth holds in the scraped view.
-func TestStatsRPCOverWire(t *testing.T) {
-	_, _, cl := startPair(t, nil)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	st, err := cl.SwitchStats(ctx)
-	if err != nil {
-		t.Fatalf("SwitchStats: %v", err)
-	}
-	if st.Name != "gw-test" {
-		t.Fatalf("scraped stats name = %q, want gw-test", st.Name)
-	}
-	if st.DigestOffered != st.DigestDrained+st.DigestDropped+uint64(st.DigestDepth) {
-		t.Fatalf("digest queue invariant violated in scrape: %+v", st)
 	}
 }

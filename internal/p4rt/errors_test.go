@@ -128,6 +128,17 @@ func TestRejectedIsTyped(t *testing.T) {
 	if err := cl.Heartbeat(context.Background()); err != nil {
 		t.Fatalf("connection dead after rejection: %v", err)
 	}
+	// A peer that still asks for the counter and stats reads this protocol
+	// dropped gets the same typed refusal, and keeps its connection.
+	for _, typ := range []MsgType{"counters", "stats"} {
+		_, err := cl.call(context.Background(), typ, struct{}{})
+		if !errors.As(err, &rej) || rej.Op != typ {
+			t.Fatalf("%s: err = %v, want a *RejectError", typ, err)
+		}
+		if err := cl.Heartbeat(context.Background()); err != nil {
+			t.Fatalf("connection dead after refusing %s: %v", typ, err)
+		}
+	}
 }
 
 func TestOversizedIsTypedAndNonFatal(t *testing.T) {

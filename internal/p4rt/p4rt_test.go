@@ -125,7 +125,7 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
-func TestProgramAndCountersOverWire(t *testing.T) {
+func TestProgramOverWire(t *testing.T) {
 	sw, _, cl := startPair(t, nil)
 
 	rs := rules.NewRuleSet([]int{0}, 0)
@@ -150,12 +150,8 @@ func TestProgramAndCountersOverWire(t *testing.T) {
 		t.Fatal("benign packet dropped after remote program")
 	}
 
-	counters, err := cl.Counters(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counters.Hits != 1 || counters.Misses != 1 {
-		t.Fatalf("counters = %+v", counters)
+	if st := sw.DetectorStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("detector stats = %+v", st)
 	}
 }
 

@@ -29,8 +29,6 @@ type Server struct {
 	programs      atomic.Uint64
 	deltas        atomic.Uint64
 	writes        atomic.Uint64
-	counterReads  atomic.Uint64
-	statsReads    atomic.Uint64
 	digestBatches atomic.Uint64
 	digestPackets atomic.Uint64
 
@@ -63,8 +61,8 @@ func Serve(addr string, sw *switchsim.Switch, digestInterval time.Duration, opts
 	return ServeListener(ln, sw, digestInterval, opts...)
 }
 
-// ServeListener serves the agent on an already-bound listener; tests wrap
-// it with fault injection (internal/faultnet) before handing it over.
+// ServeListener serves the agent on an already-bound listener, such as one
+// a netsim topology bound to a node.
 func ServeListener(ln net.Listener, sw *switchsim.Switch, digestInterval time.Duration, opts ...ServerOption) (*Server, error) {
 	if digestInterval <= 0 {
 		digestInterval = 10 * time.Millisecond
@@ -104,8 +102,6 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 		{"program", &s.programs},
 		{"delta", &s.deltas},
 		{"write", &s.writes},
-		{"counters", &s.counterReads},
-		{"stats", &s.statsReads},
 	}
 	for _, r := range reqs {
 		c := r.c
@@ -219,12 +215,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		case TypeWrite:
 			s.writes.Add(1)
 			resp = s.applyWrite(env)
-		case TypeCounters:
-			s.counterReads.Add(1)
-			resp = s.readCounters()
-		case TypeStats:
-			s.statsReads.Add(1)
-			resp = s.readSwitchStats()
 		case TypeHeartbeat:
 			resp = Response{OK: true}
 		default:
@@ -335,36 +325,6 @@ func answer(traceID, spanID uint64, installed int, err error) Response {
 		return Response{Error: err.Error(), TraceID: traceID, SpanID: spanID}
 	}
 	return Response{OK: true, Installed: installed, TraceID: traceID, SpanID: spanID}
-}
-
-func (s *Server) readCounters() Response {
-	st := s.sw.DetectorStats()
-	return Response{OK: true, Entries: st.Entries, Hits: st.Hits, Misses: st.Misses}
-}
-
-// readSwitchStats snapshots the switch's data-plane state for the fleet
-// aggregation scrape.
-func (s *Server) readSwitchStats() Response {
-	run, dq, det := s.sw.WireStats()
-	return Response{OK: true, Switch: &WireSwitchStats{
-		Name:        s.sw.Name,
-		Node:        s.sw.Node(),
-		Packets:     int64(run.Packets),
-		Allowed:     int64(run.Allowed),
-		Dropped:     int64(run.Dropped),
-		Digested:    int64(run.Digested),
-		ParseFailed: int64(run.ParseFailed),
-		RateDropped: int64(run.RateDropped),
-
-		DigestDepth:   dq.Depth,
-		DigestOffered: dq.Offered,
-		DigestDrained: dq.Drained,
-		DigestDropped: dq.Dropped,
-
-		TableEntries: det.Entries,
-		TableHits:    det.Hits,
-		TableMisses:  det.Misses,
-	}}
 }
 
 // digestPump periodically drains switch digests to all connected

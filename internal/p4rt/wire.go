@@ -1,6 +1,6 @@
 // Package p4rt is a P4Runtime-like control protocol between controller and
-// switch: length-prefixed frames over TCP carrying table programming,
-// counter reads, and asynchronous digest (packet-in) notifications. A frame
+// switch: length-prefixed frames over TCP carrying table programming and
+// asynchronous digest (packet-in) notifications. A frame
 // is a JSON envelope; the three bodies that carry table rows — program,
 // delta, write — keep their JSON head there and trail the envelope with the
 // rows as one packed fixed-width section (codec.go). It substitutes for the
@@ -37,11 +37,9 @@ const (
 	TypeHelloAck  MsgType = "hello_ack"
 	TypeProgram   MsgType = "program"
 	TypeWrite     MsgType = "write"
-	TypeCounters  MsgType = "counters"
 	TypeResponse  MsgType = "response"
 	TypeDigest    MsgType = "digest"
 	TypeHeartbeat MsgType = "heartbeat"
-	TypeStats     MsgType = "stats"
 	TypeDelta     MsgType = "delta"
 )
 
@@ -145,41 +143,15 @@ type Write struct {
 	SpanID  uint64    `json:"span_id,omitempty"`
 }
 
-// WireSwitchStats is the stats-RPC payload: one switch's data-plane run
-// stats, digest queue accounting, and detector table counters.
-type WireSwitchStats struct {
-	Name        string `json:"name"`
-	Node        string `json:"node,omitempty"`
-	Packets     int64  `json:"packets"`
-	Allowed     int64  `json:"allowed"`
-	Dropped     int64  `json:"dropped"`
-	Digested    int64  `json:"digested"`
-	ParseFailed int64  `json:"parse_failed"`
-	RateDropped int64  `json:"rate_dropped"`
-
-	DigestDepth   int    `json:"digest_depth"`
-	DigestOffered uint64 `json:"digest_offered"`
-	DigestDrained uint64 `json:"digest_drained"`
-	DigestDropped uint64 `json:"digest_dropped"`
-
-	TableEntries int    `json:"table_entries"`
-	TableHits    uint64 `json:"table_hits"`
-	TableMisses  uint64 `json:"table_misses"`
-}
-
-// Response answers Program/Write/Counters/Stats requests. TraceID/SpanID
+// Response answers Program/Delta/Write/Heartbeat requests. TraceID/SpanID
 // echo the request's trace context so the caller can stitch the ack into
-// the trace; Switch is set only on stats responses.
+// the trace.
 type Response struct {
-	OK        bool             `json:"ok"`
-	Error     string           `json:"error,omitempty"`
-	Installed int              `json:"installed,omitempty"`
-	Entries   int              `json:"entries,omitempty"`
-	Hits      uint64           `json:"hits,omitempty"`
-	Misses    uint64           `json:"misses,omitempty"`
-	TraceID   uint64           `json:"trace_id,omitempty"`
-	SpanID    uint64           `json:"span_id,omitempty"`
-	Switch    *WireSwitchStats `json:"switch_stats,omitempty"`
+	OK        bool   `json:"ok"`
+	Error     string `json:"error,omitempty"`
+	Installed int    `json:"installed,omitempty"`
+	TraceID   uint64 `json:"trace_id,omitempty"`
+	SpanID    uint64 `json:"span_id,omitempty"`
 }
 
 // DigestMsg pushes packet samples switch→controller.

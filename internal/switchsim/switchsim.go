@@ -191,12 +191,6 @@ func (s *Switch) SetTracer(tr *dtrace.Tracer) { s.tracer.Store(tr) }
 // tracer makes every span call inert.
 func (s *Switch) Tracer() *dtrace.Tracer { return s.tracer.Load() }
 
-// WireStats snapshots everything the stats RPC reports: run stats,
-// digest queue accounting, and detector table counters, in one call.
-func (s *Switch) WireStats() (RunStats, p4.DigestQueueStats, p4.Stats) {
-	return s.Stats(), s.DigestQueueStats(), s.DetectorStats()
-}
-
 // Link returns the switch's link type.
 func (s *Switch) Link() packet.LinkType { return s.link }
 

@@ -3,8 +3,8 @@
 #   gofmt, doc symbols (every Go name the documents quote, and every test
 #   the gates below name, exists), go vet,
 #   go build, go test -race ./..., perfbench's own vet + tests,
-#   fault-injection soak, fleet soak (its traces read back from journal
-#   files), hot-path benchmarks (`make bench`: the list lives in the
+#   fleet soak (netsim faults; its traces read back from journal files),
+#   hot-path benchmarks (`make bench`: the list lives in the
 #   Makefile), drift soak, telemetry overhead guard,
 #   zero-alloc forwarding gate (with the stored-row footprint and the
 #   full-swap and deploy allocation gates), million-entry sublinearity guard.
@@ -86,38 +86,32 @@ echo "==> benchmark module (perfbench: vet + its own tests)"
     go test ./...
 )
 
-echo "==> fault-injection soak (seeded, race-enabled)"
-# The control plane must fight through a reproducible storm of connection
-# resets, torn frames, and injected latency (internal/faultnet, fixed
-# seed) and still converge the switch to the exact desired rule set with
-# no goroutine leaks. Repeated runs catch interleavings a single pass
-# misses; the seed keeps every run's fault schedule identical.
+echo "==> fleet soak (seeded netsim faults and lossy links, race-enabled)"
+# The control plane over the one fault model, internal/netsim, fixed seeds
+# throughout. A single link of resets, torn frames and injected latency:
+# the controller must fight through it and, once the link is re-added
+# clean, converge the switch to the exact desired rule set with no
+# goroutine leaks. Five gateways behind lossy links, three killed and
+# restarted mid-run: the sharding controller must reconverge every switch
+# to a byte-identical per-shard rule set, keep the digest fan-in invariant
+# Offered == Drained + Dropped + Depth per switch and fleet-wide, and leak
+# no goroutines. The netsim tests pin the emulation itself: same seed,
+# same delays, resets and tears; a torn write delivers a strict prefix; a
+# clean re-add heals live connections and keeps the link's counters.
+# TestFleetTraceExportWellFormed asserts every distributed trace is
+# well-formed — no orphan spans, monotonic per-process timestamps,
+# per-stage durations summing to each trace's end-to-end duration — in
+# memory and after each process's spans round-trip through its own
+# journal file. The delta soak pins incremental reprogramming: a
+# delta-only deploy across a sharded fleet must converge every switch
+# byte-identical to a full-swap reference fleet, a peer of another
+# protocol version must be refused at dial on either side while the
+# supervisor backs off, and compressed+delta deploys must stay
+# verdict-equivalent to the uncompressed rule set. Repeated runs catch
+# interleavings a single pass misses.
 go test -race -count "${CI_SOAK_COUNT:-3}" \
-    -run 'TestFaultInjectionSoak|TestReconnectConvergesAfterSwitchRestart|TestCloseUnblocksPendingCalls|TestDeterministicSchedule' \
-    ./internal/controller/ ./internal/p4rt/ ./internal/faultnet/
-
-echo "==> fleet soak (sharded fabric, seeded lossy links, race-enabled)"
-# The fabric gate: five gateways behind seeded lossy netsim links, three
-# killed and restarted mid-run — the sharding controller must reconverge
-# every switch to a byte-identical per-shard rule set (PR-5 reconciler),
-# keep the digest fan-in invariant Offered == Drained + Dropped + Depth
-# per switch and fleet-wide, and leak no goroutines. The determinism
-# tests pin the emulation schedule itself: same seed, same delays.
-# TestFleetTraceExportWellFormed additionally asserts every distributed
-# trace is well-formed — no orphan spans, monotonic per-process
-# timestamps, per-stage durations summing to each trace's end-to-end
-# duration — both in memory and after each process's spans round-trip
-# through its own journal file, as the daemons export them on exit. The
-# delta soak pins the incremental
-# reprogramming path: a delta-only deploy across a sharded fleet must
-# converge every switch byte-identical to a full-swap reference fleet
-# (reactive entries surviving in place), a peer of another protocol
-# version must be refused at dial on either side while the supervisor
-# backs off, and compressed+delta deploys must stay verdict-equivalent to
-# the uncompressed rule set.
-go test -race -count "${CI_FLEET_COUNT:-2}" \
-    -run 'TestFleetShardedConvergenceUnderLossyNetsim|TestDigestFanInBoundedBackpressure|TestFleetTraceExportWellFormed|TestLinkStatsAttribution|TestSameSeedIdenticalDelaySequence|TestJitterDeterministicSequence|TestLatencyInjectionDeterministic|TestDeltaDeployConvergesIdenticalToFullSwap|TestHelloVersionMismatchIsTyped|TestCompressedDeltaDeployEquivalence' \
-    ./internal/controller/ ./internal/netsim/ ./internal/faultnet/
+    -run 'TestFaultInjectionSoak|TestReconnectConvergesAfterSwitchRestart|TestRefusedReactiveRowLeavesTheLog|TestCloseUnblocksPendingCalls|TestRejectedIsTyped|TestFleetShardedConvergenceUnderLossyNetsim|TestDigestFanInBoundedBackpressure|TestFleetTraceExportWellFormed|TestLinkStatsAttribution|TestSameSeedIdenticalDelaySequence|TestTotalLossResetsConnection|TestDeltaDeployConvergesIdenticalToFullSwap|TestHelloVersionMismatchIsTyped|TestCompressedDeltaDeployEquivalence' \
+    ./internal/controller/ ./internal/p4rt/ ./internal/netsim/
 
 echo "==> hot-path benchmarks"
 # The list is the Makefile's bench target (one copy); CI_BENCHTIME reaches
