@@ -4,11 +4,12 @@
 // a slow path, and can reactively install exact-match drop entries for
 // attacks the rules missed.
 //
-// The controller keeps a compiled mirror of each deployed rule shard
-// (the same internal/match engine the switch tables run), so it can
-// predict a given switch's verdict for any digested packet: reactive
-// installs are suppressed when that switch's deployed shard already drops
-// the key, keeping controller and switch provably in agreement.
+// A reactive controller keeps a mirror of each deployed rule shard — an
+// index over the rows of the shard's desired program, built by the same
+// internal/match engine the switch tables run — so it can predict a given
+// switch's verdict for any digested packet: reactive installs are
+// suppressed when that switch's deployed shard already drops the key,
+// keeping controller and switch provably in agreement.
 //
 // # Fleet sharding
 //
@@ -269,6 +270,8 @@ type desired struct {
 	valid  bool
 	epoch  uint64
 	shards []p4rt.Program
+	// index[i] mirrors shards[i]: row id r is Entries[r]. Nil unless Reactive.
+	index []*match.KeyIndex
 	// deltas[i], when non-nil, is the incremental edit that advances a
 	// switch holding shard i's epoch-1 program to this epoch without a
 	// full table swap (and without wiping its reactive entries). Only
@@ -327,7 +330,6 @@ type Controller struct {
 	fleet   []*swConn // join order, for status and deterministic iteration
 	joined  int       // lifetime joins, drives auto shard assignment
 	desired desired
-	mirrors []*match.Compiled // per-shard compiled mirrors of last deploy
 	stats   Stats
 	closed  bool
 
@@ -718,6 +720,24 @@ func (d desired) shardProgram(shard int) p4rt.Program {
 	return d.shards[shard%len(d.shards)]
 }
 
+// drops reports whether the shard's desired program drops the packet: its
+// mirror finds the packet's key on a row whose class the data plane drops.
+// The key is gathered on the stack, as the switch gathers it.
+func (d *desired) drops(shard int, pkt *packet.Packet) bool {
+	if len(d.index) == 0 {
+		return false
+	}
+	i := shard % len(d.index)
+	prog := &d.shards[i]
+	var kb [64]byte
+	key := kb[:0]
+	for _, off := range prog.Offsets {
+		key = append(key, pkt.ByteAt(off))
+	}
+	row, ok := d.index[i].Find(key)
+	return ok && rules.ActionForClass(prog.Entries[row].Class) == rules.ActionDrop
+}
+
 // shardDelta picks the shard's incremental edit from epoch-1 to this
 // epoch, nil when only a full swap can converge the switch.
 func (d desired) shardDelta(shard int) *p4rt.DeltaMsg {
@@ -1005,16 +1025,14 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 	default:
 		c.stats.SlowPathAttacks++
 		if c.cfg.Reactive {
-			// The deployment mirror runs the same compiled engine as the
-			// switch table — this switch's shard of it. When the shard
+			// The deployment mirror runs the same engine as the switch
+			// table over this switch's shard program. When the shard
 			// already drops this packet the digest is stale (raced a
 			// deploy) and an exact-match entry would only waste TCAM.
-			if ms := c.mirrors; len(ms) > 0 {
-				if mc, matched := ms[sc.shard%len(ms)].Classify(pkt); matched && rules.ActionForClass(mc) == rules.ActionDrop {
-					c.stats.MirrorSuppressed++
-					decision = "suppressed"
-					break
-				}
+			if c.desired.drops(sc.shard, pkt) {
+				c.stats.MirrorSuppressed++
+				decision = "suppressed"
+				break
 			}
 			key = rules.ExtractKey(pkt, c.model.MatchOffsets())
 			if _, dup := sc.seen[string(key)]; dup {
@@ -1153,29 +1171,36 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 		c.bumpStat(func(s *Stats) { s.CompressedRules += cstats.Removed() })
 	}
 	missAction := dc.miss
-	// Compile every shard first: a rule set the unified matcher rejects
-	// must never reach a switch, and the compiled mirrors are what the
-	// reactive path consults for per-switch deployed coverage. The wire
-	// program wraps the rows the mirror was compiled from, and a one-shard
-	// plan is rs itself: neither keeps a reference into rs (the rows are
-	// the compile's own, the program copies the offsets).
+	// Build every shard first: a rule set the matcher or the wire rejects
+	// must never reach a switch. A one-shard plan is rs itself, and the
+	// program keeps no reference into it (its rows are the compile's own,
+	// the offsets are copied). Each shard's mirror indexes the program's
+	// rows, so the controller holds no second copy of them; only reactive
+	// installs consult a mirror, so a controller without them builds none.
 	shardSets := []*rules.RuleSet{rs}
 	if c.shardCount() > 1 {
 		shardSets = PlanShards(rs, c.shardCount(), c.cfg.Policy)
 	}
-	mirrors := make([]*match.Compiled, len(shardSets))
 	progs := make([]p4rt.Program, len(shardSets))
+	var index []*match.KeyIndex
+	if c.cfg.Reactive {
+		index = make([]*match.KeyIndex, len(shardSets))
+	}
 	total := 0
 	for i, srs := range shardSets {
-		m, err := match.Compile(srs)
+		prog, err := p4rt.ProgramFromRuleSet(srs, missAction)
+		if err == nil && index != nil {
+			// Dense rows for the compile's two in-order passes, as p4.buildRangeIndex gathers.
+			rows := make([]match.RangeRow, len(prog.Entries))
+			for r := range prog.Entries {
+				rows[r] = match.RangeRow{Lo: prog.Entries[r].Lo, Hi: prog.Entries[r].Hi}
+			}
+			index[i], err = match.CompileRanges(len(prog.Offsets), rows)
+		}
 		if err != nil {
 			return fmt.Errorf("controller: shard %d: %w", i, err)
 		}
-		mirrors[i] = m
-		if progs[i], err = p4rt.ProgramFromEntries(srs.Offsets, m.RangeEntries(), missAction); err != nil {
-			return fmt.Errorf("controller: shard %d: %w", i, err)
-		}
-		total += len(progs[i].Entries)
+		progs[i], total = prog, total+len(prog.Entries)
 	}
 	// One deploy trace spans the whole call; its context is stamped onto
 	// every shard program so each switch's program_apply span — including
@@ -1229,11 +1254,11 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 	c.desired.valid = true
 	c.desired.epoch++
 	c.desired.shards = progs
+	c.desired.index = index
 	c.desired.deltas = deltas
 	c.desired.at = time.Now()
 	epoch := c.desired.epoch
 	conns := append([]*swConn(nil), c.fleet...)
-	c.mirrors = mirrors
 	c.mu.Unlock()
 	if len(conns) == 0 {
 		return fmt.Errorf("controller: no connected switches")

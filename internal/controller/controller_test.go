@@ -199,6 +199,71 @@ func TestReactiveInstallBlocksRepeat(t *testing.T) {
 	waitFor(t, func() bool { return c.Stats().ReactiveInstalls >= 2 })
 }
 
+// TestMirrorSuppressesWhatTheShardDrops: a digest for a key the switch's
+// deployed shard drops is stale — here the switch was reprogrammed behind
+// the controller's back — and the mirror counts it suppressed and installs
+// nothing, while an attack on a key the shard does not drop is installed.
+// A dead rule ahead of the dropping one pins that the rows the mirror finds
+// and the classes it reads are one list; a delta deploy that adds the
+// dropping rule must move the mirror as a full one does.
+func TestMirrorSuppressesWhatTheShardDrops(t *testing.T) {
+	point := func(prio, class int, b0, b1 byte) rules.Rule {
+		return rules.Rule{Priority: prio, Class: class, Preds: []rules.BytePredicate{
+			{Offset: 0, Lo: b0, Hi: b0}, {Offset: 1, Lo: b1, Hi: b1}}}
+	}
+	dead := rules.Rule{Priority: 20, Class: 0, Preds: []rules.BytePredicate{
+		{Offset: 0, Lo: 10, Hi: 20}, {Offset: 0, Lo: 30, Hi: 40}}}
+	drop := point(10, 1, 200, 7)
+	benign := []rules.Rule{point(5, 0, 1, 1), point(4, 0, 2, 2)}
+	ruleSet := func(rs ...rules.Rule) *rules.RuleSet {
+		set := rules.NewRuleSet([]int{0, 1}, 0)
+		for _, r := range rs {
+			set.Add(r)
+		}
+		return set
+	}
+	for _, tc := range []struct {
+		name    string
+		deploys []*rules.RuleSet // the first in full, the rest as deltas
+	}{
+		{"plain drop row", []*rules.RuleSet{ruleSet(drop)}},
+		{"dead rule ahead", []*rules.RuleSet{ruleSet(dead, drop)}},
+		{"delta adds the drop row", []*rules.RuleSet{ruleSet(benign...), ruleSet(append(benign, drop)...)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, addr := startSwitch(t)
+			c := New(fakeModel{}, Config{Reactive: true})
+			t.Cleanup(func() { _ = c.Close() })
+			if err := c.Connect(context.Background(), addr); err != nil {
+				t.Fatal(err)
+			}
+			for i, rs := range tc.deploys {
+				var opts []DeployOption
+				if i > 0 {
+					opts = append(opts, WithDeltaOnly())
+				}
+				if err := c.Deploy(context.Background(), rs, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := c.Stats().DeltaApplies, len(tc.deploys)-1; got != want {
+				t.Fatalf("%d delta applies, want %d", got, want)
+			}
+			if _, err := sw.InstallRuleSet(ruleSet(), p4.Action{Type: p4.ActionDigest}); err != nil {
+				t.Fatal(err)
+			}
+			sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{200, 7}})
+			sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{201, 7}})
+			waitFor(t, func() bool { return c.Stats().DigestsProcessed >= 2 && c.Stats().ReactiveInstalls >= 1 })
+			st, log := c.Stats(), c.reactiveLog(addr)
+			if st.MirrorSuppressed != 1 || st.ReactiveInstalls != 1 || len(log) != 1 || log[0].Lo[0] != 201 {
+				t.Fatalf("suppressed %d, installed %d, reactive log %v; want the drop row's key suppressed and the other installed",
+					st.MirrorSuppressed, st.ReactiveInstalls, log)
+			}
+		})
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	_, addr := startSwitch(t)
 	c := New(fakeModel{}, Config{})

@@ -73,32 +73,70 @@ type KeyIndex struct {
 	// number of bits.
 	rangeID []int32
 	nRange  int
-	// slots holds the point rows: open addressing, linear probing, at
-	// most half full; nil when no row is a point. The array is shared
-	// with the generations Edit derives from this one by adding rows,
-	// which fill slots this one reads as empty (see findPoint). nPoints
-	// counts the slots this generation reads as filled.
-	slots   []ptSlot
+	// pointHash holds the point rows; its arrays are nil when no row is a
+	// point. They are shared with the generations Edit derives from this
+	// one by adding rows, which fill slots this one reads as empty (see
+	// findPoint). nPoints counts the slots this generation reads as filled.
+	pointHash
 	nPoints int
 	// shadowed lists the packed keys of the point rows compiled behind
 	// another row on their key, which the hash does not hold.
 	shadowed [][2]uint64
 }
 
-// ptSlot is one hash slot: the packed point key, the number of range
-// rows ahead of the point, and its row id + 1 (0 marks an empty slot).
-// Once a reader can have the array a slot is written once, by fill, and
-// never again.
-type ptSlot struct {
-	k0, k1 uint64
-	id1    atomic.Uint32
-	above  uint32
+// pointHash is open addressing with linear probing, at most half full.
+// Slot i's second key word is hi[i], kept beside the slots only for keys
+// wider than 8 bytes: for narrower ones it is 0 on every key and hi is nil.
+type pointHash struct {
+	slots []ptSlot
+	hi    []uint64
 }
 
-// fill writes an empty slot: the id last, so that whoever loads it finds
+// ptSlot is one hash slot: the packed key's first word, the number of
+// range rows ahead of the point, and its row id + 1 (0 marks an empty
+// slot). Once a reader can have the array a slot is written once, by
+// fill, and never again.
+type ptSlot struct {
+	k0    uint64
+	id1   atomic.Uint32
+	above uint32
+}
+
+// newPointHash sizes an empty hash for n points of width-byte keys: a
+// power of two, at most half full.
+func newPointHash(n, width int) pointHash {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	h := pointHash{slots: make([]ptSlot, size)}
+	if width > 8 {
+		h.hi = make([]uint64, size)
+	}
+	return h
+}
+
+// holds reports whether slot i, filled, holds the key.
+func (h pointHash) holds(i uint32, k0, k1 uint64) bool {
+	return h.slots[i].k0 == k0 && (h.hi == nil || h.hi[i] == k1)
+}
+
+// key returns slot i's packed key.
+func (h pointHash) key(i uint32) (k0, k1 uint64) {
+	if h.hi != nil {
+		k1 = h.hi[i]
+	}
+	return h.slots[i].k0, k1
+}
+
+// fill writes empty slot i: the id last, so that whoever loads it finds
 // the rest written.
-func (s *ptSlot) fill(k0, k1 uint64, id1, above uint32) {
-	s.k0, s.k1, s.above = k0, k1, above
+func (h pointHash) fill(i uint32, k0, k1 uint64, id1, above uint32) {
+	s := &h.slots[i]
+	s.k0, s.above = k0, above
+	if h.hi != nil {
+		h.hi[i] = k1
+	}
 	s.id1.Store(id1)
 }
 
@@ -144,25 +182,14 @@ func isPoint(width int, row RangeRow) bool {
 	return width > 0 && width <= PackedKeyMax && bytes.Equal(row.Lo, row.Hi)
 }
 
-// newSlots sizes an empty hash for n points: a power of two, at most
-// half full.
-func newSlots(n int) []ptSlot {
-	size := 8
-	for size < 2*n {
-		size <<= 1
-	}
-	return make([]ptSlot, size)
-}
-
 // probe returns the slot holding the key, or the empty slot where it
 // belongs. It is the writer's walk: it reads every filled slot, whatever
 // generation filled it, so only the goroutine that fills slots calls it.
-func probe(slots []ptSlot, k0, k1 uint64) *ptSlot {
-	mask := uint32(len(slots) - 1)
+func (h pointHash) probe(k0, k1 uint64) uint32 {
+	mask := uint32(len(h.slots) - 1)
 	for i := HashPacked(k0, k1) & mask; ; i = (i + 1) & mask {
-		s := &slots[i]
-		if s.id1.Load() == 0 || (s.k0 == k0 && s.k1 == k1) {
-			return s
+		if h.slots[i].id1.Load() == 0 || h.holds(i, k0, k1) {
+			return i
 		}
 	}
 }
@@ -176,16 +203,15 @@ func probe(slots []ptSlot, k0, k1 uint64) *ptSlot {
 // filled before it, and its probe chains end where they ended then.
 func (ix *KeyIndex) findPoint(key []byte) (id int32, above uint32) {
 	k0, k1 := PackKey(key)
-	slots, n := ix.slots, uint32(ix.nRows)
-	mask := uint32(len(slots) - 1)
+	h, n := ix.pointHash, uint32(ix.nRows)
+	mask := uint32(len(h.slots) - 1)
 	for i := HashPacked(k0, k1) & mask; ; i = (i + 1) & mask {
-		s := &slots[i]
-		id1 := s.id1.Load()
+		id1 := h.slots[i].id1.Load()
 		if id1-1 >= n { // empty (0 wraps), or filled after this generation
 			return -1, 0
 		}
-		if s.k0 == k0 && s.k1 == k1 {
-			return int32(id1 - 1), s.above
+		if h.holds(i, k0, k1) {
+			return int32(id1 - 1), h.slots[i].above
 		}
 	}
 }
@@ -226,15 +252,15 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 		nRange:  nRange,
 	}
 	if nPoints > 0 {
-		ix.slots = newSlots(nPoints)
+		ix.pointHash = newPointHash(nPoints, width)
 		ix.rangeID = make([]int32, 0, nRange)
 	}
 	for i, row := range rows {
 		if point[i/64]>>(i%64)&1 != 0 {
 			// The first row on a key owns it: a later one never matches first.
 			k0, k1 := PackKey(row.Lo)
-			if s := probe(ix.slots, k0, k1); s.id1.Load() == 0 {
-				s.fill(k0, k1, uint32(i)+1, uint32(len(ix.rangeID)))
+			if s := ix.probe(k0, k1); ix.slots[s].id1.Load() == 0 {
+				ix.fill(s, k0, k1, uint32(i)+1, uint32(len(ix.rangeID)))
 				ix.nPoints++
 			} else {
 				ix.shadowed = append(ix.shadowed, [2]uint64{k0, k1})
@@ -372,30 +398,30 @@ func (ix *KeyIndex) Edit(del, add []RangeRow, above []int) *KeyIndex {
 	next := *ix
 	switch n := ix.nPoints - len(del) + len(add); {
 	case 2*n > len(ix.slots):
-		next.slots = newSlots(n)
-		for i := range ix.slots {
-			s := &ix.slots[i]
-			if id1 := s.id1.Load(); id1-1 < uint32(ix.nRows) { // 0 wraps
-				probe(next.slots, s.k0, s.k1).fill(s.k0, s.k1, id1, s.above)
+		next.pointHash = newPointHash(n, ix.width)
+		for i := range uint32(len(ix.slots)) {
+			if id1 := ix.slots[i].id1.Load(); id1-1 < uint32(ix.nRows) { // 0 wraps
+				k0, k1 := ix.key(i)
+				next.fill(next.probe(k0, k1), k0, k1, id1, ix.slots[i].above)
 			}
 		}
 	case len(del) > 0:
-		next.slots = append([]ptSlot(nil), ix.slots...)
+		next.pointHash = pointHash{append([]ptSlot(nil), ix.slots...), slices.Clone(ix.hi)}
 	}
 	for _, row := range del {
 		k0, k1 := PackKey(row.Lo)
-		if slices.Contains(ix.shadowed, [2]uint64{k0, k1}) || !unfill(next.slots, k0, k1) {
+		if slices.Contains(ix.shadowed, [2]uint64{k0, k1}) || !next.unfill(k0, k1) {
 			return nil
 		}
 	}
 	next.nPoints -= len(del)
 	for i, row := range add {
 		k0, k1 := PackKey(row.Lo)
-		s := probe(next.slots, k0, k1)
-		if s.id1.Load() != 0 {
+		s := next.probe(k0, k1)
+		if next.slots[s].id1.Load() != 0 {
 			return nil
 		}
-		s.fill(k0, k1, uint32(next.nRows)+1, uint32(above[i]))
+		next.fill(s, k0, k1, uint32(next.nRows)+1, uint32(above[i]))
 		next.nRows++
 		next.nPoints++
 	}
@@ -406,29 +432,31 @@ func (ix *KeyIndex) Edit(del, add []RangeRow, above []int) *KeyIndex {
 // and closes the hole: each later slot of the run that its own probe
 // reaches only through the hole moves back into it. It reports whether
 // the key was there.
-func unfill(slots []ptSlot, k0, k1 uint64) bool {
-	mask := uint32(len(slots) - 1)
+func (h pointHash) unfill(k0, k1 uint64) bool {
+	mask := uint32(len(h.slots) - 1)
 	hole := HashPacked(k0, k1) & mask
-	for s := &slots[hole]; s.k0 != k0 || s.k1 != k1 || s.id1.Load() == 0; s = &slots[hole] {
-		if s.id1.Load() == 0 {
+	for ; ; hole = (hole + 1) & mask {
+		if h.slots[hole].id1.Load() == 0 {
 			return false
 		}
-		hole = (hole + 1) & mask
+		if h.holds(hole, k0, k1) {
+			break
+		}
 	}
 	for i := (hole + 1) & mask; ; i = (i + 1) & mask {
-		s := &slots[i]
-		id1 := s.id1.Load()
+		id1 := h.slots[i].id1.Load()
 		if id1 == 0 {
 			break
 		}
-		// s stays where it is when its home lies behind the hole, (hole, i].
-		if home := HashPacked(s.k0, s.k1) & mask; (i-home)&mask < (i-hole)&mask {
+		// Slot i stays where it is when its home lies behind the hole, (hole, i].
+		k0, k1 := h.key(i)
+		if home := HashPacked(k0, k1) & mask; (i-home)&mask < (i-hole)&mask {
 			continue
 		}
-		slots[hole].fill(s.k0, s.k1, id1, s.above)
+		h.fill(hole, k0, k1, id1, h.slots[i].above)
 		hole = i
 	}
-	slots[hole].fill(0, 0, 0, 0)
+	h.fill(hole, 0, 0, 0, 0)
 	return true
 }
 
@@ -439,10 +467,9 @@ type Compiled struct {
 	offsets      []int
 	defaultClass int
 	idx          *KeyIndex
-	// rows[i] is rule i's row (rules.RuleSet.RangeRows): the class Classify
-	// answers with, and the bounds RangeEntries hands on.
+	// rows[i] is rule i's row (rules.RuleSet.RangeRows), whose class
+	// Classify answers with.
 	rows []rules.RangeEntry
-	dead int // rows that admit no key
 }
 
 // Compile builds an immutable matcher from a rule set. Rule order (as
@@ -467,30 +494,11 @@ func Compile(rs *rules.RuleSet) (*Compiled, error) {
 	bounds := make([]RangeRow, len(rows))
 	for r := range rows {
 		bounds[r] = RangeRow{Lo: rows[r].Lo, Hi: rows[r].Hi}
-		if bounds[r].dead() {
-			m.dead++
-		}
 	}
 	if m.idx, err = CompileRanges(len(rs.Offsets), bounds); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// RangeEntries returns the rule set's live rows as Compile holds them —
-// what RuleSet.RangeEntries would compute again. The rows are the
-// matcher's own: read, do not write.
-func (m *Compiled) RangeEntries() []rules.RangeEntry {
-	if m.dead == 0 {
-		return m.rows
-	}
-	live := make([]rules.RangeEntry, 0, len(m.rows)-m.dead)
-	for r := range m.rows {
-		if !(RangeRow{Lo: m.rows[r].Lo, Hi: m.rows[r].Hi}).dead() {
-			live = append(live, m.rows[r])
-		}
-	}
-	return live
 }
 
 // Classify returns the class of the highest-priority matching rule, or
@@ -517,9 +525,6 @@ func (m *Compiled) ClassifyKey(key []byte) (class int, matched bool) {
 	}
 	return m.defaultClass, false
 }
-
-// Offsets returns a copy of the match-key layout.
-func (m *Compiled) Offsets() []int { return append([]int(nil), m.offsets...) }
 
 // DefaultClass returns the class assigned on miss.
 func (m *Compiled) DefaultClass() int { return m.defaultClass }

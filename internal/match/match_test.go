@@ -1,8 +1,10 @@
 package match
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"p4guard/internal/packet"
 	"p4guard/internal/rules"
@@ -233,5 +235,23 @@ func BenchmarkKeyIndexFind(b *testing.B) {
 				m.ClassifyKey(bc.key)
 			}
 		})
+	}
+}
+
+// TestPointSlotLayout pins what a point costs the hash: a 16-byte slot,
+// and a second key word beside it only for keys wider than 8 bytes.
+func TestPointSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(ptSlot{}); size != 16 {
+		t.Fatalf("a point-hash slot is %d bytes, want 16", size)
+	}
+	for _, width := range []int{1, 8, 9, 16} {
+		lo := bytes.Repeat([]byte{7}, width)
+		ix, err := CompileRanges(width, []RangeRow{{Lo: lo, Hi: lo}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide := ix.hi != nil; wide != (width > 8) || wide && len(ix.hi) != len(ix.slots) {
+			t.Fatalf("width %d: %d slots, %d second words", width, len(ix.slots), len(ix.hi))
+		}
 	}
 }

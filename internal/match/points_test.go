@@ -241,10 +241,11 @@ func TestFindExhaustiveSmallUniverse(t *testing.T) {
 }
 
 // TestFindEveryWidth covers the widths on each side of what the point
-// hash packs (0 and 17+ keep points in the bitset).
+// hash packs (0 and 17+ keep points in the bitset) and of what one slot
+// holds (9 is the first width with a second key word).
 func TestFindEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, width := range []int{0, 1, 6, 16, 17, 64} {
+	for _, width := range []int{0, 1, 6, 8, 9, 16, 17, 64} {
 		for _, share := range pointShares {
 			for _, n := range []int{0, 1, 30, 200} {
 				rows := matchtest.Rows(rng, width, n, share)
@@ -265,7 +266,7 @@ func TestFindEveryWidth(t *testing.T) {
 // into at most a hundred rows cross several doublings of the hash.
 func TestInsertRowMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, width := range []int{1, 2, 6, 16} {
+	for _, width := range []int{1, 2, 6, 8, 9, 16} {
 		for _, share := range pointShares {
 			m := model{width: width, rows: matchtest.Rows(rng, width, 1+rng.Intn(100), share)}
 			ix := compile(t, width, m.rows)
@@ -426,7 +427,7 @@ func TestGenerationIsolation(t *testing.T) {
 // boundary in both directions.
 func TestEditMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, width := range []int{1, 2, 6, 16, 17} {
+	for _, width := range []int{1, 2, 6, 8, 9, 16, 17} {
 		for _, share := range pointShares {
 			m := model{width: width, rows: matchtest.Rows(rng, width, 1+rng.Intn(100), share)}
 			ix := compile(t, width, m.rows)

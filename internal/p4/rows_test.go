@@ -148,9 +148,9 @@ func liveBytes(build func() any) int {
 // TestStoredRowFootprint gates what a row costs the switch, which is what
 // sizes a model that has to fit a table: the stored row itself, the live
 // bytes per row of a programmed detector-shaped table (8 192 point rows on
-// a 6-byte key: row, key, two pointer lists, the point hash; 230 when the
-// table stored the exchange struct), and what one reactive install retains
-// (241 then).
+// a 6-byte key: row, key, two pointer lists, the point hash; 140, 156 with
+// 24-byte hash slots, 230 when the table stored the exchange struct), and
+// what one reactive install retains (144; 160 and 241 then).
 func TestStoredRowFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(row{}); size > 80 {
 		t.Errorf("a stored row is %d bytes, want at most 80", size)
@@ -170,8 +170,8 @@ func TestStoredRowFootprint(t *testing.T) {
 		}
 		return tbl
 	})
-	if perRow := programmed / rows; perRow > 160 {
-		t.Errorf("a programmed table of %d point rows holds %d live bytes a row, want at most 160", rows, perRow)
+	if perRow := programmed / rows; perRow > 147 {
+		t.Errorf("a programmed table of %d point rows holds %d live bytes a row, want at most 147", rows, perRow)
 	}
 
 	const installs = 1000
@@ -197,8 +197,8 @@ func TestStoredRowFootprint(t *testing.T) {
 		}
 		return tbl
 	})
-	if perInstall := (installed - empty) / installs; perInstall > 176 {
-		t.Errorf("%d installs into a 16-row table retain %d bytes each, want at most 176", installs, perInstall)
+	if perInstall := (installed - empty) / installs; perInstall > 151 {
+		t.Errorf("%d installs into a 16-row table retain %d bytes each, want at most 151", installs, perInstall)
 	}
 	t.Logf("stored row %d B; %d live B/row programmed; %d B retained an install", unsafe.Sizeof(row{}), programmed/rows, (installed-empty)/installs)
 }

@@ -83,26 +83,20 @@ func DeltaFromPrograms(prev, next Program) (DeltaMsg, bool) {
 }
 
 // ProgramFromRuleSet compiles a rule set into a Program message: one
-// range-match entry per rule, actions derived from each rule's class, with
-// the given miss behaviour. (The detector table is a range table; TCAM
-// prefix-expansion cost is accounted separately via rules.RuleSet.Cost.)
+// range-match entry per live rule (rules.RuleSet.RangeEntries), actions
+// derived from each rule's class, with the given miss behaviour. (The
+// detector table is a range table; TCAM prefix-expansion cost is accounted
+// separately via rules.RuleSet.Cost.) The program copies the offsets and
+// wraps the compiled rows' Lo and Hi where they lie. A rule the wire
+// cannot carry — a priority or class outside int32, bounds not as wide as
+// the key — is refused here (ErrMalformed), before anything is sent.
 func ProgramFromRuleSet(rs *rules.RuleSet, missAction p4.Action) (Program, error) {
 	entries, err := rs.RangeEntries()
 	if err != nil {
 		return Program{}, fmt.Errorf("p4rt: compile: %w", err)
 	}
-	return ProgramFromEntries(rs.Offsets, entries, missAction)
-}
-
-// ProgramFromEntries is ProgramFromRuleSet for rows already compiled
-// (rules.RuleSet.RangeEntries, or match.Compiled.RangeEntries when the
-// rule set has been compiled anyway). The program copies the offsets and
-// wraps the rows' Lo and Hi where they lie. A rule the wire cannot carry —
-// a priority or class outside int32, bounds not as wide as the key — is
-// refused here (ErrMalformed), before anything is sent.
-func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4.Action) (Program, error) {
 	prog := Program{
-		Offsets:       append([]int(nil), offsets...),
+		Offsets:       append([]int(nil), rs.Offsets...),
 		DefaultAction: FormatAction(missAction.Type),
 		DefaultClass:  missAction.Class,
 		Entries:       make([]WireEntry, len(entries)),
@@ -114,9 +108,9 @@ func ProgramFromEntries(offsets []int, entries []rules.RangeEntry, missAction p4
 			action = p4.ActionDrop
 		}
 		prog.Entries[i] = WireEntry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: FormatAction(action), Class: e.Class}
-		if !prog.Entries[i].fits(len(offsets)) {
+		if !prog.Entries[i].fits(len(rs.Offsets)) {
 			return Program{}, fmt.Errorf("%w: rule %d (priority %d, class %d) is not a %d-byte row of 32-bit numbers",
-				ErrMalformed, i, e.Priority, e.Class, len(offsets))
+				ErrMalformed, i, e.Priority, e.Class, len(rs.Offsets))
 		}
 	}
 	return prog, nil

@@ -164,10 +164,10 @@ echo "==> zero-alloc forwarding gate"
 # count — a table programmed from a frame holds, within a page, what one
 # given rows built by hand holds — keys in one slab, the frame's buffer
 # recycled; small frames never see the pool), and from rule set to two
-# programmed switches in at most 140 allocations and 5.6 MB at 8 192 rows.
+# programmed switches in at most 140 allocations and 4.58 MB at 8 192 rows.
 # What a table keeps is gated with them: a stored row of at
-# most 80 bytes, at most 160 live bytes a row in a programmed 8 192-row
-# detector table and at most 176 retained per reactive install, read as
+# most 80 bytes, at most 147 live bytes a row in a programmed 8 192-row
+# detector table and at most 151 retained per reactive install, read as
 # heap_mb is. testing.AllocsPerRun is deterministic and the install, deploy
 # and footprint gates take the cheapest of several runs, so this gate never
 # flakes.
