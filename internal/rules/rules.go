@@ -100,7 +100,7 @@ type RuleSet struct {
 	// Offsets is the match-key layout: which header bytes the data plane
 	// extracts, in key order.
 	Offsets []int
-	// Rules are orderd by descending priority.
+	// Rules are ordered by descending priority.
 	Rules []Rule
 	// DefaultClass is the class assigned on table miss.
 	DefaultClass int
@@ -122,12 +122,17 @@ func (rs *RuleSet) SetLink(l packet.LinkType) { rs.link = l }
 // Link returns the recorded link type.
 func (rs *RuleSet) Link() packet.LinkType { return rs.link }
 
-// Add appends a rule, keeping the list sorted by descending priority.
+// Add inserts a rule after every rule of equal or higher priority, keeping
+// the list sorted by descending priority: the order append + a stable sort
+// would give. Rules must already be in that order, as every writer in this
+// module leaves it (Add, Compress, PruneDefault, the controller's shard
+// plans). A binary search finds the slot and the tail shifts by one, so
+// an add costs O(log n) compares and one copy of the rows below it.
 func (rs *RuleSet) Add(r Rule) {
-	rs.Rules = append(rs.Rules, r)
-	sort.SliceStable(rs.Rules, func(i, j int) bool {
-		return rs.Rules[i].Priority > rs.Rules[j].Priority
-	})
+	i := sort.Search(len(rs.Rules), func(i int) bool { return rs.Rules[i].Priority < r.Priority })
+	rs.Rules = append(rs.Rules, Rule{})
+	copy(rs.Rules[i+1:], rs.Rules[i:])
+	rs.Rules[i] = r
 }
 
 // Classify returns the class of the first matching rule, or DefaultClass on

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -305,4 +306,69 @@ func TestDescribeUsesLink(t *testing.T) {
 	if got := rs.Describe(); got != "ip.proto, tcp.flags" {
 		t.Fatalf("Describe = %q", got)
 	}
+}
+
+// TestAddOrderMatchesStableSort pins Add's insertion against the order it
+// replaced: append every rule, then sort.SliceStable by descending
+// priority. Each rule carries its arrival index as its class, so a tie
+// placed out of arrival order fails.
+func TestAddOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ties := make([]int, 2000) // heavy ties: 8 priority values
+	for i := range ties {
+		ties[i] = rng.Intn(8)
+	}
+	increasing := make([]int, 300) // dtree.CompileRuleSet numbers leaves upward
+	for i := range increasing {
+		increasing[i] = i + 1
+	}
+	var learnedThenReactive []int // 16 learned rows, then installs at one high priority
+	for i := 0; i < 8192; i++ {
+		if i < 16 {
+			learnedThenReactive = append(learnedThenReactive, 16-i)
+		} else {
+			learnedThenReactive = append(learnedThenReactive, 1<<20)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		prios []int
+	}{{"ties", ties}, {"increasing", increasing}, {"learned-then-reactive", learnedThenReactive}, {"empty", nil}} {
+		rs := NewRuleSet([]int{0}, 0)
+		want := make([]Rule, 0, len(c.prios))
+		for i, p := range c.prios {
+			r := Rule{Priority: p, Class: i}
+			rs.Add(r)
+			want = append(want, r)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+		if len(rs.Rules) != len(want) {
+			t.Fatalf("%s: %d rules, want %d", c.name, len(rs.Rules), len(want))
+		}
+		for i := range want {
+			if rs.Rules[i].Priority != want[i].Priority || rs.Rules[i].Class != want[i].Class {
+				t.Fatalf("%s: rule %d = prio %d arrival %d, stable sort has prio %d arrival %d",
+					c.name, i, rs.Rules[i].Priority, rs.Rules[i].Class, want[i].Priority, want[i].Class)
+			}
+		}
+	}
+}
+
+// BenchmarkRuleSetAdd builds a rule set one Add at a time in the shape a
+// benchmark fleet's table has: 16 learned rows at descending priority,
+// then the rest at one reactive priority.
+func BenchmarkRuleSetAdd(b *testing.B) {
+	b.Run("rows=8192", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			rs := NewRuleSet([]int{0}, 0)
+			for i := 0; i < 8192; i++ {
+				prio := 1 << 20
+				if i < 16 {
+					prio = 16 - i
+				}
+				rs.Add(Rule{Priority: prio, Class: i % 2, Preds: []BytePredicate{{Offset: 0, Lo: byte(i), Hi: byte(i)}}})
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -61,17 +62,26 @@ func BenchmarkMatMulATB(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulABT is Dense.Backward's input gradient, gradOut × Wᵀ:
+// batch 64 against a 320-input layer, and 256 rows of the attribution
+// product InputGradient runs for SmoothGrad against the 512-input first
+// layer (48 hidden).
 func BenchmarkMatMulABT(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a, bb := New(64, 48), New(320, 48)
-	a.Randomize(rng, 1)
-	bb.Randomize(rng, 1)
-	dst := New(64, 320)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulABT(dst, a, bb); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range [][3]int{{64, 48, 320}, {256, 48, 512}} {
+		n, k, m := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("shape=%dx%dx%d", n, k, m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			a, bb := New(n, k), New(m, k)
+			a.Randomize(rng, 1)
+			bb.Randomize(rng, 1)
+			dst := New(n, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := MatMulABT(dst, a, bb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

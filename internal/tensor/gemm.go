@@ -137,36 +137,70 @@ func matMulATBBlocked(dst, a, b *Matrix) {
 	}
 }
 
-// matMulABTBlocked computes dst = a × bᵀ: each output element is a
-// single-accumulator dot product over k ascending (matching the serial
-// oracle exactly), two output columns per pass so the streamed row of a is
-// reused.
+// matMulABTBlocked computes dst = a × bᵀ on a 2×4 register tile: two rows
+// of a against four rows of b, eight independent accumulators, each a
+// dot product over k ascending with no zero-skip — the serial oracle's
+// exact operations per element. Eight independent chains keep the FP
+// units busy where two would wait on each add. The m%4 columns left over
+// and the last row of an odd row count are single dot products.
 func matMulABTBlocked(dst, a, b *Matrix) {
-	k, m := a.Cols, b.Rows
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*m : (i+1)*m]
+	n, k, m := a.Rows, a.Cols, b.Rows
+	i := 0
+	for ; i+1 < n; i += 2 {
+		a0 := a.Data[i*k : (i+1)*k]
+		a1 := a.Data[(i+1)*k : (i+2)*k]
+		d0 := dst.Data[i*m : (i+1)*m]
+		d1 := dst.Data[(i+1)*m : (i+2)*m]
 		j := 0
-		for ; j+1 < m; j += 2 {
-			brow0 := b.Data[j*k : (j+1)*k]
-			brow1 := b.Data[(j+1)*k : (j+2)*k]
-			var sum0, sum1 float64
-			for kk, av := range arow {
-				sum0 += av * brow0[kk]
-				sum1 += av * brow1[kk]
-			}
-			drow[j] = sum0
-			drow[j+1] = sum1
+		for ; j+3 < m; j += 4 {
+			d0[j], d0[j+1], d0[j+2], d0[j+3],
+				d1[j], d1[j+1], d1[j+2], d1[j+3] = dot2x4(a0, a1, b.Data[j*k:(j+4)*k])
 		}
-		if j < m {
+		for ; j < m; j++ {
 			brow := b.Data[j*k : (j+1)*k]
-			var sum float64
-			for kk, av := range arow {
-				sum += av * brow[kk]
-			}
-			drow[j] = sum
+			d0[j], d1[j] = dot(a0, brow), dot(a1, brow)
 		}
 	}
+	if i < n {
+		a0 := a.Data[i*k : (i+1)*k]
+		d0 := dst.Data[i*m : (i+1)*m]
+		for j := range d0 {
+			d0[j] = dot(a0, b.Data[j*k:(j+1)*k])
+		}
+	}
+}
+
+// dot2x4 returns the eight dot products of rows a0 and a1 against the four
+// consecutive rows of length len(a0) packed in b4.
+func dot2x4(a0, a1, b4 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+	k := len(a0)
+	a1 = a1[:k]
+	b0, b1, b2, b3 := b4[:k], b4[k:][:k], b4[2*k:][:k], b4[3*k:][:k]
+	for kk, x0 := range a0 {
+		x1 := a1[kk]
+		y := b0[kk]
+		s00 += x0 * y
+		s10 += x1 * y
+		y = b1[kk]
+		s01 += x0 * y
+		s11 += x1 * y
+		y = b2[kk]
+		s02 += x0 * y
+		s12 += x1 * y
+		y = b3[kk]
+		s03 += x0 * y
+		s13 += x1 * y
+	}
+	return
+}
+
+// dot returns the dot product of a0 and b0, k ascending.
+func dot(a0, b0 []float64) (s float64) {
+	b0 = b0[:len(a0)]
+	for kk, x := range a0 {
+		s += x * b0[kk]
+	}
+	return
 }
 
 // axpy computes d += s·x element-wise, 4-wide unrolled. Updates are in

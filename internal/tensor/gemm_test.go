@@ -1,21 +1,37 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 // fillRandomSparse fills m with uniform values, forcing a fraction of
-// exact zeros so the kernels' zero-skip paths are exercised.
+// exact zeros, +0 and -0 alike, so the kernels' zero-skip paths and the
+// sign of a zero sum are exercised.
 func fillRandomSparse(rng *rand.Rand, m *Matrix) {
 	for i := range m.Data {
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(8) {
+		case 0:
 			m.Data[i] = 0
-			continue
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		default:
+			m.Data[i] = rng.Float64()*2 - 1
 		}
-		m.Data[i] = rng.Float64()*2 - 1
 	}
+}
+
+// sameBits reports whether got and want hold the same float64 bit
+// patterns: unlike ==, it tells -0 from +0.
+func sameBits(got, want []float64) (int, bool) {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i, false
+		}
+	}
+	return -1, true
 }
 
 type gemmCase struct {
@@ -39,9 +55,10 @@ func gemmCases() []gemmCase {
 
 // TestBlockedKernelsBitIdenticalToSerialOracles is the differential gate:
 // across odd shapes (1×N, N×1, primes, odd row counts that leave a
-// one-row tail after the two-row tiles, sizes straddling the k-panel)
-// every blocked kernel must produce byte-for-byte the floats of its
-// serial oracle.
+// one-row tail after the two-row tiles, column counts that leave one to
+// three after MatMulABT's four-wide tile, sizes straddling the k-panel)
+// every blocked kernel must produce the bit patterns of its serial
+// oracle, signed zeros included.
 func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {1, 1, 9}, {7, 1, 5},
@@ -49,6 +66,8 @@ func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 		{2, 3, 2}, {3, 3, 3}, {13, 17, 11},
 		{64, 320, 48}, {31, 257, 33}, // straddles gemmBlockK
 		{97, 259, 41}, {128, 512, 64}, // two and three k-panels
+		{64, 48, 512},         // the attribution product's ABT shape
+		{3, 48, 5}, {1, 5, 7}, // odd rows; m%4 = 1 and 3 ({2, 3, 2} leaves 2)
 	}
 	rng := rand.New(rand.NewSource(101))
 	for _, c := range gemmCases() {
@@ -64,10 +83,42 @@ func TestBlockedKernelsBitIdenticalToSerialOracles(t *testing.T) {
 			if err := c.serial(want, a, b); err != nil {
 				t.Fatalf("%s %v oracle: %v", c.name, s, err)
 			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s shape %v: elem %d = %v, oracle %v",
-						c.name, s, i, got.Data[i], want.Data[i])
+			if i, ok := sameBits(got.Data, want.Data); !ok {
+				t.Fatalf("%s shape %v: elem %d = %v (%#x), oracle %v (%#x)", c.name, s, i,
+					got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+			}
+		}
+	}
+}
+
+// TestKernelsSumSignedZerosLikeOracles makes every product a signed zero:
+// one operand all -0, the other all +1 or all -1. The oracles start each
+// sum at +0, and +0 + -0 is +0, so a kernel that starts a sum from its
+// first product, or seeds a tail differently from the tiles, leaves -0
+// where the oracle has +0. The shapes reach every tile and tail.
+func TestKernelsSumSignedZerosLikeOracles(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fill := func(m *Matrix, v float64) *Matrix {
+		for i := range m.Data {
+			m.Data[i] = v
+		}
+		return m
+	}
+	for _, c := range gemmCases() {
+		for _, s := range [][3]int{{1, 1, 1}, {2, 1, 4}, {3, 2, 7}, {5, 3, 6}, {4, 1, 5}} {
+			for _, v := range [][2]float64{{negZero, 1}, {negZero, -1}, {1, negZero}, {-1, negZero}} {
+				ar, ac, br, bc, dr, dc := c.shape(s[0], s[1], s[2])
+				a, b := fill(New(ar, ac), v[0]), fill(New(br, bc), v[1])
+				got, want := New(dr, dc), New(dr, dc)
+				if err := c.blocked(got, a, b); err != nil {
+					t.Fatalf("%s %v: %v", c.name, s, err)
+				}
+				if err := c.serial(want, a, b); err != nil {
+					t.Fatalf("%s %v oracle: %v", c.name, s, err)
+				}
+				if i, ok := sameBits(got.Data, want.Data); !ok {
+					t.Fatalf("%s shape %v, operands %v: elem %d = %v, oracle %v",
+						c.name, s, v, i, got.Data[i], want.Data[i])
 				}
 			}
 		}
@@ -92,10 +143,8 @@ func TestBlockedKernelsQuick(t *testing.T) {
 			if err := c.serial(want, a, b); err != nil {
 				return false
 			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					return false
-				}
+			if _, ok := sameBits(got.Data, want.Data); !ok {
+				return false
 			}
 		}
 		return true
@@ -138,11 +187,9 @@ func TestConcurrentKernelCalls(t *testing.T) {
 					done <- err
 					return
 				}
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						done <- errMismatch
-						return
-					}
+				if _, ok := sameBits(got.Data, want.Data); !ok {
+					done <- errMismatch
+					return
 				}
 			}
 			done <- nil
