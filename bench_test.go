@@ -341,3 +341,146 @@ func BenchmarkDataPlanePPS(b *testing.B) {
 		}
 	}
 }
+
+// The cold regime: what `--workload cold` of the repository benchmark
+// forwards, built here without it. One round is coldFlows distinct
+// Ethernet/IPv4/UDP flows in shuffled order, about 22 MB of frames, so a
+// round cannot stay resident in cache the way the one-burst benchmarks
+// above do.
+const (
+	coldFlows     = 65536
+	coldRows      = 8192
+	coldRanges    = 16                  // range rows, as a distilled tree emits them
+	coldMisses    = coldFlows * 2 / 100 // flows no row matches
+	coldBurst     = 256
+	coldPointPrio = 1 << 20 // reactive installs outrank every range row
+)
+
+// coldKeyOffsets is the detector key: IPv4 source address and UDP source
+// port, so every flow has its own key.
+var coldKeyOffsets = []int{26, 27, 28, 29, 34, 35}
+
+// coldRound builds the cold detector and one shuffled round of frames.
+// The rule set holds coldRanges range rows, each owning a slice of the
+// first key byte below 240 and bounding two more, then point rows; the
+// flows are one per point row, coldMisses with a first key byte of 240
+// or more that no row matches, and the rest inside a range row. Frames
+// are 64, 512 or 1500 bytes, weighted 7:4:1.
+func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	rs := rules.NewRuleSet(coldKeyOffsets, 0)
+	rs.SetLink(packet.LinkEthernet)
+	addRow := func(prio, class int, lo, hi []byte) {
+		preds := make([]rules.BytePredicate, len(coldKeyOffsets))
+		for i, off := range coldKeyOffsets {
+			preds[i] = rules.BytePredicate{Offset: off, Lo: lo[i], Hi: hi[i]}
+		}
+		rs.Add(rules.Rule{Priority: prio, Class: class, Preds: preds})
+	}
+	w := len(coldKeyOffsets)
+	var ranges [coldRanges][2][]byte
+	for i := range ranges {
+		lo, hi := make([]byte, w), make([]byte, w)
+		for j := range hi {
+			hi[j] = 255
+		}
+		lo[0], hi[0] = byte(i*15), byte(i*15+14)
+		for _, j := range rng.Perm(w - 1)[:2] {
+			l := rng.Intn(64)
+			lo[j+1], hi[j+1] = byte(l), byte(l+128+rng.Intn(64))
+		}
+		ranges[i] = [2][]byte{lo, hi}
+		addRow(coldRanges-i, i%2, lo, hi)
+	}
+	seen := map[string]bool{}
+	keys := make([][]byte, 0, coldFlows)
+	add := func(k []byte) bool {
+		if seen[string(k)] {
+			return false
+		}
+		seen[string(k)] = true
+		keys = append(keys, k)
+		return true
+	}
+	for len(keys) < coldRows-coldRanges {
+		k := make([]byte, w)
+		rng.Read(k)
+		if add(k) {
+			addRow(coldPointPrio, 1, k, k)
+		}
+	}
+	for n := 0; n < coldMisses; {
+		k := make([]byte, w)
+		rng.Read(k)
+		k[0] = 240 + k[0]%16
+		if add(k) {
+			n++
+		}
+	}
+	for len(keys) < coldFlows {
+		r := ranges[rng.Intn(coldRanges)]
+		k := make([]byte, w)
+		for i := range k {
+			k[i] = r[0][i] + byte(rng.Intn(int(r[1][i])-int(r[0][i])+1))
+		}
+		add(k)
+	}
+	sizes := []int{64, 64, 64, 64, 64, 64, 64, 512, 512, 512, 512, 1500}
+	pkts := make([]*packet.Packet, len(keys))
+	for i, k := range keys {
+		size := sizes[rng.Intn(len(sizes))]
+		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
+		rng.Read(eth.Dst[:])
+		rng.Read(eth.Src[:])
+		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: [4]byte{k[0], k[1], k[2], k[3]}, Dst: [4]byte{10, 0, 0, 1}}
+		udp := packet.UDP{SrcPort: uint16(k[4])<<8 | uint16(k[5]), DstPort: 5683}
+		payload := size - 42
+		f := udp.Marshal(ip.Marshal(eth.Marshal(make([]byte, 0, size)), packet.UDPLen+payload), payload)
+		pad := f[len(f):size]
+		rng.Read(pad)
+		pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: f[:size]}
+	}
+	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
+	return rs, pkts
+}
+
+// BenchmarkSwitchRunColdRound forwards one cold round per op in
+// coldBurst-packet bursts through Switch.Run. Nothing drains the digest
+// queue: warm-up rounds fill it, and from then on every miss is counted
+// and dropped, as on a gateway whose controller falls behind (the
+// repository benchmark drains 256 of a round's ~1 300). Unlike
+// BenchmarkSwitchRunSequential its frames, Packet structs and flow keys
+// do not fit in cache, so it sees what the burst engine does about cache
+// misses; the recorded number for the same regime is fwd_pps from
+// `bash perfbench/run.sh --workload cold`.
+func BenchmarkSwitchRunColdRound(b *testing.B) {
+	rs, pkts := coldRound(b)
+	sw, err := switchsim.New("cold", packet.LinkEthernet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+		b.Fatal(err)
+	}
+	round := func() (st switchsim.RunStats) {
+		for i := 0; i < len(pkts); i += coldBurst {
+			d := sw.Run(pkts[i:min(i+coldBurst, len(pkts))])
+			st.Digested += d.Digested
+			st.ParseFailed += d.ParseFailed
+		}
+		return st
+	}
+	if st := round(); st.Digested != coldMisses || st.ParseFailed != 0 {
+		b.Fatalf("warm-up round: %d digested, %d parse failures; want %d and 0", st.Digested, st.ParseFailed, coldMisses)
+	}
+	for q := sw.DigestQueueStats(); q.Depth < q.Capacity; q = sw.DigestQueueStats() {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(b.N*len(pkts))/b.Elapsed().Seconds(), "pps")
+}

@@ -295,6 +295,10 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 // form of the rows, as WireEntrys or as exchange entries, would be another
 // 80 bytes each.
 func TestFullSwapAllocsPerRow(t *testing.T) {
+	// A collection may empty the frame pool, and then a swap or a decode
+	// pays for a frame buffer that is not its own; what is gated is their
+	// own allocations, so none runs while this test counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, rows := range []int{16, 8192} {
 		frame := refProgramFrame(t, 1, benchProgram(rows))
 		s := &Server{sw: newTestSwitch(t)}
@@ -310,11 +314,7 @@ func TestFullSwapAllocsPerRow(t *testing.T) {
 		if raceEnabled {
 			limit = 40 // the pool drops a quarter of the buffers on purpose
 		}
-		// A collection in between may empty the frame pool; what is gated
-		// is the swap's own allocations, so none runs while it is counted.
-		gc := debug.SetGCPercent(-1)
 		allocs := testing.AllocsPerRun(5, swap)
-		debug.SetGCPercent(gc)
 		if allocs > limit {
 			t.Errorf("rows=%d: %.0f allocations per swap, want at most %.0f whatever the rows", rows, allocs, limit)
 		}

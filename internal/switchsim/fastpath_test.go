@@ -87,6 +87,113 @@ func TestFastPathMatchesReferenceEngine(t *testing.T) {
 	}
 }
 
+// TestBurstMatchesProcessOnRuntFrames forwards one burst of frames too
+// short for the key, or for any header, through Run and through one
+// Process call per packet on twin switches. The key reaches past the
+// runts' ends, so the key gather zero-pads them; the burst engine's
+// touch pass must skip the empty ones. Run's stats, the verdicts of a
+// second, cache-warm pass, the switch and per-row counters and the
+// digest order must all be the same on both paths.
+func TestBurstMatchesProcessOnRuntFrames(t *testing.T) {
+	offsets := []int{0, 12, 13, 26, 34}
+	rs := rules.NewRuleSet(offsets, 0)
+	row := func(prio, class int, lo, hi []byte) {
+		preds := make([]rules.BytePredicate, len(offsets))
+		for i, off := range offsets {
+			preds[i] = rules.BytePredicate{Offset: off, Lo: lo[i], Hi: hi[i]}
+		}
+		rs.Add(rules.Rule{Priority: prio, Class: class, Preds: preds})
+	}
+	row(3, 1, []byte{0, 0, 0, 0, 0}, []byte{0, 0, 0, 0, 0})                  // an all-zero key: empty frames
+	row(2, 0, []byte{0, 8, 0, 0, 0}, []byte{255, 8, 0, 255, 255})            // IPv4 frames
+	row(1, 2, []byte{128, 0, 0, 0, 0}, []byte{255, 255, 255, 255, 255})      // high first byte
+	row(1, 0, []byte{0, 0x86, 0xdd, 0, 0}, []byte{127, 0x86, 0xdd, 255, 99}) // IPv6 EtherType, low port
+	rng := rand.New(rand.NewSource(5))
+	frame := func(etherType uint16, n int) []byte {
+		eth := packet.Ethernet{EtherType: etherType}
+		rng.Read(eth.Src[:])
+		rng.Read(eth.Dst[:])
+		f := eth.Marshal(nil)
+		if etherType == packet.EtherTypeIPv4 {
+			ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP}
+			rng.Read(ip.Src[:])
+			udp := packet.UDP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 5683}
+			f = udp.Marshal(ip.Marshal(f, packet.UDPLen), 0)
+		}
+		for len(f) < n {
+			f = append(f, byte(rng.Intn(256)))
+		}
+		return f
+	}
+	var pkts []*packet.Packet
+	for i := 0; i < 96; i++ {
+		var b []byte
+		switch i % 8 {
+		case 0: // nil Bytes
+		case 1:
+			b = []byte{}
+		case 2:
+			b = []byte{byte(rng.Intn(2) * 200)}
+		case 3:
+			b = frame(packet.EtherTypeIPv4, 64)[:packet.EthernetLen-1]
+		case 4:
+			b = frame(0x86dd, 64)
+		case 5:
+			b = frame(packet.EtherTypeARP, 20) // too short for an ARP header
+		default:
+			b = frame(packet.EtherTypeIPv4, 64+rng.Intn(3)*448)
+		}
+		pkts = append(pkts, &packet.Packet{Link: packet.LinkEthernet, Bytes: b, Time: time.Duration(i) * time.Microsecond})
+	}
+
+	mk := func() *Switch {
+		sw := mkSwitch(t)
+		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	ref, burst := mk(), mk()
+	processEach(ref, pkts)
+	wantRun := ref.Stats()
+	want := processEach(ref, pkts)
+	gotRun := burst.Run(pkts)
+	got := burst.ProcessBatch(pkts)
+
+	wantRun.Elapsed, gotRun.Elapsed = 0, 0
+	if gotRun != wantRun {
+		t.Fatalf("Run stats %+v, Process loop %+v", gotRun, wantRun)
+	}
+	if wantRun.ParseFailed == 0 || wantRun.Digested == 0 || wantRun.Dropped == 0 {
+		t.Fatalf("burst does not exercise parse failures, digests and drops: %+v", wantRun)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pkt %d (%d bytes): burst %+v != Process %+v", i, len(pkts[i].Bytes), got[i], want[i])
+		}
+	}
+	bs, rst := burst.Stats(), ref.Stats()
+	bs.Elapsed, rst.Elapsed = 0, 0
+	if bs != rst {
+		t.Fatalf("switch stats: burst %+v, Process %+v", bs, rst)
+	}
+	if bd, rd := burst.DetectorStats(), ref.DetectorStats(); bd != rd {
+		t.Fatalf("detector stats: burst %+v, Process %+v", bd, rd)
+	}
+	if be, re := burst.DetectorEntrySnapshots(), ref.DetectorEntrySnapshots(); !slices.Equal(be, re) {
+		t.Fatalf("per-row counters: burst %+v, Process %+v", be, re)
+	}
+	bq, rq := burst.DrainDigests(0), ref.DrainDigests(0)
+	if len(bq) != len(rq) || len(bq) == 0 {
+		t.Fatalf("digests: burst queued %d, Process %d", len(bq), len(rq))
+	}
+	for i := range bq {
+		if bq[i].Pkt != rq[i].Pkt {
+			t.Fatalf("digest %d: burst queued packet %p, Process %p", i, bq[i].Pkt, rq[i].Pkt)
+		}
+	}
+}
+
 // TestFastPathAgreesUnderChurn alternates detector reprogramming with
 // forwarding bursts: after every change, fast and reference verdicts
 // must still agree (the flow cache's generation tag must never serve a

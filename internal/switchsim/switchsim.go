@@ -368,10 +368,13 @@ type batchArena struct {
 	ws       p4.BatchWorkspace
 	verdicts []p4.Verdict
 	active   []int32
+	// touched keeps the touch pass's loads live; nothing reads it.
+	touched byte
 }
 
-// forwardBatch is the zero-copy engine: in-place parse acceptance, rate
-// guard, active-set construction, then the batched pipeline. Verdicts
+// forwardBatch is the zero-copy engine: a touch pass, in-place parse
+// acceptance, rate guard, active-set construction, then the batched
+// pipeline. Verdicts
 // land in out (len(pkts)); the returned delta has Packets set but no
 // Elapsed (the caller owns timing). Observable behaviour per packet —
 // verdicts, counters, digest accounting, sampler and drift observation
@@ -385,6 +388,18 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchA
 		a.active = make([]int32, 0, len(pkts))
 	}
 	active := a.active[:0]
+	// Touch pass: one independent load per packet brings in its Packet
+	// and its frame's first line, which holds the headers the parse and
+	// the key gather read, so a burst's cache misses overlap instead of
+	// queueing one behind another inside the parse (batch prefetch, as
+	// plain loads).
+	var t byte
+	for _, pkt := range pkts {
+		if len(pkt.Bytes) > 0 {
+			t ^= pkt.Bytes[0]
+		}
+	}
+	a.touched = t
 	for i, pkt := range pkts {
 		if !packet.AcceptFrame(s.link, pkt.Bytes) {
 			d.ParseFailed++
