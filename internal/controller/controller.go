@@ -1190,12 +1190,14 @@ func (c *Controller) Deploy(ctx context.Context, rs *rules.RuleSet, opts ...Depl
 	for i, srs := range shardSets {
 		prog, err := p4rt.ProgramFromRuleSet(srs, missAction)
 		if err == nil && index != nil {
-			// Dense rows for the compile's two in-order passes, as p4.buildRangeIndex gathers.
-			rows := make([]match.RangeRow, len(prog.Entries))
+			// Packed rows for the compile's two in-order passes, as p4.buildRangeIndex gathers.
+			w := len(prog.Offsets)
+			keys := make([]byte, 2*w*len(prog.Entries))
 			for r := range prog.Entries {
-				rows[r] = match.RangeRow{Lo: prog.Entries[r].Lo, Hi: prog.Entries[r].Hi}
+				copy(keys[2*w*r:], prog.Entries[r].Lo)
+				copy(keys[2*w*r+w:], prog.Entries[r].Hi)
 			}
-			index[i], err = match.CompileRanges(len(prog.Offsets), rows)
+			index[i], err = match.CompileRanges(w, len(prog.Entries), keys)
 		}
 		if err != nil {
 			return fmt.Errorf("controller: shard %d: %w", i, err)

@@ -6,20 +6,23 @@ import (
 	"runtime"
 	"testing"
 
+	"p4guard/internal/rules"
 	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
 )
 
 // TestFullDeployAllocs gates what one full swap of 8 192 rows to two
 // switches allocates end to end — controller, wire and both switches —
-// once a first deploy has left its frame buffers behind: the 80-byte rows
-// each table stores, the indexes with their 16-byte point-hash slots and
-// the controller's program — a controller without reactive installs builds
-// no mirror — and nothing per row (4.37 MB in all; 5.42 while it built a
-// mirror and slots were 24 bytes, 5.94 while rows crossed the wire as JSON
-// text, 7.3 when a table kept the 160-byte exchange struct). The cheapest
-// of four deploys is taken, since a collection between two of them empties
-// the frame pool.
+// once a first deploy has left its frame buffers behind: the rule set's
+// packed rows, which the program's entries view, the 80-byte rows each
+// table stores, the indexes with their 16-byte point-hash slots, each
+// gathered from 12 bytes a row, and the controller's program — a
+// controller without reactive installs builds no mirror — and nothing per
+// row (3.25 MB in all; 4.37 while rows were compiled into entries and
+// gathered as slice headers, 5.42 while it built a mirror and slots were
+// 24 bytes, 5.94 while rows crossed the wire as JSON text, 7.3 when a
+// table kept the 160-byte exchange struct). The cheapest of four deploys
+// is taken, since a collection between two of them empties the frame pool.
 func TestFullDeployAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers")
@@ -27,24 +30,59 @@ func TestFullDeployAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c, _ := deployBenchFleet(t, Config{Name: "ctl-alloc"}, 2)
 	base, _ := deltaBenchRules(8192, false)
-	deploy := func() {
-		if err := c.Deploy(context.Background(), base); err != nil {
-			t.Fatal(err)
-		}
+	allocs, bytes := cheapestDeploy(t, c, base, base)
+	t.Logf("%d allocations of %d bytes a deploy", allocs, bytes)
+	if allocs > 140 || bytes > 3_415_000 {
+		t.Fatalf("a full deploy of 8192 rows to two switches made %d allocations of %d bytes, want at most 140 and 3.415 MB", allocs, bytes)
 	}
-	deploy()
-	allocs, bytes := ^uint64(0), ^uint64(0)
-	for i := 0; i < 4; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		deploy()
-		runtime.ReadMemStats(&after)
-		allocs, bytes = min(allocs, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+}
+
+// TestDeltaDeployAllocs gates a delta deploy as perfbench's cold workload
+// makes one: 8 192 rows, 1 % of them replaced, one shard on two switches.
+// The controller compiles the rule set into packed rows and a program
+// viewing them, and diffs it against the last; each switch applies the
+// delta in place. Nothing compiles an index and nothing copies a row into
+// a slice header (1.97 MB in all; 2.50 while rows were compiled into
+// entries first). The deploys alternate between the two rule sets, so
+// each is a delta of the same size; the cheapest of four is taken.
+func TestDeltaDeployAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c, _ := deployBenchFleet(t, Config{Name: "ctl-alloc"}, 2)
+	base, churned := deltaBenchRules(8192, false)
+	allocs, bytes := cheapestDeploy(t, c, base, churned, WithDeltaOnly())
+	if st := c.Stats(); st.DeltaApplies != 2*4 || st.DeltaFallbacks != 0 {
+		t.Fatalf("4 delta deploys to 2 switches made %d delta applies and %d fallbacks", st.DeltaApplies, st.DeltaFallbacks)
 	}
 	t.Logf("%d allocations of %d bytes a deploy", allocs, bytes)
-	if allocs > 140 || bytes > 4_580_000 {
-		t.Fatalf("a full deploy of 8192 rows to two switches made %d allocations of %d bytes, want at most 140 and 4.58 MB", allocs, bytes)
+	if allocs > 195 || bytes > 2_070_000 {
+		t.Fatalf("a delta deploy of 81 of 8192 rows to two switches made %d allocations of %d bytes, want at most 195 and 2.07 MB", allocs, bytes)
 	}
+}
+
+// cheapestDeploy deploys first, then four times more, alternating second
+// and first, and returns the fewest allocations and bytes one of the four
+// made.
+func cheapestDeploy(t *testing.T, c *Controller, first, second *rules.RuleSet, opts ...DeployOption) (allocs, bytes uint64) {
+	t.Helper()
+	sets := [2]*rules.RuleSet{first, second}
+	if err := c.Deploy(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	allocs, bytes = ^uint64(0), ^uint64(0)
+	for i := 1; i <= 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.Deploy(context.Background(), sets[i%2], opts...)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs, bytes = min(allocs, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
 }
 
 // TestDeployEncodesEachShardOnce: a Deploy encodes a shard's program when

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-func randRows(rng *rand.Rand, width, n int) []RangeRow {
-	rows := make([]RangeRow, n)
-	for r := range rows {
-		row := RangeRow{Lo: make([]byte, width), Hi: make([]byte, width)}
+// randRows draws n packed rows, lo‖hi each, as CompileRanges reads them.
+func randRows(rng *rand.Rand, width, n int) []byte {
+	keys := make([]byte, 2*width*n)
+	for r := 0; r < n; r++ {
+		lo, hi := keys[2*width*r:][:width], keys[2*width*r+width:][:width]
 		for p := 0; p < width; p++ {
 			a, b := byte(rng.Intn(256)), byte(rng.Intn(256))
 			if a > b && rng.Intn(8) != 0 { // keep some dead rows
@@ -19,11 +20,10 @@ func randRows(rng *rand.Rand, width, n int) []RangeRow {
 			if rng.Intn(2) == 0 {
 				a, b = 0, 255
 			}
-			row.Lo[p], row.Hi[p] = a, b
+			lo[p], hi[p] = a, b
 		}
-		rows[r] = row
 	}
-	return rows
+	return keys
 }
 
 // TestFindBatchIdxMatchesFind pins the batched resolver to the single-key
@@ -35,7 +35,7 @@ func TestFindBatchIdxMatchesFind(t *testing.T) {
 	for _, cfg := range []struct{ width, rows, keys int }{
 		{1, 3, 64}, {4, 20, 256}, {4, 64, 256}, {5, 100, 256}, {8, 200, 512},
 	} {
-		ix, err := CompileRanges(cfg.width, randRows(rng, cfg.width, cfg.rows))
+		ix, err := CompileRanges(cfg.width, cfg.rows, randRows(rng, cfg.width, cfg.rows))
 		if err != nil {
 			t.Fatal(err)
 		}

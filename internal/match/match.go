@@ -38,10 +38,8 @@ import (
 // effectively unreachable for compiled pipelines.
 const stackKeyBytes = 64
 
-// RangeRow is one row of a key-level index: key byte i must lie in
-// [Lo[i], Hi[i]] inclusive. A row whose Lo[i] > Hi[i] admits nothing
-// (rows compiled from contradictory predicates are kept, dead, to
-// preserve row numbering).
+// RangeRow is one row as KeyIndex.Edit takes it: key byte i must lie in
+// [Lo[i], Hi[i]] inclusive. CompileRanges takes its rows packed instead.
 type RangeRow struct {
 	Lo, Hi []byte
 }
@@ -167,19 +165,9 @@ func HashPacked(k0, k1 uint64) uint32 {
 	return uint32((k0*0x9e3779b97f4a7c15 ^ k1*0xc2b2ae3d27d4eb4f) >> 40)
 }
 
-// dead reports a row that admits no key.
-func (row RangeRow) dead() bool {
-	for pos := range row.Lo {
-		if row.Lo[pos] > row.Hi[pos] {
-			return true
-		}
-	}
-	return false
-}
-
 // isPoint reports a row the hash can hold: one key of packable width.
-func isPoint(width int, row RangeRow) bool {
-	return width > 0 && width <= PackedKeyMax && bytes.Equal(row.Lo, row.Hi)
+func isPoint(width int, lo, hi []byte) bool {
+	return width > 0 && width <= PackedKeyMax && bytes.Equal(lo, hi)
 }
 
 // probe returns the slot holding the key, or the empty slot where it
@@ -216,36 +204,39 @@ func (ix *KeyIndex) findPoint(key []byte) (id int32, above uint32) {
 	}
 }
 
-// CompileRanges builds a KeyIndex over width-byte keys from rows in
-// priority (first-match-wins) order; row i has id i.
-func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
-	if width < 0 {
-		return nil, fmt.Errorf("match: negative key width %d", width)
+// CompileRanges builds a KeyIndex over n width-byte keyed rows in
+// priority (first-match-wins) order; row i has id i. The rows are packed,
+// as rules.RuleSet.RangeKeys lays them out: row i's bounds lo‖hi at
+// keys[2·width·i : 2·width·(i+1)]. The count is explicit because a row of
+// a zero-width key has no bytes.
+func CompileRanges(width, n int, keys []byte) (*KeyIndex, error) {
+	if width < 0 || n < 0 {
+		return nil, fmt.Errorf("match: negative key width %d or row count %d", width, n)
 	}
+	if len(keys) != 2*width*n {
+		return nil, fmt.Errorf("match: %d key bytes are not %d rows of lo‖hi %d bytes wide", len(keys), n, width)
+	}
+	stride := 2 * width
 	// One bit a row: whether it is a point, decided once (a learned table's
 	// few rows fit the stack). The hash and the bitset are sized from the
 	// counts before any row is placed.
 	var few [4]uint64
 	point := few[:]
-	if n := (len(rows) + 63) / 64; n > len(few) {
-		point = make([]uint64, n)
+	if words := (n + 63) / 64; words > len(few) {
+		point = make([]uint64, words)
 	}
 	nPoints := 0
-	for r, row := range rows {
-		if len(row.Lo) != width || len(row.Hi) != width {
-			return nil, fmt.Errorf("match: row %d lo/hi widths %d/%d != key width %d",
-				r, len(row.Lo), len(row.Hi), width)
-		}
-		if isPoint(width, row) {
+	for r := range n {
+		if key := keys[stride*r:][:stride]; isPoint(width, key[:width], key[width:]) {
 			point[r/64] |= 1 << (r % 64)
 			nPoints++
 		}
 	}
-	nRange := len(rows) - nPoints
+	nRange := n - nPoints
 	nWords := (nRange + 63) / 64
 	ix := &KeyIndex{
 		width:   width,
-		nRows:   len(rows),
+		nRows:   n,
 		nWords:  nWords,
 		rowMask: make([]uint64, nWords),
 		table:   make([]uint64, width*256*nWords),
@@ -255,10 +246,12 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 		ix.pointHash = newPointHash(nPoints, width)
 		ix.rangeID = make([]int32, 0, nRange)
 	}
-	for i, row := range rows {
+	for i := range n {
+		key := keys[stride*i:][:stride]
+		lo, hi := key[:width], key[width:]
 		if point[i/64]>>(i%64)&1 != 0 {
 			// The first row on a key owns it: a later one never matches first.
-			k0, k1 := PackKey(row.Lo)
+			k0, k1 := PackKey(lo)
 			if s := ix.probe(k0, k1); ix.slots[s].id1.Load() == 0 {
 				ix.fill(s, k0, k1, uint32(i)+1, uint32(len(ix.rangeID)))
 				ix.nPoints++
@@ -272,8 +265,8 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 			r = len(ix.rangeID)
 			ix.rangeID = append(ix.rangeID, int32(i))
 		}
-		if !row.dead() {
-			ix.admit(r, row)
+		if !rules.DeadRow(key) {
+			ix.admit(r, lo, hi)
 		}
 	}
 	return ix, nil
@@ -283,13 +276,13 @@ func CompileRanges(width int, rows []RangeRow) (*KeyIndex, error) {
 // at every key position. It is most of what compiling a table of a few
 // wide ranges costs, and a function of its own so that the loop is
 // compiled the same whatever CompileRanges holds live around the call.
-func (ix *KeyIndex) admit(r int, row RangeRow) {
+func (ix *KeyIndex) admit(r int, lo, hi []byte) {
 	word, bit := r/64, uint64(1)<<(r%64)
 	ix.rowMask[word] |= bit
 	nWords := ix.nWords // a store into the table could be one into ix, for all the compiler knows
 	for pos := 0; pos < ix.width; pos++ {
 		col := ix.table[pos*256*nWords+word:]
-		for v, hi := int(row.Lo[pos]), int(row.Hi[pos]); v <= hi; v++ {
+		for v, hi := int(lo[pos]), int(hi[pos]); v <= hi; v++ {
 			col[v*nWords] |= bit
 		}
 	}
@@ -390,7 +383,7 @@ func (ix *KeyIndex) Edit(del, add []RangeRow, above []int) *KeyIndex {
 	}
 	for _, rows := range [2][]RangeRow{del, add} {
 		for _, row := range rows {
-			if len(row.Lo) != ix.width || len(row.Hi) != ix.width || !isPoint(ix.width, row) {
+			if len(row.Lo) != ix.width || len(row.Hi) != ix.width || !isPoint(ix.width, row.Lo, row.Hi) {
 				return nil
 			}
 		}
@@ -467,35 +460,33 @@ type Compiled struct {
 	offsets      []int
 	defaultClass int
 	idx          *KeyIndex
-	// rows[i] is rule i's row (rules.RuleSet.RangeRows), whose class
-	// Classify answers with.
-	rows []rules.RangeEntry
+	// classes[i] is rule i's class, which Classify answers with.
+	classes []int
 }
 
 // Compile builds an immutable matcher from a rule set. Rule order (as
 // maintained by RuleSet.Add: descending priority, stable) is preserved,
 // so Compile agrees exactly with the first-match-wins reference scan
-// rules.RuleSet.ClassifyDetail. The rows are RuleSet.RangeRows': predicates
+// rules.RuleSet.ClassifyDetail. The rows are RuleSet.RangeKeys': predicates
 // repeated on one offset are intersected, and a predicate on an offset
 // outside the key layout is an error.
 func Compile(rs *rules.RuleSet) (*Compiled, error) {
 	if rs == nil {
 		return nil, fmt.Errorf("match: nil rule set")
 	}
-	rows, err := rs.RangeRows()
+	keys, err := rs.RangeKeys()
 	if err != nil {
 		return nil, fmt.Errorf("match: %w", err)
 	}
 	m := &Compiled{
 		offsets:      append([]int(nil), rs.Offsets...),
 		defaultClass: rs.DefaultClass,
-		rows:         rows,
+		classes:      make([]int, len(rs.Rules)),
 	}
-	bounds := make([]RangeRow, len(rows))
-	for r := range rows {
-		bounds[r] = RangeRow{Lo: rows[r].Lo, Hi: rows[r].Hi}
+	for r := range rs.Rules {
+		m.classes[r] = rs.Rules[r].Class
 	}
-	if m.idx, err = CompileRanges(len(rs.Offsets), bounds); err != nil {
+	if m.idx, err = CompileRanges(len(rs.Offsets), len(rs.Rules), keys); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -521,7 +512,7 @@ func (m *Compiled) Classify(pkt *packet.Packet) (class int, matched bool) {
 // key offset, in layout order).
 func (m *Compiled) ClassifyKey(key []byte) (class int, matched bool) {
 	if row, ok := m.idx.Find(key); ok {
-		return m.rows[row].Class, true
+		return m.classes[row], true
 	}
 	return m.defaultClass, false
 }

@@ -144,11 +144,10 @@ func TestCompiledShortPacketReadsZero(t *testing.T) {
 }
 
 func TestKeyIndexFirstMatchWinsAndWidthChecks(t *testing.T) {
-	rows := []RangeRow{
-		{Lo: []byte{50, 0}, Hi: []byte{100, 255}},
-		{Lo: []byte{0, 0}, Hi: []byte{255, 255}},
-	}
-	ix, err := CompileRanges(2, rows)
+	ix, err := CompileRanges(2, 2, []byte{
+		50, 0, 100, 255, // lo‖hi of row 0
+		0, 0, 255, 255,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +163,16 @@ func TestKeyIndexFirstMatchWinsAndWidthChecks(t *testing.T) {
 	if _, ok := ix.Find([]byte{10}); ok {
 		t.Fatal("wrong-width key matched")
 	}
-	if _, err := CompileRanges(2, []RangeRow{{Lo: []byte{0}, Hi: []byte{1, 2}}}); err == nil {
+	if _, err := CompileRanges(2, 1, []byte{0, 1, 2}); err == nil {
 		t.Fatal("row width mismatch accepted")
+	}
+	if _, err := CompileRanges(2, 2, []byte{0, 0, 1, 2}); err == nil {
+		t.Fatal("row count mismatch accepted")
 	}
 }
 
 func TestKeyIndexZeroWidth(t *testing.T) {
-	ix, err := CompileRanges(0, []RangeRow{{Lo: nil, Hi: nil}})
+	ix, err := CompileRanges(0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestPointSlotLayout(t *testing.T) {
 	}
 	for _, width := range []int{1, 8, 9, 16} {
 		lo := bytes.Repeat([]byte{7}, width)
-		ix, err := CompileRanges(width, []RangeRow{{Lo: lo, Hi: lo}})
+		ix, err := CompileRanges(width, 1, append(lo, lo...))
 		if err != nil {
 			t.Fatal(err)
 		}

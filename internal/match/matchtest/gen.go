@@ -1,6 +1,6 @@
 // Package matchtest generates the mixed point/range row sets that the
-// match and p4 differential tests share, and the first-match reference
-// they compare against.
+// match and p4 differential tests share, packs them as the index compiles
+// them, and holds the first-match reference they compare against.
 package matchtest
 
 import (
@@ -39,6 +39,16 @@ func Rows(rng *rand.Rand, width, n int, pointShare float64) []match.RangeRow {
 		rows[r] = match.RangeRow{Lo: lo, Hi: hi}
 	}
 	return rows
+}
+
+// Pack lays rows out as match.CompileRanges reads them: each row's Lo,
+// then its Hi, row after row.
+func Pack(rows []match.RangeRow) []byte {
+	var keys []byte
+	for _, row := range rows {
+		keys = append(append(keys, row.Lo...), row.Hi...)
+	}
+	return keys
 }
 
 // Keys draws n probe keys: uniform ones, and (when rows is non-empty)

@@ -17,7 +17,7 @@ var pointShares = []float64{0, 0.3, 0.9, 1}
 
 func compile(t testing.TB, width int, rows []match.RangeRow) *match.KeyIndex {
 	t.Helper()
-	ix, err := match.CompileRanges(width, rows)
+	ix, err := match.CompileRanges(width, len(rows), matchtest.Pack(rows))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,14 @@ func (w WireEntry) ToP4Entry() (p4.Entry, error) {
 }
 
 // deltaRow fills r with the wire entry's view for p4.DiffRows: a range
-// row, no value, mask or prefix length. An entry whose action has no p4
-// type has none.
+// row, no value or mask. An entry whose action has no p4 type has none.
+// Field by field, as p4.Entry's: a composite literal is built aside and
+// copied into the diff's heap-held view, a bulk write barrier a row while
+// a collection is marking.
 func (w *WireEntry) deltaRow(r *p4.DeltaRow) bool {
 	at, ok := actionType(w.Action)
-	*r = p4.DeltaRow{Priority: w.Priority, Action: p4.Action{Type: at, Class: w.Class}, Lo: w.Lo, Hi: w.Hi}
+	r.Priority, r.Action = w.Priority, p4.Action{Type: at, Class: w.Class}
+	r.Value, r.Mask, r.Lo, r.Hi = nil, nil, w.Lo, w.Hi
 	return ok
 }
 
@@ -83,35 +86,42 @@ func DeltaFromPrograms(prev, next Program) (DeltaMsg, bool) {
 }
 
 // ProgramFromRuleSet compiles a rule set into a Program message: one
-// range-match entry per live rule (rules.RuleSet.RangeEntries), actions
+// range-match entry per live rule of rules.RuleSet.RangeKeys, actions
 // derived from each rule's class, with the given miss behaviour. (The
 // detector table is a range table; TCAM prefix-expansion cost is accounted
-// separately via rules.RuleSet.Cost.) The program copies the offsets and
-// wraps the compiled rows' Lo and Hi where they lie. A rule the wire
-// cannot carry — a priority or class outside int32, bounds not as wide as
-// the key — is refused here (ErrMalformed), before anything is sent.
+// separately via rules.RuleSet.Cost.) The program copies the offsets, and
+// its entries' Lo and Hi are views of the packed rows the compile made. A
+// rule the wire cannot carry — a priority or class outside int32 — is
+// refused here (ErrMalformed), before anything is sent.
 func ProgramFromRuleSet(rs *rules.RuleSet, missAction p4.Action) (Program, error) {
-	entries, err := rs.RangeEntries()
+	keys, err := rs.RangeKeys()
 	if err != nil {
 		return Program{}, fmt.Errorf("p4rt: compile: %w", err)
 	}
+	w := len(rs.Offsets)
 	prog := Program{
 		Offsets:       append([]int(nil), rs.Offsets...),
 		DefaultAction: FormatAction(missAction.Type),
 		DefaultClass:  missAction.Class,
-		Entries:       make([]WireEntry, len(entries)),
+		Entries:       make([]WireEntry, len(rs.Rules)),
 	}
-	for i := range entries {
-		e := &entries[i]
-		action := p4.ActionAllow
-		if rules.ActionForClass(e.Class) == rules.ActionDrop {
-			action = p4.ActionDrop
+	n := 0
+	for r := range rs.Rules {
+		key := keys[2*w*r : 2*w*(r+1) : 2*w*(r+1)]
+		if rules.DeadRow(key) {
+			continue
 		}
-		prog.Entries[i] = WireEntry{Priority: e.Priority, Lo: e.Lo, Hi: e.Hi, Action: FormatAction(action), Class: e.Class}
-		if !prog.Entries[i].fits(len(rs.Offsets)) {
+		rule, e := &rs.Rules[r], &prog.Entries[n]
+		e.Priority, e.Lo, e.Hi, e.Action, e.Class = rule.Priority, key[:w:w], key[w:], FormatAction(p4.ActionAllow), rule.Class
+		if rules.ActionForClass(rule.Class) == rules.ActionDrop {
+			e.Action = FormatAction(p4.ActionDrop)
+		}
+		if !e.fits(w) {
 			return Program{}, fmt.Errorf("%w: rule %d (priority %d, class %d) is not a %d-byte row of 32-bit numbers",
-				ErrMalformed, i, e.Priority, e.Class, len(rs.Offsets))
+				ErrMalformed, n, rule.Priority, rule.Class, w)
 		}
+		n++
 	}
+	prog.Entries = prog.Entries[:n]
 	return prog, nil
 }

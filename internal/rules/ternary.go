@@ -175,25 +175,22 @@ type RangeEntry struct {
 	Class    int
 }
 
-// RangeRows compiles the rule set into range-match rows, row i from rule
-// i: its bounds on every key byte, predicates repeated on one offset
-// intersected as Rule.Matches evaluates them. A rule whose intersection
-// is empty keeps its row, dead (Lo > Hi on some byte), so that rows and
-// rules number alike; RangeEntries is the rows a table can hold. The
-// rows' Lo and Hi share one backing array, each capped to its own bytes.
-func (rs *RuleSet) RangeRows() ([]RangeEntry, error) {
+// RangeKeys compiles the rule set into packed range rows, the one form a
+// program takes from here to a table's index: rule r's bounds on every
+// key byte, lo then hi, at keys[2wr : 2w(r+1)] for a key of w bytes.
+// Predicates repeated on one offset are intersected as Rule.Matches
+// evaluates them. A rule whose intersection is empty keeps its row, dead
+// (DeadRow), so that rows and rules number alike.
+func (rs *RuleSet) RangeKeys() ([]byte, error) {
 	pos := newKeyPositions(rs.Offsets)
 	w := len(rs.Offsets)
-	out := make([]RangeEntry, len(rs.Rules))
-	buf := make([]byte, 2*w*len(rs.Rules))
+	keys := make([]byte, 2*w*len(rs.Rules))
 	for r := range rs.Rules {
-		rule := &rs.Rules[r]
-		lo, hi := buf[:w:w], buf[w:2*w:2*w]
-		buf = buf[2*w:]
+		lo, hi := keys[2*w*r:][:w], keys[2*w*r+w:][:w]
 		for i := range hi {
 			hi[i] = 0xff
 		}
-		for _, p := range rule.Preds {
+		for _, p := range rs.Rules[r].Preds {
 			idx := pos.of(p.Offset)
 			if idx < 0 {
 				return nil, pos.outside(p.Offset)
@@ -201,29 +198,38 @@ func (rs *RuleSet) RangeRows() ([]RangeEntry, error) {
 			lo[idx] = max(lo[idx], p.Lo)
 			hi[idx] = min(hi[idx], p.Hi)
 		}
-		out[r] = RangeEntry{Priority: rule.Priority, Lo: lo, Hi: hi, Class: rule.Class}
 	}
-	return out, nil
+	return keys, nil
 }
 
-// RangeEntries is RangeRows without the dead rows — the form actually
-// installed in the behavioural switch, whose range tables refuse lo > hi
-// (P4 targets support range match keys directly; the TCAM prefix
-// expansion in CompileTernary is used for hardware cost accounting).
+// DeadRow reports whether a packed row, lo‖hi, admits no key: lo > hi on
+// some byte. Range tables refuse such a row.
+func DeadRow(key []byte) bool {
+	w := len(key) / 2
+	for i := 0; i < w; i++ {
+		if key[i] > key[w+i] {
+			return true
+		}
+	}
+	return false
+}
+
+// RangeEntries is RangeKeys as entries without the dead rows — the form
+// actually installed in the behavioural switch (P4 targets support range
+// match keys directly; the TCAM prefix expansion in CompileTernary is used
+// for hardware cost accounting). Each entry's Lo and Hi are capped views
+// of the packed rows.
 func (rs *RuleSet) RangeEntries() ([]RangeEntry, error) {
-	rows, err := rs.RangeRows()
+	keys, err := rs.RangeKeys()
 	if err != nil {
 		return nil, err
 	}
-	live := rows[:0]
-rows:
-	for _, e := range rows {
-		for i := range e.Lo {
-			if e.Lo[i] > e.Hi[i] {
-				continue rows
-			}
+	w := len(rs.Offsets)
+	live := make([]RangeEntry, 0, len(rs.Rules))
+	for r := range rs.Rules {
+		if key := keys[2*w*r : 2*w*(r+1) : 2*w*(r+1)]; !DeadRow(key) {
+			live = append(live, RangeEntry{Priority: rs.Rules[r].Priority, Lo: key[:w:w], Hi: key[w:], Class: rs.Rules[r].Class})
 		}
-		live = append(live, e)
 	}
 	return live, nil
 }

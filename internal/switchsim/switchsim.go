@@ -204,23 +204,29 @@ func (s *Switch) Link() packet.LinkType { return s.link }
 // confident). The swap is ProgramDetector's: atomic with respect to
 // concurrent forwarding, and a refused rule set leaves the table as it was.
 func (s *Switch) InstallRuleSet(rs *rules.RuleSet, missAction p4.Action) (int, error) {
-	entries, err := rs.RangeEntries()
+	keys, err := rs.RangeKeys()
 	if err != nil {
 		return 0, fmt.Errorf("switchsim: compile: %w", err)
 	}
+	w, n := len(rs.Offsets), 0
 	rows := &p4.Rows{}
-	rows.Grow(len(entries), 2*len(rs.Offsets)*len(entries))
-	for _, e := range entries {
-		act := p4.Action{Type: p4.ActionAllow, Class: e.Class}
-		if rules.ActionForClass(e.Class) == rules.ActionDrop {
-			act = p4.Action{Type: p4.ActionDrop, Class: e.Class}
+	rows.Grow(len(rs.Rules), len(keys))
+	for r, rule := range rs.Rules {
+		key := keys[2*w*r : 2*w*(r+1)]
+		if rules.DeadRow(key) {
+			continue
 		}
-		rows.Add(e.Priority, e.Lo, e.Hi, act)
+		act := p4.Action{Type: p4.ActionAllow, Class: rule.Class}
+		if rules.ActionForClass(rule.Class) == rules.ActionDrop {
+			act.Type = p4.ActionDrop
+		}
+		rows.Add(rule.Priority, key[:w], key[w:], act)
+		n++
 	}
 	if err := s.ProgramDetector(rs.Offsets, missAction, rows); err != nil {
 		return 0, err
 	}
-	return len(entries), nil
+	return n, nil
 }
 
 // ProgramDetector atomically reprograms the detector table at the p4 level:
