@@ -1,6 +1,6 @@
 // Package nn implements a small from-scratch neural-network stack: dense
-// layers, common activations, dropout, softmax/cross-entropy and MSE losses,
-// SGD and Adam optimizers, and a deterministic minibatch trainer. It replaces
+// layers, ReLU and sigmoid activations, softmax/cross-entropy and MSE
+// losses, the Adam optimizer, and a deterministic minibatch trainer. It replaces
 // the deep-learning framework the paper used (TensorFlow-class) as a substrate
 // for the two-stage detection pipeline.
 //
@@ -218,113 +218,3 @@ func (s *Sigmoid) Params() []*tensor.Matrix { return nil }
 
 // Grads implements Layer.
 func (s *Sigmoid) Grads() []*tensor.Matrix { return nil }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	lastOut *tensor.Matrix
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// Forward implements Layer.
-func (t *Tanh) Forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
-	out := ws.Take(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	if train {
-		t.lastOut = out
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error) {
-	if t.lastOut == nil {
-		return nil, fmt.Errorf("tanh backward before forward(train)")
-	}
-	if gradOut.Rows != t.lastOut.Rows || gradOut.Cols != t.lastOut.Cols {
-		return nil, fmt.Errorf("tanh backward: grad %dx%d vs cache %dx%d: %w",
-			gradOut.Rows, gradOut.Cols, t.lastOut.Rows, t.lastOut.Cols, tensor.ErrShape)
-	}
-	gradIn := ws.Take(gradOut.Rows, gradOut.Cols)
-	for i, y := range t.lastOut.Data {
-		gradIn.Data[i] = gradOut.Data[i] * (1 - y*y)
-	}
-	return gradIn, nil
-}
-
-// ParamGrads implements Layer.
-func (t *Tanh) ParamGrads(*tensor.Matrix) error { return nil }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*tensor.Matrix { return nil }
-
-// Grads implements Layer.
-func (t *Tanh) Grads() []*tensor.Matrix { return nil }
-
-// Dropout randomly zeroes activations during training with probability Rate
-// and rescales survivors by 1/(1-Rate) (inverted dropout). It is the identity
-// at inference time (Forward returns x itself, no copy).
-type Dropout struct {
-	Rate float64
-	rng  *rand.Rand
-	mask *tensor.Matrix
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout returns a dropout layer with the given drop probability.
-func NewDropout(rng *rand.Rand, rate float64) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
-	}
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// Forward implements Layer.
-func (d *Dropout) Forward(ws *Workspace, x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
-	if !train || d.Rate == 0 {
-		return x, nil
-	}
-	out := ws.Take(x.Rows, x.Cols)
-	d.mask = ws.Take(x.Rows, x.Cols)
-	keep := 1 - d.Rate
-	scale := 1 / keep
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			d.mask.Data[i] = scale
-			out.Data[i] = v * scale
-		} else {
-			d.mask.Data[i] = 0
-			out.Data[i] = 0
-		}
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(ws *Workspace, gradOut *tensor.Matrix) (*tensor.Matrix, error) {
-	if d.mask == nil {
-		// Rate==0 or inference; pass through.
-		return gradOut, nil
-	}
-	if gradOut.Rows != d.mask.Rows || gradOut.Cols != d.mask.Cols {
-		return nil, fmt.Errorf("dropout backward: grad %dx%d vs mask %dx%d: %w",
-			gradOut.Rows, gradOut.Cols, d.mask.Rows, d.mask.Cols, tensor.ErrShape)
-	}
-	gradIn := ws.Take(gradOut.Rows, gradOut.Cols)
-	for i, g := range gradOut.Data {
-		gradIn.Data[i] = g * d.mask.Data[i]
-	}
-	return gradIn, nil
-}
-
-// ParamGrads implements Layer.
-func (d *Dropout) ParamGrads(*tensor.Matrix) error { return nil }
-
-// Params implements Layer.
-func (d *Dropout) Params() []*tensor.Matrix { return nil }
-
-// Grads implements Layer.
-func (d *Dropout) Grads() []*tensor.Matrix { return nil }

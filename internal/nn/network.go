@@ -47,10 +47,6 @@ func (n *Network) Release() {
 			l.mask = nil
 		case *Sigmoid:
 			l.lastOut = nil
-		case *Tanh:
-			l.lastOut = nil
-		case *Dropout:
-			l.mask = nil
 		}
 	}
 }

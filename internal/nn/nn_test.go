@@ -2,8 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"p4guard/internal/tensor"
@@ -71,7 +74,7 @@ func TestMSEGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := NewNetwork(MSE{},
 		NewDense(rng, 3, 4), &Sigmoid{},
-		NewDense(rng, 4, 3), &Tanh{},
+		NewDense(rng, 4, 3), &Sigmoid{},
 	)
 	x := tensor.New(5, 3)
 	x.Randomize(rng, 1)
@@ -149,64 +152,6 @@ func TestXORLearning(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumLearns(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	net := NewMLP(rng, 2, []int{8}, 2)
-	x, _ := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
-	target, _ := OneHot([]int{0, 1, 1, 0}, 2)
-	loss, err := Train(net, &SGD{LR: 0.3, Momentum: 0.9}, x, target, TrainConfig{Epochs: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 0.2 {
-		t.Fatalf("SGD XOR final loss %v too high", loss)
-	}
-}
-
-func TestDropoutInferenceIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := NewDropout(rng, 0.5)
-	x := tensor.New(3, 4)
-	x.Randomize(rng, 1)
-	out, err := d.Forward(nil, x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x.Data {
-		if out.Data[i] != x.Data[i] {
-			t.Fatal("dropout changed values at inference")
-		}
-	}
-}
-
-func TestDropoutTrainZeroesAndScales(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewDropout(rng, 0.5)
-	x := tensor.New(1, 1000)
-	x.Fill(1)
-	out, err := d.Forward(nil, x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var zeros, scaled int
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("dropout zeroed %d of 1000, want ~500", zeros)
-	}
-	if zeros+scaled != 1000 {
-		t.Fatalf("zeros+scaled = %d", zeros+scaled)
-	}
-}
-
 func TestOneHotErrors(t *testing.T) {
 	if _, err := OneHot([]int{0, 3}, 3); err == nil {
 		t.Fatal("OneHot accepted out-of-range label")
@@ -249,8 +194,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	net := NewNetwork(SoftmaxCE{},
 		NewDense(rng, 4, 6), &ReLU{},
-		NewDropout(rng, 0.2),
-		NewDense(rng, 6, 3), &Tanh{}, &Sigmoid{},
+		NewDense(rng, 6, 3), &Sigmoid{},
 	)
 	var buf bytes.Buffer
 	if err := Save(&buf, net); err != nil {
@@ -280,6 +224,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not gob")), rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("Load accepted garbage")
+	}
+}
+
+// TestLoadRefusesRetiredKinds: layer kinds 4 and 5 named layers since
+// removed. A snapshot naming either must fail Load with an error that
+// names the kind.
+func TestLoadRefusesRetiredKinds(t *testing.T) {
+	for _, kind := range []layerKind{4, 5} {
+		snap := netSnap{Loss: lossSoftmaxCE, Layers: []layerSnap{
+			{Kind: kindDense, In: 2, Out: 2, W: make([]float64, 4), B: make([]float64, 2)},
+			{Kind: kind, Rate: 0.5},
+		}}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		net, err := Load(&buf, rand.New(rand.NewSource(1)))
+		if err == nil {
+			t.Fatalf("kind %d loaded as %T", kind, net.Layers[1])
+		}
+		if want := fmt.Sprintf("layer 1: unknown kind %d", kind); !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %d: Load error %q does not say %q", kind, err, want)
+		}
 	}
 }
 
@@ -342,7 +309,7 @@ func TestShortPassesMatchFullPass(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(97))
 		return NewNetwork(SoftmaxCE{},
-			NewDense(rng, 6, 8), &ReLU{}, NewDense(rng, 8, 5), &Tanh{}, NewDense(rng, 5, 4), &Sigmoid{}, NewDense(rng, 4, 3))
+			NewDense(rng, 6, 8), &ReLU{}, NewDense(rng, 8, 5), &Sigmoid{}, NewDense(rng, 5, 4), &Sigmoid{}, NewDense(rng, 4, 3))
 	}
 	short, full := build(), build()
 	shortOpt, fullOpt := NewAdam(0.01), NewAdam(0.01)

@@ -7,47 +7,6 @@ import (
 	"p4guard/internal/tensor"
 )
 
-// Optimizer updates parameters in place from their accumulated gradients.
-type Optimizer interface {
-	// Update applies one optimization step. params and grads must be
-	// aligned and keep the same identity across calls.
-	Update(params, grads []*tensor.Matrix) error
-}
-
-// SGD is stochastic gradient descent with classical momentum and optional
-// L2 weight decay.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	Decay    float64
-
-	velocity []*tensor.Matrix
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// Update implements Optimizer.
-func (s *SGD) Update(params, grads []*tensor.Matrix) error {
-	if len(params) != len(grads) {
-		return fmt.Errorf("sgd: %d params vs %d grads", len(params), len(grads))
-	}
-	if s.velocity == nil {
-		s.velocity = make([]*tensor.Matrix, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Rows, p.Cols)
-		}
-	}
-	for i, p := range params {
-		g, v := grads[i], s.velocity[i]
-		for j := range p.Data {
-			gj := g.Data[j] + s.Decay*p.Data[j]
-			v.Data[j] = s.Momentum*v.Data[j] - s.LR*gj
-			p.Data[j] += v.Data[j]
-		}
-	}
-	return nil
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR      float64
@@ -59,15 +18,15 @@ type Adam struct {
 	m, v []*tensor.Matrix
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam returns an Adam optimizer with standard defaults for any zero
 // hyperparameter.
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Update implements Optimizer.
+// Update applies one optimization step in place from the accumulated
+// gradients. params and grads must be aligned and keep the same identity
+// across calls.
 func (a *Adam) Update(params, grads []*tensor.Matrix) error {
 	if len(params) != len(grads) {
 		return fmt.Errorf("adam: %d params vs %d grads", len(params), len(grads))

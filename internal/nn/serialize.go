@@ -14,8 +14,8 @@ const (
 	kindDense layerKind = iota + 1
 	kindReLU
 	kindSigmoid
-	kindTanh
-	kindDropout
+	// 4 and 5 named layer kinds since removed: Load refuses them, and no
+	// new kind may take their numbers.
 )
 
 // lossKind identifies a serializable loss head.
@@ -33,6 +33,8 @@ type layerSnap struct {
 	Out  int
 	W    []float64
 	B    []float64
+	// Rate was the removed dropout layer's. It stays because the field
+	// list is part of every saved model's bytes.
 	Rate float64
 }
 
@@ -42,8 +44,7 @@ type netSnap struct {
 	Layers []layerSnap
 }
 
-// Save gob-encodes the network's architecture and weights to w. Dropout
-// layers are saved by rate; their RNG state is not preserved.
+// Save gob-encodes the network's architecture and weights to w.
 func Save(w io.Writer, net *Network) error {
 	snap := netSnap{Layers: make([]layerSnap, 0, len(net.Layers))}
 	switch net.Loss.(type) {
@@ -65,10 +66,6 @@ func Save(w io.Writer, net *Network) error {
 			snap.Layers = append(snap.Layers, layerSnap{Kind: kindReLU})
 		case *Sigmoid:
 			snap.Layers = append(snap.Layers, layerSnap{Kind: kindSigmoid})
-		case *Tanh:
-			snap.Layers = append(snap.Layers, layerSnap{Kind: kindTanh})
-		case *Dropout:
-			snap.Layers = append(snap.Layers, layerSnap{Kind: kindDropout, Rate: v.Rate})
 		default:
 			return fmt.Errorf("nn: unserializable layer %T", l)
 		}
@@ -79,7 +76,8 @@ func Save(w io.Writer, net *Network) error {
 	return nil
 }
 
-// Load reads a network saved by Save. rng seeds any stochastic layers.
+// Load reads a network saved by Save. rng draws the dense layers' initial
+// weights, which the snapshot's then overwrite.
 func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
 	var snap netSnap
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -110,10 +108,6 @@ func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
 			layers = append(layers, &ReLU{})
 		case kindSigmoid:
 			layers = append(layers, &Sigmoid{})
-		case kindTanh:
-			layers = append(layers, &Tanh{})
-		case kindDropout:
-			layers = append(layers, NewDropout(rng, ls.Rate))
 		default:
 			return nil, fmt.Errorf("nn: layer %d: unknown kind %d", i, ls.Kind)
 		}

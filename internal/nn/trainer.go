@@ -49,7 +49,7 @@ type TrainConfig struct {
 
 // Train runs minibatch gradient descent over (x, target) with the given
 // optimizer and returns the mean loss of the final epoch.
-func Train(net *Network, opt Optimizer, x, target *tensor.Matrix, cfg TrainConfig) (float64, error) {
+func Train(net *Network, opt *Adam, x, target *tensor.Matrix, cfg TrainConfig) (float64, error) {
 	if x.Rows != target.Rows {
 		return 0, fmt.Errorf("nn: %d samples vs %d targets: %w", x.Rows, target.Rows, tensor.ErrShape)
 	}

@@ -62,9 +62,6 @@ type Delta struct {
 // Size is the number of edit operations the delta carries.
 func (d *Delta) Size() int { return len(d.Deletes) + len(d.Moves) + len(d.Adds) }
 
-// Empty reports a no-op delta.
-func (d *Delta) Empty() bool { return d.Size() == 0 }
-
 // NewCount is the entry count of the program the delta produces.
 func (d *Delta) NewCount() int { return d.BaseCount - len(d.Deletes) + len(d.Adds) }
 

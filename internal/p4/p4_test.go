@@ -264,112 +264,6 @@ func TestPipelineTableAccess(t *testing.T) {
 	}
 }
 
-// hasHeader reports whether the parser located a header of that name.
-func hasHeader(res ParseResult, name string) bool {
-	return slices.ContainsFunc(res.Headers, func(h ParsedHeader) bool { return h.Name == name })
-}
-
-func TestStandardParserEthernet(t *testing.T) {
-	parser, err := StandardParser(packet.LinkEthernet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	ip := packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64}
-	tcp := packet.TCP{SrcPort: 1, DstPort: 2}
-	frame := eth.Marshal(nil)
-	frame = ip.Marshal(frame, packet.TCPLen)
-	frame = tcp.Marshal(frame)
-
-	res := parser.Parse(frame)
-	if !res.Accepted {
-		t.Fatal("frame rejected")
-	}
-	for _, h := range []string{"ethernet", "ipv4", "tcp"} {
-		if !hasHeader(res, h) {
-			t.Fatalf("missing header %s in %+v", h, res.Headers)
-		}
-	}
-	// Truncated frame must reject.
-	res = parser.Parse(frame[:20])
-	if res.Accepted {
-		t.Fatal("truncated frame accepted")
-	}
-}
-
-func TestStandardParserZigbee(t *testing.T) {
-	parser, err := StandardParser(packet.LinkIEEE802154)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mac := packet.IEEE802154{FrameType: packet.FrameData, PANID: 1, Dst: 2, Src: 3}
-	nwk := packet.ZigbeeNWK{FrameType: packet.ZigbeeData, Dst: 2, Src: 3, Radius: 5, Seq: 1}
-	frame := nwk.Marshal(mac.Marshal(nil))
-	res := parser.Parse(frame)
-	if !res.Accepted || !hasHeader(res, "nwk") {
-		t.Fatalf("zigbee parse = %+v", res)
-	}
-	// Ack frame has no NWK header.
-	ack := packet.IEEE802154{FrameType: packet.FrameAck, PANID: 1, Dst: 2, Src: 3}
-	res = parser.Parse(ack.Marshal(nil))
-	if !res.Accepted || hasHeader(res, "nwk") {
-		t.Fatalf("ack parse = %+v", res)
-	}
-}
-
-func TestStandardParserBLEAndUnknown(t *testing.T) {
-	parser, err := StandardParser(packet.LinkBLE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdu := packet.BLELinkLayer{AccessAddress: packet.BLEAdvAccessAddress, PDUType: packet.BLEAdvInd}
-	res := parser.Parse(pdu.Marshal(nil))
-	if !res.Accepted || !hasHeader(res, "ll") {
-		t.Fatalf("ble parse = %+v", res)
-	}
-	if _, err := StandardParser(packet.LinkType(99)); err == nil {
-		t.Fatal("accepted unknown link")
-	}
-}
-
-func TestParserRejectsLoopsAndDanglingStates(t *testing.T) {
-	loop, err := NewParser("a",
-		&ParseState{
-			Name:    "a",
-			Extract: func([]byte, int) (int, error) { return 0, nil },
-			Next:    func([]byte, int, int) string { return "a" },
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := loop.Parse([]byte{1}); res.Accepted {
-		t.Fatal("looping parser accepted")
-	}
-	dangling, err := NewParser("a",
-		&ParseState{
-			Name:    "a",
-			Extract: func([]byte, int) (int, error) { return 1, nil },
-			Next:    func([]byte, int, int) string { return "ghost" },
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := dangling.Parse([]byte{1}); res.Accepted {
-		t.Fatal("dangling transition accepted")
-	}
-	if _, err := NewParser("missing"); err == nil {
-		t.Fatal("accepted undefined start state")
-	}
-	if _, err := NewParser("a",
-		&ParseState{Name: "a", Extract: func([]byte, int) (int, error) { return 0, nil }, Next: func([]byte, int, int) string { return "" }},
-		&ParseState{Name: "a", Extract: func([]byte, int) (int, error) { return 0, nil }, Next: func([]byte, int, int) string { return "" }},
-	); err == nil {
-		t.Fatal("accepted duplicate states")
-	}
-}
-
 // TestTernaryChurnDeterminism guards the tuple-space rebuild: priority
 // ties resolve to the earliest-inserted entry, cross-tuple ordering obeys
 // priority, and both invariants survive Insert/Delete churn.

@@ -399,7 +399,7 @@ func TestFramingMatchesEncodingJSON(t *testing.T) {
 		head any // what the reference marshals, when it is not body
 		rows []byte
 	}{
-		{TypeHello, Hello{SwitchName: "gw<0>", Link: 1, Version: Version}, nil, nil},
+		{TypeHello, Hello{SwitchName: "gw<0>", Version: Version}, nil, nil},
 		{TypeHelloAck, HelloAck{ServerName: "s", Node: "n", Version: Version}, nil, nil},
 		{TypeProgram, prog, progHead, row},
 		{TypeWrite, write, writeHead, row},

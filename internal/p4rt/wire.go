@@ -56,7 +56,6 @@ type Envelope struct {
 // Hello is the switch's first message.
 type Hello struct {
 	SwitchName string `json:"switch_name"`
-	Link       int    `json:"link"`
 	Version    int    `json:"version"`
 }
 

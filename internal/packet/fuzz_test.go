@@ -78,7 +78,8 @@ func FuzzAllCodecs(f *testing.F) {
 	})
 }
 
-// FuzzParserEthernet drives the full parse graph with arbitrary frames.
+// FuzzParserEthernet drives header-vector extraction with arbitrary
+// Ethernet frames.
 func FuzzParserEthernet(f *testing.F) {
 	for _, seed := range fuzzSeedFrames() {
 		f.Add(seed)

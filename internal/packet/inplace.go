@@ -1,18 +1,17 @@
 package packet
 
-// In-place frame parsing: the zero-copy fast path's replacement for the
-// closure-graph parser in internal/p4. ParseFrame resolves the header
-// chain of a raw frame into a small fixed-size descriptor with pure
-// offset arithmetic — no header structs are materialized, no payload
-// bytes are copied, and nothing escapes to the heap. The walk mirrors
-// p4.StandardParser state for state (the fuzz suite asserts field-for-
-// field agreement on arbitrary frames), so the batch forwarding path and
-// the reference parse graph can never drift apart.
+// In-place frame parsing, the one parser the data plane runs. ParseFrame
+// resolves the header chain of a raw frame into a small fixed-size
+// descriptor with pure offset arithmetic — no header structs are
+// materialized, no payload bytes are copied, and nothing escapes to the
+// heap. It accepts what the header codecs' Unmarshal methods decode: the
+// fuzz suite holds it field for field, on arbitrary frames, to a
+// reference built from those decoders.
 
 // HeaderKind identifies one located header in a FrameDesc.
 type HeaderKind uint8
 
-// Header kinds the standard parse graphs produce.
+// Header kinds the in-place parser locates.
 const (
 	HdrNone HeaderKind = iota
 	HdrEthernet
@@ -26,8 +25,8 @@ const (
 	HdrBLE
 )
 
-// String returns the parse-state name used by p4.StandardParser for the
-// same header, so descriptors and ParseResult headers compare directly.
+// String returns the header's short name: "ethernet", "ipv4", "mac" for
+// 802.15.4, "nwk" for Zigbee, "ll" for BLE and so on.
 func (k HeaderKind) String() string {
 	switch k {
 	case HdrEthernet:
@@ -113,8 +112,7 @@ func ParseFrame(link LinkType, frame []byte, d *FrameDesc) bool {
 }
 
 // AcceptFrame reports whether the frame parses to an accepting state,
-// equivalent to p4.StandardParser(link).Accepts but with no closures, no
-// header materialization, and no allocation (the BLE graph's reference
+// with no header materialization and no allocation (the BLE decoder's
 // Unmarshal copies the PDU payload; this path only checks its bounds).
 func AcceptFrame(link LinkType, frame []byte) bool {
 	var d FrameDesc

@@ -331,8 +331,8 @@ func defaultGuardKey(link packet.LinkType) []p4.FieldSpec {
 // suites hold the burst engine to. It holds no arena (a flow cache and
 // workspace per switch would cost more live heap than single packets
 // repay) and allocates nothing. Parse acceptance is packet.AcceptFrame,
-// the in-place descriptor walk (the packet fuzz suite holds it to the p4
-// parse graph field for field), which materializes no header structs. Prefer ProcessBatch/Run for bursts: they
+// the in-place descriptor walk (the packet fuzz suite holds it field for
+// field to the header decoders), which materializes no header structs. Prefer ProcessBatch/Run for bursts: they
 // amortize the clock reads and stats merges Process pays per packet.
 func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 	start := time.Now()
