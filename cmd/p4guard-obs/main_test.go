@@ -11,7 +11,6 @@ import (
 	"p4guard/internal/drift"
 	"p4guard/internal/dtrace"
 	"p4guard/internal/p4"
-	"p4guard/internal/packet"
 	"p4guard/internal/switchsim"
 	"p4guard/internal/telemetry"
 )
@@ -22,10 +21,7 @@ func writeProfile(t *testing.T, path string, seed int64, shift byte) {
 	b := drift.NewBuilder([]int{0, 1}, 0)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 1500; i++ {
-		b.Observe(&packet.Packet{
-			Link:  packet.LinkEthernet,
-			Bytes: []byte{byte(rng.Intn(64)) + shift, byte(rng.Intn(16)) + shift},
-		}, rng.Intn(3), float64(rng.Intn(100))/1024)
+		b.Observe([]byte{byte(rng.Intn(64)) + shift, byte(rng.Intn(16)) + shift}, rng.Intn(3), float64(rng.Intn(100))/1024)
 	}
 	if err := drift.SaveProfile(path, b.Profile()); err != nil {
 		t.Fatal(err)

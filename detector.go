@@ -9,8 +9,8 @@ import (
 )
 
 // tensorRow wraps a single feature row as a 1×n matrix.
-func tensorRow(row []float64) (*tensor.Matrix, error) {
-	return tensor.FromSlice(1, len(row), row)
+func tensorRow(row []float64) *tensor.Matrix {
+	return &tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
 }
 
 // Detector adapts the two-stage pipeline to the common Detector interface

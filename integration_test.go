@@ -353,7 +353,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 
 	// Digest-queue accounting stays balanced end to end.
 	qs := sw.DigestQueueStats()
-	if qs.Queued != qs.Drained+uint64(qs.Depth) {
+	if qs.Offered != qs.Drained+qs.Dropped+uint64(qs.Depth) {
 		t.Fatalf("digest accounting broken: %+v", qs)
 	}
 

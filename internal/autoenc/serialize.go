@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"p4guard/internal/nn"
 )
@@ -38,7 +37,7 @@ func Load(r io.Reader) (*Autoencoder, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("autoenc: decode: %w", err)
 	}
-	net, err := nn.Load(bytes.NewReader(snap.Net), rand.New(rand.NewSource(0)))
+	net, err := nn.Load(bytes.NewReader(snap.Net))
 	if err != nil {
 		return nil, err
 	}

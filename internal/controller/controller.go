@@ -1,13 +1,13 @@
 // Package controller implements the SDN controller side of the gateway:
 // it deploys compiled rule sets to a fleet of switches over p4rt,
-// classifies digested (table-miss) packets with the full stage-2 model as
-// a slow path, and can reactively install exact-match drop entries for
-// attacks the rules missed.
+// classifies digests — the lookup keys of table misses — with the full
+// stage-2 model as a slow path, and can reactively install exact-match
+// drop entries for attacks the rules missed.
 //
 // A reactive controller keeps a mirror of each deployed rule shard — an
 // index over the rows of the shard's desired program, built by the same
 // internal/match engine the switch tables run — so it can predict a given
-// switch's verdict for any digested packet: reactive installs are
+// switch's verdict for any digested key: reactive installs are
 // suppressed when that switch's deployed shard already drops the key,
 // keeping controller and switch provably in agreement.
 //
@@ -54,25 +54,25 @@ import (
 	"p4guard/internal/match"
 	"p4guard/internal/p4"
 	"p4guard/internal/p4rt"
-	"p4guard/internal/packet"
 	"p4guard/internal/rules"
 	"p4guard/internal/telemetry"
 )
 
-// SlowPath classifies a packet with the full trained model; 0 is benign.
-// *p4guard.Pipeline satisfies it.
+// SlowPath classifies a digest's key, the bytes at MatchOffsets in their
+// order, with the full trained model; 0 is benign. *p4guard.Pipeline
+// satisfies it.
 type SlowPath interface {
-	ClassifySlowPath(pkt *packet.Packet) int
+	ClassifyKey(key []byte) int
 	MatchOffsets() []int
 }
 
 // Residualer is the optional SlowPath extension the drift monitor uses:
-// models exposing an autoencoder reconstruction error (like
+// models exposing an autoencoder reconstruction error of a key (like
 // *p4guard.Pipeline) feed it into the residual-shift sketch. Models
 // without it are observed with drift.NoResidual and scored on feature
 // and verdict-mix drift alone.
 type Residualer interface {
-	Residual(pkt *packet.Packet) float64
+	Residual(key []byte) float64
 }
 
 // ConnState is one switch connection's position in the state machine.
@@ -187,11 +187,6 @@ func WithReconnectBackoff(min, max time.Duration) Option {
 	return func(c *Config) { c.ReconnectMin, c.ReconnectMax = min, max }
 }
 
-// WithSeed fixes the backoff-jitter RNG seed.
-func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
 // WithDialer substitutes the transport dialer (internal/netsim).
 func WithDialer(d p4rt.Dialer) Option {
 	return func(c *Config) { c.Dialer = d }
@@ -232,9 +227,8 @@ type Stats struct {
 	// rows shipped by the most recent one, summed across shards.
 	Deploys       int `json:"deploys"`
 	DeployedRules int `json:"deployed_rules"`
-	// DroppedBatches counts digest batches discarded because a switch's
-	// fan-in queue was full (backpressure on the p4rt read loop), summed
-	// across the fleet.
+	// DroppedBatches counts digest batches a switch's fan-in refused, full
+	// or keyed at other offsets than the slow path's, fleet-wide.
 	DroppedBatches int `json:"dropped_batches"`
 	// Reconnects counts successful redials after a connection died;
 	// Reconciles counts desired-state replays onto a switch (initial
@@ -283,8 +277,8 @@ type desired struct {
 	at time.Time
 }
 
-// FanInStats is one switch's digest fan-in accounting. At any quiescent
-// point Offered == Drained + Dropped + Depth.
+// FanInStats is one switch's digest fan-in accounting (Dropped: see
+// enqueue). At any quiescent point Offered == Drained + Dropped + Depth.
 type FanInStats struct {
 	Offered uint64 `json:"offered"`
 	Drained uint64 `json:"drained"`
@@ -351,10 +345,6 @@ type Controller struct {
 	// per reactive install, far off the per-packet path.
 	digestHist *telemetry.Histogram
 
-	// residual is the model's optional reconstruction-error hook,
-	// resolved once at construction so the digest path pays an interface
-	// assertion zero times.
-	residual func(pkt *packet.Packet) float64
 	// driftResidualHist, when registered, receives each observed residual
 	// — the histogram RegisterFleetTelemetry exports.
 	driftResidualHist atomic.Pointer[telemetry.Histogram]
@@ -424,8 +414,8 @@ type swConn struct {
 // start of the fanin_wait trace stage and of the digest→install latency
 // measurement.
 type fanBatch struct {
-	pkts []p4rt.WirePacket
-	at   time.Time
+	digests []p4rt.WireDigest
+	at      time.Time
 }
 
 func (sc *swConn) setState(s ConnState) { sc.state.Store(int32(s)) }
@@ -477,9 +467,6 @@ func New(model SlowPath, cfg Config, opts ...Option) *Controller {
 		fanOpen:    true,
 		digestHist: telemetry.NewHistogram(digestInstallBuckets),
 	}
-	if r, ok := model.(Residualer); ok {
-		c.residual = r.Residual
-	}
 	if cfg.Drift != nil && cfg.Journal != nil {
 		cfg.Drift.OnCross(drift.JournalHook(cfg.Journal))
 	}
@@ -492,13 +479,13 @@ func New(model SlowPath, cfg Config, opts ...Option) *Controller {
 	return c
 }
 
-// dialOpts builds the client options every dial uses.
-func (c *Controller) dialOpts() []p4rt.ClientOption {
+// dial connects to the switch, its digests feeding its fan-in queue.
+func (c *Controller) dial(ctx context.Context, sc *swConn) (*p4rt.Client, error) {
 	opts := []p4rt.ClientOption{p4rt.WithRPCTimeout(c.cfg.RPCTimeout)}
 	if c.cfg.Dialer != nil {
 		opts = append(opts, p4rt.WithDialer(c.cfg.Dialer))
 	}
-	return opts
+	return p4rt.DialContext(ctx, sc.addr, c.cfg.Name, func(msg p4rt.DigestMsg) { c.enqueue(sc, msg) }, opts...)
 }
 
 // recordState logs a state transition to the journal.
@@ -562,9 +549,7 @@ func (c *Controller) ConnectShard(ctx context.Context, addr string, shard int) e
 	c.fanConns = append(c.fanConns, sc)
 	c.fanMu.Unlock()
 
-	cl, err := p4rt.DialContext(ctx, addr, c.cfg.Name, func(pkts []p4rt.WirePacket) {
-		c.enqueue(sc, pkts)
-	}, c.dialOpts()...)
+	cl, err := c.dial(ctx, sc)
 	if err != nil {
 		c.unregister(sc)
 		return fmt.Errorf("controller: connect %s: %w", addr, err)
@@ -669,9 +654,7 @@ func (c *Controller) redial(sc *swConn) (*p4rt.Client, error) {
 		}
 		c.recordState(sc, StateConnecting, map[string]any{"attempt": attempt})
 		dctx, cancel := context.WithTimeout(c.ctx, c.cfg.RPCTimeout)
-		cl, err := p4rt.DialContext(dctx, sc.addr, c.cfg.Name, func(pkts []p4rt.WirePacket) {
-			c.enqueue(sc, pkts)
-		}, c.dialOpts()...)
+		cl, err := c.dial(dctx, sc)
 		cancel()
 		if err == nil {
 			sc.opMu.Lock()
@@ -720,19 +703,17 @@ func (d desired) shardProgram(shard int) p4rt.Program {
 	return d.shards[shard%len(d.shards)]
 }
 
-// drops reports whether the shard's desired program drops the packet: its
-// mirror finds the packet's key on a row whose class the data plane drops.
-// The key is gathered on the stack, as the switch gathers it.
-func (d *desired) drops(shard int, pkt *packet.Packet) bool {
+// drops reports whether the shard's desired program drops a digest's key,
+// gathered at offsets: its mirror finds the key on a row whose class the
+// data plane drops. A program keyed on other offsets judges no such key.
+func (d *desired) drops(shard int, offsets []int, key []byte) bool {
 	if len(d.index) == 0 {
 		return false
 	}
 	i := shard % len(d.index)
 	prog := &d.shards[i]
-	var kb [64]byte
-	key := kb[:0]
-	for _, off := range prog.Offsets {
-		key = append(key, pkt.ByteAt(off))
+	if !slices.Equal(prog.Offsets, offsets) {
+		return false
 	}
 	row, ok := d.index[i].Find(key)
 	return ok && rules.ActionForClass(prog.Entries[row].Class) == rules.ActionDrop
@@ -891,20 +872,22 @@ func (c *Controller) bumpStat(fn func(*Stats)) {
 }
 
 // enqueue appends one digest batch to the switch's fan-in queue, dropping
-// (with accounting) when the queue is at depth. Called from the p4rt read
+// it (with accounting) when the queue is at depth or its keys were gathered
+// at other offsets than the slow path reads. Called from the p4rt read
 // loop, so it must never block: a stalled worker costs batches, not
 // connections. The invariant fanOffered == fanDrained + fanDropped +
 // len(fanQ) holds under fanMu at every return.
-func (c *Controller) enqueue(sc *swConn, pkts []p4rt.WirePacket) {
+func (c *Controller) enqueue(sc *swConn, msg p4rt.DigestMsg) {
 	now := time.Now()
+	ours := slices.Equal(msg.Offsets, c.model.MatchOffsets())
 	c.fanMu.Lock()
 	sc.fanOffered++
-	if !c.fanOpen || len(sc.fanQ) >= c.cfg.QueueDepth {
+	if !c.fanOpen || len(sc.fanQ) >= c.cfg.QueueDepth || !ours {
 		sc.fanDropped++
 		c.fanMu.Unlock()
 		return
 	}
-	sc.fanQ = append(sc.fanQ, fanBatch{pkts: pkts, at: now})
+	sc.fanQ = append(sc.fanQ, fanBatch{digests: msg.Digests, at: now})
 	c.fanMu.Unlock()
 	c.fanCond.Signal()
 }
@@ -950,8 +933,8 @@ func (c *Controller) worker() {
 		if !ok {
 			return
 		}
-		for _, wp := range batch.pkts {
-			c.handleDigest(sc, wp, batch.at)
+		for _, d := range batch.digests {
+			c.handleDigest(sc, d, batch.at)
 		}
 	}
 }
@@ -978,7 +961,7 @@ func chainCtx(prev dtrace.SpanContext, sp dtrace.ActiveSpan) dtrace.SpanContext 
 // Dedup and mirror suppression are per switch: two switches digesting the
 // same attack each get their own reactive entry, because each enforces
 // only its own shard.
-func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.Time) {
+func (c *Controller) handleDigest(sc *swConn, d p4rt.WireDigest, arrived time.Time) {
 	j := c.cfg.Journal
 	var start time.Time
 	if j != nil {
@@ -987,26 +970,27 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 	decision := "attack"
 
 	tr := c.cfg.Tracer
-	ctx := dtrace.SpanContext{Trace: dtrace.TraceID(wp.TraceID), Span: dtrace.SpanID(wp.SpanID)}
+	ctx := dtrace.SpanContext{Trace: dtrace.TraceID(d.TraceID), Span: dtrace.SpanID(d.SpanID)}
 	fanSpan := tr.StartSpanAt(ctx, dtrace.StageFanInWait, arrived)
 	fanSpan.End() // fan-in wait ended the moment handling started
 	ctx = chainCtx(ctx, fanSpan)
 
 	clsSpan := tr.StartSpan(ctx, dtrace.StageClassify)
-	pkt := wp.ToPacket()
-	class := c.model.ClassifySlowPath(pkt)
+	key := d.Key // the batch's own: no read buffer is reused under it
+	class := c.model.ClassifyKey(key)
 	clsSpan.End()
 	ctx = chainCtx(ctx, clsSpan)
 	sc.digests.Add(1)
 
 	// Drift observation: one atomic load when the monitor is disarmed or
-	// absent; the residual forward pass runs only while armed.
-	if da := c.cfg.Drift.Armed(); da != nil {
+	// absent; the residual forward pass runs only while armed. The key is
+	// the sketch's input only under the baseline's own offsets.
+	if da := c.cfg.Drift.Armed(); da != nil && slices.Equal(da.Baseline().Offsets, c.model.MatchOffsets()) {
 		res := drift.NoResidual
-		if c.residual != nil {
-			res = c.residual(pkt)
+		if r, ok := c.model.(Residualer); ok {
+			res = r.Residual(key)
 		}
-		da.ObservePacket(sc.shard, pkt, class, res)
+		da.Observe(sc.shard, key, class, res)
 		if h := c.driftResidualHist.Load(); h != nil && !math.IsNaN(res) {
 			h.Observe(res)
 		}
@@ -1016,7 +1000,6 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 	c.mu.Lock()
 	c.stats.DigestsProcessed++
 	var install bool
-	var key []byte
 	var row reactiveRow
 	switch {
 	case class == 0:
@@ -1027,14 +1010,13 @@ func (c *Controller) handleDigest(sc *swConn, wp p4rt.WirePacket, arrived time.T
 		if c.cfg.Reactive {
 			// The deployment mirror runs the same engine as the switch
 			// table over this switch's shard program. When the shard
-			// already drops this packet the digest is stale (raced a
+			// already drops this key the digest is stale (raced a
 			// deploy) and an exact-match entry would only waste TCAM.
-			if c.desired.drops(sc.shard, pkt) {
+			if c.desired.drops(sc.shard, c.model.MatchOffsets(), key) {
 				c.stats.MirrorSuppressed++
 				decision = "suppressed"
 				break
 			}
-			key = rules.ExtractKey(pkt, c.model.MatchOffsets())
 			if _, dup := sc.seen[string(key)]; dup {
 				decision = "duplicate"
 				break

@@ -16,11 +16,11 @@ import (
 	"p4guard/internal/telemetry"
 )
 
-// fakeModel flags packets whose byte 0 exceeds 127.
+// fakeModel flags keys whose first byte, frame byte 0, exceeds 127.
 type fakeModel struct{}
 
-func (fakeModel) ClassifySlowPath(pkt *packet.Packet) int {
-	if pkt.ByteAt(0) > 127 {
+func (fakeModel) ClassifyKey(key []byte) int {
+	if key[0] > 127 {
 		return 1
 	}
 	return 0

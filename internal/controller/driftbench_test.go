@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"p4guard/internal/drift"
-	"p4guard/internal/packet"
 	"p4guard/internal/telemetry"
 )
 
@@ -19,8 +18,7 @@ func BenchmarkFleetDriftScrape(b *testing.B) {
 	offs := []int{0, 1}
 	base := drift.NewBuilder(offs, 0)
 	for i := 0; i < 1024; i++ {
-		base.Observe(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{byte(i % 64), byte(i % 16)}},
-			i%3, float64(i%100)/1024)
+		base.Observe([]byte{byte(i % 64), byte(i % 16)}, i%3, float64(i%100)/1024)
 	}
 	mon := drift.NewMonitor()
 	if err := mon.Arm(drift.MonitorConfig{Baseline: base.Profile(), Shards: 4, ScoreEvery: 32}); err != nil {
@@ -33,8 +31,7 @@ func BenchmarkFleetDriftScrape(b *testing.B) {
 
 	da := mon.Armed()
 	for i := 0; i < 2048; i++ {
-		da.ObservePacket(i%4, &packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{byte(i % 64), byte(i % 16)}},
-			i%3, float64(i%100)/1024)
+		da.Observe(i%4, []byte{byte(i % 64), byte(i % 16)}, i%3, float64(i%100)/1024)
 	}
 
 	b.ReportAllocs()

@@ -16,14 +16,14 @@ import (
 	"p4guard/internal/switchsim"
 )
 
-// fleetModel maps attack bytes onto four classes so by-class sharding has
+// fleetModel maps attack keys onto four classes so by-class sharding has
 // distinct content per shard: byte0 > 127 is an attack of class
 // 1 + byte1 mod 4, anything else benign.
 type fleetModel struct{}
 
-func (fleetModel) ClassifySlowPath(pkt *packet.Packet) int {
-	if pkt.ByteAt(0) > 127 {
-		return 1 + int(pkt.ByteAt(1))%4
+func (fleetModel) ClassifyKey(key []byte) int {
+	if key[0] > 127 {
+		return 1 + int(key[1])%4
 	}
 	return 0
 }
@@ -247,7 +247,7 @@ func TestDigestFanInBoundedBackpressure(t *testing.T) {
 	c.fleet = append(c.fleet, sc)
 	c.mu.Unlock()
 
-	batch := []p4rt.WirePacket{{Bytes: []byte{1, 2}}, {Bytes: []byte{3, 4}}}
+	batch := p4rt.DigestMsg{Offsets: []int{0, 1}, Digests: []p4rt.WireDigest{{Key: []byte{1, 2}}, {Key: []byte{3, 4}}}}
 	for i := 0; i < 5; i++ {
 		c.enqueue(sc, batch)
 	}
@@ -281,6 +281,32 @@ func TestDigestFanInBoundedBackpressure(t *testing.T) {
 	checkFanInInvariant(t, sts)
 	if got := c.Stats().DigestsProcessed; got != 4 {
 		t.Fatalf("DigestsProcessed = %d, want 4 (2 batches x 2 packets)", got)
+	}
+}
+
+// TestDigestFanInDropsForeignOffsets: a batch whose keys were gathered at
+// other offsets than the slow path reads — a switch still on another
+// program's layout — is dropped at fan-in with room to spare, counted with
+// the overflow drops, and the fan-in invariant holds.
+func TestDigestFanInDropsForeignOffsets(t *testing.T) {
+	c := New(fakeModel{}, Config{Name: "ctl-offsets", QueueDepth: 8})
+	t.Cleanup(func() { _ = c.Close() })
+	sc := &swConn{addr: "offsets-test", seen: make(map[string]struct{})}
+	c.mu.Lock()
+	c.conns[sc.addr] = sc
+	c.fleet = append(c.fleet, sc)
+	c.mu.Unlock()
+
+	for _, offs := range [][]int{{0, 1}, {1, 0}, {0, 1, 2}, nil} {
+		c.enqueue(sc, p4rt.DigestMsg{Offsets: offs, Digests: []p4rt.WireDigest{{Key: make([]byte, len(offs))}}})
+	}
+	sts := c.FleetStatus()
+	if fi := sts[0].FanIn; fi.Offered != 4 || fi.Dropped != 3 || fi.Depth != 1 {
+		t.Fatalf("fan-in %+v, want 4 offered, 3 dropped, 1 queued", fi)
+	}
+	checkFanInInvariant(t, sts)
+	if got := c.Stats().DroppedBatches; got != 3 {
+		t.Fatalf("Stats().DroppedBatches = %d, want 3", got)
 	}
 }
 

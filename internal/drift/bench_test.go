@@ -2,8 +2,6 @@ package drift
 
 import (
 	"testing"
-
-	"p4guard/internal/packet"
 )
 
 // BenchmarkDriftUpdate measures one armed-path observation: sketch
@@ -11,13 +9,10 @@ import (
 // controller shard pays per digest while drift tracking is on.
 func BenchmarkDriftUpdate(b *testing.B) {
 	base := NewBuilder([]int{0, 1, 2, 3, 4, 5}, 0)
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = &packet.Packet{
-			Link:  packet.LinkEthernet,
-			Bytes: []byte{byte(i), byte(i >> 1), byte(i % 64), byte(i % 16), byte(i % 7), byte(i % 3)},
-		}
-		base.Observe(pkts[i], i%3, float64(i)/1024)
+	keys := make([][]byte, 256)
+	for i := range keys {
+		keys[i] = []byte{byte(i), byte(i >> 1), byte(i % 64), byte(i % 16), byte(i % 7), byte(i % 3)}
+		base.Observe(keys[i], i%3, float64(i)/1024)
 	}
 	m := NewMonitor()
 	if err := m.Arm(MonitorConfig{Baseline: base.Profile(), ScoreEvery: 64, Window: 4096}); err != nil {
@@ -27,23 +22,20 @@ func BenchmarkDriftUpdate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		da.ObservePacket(0, pkts[i%len(pkts)], i%3, float64(i%100)/1024)
+		da.Observe(0, keys[i%len(keys)], i%3, float64(i%100)/1024)
 	}
 }
 
 // BenchmarkDriftScore measures one full PSI/KS composite recompute over
-// a 6-feature profile — the periodic cost hidden inside ObservePacket.
+// a 6-feature profile — the periodic cost hidden inside Observe.
 func BenchmarkDriftScore(b *testing.B) {
 	offs := []int{0, 1, 2, 3, 4, 5}
 	base := NewBuilder(offs, 0)
 	live := NewBuilder(offs, 0)
 	for i := 0; i < 4096; i++ {
-		pkt := &packet.Packet{
-			Link:  packet.LinkEthernet,
-			Bytes: []byte{byte(i), byte(i >> 1), byte(i % 64), byte(i % 16), byte(i % 7), byte(i % 3)},
-		}
-		base.Observe(pkt, i%3, float64(i%100)/1024)
-		live.Observe(pkt, i%3, float64(i%100)/1024)
+		key := []byte{byte(i), byte(i >> 1), byte(i % 64), byte(i % 16), byte(i % 7), byte(i % 3)}
+		base.Observe(key, i%3, float64(i%100)/1024)
+		live.Observe(key, i%3, float64(i%100)/1024)
 	}
 	bp, lp := base.Profile(), live.Profile()
 	b.ReportAllocs()

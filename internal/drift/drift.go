@@ -20,8 +20,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"p4guard/internal/packet"
 )
 
 // Schema is the profile serialization version (bumped on incompatible
@@ -301,13 +299,13 @@ func NewBuilder(offsets []int, window int) *Builder {
 	return b
 }
 
-// Observe folds one digest into the sketches: the packet's bytes at the
-// match-key offsets, the slow-path class (NoClass to skip the verdict
-// mix), and the autoencoder residual (NoResidual to skip).
-func (b *Builder) Observe(pkt *packet.Packet, class int, residual float64) {
+// Observe folds one digest into the sketches: its key, one byte per
+// builder offset in their order, the slow-path class (NoClass to skip the
+// verdict mix), and the autoencoder residual (NoResidual to skip).
+func (b *Builder) Observe(key []byte, class int, residual float64) {
 	b.count++
-	for i, off := range b.offsets {
-		b.features[i].observe(pkt.ByteAt(off))
+	for i := range b.features {
+		b.features[i].observe(key[i])
 	}
 	if class >= 0 {
 		if class >= maxClasses {

@@ -6,13 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-
-	"p4guard/internal/packet"
 )
-
-func mkPacket(vals ...byte) *packet.Packet {
-	return &packet.Packet{Link: packet.LinkEthernet, Bytes: vals}
-}
 
 // feedSeeded folds n seeded observations into b. shift is added to every
 // byte to emulate a distribution shift. Residuals are dyadic fractions
@@ -23,7 +17,7 @@ func feedSeeded(b *Builder, seed int64, n int, shift byte) {
 	for i := 0; i < n; i++ {
 		v0 := byte(rng.Intn(64)) + shift
 		v1 := byte(rng.Intn(16)) + shift
-		b.Observe(mkPacket(v0, v1), rng.Intn(3), float64(rng.Intn(100))/1024)
+		b.Observe([]byte{v0, v1}, rng.Intn(3), float64(rng.Intn(100))/1024)
 	}
 }
 
@@ -48,7 +42,7 @@ func TestBuilderDeterministic(t *testing.T) {
 func TestFeatureSketchMomentsAndQuantiles(t *testing.T) {
 	b := NewBuilder([]int{0}, 0)
 	for v := 0; v < 100; v++ {
-		b.Observe(mkPacket(byte(v)), NoClass, NoResidual)
+		b.Observe([]byte{byte(v)}, NoClass, NoResidual)
 	}
 	p := b.Profile()
 	f := &p.Features[0]
@@ -187,7 +181,7 @@ func TestComputeSkipsAbsentTerms(t *testing.T) {
 	live := NewBuilder([]int{0}, 0)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 500; i++ {
-		live.Observe(mkPacket(byte(rng.Intn(64))), NoClass, NoResidual)
+		live.Observe([]byte{byte(rng.Intn(64))}, NoClass, NoResidual)
 	}
 	sc, err := Compute(base.Profile(), live.Profile())
 	if err != nil {
@@ -228,10 +222,10 @@ func TestComputeErrors(t *testing.T) {
 func TestClassWindowSlides(t *testing.T) {
 	b := NewBuilder([]int{0}, 4)
 	for i := 0; i < 10; i++ {
-		b.Observe(mkPacket(0), 0, NoResidual)
+		b.Observe([]byte{0}, 0, NoResidual)
 	}
 	for i := 0; i < 4; i++ {
-		b.Observe(mkPacket(0), 1, NoResidual)
+		b.Observe([]byte{0}, 1, NoResidual)
 	}
 	p := b.Profile()
 	// Window of 4: the last 4 verdicts are all class 1.
@@ -275,7 +269,7 @@ func TestMonitorCrossingBothDirections(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Shifted stream: must cross upward on both the shard and the fleet.
 	for i := 0; i < 512; i++ {
-		da.ObservePacket(0, mkPacket(byte(rng.Intn(64))+100, byte(rng.Intn(16))+100), rng.Intn(3), float64(rng.Intn(100))/1000)
+		da.Observe(0, []byte{byte(rng.Intn(64)) + 100, byte(rng.Intn(16)) + 100}, rng.Intn(3), float64(rng.Intn(100))/1000)
 	}
 	if m.Crossings() == 0 {
 		t.Fatalf("no upward crossing after shifted stream (score %v)", da.ShardScore(0))
@@ -284,7 +278,7 @@ func TestMonitorCrossingBothDirections(t *testing.T) {
 	// back under the threshold; the feature sketches are cumulative, but
 	// a long matching tail shrinks PSI toward the mixture's.
 	for i := 0; i < 20000 && da.ShardScore(0) > da.Threshold(); i++ {
-		da.ObservePacket(0, mkPacket(byte(rng.Intn(64)), byte(rng.Intn(16))), rng.Intn(3), float64(rng.Intn(100))/1000)
+		da.Observe(0, []byte{byte(rng.Intn(64)), byte(rng.Intn(16))}, rng.Intn(3), float64(rng.Intn(100))/1000)
 	}
 	var up, down int
 	for _, ev := range events {
@@ -319,7 +313,7 @@ func TestMonitorShardingAndFleetMerge(t *testing.T) {
 	da := m.Armed()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		da.ObservePacket(i%2, mkPacket(byte(rng.Intn(64))), NoClass, NoResidual)
+		da.Observe(i%2, []byte{byte(rng.Intn(64))}, NoClass, NoResidual)
 	}
 	if got := da.ShardObservations(0) + da.ShardObservations(1); got != 100 {
 		t.Fatalf("shard observations sum = %d, want 100", got)

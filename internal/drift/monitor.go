@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"p4guard/internal/packet"
 	"p4guard/internal/telemetry"
 )
 
@@ -113,7 +112,7 @@ func (m *Monitor) Disarm() { m.armed.Store(nil) }
 // Armed returns the live armed state, or nil when the monitor is nil or
 // disarmed — the single-atomic-load hot-path probe:
 //
-//	if da := mon.Armed(); da != nil { da.ObservePacket(...) }
+//	if da := mon.Armed(); da != nil { da.Observe(...) }
 func (m *Monitor) Armed() *Armed {
 	if m == nil {
 		return nil
@@ -188,15 +187,15 @@ func (a *Armed) Threshold() float64 { return a.threshold }
 // Baseline returns the profile observations are scored against.
 func (a *Armed) Baseline() *Profile { return a.baseline }
 
-// ObservePacket folds one digest into shard's sketch: the packet bytes
-// at the baseline's offsets, the slow-path class (NoClass to skip the
+// Observe folds one digest into shard's sketch: its key, one byte per
+// baseline offset in their order, the slow-path class (NoClass to skip the
 // verdict mix), and the autoencoder residual (NoResidual to skip).
 // Every ScoreEvery observations the shard and fleet scores are
 // recomputed and threshold crossings fire the monitor's hooks.
-func (a *Armed) ObservePacket(shard int, pkt *packet.Packet, class int, residual float64) {
+func (a *Armed) Observe(shard int, key []byte, class int, residual float64) {
 	sh := a.shards[((shard%len(a.shards))+len(a.shards))%len(a.shards)]
 	sh.mu.Lock()
-	sh.b.Observe(pkt, class, residual)
+	sh.b.Observe(key, class, residual)
 	n := sh.b.Count()
 	if n < a.minObs || n%a.scoreEvery != 0 {
 		sh.mu.Unlock()

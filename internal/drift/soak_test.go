@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"p4guard/internal/packet"
 )
 
 // TestDriftSoakConcurrent hammers an armed monitor from concurrent
@@ -45,10 +43,7 @@ func TestDriftSoakConcurrent(t *testing.T) {
 				if da == nil {
 					continue
 				}
-				da.ObservePacket(g%2, &packet.Packet{
-					Link:  packet.LinkEthernet,
-					Bytes: []byte{byte(rng.Intn(64)), byte(rng.Intn(16))},
-				}, rng.Intn(3), float64(rng.Intn(100))/1024)
+				da.Observe(g%2, []byte{byte(rng.Intn(64)), byte(rng.Intn(16))}, rng.Intn(3), float64(rng.Intn(100))/1024)
 			}
 		}(g)
 	}
@@ -125,10 +120,7 @@ func TestDriftSeededRunsByteIdentical(t *testing.T) {
 		da := m.Armed()
 		rng := rand.New(rand.NewSource(77))
 		for i := 0; i < 3000; i++ {
-			da.ObservePacket(i%2, &packet.Packet{
-				Link:  packet.LinkEthernet,
-				Bytes: []byte{byte(rng.Intn(64)), byte(rng.Intn(16))},
-			}, rng.Intn(3), float64(rng.Intn(100))/1024)
+			da.Observe(i%2, []byte{byte(rng.Intn(64)), byte(rng.Intn(16))}, rng.Intn(3), float64(rng.Intn(100))/1024)
 		}
 		var buf bytes.Buffer
 		if err := WriteProfile(&buf, da.FleetProfile()); err != nil {

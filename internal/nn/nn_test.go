@@ -200,7 +200,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := Save(&buf, net); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, rand.New(rand.NewSource(11)))
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob")), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Fatal("Load accepted garbage")
 	}
 }
@@ -240,12 +240,42 @@ func TestLoadRefusesRetiredKinds(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 			t.Fatal(err)
 		}
-		net, err := Load(&buf, rand.New(rand.NewSource(1)))
+		net, err := Load(&buf)
 		if err == nil {
 			t.Fatalf("kind %d loaded as %T", kind, net.Layers[1])
 		}
 		if want := fmt.Sprintf("layer 1: unknown kind %d", kind); !strings.Contains(err.Error(), want) {
 			t.Fatalf("kind %d: Load error %q does not say %q", kind, err, want)
+		}
+	}
+}
+
+// TestLoadRefusesMalformedDense: a dense layer with a dimension below 1,
+// one whose In*Out wraps to the length of its weights, and two dense
+// layers that do not chain each fail Load with an error naming the layer,
+// instead of a panic inside Load or a shape error at the first Predict.
+func TestLoadRefusesMalformedDense(t *testing.T) {
+	dense := func(in, out, w int) layerSnap {
+		return layerSnap{Kind: kindDense, In: in, Out: out, W: make([]float64, w), B: make([]float64, max(out, 0))}
+	}
+	for name, tc := range map[string]struct {
+		layers []layerSnap
+		want   string
+	}{
+		"negative":     {[]layerSnap{dense(-5, 0, 0)}, "layer 0: corrupt dense -5x0"},
+		"wrapping":     {[]layerSnap{dense(1<<62, 4, 0)}, "layer 0: corrupt dense 4611686018427387904x4"},
+		"not chaining": {[]layerSnap{dense(2, 3, 6), {Kind: kindReLU}, dense(5, 2, 10)}, "layer 2: dense takes 5 inputs, the layer before gives 3"},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(netSnap{Loss: lossSoftmaxCE, Layers: tc.layers}); err != nil {
+			t.Fatal(err)
+		}
+		net, err := Load(&buf)
+		if err == nil {
+			t.Fatalf("%s: loaded %d layers", name, len(net.Layers))
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Load error %q does not say %q", name, err, tc.want)
 		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
+
+	"p4guard/internal/tensor"
 )
 
 // layerKind identifies a serializable layer type.
@@ -76,9 +77,11 @@ func Save(w io.Writer, net *Network) error {
 	return nil
 }
 
-// Load reads a network saved by Save. rng draws the dense layers' initial
-// weights, which the snapshot's then overwrite.
-func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
+// Load reads a network saved by Save. Each dense layer is built from the
+// snapshot's weights alone. A dense layer with a dimension below 1,
+// weights that are not In×Out, or an input width other than the output
+// width of the dense layer before it fails with the layer's index.
+func Load(r io.Reader) (*Network, error) {
 	var snap netSnap
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("nn: decode: %w", err)
@@ -93,17 +96,25 @@ func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
 		return nil, fmt.Errorf("nn: unknown loss kind %d", snap.Loss)
 	}
 	layers := make([]Layer, 0, len(snap.Layers))
+	width := 0 // the last dense layer's output width; 0 before the first
 	for i, ls := range snap.Layers {
 		switch ls.Kind {
 		case kindDense:
-			if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
+			// Division, not In*Out, which a hostile snapshot could wrap.
+			if ls.In < 1 || ls.Out < 1 || len(ls.W)%ls.Out != 0 || len(ls.W)/ls.Out != ls.In || len(ls.B) != ls.Out {
 				return nil, fmt.Errorf("nn: layer %d: corrupt dense %dx%d (w=%d b=%d)",
 					i, ls.In, ls.Out, len(ls.W), len(ls.B))
 			}
-			d := NewDense(rng, ls.In, ls.Out)
-			copy(d.W.Data, ls.W)
-			copy(d.B.Data, ls.B)
-			layers = append(layers, d)
+			if width != 0 && ls.In != width {
+				return nil, fmt.Errorf("nn: layer %d: dense takes %d inputs, the layer before gives %d", i, ls.In, width)
+			}
+			width = ls.Out
+			layers = append(layers, &Dense{
+				W:  &tensor.Matrix{Rows: ls.In, Cols: ls.Out, Data: ls.W},
+				B:  &tensor.Matrix{Rows: 1, Cols: ls.Out, Data: ls.B},
+				dW: tensor.New(ls.In, ls.Out),
+				dB: tensor.New(1, ls.Out),
+			})
 		case kindReLU:
 			layers = append(layers, &ReLU{})
 		case kindSigmoid:

@@ -26,9 +26,9 @@ import (
 //   - direct counters are tallied per row and flushed as one pair of
 //     atomic adds per distinct entry, plus one pair of table-level adds
 //     per batch, instead of three atomic read-modify-writes per packet;
-//   - digests are collected per batch and enqueued under one lock with
-//     one clock read (queueDigestBatch), preserving the queue's
-//     offered/queued/drained/dropped invariants exactly.
+//   - the keys of digested misses are staged per batch and enqueued
+//     under one lock with one clock read (queueKeys), with the queue's
+//     accounting exactly as per-packet Process leaves it.
 //
 // Everything lives in a caller-owned BatchWorkspace, so the steady-state
 // loop allocates nothing.
@@ -131,7 +131,7 @@ type BatchWorkspace struct {
 	matched []bool   // non-default entry fired, per packet index
 	pend    []int32  // cache-missed packets needing an index probe
 	rows    []int32  // range-index rows parallel to pend
-	digests []Digest // staged digests, flushed once per batch
+	digests []byte   // staged digest keys, flushed once per batch
 	cache   flowCache
 	masked  []byte // lane-masking scratch for ternary probes, one key wide
 
@@ -287,44 +287,22 @@ func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWork
 // ProcessBatch runs a burst through the table: for each packet index in
 // active, the verdict lands in out[idx]. Per-packet semantics are exactly
 // Process's; the differences are batch-granular only — the table's lookup
-// state is read once per burst, and digests are staged in the workspace
-// and enqueued under one lock with one shared timestamp.
+// state is read once per burst, and the misses' keys are staged in the
+// workspace and enqueued under one lock with one shared timestamp.
 func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, out []Verdict) {
 	p.table.LookupBatch(pkts, active, ws)
-	ws.digests = ws.digests[:0]
+	staged := ws.digests[:0]
+	n := 0
 	for _, idx := range active {
 		v := verdictOf(ws.acts[idx], ws.matched[idx])
 		out[idx] = v
 		if v.Digested {
-			ws.digests = append(ws.digests, Digest{Pkt: pkts[idx]})
+			staged = append(staged, ws.keys.Key(int(idx))...)
+			n++
 		}
 	}
-	if len(ws.digests) > 0 {
-		p.queueDigestBatch(ws.digests)
-		// Drop the packet references so a pooled workspace does not pin
-		// frames from old bursts.
-		clear(ws.digests)
-		ws.digests = ws.digests[:0]
-	}
-}
-
-// queueDigestBatch enqueues a burst of digests under one lock with one
-// clock read, with per-digest accounting identical to queueDigest:
-// offered counts every digest, overflow increments dropped, acceptance
-// increments queued.
-func (p *Pipeline) queueDigestBatch(ds []Digest) {
-	now := time.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range ds {
-		p.offered++
-		if len(p.digests) >= p.maxQ {
-			p.dropped++
-			continue
-		}
-		d := ds[i]
-		d.At = now
-		p.queued++
-		p.digests = append(p.digests, d)
+	ws.digests = staged
+	if n > 0 {
+		p.queueKeys(ws.cache.state.key, staged, n, time.Now())
 	}
 }

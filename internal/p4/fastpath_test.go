@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,23 +191,24 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		}
 	}
 	bq, rq := batchP.DigestQueueStats(), refP.DigestQueueStats()
-	if bq.Offered != rq.Offered || bq.Queued != rq.Queued || bq.Dropped != rq.Dropped || bq.Depth != rq.Depth {
+	if bq.Offered != rq.Offered || bq.Dropped != rq.Dropped || bq.Depth != rq.Depth {
 		t.Fatalf("digest accounting diverged: batch %+v ref %+v", bq, rq)
 	}
-	if bq.Queued != bq.Drained+uint64(bq.Depth) || bq.Offered != bq.Drained+bq.Dropped+uint64(bq.Depth) {
+	if bq.Offered != bq.Drained+bq.Dropped+uint64(bq.Depth) {
 		t.Fatalf("digest invariants violated: %+v", bq)
 	}
 	if bq.Dropped == 0 {
 		t.Fatalf("the burst never overflowed the queue: %+v", bq)
 	}
-	// Drained digests reference the same packets in the same order.
+	// Drained digests carry the same keys, under the same offsets, in the
+	// same order.
 	bd, rd := batchP.DrainDigests(0), refP.DrainDigests(0)
 	if len(bd) != len(rd) {
 		t.Fatalf("drained %d vs %d digests", len(bd), len(rd))
 	}
 	for i := range bd {
-		if bd[i].Pkt != rd[i].Pkt {
-			t.Fatalf("digest %d: batch %p != ref %p", i, bd[i].Pkt, rd[i].Pkt)
+		if !bytes.Equal(bd[i].Key, rd[i].Key) || !slices.Equal(bd[i].Offsets, rd[i].Offsets) {
+			t.Fatalf("digest %d: batch %v@%v != ref %v@%v", i, bd[i].Key, bd[i].Offsets, rd[i].Key, rd[i].Offsets)
 		}
 	}
 }
@@ -214,14 +216,10 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 // TestQueueDigestBatchOverflow fills the queue past capacity in one
 // batch: accounting must mirror per-digest enqueueing exactly.
 func TestQueueDigestBatchOverflow(t *testing.T) {
-	p := NewPipeline(nil, 4)
-	ds := make([]Digest, 10)
-	for i := range ds {
-		ds[i] = Digest{Pkt: &packet.Packet{}}
-	}
-	p.queueDigestBatch(ds)
+	p := NewPipeline(NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest}), 4)
+	p.queueKeys(key1(), make([]byte, 10), 10, time.Now())
 	st := p.DigestQueueStats()
-	if st.Offered != 10 || st.Queued != 4 || st.Dropped != 6 || st.Depth != 4 {
+	if st.Offered != 10 || st.Dropped != 6 || st.Depth != 4 {
 		t.Fatalf("overflow accounting = %+v", st)
 	}
 	for _, d := range p.DrainDigests(0) {
@@ -231,27 +229,80 @@ func TestQueueDigestBatchOverflow(t *testing.T) {
 	}
 }
 
-// TestDrainDigestsLetsGoOfPackets: the queue's array outlives a drain, so
-// a drained packet must not stay reachable through it — on a switch gone
-// idle after a burst that was up to a queue of full frames — and the array
-// must be the one the next burst fills: a steady enqueue/drain cycle, to
-// empty or to a constant depth, allocates the slice DrainDigests returns
-// and nothing else. The accounting identity holds throughout.
-func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
-	p := NewPipeline(nil, 64)
-	freed := make(chan struct{}, 8)
-	func() { // the packets live in no frame of this test's once queued
-		for i := 0; i < 8; i++ {
-			pkt := &packet.Packet{Bytes: make([]byte, 1500)}
-			runtime.SetFinalizer(pkt, func(*packet.Packet) { freed <- struct{}{} })
-			p.queueDigest(Digest{Pkt: pkt})
+// TestDrainDigestsHandsOutCopies: the queue's storage outlives a drain and
+// the next burst refills it, so a drained key must be a copy — what a
+// later miss queues does not change a digest already handed out — and a
+// steady enqueue/drain cycle, to empty or to a constant depth, allocates
+// the two things DrainDigests returns, the digests and one buffer for
+// their keys, and nothing else. The accounting identity holds throughout.
+func TestDrainDigestsHandsOutCopies(t *testing.T) {
+	layout := []FieldSpec{{Name: "k", Offset: 2, Width: 2}}
+	p := NewPipeline(NewTable("d", MatchRange, layout, 0, Action{Type: ActionDigest}), 64)
+	keys := func(v byte) []byte { return bytes.Repeat([]byte{v}, 16) } // 8 keys of 2 bytes
+	p.queueKeys(layout, keys(1), 8, time.Now())
+	first := p.DrainDigests(5) // partial: three stay queued
+	p.queueKeys(layout, keys(2), 8, time.Now())
+	for i, d := range first {
+		if !bytes.Equal(d.Key, []byte{1, 1}) || !slices.Equal(d.Offsets, []int{2, 3}) {
+			t.Fatalf("digest %d reads %v@%v after more keys were queued, want [1 1]@[2 3]", i, d.Key, d.Offsets)
 		}
-		p.DrainDigests(5) // partial: three stay queued
+	}
+	if rest := p.DrainDigests(0); len(rest) != 11 || !bytes.Equal(rest[0].Key, []byte{1, 1}) || !bytes.Equal(rest[3].Key, []byte{2, 2}) {
+		t.Fatalf("the queue kept %d digests out of order: %+v", len(rest), rest)
+	}
+
+	for _, depth := range []int{0, 5} {
+		p.queueKeys(layout, keys(3), depth, time.Now())
+		burst := keys(4)
+		cycle := func() {
+			p.queueKeys(layout, burst, 8, time.Now())
+			p.DrainDigests(8)
+		}
+		for i := 0; i < 64; i++ { // the storage reaches its size
+			cycle()
+		}
+		if got := testing.AllocsPerRun(200, cycle); got != 2 {
+			t.Fatalf("an enqueue/drain cycle at depth %d allocates %v times, want only the digests and their keys", depth, got)
+		}
+		st := p.DigestQueueStats()
+		if st.Depth != depth || st.Offered != st.Drained+st.Dropped+uint64(st.Depth) || st.Dropped != 0 {
+			t.Fatalf("depth %d: accounting = %+v", depth, st)
+		}
 		p.DrainDigests(0)
+	}
+}
+
+// TestDrainDigestsLetsGoOfPackets: a digest holds the key the lookup
+// gathered, not the frame it came from, so neither a queued nor a drained
+// digest keeps a caller's packet reachable — on a switch gone idle after a
+// burst, the queue pins no full frames — whether the miss came through
+// Process or ProcessBatch, and each digest still reads its frame's key.
+func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
+	det := NewTable("det", MatchRange, nil, 0, Action{Type: ActionDigest})
+	if err := det.Program(fourByteKey(), Action{Type: ActionDigest}, &Rows{}); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(det, 64)
+	freed := make(chan struct{}, 8)
+	var want [][]byte
+	func() { // the packets live in no frame of this test's once queued
+		frames := randFrames(rand.New(rand.NewSource(5)), 8, 1500)
+		for _, pkt := range frames {
+			want = append(want, []byte{pkt.Bytes[0], pkt.Bytes[1], pkt.Bytes[3], pkt.Bytes[4]})
+			runtime.SetFinalizer(pkt, func(*packet.Packet) { freed <- struct{}{} })
+		}
+		for _, pkt := range frames[:4] {
+			p.Process(pkt)
+		}
+		var ws BatchWorkspace
+		p.ProcessBatch(frames[4:], allIdx(4), &ws, make([]Verdict, 4))
 	}()
+	if st := p.DigestQueueStats(); st.Depth != 8 || st.Dropped != 0 {
+		t.Fatalf("misses not all queued: %+v", st)
+	}
 	for got, tries := 0, 0; got < 8; tries++ {
 		if tries == 100 {
-			t.Fatalf("%d of 8 drained packets collected: the queue still holds the rest", got)
+			t.Fatalf("%d of 8 packets collected: the digest queue still holds the rest", got)
 		}
 		runtime.GC()
 		select {
@@ -260,28 +311,65 @@ func TestDrainDigestsLetsGoOfPackets(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-
-	ds := make([]Digest, 8)
-	for i := range ds {
-		ds[i] = Digest{Pkt: &packet.Packet{}}
+	ds := append(p.DrainDigests(5), p.DrainDigests(0)...) // partial, then the rest
+	if len(ds) != 8 {
+		t.Fatalf("drained %d digests, want 8", len(ds))
 	}
-	for _, depth := range []int{0, 5} {
-		p.queueDigestBatch(ds[:depth])
-		cycle := func() {
-			p.queueDigestBatch(ds)
-			p.DrainDigests(len(ds))
+	for i, d := range ds {
+		if !bytes.Equal(d.Key, want[i]) || !slices.Equal(d.Offsets, []int{0, 1, 3, 4}) {
+			t.Fatalf("digest %d: %v@%v, want %v@[0 1 3 4]", i, d.Key, d.Offsets, want[i])
 		}
-		for i := 0; i < 64; i++ { // the array reaches its size
-			cycle()
+	}
+}
+
+// TestDigestLayoutDrops: a key means something only under the offsets it
+// was gathered at, so the queue drops, and counts, a miss on a table with
+// no key layout yet, whatever a program that changes the layout finds
+// queued, and keys offered under a layout the table no longer has. A
+// program that keeps the offsets keeps the queue. Every step keeps
+// Offered == Drained + Dropped + Depth, on Process and ProcessBatch alike.
+func TestDigestLayoutDrops(t *testing.T) {
+	det := NewTable("det", MatchRange, nil, 0, Action{Type: ActionDigest})
+	p := NewPipeline(det, 64)
+	var ws BatchWorkspace
+	frames := randFrames(rand.New(rand.NewSource(4)), 6, 8)
+	run := func() { // three misses by Process, three by ProcessBatch
+		for _, pkt := range frames[:3] {
+			p.Process(pkt)
 		}
-		if got := testing.AllocsPerRun(200, cycle); got != 1 {
-			t.Fatalf("an enqueue/drain cycle at depth %d allocates %v times, want only the slice handed out", depth, got)
-		}
+		p.ProcessBatch(frames[3:], allIdx(3), &ws, make([]Verdict, 3))
+	}
+	check := func(step string, offered, dropped uint64, depth int) {
+		t.Helper()
 		st := p.DigestQueueStats()
-		if st.Depth != depth || st.Offered != st.Drained+st.Dropped+uint64(st.Depth) || st.Dropped != 0 {
-			t.Fatalf("depth %d: accounting = %+v", depth, st)
+		if st.Offered != offered || st.Dropped != dropped || st.Depth != depth || st.Offered != st.Drained+st.Dropped+uint64(st.Depth) {
+			t.Fatalf("%s: %+v, want offered=%d dropped=%d depth=%d", step, st, offered, dropped, depth)
 		}
-		p.DrainDigests(0)
+	}
+	program := func(key []FieldSpec) {
+		t.Helper()
+		if err := det.Program(key, Action{Type: ActionDigest}, &Rows{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	check("before the first program", 6, 6, 0)
+	program(fourByteKey())
+	run()
+	check("programmed", 12, 6, 6)
+	program(fourByteKey()) // new specs, same bytes
+	check("reprogrammed at the same offsets", 12, 6, 6)
+	p.queueKeys(key1(), make([]byte, 2), 2, time.Now())
+	check("keys offered under a stale layout", 14, 8, 6)
+	program(key1())
+	check("reprogrammed at other offsets", 14, 14, 0)
+	run()
+	ds := p.DrainDigests(0)
+	check("drained", 20, 14, 0)
+	for i, d := range ds {
+		if want := frames[i].Bytes[:1]; !bytes.Equal(d.Key, want) || !slices.Equal(d.Offsets, []int{0}) {
+			t.Fatalf("digest %d: %v@%v, want %v@[0]", i, d.Key, d.Offsets, want)
+		}
 	}
 }
 

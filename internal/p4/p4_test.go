@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -214,7 +215,7 @@ func TestTernaryAgainstReference(t *testing.T) {
 
 // TestPipelineFlow runs the three actions through the one-table pipeline:
 // allow and drop carry their class, the digest miss action forwards with
-// class 0 and queues the packet.
+// class 0 and queues the lookup key.
 func TestPipelineFlow(t *testing.T) {
 	det := NewTable("det", MatchRange, key1(), 0, Action{Type: ActionDigest, Class: 7})
 	for _, e := range []Entry{point(1, Action{Type: ActionDrop, Class: 3}), point(2, Action{Type: ActionAllow, Class: 4})} {
@@ -232,7 +233,7 @@ func TestPipelineFlow(t *testing.T) {
 			t.Fatalf("byte %d: verdict %+v, want %+v", b, v, want)
 		}
 	}
-	if ds := p.DrainDigests(0); len(ds) != 1 || ds[0].Pkt.Bytes[0] != 9 {
+	if ds := p.DrainDigests(0); len(ds) != 1 || !bytes.Equal(ds[0].Key, []byte{9}) || !slices.Equal(ds[0].Offsets, []int{0}) {
 		t.Fatalf("digests = %+v", ds)
 	}
 }
@@ -566,18 +567,18 @@ func TestEntryDirectCounters(t *testing.T) {
 }
 
 // TestDigestQueueAccounting checks the drained-vs-dropped bookkeeping:
-// queued == drained + depth at every step, and overflow loss is counted
-// instead of silent.
+// offered == drained + dropped + depth at every step, and overflow loss is
+// counted instead of silent.
 func TestDigestQueueAccounting(t *testing.T) {
 	p := NewPipeline(NewTable("d", MatchRange, key1(), 0, Action{Type: ActionDigest}), 2)
-	check := func(depth int, queued, drained, dropped uint64) {
+	check := func(depth int, offered, drained, dropped uint64) {
 		t.Helper()
 		qs := p.DigestQueueStats()
-		if qs.Depth != depth || qs.Queued != queued || qs.Drained != drained || qs.Dropped != dropped {
-			t.Fatalf("queue stats %+v, want depth=%d queued=%d drained=%d dropped=%d",
-				qs, depth, queued, drained, dropped)
+		if qs.Depth != depth || qs.Offered != offered || qs.Drained != drained || qs.Dropped != dropped {
+			t.Fatalf("queue stats %+v, want depth=%d offered=%d drained=%d dropped=%d",
+				qs, depth, offered, drained, dropped)
 		}
-		if qs.Queued != qs.Drained+uint64(qs.Depth) {
+		if qs.Offered != qs.Drained+qs.Dropped+uint64(qs.Depth) {
 			t.Fatalf("accounting broken: %+v", qs)
 		}
 		if qs.Capacity != 2 {
@@ -588,14 +589,14 @@ func TestDigestQueueAccounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Process(&packet.Packet{Bytes: []byte{byte(i)}})
 	}
-	check(2, 2, 0, 3)
+	check(2, 5, 0, 3)
 	if got := len(p.DrainDigests(1)); got != 1 {
 		t.Fatalf("drained %d, want 1", got)
 	}
-	check(1, 2, 1, 3)
+	check(1, 5, 1, 3)
 	p.Process(&packet.Packet{Bytes: []byte{7}})
 	if got := len(p.DrainDigests(0)); got != 2 {
 		t.Fatalf("drained %d, want 2", got)
 	}
-	check(0, 3, 3, 3)
+	check(0, 6, 3, 3)
 }

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,24 +36,28 @@ func verdictOf(act Action, matched bool) Verdict {
 	return v
 }
 
-// Digest is a packet sample queued for the controller. At is the
-// enqueue wall time, stamped so the digest pump can account queue wait
-// (the digest_wait trace stage) from the moment the sample was taken.
+// Digest is a table miss queued for the controller: the lookup key, all the
+// slow path reads, whose byte i is frame byte Offsets[i] (shared, read-only).
+// At is the enqueue time, where the digest_wait trace stage starts.
 type Digest struct {
-	Pkt *packet.Packet
-	At  time.Time
+	Key     []byte
+	Offsets []int
+	At      time.Time
 }
 
 // Pipeline is the ingress control block the detector program declares: one
-// table applied to every packet, plus a bounded digest queue.
+// table applied to every packet, plus a bounded queue of copies of the
+// misses' keys, all gathered under the table's current layout.
 type Pipeline struct {
 	table   *Table
-	mu      sync.RWMutex // guards the digest queue
-	digests []Digest
-	offered uint64 // digests ever presented to the queue (accepted + dropped)
-	queued  uint64 // digests ever enqueued
-	drained uint64 // digests handed to DrainDigests callers
-	dropped uint64 // digests dropped due to a full queue
+	mu      sync.Mutex  // guards the digest queue
+	layout  []FieldSpec // the layout the queued keys were gathered under
+	offsets []int       // layout's key bytes as frame offsets (Digest.Offsets)
+	keys    []byte      // queued keys back to back, len(offsets) bytes each
+	at      []time.Time // enqueue time per queued key
+	offered uint64      // digests ever presented to the queue (accepted + dropped)
+	drained uint64      // digests handed to DrainDigests callers
+	dropped uint64      // digests dropped: queue full, no layout, or layout changed
 	maxQ    int
 }
 
@@ -74,47 +79,77 @@ func (p *Pipeline) Table(name string) (*Table, error) {
 }
 
 // Process runs the packet through the table and returns the verdict,
-// queueing a digest when the action asks for one.
+// queueing the lookup key as a digest when the action asks for one.
 func (p *Pipeline) Process(pkt *packet.Packet) Verdict {
-	v := verdictOf(p.table.Lookup(pkt.Bytes))
+	var kb [128]byte // key, then the ternary lane-masking scratch
+	act, matched, st, key := p.table.lookup(pkt.Bytes, kb[:])
+	v := verdictOf(act, matched)
 	if v.Digested {
-		p.queueDigest(Digest{Pkt: pkt})
+		p.queueKeys(st.key, key, 1, time.Now())
 	}
 	return v
 }
 
-func (p *Pipeline) queueDigest(d Digest) {
-	d.At = time.Now()
+// queueKeys copies n keys gathered under layout, back to back in keys, into
+// the queue's storage, stamped at. Keys past the bound, and all of them when
+// layout is not the table's current one or is empty, are dropped, and
+// counted: a key means nothing without the offsets it was gathered at.
+func (p *Pipeline) queueKeys(layout []FieldSpec, keys []byte, n int, at time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.offered++
-	if len(p.digests) >= p.maxQ {
-		p.dropped++
+	p.offered += uint64(n)
+	p.relayout()
+	take := 0
+	if len(p.offsets) > 0 && slices.Equal(layout, p.layout) {
+		take = min(n, p.maxQ-len(p.at))
+	}
+	p.dropped += uint64(n - take)
+	p.keys = append(p.keys, keys[:take*len(p.offsets)]...)
+	for range take {
+		p.at = append(p.at, at)
+	}
+}
+
+// relayout brings the queue to the table's current key layout, dropping and
+// counting what was queued under another one (specs compared whole, names
+// too). Callers hold p.mu.
+func (p *Pipeline) relayout() {
+	cur := p.table.state.Load().key
+	if slices.Equal(cur, p.layout) {
+		p.layout = cur
 		return
 	}
-	p.queued++
-	p.digests = append(p.digests, d)
+	p.dropped += uint64(len(p.at))
+	p.keys, p.at = p.keys[:0], p.at[:0]
+	p.layout, p.offsets = cur, nil
+	for _, s := range cur {
+		for i := 0; i < s.Width; i++ {
+			p.offsets = append(p.offsets, s.Offset+i)
+		}
+	}
 }
 
 // DrainDigests removes and returns up to max queued digests (all when
-// max <= 0), crediting the drained counter so queue accounting balances:
-// queued == drained + depth at all times, and dropped records overflow
-// loss separately.
+// max <= 0), crediting the drained counter so queue accounting balances (see
+// DigestQueueStats). The keys are copies, one allocation for the lot, so the
+// queue's storage is refilled by the next burst and grows no further.
 func (p *Pipeline) DrainDigests(max int) []Digest {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.digests)
+	p.relayout()
+	n := len(p.at)
 	if max > 0 && max < n {
 		n = max
 	}
+	w := len(p.offsets)
+	keys := append([]byte(nil), p.keys[:n*w]...)
 	out := make([]Digest, n)
-	copy(out, p.digests[:n])
-	// The array outlives the drain. What is left moves to its front, so the
-	// next burst fills it again and does not grow another, and the slots
-	// behind are cleared: the packets handed out are the caller's alone.
-	rest := copy(p.digests, p.digests[n:])
-	clear(p.digests[rest:])
-	p.digests = p.digests[:rest]
+	for i := range out {
+		out[i] = Digest{Key: keys[i*w : (i+1)*w : (i+1)*w], Offsets: p.offsets, At: p.at[i]}
+	}
+	rest := copy(p.at, p.at[n:])
+	p.at = p.at[:rest]
+	p.keys = p.keys[:copy(p.keys, p.keys[n*w:])]
 	p.drained += uint64(n)
 	return out
 }
@@ -124,26 +159,26 @@ type DigestQueueStats struct {
 	// Depth is the current queue occupancy; Capacity its bound.
 	Depth    int
 	Capacity int
-	// Offered counts every digest presented to the queue; Queued those
-	// accepted; Drained those handed to the controller side; Dropped those
-	// lost to overflow. Two invariants always hold:
-	//   Queued  == Drained + Depth
+	// Offered counts every digest presented to the queue; Drained those
+	// handed to the controller side; Dropped those lost: to overflow, to a
+	// miss before the table had a key layout, or to a program that changed
+	// the layout they were queued under. The invariant always holds:
 	//   Offered == Drained + Dropped + Depth
 	Offered uint64
-	Queued  uint64
 	Drained uint64
 	Dropped uint64
 }
 
-// DigestQueueStats returns a consistent snapshot of the queue counters.
+// DigestQueueStats returns a consistent snapshot of the queue counters,
+// after dropping what a program that changed the key layout left queued.
 func (p *Pipeline) DigestQueueStats() DigestQueueStats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.relayout()
 	return DigestQueueStats{
-		Depth:    len(p.digests),
+		Depth:    len(p.at),
 		Capacity: p.maxQ,
 		Offered:  p.offered,
-		Queued:   p.queued,
 		Drained:  p.drained,
 		Dropped:  p.dropped,
 	}

@@ -532,25 +532,31 @@ func (t *Table) Entries() []Entry {
 // generation — and allocates nothing for key widths up to 64 bytes, so
 // concurrent lookups scale linearly with cores.
 func (t *Table) Lookup(frame []byte) (act Action, matched bool) {
-	st := t.state.Load()
 	var kb [128]byte // key, then the ternary lane-masking scratch
-	buf := kb[:]
+	act, matched, _, _ = t.lookup(frame, kb[:])
+	return act, matched
+}
+
+// lookup is Lookup over the caller's scratch buf (key, then masking lanes),
+// also returning the generation it read and the key it gathered there.
+func (t *Table) lookup(frame, buf []byte) (act Action, matched bool, st *lookupState, key []byte) {
+	st = t.state.Load()
 	if 2*st.width > len(buf) {
 		buf = make([]byte, 2*st.width)
 	}
-	key := buf[:st.width]
+	key = buf[:st.width]
 	fillKey(key, frame, st.key)
 	hit, _ := st.find(key, buf[st.width:])
 	if hit == nil {
 		atomic.AddUint64(&t.misses, 1)
-		return st.def, false
+		return st.def, false, st, key
 	}
 	// Direct counters: hits and bytes share the entry's cache line, so the
 	// second add is nearly free once the first has claimed the line.
 	atomic.AddUint64(&hit.hits, 1)
 	atomic.AddUint64(&hit.bytes, uint64(len(frame)))
 	atomic.AddUint64(&t.hits, 1)
-	return hit.Action, true
+	return hit.Action, true, st, key
 }
 
 // find resolves one gathered key through the state's index — the single

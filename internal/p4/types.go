@@ -1,8 +1,8 @@
 // Package p4 implements P4Lite, a behavioural model of a programmable
 // data plane: match–action tables with range and ternary match kinds,
 // the one-table pipeline the detector program declares, per-table and
-// per-entry counters, and a digest queue for sending packet samples to
-// the controller. Frames are parsed by packet.ParseFrame. It stands in
+// per-entry counters, and a digest queue sending the lookup keys of misses
+// to the controller. Frames are parsed by packet.ParseFrame. It stands in
 // for the BMv2/Tofino targets the paper deployed on, preserving
 // match–action semantics and table cost accounting.
 package p4

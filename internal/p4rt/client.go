@@ -28,7 +28,7 @@ type Client struct {
 	// can hang on a connection that will never answer.
 	done chan struct{}
 
-	onDigest func([]WirePacket)
+	onDigest func(DigestMsg)
 	wg       sync.WaitGroup
 }
 
@@ -74,9 +74,10 @@ func WithDialer(d Dialer) ClientOption {
 // DialContext connects to a switch agent, performs the hello handshake,
 // and starts the read loop. Establishment and handshake are bounded by
 // ctx (or DialTimeout when ctx has no deadline). onDigest (may be nil)
-// receives asynchronous packet samples; it is called from the read loop,
-// so it must not block on RPCs issued over the same client.
-func DialContext(ctx context.Context, addr, clientName string, onDigest func([]WirePacket), opts ...ClientOption) (*Client, error) {
+// receives each digest batch whose keys are as wide as its offsets, with
+// keys of its own; it is called from the read loop, so it must not block
+// on RPCs issued over the same client.
+func DialContext(ctx context.Context, addr, clientName string, onDigest func(DigestMsg), opts ...ClientOption) (*Client, error) {
 	o := clientOptions{
 		rpcTimeout: DefaultRPCTimeout,
 		dialer: func(ctx context.Context, addr string) (net.Conn, error) {
@@ -226,9 +227,10 @@ func (c *Client) readLoop() {
 		switch env.Type {
 		case TypeDigest:
 			if c.onDigest != nil {
+				// The keys are the decoder's own, not views of the frame.
 				var msg DigestMsg
-				if err := DecodeBody(env, &msg); err == nil {
-					c.onDigest(msg.Packets)
+				if err := DecodeBody(env, &msg); err == nil && msg.keysFit() {
+					c.onDigest(msg)
 				}
 			}
 		case TypeResponse, TypeHelloAck:

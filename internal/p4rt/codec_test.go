@@ -404,7 +404,7 @@ func TestFramingMatchesEncodingJSON(t *testing.T) {
 		{TypeProgram, prog, progHead, row},
 		{TypeWrite, write, writeHead, row},
 		{TypeDelta, delta, deltaHead, row},
-		{TypeDigest, DigestMsg{Packets: []WirePacket{{TimeNS: -5, Bytes: []byte("<&>")}}}, nil, nil},
+		{TypeDigest, DigestMsg{Offsets: []int{0, 1, 2}, Digests: []WireDigest{{Key: []byte("<&>"), TraceID: 5}}}, nil, nil},
 		{TypeResponse, Response{Error: "unknown message type \"x\"", Installed: 3}, nil, nil},
 		{TypeHeartbeat, struct{}{}, nil, nil},
 		{"counters", nil, nil, nil},

@@ -80,7 +80,7 @@ func TestUnknownWireFieldsTolerated(t *testing.T) {
 			t.Fatalf("round %d: response = %+v, want %+v", round, gotR, wantR)
 		}
 
-		wantD := DigestMsg{Packets: []WirePacket{{TimeNS: int64(round), Bytes: []byte{200, byte(round)}, TraceID: uint64(round + 2)}}}
+		wantD := DigestMsg{Offsets: []int{0, 1}, Digests: []WireDigest{{Key: []byte{200, byte(round)}, TraceID: uint64(round + 2)}}}
 		raw, err = json.Marshal(wantD)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestUnknownWireFieldsTolerated(t *testing.T) {
 		if err := json.Unmarshal(injectUnknownFields(t, raw, rng, 1+rng.Intn(5)), &gotD); err != nil {
 			t.Fatalf("round %d: digest decode: %v", round, err)
 		}
-		if len(gotD.Packets) != 1 || gotD.Packets[0].TraceID != uint64(round+2) {
+		if !reflect.DeepEqual(gotD, wantD) {
 			t.Fatalf("round %d: digest = %+v", round, gotD)
 		}
 

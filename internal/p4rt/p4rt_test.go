@@ -3,7 +3,11 @@ package p4rt
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math/rand"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,11 +67,76 @@ func TestActionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWirePacketRoundTrip(t *testing.T) {
-	p := &packet.Packet{Time: 3 * time.Second, Link: packet.LinkBLE, Bytes: []byte{1, 2}}
-	got := FromPacket(p).ToPacket()
-	if got.Time != p.Time || got.Link != p.Link || !bytes.Equal(got.Bytes, p.Bytes) {
-		t.Fatalf("round trip = %+v", got)
+// TestDigestKeyRoundTrip: a digest body crosses the wire as its offsets
+// and one key per miss, with trace ids only when set, and decodes to what
+// was sent.
+func TestDigestKeyRoundTrip(t *testing.T) {
+	want := DigestMsg{Offsets: []int{23, 34}, Digests: []WireDigest{{Key: []byte{6, 17}}, {Key: []byte{1, 0}, TraceID: 3, SpanID: 4}}}
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, TypeDigest, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	const wire = `{"type":"digest","body":{"offsets":[23,34],"digests":[{"key":"BhE="},{"key":"AQA=","trace_id":3,"span_id":4}]}}`
+	if got := buf.String()[4:]; got != wire {
+		t.Fatalf("wire form\n got %s\nwant %s", got, wire)
+	}
+	env, err := ReadMsg(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got DigestMsg
+	if err := DecodeBody(env, &got); err != nil || !got.keysFit() || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, want)
+	}
+}
+
+// TestClientRefusesDigestOfOtherWidth: a key means nothing unless it is
+// one byte per offset, so a digest body holding one key of another width
+// is refused whole and never reaches onDigest; the bodies around it on
+// the same connection still do. The JSON body carries no count, so the
+// decoder sizes nothing from a number a peer chose.
+func TestClientRefusesDigestOfOtherWidth(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	bodies := []string{
+		`{"offsets":[0,1],"digests":[{"key":"AQI="},{"key":"AQ=="}]}`, // second key one byte short
+		`{"offsets":[0],"digests":[{"key":"AQI="}]}`,                  // two bytes under one offset
+		`{"offsets":[0,1],"digests":[{"key":null}]}`,                  // no key at all
+		`{"offsets":[0,1],"digests":[{"key":"AwQ="}]}`,                // the one to deliver
+	}
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = c.Close() }()
+		env, err := ReadMsg(c)
+		if err != nil || WriteMsg(c, TypeHelloAck, env.ID, HelloAck{ServerName: "sw", Version: Version}) != nil {
+			return
+		}
+		for _, b := range bodies {
+			if WriteMsg(c, TypeDigest, 0, json.RawMessage(b)) != nil {
+				return
+			}
+		}
+		_, _ = ReadMsg(c) // hold the connection until the client closes it
+	}()
+	got := make(chan DigestMsg, len(bodies))
+	cl, err := DialContext(context.Background(), ln.Addr().String(), "ctl", func(m DigestMsg) { got <- m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	select {
+	case m := <-got:
+		if len(m.Digests) != 1 || !bytes.Equal(m.Digests[0].Key, []byte{3, 4}) {
+			t.Fatalf("first body delivered is %+v, want the well-formed one", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the well-formed digest was not delivered")
 	}
 }
 
@@ -96,7 +165,7 @@ func TestProgramFromRuleSet(t *testing.T) {
 	}
 }
 
-func startPair(t *testing.T, onDigest func([]WirePacket)) (*switchsim.Switch, *Server, *Client) {
+func startPair(t *testing.T, onDigest func(DigestMsg)) (*switchsim.Switch, *Server, *Client) {
 	t.Helper()
 	sw, err := switchsim.New("gw-test", packet.LinkEthernet)
 	if err != nil {
@@ -190,21 +259,20 @@ func TestProgramErrorsPropagate(t *testing.T) {
 
 func TestDigestDelivery(t *testing.T) {
 	var mu sync.Mutex
-	var got []WirePacket
+	var got []DigestMsg
 	done := make(chan struct{}, 8)
-	sw, _, cl := startPair(t, func(pkts []WirePacket) {
+	sw, _, cl := startPair(t, func(msg DigestMsg) {
 		mu.Lock()
-		got = append(got, pkts...)
+		got = append(got, msg)
 		mu.Unlock()
 		done <- struct{}{}
 	})
 	_ = cl
-	// Empty detector with digest-on-miss default.
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
+	// Empty detector with digest-on-miss default, keyed on bytes 4 and 1.
+	if err := sw.ProgramDetector([]int{4, 1}, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{1, 2, 3, 4, 5}
-	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: want, Time: time.Second})
+	sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: []byte{1, 2, 3, 4, 5}, Time: time.Second})
 
 	select {
 	case <-done:
@@ -213,7 +281,7 @@ func TestDigestDelivery(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 1 || !bytes.Equal(got[0].Bytes, want) || got[0].TimeNS != int64(time.Second) {
+	if len(got) != 1 || !slices.Equal(got[0].Offsets, []int{4, 1}) || len(got[0].Digests) != 1 || !bytes.Equal(got[0].Digests[0].Key, []byte{5, 2}) {
 		t.Fatalf("digests = %+v", got)
 	}
 }
@@ -224,7 +292,7 @@ func TestDigestDelivery(t *testing.T) {
 // delivers it to the controller that has said hello and to no other.
 func TestIdlePumpTickAllocatesNothing(t *testing.T) {
 	sw := newTestSwitch(t)
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
+	if err := sw.ProgramDetector([]int{0}, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
 	ready, greeting := &memConn{}, &memConn{}
@@ -243,6 +311,42 @@ func TestIdlePumpTickAllocatesNothing(t *testing.T) {
 	}
 	if depth := sw.DigestQueueStats().Depth; depth != 0 {
 		t.Fatalf("%d digests still queued after the tick", depth)
+	}
+}
+
+// TestDigestWireBytes measures what one pump tick puts on the wire per
+// digest, tracing disarmed: 64 misses under an 8-byte key, of 64-byte
+// frames and of the 64/512/1500-byte 7:4:1 mix of a gateway under attack.
+// It goes through the switch and the pump only, so it measures the same
+// thing whatever a digest is made of: a digest that carried its frame
+// cost 127–141 and 462–476 bytes. A key costs the same at any frame size.
+func TestDigestWireBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, mix := range []struct {
+		name  string
+		sizes []int
+	}{{"64B", []int{64}}, {"mixed", []int{64, 64, 64, 64, 64, 64, 64, 512, 512, 512, 512, 1500}}} {
+		sw := newTestSwitch(t)
+		if err := sw.ProgramDetector([]int{12, 13, 23, 26, 27, 34, 35, 46}, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
+			t.Fatal(err)
+		}
+		const n = 64
+		for i := 0; i < n; i++ {
+			frame := make([]byte, mix.sizes[rng.Intn(len(mix.sizes))])
+			rng.Read(frame)
+			sw.Process(&packet.Packet{Link: packet.LinkEthernet, Bytes: frame, Time: time.Duration(i) * time.Millisecond})
+		}
+		ready := &memConn{}
+		s := &Server{sw: sw, conns: map[net.Conn]*connState{ready: {ready: true}}}
+		s.pumpDigests()
+		if depth := sw.DigestQueueStats().Depth; depth != 0 {
+			t.Fatalf("%s: %d digests left after one tick", mix.name, depth)
+		}
+		per := float64(ready.out.Len()) / n
+		t.Logf("%s: %d bytes for %d digests, %.1f a digest", mix.name, ready.out.Len(), n, per)
+		if per > 127.0/4 {
+			t.Fatalf("%s: %.1f bytes a digest, over a quarter of the 127 a frame digest cost", mix.name, per)
+		}
 	}
 }
 
@@ -303,7 +407,7 @@ func TestDigestBacklogNeverBeatsHelloAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ProgramDetector(nil, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
+	if err := sw.ProgramDetector([]int{0}, p4.Action{Type: p4.ActionDigest}, &p4.Rows{}); err != nil {
 		t.Fatal(err)
 	}
 	// Queue a digest backlog before any controller exists.

@@ -375,19 +375,19 @@ func (s *Server) pumpDigests() {
 	s.digestBatches.Add(1)
 	s.digestPackets.Add(uint64(len(ds)))
 	tracer := s.sw.Tracer()
-	msg := DigestMsg{Packets: make([]WirePacket, 0, len(ds))}
-	for _, d := range ds {
-		wp := FromPacket(d.Pkt)
+	// One drain is one layout: every key in it shares the first's offsets.
+	msg := DigestMsg{Offsets: ds[0].Offsets, Digests: make([]WireDigest, len(ds))}
+	for i, d := range ds {
+		msg.Digests[i].Key = d.Key
 		// One trace per digest: its root digest_wait span covers
 		// pipeline enqueue → pump drain, and its context rides the wire
 		// so the controller's fan-in span can parent to it. Inert (one
 		// atomic load) while the tracer is nil or disarmed.
 		if sp := tracer.StartTraceAt(dtrace.StageDigestWait, d.At); sp.Active() {
 			ctx := sp.Context()
-			wp.TraceID, wp.SpanID = uint64(ctx.Trace), uint64(ctx.Span)
+			msg.Digests[i].TraceID, msg.Digests[i].SpanID = uint64(ctx.Trace), uint64(ctx.Span)
 			sp.End()
 		}
-		msg.Packets = append(msg.Packets, wp)
 	}
 	for _, c := range conns {
 		if err := s.send(c, TypeDigest, 0, msg); err != nil && !errors.Is(err, net.ErrClosed) {

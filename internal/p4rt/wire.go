@@ -1,7 +1,7 @@
 // Package p4rt is a P4Runtime-like control protocol between controller and
 // switch: length-prefixed frames over TCP carrying table programming and
-// asynchronous digest (packet-in) notifications. A frame
-// is a JSON envelope; the three bodies that carry table rows — program,
+// asynchronous digests, the lookup keys of table misses. A frame is a JSON
+// envelope; the three bodies that carry table rows — program,
 // delta, write — keep their JSON head there and trail the envelope with the
 // rows as one packed fixed-width section (codec.go). It substitutes for the
 // gRPC-based P4Runtime the paper's testbed used while preserving the same
@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
-
-	"p4guard/internal/packet"
 )
 
 // MaxFrame bounds a single wire frame.
@@ -25,8 +22,9 @@ const MaxFrame = 4 << 20
 // Version is the protocol version both ends state in the handshake. Peers
 // of different versions refuse each other at dial (a RejectError on either
 // side): version 2 moved table rows from JSON text to the packed section,
-// and no peer reads both.
-const Version = 2
+// version 3 made a digest the lookup key instead of the frame, and no peer
+// reads two versions.
+const Version = 3
 
 // MsgType discriminates envelope payloads.
 type MsgType string
@@ -153,35 +151,31 @@ type Response struct {
 	SpanID    uint64 `json:"span_id,omitempty"`
 }
 
-// DigestMsg pushes packet samples switch→controller.
+// DigestMsg pushes table misses switch→controller: the frame offsets the
+// switch's lookup gathered its keys at, and one key per miss, not the
+// frame. A body with a key not one byte per offset is refused whole.
 type DigestMsg struct {
-	Packets []WirePacket `json:"packets"`
+	Offsets []int        `json:"offsets"`
+	Digests []WireDigest `json:"digests"`
 }
 
-// WirePacket is a packet sample in wire form. TraceID/SpanID carry the
-// digest's trace context when the switch has tracing armed: TraceID
-// names the trace minted at digest drain, SpanID the digest_wait span
-// the controller's fan-in span should parent to.
-type WirePacket struct {
-	TimeNS  int64  `json:"time_ns"`
-	Link    int    `json:"link"`
-	Bytes   []byte `json:"bytes"`
+// WireDigest is one miss: its key, and when the switch has tracing armed
+// its trace context: TraceID names the trace minted at digest drain, SpanID
+// the digest_wait span the controller's fan-in span should parent to.
+type WireDigest struct {
+	Key     []byte `json:"key"`
 	TraceID uint64 `json:"trace_id,omitempty"`
 	SpanID  uint64 `json:"span_id,omitempty"`
 }
 
-// ToPacket converts the wire form back to a packet.
-func (w WirePacket) ToPacket() *packet.Packet {
-	return &packet.Packet{
-		Time:  time.Duration(w.TimeNS),
-		Link:  packet.LinkType(w.Link),
-		Bytes: w.Bytes,
+// keysFit reports whether every key is one byte per offset.
+func (m *DigestMsg) keysFit() bool {
+	for _, d := range m.Digests {
+		if len(d.Key) != len(m.Offsets) {
+			return false
+		}
 	}
-}
-
-// FromPacket converts a packet to wire form.
-func FromPacket(p *packet.Packet) WirePacket {
-	return WirePacket{TimeNS: int64(p.Time), Link: int(p.Link), Bytes: p.Bytes}
+	return true
 }
 
 // recycleMin is the size from which a frame's buffer is recycled rather

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -188,8 +189,8 @@ func TestBurstMatchesProcessOnRuntFrames(t *testing.T) {
 		t.Fatalf("digests: burst queued %d, Process %d", len(bq), len(rq))
 	}
 	for i := range bq {
-		if bq[i].Pkt != rq[i].Pkt {
-			t.Fatalf("digest %d: burst queued packet %p, Process %p", i, bq[i].Pkt, rq[i].Pkt)
+		if !bytes.Equal(bq[i].Key, rq[i].Key) || !slices.Equal(bq[i].Offsets, rq[i].Offsets) {
+			t.Fatalf("digest %d: burst queued %v@%v, Process %v@%v", i, bq[i].Key, bq[i].Offsets, rq[i].Key, rq[i].Offsets)
 		}
 	}
 }
@@ -251,6 +252,101 @@ func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state batch loop allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// missMix is a detector rule set that forwards frames whose byte 0 is
+// below 248: over random frames, about 3 % miss into the table's default.
+func missMix() *rules.RuleSet {
+	rs := rules.NewRuleSet([]int{0, 3, 7}, 0)
+	rs.Add(rules.Rule{Priority: 1, Class: 0, Preds: []rules.BytePredicate{{Offset: 0, Lo: 0, Hi: 247}}})
+	return rs
+}
+
+// TestDigestingBurstZeroAlloc is the allocation gate for the digest
+// path: with a digest-on-miss default and a few percent of the traffic
+// missing, a burst copies its misses' keys into the queue's storage and
+// allocates nothing once that storage has grown — with a drift monitor
+// armed too, whose sketch input the switch gathers on the stack. The
+// queue takes every key (nothing dropped), so the gate is on the append,
+// not on an overflow that skips it.
+func TestDigestingBurstZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds arenas at random under -race")
+	}
+	rs := missMix()
+	pkts := tracePackets(256, 47)
+	baseline := drift.NewBuilder(rs.Offsets, 0)
+	for _, pkt := range pkts {
+		baseline.Observe(rules.ExtractKey(pkt, rs.Offsets), drift.NoClass, drift.NoResidual)
+	}
+	for _, armed := range []bool{false, true} {
+		sw := mkSwitch(t)
+		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+			t.Fatal(err)
+		}
+		if armed {
+			// Scoring snapshots a profile every ScoreEvery observations: the
+			// monitor's periodic cost, held off here to gate the per-packet one.
+			mon := drift.NewMonitor()
+			if err := mon.Arm(drift.MonitorConfig{Baseline: baseline.Profile(), MinObservations: 1 << 30}); err != nil {
+				t.Fatal(err)
+			}
+			sw.SetDriftMonitor(mon)
+		}
+		misses := sw.Run(pkts).Digested
+		if misses == 0 || misses*10 > len(pkts) {
+			t.Fatalf("%d of %d packets miss, want a few percent", misses, len(pkts))
+		}
+		for i := 0; i < 60; i++ { // the queue's storage grows past what the gate queues
+			sw.Run(pkts)
+		}
+		sw.DrainDigests(0)
+		if allocs := testing.AllocsPerRun(50, func() { sw.Run(pkts) }); allocs != 0 {
+			t.Fatalf("drift armed %v: a burst with %d misses allocates %.2f/op, want 0", armed, misses, allocs)
+		}
+		if st := sw.DigestQueueStats(); st.Depth != 51*misses || st.Dropped != 0 {
+			t.Fatalf("drift armed %v: the gated bursts did not queue their keys: %+v", armed, st)
+		}
+	}
+}
+
+// TestQueuedDigestOutlivesItsFrame: a digest is the key the lookup
+// gathered, copied into the queue, so a caller that reuses a frame's
+// buffer after forwarding it — as a receive ring does — leaves the queued
+// digest as it was, on Process and on Run alike.
+func TestQueuedDigestOutlivesItsFrame(t *testing.T) {
+	rs := missMix()
+	for name, forward := range map[string]func(*Switch, []*packet.Packet){
+		"Process": func(sw *Switch, pkts []*packet.Packet) { processEach(sw, pkts) },
+		"Run":     func(sw *Switch, pkts []*packet.Packet) { sw.Run(pkts) },
+	} {
+		sw := mkSwitch(t)
+		if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+			t.Fatal(err)
+		}
+		pkts := tracePackets(256, 47)
+		var want [][]byte
+		for _, pkt := range pkts {
+			if pkt.Bytes[0] >= 248 {
+				want = append(want, rules.ExtractKey(pkt, rs.Offsets))
+			}
+		}
+		forward(sw, pkts)
+		for _, pkt := range pkts {
+			for i := range pkt.Bytes {
+				pkt.Bytes[i] = ^pkt.Bytes[i]
+			}
+		}
+		ds := sw.DrainDigests(0)
+		if len(ds) != len(want) || len(ds) == 0 {
+			t.Fatalf("%s: %d digests, want %d", name, len(ds), len(want))
+		}
+		for i, d := range ds {
+			if !bytes.Equal(d.Key, want[i]) || !slices.Equal(d.Offsets, rs.Offsets) {
+				t.Fatalf("%s: digest %d reads %v@%v after its frame was rewritten, want %v@%v", name, i, d.Key, d.Offsets, want[i], rs.Offsets)
+			}
+		}
 	}
 }
 
@@ -374,7 +470,7 @@ func TestDisarmedInstrumentsAreInert(t *testing.T) {
 	}
 	baseline := drift.NewBuilder([]int{0, 3, 7}, 0)
 	for _, pkt := range pkts {
-		baseline.Observe(pkt, drift.NoClass, drift.NoResidual)
+		baseline.Observe(rules.ExtractKey(pkt, []int{0, 3, 7}), drift.NoClass, drift.NoResidual)
 	}
 
 	fr := telemetry.NewFlightRecorder(16)
@@ -441,7 +537,7 @@ func TestScalarAndBurstAgreeWithSideChannelsArmed(t *testing.T) {
 	}
 	baseline := drift.NewBuilder(rs.Offsets, 0)
 	for _, pkt := range pkts[:64] {
-		baseline.Observe(pkt, drift.NoClass, drift.NoResidual)
+		baseline.Observe(rules.ExtractKey(pkt, rs.Offsets), drift.NoClass, drift.NoResidual)
 	}
 
 	type outcome struct {

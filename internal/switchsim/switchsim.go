@@ -357,13 +357,24 @@ func (s *Switch) Process(pkt *packet.Packet) p4.Verdict {
 		if v.Digested {
 			d.Digested = 1
 			if da := s.driftArmed(); da != nil {
-				da.ObservePacket(0, pkt, drift.NoClass, drift.NoResidual)
+				observeDrift(da, pkt)
 			}
 		}
 	}
 	d.Elapsed = time.Since(start)
 	s.mergeStats(d)
 	return v
+}
+
+// observeDrift folds a digested packet's bytes at the baseline's offsets,
+// gathered on the stack, into the switch's drift sketch.
+func observeDrift(da *drift.Armed, pkt *packet.Packet) {
+	var kb [64]byte
+	key := kb[:0]
+	for _, off := range da.Baseline().Offsets {
+		key = append(key, pkt.ByteAt(off))
+	}
+	da.Observe(0, key, drift.NoClass, drift.NoResidual)
 }
 
 // batchArena is one burst's recycled forwarding state: the p4 batch
@@ -426,7 +437,7 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchA
 			sampler.maybeSample(s, &a.ws, pkts[idx], v)
 		}
 		if driftA != nil && v.Digested {
-			driftA.ObservePacket(0, pkts[idx], drift.NoClass, drift.NoResidual)
+			observeDrift(driftA, pkts[idx])
 		}
 		if v.Allowed {
 			d.Allowed++
@@ -536,14 +547,15 @@ func (s *Switch) Stats() RunStats {
 	}
 }
 
-// DrainDigests removes and returns up to max queued digests. Drained and
-// overflow-dropped digests are both counted; see DigestQueueStats.
+// DrainDigests removes and returns up to max queued digests, each the
+// lookup key of one miss. Drained and dropped digests are both counted;
+// see DigestQueueStats.
 func (s *Switch) DrainDigests(max int) []p4.Digest {
 	return s.pipeline.DrainDigests(max)
 }
 
 // DigestQueueStats returns the digest queue's depth/drained/dropped
-// accounting (queued == drained + depth; dropped is overflow loss).
+// accounting (offered == drained + dropped + depth).
 func (s *Switch) DigestQueueStats() p4.DigestQueueStats {
 	return s.pipeline.DigestQueueStats()
 }
@@ -594,7 +606,7 @@ func (s *Switch) RegisterTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(s.DigestQueueStats().Depth) }, sw)
 	reg.CounterFunc("p4guard_switch_digests_drained_total", "Digests drained to the controller side.",
 		func() float64 { return float64(s.DigestQueueStats().Drained) }, sw)
-	reg.CounterFunc("p4guard_switch_digests_dropped_total", "Digests lost to queue overflow.",
+	reg.CounterFunc("p4guard_switch_digests_dropped_total", "Digests lost to queue overflow or to a missing or changed key layout.",
 		func() float64 { return float64(s.DigestQueueStats().Dropped) }, sw)
 
 	tbl := telemetry.Label{Key: "table", Value: DetectorTable}

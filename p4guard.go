@@ -255,11 +255,7 @@ func Train(train *trace.Dataset, cfg Config) (*Pipeline, error) {
 // teacher adapts the MLP into a byte-key labeller for distillation.
 func (p *Pipeline) teacher() dtree.Teacher {
 	return func(key []byte) int {
-		x, err := tensorRow(packet.BitsOf(key))
-		if err != nil {
-			return 0
-		}
-		preds, err := p.net.Predict(x)
+		preds, err := p.net.Predict(tensorRow(packet.BitsOf(key)))
 		if err != nil || len(preds) == 0 {
 			return 0
 		}
@@ -282,16 +278,13 @@ func (p *Pipeline) Tree() *dtree.Tree { return p.tree }
 // Predict classifies every test packet with data-plane semantics (the
 // compiled matcher over the rule set), returning 0/1 labels.
 func (p *Pipeline) Predict(test *trace.Dataset) ([]int, error) {
-	if p.rs == nil {
-		return nil, fmt.Errorf("p4guard: pipeline not trained")
-	}
-	out := make([]int, test.Len())
-	for i, s := range test.Samples {
-		if class, _ := p.matcher.Classify(s.Pkt); class != 0 {
+	out, err := p.PredictMulti(test)
+	for i, class := range out {
+		if class != 0 {
 			out[i] = 1
 		}
 	}
-	return out, nil
+	return out, err
 }
 
 // PredictMulti classifies every test packet with data-plane semantics,
@@ -317,13 +310,18 @@ func (p *Pipeline) ClassifyPacket(pkt *packet.Packet) int {
 	return class
 }
 
-// ClassifySlowPath classifies one packet with the full MLP — the
-// controller-side decision for digested packets.
-func (p *Pipeline) ClassifySlowPath(pkt *packet.Packet) int {
+// ClassifyKey classifies one match key (the bytes at MatchOffsets, as a
+// digest carries them) with the full MLP: the slow path's decision.
+func (p *Pipeline) ClassifyKey(key []byte) int {
 	if p.net == nil {
 		return 0
 	}
-	return p.teacher()(rules.ExtractKey(pkt, p.Offsets))
+	return p.teacher()(key)
+}
+
+// ClassifySlowPath classifies one packet with the full MLP on its key.
+func (p *Pipeline) ClassifySlowPath(pkt *packet.Packet) int {
+	return p.ClassifyKey(rules.ExtractKey(pkt, p.Offsets))
 }
 
 // MatchOffsets returns the selected key layout (satisfies the controller's
@@ -331,22 +329,18 @@ func (p *Pipeline) ClassifySlowPath(pkt *packet.Packet) int {
 func (p *Pipeline) MatchOffsets() []int { return p.Offsets }
 
 // Residual returns the drift autoencoder's mean-squared reconstruction
-// error of one packet's normalized match-key bytes — a shift signal for
-// the drift monitor, not a classifier. drift.NoResidual (NaN) when the
+// error of one match key's normalized bytes — a shift signal for the
+// drift monitor, not a classifier. drift.NoResidual (NaN) when the
 // pipeline predates the residual model.
-func (p *Pipeline) Residual(pkt *packet.Packet) float64 {
+func (p *Pipeline) Residual(key []byte) float64 {
 	if p.auto == nil {
 		return drift.NoResidual
 	}
-	row := make([]float64, len(p.Offsets))
-	for i, off := range p.Offsets {
-		row[i] = float64(pkt.ByteAt(off)) / 255
+	row := make([]float64, len(key))
+	for i, b := range key {
+		row[i] = float64(b) / 255
 	}
-	x, err := tensorRow(row)
-	if err != nil {
-		return drift.NoResidual
-	}
-	errs, err := p.auto.SampleError(x)
+	errs, err := p.auto.SampleError(tensorRow(row))
 	if err != nil || len(errs) == 0 || math.IsNaN(errs[0]) {
 		return drift.NoResidual
 	}
@@ -369,7 +363,8 @@ func (p *Pipeline) DriftBaseline(ds *trace.Dataset) (*drift.Profile, error) {
 		if _, matched := p.matcher.Classify(s.Pkt); matched {
 			continue
 		}
-		b.Observe(s.Pkt, p.ClassifySlowPath(s.Pkt), p.Residual(s.Pkt))
+		key := rules.ExtractKey(s.Pkt, p.Offsets)
+		b.Observe(key, p.ClassifyKey(key), p.Residual(key))
 	}
 	if b.Count() == 0 {
 		return nil, fmt.Errorf("p4guard: drift baseline: compiled rules cover every sample, no slow-path traffic to profile")

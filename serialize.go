@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"p4guard/internal/autoenc"
 	"p4guard/internal/dtree"
@@ -65,7 +64,7 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("p4guard: decode pipeline: %w", err)
 	}
-	net, err := nn.Load(bytes.NewReader(snap.Net), rand.New(rand.NewSource(0)))
+	net, err := nn.Load(bytes.NewReader(snap.Net))
 	if err != nil {
 		return nil, err
 	}
