@@ -383,7 +383,7 @@ func answerFromJournals(t *testing.T, paths []string, key []byte) {
 	chain := []string{dtrace.StageDigestWait, dtrace.StageFanInWait, dtrace.StageClassify, dtrace.StagePlan, dtrace.StageInstall}
 	installed := make(map[string]dtrace.TraceSummary) // digesting switch and match key -> trace
 	for _, ts := range dtrace.Assemble(spans) {
-		if inst, ok := ts.Stage(dtrace.StageInstall); ok && ts.Complete {
+		if inst := ts.Stages[len(ts.Stages)-1]; inst.Name == dtrace.StageInstall && ts.Complete {
 			installed[ts.Stages[0].Proc+" "+inst.Attrs["key"]] = ts
 		}
 	}

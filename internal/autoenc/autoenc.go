@@ -83,19 +83,6 @@ func Train(x *tensor.Matrix, cfg Config) (*Autoencoder, error) {
 	return &Autoencoder{net: net, width: x.Cols}, nil
 }
 
-// Reconstruct returns the autoencoder's reconstruction of x. The result
-// is freshly allocated and safe to retain.
-func (a *Autoencoder) Reconstruct(x *tensor.Matrix) (*tensor.Matrix, error) {
-	if x.Cols != a.width {
-		return nil, fmt.Errorf("autoenc: width %d != %d: %w", x.Cols, a.width, tensor.ErrShape)
-	}
-	out, err := a.net.Forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	return out.Clone(), nil
-}
-
 // evalChunk is the row-block size the batch reductions split inference
 // into. It bounds the workspace to one chunk's activations, and because
 // Residuals sums each chunk on its own before adding it to the total, it

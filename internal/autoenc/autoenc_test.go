@@ -116,9 +116,6 @@ func TestWidthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := tensor.New(5, 7)
-	if _, err := ae.Reconstruct(bad); err == nil {
-		t.Fatal("accepted wrong width")
-	}
 	if _, err := ae.Residuals(bad); err == nil {
 		t.Fatal("Residuals accepted wrong width")
 	}
@@ -169,14 +166,14 @@ func TestResidualsChunkAssociation(t *testing.T) {
 	for lo := 0; lo < x.Rows; lo += evalChunk {
 		hi := min(lo+evalChunk, x.Rows)
 		xv := x.RowView(lo, hi)
-		recon, err := ae.Reconstruct(xv)
+		recon, err := ae.net.Forward(xv, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		part := make([]float64, x.Cols)
 		for i := 0; i < xv.Rows; i++ {
 			for j := range part {
-				part[j] += math.Abs(xv.At(i, j) - recon.At(i, j))
+				part[j] += math.Abs(xv.Row(i)[j] - recon.Row(i)[j])
 			}
 		}
 		for j := range want {

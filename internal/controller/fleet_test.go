@@ -46,7 +46,7 @@ func startFleetGW(t testing.TB, topo *netsim.Topology, node, addr string, gen in
 	// Restarts reuse the port the dead server just released; retry the
 	// bind briefly like listenTCP does.
 	for i := 0; i < 100; i++ {
-		ln, err = topo.Listen(node, addr)
+		ln, err = net.Listen("tcp", addr)
 		if err == nil {
 			break
 		}
@@ -54,6 +54,9 @@ func startFleetGW(t testing.TB, topo *netsim.Topology, node, addr string, gen in
 	}
 	if err != nil {
 		t.Fatalf("bind %s on %s: %v", addr, node, err)
+	}
+	if err := topo.Bind(node, ln.Addr().String()); err != nil {
+		t.Fatal(err)
 	}
 	sw, err := switchsim.New(fmt.Sprintf("%s-g%d", node, gen), packet.LinkEthernet)
 	if err != nil {

@@ -409,11 +409,14 @@ func TestFaultInjectionSoak(t *testing.T) {
 	if err := topo.AddLink("ctl", "gw", netsim.LinkConfig{LatencyMax: time.Millisecond, Reset: 0.04}); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := topo.Listen("gw", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
+	if err := topo.Bind("gw", addr); err != nil {
+		t.Fatal(err)
+	}
 	sw, err := switchsim.NewWithDigestCapacity("gw-soak", packet.LinkEthernet, 512)
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func TestFleetTraceExportWellFormed(t *testing.T) {
 		if s.Stages[0].Proc == "ctl" {
 			t.Fatalf("trace %d digest_wait recorded on controller, want switch proc", s.Trace)
 		}
-		inst, _ := s.Stage(dtrace.StageInstall)
+		inst := s.Stages[len(s.Stages)-1]
 		if inst.Proc != "ctl" || inst.Attrs["switch"] == "" {
 			t.Fatalf("trace %d install span = %+v, want ctl proc with switch attr", s.Trace, inst)
 		}

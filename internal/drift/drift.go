@@ -45,8 +45,8 @@ const maxClasses = 256
 
 // FeatureSketch is one match-key byte's streaming distribution sketch:
 // an exact 256-bin histogram plus moments. Byte features make the
-// histogram lossless, so quantiles and CDFs are exact, and two sketches
-// merge by adding bins.
+// histogram lossless, so CDFs are exact, and two sketches merge by adding
+// bins.
 type FeatureSketch struct {
 	Offset int      `json:"offset"`
 	Count  uint64   `json:"count"`
@@ -73,26 +73,6 @@ func (f *FeatureSketch) Mean() float64 {
 		return 0
 	}
 	return f.Sum / float64(f.Count)
-}
-
-// Quantile returns the smallest byte value at or above quantile q in
-// [0,1] — exact, since the histogram is lossless.
-func (f *FeatureSketch) Quantile(q float64) byte {
-	if f.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(f.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for b, n := range f.Bins {
-		cum += n
-		if cum >= target {
-			return byte(b)
-		}
-	}
-	return 255
 }
 
 func (f *FeatureSketch) merge(o *FeatureSketch) {

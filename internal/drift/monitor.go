@@ -106,9 +106,6 @@ func (m *Monitor) Arm(cfg MonitorConfig) error {
 	return nil
 }
 
-// Disarm drops the armed state; subsequent Armed() probes return nil.
-func (m *Monitor) Disarm() { m.armed.Store(nil) }
-
 // Armed returns the live armed state, or nil when the monitor is nil or
 // disarmed — the single-atomic-load hot-path probe:
 //

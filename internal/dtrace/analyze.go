@@ -23,16 +23,6 @@ type TraceSummary struct {
 	Complete bool
 }
 
-// Stage returns the named stage span and whether it is present.
-func (ts TraceSummary) Stage(name string) (Span, bool) {
-	for _, sp := range ts.Stages {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return Span{}, false
-}
-
 // Assemble groups spans by trace ID and reconstructs each trace's stage
 // chain. Spans with a zero trace ID are ignored. Results are sorted by
 // trace ID for deterministic output.

@@ -159,9 +159,6 @@ func (t *Tracer) Arm(proc string, seed int64, capacity int) {
 	})
 }
 
-// Disarm stops recording; buffered spans are discarded with the state.
-func (t *Tracer) Disarm() { t.armed.Store(nil) }
-
 // Enabled reports whether the tracer is armed. Safe on a nil receiver.
 func (t *Tracer) Enabled() bool { return t != nil && t.armed.Load() != nil }
 
@@ -233,14 +230,6 @@ func (t *Tracer) startSpan(parent SpanContext, name string, kind Kind, at time.T
 func (t *Tracer) Total() uint64 {
 	var n uint64
 	t.locked(func(st *tracerState) { n = st.ring.Total() })
-	return n
-}
-
-// Dropped returns how many recorded spans the bounded ring has since
-// overwritten.
-func (t *Tracer) Dropped() uint64 {
-	var n uint64
-	t.locked(func(st *tracerState) { n = st.ring.Dropped() })
 	return n
 }
 

@@ -77,9 +77,6 @@ func TestRingBoundsAndDropped(t *testing.T) {
 	if got := tr.Total(); got != 20 {
 		t.Fatalf("total = %d, want 20", got)
 	}
-	if got := tr.Dropped(); got != 12 {
-		t.Fatalf("dropped = %d, want 12", got)
-	}
 	spans := tr.Spans()
 	if len(spans) != 8 {
 		t.Fatalf("retained %d spans, want 8", len(spans))
@@ -281,9 +278,5 @@ func TestRearmResetsState(t *testing.T) {
 	tr.Arm("p", 1, 16)
 	if tr.Total() != 0 {
 		t.Fatal("re-arm kept old spans")
-	}
-	tr.Disarm()
-	if tr.Enabled() {
-		t.Fatal("still enabled after disarm")
 	}
 }

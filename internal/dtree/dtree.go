@@ -363,29 +363,6 @@ func (t *Tree) Predict(key []byte) int {
 	return n.Class
 }
 
-// PredictBatch maps Predict over rows.
-func (t *Tree) PredictBatch(xs [][]byte) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = t.Predict(x)
-	}
-	return out
-}
-
-// Depth returns the maximum root→leaf depth.
-func (t *Tree) Depth() int { return depth(t.Root) }
-
-func depth(n *Node) int {
-	if n == nil || n.Leaf {
-		return 0
-	}
-	l, r := depth(n.Left), depth(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Leaves returns the leaf count.
 func (t *Tree) Leaves() int { return leaves(t.Root) }
 

@@ -41,7 +41,7 @@ func TestTrainLearnsRule(t *testing.T) {
 	if acc := float64(correct) / 500; acc < 0.98 {
 		t.Fatalf("accuracy %.3f < 0.98", acc)
 	}
-	if d := tree.Depth(); d > 4 {
+	if d := depth(tree.Root); d > 4 {
 		t.Fatalf("depth %d > 4", d)
 	}
 }
@@ -326,4 +326,12 @@ func TestCompileElidesDefaultLeaves(t *testing.T) {
 	if p.Offset != 23 || p.Lo != 101 || p.Hi != 255 {
 		t.Fatalf("predicate %+v", p)
 	}
+}
+
+// depth returns the maximum root→leaf depth under n.
+func depth(n *Node) int {
+	if n == nil || n.Leaf {
+		return 0
+	}
+	return 1 + max(depth(n.Left), depth(n.Right))
 }

@@ -104,12 +104,3 @@ func (f *Forest) Predict(key []byte) int {
 	}
 	return best
 }
-
-// PredictBatch maps Predict over rows.
-func (f *Forest) PredictBatch(xs [][]byte) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = f.Predict(x)
-	}
-	return out
-}

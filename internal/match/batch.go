@@ -35,12 +35,6 @@ func (kb *KeyBatch) Reset(width, n int) {
 	kb.keys = kb.keys[:need]
 }
 
-// Len returns the number of keys in the batch.
-func (kb *KeyBatch) Len() int { return kb.n }
-
-// Width returns the key width in bytes.
-func (kb *KeyBatch) Width() int { return kb.width }
-
 // Key returns key i as a full-capacity-bounded subslice, so appends by a
 // careless caller can never bleed into the next key.
 func (kb *KeyBatch) Key(i int) []byte {

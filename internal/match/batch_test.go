@@ -84,7 +84,7 @@ func TestKeyBatchReuseAndIsolation(t *testing.T) {
 	if &kb.keys[0] != base {
 		t.Fatal("Reset to a smaller batch reallocated the buffer")
 	}
-	if got := kb.Len(); got != 2 {
+	if got := kb.n; got != 2 {
 		t.Fatalf("Len = %d", got)
 	}
 }

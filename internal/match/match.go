@@ -305,14 +305,6 @@ func (ix *KeyIndex) RangeID(j int) int {
 	return int(ix.rangeID[j])
 }
 
-// Rows returns the number of row ids handed out: the rows the index was
-// compiled from and every row added since, whether or not it is still
-// there.
-func (ix *KeyIndex) Rows() int { return ix.nRows }
-
-// Width returns the key width in bytes.
-func (ix *KeyIndex) Width() int { return ix.width }
-
 // Find returns the id of the first row matching the key in priority
 // order. ok is false on miss or when the key width is wrong.
 func (ix *KeyIndex) Find(key []byte) (row int, ok bool) {
@@ -516,9 +508,3 @@ func (m *Compiled) ClassifyKey(key []byte) (class int, matched bool) {
 	}
 	return m.defaultClass, false
 }
-
-// DefaultClass returns the class assigned on miss.
-func (m *Compiled) DefaultClass() int { return m.defaultClass }
-
-// NumRules returns the number of compiled rules.
-func (m *Compiled) NumRules() int { return m.idx.Rows() }

@@ -44,8 +44,8 @@ func TestCompiledAgreesWithScanOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.NumRules() != n {
-			t.Fatalf("n=%d: NumRules = %d", n, m.NumRules())
+		if m.idx.nRows != n {
+			t.Fatalf("n=%d: NumRules = %d", n, m.idx.nRows)
 		}
 		for trial := 0; trial < 2000; trial++ {
 			body := make([]byte, 12)
@@ -71,8 +71,8 @@ func TestCompiledDefaultClassOnEmptySet(t *testing.T) {
 	if class != 7 || matched {
 		t.Fatalf("empty set: (%d,%v)", class, matched)
 	}
-	if m.DefaultClass() != 7 {
-		t.Fatalf("DefaultClass = %d", m.DefaultClass())
+	if m.defaultClass != 7 {
+		t.Fatalf("DefaultClass = %d", m.defaultClass)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestKeyIndexFirstMatchWinsAndWidthChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Rows() != 2 || ix.Width() != 2 {
-		t.Fatalf("rows=%d width=%d", ix.Rows(), ix.Width())
+	if ix.nRows != 2 || ix.width != 2 {
+		t.Fatalf("rows=%d width=%d", ix.nRows, ix.width)
 	}
 	if r, ok := ix.Find([]byte{60, 9}); !ok || r != 0 {
 		t.Fatalf("overlap: row %d ok=%v, want 0", r, ok)
@@ -257,3 +257,6 @@ func TestPointSlotLayout(t *testing.T) {
 		}
 	}
 }
+
+// Rows returns the number of rows; the external tests read it.
+func (ix *KeyIndex) Rows() int { return ix.nRows }

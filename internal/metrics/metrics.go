@@ -1,11 +1,8 @@
 // Package metrics computes binary-detection quality metrics: confusion
-// matrices, accuracy/precision/recall/F1, false-positive rate, and ROC-AUC.
+// matrices, accuracy/precision/recall/F1 and false-positive rate.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Confusion is a binary confusion matrix with attack as the positive class.
 type Confusion struct {
@@ -87,53 +84,4 @@ func FromPredictions(pred, truth []int) (*Confusion, error) {
 		c.Observe(pred[i] != 0, truth[i] != 0)
 	}
 	return &c, nil
-}
-
-// ROCAUC computes the area under the ROC curve from attack-class scores and
-// binary truths, using the rank-statistic (Mann–Whitney) formulation with
-// tie correction.
-func ROCAUC(scores []float64, truth []int) (float64, error) {
-	if len(scores) != len(truth) {
-		return 0, fmt.Errorf("metrics: %d scores vs %d truths", len(scores), len(truth))
-	}
-	type pair struct {
-		s float64
-		y int
-	}
-	ps := make([]pair, len(scores))
-	var pos, neg int
-	for i := range scores {
-		ps[i] = pair{scores[i], truth[i]}
-		if truth[i] != 0 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0, fmt.Errorf("metrics: ROC needs both classes (pos=%d neg=%d)", pos, neg)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s < ps[j].s })
-
-	// Assign average ranks, handling ties.
-	ranks := make([]float64, len(ps))
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // ranks are 1-based
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	var rankSum float64
-	for i, p := range ps {
-		if p.y != 0 {
-			rankSum += ranks[i]
-		}
-	}
-	u := rankSum - float64(pos)*float64(pos+1)/2
-	return u / (float64(pos) * float64(neg)), nil
 }

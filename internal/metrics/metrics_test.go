@@ -57,55 +57,3 @@ func TestFromPredictions(t *testing.T) {
 		t.Fatal("accepted mismatched lengths")
 	}
 }
-
-func TestROCAUCPerfect(t *testing.T) {
-	auc, err := ROCAUC([]float64{0.1, 0.2, 0.8, 0.9}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 1 {
-		t.Fatalf("perfect AUC = %v", auc)
-	}
-}
-
-func TestROCAUCInverted(t *testing.T) {
-	auc, err := ROCAUC([]float64{0.9, 0.8, 0.2, 0.1}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 0 {
-		t.Fatalf("inverted AUC = %v", auc)
-	}
-}
-
-func TestROCAUCRandomIsHalf(t *testing.T) {
-	// All scores tied: AUC must be exactly 0.5 via tie correction.
-	auc, err := ROCAUC([]float64{0.5, 0.5, 0.5, 0.5}, []int{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-0.5) > 1e-12 {
-		t.Fatalf("tied AUC = %v", auc)
-	}
-}
-
-func TestROCAUCErrors(t *testing.T) {
-	if _, err := ROCAUC([]float64{1}, []int{1, 0}); err == nil {
-		t.Fatal("accepted mismatched lengths")
-	}
-	if _, err := ROCAUC([]float64{1, 2}, []int{1, 1}); err == nil {
-		t.Fatal("accepted single-class input")
-	}
-}
-
-func TestROCAUCKnownValue(t *testing.T) {
-	// scores: pos {0.9, 0.4}, neg {0.5, 0.3}. Pairs: (0.9>0.5),(0.9>0.3),
-	// (0.4<0.5),(0.4>0.3) => 3/4.
-	auc, err := ROCAUC([]float64{0.9, 0.5, 0.4, 0.3}, []int{1, 0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-0.75) > 1e-12 {
-		t.Fatalf("AUC = %v, want 0.75", auc)
-	}
-}

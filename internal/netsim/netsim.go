@@ -7,16 +7,13 @@
 // rule state to converge.
 //
 // The topology is address-based so it composes with the real p4rt TCP
-// transport: a switch attaches its listen address to a node with Bind (or
-// Listen), and the controller dials through Dialer(from), which routes
-// the address to its node and returns a connection that applies the
-// path's latency jitter, resets and torn writes, loss retransmission
-// penalty, and serialization delay to every operation. Each operation
-// reads the path's link profiles as they are at that moment, so AddLink
-// on an existing link reconfigures — or heals — live connections too.
-// Cutting a link (SetLinkUp) resets every connection routed across it, so
-// reroute and redial behaviour is exercised exactly as a fabric failure
-// would.
+// transport: a switch attaches its listen address to a node with Bind,
+// and the controller dials through Dialer(from), which routes the address
+// to its node and returns a connection that applies the path's latency
+// jitter, resets and torn writes, loss retransmission penalty, and
+// serialization delay to every operation. Each operation reads the path's
+// link profiles as they are at that moment, so AddLink on an existing
+// link reconfigures — or heals — live connections too.
 //
 // Determinism: every emulated connection draws its delays, resets and
 // losses from a private RNG seeded from (topology seed, connection
@@ -30,20 +27,19 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ErrNoRoute reports that no up path joins two nodes (or a node or
-// address is unknown to the topology).
+// ErrNoRoute reports that no path joins two nodes (or a node or address
+// is unknown to the topology).
 var ErrNoRoute = errors.New("netsim: no route")
 
 // ErrLinkDown marks an operation failed because the connection was torn
-// down: a link on its path was cut (SetLinkUp), a reset was drawn, or the
-// loss process gave up after exhausting retransmissions.
+// down: a reset was drawn, or the loss process gave up after exhausting
+// retransmissions.
 var ErrLinkDown = errors.New("netsim: link down")
 
 // maxRetransmits bounds consecutive per-write loss draws: each loss adds
@@ -83,7 +79,7 @@ type Stats struct {
 	Dials  uint64 // connections opened through the topology
 	Delays uint64 // operations that slept (latency, serialization, or retransmit)
 	Losses uint64 // lost transmissions (each added a retransmission delay)
-	Resets uint64 // connections torn down (reset, loss give-up, or link cut)
+	Resets uint64 // connections torn down (reset or loss give-up)
 }
 
 // edge is a canonical (sorted) undirected node pair.
@@ -97,8 +93,6 @@ func mkEdge(a, b string) edge {
 }
 
 type link struct {
-	up bool // guarded by Topology.mu
-
 	// The profile and the per-link emulation counters: every operation on
 	// a connection reads the profile of each link along its path and is
 	// attributed to each. Atomics, not t.mu: they are touched from
@@ -115,7 +109,6 @@ type link struct {
 // its canonical (sorted) endpoint pair.
 type LinkStats struct {
 	A, B    string
-	Up      bool
 	Ops     uint64 // operations whose path crossed the link
 	Delayed uint64 // of those, operations that slept
 	Losses  uint64 // lost transmissions attributed to the link
@@ -131,7 +124,6 @@ type Topology struct {
 	nodes   map[string]bool
 	links   map[edge]*link
 	binds   map[string]string // listen address -> owning node
-	conns   map[*conn]bool
 	ordinal uint64
 
 	dials  atomic.Uint64
@@ -147,7 +139,6 @@ func New(cfg Config) *Topology {
 		nodes: make(map[string]bool),
 		links: make(map[edge]*link),
 		binds: make(map[string]string),
-		conns: make(map[*conn]bool),
 	}
 }
 
@@ -171,7 +162,6 @@ func (t *Topology) LinkStats() []LinkStats {
 		out = append(out, LinkStats{
 			A:       e.a,
 			B:       e.b,
-			Up:      l.up,
 			Ops:     l.ops.Load(),
 			Delayed: l.delayed.Load(),
 			Losses:  l.losses.Load(),
@@ -195,9 +185,9 @@ func (t *Topology) AddNode(name string) {
 }
 
 // AddLink joins two nodes with a point-to-point link (registering the
-// nodes if needed). The link starts up. Re-adding an existing link brings
-// it up with the new profile, which live connections across it take from
-// their next operation on; its counters carry on.
+// nodes if needed). Re-adding an existing link gives it the new profile,
+// which live connections across it take from their next operation on; its
+// counters carry on.
 func (t *Topology) AddLink(a, b string, cfg LinkConfig) error {
 	if a == b {
 		return fmt.Errorf("netsim: self-link on %q", a)
@@ -211,7 +201,6 @@ func (t *Topology) AddLink(a, b string, cfg LinkConfig) error {
 		l = &link{}
 		t.links[e] = l
 	}
-	l.up = true
 	l.cfg.Store(&cfg)
 	return nil
 }
@@ -229,75 +218,9 @@ func (t *Topology) Bind(node, addr string) error {
 	return nil
 }
 
-// Listen opens a real TCP listener on addr ("127.0.0.1:0" picks a free
-// port) and binds its resolved address to node — the one-call form of
-// attaching a switch port to the fabric. The returned listener is plain:
-// emulation is applied on the dialing side, where the path is known.
-func (t *Topology) Listen(node, addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: listen: %w", err)
-	}
-	if err := t.Bind(node, ln.Addr().String()); err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
-	return ln, nil
-}
-
-// Binds returns a copy of the address→node attachment table.
-func (t *Topology) Binds() map[string]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]string, len(t.binds))
-	for a, n := range t.binds {
-		out[a] = n
-	}
-	return out
-}
-
-// NodeOf returns the node an address is bound to ("" when unbound).
-func (t *Topology) NodeOf(addr string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.binds[addr]
-}
-
-// SetLinkUp cuts or restores a link. Cutting resets every live
-// connection whose path crosses it (their next operation fails with
-// ErrLinkDown) and removes the link from routing until restored.
-func (t *Topology) SetLinkUp(a, b string, up bool) error {
-	e := mkEdge(a, b)
-	t.mu.Lock()
-	l := t.links[e]
-	if l == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("netsim: no link %s—%s", a, b)
-	}
-	l.up = up
-	var cut []*conn
-	if !up {
-		for c := range t.conns {
-			if slices.Contains(c.links, l) {
-				cut = append(cut, c)
-			}
-		}
-	}
-	t.mu.Unlock()
-	for _, c := range cut {
-		c.cut()
-	}
-	return nil
-}
-
-// Path returns the node sequence of the shortest up path from one node to
-// another, ties broken lexicographically so routing is deterministic.
-func (t *Topology) Path(from, to string) ([]string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pathLocked(from, to)
-}
-
+// pathLocked returns the node sequence of the shortest path from one node
+// to another, ties broken lexicographically so routing is deterministic.
+// t.mu must be held.
 func (t *Topology) pathLocked(from, to string) ([]string, error) {
 	if !t.nodes[from] || !t.nodes[to] {
 		return nil, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoRoute, from, to)
@@ -305,12 +228,9 @@ func (t *Topology) pathLocked(from, to string) ([]string, error) {
 	if from == to {
 		return []string{from}, nil
 	}
-	// Adjacency over up links, neighbors sorted for deterministic BFS.
+	// Adjacency, neighbors sorted for deterministic BFS.
 	adj := make(map[string][]string, len(t.nodes))
-	for e, l := range t.links {
-		if !l.up {
-			continue
-		}
+	for e := range t.links {
 		adj[e.a] = append(adj[e.a], e.b)
 		adj[e.b] = append(adj[e.b], e.a)
 	}
@@ -378,18 +298,6 @@ func (t *Topology) linksLocked(path []string) []*link {
 	return links
 }
 
-// Profile returns the aggregated emulation profile of the current route
-// between two nodes.
-func (t *Topology) Profile(from, to string) (PathProfile, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	path, err := t.pathLocked(from, to)
-	if err != nil {
-		return PathProfile{}, err
-	}
-	return profileOf(t.linksLocked(path)), nil
-}
-
 // Dialer returns a dial function that routes every outbound connection
 // through the topology from the given node: the target address must be
 // bound to a reachable node, and the returned connection applies the
@@ -436,19 +344,9 @@ func (t *Topology) Dialer(from string, base func(ctx context.Context, addr strin
 			links: links,
 			rng:   rand.New(rand.NewSource(t.seed*1000003 + int64(ord))),
 		}
-		t.mu.Lock()
-		t.conns[c] = true
-		t.mu.Unlock()
 		t.dials.Add(1)
 		return c, nil
 	}
-}
-
-// drop unregisters a connection.
-func (t *Topology) drop(c *conn) {
-	t.mu.Lock()
-	delete(t.conns, c)
-	t.mu.Unlock()
 }
 
 // conn emulates one routed connection: every operation pays the path's
@@ -465,15 +363,14 @@ type conn struct {
 	rng *rand.Rand
 }
 
-// cut tears the connection down: a link on its path went away, or the
-// emulation drew a reset.
+// cut tears the connection down: the emulation drew a reset, or the loss
+// process gave up.
 func (c *conn) cut() {
 	if c.down.CompareAndSwap(false, true) {
 		c.topo.resets.Add(1)
 		for _, l := range c.links {
 			l.resets.Add(1)
 		}
-		c.topo.drop(c)
 		_ = c.Conn.Close()
 	}
 }
@@ -571,9 +468,4 @@ func (c *conn) Write(p []byte) (int, error) {
 	}
 	c.cut()
 	return n, ErrLinkDown
-}
-
-func (c *conn) Close() error {
-	c.topo.drop(c)
-	return c.Conn.Close()
 }

@@ -24,12 +24,35 @@ func diamond() *Topology {
 	return t
 }
 
+// routeProfile aggregates the profile of the current route between two
+// nodes, as a dial from one to the other reads it.
+func routeProfile(topo *Topology, from, to string) (PathProfile, error) {
+	path, err := topo.pathLocked(from, to)
+	if err != nil {
+		return PathProfile{}, err
+	}
+	return profileOf(topo.linksLocked(path)), nil
+}
+
+// listen opens a TCP listener on a free loopback port and binds it to node.
+func listen(t *testing.T, topo *Topology, node string) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Bind(node, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 func TestRoutingShortestPathDeterministic(t *testing.T) {
 	topo := diamond()
 	// Two 2-hop paths exist (via b and via c); lexicographic BFS must pick
 	// b — and pick it on every call.
 	for i := 0; i < 10; i++ {
-		path, err := topo.Path("a", "d")
+		path, err := topo.pathLocked("a", "d")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,54 +60,11 @@ func TestRoutingShortestPathDeterministic(t *testing.T) {
 			t.Fatalf("path = %v, want %v", path, want)
 		}
 	}
-	if path, _ := topo.Path("a", "a"); !reflect.DeepEqual(path, []string{"a"}) {
+	if path, _ := topo.pathLocked("a", "a"); !reflect.DeepEqual(path, []string{"a"}) {
 		t.Fatalf("self path = %v", path)
 	}
-	if _, err := topo.Path("a", "zz"); !errors.Is(err, ErrNoRoute) {
+	if _, err := topo.pathLocked("a", "zz"); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("unknown node err = %v, want ErrNoRoute", err)
-	}
-}
-
-func TestReroutesAroundDownLinks(t *testing.T) {
-	topo := diamond()
-	if err := topo.SetLinkUp("a", "b", false); err != nil {
-		t.Fatal(err)
-	}
-	path, err := topo.Path("a", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a", "c", "d"}; !reflect.DeepEqual(path, want) {
-		t.Fatalf("path after cut = %v, want %v", path, want)
-	}
-	// Cut the second 2-hop path too: the long spur is all that's left.
-	if err := topo.SetLinkUp("c", "d", false); err != nil {
-		t.Fatal(err)
-	}
-	path, err = topo.Path("a", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a", "e", "f", "d"}; !reflect.DeepEqual(path, want) {
-		t.Fatalf("path after second cut = %v, want %v", path, want)
-	}
-	// Isolate d entirely.
-	if err := topo.SetLinkUp("f", "d", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.Path("a", "d"); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("isolated err = %v, want ErrNoRoute", err)
-	}
-	// Restore and the short path is back.
-	if err := topo.SetLinkUp("a", "b", true); err != nil {
-		t.Fatal(err)
-	}
-	path, err = topo.Path("a", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a", "b", "d"}; !reflect.DeepEqual(path, want) {
-		t.Fatalf("restored path = %v, want %v", path, want)
 	}
 }
 
@@ -92,7 +72,7 @@ func TestProfileAggregatesAcrossHops(t *testing.T) {
 	topo := New(Config{Seed: 1})
 	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: 100 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 20, Reset: 0.1})
 	_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: 50 * time.Microsecond, LatencyMax: 100 * time.Microsecond, Loss: 0.1, Bandwidth: 1 << 10, Reset: 0.2})
-	p, err := topo.Profile("ctl", "gw")
+	p, err := routeProfile(topo, "ctl", "gw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +99,7 @@ func TestDialThroughTopologyEndToEnd(t *testing.T) {
 	topo := New(Config{Seed: 11})
 	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: 10 * time.Microsecond, LatencyMax: 50 * time.Microsecond})
 	_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: 10 * time.Microsecond, LatencyMax: 50 * time.Microsecond})
-	ln, err := topo.Listen("gw", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t, topo, "gw")
 	defer func() { _ = ln.Close() }()
 	go func() {
 		c, err := ln.Accept()
@@ -171,7 +148,7 @@ func pipeConn(seed int64, cfgs ...LinkConfig) *conn {
 	a, _ := net.Pipe()
 	c := &conn{Conn: a, topo: New(Config{}), rng: rand.New(rand.NewSource(seed))}
 	for i := range cfgs {
-		l := &link{up: true}
+		l := &link{}
 		l.cfg.Store(&cfgs[i])
 		c.links = append(c.links, l)
 	}
@@ -257,10 +234,7 @@ func TestTotalLossResetsConnection(t *testing.T) {
 	for _, cfg := range []LinkConfig{{Loss: 0.95}, {Reset: 1}} {
 		topo := New(Config{Seed: 3})
 		_ = topo.AddLink("ctl", "gw", cfg)
-		ln, err := topo.Listen("gw", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := listen(t, topo, "gw")
 		received := make(chan []byte, 2)
 		go func() {
 			for {
@@ -312,69 +286,16 @@ func TestTotalLossResetsConnection(t *testing.T) {
 	}
 }
 
-// TestSetLinkDownResetsRoutedConns: cutting a link must reset live
-// connections crossing it, while connections on disjoint paths survive.
-func TestSetLinkDownResetsRoutedConns(t *testing.T) {
-	topo := New(Config{Seed: 9})
-	_ = topo.AddLink("ctl", "gw0", LinkConfig{})
-	_ = topo.AddLink("ctl", "gw1", LinkConfig{})
-	mk := func(node string) (net.Conn, net.Listener) {
-		ln, err := topo.Listen(node, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func() {
-					buf := make([]byte, 16)
-					for {
-						if _, err := c.Read(buf); err != nil {
-							return
-						}
-					}
-				}()
-			}
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		c, err := topo.Dialer("ctl", nil)(ctx, ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, ln
-	}
-	c0, ln0 := mk("gw0")
-	c1, ln1 := mk("gw1")
-	defer func() { _ = ln0.Close(); _ = ln1.Close(); _ = c0.Close(); _ = c1.Close() }()
-
-	if err := topo.SetLinkUp("ctl", "gw0", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c0.Write([]byte("x")); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("cut-path write err = %v, want ErrLinkDown", err)
-	}
-	if _, err := c1.Write([]byte("x")); err != nil {
-		t.Fatalf("disjoint-path write err = %v, want nil", err)
-	}
-}
-
 // TestLinkStatsAttribution: per-link counters attribute every operation
 // to each link on the connection's path, losses land on lossy links,
-// re-adding a link loses none of its counts, and cutting a link counts a
-// reset on every link the dead connection crossed.
+// re-adding a link loses none of its counts, and a reset counts on every
+// link the dead connection crossed.
 func TestLinkStatsAttribution(t *testing.T) {
 	topo := New(Config{Seed: 7})
 	_ = topo.AddLink("ctl", "core", LinkConfig{LatencyMin: time.Microsecond, LatencyMax: 5 * time.Microsecond})
 	_ = topo.AddLink("core", "gw", LinkConfig{LatencyMin: time.Microsecond, LatencyMax: 5 * time.Microsecond, Loss: 0.3})
 	_ = topo.AddLink("ctl", "idle", LinkConfig{})
-	ln, err := topo.Listen("gw", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t, topo, "gw")
 	defer func() { _ = ln.Close() }()
 	go func() {
 		for {
@@ -440,14 +361,12 @@ func TestLinkStatsAttribution(t *testing.T) {
 	if idle.Ops != 0 || idle.Losses != 0 || idle.Resets != 0 {
 		t.Fatalf("idle link counters = %+v, want all zero", idle)
 	}
-	if !idle.Up || !hop1.Up {
-		t.Fatal("links should report up")
-	}
 
-	// Cutting one path link resets the connection and attributes the reset
-	// to every link on its path.
-	if err := topo.SetLinkUp("core", "gw", false); err != nil {
-		t.Fatal(err)
+	// A reset drawn on one path link tears the connection down and
+	// attributes the reset to every link on its path.
+	_ = topo.AddLink("core", "gw", LinkConfig{Reset: 1})
+	if _, err := c.Write(make([]byte, 8)); !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("write across a Reset=1 link: %v, want ErrLinkDown", err)
 	}
 	stats = topo.LinkStats()
 	for _, ls := range stats {
@@ -457,8 +376,8 @@ func TestLinkStatsAttribution(t *testing.T) {
 				t.Fatalf("hop1 resets = %d, want 1", ls.Resets)
 			}
 		case [2]string{"core", "gw"}:
-			if ls.Resets != 1 || ls.Up {
-				t.Fatalf("hop2 = %+v, want 1 reset and down", ls)
+			if ls.Resets != 1 {
+				t.Fatalf("hop2 resets = %d, want 1", ls.Resets)
 			}
 		case [2]string{"ctl", "idle"}:
 			if ls.Resets != 0 {

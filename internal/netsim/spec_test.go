@@ -33,7 +33,7 @@ func TestSpecBuild(t *testing.T) {
 		t.Fatalf("spec = %+v", spec)
 	}
 	// Link endpoints are registered implicitly (gw0/gw1 not in nodes).
-	p, err := topo.Profile("ctl", "gw0")
+	p, err := routeProfile(topo, "ctl", "gw0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestSpecBuild(t *testing.T) {
 	if p.Bandwidth != 1048576 {
 		t.Fatalf("bandwidth = %d", p.Bandwidth)
 	}
-	if node := topo.NodeOf("127.0.0.1:9559"); node != "gw0" {
+	if node := topo.binds["127.0.0.1:9559"]; node != "gw0" {
 		t.Fatalf("bind node = %q", node)
 	}
-	if got := len(topo.Binds()); got != 2 {
+	if got := len(topo.binds); got != 2 {
 		t.Fatalf("binds = %d", got)
 	}
 }

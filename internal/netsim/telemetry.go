@@ -14,7 +14,7 @@ func (t *Topology) RegisterTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(t.Stats().Delays) })
 	reg.CounterFunc("p4guard_netsim_losses_total", "Lost transmissions across all connections.",
 		func() float64 { return float64(t.Stats().Losses) })
-	reg.CounterFunc("p4guard_netsim_resets_total", "Connections torn down by loss give-up or link cut.",
+	reg.CounterFunc("p4guard_netsim_resets_total", "Connections torn down by a reset or loss give-up.",
 		func() float64 { return float64(t.Stats().Resets) })
 
 	perLink := func(name, help, typ string, pick func(LinkStats) float64) {
@@ -24,13 +24,6 @@ func (t *Topology) RegisterTelemetry(reg *telemetry.Registry) {
 			}
 		})
 	}
-	perLink("p4guard_netsim_link_up", "Whether the link is up (1) or cut (0).", "gauge",
-		func(ls LinkStats) float64 {
-			if ls.Up {
-				return 1
-			}
-			return 0
-		})
 	perLink("p4guard_netsim_link_ops_total", "Operations whose connection path crossed the link.", "counter",
 		func(ls LinkStats) float64 { return float64(ls.Ops) })
 	perLink("p4guard_netsim_link_delayed_total", "Operations crossing the link that slept.", "counter",

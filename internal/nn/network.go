@@ -167,20 +167,6 @@ func (n *Network) Predict(x *tensor.Matrix) ([]int, error) {
 	return preds, nil
 }
 
-// PredictProba returns softmax class probabilities for each row of x. The
-// result is freshly allocated and safe to retain.
-func (n *Network) PredictProba(x *tensor.Matrix) (*tensor.Matrix, error) {
-	out, err := n.Forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	p := tensor.New(out.Rows, out.Cols)
-	for i := 0; i < out.Rows; i++ {
-		tensor.Softmax(p.Row(i), out.Row(i))
-	}
-	return p, nil
-}
-
 // Infer runs an inference-mode forward pass backed by the caller's
 // workspace (reset on entry; the result is valid until ws is next used).
 // Inference writes no layer state, so concurrent Infer calls on one

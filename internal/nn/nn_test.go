@@ -130,7 +130,7 @@ func TestInputGradientMatchesNumeric(t *testing.T) {
 func TestXORLearning(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewMLP(rng, 2, []int{8}, 2)
-	x, _ := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	x := &tensor.Matrix{Rows: 4, Cols: 2, Data: []float64{0, 0, 0, 1, 1, 0, 1, 1}}
 	labels := []int{0, 1, 1, 0}
 	target, _ := OneHot(labels, 2)
 
@@ -164,7 +164,7 @@ func TestOneHotErrors(t *testing.T) {
 func TestTrainEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := NewMLP(rng, 2, nil, 2)
-	x, _ := tensor.FromRows([][]float64{{0, 0}, {1, 1}})
+	x := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{0, 0, 1, 1}}
 	target, _ := OneHot([]int{0, 1}, 2)
 	var epochs int
 	_, err := Train(net, NewAdam(0.01), x, target, TrainConfig{
@@ -276,26 +276,6 @@ func TestLoadRefusesMalformedDense(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: Load error %q does not say %q", name, err, tc.want)
-		}
-	}
-}
-
-func TestPredictProbaRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	net := NewMLP(rng, 3, []int{4}, 3)
-	x := tensor.New(4, 3)
-	x.Randomize(rng, 1)
-	p, err := net.PredictProba(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p.Rows; i++ {
-		var sum float64
-		for _, v := range p.Row(i) {
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("row %d probs sum %v", i, sum)
 		}
 	}
 }

@@ -227,7 +227,7 @@ func TestInputGradientDetached(t *testing.T) {
 func TestTrainLearnsWithReusedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	net := NewMLP(rng, 2, []int{8}, 2)
-	x, _ := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	x := &tensor.Matrix{Rows: 4, Cols: 2, Data: []float64{0, 0, 0, 1, 1, 0, 1, 1}}
 	target, _ := OneHot([]int{0, 1, 1, 0}, 2)
 	// Odd batch size forces the partial-batch reslice path every epoch.
 	loss, err := Train(net, NewAdam(0.05), x, target, TrainConfig{Epochs: 400, BatchSize: 3,

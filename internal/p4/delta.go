@@ -142,17 +142,6 @@ func (r *DeltaRow) hash() uint64 {
 	return fnvField(h, r.Hi)
 }
 
-// HashEntry hashes one entry's match fields (ID and counters excluded)
-// with FNV-1a. Program signatures XOR per-entry hashes, so they are
-// order-independent and incrementally maintainable: controller and
-// switch compute identical signatures for identical entry multisets
-// without exchanging the entries.
-func HashEntry(e *Entry) uint64 {
-	var r DeltaRow
-	e.deltaRow(&r)
-	return r.hash()
-}
-
 // sameKey reports whether two rows pair in a diff: every field but the
 // priority is equal, so a priority change pairs up as a move.
 func (r *DeltaRow) sameKey(o *DeltaRow) bool {

@@ -743,3 +743,14 @@ func TestTernaryDeltaChurnDifferential(t *testing.T) {
 		})
 	}
 }
+
+// HashEntry hashes one entry's match fields (ID and counters excluded)
+// with FNV-1a. Program signatures XOR per-entry hashes, so they are
+// order-independent and incrementally maintainable: controller and
+// switch compute identical signatures for identical entry multisets
+// without exchanging the entries.
+func HashEntry(e *Entry) uint64 {
+	var r DeltaRow
+	e.deltaRow(&r)
+	return r.hash()
+}

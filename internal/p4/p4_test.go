@@ -3,6 +3,7 @@ package p4
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -599,4 +600,34 @@ func TestDigestQueueAccounting(t *testing.T) {
 		t.Fatalf("drained %d, want 2", got)
 	}
 	check(0, 6, 3, 3)
+}
+
+// Delete removes the entry with the given ID (programmed or reactive). The
+// data plane never removes a single row, but the churn tests drive the
+// index's removal path with it.
+func (t *Table) Delete(id uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, e := range t.prog {
+		if e.ID == id {
+			next := make([]*row, 0, len(t.prog)-1)
+			next = append(next, t.prog[:i]...)
+			next = append(next, t.prog[i+1:]...)
+			t.prog = next
+			t.progHash ^= t.hashRow(e)
+			t.derive([]*row{e}, nil)
+			return nil
+		}
+	}
+	for i, e := range t.inserted {
+		if e.ID == id {
+			next := make([]*row, 0, len(t.inserted)-1)
+			next = append(next, t.inserted[:i]...)
+			next = append(next, t.inserted[i+1:]...)
+			t.inserted = next
+			t.derive([]*row{e}, nil)
+			return nil
+		}
+	}
+	return fmt.Errorf("table %s: entry %d: %w", t.Name, id, ErrBadEntry)
 }

@@ -48,7 +48,6 @@ type RateGuard struct {
 	mu          sync.Mutex
 	counts      [guardDepth][guardWidth]uint64
 	windowStart time.Duration
-	flagged     uint64
 }
 
 // NewRateGuard builds a guard with a depth-4, width-1024 sketch.
@@ -90,16 +89,5 @@ func (g *RateGuard) Observe(frame []byte, at time.Duration) bool {
 		*c++
 		est = min(est, *c)
 	}
-	if est > g.Threshold {
-		g.flagged++
-		return true
-	}
-	return false
-}
-
-// Flagged returns the number of over-threshold observations.
-func (g *RateGuard) Flagged() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.flagged
+	return est > g.Threshold
 }

@@ -77,9 +77,6 @@ func TestRateGuardFlagsFloods(t *testing.T) {
 	if flagged != 40 {
 		t.Fatalf("flagged %d of 50, want 40 (threshold 10)", flagged)
 	}
-	if g.Flagged() != 40 {
-		t.Fatalf("Flagged() = %d", g.Flagged())
-	}
 }
 
 func TestRateGuardWindowReset(t *testing.T) {

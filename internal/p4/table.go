@@ -474,34 +474,6 @@ func spliceSorted(prev, rm, add []*row) []*row {
 	return out
 }
 
-// Delete removes the entry with the given ID (programmed or reactive).
-func (t *Table) Delete(id uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, e := range t.prog {
-		if e.ID == id {
-			next := make([]*row, 0, len(t.prog)-1)
-			next = append(next, t.prog[:i]...)
-			next = append(next, t.prog[i+1:]...)
-			t.prog = next
-			t.progHash ^= t.hashRow(e)
-			t.derive([]*row{e}, nil)
-			return nil
-		}
-	}
-	for i, e := range t.inserted {
-		if e.ID == id {
-			next := make([]*row, 0, len(t.inserted)-1)
-			next = append(next, t.inserted[:i]...)
-			next = append(next, t.inserted[i+1:]...)
-			t.inserted = next
-			t.derive([]*row{e}, nil)
-			return nil
-		}
-	}
-	return fmt.Errorf("table %s: entry %d: %w", t.Name, id, ErrBadEntry)
-}
-
 // Len returns the entry count.
 func (t *Table) Len() int {
 	return t.state.Load().rows

@@ -268,16 +268,19 @@ func TestProgrammedRowsDoNotAliasFrame(t *testing.T) {
 		}
 	}
 	got := det.Entries()
-	var hash uint64
 	for i := range got {
-		hash ^= p4.HashEntry(&got[i])
 		got[i].ID = 0
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("the table's entries changed when the frame was overwritten")
 	}
-	if count, sig := det.ProgramSignature(); count != len(got) || sig != hash {
-		t.Fatalf("signature (%d, %#x) is not that of the entries held (%d, %#x)", count, sig, len(got), hash)
+	held := p4.NewTable("held", det.Kind, det.KeySpecs(), 0, p4.Action{})
+	if err := held.Replace(got); err != nil {
+		t.Fatal(err)
+	}
+	wantCount, wantSig := held.ProgramSignature()
+	if count, sig := det.ProgramSignature(); count != wantCount || sig != wantSig {
+		t.Fatalf("signature (%d, %#x) is not that of the entries held (%d, %#x)", count, sig, wantCount, wantSig)
 	}
 	for i, e := range want {
 		if act, matched := det.Lookup(e.Lo); !matched || act != e.Action {

@@ -73,19 +73,6 @@ type FrameDesc struct {
 	Hdrs     [MaxFrameHeaders]HeaderLoc
 }
 
-// Headers returns the located headers in parse order.
-func (d *FrameDesc) Headers() []HeaderLoc { return d.Hdrs[:d.N] }
-
-// Find returns the byte range of the first header of the given kind.
-func (d *FrameDesc) Find(kind HeaderKind) (off, length int, ok bool) {
-	for i := 0; i < d.N; i++ {
-		if d.Hdrs[i].Kind == kind {
-			return int(d.Hdrs[i].Off), int(d.Hdrs[i].Len), true
-		}
-	}
-	return 0, 0, false
-}
-
 func (d *FrameDesc) push(kind HeaderKind, off, n int) {
 	if d.N < len(d.Hdrs) {
 		d.Hdrs[d.N] = HeaderLoc{Kind: kind, Off: uint16(off), Len: uint16(n)}

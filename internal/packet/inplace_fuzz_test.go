@@ -98,7 +98,7 @@ func descAgrees(t *testing.T, link packet.LinkType, data []byte) {
 		t.Fatalf("link %v: in-place found %d headers, reference %d (frame %x)",
 			link, d.N, len(ref.hdrs), data)
 	}
-	for i, h := range d.Headers() {
+	for i, h := range d.Hdrs[:d.N] {
 		r := ref.hdrs[i]
 		if h.Kind.String() != r.name || int(h.Off) != r.off || int(h.Len) != r.len {
 			t.Fatalf("link %v header %d: in-place %s@%d+%d, reference %s@%d+%d (frame %x)",

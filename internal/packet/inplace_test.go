@@ -97,10 +97,10 @@ func TestParseFrameEthernetChains(t *testing.T) {
 			if ok != tc.ok || d.Accepted != tc.ok {
 				t.Fatalf("accepted = %v/%v, want %v", ok, d.Accepted, tc.ok)
 			}
-			if len(d.Headers()) != len(tc.want) {
-				t.Fatalf("headers = %v, want %v", d.Headers(), tc.want)
+			if len(d.Hdrs[:d.N]) != len(tc.want) {
+				t.Fatalf("headers = %v, want %v", d.Hdrs[:d.N], tc.want)
 			}
-			for i, h := range d.Headers() {
+			for i, h := range d.Hdrs[:d.N] {
 				if h != tc.want[i] {
 					t.Fatalf("header %d = %+v, want %+v", i, h, tc.want[i])
 				}
@@ -119,7 +119,7 @@ func TestParseFrameLowPowerLinks(t *testing.T) {
 		t.Fatal("zigbee frame rejected")
 	}
 	want := []HeaderLoc{{Hdr802154, 0, 9}, {HdrZigbeeNWK, 9, 8}}
-	for i, h := range d.Headers() {
+	for i, h := range d.Hdrs[:d.N] {
 		if h != want[i] {
 			t.Fatalf("header %d = %+v, want %+v", i, h, want[i])
 		}
@@ -150,18 +150,6 @@ func TestParseFrameLowPowerLinks(t *testing.T) {
 	bf[5] = byte(len(bf)) // plen such that 6+plen > len
 	if ParseFrame(LinkBLE, bf, &d) {
 		t.Fatal("over-length ble frame accepted")
-	}
-}
-
-func TestFrameDescFind(t *testing.T) {
-	var d FrameDesc
-	ParseFrame(LinkEthernet, ethTCPFrame(5, 5), &d)
-	off, n, ok := d.Find(HdrIPv4)
-	if !ok || off != 14 || n != 20 {
-		t.Fatalf("Find(ipv4) = %d,%d,%v", off, n, ok)
-	}
-	if _, _, ok := d.Find(HdrUDP); ok {
-		t.Fatal("found absent header")
 	}
 }
 

@@ -93,8 +93,3 @@ func ipChecksum(b []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// IPString formats an IPv4 address in dotted decimal.
-func IPString(ip [4]byte) string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
-}

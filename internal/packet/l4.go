@@ -105,29 +105,12 @@ func (h *UDP) Unmarshal(b []byte) (int, error) {
 // ICMPLen is the length of an ICMP echo header.
 const ICMPLen = 8
 
-// ICMP message types used by the generator.
-const (
-	ICMPEchoReply   byte = 0
-	ICMPEchoRequest byte = 8
-)
-
 // ICMP is an ICMP echo header.
 type ICMP struct {
 	Type byte
 	Code byte
 	ID   uint16
 	Seq  uint16
-}
-
-// Marshal appends the wire form of h to dst.
-func (h *ICMP) Marshal(dst []byte) []byte {
-	start := len(dst)
-	dst = append(dst, h.Type, h.Code, 0, 0)
-	dst = binary.BigEndian.AppendUint16(dst, h.ID)
-	dst = binary.BigEndian.AppendUint16(dst, h.Seq)
-	sum := ipChecksum(dst[start : start+ICMPLen])
-	binary.BigEndian.PutUint16(dst[start+2:start+4], sum)
-	return dst
 }
 
 // Unmarshal decodes the header from b and returns the number of bytes read.

@@ -22,9 +22,19 @@ const (
 	recHeaderLen  = 16
 )
 
-// ErrBadMagic is returned when the input is not a little-endian
-// microsecond-resolution pcap file.
-var ErrBadMagic = errors.New("pcap: bad magic")
+var (
+	// ErrBadMagic is returned when the input is not a little-endian
+	// microsecond-resolution pcap file.
+	ErrBadMagic = errors.New("pcap: bad magic")
+	// ErrLink is returned for a link type the stream does not carry: a
+	// file header's unsupported one, or a packet's other than the
+	// writer's.
+	ErrLink = errors.New("pcap: link type")
+	// ErrRecord is returned for a record the format cannot hold: a frame
+	// longer than the snap length, or (writing) a time outside
+	// [0, 2³² s).
+	ErrRecord = errors.New("pcap: record out of range")
+)
 
 // Writer emits packets to a pcap stream. All packets must share the link
 // type given at construction.
@@ -50,10 +60,18 @@ func NewWriter(w io.Writer, link packet.LinkType) (*Writer, error) {
 }
 
 // WritePacket appends one record. The packet's Time offset is encoded as
-// seconds/microseconds since the epoch.
+// seconds/microseconds since the epoch, so it reads back truncated to the
+// microsecond. A record ReadPacket would refuse, or whose time would wrap,
+// is refused here.
 func (w *Writer) WritePacket(p *packet.Packet) error {
 	if p.Link != w.link {
-		return fmt.Errorf("pcap: packet link %v != stream link %v", p.Link, w.link)
+		return fmt.Errorf("pcap: packet link %v != stream link %v: %w", p.Link, w.link, ErrLink)
+	}
+	if len(p.Bytes) > maxSnapLen {
+		return fmt.Errorf("pcap: %d-byte frame exceeds snaplen %d: %w", len(p.Bytes), maxSnapLen, ErrRecord)
+	}
+	if p.Time < 0 || p.Time >= 1<<32*time.Second {
+		return fmt.Errorf("pcap: time %v outside [0, 2^32 s): %w", p.Time, ErrRecord)
 	}
 	var hdr [recHeaderLen]byte
 	secs := uint32(p.Time / time.Second)
@@ -88,7 +106,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	link, err := packet.LinkTypeFromDLT(binary.LittleEndian.Uint32(hdr[20:24]))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pcap: %v: %w", err, ErrLink)
 	}
 	return &Reader{r: r, link: link}, nil
 }
@@ -109,7 +127,7 @@ func (r *Reader) ReadPacket() (*packet.Packet, error) {
 	micros := binary.LittleEndian.Uint32(hdr[4:8])
 	caplen := binary.LittleEndian.Uint32(hdr[8:12])
 	if caplen > maxSnapLen {
-		return nil, fmt.Errorf("pcap: caplen %d exceeds snaplen", caplen)
+		return nil, fmt.Errorf("pcap: caplen %d exceeds snaplen: %w", caplen, ErrRecord)
 	}
 	body := make([]byte, caplen)
 	if _, err := io.ReadFull(r.r, body); err != nil {

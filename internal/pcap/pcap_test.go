@@ -159,3 +159,57 @@ func TestReadPacketEOF(t *testing.T) {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
+
+// FuzzPcapRoundTrip holds the writer to what the reader accepts: a packet
+// WritePacket takes reads back with the same bytes and its time truncated
+// to the microsecond, and one it refuses is refused typed. Any byte stream
+// given to the reader ends in io.EOF or a typed error, without a panic.
+func FuzzPcapRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, int64(1500*time.Millisecond), []byte{})
+	f.Add([]byte{}, int64(-time.Second), []byte("garbage"))
+	f.Add(make([]byte, maxSnapLen+1), int64(0), []byte{})
+	f.Add([]byte{4}, int64(1<<32*time.Second), []byte{})
+	var stream bytes.Buffer
+	w, _ := NewWriter(&stream, packet.LinkBLE)
+	_ = w.WritePacket(&packet.Packet{Time: time.Hour + 7, Link: packet.LinkBLE, Bytes: []byte{9, 9}})
+	f.Add([]byte{5}, int64(time.Nanosecond), stream.Bytes())
+	f.Add([]byte{5}, int64(0), stream.Bytes()[:len(stream.Bytes())-1])
+
+	f.Fuzz(func(t *testing.T, body []byte, ns int64, stream []byte) {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, packet.LinkEthernet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &packet.Packet{Time: time.Duration(ns), Link: packet.LinkEthernet, Bytes: body}
+		if err := w.WritePacket(p); err != nil {
+			if !errors.Is(err, ErrRecord) {
+				t.Fatalf("WritePacket(%d bytes at %v): untyped %v", len(body), p.Time, err)
+			}
+		} else {
+			r, err := NewReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.ReadPacket()
+			if err != nil {
+				t.Fatalf("%d bytes at %v were written but read back as %v", len(body), p.Time, err)
+			}
+			if !bytes.Equal(got.Bytes, body) || got.Time != p.Time.Truncate(time.Microsecond) || got.Link != p.Link {
+				t.Fatalf("wrote %d bytes at %v, read %d bytes at %v", len(body), p.Time, len(got.Bytes), got.Time)
+			}
+			if _, err := r.ReadPacket(); err != io.EOF {
+				t.Fatalf("after the one record: %v, want io.EOF", err)
+			}
+		}
+
+		r, err := NewReader(bytes.NewReader(stream))
+		for err == nil {
+			_, err = r.ReadPacket()
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrBadMagic) &&
+			!errors.Is(err, ErrLink) && !errors.Is(err, ErrRecord) {
+			t.Fatalf("stream %x: untyped %v", stream, err)
+		}
+	})
+}

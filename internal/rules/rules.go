@@ -155,20 +155,6 @@ func (rs *RuleSet) ClassifyDetail(pkt *packet.Packet) (class int, matched bool) 
 	return rs.DefaultClass, false
 }
 
-// PruneDefault removes rules that predict the default class. For binary
-// gateway policies this is the standard optimization: only non-default
-// verdicts consume table entries. Rule-set semantics are preserved only
-// when the rules partition the space (as tree-compiled sets do).
-func (rs *RuleSet) PruneDefault() {
-	kept := rs.Rules[:0]
-	for _, r := range rs.Rules {
-		if r.Class != rs.DefaultClass {
-			kept = append(kept, r)
-		}
-	}
-	rs.Rules = kept
-}
-
 // Describe renders the key layout with protocol field names.
 func (rs *RuleSet) Describe() string {
 	return packet.DescribeOffsets(rs.link, rs.Offsets)

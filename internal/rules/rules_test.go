@@ -62,7 +62,7 @@ func TestRangeToMasksExact(t *testing.T) {
 			inRange := byte(v) >= lo && byte(v) <= hi
 			matched := false
 			for _, vm := range vms {
-				if vm.Matches(byte(v)) {
+				if byte(v)&vm.Mask == vm.Value {
 					if matched {
 						return false // overlap: a value covered twice
 					}
@@ -239,23 +239,6 @@ func TestCompileTernaryRejectsForeignOffset(t *testing.T) {
 	rs.Add(Rule{Priority: 1, Class: 1, Preds: []BytePredicate{{Offset: 5, Lo: 1, Hi: 2}}})
 	if _, err := rs.CompileTernary(); err == nil {
 		t.Fatal("accepted predicate outside key layout")
-	}
-}
-
-func TestPruneDefault(t *testing.T) {
-	rs := NewRuleSet([]int{0}, 0)
-	rs.Add(Rule{Priority: 2, Class: 0, Preds: []BytePredicate{{Offset: 0, Lo: 0, Hi: 99}}})
-	rs.Add(Rule{Priority: 1, Class: 1, Preds: []BytePredicate{{Offset: 0, Lo: 100, Hi: 255}}})
-	rs.PruneDefault()
-	if len(rs.Rules) != 1 || rs.Rules[0].Class != 1 {
-		t.Fatalf("pruned rules: %v", rs.Rules)
-	}
-	// Semantics preserved for partitioning rules.
-	if got := rs.Classify(&packet.Packet{Bytes: []byte{50}}); got != 0 {
-		t.Fatalf("pruned benign region: class %d", got)
-	}
-	if got := rs.Classify(&packet.Packet{Bytes: []byte{150}}); got != 1 {
-		t.Fatalf("attack region: class %d", got)
 	}
 }
 

@@ -13,9 +13,6 @@ type ValueMask struct {
 	Mask  byte
 }
 
-// Matches reports whether b satisfies the pattern.
-func (vm ValueMask) Matches(b byte) bool { return b&vm.Mask == vm.Value }
-
 // RangeToMasks expands the inclusive byte range [lo,hi] into the minimal
 // set of prefix value/mask pairs covering exactly that range.
 func RangeToMasks(lo, hi byte) []ValueMask {

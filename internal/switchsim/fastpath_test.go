@@ -451,9 +451,10 @@ func TestBurstSamplesExplainTheGenerationTheyRead(t *testing.T) {
 
 // TestDisarmedInstrumentsAreInert is the switch-level half of
 // dtrace.TestDisarmedIsInert and drift.TestMonitorDisarmContract: explain
-// sampling, a tracer and a drift monitor are armed on one switch, seen to
-// fire, and disarmed; from then on Process must allocate nothing and
-// 10 000 packets must add nothing to the flight recorder, the trace ring
+// sampling, a tracer and a drift monitor are armed on one switch and seen
+// to fire; then sampling is disabled and the tracer and monitor are
+// replaced by unarmed ones. From then on Process must allocate nothing and
+// 10 000 packets must add nothing to the flight recorder, the trace rings
 // or the drift sketches. Every packet misses into the digest action, the
 // one verdict on which Process consults all three. A count, not a timing:
 // a 1 % ns/op gate on this could not be resolved on a shared host.
@@ -489,15 +490,16 @@ func TestDisarmedInstrumentsAreInert(t *testing.T) {
 		t.Fatalf("packet did not take the digest action: %+v", v)
 	}
 	sw.Tracer().StartTrace(dtrace.StageDigestWait).End()
-	explained, observed := fr.Total(), da.ShardObservations(0)
+	explained, observed := len(fr.Records()), da.ShardObservations(0)
 	if explained != 1 || observed != 1 || tr.Total() != 1 {
 		t.Fatalf("armed instruments did not fire: %d explains, %d drift observations, %d spans",
 			explained, observed, tr.Total())
 	}
 
 	sw.DisableExplainSampling()
-	tr.Disarm()
-	mon.Disarm()
+	idle := dtrace.NewTracer()
+	sw.SetTracer(idle)
+	sw.SetDriftMonitor(drift.NewMonitor())
 
 	if allocs := testing.AllocsPerRun(100, func() { sw.Process(pkts[1]) }); allocs != 0 {
 		t.Fatalf("Process with disarmed instruments allocates %.2f/op, want 0", allocs)
@@ -506,14 +508,14 @@ func TestDisarmedInstrumentsAreInert(t *testing.T) {
 		sw.Process(pkts[i%len(pkts)])
 	}
 	sw.Tracer().StartTrace(dtrace.StageDigestWait).End()
-	if fr.Total() != explained {
-		t.Fatalf("flight recorder grew from %d to %d events while disarmed", explained, fr.Total())
+	if got := len(fr.Records()); got != explained {
+		t.Fatalf("flight recorder grew from %d to %d events while disarmed", explained, got)
 	}
 	if got := da.ShardObservations(0); got != observed {
 		t.Fatalf("drift sketches grew from %d to %d observations while disarmed", observed, got)
 	}
-	if tr.Total() != 0 || tr.Spans() != nil {
-		t.Fatalf("disarmed tracer holds %d spans", tr.Total())
+	if tr.Total() != 1 || idle.Total() != 0 || idle.Spans() != nil {
+		t.Fatalf("tracers hold %d spans (armed) and %d (unarmed), want 1 and 0", tr.Total(), idle.Total())
 	}
 }
 

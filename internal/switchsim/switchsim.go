@@ -192,9 +192,6 @@ func (s *Switch) SetTracer(tr *dtrace.Tracer) { s.tracer.Store(tr) }
 // tracer makes every span call inert.
 func (s *Switch) Tracer() *dtrace.Tracer { return s.tracer.Load() }
 
-// Link returns the switch's link type.
-func (s *Switch) Link() packet.LinkType { return s.link }
-
 // InstallRuleSet programs the detector table from a compiled rule set:
 // each rule becomes one range-match row whose action derives from the
 // rule's class, and the key layout is reprogrammed to the rule set's

@@ -179,14 +179,6 @@ func copyField(v any) any {
 	}
 }
 
-// Total returns the number of records ever made, including those the
-// memory tail has since dropped.
-func (j *Journal) Total() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
 // Records returns the memory tail, oldest first.
 func (j *Journal) Records() []JournalRecord {
 	j.mu.Lock()

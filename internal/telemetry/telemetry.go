@@ -88,14 +88,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Mean returns the mean observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // within the bucket holding the target rank — the same estimator
 // Prometheus's histogram_quantile uses. Values in the +Inf bucket clamp

@@ -223,7 +223,7 @@ func TestArgmaxEmptyReturnsNegative(t *testing.T) {
 }
 
 func TestColSumsInto(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	dst := []float64{99, 99}
 	if err := m.ColSumsInto(dst); err != nil {
 		t.Fatal(err)

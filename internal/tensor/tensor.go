@@ -28,41 +28,12 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (not copied) as a rows×cols matrix.
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("tensor: FromSlice %dx%d needs %d values, got %d: %w",
-			rows, cols, rows*cols, len(data), ErrShape)
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
-}
-
-// FromRows builds a matrix by copying the given equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("tensor: ragged row %d (len %d, want %d): %w",
-				i, len(r), cols, ErrShape)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
-
-// At returns element (i,j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i,j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
@@ -125,15 +96,8 @@ func (m *Matrix) AddRowVector(v []float64) error {
 	return nil
 }
 
-// ColSums returns the per-column sums of m.
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	_ = m.ColSumsInto(sums)
-	return sums
-}
-
 // ColSumsInto writes the per-column sums of m into dst, which must have
-// length m.Cols. It is the allocation-free form of ColSums.
+// length m.Cols.
 func (m *Matrix) ColSumsInto(dst []float64) error {
 	if len(dst) != m.Cols {
 		return fmt.Errorf("tensor: ColSumsInto len %d != cols %d: %w", len(dst), m.Cols, ErrShape)
@@ -148,13 +112,6 @@ func (m *Matrix) ColSumsInto(dst []float64) error {
 		}
 	}
 	return nil
-}
-
-// Apply replaces every element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
 }
 
 // Scale multiplies every element by s.
@@ -176,18 +133,6 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) error {
 	return nil
 }
 
-// Hadamard multiplies m element-wise by other in place.
-func (m *Matrix) Hadamard(other *Matrix) error {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return fmt.Errorf("tensor: Hadamard %dx%d vs %dx%d: %w",
-			m.Rows, m.Cols, other.Rows, other.Cols, ErrShape)
-	}
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
-	return nil
-}
-
 // Argmax returns the index of the largest value in v (first on ties), or
 // -1 when v is empty — callers must treat a negative index as "no class".
 func Argmax(v []float64) int {
@@ -201,27 +146,6 @@ func Argmax(v []float64) int {
 		}
 	}
 	return best
-}
-
-// Dot returns the inner product of a and b, which must have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: dot len %d != %d", len(a), len(b)))
-	}
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
-// L2Norm returns the Euclidean norm of v.
-func L2Norm(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x * x
-	}
-	return math.Sqrt(sum)
 }
 
 // Softmax writes the softmax of src into dst (may alias). It is numerically

@@ -16,50 +16,21 @@ func TestNewAndAccessors(t *testing.T) {
 		t.Fatalf("New(2,3) = %+v", m)
 	}
 	m.Set(1, 2, 7.5)
-	if got := m.At(1, 2); got != 7.5 {
-		t.Fatalf("At(1,2) = %v, want 7.5", got)
-	}
 	if got := m.Row(1)[2]; got != 7.5 {
 		t.Fatalf("Row(1)[2] = %v, want 7.5", got)
 	}
 }
 
-func TestFromSliceShapeError(t *testing.T) {
-	if _, err := FromSlice(2, 2, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
-		t.Fatalf("FromSlice err = %v, want ErrShape", err)
-	}
-}
-
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %v, want 3", m.At(1, 0))
-	}
-	if _, err := FromRows([][]float64{{1}, {2, 3}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged FromRows err = %v, want ErrShape", err)
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Fatalf("FromRows(nil) = %v, %v", empty, err)
-	}
-}
-
 func TestMatMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Matrix{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
 	dst := New(2, 2)
 	if err := MatMul(dst, a, b); err != nil {
 		t.Fatal(err)
 	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if !almostEq(dst.At(i, j), want[i][j]) {
-				t.Errorf("dst[%d][%d] = %v, want %v", i, j, dst.At(i, j), want[i][j])
-			}
+	for i, want := range []float64{19, 22, 43, 50} {
+		if !almostEq(dst.Data[i], want) {
+			t.Errorf("dst[%d][%d] = %v, want %v", i/2, i%2, dst.Data[i], want)
 		}
 	}
 }
@@ -80,7 +51,7 @@ func TestMatMulVariants(t *testing.T) {
 		tm := New(m.Cols, m.Rows)
 		for i := 0; i < m.Rows; i++ {
 			for j := 0; j < m.Cols; j++ {
-				tm.Set(j, i, m.At(i, j))
+				tm.Set(j, i, m.Row(i)[j])
 			}
 		}
 		return tm
@@ -123,13 +94,13 @@ func TestMatMulVariants(t *testing.T) {
 }
 
 func TestAddRowVectorAndColSums(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	if err := m.AddRowVector([]float64{10, 20}); err != nil {
 		t.Fatal(err)
 	}
-	sums := m.ColSums()
-	if !almostEq(sums[0], 24) || !almostEq(sums[1], 46) {
-		t.Fatalf("ColSums = %v, want [24 46]", sums)
+	sums := make([]float64, 2)
+	if err := m.ColSumsInto(sums); err != nil || !almostEq(sums[0], 24) || !almostEq(sums[1], 46) {
+		t.Fatalf("ColSumsInto = %v, %v; want [24 46]", sums, err)
 	}
 	if err := m.AddRowVector([]float64{1}); !errors.Is(err, ErrShape) {
 		t.Fatalf("AddRowVector shape err = %v", err)
@@ -137,34 +108,20 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 }
 
 func TestApplyScaleAddScaledHadamard(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -2}})
-	m.Apply(math.Abs)
-	if m.At(0, 1) != 2 {
-		t.Fatalf("Apply abs: %v", m.Data)
-	}
+	m := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, -2}}
 	m.Scale(3)
-	if m.At(0, 0) != 3 {
+	if m.Data[0] != 3 || m.Data[1] != -6 {
 		t.Fatalf("Scale: %v", m.Data)
 	}
-	other, _ := FromRows([][]float64{{1, 1}})
+	other := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, 1}}
 	if err := m.AddScaled(other, 2); err != nil {
 		t.Fatal(err)
 	}
-	if m.At(0, 0) != 5 {
+	if m.Data[0] != 5 || m.Data[1] != -4 {
 		t.Fatalf("AddScaled: %v", m.Data)
 	}
-	if err := m.Hadamard(other); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 8 {
-		t.Fatalf("Hadamard: %v", m.Data)
-	}
-	bad := New(2, 2)
-	if err := m.AddScaled(bad, 1); !errors.Is(err, ErrShape) {
+	if err := m.AddScaled(New(2, 2), 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("AddScaled shape err = %v", err)
-	}
-	if err := m.Hadamard(bad); !errors.Is(err, ErrShape) {
-		t.Fatalf("Hadamard shape err = %v", err)
 	}
 }
 
@@ -228,15 +185,6 @@ func TestSoftmaxLargeValuesStable(t *testing.T) {
 	}
 }
 
-func TestDotAndL2Norm(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); !almostEq(got, 32) {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-	if got := L2Norm([]float64{3, 4}); !almostEq(got, 5) {
-		t.Fatalf("L2Norm = %v, want 5", got)
-	}
-}
-
 func TestGlorotInitBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(10, 10)
@@ -250,10 +198,10 @@ func TestGlorotInitBounds(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}})
+	m := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
 	c := m.Clone()
 	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
+	if m.Data[0] != 1 {
 		t.Fatal("Clone aliases original storage")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"p4guard/internal/packet"
@@ -57,16 +56,8 @@ func (d *Dataset) Append(s Sample) error {
 	return nil
 }
 
-// Shuffle permutes samples in place with the given source of randomness.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Samples), func(i, j int) {
-		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
-	})
-}
-
 // Split partitions the dataset into train and test subsets, with trainFrac
-// of samples (rounded down) in the train half. It does not shuffle; callers
-// wanting a random split shuffle first.
+// of samples (rounded down) in the train half, in order.
 func (d *Dataset) Split(trainFrac float64) (train, test *Dataset, err error) {
 	if trainFrac <= 0 || trainFrac >= 1 {
 		return nil, nil, fmt.Errorf("trace: trainFrac %v out of (0,1)", trainFrac)
@@ -225,21 +216,6 @@ func (d *Dataset) SelectColumns(offsets []int) (*tensor.Matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// Subsample returns a dataset of at most n samples drawn without
-// replacement using rng. When n >= Len the receiver is returned unchanged.
-func (d *Dataset) Subsample(rng *rand.Rand, n int) *Dataset {
-	if n >= len(d.Samples) {
-		return d
-	}
-	idx := rng.Perm(len(d.Samples))[:n]
-	sort.Ints(idx)
-	out := &Dataset{Name: d.Name + "/sub", Link: d.Link, Samples: make([]Sample, 0, n)}
-	for _, i := range idx {
-		out.Samples = append(out.Samples, d.Samples[i])
-	}
-	return out
 }
 
 // Merge concatenates datasets that share a link type.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -150,14 +149,14 @@ func TestHeaderMatrixAndSelectColumns(t *testing.T) {
 	if m.Rows != 4 || m.Cols != packet.HeaderWindow {
 		t.Fatalf("matrix %dx%d", m.Rows, m.Cols)
 	}
-	if m.At(2, 0) != 2.0/255 {
-		t.Fatalf("m[2][0] = %v", m.At(2, 0))
+	if m.Row(2)[0] != 2.0/255 {
+		t.Fatalf("m[2][0] = %v", m.Row(2)[0])
 	}
 	sel, err := d.SelectColumns([]int{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Cols != 2 || sel.At(3, 0) != 3.0/255 || sel.At(3, 1) != 0 {
+	if sel.Cols != 2 || sel.Row(3)[0] != 3.0/255 || sel.Row(3)[1] != 0 {
 		t.Fatalf("select = %v", sel.Row(3))
 	}
 	if _, err := d.SelectColumns([]int{packet.HeaderWindow}); err == nil {
@@ -165,30 +164,6 @@ func TestHeaderMatrixAndSelectColumns(t *testing.T) {
 	}
 	if _, err := d.SelectColumns([]int{-1}); err == nil {
 		t.Fatal("accepted negative offset")
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	d1 := mkDataset(t, 20)
-	d2 := mkDataset(t, 20)
-	d1.Shuffle(rand.New(rand.NewSource(5)))
-	d2.Shuffle(rand.New(rand.NewSource(5)))
-	for i := range d1.Samples {
-		if d1.Samples[i].Pkt.Bytes[0] != d2.Samples[i].Pkt.Bytes[0] {
-			t.Fatal("shuffle not deterministic for equal seeds")
-		}
-	}
-}
-
-func TestSubsample(t *testing.T) {
-	d := mkDataset(t, 50)
-	sub := d.Subsample(rand.New(rand.NewSource(1)), 10)
-	if sub.Len() != 10 {
-		t.Fatalf("subsample len %d", sub.Len())
-	}
-	same := d.Subsample(rand.New(rand.NewSource(1)), 100)
-	if same != d {
-		t.Fatal("oversized subsample should return receiver")
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate, in the order the stages run:
 #   gofmt, doc symbols (every Go name the documents quote, and every test
-#   the gates below name, exists), go vet,
-#   go build, go test -race ./..., perfbench's own vet + tests,
+#   the gates below name, exists), go vet, unused names (no name under
+#   internal/ that only tests reference), go build, go test -race ./..., perfbench's own vet + tests,
 #   fleet soak (netsim faults; its traces read back from journal files),
 #   hot-path benchmarks (`make bench`: the list lives in the
 #   Makefile), drift soak, telemetry overhead guard,
@@ -63,6 +63,13 @@ fi
 
 echo "==> go vet"
 go vet ./...
+
+echo "==> unused names"
+# Every package-level name and method declared under internal/ must be
+# referenced by a non-test file of this module or by a file of perfbench/,
+# or be on the check's allowlist with a reason: a dead name fails here in
+# seconds, not after the race stage.
+go test -count 1 -run 'TestNoUnusedNames' .
 
 echo "==> go build"
 go build ./...
@@ -135,8 +142,8 @@ echo "==> telemetry overhead guard"
 # -count N over both benchmarks go test runs all plain runs before all
 # instrumented ones, and host drift between the two blocks reads as
 # overhead.
-# Disarmed explain sampling, tracing and drift monitoring run the same
-# code as the plain lookup, so they are held to counts, not timings:
+# Disabled explain sampling and unarmed tracing and drift monitoring run
+# the same code as the plain lookup, so they are held to counts, not timings:
 # TestDisarmedInstrumentsAreInert in the zero-alloc gate below.
 guard_out=$(
     round=0
@@ -164,7 +171,7 @@ echo "==> zero-alloc forwarding gate"
 # whose few percent of misses queue their keys as digests (queue storage
 # warm, with and without a drift monitor armed), the
 # single-packet Process path (also with explain sampling, tracing and
-# drift monitoring armed once and disarmed), both of them with the rate
+# drift monitoring armed once, then disabled or replaced by unarmed ones), both of them with the rate
 # guard armed (it hashes its key in place), and the in-place frame parser
 # must not allocate at all, the delta diff must allocate the same
 # whether it pairs 16 rows or 8 192 (its table, not a key per row), a

@@ -68,6 +68,18 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The MLP reads the key's bits: a net of another width would fail
+	// every slow-path Predict, which the teacher reads as class 0.
+	in := 0
+	for _, l := range net.Layers {
+		if d, ok := l.(*nn.Dense); ok {
+			in = d.W.Rows
+			break
+		}
+	}
+	if in != 8*len(snap.Offsets) {
+		return nil, fmt.Errorf("p4guard: the MLP takes %d input bits, but %d key bytes give %d", in, len(snap.Offsets), 8*len(snap.Offsets))
+	}
 	tree, err := dtree.Load(bytes.NewReader(snap.Tree))
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package p4guard
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 )
 
@@ -109,6 +111,36 @@ func TestSaveUntrainedFails(t *testing.T) {
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err == nil {
 		t.Fatal("saved untrained pipeline")
+	}
+}
+
+// TestLoadRefusesNetOfAnotherWidth splices a 4-field pipeline's MLP into
+// a 6-field snapshot: the load must fail and name both widths, where it
+// used to succeed with a slow path that called every packet class 0.
+func TestLoadRefusesNetOfAnotherWidth(t *testing.T) {
+	train, _ := trainTest(t, "wifi-mqtt", 600)
+	snaps := make([]pipelineSnap, 2)
+	for i, fields := range []int{4, 6} {
+		pipe, err := Train(train, Config{Seed: 9, NumFields: fields, MLPEpochs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pipe.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps[1].Net = snaps[0].Net
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snaps[1]); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadPipeline(&buf)
+	if err == nil || !strings.Contains(err.Error(), "32") || !strings.Contains(err.Error(), "48") {
+		t.Fatalf("a 32-bit MLP under 6 offsets loaded with err = %v, want one naming 32 and 48", err)
 	}
 }
 
