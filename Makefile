@@ -16,7 +16,7 @@ race:
 # stage, passing its CI_BENCHTIME through the environment.
 bench:
 	$(GO) test -run '^$$' \
-	    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunColdRound|BenchmarkMatMulMLP|BenchmarkMatMulABT|BenchmarkRuleSetAdd|BenchmarkTrainStep|BenchmarkDeltaDeploy|BenchmarkFullDeploy|BenchmarkProgramFrame|BenchmarkRangeInsert|BenchmarkEntriesAfterInstalls|BenchmarkRangeDelta' \
+	    -bench 'BenchmarkKeyIndexFind|BenchmarkCompiledMatcherClassify|BenchmarkRuleSetClassify|BenchmarkDataPlaneLookup$$|BenchmarkSwitchRunSequential|BenchmarkSwitchRunColdRound|BenchmarkSwitchRunHotRound|BenchmarkMatMulMLP|BenchmarkMatMulABT|BenchmarkRuleSetAdd|BenchmarkTrainStep|BenchmarkDeltaDeploy|BenchmarkFullDeploy|BenchmarkProgramFrame|BenchmarkRangeInsert|BenchmarkEntriesAfterInstalls|BenchmarkRangeDelta' \
 	    -benchmem -benchtime "$${CI_BENCHTIME:-1s}" ./...
 
 # Full CI gate: see the header of scripts/ci.sh for its stages.

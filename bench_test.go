@@ -342,44 +342,55 @@ func BenchmarkDataPlanePPS(b *testing.B) {
 	}
 }
 
-// The cold regime: what `--workload cold` of the repository benchmark
-// forwards, built here without it. One round is coldFlows distinct
-// Ethernet/IPv4/UDP flows in shuffled order, about 22 MB of frames, so a
-// round cannot stay resident in cache the way the one-burst benchmarks
-// above do.
-const (
-	coldFlows     = 65536
-	coldRows      = 8192
-	coldRanges    = 16                  // range rows, as a distilled tree emits them
-	coldMisses    = coldFlows * 2 / 100 // flows no row matches
-	coldBurst     = 256
-	coldPointPrio = 1 << 20 // reactive installs outrank every range row
+// The forwarding rounds of the repository benchmark's two workloads, built
+// here without it. A round is flows distinct Ethernet/IPv4/UDP flows,
+// repeated to packets frames in shuffled order. The cold round is 65 536
+// flows once each, about 22 MB of frames, so it cannot stay resident in
+// cache the way the one-burst benchmarks above do; the hot round is 256
+// flows of 64 B frames that the flow cache holds, so parse, key gather and
+// cache probe do the work.
+type roundShape struct {
+	flows, rows, misses, packets int
+	sizes                        []int // frame sizes, drawn uniformly
+	miss                         p4.ActionType
+}
+
+var (
+	coldShape = roundShape{flows: 65536, rows: 8192, misses: 65536 * 2 / 100, packets: 65536,
+		sizes: []int{64, 64, 64, 64, 64, 64, 64, 512, 512, 512, 512, 1500}, miss: p4.ActionDigest}
+	hotShape = roundShape{flows: 256, rows: roundRanges, packets: 65536, sizes: []int{64}, miss: p4.ActionAllow}
 )
 
-// coldKeyOffsets is the detector key: IPv4 source address and UDP source
-// port, so every flow has its own key.
-var coldKeyOffsets = []int{26, 27, 28, 29, 34, 35}
+const (
+	roundRanges    = 16 // range rows, as a distilled tree emits them
+	roundBurst     = 256
+	roundPointPrio = 1 << 20 // reactive installs outrank every range row
+)
 
-// coldRound builds the cold detector and one shuffled round of frames.
-// The rule set holds coldRanges range rows, each owning a slice of the
-// first key byte below 240 and bounding two more, then point rows; the
-// flows are one per point row, coldMisses with a first key byte of 240
-// or more that no row matches, and the rest inside a range row. Frames
-// are 64, 512 or 1500 bytes, weighted 7:4:1.
-func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
+// roundKeyOffsets is the detector key: IPv4 source address and UDP source
+// port, so every flow has its own key.
+var roundKeyOffsets = []int{26, 27, 28, 29, 34, 35}
+
+// forwardRound builds a detector and one shuffled round of frames. The
+// rule set holds roundRanges range rows, each owning a slice of the first
+// key byte below 240 and bounding two more, then point rows up to
+// shape.rows; the flows are one per point row, shape.misses with a first
+// key byte of 240 or more that no row matches, and the rest inside a
+// range row.
+func forwardRound(b *testing.B, shape roundShape) (*rules.RuleSet, []*packet.Packet) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	rs := rules.NewRuleSet(coldKeyOffsets, 0)
+	rs := rules.NewRuleSet(roundKeyOffsets, 0)
 	rs.SetLink(packet.LinkEthernet)
 	addRow := func(prio, class int, lo, hi []byte) {
-		preds := make([]rules.BytePredicate, len(coldKeyOffsets))
-		for i, off := range coldKeyOffsets {
+		preds := make([]rules.BytePredicate, len(roundKeyOffsets))
+		for i, off := range roundKeyOffsets {
 			preds[i] = rules.BytePredicate{Offset: off, Lo: lo[i], Hi: hi[i]}
 		}
 		rs.Add(rules.Rule{Priority: prio, Class: class, Preds: preds})
 	}
-	w := len(coldKeyOffsets)
-	var ranges [coldRanges][2][]byte
+	w := len(roundKeyOffsets)
+	var ranges [roundRanges][2][]byte
 	for i := range ranges {
 		lo, hi := make([]byte, w), make([]byte, w)
 		for j := range hi {
@@ -391,10 +402,10 @@ func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
 			lo[j+1], hi[j+1] = byte(l), byte(l+128+rng.Intn(64))
 		}
 		ranges[i] = [2][]byte{lo, hi}
-		addRow(coldRanges-i, i%2, lo, hi)
+		addRow(roundRanges-i, i%2, lo, hi)
 	}
 	seen := map[string]bool{}
-	keys := make([][]byte, 0, coldFlows)
+	keys := make([][]byte, 0, shape.flows)
 	add := func(k []byte) bool {
 		if seen[string(k)] {
 			return false
@@ -403,14 +414,14 @@ func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
 		keys = append(keys, k)
 		return true
 	}
-	for len(keys) < coldRows-coldRanges {
+	for len(keys) < shape.rows-roundRanges {
 		k := make([]byte, w)
 		rng.Read(k)
 		if add(k) {
-			addRow(coldPointPrio, 1, k, k)
+			addRow(roundPointPrio, 1, k, k)
 		}
 	}
-	for n := 0; n < coldMisses; {
+	for n := 0; n < shape.misses; {
 		k := make([]byte, w)
 		rng.Read(k)
 		k[0] = 240 + k[0]%16
@@ -418,18 +429,17 @@ func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
 			n++
 		}
 	}
-	for len(keys) < coldFlows {
-		r := ranges[rng.Intn(coldRanges)]
+	for len(keys) < shape.flows {
+		r := ranges[rng.Intn(roundRanges)]
 		k := make([]byte, w)
 		for i := range k {
 			k[i] = r[0][i] + byte(rng.Intn(int(r[1][i])-int(r[0][i])+1))
 		}
 		add(k)
 	}
-	sizes := []int{64, 64, 64, 64, 64, 64, 64, 512, 512, 512, 512, 1500}
-	pkts := make([]*packet.Packet, len(keys))
+	flows := make([]*packet.Packet, len(keys))
 	for i, k := range keys {
-		size := sizes[rng.Intn(len(sizes))]
+		size := shape.sizes[rng.Intn(len(shape.sizes))]
 		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
 		rng.Read(eth.Dst[:])
 		rng.Read(eth.Src[:])
@@ -439,42 +449,46 @@ func coldRound(b *testing.B) (*rules.RuleSet, []*packet.Packet) {
 		f := udp.Marshal(ip.Marshal(eth.Marshal(make([]byte, 0, size)), packet.UDPLen+payload), payload)
 		pad := f[len(f):size]
 		rng.Read(pad)
-		pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: f[:size]}
+		flows[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: f[:size]}
+	}
+	pkts := make([]*packet.Packet, shape.packets)
+	for i := range pkts {
+		pkts[i] = flows[i%len(flows)]
 	}
 	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
 	return rs, pkts
 }
 
-// BenchmarkSwitchRunColdRound forwards one cold round per op in
-// coldBurst-packet bursts through Switch.Run. Nothing drains the digest
+// benchRound forwards one round of shape per op in roundBurst-packet
+// bursts through Switch.Run and reports pps. Nothing drains the digest
 // queue: warm-up rounds fill it, and from then on every miss is counted
 // and dropped, as on a gateway whose controller falls behind (the
-// repository benchmark drains 256 of a round's ~1 300). Unlike
-// BenchmarkSwitchRunSequential its frames, Packet structs and flow keys
-// do not fit in cache, so it sees what the burst engine does about cache
-// misses; the recorded number for the same regime is fwd_pps from
-// `bash perfbench/run.sh --workload cold`.
-func BenchmarkSwitchRunColdRound(b *testing.B) {
-	rs, pkts := coldRound(b)
-	sw, err := switchsim.New("cold", packet.LinkEthernet)
+// repository benchmark drains 256 of a cold round's ~1 300).
+func benchRound(b *testing.B, shape roundShape) {
+	rs, pkts := forwardRound(b, shape)
+	sw, err := switchsim.New("round", packet.LinkEthernet)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sw.InstallRuleSet(rs, p4.Action{Type: p4.ActionDigest}); err != nil {
+	if _, err := sw.InstallRuleSet(rs, p4.Action{Type: shape.miss}); err != nil {
 		b.Fatal(err)
 	}
 	round := func() (st switchsim.RunStats) {
-		for i := 0; i < len(pkts); i += coldBurst {
-			d := sw.Run(pkts[i:min(i+coldBurst, len(pkts))])
+		for i := 0; i < len(pkts); i += roundBurst {
+			d := sw.Run(pkts[i:min(i+roundBurst, len(pkts))])
 			st.Digested += d.Digested
 			st.ParseFailed += d.ParseFailed
 		}
 		return st
 	}
-	if st := round(); st.Digested != coldMisses || st.ParseFailed != 0 {
-		b.Fatalf("warm-up round: %d digested, %d parse failures; want %d and 0", st.Digested, st.ParseFailed, coldMisses)
+	want := 0
+	if shape.miss == p4.ActionDigest {
+		want = shape.misses * shape.packets / shape.flows
 	}
-	for q := sw.DigestQueueStats(); q.Depth < q.Capacity; q = sw.DigestQueueStats() {
+	if st := round(); st.Digested != want || st.ParseFailed != 0 {
+		b.Fatalf("warm-up round: %d digested, %d parse failures; want %d and 0", st.Digested, st.ParseFailed, want)
+	}
+	for q := sw.DigestQueueStats(); want > 0 && q.Depth < q.Capacity; q = sw.DigestQueueStats() {
 		round()
 	}
 	b.ReportAllocs()
@@ -484,3 +498,16 @@ func BenchmarkSwitchRunColdRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*len(pkts))/b.Elapsed().Seconds(), "pps")
 }
+
+// BenchmarkSwitchRunColdRound forwards the cold round. Unlike
+// BenchmarkSwitchRunSequential its frames, Packet structs and flow keys
+// do not fit in cache, so it sees what the burst engine does about cache
+// misses; the recorded number for the same regime is fwd_pps from
+// `bash perfbench/run.sh --workload cold`.
+func BenchmarkSwitchRunColdRound(b *testing.B) { benchRound(b, coldShape) }
+
+// BenchmarkSwitchRunHotRound forwards the hot round: every flow matches
+// one of the 16 range rows, half of them allow and half drop, and the flow
+// cache holds them all. The recorded number for the same regime is fwd_pps
+// from `bash perfbench/run.sh --workload hot`.
+func BenchmarkSwitchRunHotRound(b *testing.B) { benchRound(b, hotShape) }

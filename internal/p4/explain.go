@@ -144,7 +144,7 @@ func (t *Table) Explain(frame []byte) TableExplain {
 	return t.explain(t.state.Load(), frame)
 }
 
-// ExplainBurst is Explain against the generation ws's last LookupBatch on
+// ExplainBurst is Explain against the generation ws's last ProcessBatch on
 // this table read, so a sample taken after a burst describes the lookup
 // that burst ran, reprogrammed since or not. ws must have run a burst.
 func (t *Table) ExplainBurst(ws *BatchWorkspace, frame []byte) TableExplain {

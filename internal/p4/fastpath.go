@@ -8,27 +8,31 @@ import (
 	"p4guard/internal/packet"
 )
 
-// Batched zero-copy forwarding. The per-packet Lookup path extracts one
-// key, probes one index, and pays three atomic adds per hit; the batch
-// path amortizes all of it over a burst:
+// Batched zero-copy forwarding. Pipeline.ProcessBatch visits each active
+// packet of a burst once, and for a flow the cache holds that one visit is
+// the whole lookup:
 //
-//   - keys for the whole burst are gathered straight from the raw frame
-//     bytes into a struct-of-arrays match.KeyBatch (no packet.Packet
-//     header structs, no per-key allocations);
-//   - a per-worker direct-mapped flow cache (the software-switch EMC
-//     idiom) short-circuits repeated keys: a cached verdict is provably
-//     identical to a fresh lookup because table lookup is a pure
-//     function of (lookup state, key) and every cache entry is tagged
-//     with the state generation that produced it;
-//   - cache misses fall through to the index — the range index (point
-//     hash + bitset) batched over the miss set, or the scalar probe
-//     (lookupState.find) per key for a ternary table;
-//   - direct counters are tallied per row and flushed as one pair of
-//     atomic adds per distinct entry, plus one pair of table-level adds
-//     per batch, instead of three atomic read-modify-writes per packet;
-//   - the keys of digested misses are staged per batch and enqueued
-//     under one lock with one clock read (queueKeys), with the queue's
-//     accounting exactly as per-packet Process leaves it.
+//   - the key is gathered straight from the raw frame bytes (no
+//     packet.Packet header structs, no per-key allocations) into a
+//     struct-of-arrays match.KeyBatch, and a key of at most 8 bytes is
+//     packed into the flow cache's word in the same step; a frame shorter
+//     than the layout's farthest offset takes fillKey and PackKey instead;
+//   - a per-worker direct-mapped flow cache (the software-switch EMC idiom)
+//     is probed: a cached verdict is provably identical to a fresh lookup
+//     because table lookup is a pure function of (lookup state, key) and
+//     every slot is tagged with the generation of the state that filled it;
+//   - on a hit the packet is settled where it stands: its verdict lands in
+//     out, the allowed and digested counts advance without a branch, and
+//     the row's counters are tallied in the workspace.
+//
+// Packets the cache misses are resolved after the pass — the range index
+// batched over them (FindBatchIdx), or the scalar probe (lookupState.find)
+// per key on a ternary table — and settled by the same helper. Direct
+// counters flush as one pair of atomic adds per distinct row, and one pair
+// per table, a burst. Digested packets' keys are staged in packet order (a
+// merge of the two paths' lists, each in order already) and enqueued under
+// one lock with one clock read (queueKeys), with the queue's accounting
+// exactly as a Process per packet leaves it.
 //
 // Everything lives in a caller-owned BatchWorkspace, so the steady-state
 // loop allocates nothing.
@@ -42,15 +46,14 @@ const flowKeyMax = match.PackedKeyMax
 const flowCacheSlots = 1024
 
 // flowSlot caches one resolved key: the entry that matched (nil for a
-// recorded miss) tagged with the generation that produced it. Keys are
-// held as two zero-padded little-endian words so a probe is two integer
-// compares instead of a byte loop. row is the entry's row id in the
-// state's byID (-1 on a ternary table, which has none); it rides along
-// so cache hits can still use the batched counter tally.
+// recorded miss) tagged with the generation that produced it, 32 bytes.
+// Keys are held as two zero-padded little-endian words so a probe is two
+// integer compares instead of a byte loop; the key width needs no tag, as
+// it is fixed within a generation. row is the entry's row id in the
+// state's byID (-1 on a miss or a ternary table, which has none); it rides
+// along so cache hits can still use the batched counter tally.
 type flowSlot struct {
 	gen    uint32
-	klen   uint8
-	miss   bool
 	row    int32
 	k0, k1 uint64
 	entry  *row
@@ -96,213 +99,221 @@ func (c *flowCache) sync(st *lookupState) bool {
 
 // get probes the cache. ok distinguishes "no information" from a cached
 // miss (ok=true, entry=nil).
-func (c *flowCache) get(k0, k1 uint64, klen int) (entry *row, row int32, ok bool) {
+func (c *flowCache) get(k0, k1 uint64) (entry *row, row int32, ok bool) {
 	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
-	if s.gen != c.gen || int(s.klen) != klen || s.k0 != k0 || s.k1 != k1 {
+	if s.gen != c.gen || s.k0 != k0 || s.k1 != k1 {
 		return nil, -1, false
-	}
-	if s.miss {
-		return nil, -1, true
 	}
 	return s.entry, s.row, true
 }
 
 // put records a resolved key (entry nil = miss).
-func (c *flowCache) put(k0, k1 uint64, klen int, entry *row, row int32) {
-	s := &c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)]
-	s.gen = c.gen
-	s.klen = uint8(klen)
-	s.miss = entry == nil
-	s.row = row
-	s.k0, s.k1 = k0, k1
-	s.entry = entry
+func (c *flowCache) put(k0, k1 uint64, entry *row, row int32) {
+	c.slots[match.HashPacked(k0, k1)&(flowCacheSlots-1)] = flowSlot{gen: c.gen, row: row, k0: k0, k1: k1, entry: entry}
 }
 
 // BatchWorkspace holds every per-burst buffer the batched pipeline
-// needs: the SoA key batch, per-packet resolution arrays, the miss-set
-// scratch, the digest staging area, and the flow cache. A workspace
+// needs: the SoA key batch, the cache-missed set and its rows, the
+// digested set and its staged keys, and the flow cache. A workspace
 // belongs to one worker at a time (arenas hand them out); after warm-up,
 // running batches through it allocates nothing.
 type BatchWorkspace struct {
 	keys    match.KeyBatch
-	hits    []*row   // resolved entry per packet index (nil = miss)
-	hitRows []int32  // row id in the state's byID per packet index (-1 = none)
-	acts    []Action // resolved action per packet index
-	matched []bool   // non-default entry fired, per packet index
-	pend    []int32  // cache-missed packets needing an index probe
-	rows    []int32  // range-index rows parallel to pend
-	digests []byte   // staged digest keys, flushed once per batch
+	pend    []int32 // cache-missed packets needing an index probe
+	rows    []int32 // row ids parallel to pend
+	dig     []int32 // digested packets: the hit pass's, then the index pass's
+	digests []byte  // staged digest keys, flushed once per batch
 	cache   flowCache
 	masked  []byte // lane-masking scratch for ternary probes, one key wide
 
 	// Per-row counter accumulation: deltas gather here (indexed by the
-	// state's row id) and flush as one atomic add pair per
-	// distinct entry per batch. touched lists the dirty rows so the
-	// flush never scans or clears the whole table.
-	aggHits  []uint64
-	aggBytes []uint64
-	touched  []int32
+	// state's row id) and flush as one atomic add pair per distinct entry
+	// per batch. touched lists the dirty rows so the flush never scans or
+	// clears the whole table.
+	agg     []rowTally
+	touched []int32
 }
 
-// ensure sizes the per-packet arrays for n packets.
-func (ws *BatchWorkspace) ensure(n int) {
-	if cap(ws.hits) < n {
-		ws.hits = make([]*row, n)
-		ws.hitRows = make([]int32, n)
-		ws.acts = make([]Action, n)
-		ws.matched = make([]bool, n)
+// rowTally is one row's counter deltas within a burst.
+type rowTally struct{ hits, bytes uint64 }
+
+// ensure sizes the per-packet arrays for n packets and the per-row
+// accumulators for a state with ne row ids. The accumulators stay zeroed
+// between batches (the flush clears only the rows it touched).
+func (ws *BatchWorkspace) ensure(n, ne int) {
+	if len(ws.pend) < n {
 		ws.pend = make([]int32, n)
 		ws.rows = make([]int32, n)
+		ws.dig = make([]int32, n)
 		ws.touched = make([]int32, 0, n)
 	}
-	ws.hits = ws.hits[:n]
-	ws.hitRows = ws.hitRows[:n]
-	ws.acts = ws.acts[:n]
-	ws.matched = ws.matched[:n]
-}
-
-// ensureAgg sizes the per-row accumulators for a state with ne row ids.
-// The buffers stay zeroed between batches (the flush clears only the
-// rows it touched).
-func (ws *BatchWorkspace) ensureAgg(ne int) {
-	if cap(ws.aggHits) < ne {
-		ws.aggHits = make([]uint64, ne)
-		ws.aggBytes = make([]uint64, ne)
+	if len(ws.agg) < ne {
+		ws.agg = make([]rowTally, ne)
 	}
-	ws.aggHits = ws.aggHits[:cap(ws.aggHits)]
-	ws.aggBytes = ws.aggBytes[:cap(ws.aggBytes)]
 }
 
-// LookupBatch resolves the table for every packet index in active,
-// writing the action into ws.acts[idx], the matched flag into
-// ws.matched[idx], and the hit entry (for counter tallying) into
-// ws.hits[idx]. Counter effects are identical to calling Lookup once per
-// packet: per-entry hits/bytes and table hits/misses advance by exactly
-// the same amounts, just batched into one atomic add pair per distinct
-// row and one pair per table. The lookup state is loaded once for the
-// whole burst, so a batch observes one table generation.
-func (t *Table) LookupBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace) {
-	if len(active) == 0 {
+// burst is one ProcessBatch call's running state.
+type burst struct {
+	ws      *BatchWorkspace
+	out     []Verdict
+	def     Verdict // the default action's verdict
+	nd      int     // ws.dig[:nd] are the digested packets so far
+	allowed int
+	misses  int
+}
+
+// settle finishes packet idx, whose key resolved to e at row id r (e nil:
+// the table's default action): its verdict goes to out, the packet is
+// counted, and e's counters are tallied. The cache-hit pass and the index
+// pass both end here.
+func (b *burst) settle(idx int32, e *row, r int32, size int) {
+	v := b.def
+	if e == nil {
+		b.misses++
+	} else {
+		v = verdictOf(e.Action, true)
+		b.ws.tally(e, r, size)
+	}
+	b.out[idx] = v
+	b.allowed += b2i(v.Allowed)
+	b.ws.dig[b.nd] = idx
+	b.nd += b2i(v.Digested)
+}
+
+// tally adds one packet of size bytes to e's counters: into the
+// workspace when the row has an id, straight to the entry on a ternary
+// table, whose rows have none.
+func (ws *BatchWorkspace) tally(e *row, r int32, size int) {
+	if r < 0 {
+		atomic.AddUint64(&e.hits, 1)
+		atomic.AddUint64(&e.bytes, uint64(size))
 		return
 	}
-	ws.ensure(len(pkts))
-	st := t.state.Load()
-	width := st.width
-	ws.keys.Reset(width, len(pkts))
+	c := &ws.agg[r]
+	if c.hits == 0 {
+		ws.touched = append(ws.touched, r)
+	}
+	c.hits++
+	c.bytes += uint64(size)
+}
 
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// ProcessBatch runs a burst through the table: for each packet index in
+// active (ascending), the verdict lands in out[idx]. It returns how many of
+// them were allowed and how many digested. Per-packet semantics, counters
+// included, are exactly Process's; the differences are batch-granular only
+// — the table's lookup state is read once per burst, so a burst observes
+// one generation, counters advance by one atomic add pair per distinct row
+// and per table, and the misses' keys are staged in the workspace and
+// enqueued under one lock with one shared timestamp.
+func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, out []Verdict) (allowed, digested int) {
+	if len(active) == 0 {
+		return 0, 0
+	}
+	t := p.table
+	st := t.state.Load()
+	w := st.width
+	ws.keys.Reset(w, len(pkts))
+	ws.ensure(len(pkts), len(st.byID))
 	cache := &ws.cache
 	cached := cache.sync(st)
+	direct := cached && w <= 8
+	b := burst{ws: ws, out: out, def: verdictOf(st.def, false)}
 
-	// Gather keys for the active set straight from the frames, then
-	// resolve each key from the flow cache or collect it for the index.
+	// The one pass: gather each key, probe the cache, settle the hits and
+	// collect the rest for the index.
 	pend := ws.pend[:0]
 	for _, idx := range active {
+		f := pkts[idx].Bytes
 		key := ws.keys.Key(int(idx))
-		fillKey(key, pkts[idx].Bytes, st.key)
+		var k0, k1 uint64
+		if direct && len(f) >= st.reach {
+			for j, off := range st.offs {
+				key[j] = f[off]
+				k0 |= uint64(f[off]) << (8 * j)
+			}
+		} else {
+			fillKey(key, f, st.key)
+			if cached {
+				k0, k1 = match.PackKey(key)
+			}
+		}
 		if cached {
-			k0, k1 := match.PackKey(key)
-			if e, row, ok := cache.get(k0, k1, width); ok {
-				ws.hits[idx] = e
-				ws.hitRows[idx] = row
+			if e, r, ok := cache.get(k0, k1); ok {
+				b.settle(idx, e, r, len(f))
 				continue
 			}
 		}
 		pend = append(pend, idx)
 	}
 
+	hitDigests := b.nd
 	if len(pend) > 0 {
-		switch st.kind {
-		case MatchRange:
-			rows := ws.rows[:len(pend)]
+		rows := ws.rows[:len(pend)]
+		if st.kind == MatchRange {
 			st.rangeIdx.FindBatchIdx(&ws.keys, pend, rows)
-			for j, idx := range pend {
-				if rows[j] >= 0 {
-					ws.hits[idx] = st.byID[rows[j]]
-				} else {
-					ws.hits[idx] = nil
-				}
-				ws.hitRows[idx] = rows[j]
-			}
-		default:
-			if len(ws.masked) < width {
-				ws.masked = make([]byte, width)
-			}
-			for _, idx := range pend {
-				ws.hits[idx], ws.hitRows[idx] = st.find(ws.keys.Key(int(idx)), ws.masked)
-			}
+		} else if len(ws.masked) < w {
+			ws.masked = make([]byte, w)
 		}
-		if cached {
-			for _, idx := range pend {
-				k0, k1 := match.PackKey(ws.keys.Key(int(idx)))
-				cache.put(k0, k1, width, ws.hits[idx], ws.hitRows[idx])
+		for j, idx := range pend {
+			key := ws.keys.Key(int(idx))
+			var e *row
+			r := rows[j]
+			if st.kind != MatchRange {
+				e, r = st.find(key, ws.masked)
+			} else if r >= 0 {
+				e = st.byID[r]
 			}
+			if cached {
+				k0, k1 := match.PackKey(key)
+				cache.put(k0, k1, e, r)
+			}
+			b.settle(idx, e, r, len(pkts[idx].Bytes))
 		}
 	}
 
-	// Tally counters per batch. Hits that carry a row id accumulate
-	// into the workspace and flush as one atomic add pair per distinct
-	// entry; a ternary hit has none and adds to its entry directly.
-	// Table-level hit/miss counters advance once per batch. The final
-	// counter values are identical to per-packet Lookup in every case.
-	ws.ensureAgg(len(st.byID))
-	touched := ws.touched[:0]
-	var nHits, nMiss uint64
-	for _, idx := range active {
-		e := ws.hits[idx]
-		if e == nil {
-			nMiss++
-			ws.acts[idx] = st.def
-			ws.matched[idx] = false
-			continue
-		}
-		nHits++
-		ws.acts[idx] = e.Action
-		ws.matched[idx] = true
-		if row := ws.hitRows[idx]; row >= 0 {
-			if ws.aggHits[row] == 0 {
-				touched = append(touched, row)
-			}
-			ws.aggHits[row]++
-			ws.aggBytes[row] += uint64(len(pkts[idx].Bytes))
-			continue
-		}
-		atomic.AddUint64(&e.hits, 1)
-		atomic.AddUint64(&e.bytes, uint64(len(pkts[idx].Bytes)))
+	for _, r := range ws.touched {
+		e, c := st.byID[r], &ws.agg[r]
+		atomic.AddUint64(&e.hits, c.hits)
+		atomic.AddUint64(&e.bytes, c.bytes)
+		*c = rowTally{}
 	}
-	for _, row := range touched {
-		e := st.byID[row]
-		atomic.AddUint64(&e.hits, ws.aggHits[row])
-		atomic.AddUint64(&e.bytes, ws.aggBytes[row])
-		ws.aggHits[row], ws.aggBytes[row] = 0, 0
+	ws.touched = ws.touched[:0]
+	if hits := len(active) - b.misses; hits > 0 {
+		atomic.AddUint64(&t.hits, uint64(hits))
 	}
-	ws.touched = touched[:0]
-	if nHits > 0 {
-		atomic.AddUint64(&t.hits, nHits)
+	if b.misses > 0 {
+		atomic.AddUint64(&t.misses, uint64(b.misses))
 	}
-	if nMiss > 0 {
-		atomic.AddUint64(&t.misses, nMiss)
+	if b.nd > 0 {
+		staged := ws.stage(ws.dig[:hitDigests], ws.dig[hitDigests:b.nd])
+		p.queueKeys(st.key, staged, b.nd, time.Now())
 	}
+	return b.allowed, b.nd
 }
 
-// ProcessBatch runs a burst through the table: for each packet index in
-// active, the verdict lands in out[idx]. Per-packet semantics are exactly
-// Process's; the differences are batch-granular only — the table's lookup
-// state is read once per burst, and the misses' keys are staged in the
-// workspace and enqueued under one lock with one shared timestamp.
-func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, active []int32, ws *BatchWorkspace, out []Verdict) {
-	p.table.LookupBatch(pkts, active, ws)
+// stage copies the digested packets' keys into the staging buffer in
+// packet order: a (the hit pass's) and b (the index pass's) are each in
+// packet order, so one merge of the two is.
+func (ws *BatchWorkspace) stage(a, b []int32) []byte {
 	staged := ws.digests[:0]
-	n := 0
-	for _, idx := range active {
-		v := verdictOf(ws.acts[idx], ws.matched[idx])
-		out[idx] = v
-		if v.Digested {
-			staged = append(staged, ws.keys.Key(int(idx))...)
-			n++
+	for len(a)+len(b) > 0 {
+		var idx int32
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			idx, a = a[0], a[1:]
+		} else {
+			idx, b = b[0], b[1:]
 		}
+		staged = append(staged, ws.keys.Key(int(idx))...)
 	}
 	ws.digests = staged
-	if n > 0 {
-		p.queueKeys(ws.cache.state.key, staged, n, time.Now())
-	}
+	return staged
 }

@@ -83,26 +83,35 @@ func allIdx(n int) []int32 {
 	return idx
 }
 
-// TestLookupBatchMatchesLookup drives both match kinds: the batched
-// resolver must return the same action/matched per packet as Lookup,
-// and the twin tables' counters (table hit/miss and per-entry
-// hits/bytes) must advance identically.
+// burstOf runs every packet of pkts through ProcessBatch on p and returns
+// the verdicts.
+func burstOf(p *Pipeline, pkts []*packet.Packet, ws *BatchWorkspace) []Verdict {
+	out := make([]Verdict, len(pkts))
+	p.ProcessBatch(pkts, allIdx(len(pkts)), ws, out)
+	return out
+}
+
+// lookupVerdict is the verdict Lookup's answer makes.
+func lookupVerdict(t *Table, frame []byte) Verdict { return verdictOf(t.Lookup(frame)) }
+
+// TestLookupBatchMatchesLookup drives both match kinds through the burst
+// engine: it must return the verdict of Lookup per packet, and the twin
+// tables' counters (table hit/miss and per-entry hits/bytes) must advance
+// identically.
 func TestLookupBatchMatchesLookup(t *testing.T) {
 	for _, kind := range []MatchKind{MatchTernary, MatchRange} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(kind)))
 			batchT, refT := twinTables(t, kind, kindEntries(t, rng, kind, 40))
 			pkts := randFrames(rng, 500, 32)
+			p := NewPipeline(batchT, 0)
 			var ws BatchWorkspace
 			// Several batches so the flow cache serves warm hits too.
 			for round := 0; round < 3; round++ {
-				active := allIdx(len(pkts))
-				batchT.LookupBatch(pkts, active, &ws)
+				got := burstOf(p, pkts, &ws)
 				for i, pkt := range pkts {
-					wantAct, wantMatched := refT.Lookup(pkt.Bytes)
-					if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
-						t.Fatalf("round %d pkt %d: batch (%+v,%v) != lookup (%+v,%v)",
-							round, i, ws.acts[i], ws.matched[i], wantAct, wantMatched)
+					if want := lookupVerdict(refT, pkt.Bytes); got[i] != want {
+						t.Fatalf("round %d pkt %d: batch %+v != lookup %+v", round, i, got[i], want)
 					}
 				}
 			}
@@ -122,13 +131,14 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 }
 
 // TestLookupBatchUnderChurn reprograms and mutates the table between
-// batches: every post-change batch must agree with fresh per-packet
+// bursts: every post-change burst must agree with fresh per-packet
 // lookups, proving the flow cache's generation tagging invalidates on
 // insert, delete, and full program.
 func TestLookupBatchUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tab := NewTable("churn", MatchTernary, fourByteKey(), 0, Action{Type: ActionDigest})
 	pkts := randFrames(rng, 200, 24)
+	p := NewPipeline(tab, 0)
 	var ws BatchWorkspace
 	var ids []uint64
 	for round := 0; round < 12; round++ {
@@ -154,14 +164,11 @@ func TestLookupBatchUnderChurn(t *testing.T) {
 				ids = ids[1:]
 			}
 		}
-		active := allIdx(len(pkts))
-		tab.LookupBatch(pkts, active, &ws)
+		got := burstOf(p, pkts, &ws)
 		for i, pkt := range pkts {
-			// Lookup moves counters; only action/matched identity matters.
-			wantAct, wantMatched := tab.Lookup(pkt.Bytes)
-			if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
-				t.Fatalf("round %d pkt %d: batch (%+v,%v) != lookup (%+v,%v)",
-					round, i, ws.acts[i], ws.matched[i], wantAct, wantMatched)
+			// Lookup moves counters; only the verdicts must agree.
+			if want := lookupVerdict(tab, pkt.Bytes); got[i] != want {
+				t.Fatalf("round %d pkt %d: batch %+v != lookup %+v", round, i, got[i], want)
 			}
 		}
 	}
@@ -210,6 +217,54 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		if !bytes.Equal(bd[i].Key, rd[i].Key) || !slices.Equal(bd[i].Offsets, rd[i].Offsets) {
 			t.Fatalf("digest %d: batch %v@%v != ref %v@%v", i, bd[i].Key, bd[i].Offsets, rd[i].Key, rd[i].Offsets)
 		}
+	}
+}
+
+// TestBurstDigestsInPacketOrder: a burst's misses resolve on two paths —
+// A from the flow cache, where an earlier burst left it, B and C from the
+// index after the pass — and their digests must still queue in packet
+// order, B, A, C, with the verdicts and counters a Process per packet
+// leaves.
+func TestBurstDigestsInPacketOrder(t *testing.T) {
+	build := func() *Pipeline {
+		det := NewTable("det", MatchRange, fourByteKey(), 0, Action{Type: ActionDigest})
+		if err := det.Program(fourByteKey(), Action{Type: ActionDigest},
+			rowsOf(det, kindEntries(t, rand.New(rand.NewSource(2)), MatchRange, 8))); err != nil {
+			t.Fatal(err)
+		}
+		return NewPipeline(det, 64)
+	}
+	frame := func(v byte) *packet.Packet { // first key byte 0xf0 up: no row's
+		return &packet.Packet{Bytes: []byte{0xf0 | v, v, 0, v, v, 0}}
+	}
+	a, b, c := frame(1), frame(2), frame(3)
+	batchP, refP := build(), build()
+	var ws BatchWorkspace
+	for _, pkts := range [][]*packet.Packet{{a}, {b, a, c}} {
+		got := burstOf(batchP, pkts, &ws)
+		for i, pkt := range pkts {
+			if want := refP.Process(pkt); got[i] != want || !want.Digested {
+				t.Fatalf("burst of %d, pkt %d: batch %+v, Process %+v, want a digest", len(pkts), i, got[i], want)
+			}
+		}
+	}
+	bd, rd := batchP.DrainDigests(0), refP.DrainDigests(0)
+	want := [][]byte{{0xf1, 1, 1, 1}, {0xf2, 2, 2, 2}, {0xf1, 1, 1, 1}, {0xf3, 3, 3, 3}}
+	if len(bd) != len(want) || len(rd) != len(want) {
+		t.Fatalf("drained %d digests, Process queued %d, want %d", len(bd), len(rd), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(bd[i].Key, want[i]) || !bytes.Equal(rd[i].Key, want[i]) {
+			t.Fatalf("digest %d: batch %x, Process %x, want %x", i, bd[i].Key, rd[i].Key, want[i])
+		}
+	}
+	bs, rs := batchP.table.Stats(), refP.table.Stats()
+	bs.Name, rs.Name = "", ""
+	if bs != rs || bs.Misses != 4 {
+		t.Fatalf("table stats: batch %+v, Process %+v", bs, rs)
+	}
+	if bq, rq := batchP.DigestQueueStats(), refP.DigestQueueStats(); bq != rq {
+		t.Fatalf("digest accounting: batch %+v, Process %+v", bq, rq)
 	}
 }
 
@@ -374,9 +429,10 @@ func TestDigestLayoutDrops(t *testing.T) {
 }
 
 // TestLookupBatchWideKeySkipsCache programs keys wider than the flow
-// cache can hold; agreement must still hold via the index path. The
-// 80-byte ternary key is also wider than any fixed scratch the burst path
-// could carry for the store's lane masking: it must be sized by the key.
+// cache can hold; the burst engine must still agree with Lookup via the
+// index path. The 80-byte ternary key is also wider than any fixed
+// scratch the burst path could carry for the store's lane masking: it
+// must be sized by the key.
 func TestLookupBatchWideKeySkipsCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct {
@@ -398,20 +454,20 @@ func TestLookupBatchWideKeySkipsCache(t *testing.T) {
 			hitPkt := &packet.Packet{Bytes: append(append([]byte(nil), val...), 0xaa)}
 			missPkt := &packet.Packet{Bytes: make([]byte, tc.width+8)}
 			pkts := []*packet.Packet{hitPkt, missPkt, hitPkt}
+			p := NewPipeline(tab, 0)
 			var ws BatchWorkspace
-			active := allIdx(len(pkts))
-			tab.LookupBatch(pkts, active, &ws)
-			if !ws.matched[0] || ws.matched[1] {
-				t.Fatalf("batch matched (%v,%v), want the row's own key to hit and the zero key to miss", ws.matched[0], ws.matched[1])
+			active, out := allIdx(len(pkts)), make([]Verdict, len(pkts))
+			p.ProcessBatch(pkts, active, &ws, out)
+			if !out[0].Matched || out[1].Matched {
+				t.Fatalf("batch matched (%v,%v), want the row's own key to hit and the zero key to miss", out[0].Matched, out[1].Matched)
 			}
 			for i, pkt := range pkts {
-				wantAct, wantMatched := tab.Lookup(pkt.Bytes)
-				if ws.acts[i] != wantAct || ws.matched[i] != wantMatched {
-					t.Fatalf("pkt %d: batch (%+v,%v) != lookup (%+v,%v)", i, ws.acts[i], ws.matched[i], wantAct, wantMatched)
+				if want := lookupVerdict(tab, pkt.Bytes); out[i] != want {
+					t.Fatalf("pkt %d: batch %+v != lookup %+v", i, out[i], want)
 				}
 			}
 			// Sized once, the scratch is kept: a second burst allocates nothing.
-			if n := testing.AllocsPerRun(5, func() { tab.LookupBatch(pkts, active, &ws) }); n != 0 {
+			if n := testing.AllocsPerRun(5, func() { p.ProcessBatch(pkts, active, &ws, out) }); n != 0 {
 				t.Fatalf("steady-state wide-key burst allocates %.0f times", n)
 			}
 		})

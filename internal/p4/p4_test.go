@@ -133,7 +133,7 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 		}
 		pkts := []*packet.Packet{{Bytes: []byte{7}}, {Bytes: []byte{0}}}
 		var ws BatchWorkspace
-		tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
+		got := burstOf(NewPipeline(tbl, 0), pkts, &ws)
 		for i, pkt := range pkts {
 			want := Action{Type: ActionDigest}
 			if act, matched := tbl.Lookup(pkt.Bytes); matched || act != want {
@@ -142,8 +142,8 @@ func TestUnknownKindIndexesNothing(t *testing.T) {
 			if act, matched := tbl.LookupOracle(pkt.Bytes); matched || act != want {
 				t.Fatalf("kind %v key %v: scan (%+v,%v), want a miss", kind, pkt.Bytes, act, matched)
 			}
-			if ws.matched[i] || ws.acts[i] != want {
-				t.Fatalf("kind %v key %v: LookupBatch (%+v,%v), want a miss", kind, pkt.Bytes, ws.acts[i], ws.matched[i])
+			if got[i] != verdictOf(want, false) {
+				t.Fatalf("kind %v key %v: ProcessBatch %+v, want a miss", kind, pkt.Bytes, got[i])
 			}
 			if ex := tbl.Explain(pkt.Bytes); ex.Matched || !ex.DefaultUsed || ex.Action != want {
 				t.Fatalf("kind %v key %v: Explain %+v, want the default", kind, pkt.Bytes, ex)

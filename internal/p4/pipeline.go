@@ -52,7 +52,7 @@ type Pipeline struct {
 	table   *Table
 	mu      sync.Mutex  // guards the digest queue
 	layout  []FieldSpec // the layout the queued keys were gathered under
-	offsets []int       // layout's key bytes as frame offsets (Digest.Offsets)
+	offsets []int       // layout's key bytes as frame offsets (Digest.Offsets, shared with the table)
 	keys    []byte      // queued keys back to back, len(offsets) bytes each
 	at      []time.Time // enqueue time per queued key
 	offered uint64      // digests ever presented to the queue (accepted + dropped)
@@ -114,19 +114,14 @@ func (p *Pipeline) queueKeys(layout []FieldSpec, keys []byte, n int, at time.Tim
 // counting what was queued under another one (specs compared whole, names
 // too). Callers hold p.mu.
 func (p *Pipeline) relayout() {
-	cur := p.table.state.Load().key
-	if slices.Equal(cur, p.layout) {
-		p.layout = cur
+	st := p.table.state.Load()
+	if slices.Equal(st.key, p.layout) {
+		p.layout = st.key
 		return
 	}
 	p.dropped += uint64(len(p.at))
 	p.keys, p.at = p.keys[:0], p.at[:0]
-	p.layout, p.offsets = cur, nil
-	for _, s := range cur {
-		for i := 0; i < s.Width; i++ {
-			p.offsets = append(p.offsets, s.Offset+i)
-		}
-	}
+	p.layout, p.offsets = st.key, st.offs
 }
 
 // DrainDigests removes and returns up to max queued digests (all when

@@ -15,7 +15,7 @@ import (
 // almost all point rows — programmed and reactive, with priority ties
 // between points and ranges that only ord resolves — through Insert,
 // Delete and Apply, while lock-free readers hammer both tables. After
-// every mutation Lookup, LookupBatch, the linear oracle and Explain must
+// every mutation Lookup, ProcessBatch, the linear oracle and Explain must
 // agree on every probe frame, and the per-packet and batched twins must
 // end with identical counters. Run with -race this is the publication
 // proof for the range generations derived in place.
@@ -75,6 +75,7 @@ func TestRangePointChurnDifferential(t *testing.T) {
 			}
 			defer func() { close(stop); wg.Wait() }()
 
+			pipe := NewPipeline(batched, 0)
 			var ws BatchWorkspace
 			var reactive []uint64
 			for round := 0; round < 30; round++ {
@@ -136,11 +137,11 @@ func TestRangePointChurnDifferential(t *testing.T) {
 					prog = next
 				}
 
-				batched.LookupBatch(pkts, allIdx(len(pkts)), &ws)
+				got := burstOf(pipe, pkts, &ws)
 				for i, pkt := range pkts {
 					act, matched := perPkt.Lookup(pkt.Bytes)
-					if ws.acts[i] != act || ws.matched[i] != matched {
-						t.Fatalf("round %d pkt %d: batch (%+v,%v) != lookup (%+v,%v)", round, i, ws.acts[i], ws.matched[i], act, matched)
+					if want := verdictOf(act, matched); got[i] != want {
+						t.Fatalf("round %d pkt %d: batch %+v != lookup %+v", round, i, got[i], want)
 					}
 					if oa, om := perPkt.LookupOracle(pkt.Bytes); oa != act || om != matched {
 						t.Fatalf("round %d pkt %d: oracle (%+v,%v) != lookup (%+v,%v)", round, i, oa, om, act, matched)

@@ -36,6 +36,7 @@ type deltaChurn struct {
 	// id: the check's own, and the bursts forwarded under each mutation.
 	counted drawn
 	frames  []*packet.Packet
+	pipe    *Pipeline      // the forwarder's, over tbl
 	ws      BatchWorkspace // the forwarder's, kept across steps as a worker's is
 }
 
@@ -49,6 +50,18 @@ func (d drawn) count(e *row, frame []byte) {
 		n := d[e.ID]
 		d[e.ID] = [2]uint64{n[0] + 1, n[1] + uint64(len(frame))}
 	}
+}
+
+// burstRow is the row frame resolves to, by the scalar probe, in the
+// generation ws's last burst read, and the verdict that makes: what the
+// burst must have answered and counted for it.
+func burstRow(ws *BatchWorkspace, frame []byte) (*row, Verdict) {
+	st := ws.cache.state
+	e, _ := st.find(ExtractKey(frame, st.key), nil)
+	if e == nil {
+		return nil, verdictOf(st.def, false)
+	}
+	return e, verdictOf(e.Action, true)
 }
 
 // heldGeneration is a lookup state kept past its time and what it
@@ -71,6 +84,7 @@ func newDeltaChurn(t *testing.T, seed int64, width, rows int, pointShare float64
 	}
 	c.probes = matchtest.Keys(c.rng, width, 300, gen)
 	c.counted = drawn{}
+	c.pipe = NewPipeline(c.tbl, 0)
 	for i, k := range c.probes { // each padded to a length of its own
 		c.frames = append(c.frames, &packet.Packet{Link: packet.LinkEthernet, Bytes: append(slices.Clone(k), make([]byte, i%9)...)})
 	}
@@ -78,25 +92,29 @@ func newDeltaChurn(t *testing.T, seed int64, width, rows int, pointShare float64
 }
 
 // forwardDuring runs mutate under what a switch's Run loop is to the
-// table: bursts of frames through LookupBatch on another goroutine, the
+// table: bursts of frames through ProcessBatch on another goroutine, the
 // first before the mutation starts and the last after it has returned,
 // counting per packet the row each resolved to in whatever generation the
-// burst loaded.
+// burst loaded, and holding its verdict to that row's.
 func (c *deltaChurn) forwardDuring(mutate func() error) error {
 	var bursts atomic.Int32
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		active := allIdx(len(c.frames))
+		active, out := allIdx(len(c.frames)), make([]Verdict, len(c.frames))
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			c.tbl.LookupBatch(c.frames, active, &c.ws)
-			for i, e := range c.ws.hits {
-				c.counted.count(e, c.frames[i].Bytes)
+			c.pipe.ProcessBatch(c.frames, active, &c.ws, out)
+			for i, f := range c.frames {
+				e, want := burstRow(&c.ws, f.Bytes)
+				if out[i] != want {
+					c.t.Errorf("frame %x: burst %+v, its generation's row says %+v", f.Bytes, out[i], want)
+				}
+				c.counted.count(e, f.Bytes)
 			}
 			bursts.Add(1)
 		}
@@ -258,7 +276,7 @@ func sameRows(a, b []Entry) bool {
 // installs — signature, the six readers of the match-ordered list (Len,
 // Entries, EntrySnapshots, Stats, and on every probe key the scan and
 // Explain's winner rank and beaten rows), the program in wire order, Lookup
-// and LookupBatch — and every held generation to what it answered when it
+// and ProcessBatch — and every held generation to what it answered when it
 // was current.
 func (c *deltaChurn) check(what string) {
 	c.t.Helper()
@@ -308,16 +326,17 @@ func (c *deltaChurn) check(what string) {
 		pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: k}
 	}
 	var ws BatchWorkspace
-	c.tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
+	got := burstOf(c.pipe, pkts, &ws)
 	for i, k := range c.probes {
 		want, wantMatched := fresh.Lookup(k)
-		c.counted.count(ws.hits[i], k) // the burst's lookup of k, then the scalar one
-		c.counted.count(ws.hits[i], k)
+		e, _ := burstRow(&ws, k)
+		c.counted.count(e, k) // the burst's lookup of k, then the scalar one
+		c.counted.count(e, k)
 		if act, matched := c.tbl.Lookup(k); act != want || matched != wantMatched {
 			t.Fatalf("%s key %x: Lookup (%+v,%v), a fresh table's (%+v,%v)", what, k, act, matched, want, wantMatched)
 		}
-		if ws.acts[i] != want || ws.matched[i] != wantMatched {
-			t.Fatalf("%s key %x: LookupBatch (%+v,%v), a fresh table's (%+v,%v)", what, k, ws.acts[i], ws.matched[i], want, wantMatched)
+		if v := verdictOf(want, wantMatched); got[i] != v {
+			t.Fatalf("%s key %x: ProcessBatch %+v, a fresh table's %+v", what, k, got[i], v)
 		}
 		if act, matched := c.tbl.LookupOracle(k); act != want || matched != wantMatched {
 			t.Fatalf("%s key %x: scan (%+v,%v), a fresh table's (%+v,%v)", what, k, act, matched, want, wantMatched)

@@ -218,7 +218,7 @@ func TestOldGenerationsAnswerAsTheyDid(t *testing.T) {
 
 // TestReadersRaceInstalls: the match-ordered list is merged by whichever
 // reader asks first, out of an array the installer is appending to. One
-// goroutine reads Entries, Stats and Explain, one runs LookupBatch, while
+// goroutine reads Entries, Stats and Explain, one runs ProcessBatch, while
 // rows are installed at priorities on every side of the programmed ones;
 // the installer waits for a read between installs, so the two stay
 // interleaved from the first row to the last. Every list seen must be one
@@ -273,19 +273,20 @@ func TestReadersRaceInstalls(t *testing.T) {
 			reads.Add(1)
 		}
 	}()
-	go func() { // LookupBatch
+	go func() { // ProcessBatch
 		defer wg.Done()
 		pkts := make([]*packet.Packet, installs)
 		for i, k := range fresh {
 			pkts[i] = &packet.Packet{Link: packet.LinkEthernet, Bytes: k}
 		}
+		p := NewPipeline(tbl, 0)
 		var ws BatchWorkspace
 		for !stop.Load() && !t.Failed() {
 			floor := int(installed.Load())
-			tbl.LookupBatch(pkts, allIdx(len(pkts)), &ws)
+			got := burstOf(p, pkts, &ws)
 			for i := 0; i < floor; i++ {
-				if !ws.matched[i] {
-					t.Errorf("LookupBatch misses key %x after its install finished", fresh[i])
+				if !got[i].Matched {
+					t.Errorf("ProcessBatch misses key %x after its install finished", fresh[i])
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -67,6 +68,8 @@ type Table struct {
 type lookupState struct {
 	kind  MatchKind
 	key   []FieldSpec
+	offs  []int // key's bytes as frame offsets, in key order
+	reach int   // shortest frame holding every offset (MaxInt: one is negative)
 	width int
 	def   Action
 	rows  int // live entries
@@ -283,6 +286,19 @@ func (t *Table) reindex() {
 		width: t.width(),
 		def:   t.DefaultAction,
 	}
+	if prev := t.state.Load(); prev != nil && slices.Equal(prev.key, t.Key) {
+		st.offs, st.reach = prev.offs, prev.reach
+	} else {
+		st.offs = make([]int, 0, st.width)
+		for _, s := range t.Key {
+			for off := s.Offset; off < s.Offset+s.Width; off++ {
+				st.offs = append(st.offs, off)
+				if st.reach = max(st.reach, off+1); off < 0 {
+					st.reach = math.MaxInt
+				}
+			}
+		}
+	}
 	sortByPriority(merged)
 	switch t.Kind {
 	case MatchTernary:
@@ -410,7 +426,7 @@ func (t *Table) derive(rm, add []*row) {
 		return
 	}
 	st := &lookupState{
-		kind: prev.kind, key: prev.key, width: prev.width, def: t.DefaultAction,
+		kind: prev.kind, key: prev.key, offs: prev.offs, reach: prev.reach, width: prev.width, def: t.DefaultAction,
 		rows: rows, sorted: prev.sorted, covered: prev.covered, byID: byID, rangeIdx: idx,
 	}
 	if len(rm) > 0 {
@@ -532,7 +548,7 @@ func (t *Table) lookup(frame, buf []byte) (act Action, matched bool, st *lookupS
 }
 
 // find resolves one gathered key through the state's index — the single
-// probe Lookup and LookupBatch share. It returns the winning entry (nil
+// probe Lookup and ProcessBatch share. It returns the winning entry (nil
 // on a miss) and its row id in st.byID, or -1 for a ternary table, which
 // resolves without one. scratch (len >= key width) is the ternary
 // store's lane-masking buffer.
@@ -550,7 +566,7 @@ func (st *lookupState) find(key, scratch []byte) (*row, int32) {
 
 // LookupOracle is the linear-scan reference for Lookup: it walks the
 // sorted entry list first-match with no index, no counters, and no side
-// effects. Differential tests assert the indexed Lookup, LookupBatch,
+// effects. Differential tests assert the indexed Lookup, ProcessBatch,
 // and Explain never disagree with it on any table generation.
 func (t *Table) LookupOracle(frame []byte) (act Action, matched bool) {
 	st := t.state.Load()

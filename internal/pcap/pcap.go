@@ -20,6 +20,7 @@ const (
 	maxSnapLen    = 262144
 	fileHeaderLen = 24
 	recHeaderLen  = 16
+	bodyChunk     = 4096 // the most ReadPacket allocates ahead of a body's bytes
 )
 
 var (
@@ -129,9 +130,20 @@ func (r *Reader) ReadPacket() (*packet.Packet, error) {
 	if caplen > maxSnapLen {
 		return nil, fmt.Errorf("pcap: caplen %d exceeds snaplen: %w", caplen, ErrRecord)
 	}
-	body := make([]byte, caplen)
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return nil, fmt.Errorf("pcap: read record body: %w", err)
+	// What the header claims is allocated only as its bytes arrive: the body
+	// is read into a buffer of at most bodyChunk bytes that doubles each
+	// time it fills, so a stream cut short has allocated at most bodyChunk
+	// or four times what it carried, whichever is more.
+	body := make([]byte, min(int(caplen), bodyChunk))
+	for n := 0; ; {
+		m, err := io.ReadFull(r.r, body[n:])
+		if n += m; err != nil {
+			return nil, fmt.Errorf("pcap: read record body: %w", err)
+		}
+		if n == int(caplen) {
+			break
+		}
+		body = append(body, make([]byte, min(int(caplen)-n, n))...)
 	}
 	return &packet.Packet{
 		Time:  time.Duration(secs)*time.Second + time.Duration(micros)*time.Microsecond,

@@ -2,9 +2,12 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -157,6 +160,40 @@ func TestReadPacketEOF(t *testing.T) {
 	}
 	if _, err := r.ReadPacket(); !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want EOF", err)
+	}
+}
+
+// TestReadPacketAllocatesWhatArrives: a record header may claim up to the
+// snap length, and the body is allocated as its bytes arrive. A 40-byte
+// stream — the file header and one record header claiming 262 144 bytes —
+// must fail typed having allocated a few KiB, not the claim. Cheapest of
+// several runs, read from runtime.MemStats.
+func TestReadPacketAllocatesWhatArrives(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriter(&buf, packet.LinkEthernet); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [recHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[8:], maxSnapLen)
+	binary.LittleEndian.PutUint32(hdr[12:], maxSnapLen)
+	stream := append(buf.Bytes(), hdr[:]...)
+	cheapest := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.ReadPacket()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d-byte stream claiming %d bytes: %v, want a cut-short error", len(stream), maxSnapLen, err)
+		}
+		cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)
+	}
+	if cheapest > 8<<10 {
+		t.Fatalf("a %d-byte stream claiming %d bytes allocated %d bytes before its error", len(stream), maxSnapLen, cheapest)
 	}
 }
 

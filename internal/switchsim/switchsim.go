@@ -388,11 +388,12 @@ type batchArena struct {
 
 // forwardBatch is the zero-copy engine: a touch pass, in-place parse
 // acceptance, rate guard, active-set construction, then the batched
-// pipeline. Verdicts
-// land in out (len(pkts)); the returned delta has Packets set but no
-// Elapsed (the caller owns timing). Observable behaviour per packet —
-// verdicts, counters, digest accounting, sampler and drift observation
-// order — matches a Process call per packet.
+// pipeline, which counts what it allowed and digested; a per-packet pass
+// over the verdicts runs only while explain sampling or drift monitoring
+// is armed. Verdicts land in out (len(pkts)); the returned delta has
+// Packets set but no Elapsed (the caller owns timing). Observable
+// behaviour per packet — verdicts, counters, digest accounting, sampler
+// and drift observation order — matches a Process call per packet.
 func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchArena) RunStats {
 	sampler := s.explain.Load()
 	driftA := s.driftArmed()
@@ -427,22 +428,19 @@ func (s *Switch) forwardBatch(pkts []*packet.Packet, out []p4.Verdict, a *batchA
 		active = append(active, int32(i))
 	}
 	a.active = active
-	s.pipeline.ProcessBatch(pkts, active, &a.ws, out)
-	for _, idx := range active {
-		v := out[idx]
-		if sampler != nil {
-			sampler.maybeSample(s, &a.ws, pkts[idx], v)
-		}
-		if driftA != nil && v.Digested {
-			observeDrift(driftA, pkts[idx])
-		}
-		if v.Allowed {
-			d.Allowed++
-		} else {
-			d.Dropped++
-		}
-		if v.Digested {
-			d.Digested++
+	allowed, digested := s.pipeline.ProcessBatch(pkts, active, &a.ws, out)
+	d.Allowed += allowed
+	d.Dropped += len(active) - allowed
+	d.Digested += digested
+	if sampler != nil || driftA != nil {
+		for _, idx := range active {
+			v := out[idx]
+			if sampler != nil {
+				sampler.maybeSample(s, &a.ws, pkts[idx], v)
+			}
+			if driftA != nil && v.Digested {
+				observeDrift(driftA, pkts[idx])
+			}
 		}
 	}
 	d.Packets = len(pkts)
